@@ -54,7 +54,7 @@ mod tests {
 
     #[test]
     fn diagnostics_land_in_the_recorder() {
-        let rec = obs::Recorder::enabled();
+        let rec = obs::Recorder::tracing();
         let d = Diagnostic::new(DiagCode::RedundantSync, Some(1), "x");
         record_diagnostic(&rec, "omp_barrier", BodyKind::Test, &d);
         record_agreement(&rec, "omp_barrier", BodyKind::Test, &check_cpu_body(&[]));

@@ -194,7 +194,7 @@ fn main() {
 
     // Record all findings through the observability layer too, so a
     // trace-enabled embedding sees them alongside engine events.
-    obs::install(obs::Recorder::enabled());
+    obs::install(obs::Recorder::tracing());
     let rec = obs::global();
 
     let inventory: Vec<_> = kernel_inventory()

@@ -106,7 +106,7 @@ fn main() -> Result<()> {
         std::process::exit(2);
     };
 
-    obs::install(Recorder::enabled());
+    obs::install(Recorder::tracing());
     let rec = obs::global().clone();
 
     let sched = if cli.jobs.is_some() || cli.no_cache {

@@ -547,17 +547,24 @@ pub fn run_with_options(
     generate: impl FnOnce() -> Result<Vec<FigureData>>,
     opts: &RunOptions,
 ) -> Result<()> {
-    let rec = if opts.trace.is_some()
-        || opts.cache_stats.is_some()
-        || opts.metrics.is_some()
-        || opts.metrics_addr.is_some()
-    {
-        obs::install(Recorder::enabled());
-        // `install` keeps an earlier recorder if one exists; either
-        // way, record into whatever is globally visible.
-        obs::global().clone()
+    // `--trace` needs the event plane; the stats flags only read
+    // metrics, so they install the metrics plane alone and the sweep
+    // runs the same batched, memoized code as an unobserved one.
+    let plane = if opts.trace.is_some() {
+        Some(Recorder::tracing())
+    } else if opts.cache_stats.is_some() || opts.metrics.is_some() || opts.metrics_addr.is_some() {
+        Some(Recorder::enabled())
     } else {
-        Recorder::disabled()
+        None
+    };
+    let rec = match plane {
+        Some(plane) => {
+            obs::install(plane);
+            // `install` keeps an earlier recorder if one exists; either
+            // way, record into whatever is globally visible.
+            obs::global().clone()
+        }
+        None => Recorder::disabled(),
     };
 
     let sched = if opts.wants_scheduler() {
@@ -837,7 +844,7 @@ mod tests {
 
     #[test]
     fn render_trace_dispatches_by_format() {
-        let rec = Recorder::enabled();
+        let rec = Recorder::tracing();
         rec.counter("x.count").inc();
         rec.instant("t", "e");
         let events = rec.drain_events();

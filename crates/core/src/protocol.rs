@@ -71,13 +71,13 @@ impl Protocol {
 
     /// [`Protocol::measure`] with an explicit [`Recorder`]; with a
     /// disabled recorder the only overhead is one branch per event
-    /// site. Emits, under category `protocol`: a `measure` span per
-    /// call, an `attempt_rejected` instant for every attempt whose
-    /// test time came out below the baseline, a `run_exhausted`
-    /// instant when a run burns its whole attempt budget, and a
-    /// `negligible_verdict` instant when the final difference is
-    /// within timer accuracy — plus the matching `protocol.*`
-    /// counters.
+    /// site. Counts the `protocol.*` counters into any live recorder;
+    /// a tracing one also receives, under category `protocol`: a
+    /// `measure` span per call, an `attempt_rejected` instant for every
+    /// attempt whose test time came out below the baseline, a
+    /// `run_exhausted` instant when a run burns its whole attempt
+    /// budget, and a `negligible_verdict` instant when the final
+    /// difference is within timer accuracy.
     ///
     /// # Errors
     ///
@@ -90,9 +90,16 @@ impl Protocol {
         rec: &Recorder,
     ) -> Result<Measurement> {
         params.validate()?;
-        let mut span = rec.span("protocol", format!("measure {}", kernel.name));
-        span.push_arg("kernel", kernel.name.clone());
-        span.push_arg("threads", u64::from(params.threads));
+        // The span's name and arguments are built only for the event
+        // plane; metrics alone must not cost a per-measurement format.
+        let mut span = if rec.traces() {
+            let mut span = rec.span("protocol", format!("measure {}", kernel.name));
+            span.push_arg("kernel", kernel.name.clone());
+            span.push_arg("threads", u64::from(params.threads));
+            span
+        } else {
+            rec.span("protocol", "measure")
+        };
         let c_attempts = rec.counter("protocol.attempts");
         let c_rejected = rec.counter("protocol.attempts_rejected");
 
@@ -507,7 +514,7 @@ mod tests {
 
     #[test]
     fn injected_rejections_hit_counters_and_keep_median_math_clean() {
-        let rec = Recorder::enabled();
+        let rec = Recorder::tracing();
         let mut exec = UndershootExec::new(2);
         let params = ExecParams::new(2).with_loops(10, 10);
         let m = Protocol::PAPER
@@ -554,7 +561,7 @@ mod tests {
 
     #[test]
     fn attempt_budget_is_honored_when_every_attempt_fails() {
-        let rec = Recorder::enabled();
+        let rec = Recorder::tracing();
         let mut exec = UndershootExec::new(u32::MAX); // never succeeds
         let params = ExecParams::new(2).with_loops(10, 10);
         let m = Protocol::PAPER
@@ -579,7 +586,7 @@ mod tests {
 
     #[test]
     fn negligible_verdict_is_counted() {
-        let rec = Recorder::enabled();
+        let rec = Recorder::tracing();
         let mut exec = FakeExec {
             op_cost: 0.0,
             noise: 0.0,
@@ -600,14 +607,16 @@ mod tests {
     #[test]
     fn disabled_recorder_changes_nothing() {
         let params = ExecParams::new(2).with_loops(10, 10);
-        let mut a = UndershootExec::new(2);
-        let with = Protocol::PAPER
-            .measure_observed(&mut a, &barrier_kernel(), &params, &Recorder::enabled())
-            .unwrap();
         let mut b = UndershootExec::new(2);
         let without = Protocol::PAPER
             .measure_observed(&mut b, &barrier_kernel(), &params, &Recorder::disabled())
             .unwrap();
-        assert_eq!(with, without);
+        for rec in [Recorder::enabled(), Recorder::tracing()] {
+            let mut a = UndershootExec::new(2);
+            let with = Protocol::PAPER
+                .measure_observed(&mut a, &barrier_kernel(), &params, &rec)
+                .unwrap();
+            assert_eq!(with, without);
+        }
     }
 }

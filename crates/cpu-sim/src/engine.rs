@@ -28,7 +28,7 @@ use crate::plan::{units_to_ns, PlanOp, RunPlan};
 use crate::topology::Placement;
 use crate::trace::OpTrace;
 
-/// With a live recorder the first `OBSERVED_REPS` repetitions are
+/// With a tracing recorder the first `OBSERVED_REPS` repetitions are
 /// always stepped with per-op event emission (bounding trace volume the
 /// same way the previous engine's warm-rep window did); steady-state
 /// extrapolation is only allowed past this window.
@@ -57,15 +57,17 @@ pub fn run(
     run_observed(model, placement, body, reps, syncperf_core::obs::global())
 }
 
-/// [`run`] with an explicit [`Recorder`]. With recording enabled this
-/// emits, under category `cpu_sim`: an `engine_run` span, one per-op
-/// instant (tagged `tid`/`rep`/`idx`/`cost_ns`) for each of the first
+/// [`run`] with an explicit [`Recorder`]. Any live recorder counts
+/// `cpu_sim.engine_runs` and `cpu_sim.barrier_rounds`. With the event
+/// plane on ([`Recorder::traces`]) it also emits, under category
+/// `cpu_sim`: an `engine_run` span, one per-op instant (tagged
+/// `tid`/`rep`/`idx`/`cost_ns`) for each of the first
 /// [`OBSERVED_REPS`] repetitions, and `store_buffer_drain` instants at
-/// fences — plus the `cpu_sim.barrier_rounds`,
-/// `cpu_sim.mesi_transitions` (analytic coherence-transaction count
-/// derived from the contention map) and `cpu_sim.store_buffer_drains`
-/// counters and the `cpu_sim.arb_queue_depth_max` high-water gauge. A
-/// disabled recorder costs one branch per site. Recording never changes
+/// fences — plus the `cpu_sim.mesi_transitions` (analytic
+/// coherence-transaction count derived from the contention map) and
+/// `cpu_sim.store_buffer_drains` counters and the
+/// `cpu_sim.arb_queue_depth_max` high-water gauge. A disabled recorder
+/// costs one branch per site. Recording never changes
 /// the simulated times: the steady-state fast path is exact, so
 /// observed and unobserved runs return bit-identical results.
 ///
@@ -139,8 +141,8 @@ fn run_impl(
     span.push_arg("ops", body.len());
     span.push_arg("reps", reps);
     rec.counter("cpu_sim.engine_runs").inc();
-    let enabled = rec.is_enabled();
-    if enabled {
+    let traces = rec.traces();
+    if traces {
         record_coherence_profile(model, placement, &contention, body, reps, rec);
     }
 
@@ -154,7 +156,7 @@ fn run_impl(
         prev_pend: vec![0u64; n],
     };
     let mut barrier_episodes = 0u64;
-    let emit_reps = if enabled { OBSERVED_REPS.min(reps) } else { 0 };
+    let emit_reps = if traces { OBSERVED_REPS.min(reps) } else { 0 };
     let has_barriers = plan.barriers_per_rep() > 0;
     let mut have_prev = false;
 
@@ -177,7 +179,7 @@ fn run_impl(
                 &mut barrier_episodes,
             );
         } else {
-            let tr = trace.get_or_insert_with(|| compile_trace(&plan, rec, enabled));
+            let tr = trace.get_or_insert_with(|| compile_trace(&plan, rec));
             barrier_episodes += tr.step_rep(&mut s.t, &mut s.pending, &mut s.order);
         }
         rep += 1;
@@ -229,8 +231,8 @@ fn run_impl(
 
 /// Lowers the plan to a flat trace, recording `plan.compile_us` and
 /// `plan.trace_ops` when observation is on.
-fn compile_trace(plan: &RunPlan, rec: &Recorder, enabled: bool) -> OpTrace {
-    if !enabled {
+fn compile_trace(plan: &RunPlan, rec: &Recorder) -> OpTrace {
+    if !rec.is_enabled() {
         return OpTrace::compile(plan);
     }
     let start = std::time::Instant::now();
@@ -340,8 +342,8 @@ fn rendezvous(plan: &RunPlan, t: &mut [u64], order: &mut Vec<usize>) {
 /// Records the analytic coherence profile of a run: the number of
 /// MESI-level coherence transactions the contention map implies (every
 /// contended access misses locally and goes through the directory) and
-/// the arbitration-queue depth high-water mark. Called only when
-/// recording is enabled.
+/// the arbitration-queue depth high-water mark. Called only while the
+/// event plane is on.
 fn record_coherence_profile(
     model: &CpuModel,
     placement: &Placement,
@@ -664,7 +666,9 @@ mod tests {
         let (m, p) = setup(32); // SMT-loaded: differing per-thread deltas
         let body = kernel::omp_flush(DType::I32, 1).test;
         let quiet = run(&m, &p, &body, 200).unwrap();
-        let observed = run_observed(&m, &p, &body, 200, &Recorder::enabled()).unwrap();
-        assert_eq!(quiet, observed);
+        for rec in [Recorder::enabled(), Recorder::tracing()] {
+            let observed = run_observed(&m, &p, &body, 200, &rec).unwrap();
+            assert_eq!(quiet, observed);
+        }
     }
 }

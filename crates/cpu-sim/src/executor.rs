@@ -62,8 +62,8 @@ pub struct CpuSimExecutor {
     /// deterministic given `(body, threads, affinity, reps)` — the
     /// model and system are fixed at construction — so the protocol's
     /// repeated identical executions reuse one simulation. Bypassed
-    /// whenever a recorder is live (observed runs must re-emit their
-    /// trace events).
+    /// whenever the recorder traces events (traced runs must re-emit
+    /// their per-op events).
     cache: Vec<CacheEntry>,
 }
 
@@ -143,8 +143,8 @@ impl CpuSimExecutor {
         }
     }
 
-    /// Runs the engine through the memo cache (recorder known to be
-    /// disabled). Hits move to the front; misses evict the oldest entry
+    /// Runs the engine through the memo cache (event plane known to be
+    /// off). Hits move to the front; misses evict the oldest entry
     /// beyond [`ENGINE_CACHE_CAP`].
     fn cached_run(&mut self, body: &[CpuOp], params: &ExecParams) -> Result<(EngineResult, bool)> {
         let reps = params.timed_reps();
@@ -189,8 +189,8 @@ impl CpuSimExecutor {
     /// pass ([`crate::trace::run_batch`]) and hands each job its
     /// slice; the protocol's executions then hit the memo instead of
     /// re-simulating. Priming is invisible to results: the engine is
-    /// deterministic, the memo is bypassed whenever a recorder is
-    /// live, and jitter is drawn after the (possibly memoized) run.
+    /// deterministic, the memo is bypassed only while events are
+    /// traced, and jitter is drawn after the (possibly memoized) run.
     pub fn prime_engine(&mut self, body: &[CpuOp], params: &ExecParams, result: EngineResult) {
         let placement = Placement::new(&self.system.cpu, params.affinity, params.threads);
         self.cache.insert(
@@ -226,9 +226,9 @@ impl Executor for CpuSimExecutor {
                 "the CPU simulator runs a single team (blocks must be 1)".into(),
             ));
         }
-        let (result, uses_hyperthreads) = if self.effective_recorder().is_enabled() {
-            // Observed runs bypass the memo so every execution re-emits
-            // its trace events and counters.
+        let (result, uses_hyperthreads) = if self.effective_recorder().traces() {
+            // Traced runs bypass the memo so every execution re-emits
+            // its trace events; metrics alone keep the memo.
             let placement = Placement::new(&self.system.cpu, params.affinity, params.threads);
             let r = engine::run_observed(
                 &self.model,
@@ -356,7 +356,7 @@ mod tests {
 
     #[test]
     fn attached_recorder_observes_engine_counters() {
-        let rec = syncperf_core::obs::Recorder::enabled();
+        let rec = syncperf_core::obs::Recorder::tracing();
         let mut sim = CpuSimExecutor::new(&SYSTEM3).with_recorder(rec.clone());
         sim.execute(&kernel::omp_barrier().test, &quick(4)).unwrap();
         sim.execute(
@@ -376,13 +376,13 @@ mod tests {
 
     #[test]
     fn engine_memo_is_invisible_to_results() {
-        // A cache-hitting executor and an observed (cache-bypassing)
+        // A cache-hitting executor and a traced (cache-bypassing)
         // executor with the same jitter seed must agree bit-for-bit.
         let body_a = kernel::omp_atomic_update_scalar(DType::I32).baseline;
         let body_b = kernel::omp_atomic_update_scalar(DType::I32).test;
         let mut cached = CpuSimExecutor::with_seed(&SYSTEM3, 7);
         let mut observed = CpuSimExecutor::with_seed(&SYSTEM3, 7)
-            .with_recorder(syncperf_core::obs::Recorder::enabled());
+            .with_recorder(syncperf_core::obs::Recorder::tracing());
         for _ in 0..3 {
             for body in [&body_a, &body_b] {
                 assert_eq!(

@@ -296,7 +296,7 @@ mod tests {
                 .map(|i| explain_op(&model, &placement, body, 0, i).total_ns())
                 .collect();
 
-            let rec = Recorder::enabled();
+            let rec = Recorder::tracing();
             let r10 = engine::run_observed(&model, &placement, body, 10, &rec)
                 .unwrap()
                 .per_thread_ns[0];

@@ -144,12 +144,13 @@ pub fn run(m: &GpuModel, occ: &Occupancy, body: &[GpuOp], reps: u64) -> Result<G
     run_observed(m, occ, body, reps, syncperf_core::obs::global())
 }
 
-/// [`run`] with an explicit [`Recorder`]. With recording enabled this
-/// emits, under category `gpu_sim`: a `kernel_launch` span carrying
-/// block/warp scheduling arguments, and an `atomic_conflict` instant
-/// per device-wide-contended atomic op in the body — plus the
+/// [`run`] with an explicit [`Recorder`]. Any live recorder counts
 /// `gpu_sim.launches`, `gpu_sim.blocks_scheduled`,
-/// `gpu_sim.warps_scheduled` and `gpu_sim.atomic_conflicts` counters.
+/// `gpu_sim.warps_scheduled` and `gpu_sim.atomic_conflicts`. With the
+/// event plane on it also emits, under category `gpu_sim`: a
+/// `kernel_launch` span carrying block/warp scheduling arguments, and
+/// an `atomic_conflict` instant per device-wide-contended atomic op in
+/// the body.
 /// A disabled recorder costs one branch per site.
 ///
 /// # Errors
@@ -245,7 +246,7 @@ fn analyze_body(
             if matches!(target, Target::SharedScalar(_)) && total_threads > 1 {
                 rec.counter("gpu_sim.atomic_conflicts")
                     .add((total_threads - 1) * reps);
-                if rec.is_enabled() {
+                if rec.traces() {
                     rec.instant_args(
                         "gpu_sim",
                         "atomic_conflict",

@@ -58,8 +58,8 @@ pub struct GpuSimExecutor {
     recorder: syncperf_core::obs::Recorder,
     /// Most-recent-first memo of engine runs. The engine is fully
     /// deterministic given `(body, blocks, threads, reps)`; bypassed
-    /// whenever a recorder is live (observed runs must re-emit their
-    /// launch spans and counters). The jitter RNG is only consumed for
+    /// whenever the recorder traces events (traced runs must re-emit
+    /// their launch spans). The jitter RNG is only consumed for
     /// system-fence bodies and draws from the memoized result exactly
     /// as from a fresh run, so memoization never changes measurements.
     cache: Vec<CacheEntry>,
@@ -216,9 +216,9 @@ impl Executor for GpuSimExecutor {
 
     fn execute(&mut self, body: &[GpuOp], params: &ExecParams) -> Result<ThreadTimes> {
         params.validate()?;
-        let result = if self.effective_recorder().is_enabled() {
-            // Observed runs bypass the memo so every execution re-emits
-            // its launch span and counters.
+        let result = if self.effective_recorder().traces() {
+            // Traced runs bypass the memo so every execution re-emits
+            // its launch span; metrics alone keep the memo.
             let occ = Occupancy::compute(&self.system.gpu, params.blocks, params.threads)?;
             engine::run_observed(
                 &self.model,
@@ -352,7 +352,7 @@ mod tests {
 
     #[test]
     fn engine_memo_is_invisible_to_results() {
-        // A cache-hitting executor and an observed (cache-bypassing)
+        // A cache-hitting executor and a traced (cache-bypassing)
         // executor with the same jitter seed must agree bit-for-bit —
         // including for system-fence bodies, whose jitter RNG draws
         // from the memoized result exactly as from a fresh run.
@@ -360,7 +360,7 @@ mod tests {
         let plain = kernel::cuda_atomic_add_scalar(DType::I32).baseline;
         let mut cached = GpuSimExecutor::with_seed(&SYSTEM3, 7);
         let mut observed = GpuSimExecutor::with_seed(&SYSTEM3, 7)
-            .with_recorder(syncperf_core::obs::Recorder::enabled());
+            .with_recorder(syncperf_core::obs::Recorder::tracing());
         for _ in 0..3 {
             for body in [&fenced, &plain] {
                 assert_eq!(

@@ -7,10 +7,20 @@
 //! instrumented component holds (or reaches via [`global()`]). A
 //! disabled recorder is a `None` — every recording call is a single
 //! branch and the instrumented hot paths cost nothing measurable.
-//! An enabled recorder writes [`Event`]s into per-thread ring buffers
-//! (each thread appends under its own uncontended mutex; buffers are
-//! bounded and count drops instead of blocking) and bumps shared
-//! [`Counter`]/[`Gauge`] cells.
+//!
+//! A live recorder has two planes:
+//!
+//! - the **metrics plane** ([`Recorder::enabled`]): shared
+//!   [`Counter`]/[`Gauge`]/[`Histogram`] cells, cheap enough to leave
+//!   on. It records no events, so instrumented code keeps the exact
+//!   code path it runs unobserved ([`Recorder::is_enabled`] is true,
+//!   [`Recorder::traces`] is false);
+//! - the **event plane** ([`Recorder::tracing`], on top of the
+//!   metrics): [`Event`]s written into per-thread ring buffers (each
+//!   thread appends under its own uncontended mutex; buffers are
+//!   bounded and count drops instead of blocking). Code that narrates
+//!   per-op events may take a slower path for it, gated on
+//!   [`Recorder::traces`].
 //!
 //! At the end of a run, [`Recorder::drain_events`] merges the rings
 //! into one time-ordered stream and [`Recorder::snapshot`] freezes the
@@ -23,7 +33,7 @@
 //! ```
 //! use syncperf_obs::{sink, Recorder};
 //!
-//! let rec = Recorder::enabled();
+//! let rec = Recorder::tracing();
 //! let attempts = rec.counter("protocol.attempts");
 //! {
 //!     let _span = rec.span("protocol", "measure");
@@ -164,6 +174,30 @@ impl ThreadRing {
     }
 }
 
+/// The event plane's ring registry.
+#[derive(Debug, Default)]
+struct Rings {
+    /// Rings of threads that may still record.
+    live: Vec<Arc<ThreadRing>>,
+    /// Drop counts (by tid) of rings retired once drained after their
+    /// thread exited, so drop totals stay monotone.
+    retired_drops: BTreeMap<u64, u64>,
+}
+
+impl Rings {
+    /// Drop counts by tid, live and retired (nonzero only).
+    fn drops_by_thread(&self) -> BTreeMap<u64, u64> {
+        let mut out = self.retired_drops.clone();
+        for ring in &self.live {
+            let dropped = ring.dropped.load(Ordering::Relaxed);
+            if dropped > 0 {
+                out.insert(ring.tid, dropped);
+            }
+        }
+        out
+    }
+}
+
 /// Shared state behind an enabled recorder.
 #[derive(Debug)]
 struct Inner {
@@ -172,9 +206,11 @@ struct Inner {
     /// dropped recorder's address and inherit its stale cache entry.
     id: u64,
     start: Instant,
+    /// Whether the event plane is on ([`Recorder::tracing`]).
+    traces: bool,
     capacity: usize,
     next_tid: AtomicU64,
-    rings: Mutex<Vec<Arc<ThreadRing>>>,
+    rings: Mutex<Rings>,
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, (Arc<AtomicU64>, GaugeMode)>>,
     histograms: Mutex<BTreeMap<String, Arc<hist::HistCells>>>,
@@ -196,7 +232,8 @@ thread_local! {
 /// A cheap, cloneable handle to a recording session.
 ///
 /// `Recorder::disabled()` (also the `Default`) is a no-op whose every
-/// method is one branch on a `None`; `Recorder::enabled()` records.
+/// method is one branch on a `None`; `Recorder::enabled()` records
+/// metrics only; `Recorder::tracing()` records metrics and events.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
@@ -209,23 +246,37 @@ impl Recorder {
         Recorder { inner: None }
     }
 
-    /// An enabled recorder with the default per-thread capacity.
+    /// A metrics-plane recorder: counters, gauges and histograms.
+    /// Events ([`Recorder::instant`], [`Recorder::span`]) are not
+    /// recorded and no ring is ever allocated.
     #[must_use]
     pub fn enabled() -> Self {
+        Self::build(false, 0)
+    }
+
+    /// A recorder with both planes: metrics plus events, in per-thread
+    /// rings of the default capacity.
+    #[must_use]
+    pub fn tracing() -> Self {
         Self::with_capacity(DEFAULT_RING_CAPACITY)
     }
 
-    /// An enabled recorder whose per-thread rings hold `capacity`
-    /// events (further events are dropped and counted).
+    /// A recorder with both planes whose per-thread rings hold
+    /// `capacity` events (further events are dropped and counted).
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
+        Self::build(true, capacity.max(1))
+    }
+
+    fn build(traces: bool, capacity: usize) -> Self {
         Recorder {
             inner: Some(Arc::new(Inner {
                 id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
                 start: Instant::now(),
-                capacity: capacity.max(1),
+                traces,
+                capacity,
                 next_tid: AtomicU64::new(0),
-                rings: Mutex::new(Vec::new()),
+                rings: Mutex::new(Rings::default()),
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
@@ -233,10 +284,19 @@ impl Recorder {
         }
     }
 
-    /// Whether this handle records anything.
+    /// Whether some plane is live: metrics handles record. Gate
+    /// metric-only work on this.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// Whether the event plane is live. Gate every choice of code path
+    /// made for the sake of events on this, never on
+    /// [`Recorder::is_enabled`], so metrics alone change nothing.
+    #[must_use]
+    pub fn traces(&self) -> bool {
+        self.inner.as_ref().is_some_and(|inner| inner.traces)
     }
 
     /// Nanoseconds since this recorder was created (0 when disabled).
@@ -267,6 +327,7 @@ impl Recorder {
                 .rings
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
+                .live
                 .push(ring.clone());
             cache.push((key, Arc::downgrade(inner), ring.clone()));
             ring
@@ -285,7 +346,7 @@ impl Recorder {
         name: impl Into<Cow<'static, str>>,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        if let Some(inner) = &self.inner {
+        if let Some(inner) = self.inner.as_ref().filter(|inner| inner.traces) {
             let ring = Self::ring(inner);
             ring.push(Event {
                 ts_ns: inner.start.elapsed().as_nanos() as u64,
@@ -298,7 +359,8 @@ impl Recorder {
         }
     }
 
-    /// Opens a span; the event is recorded when the guard drops.
+    /// Opens a span; the event is recorded when the guard drops (only
+    /// while the event plane is live).
     #[must_use = "the span is recorded when the guard drops"]
     pub fn span(&self, cat: &'static str, name: impl Into<Cow<'static, str>>) -> Span {
         self.span_args(cat, name, Vec::new())
@@ -312,12 +374,22 @@ impl Recorder {
         name: impl Into<Cow<'static, str>>,
         args: Vec<(&'static str, ArgValue)>,
     ) -> Span {
-        Span {
-            rec: self.clone(),
-            cat,
-            name: name.into(),
-            start_ns: self.now_ns(),
-            args,
+        if self.traces() {
+            Span {
+                rec: self.clone(),
+                cat,
+                name: name.into(),
+                start_ns: self.now_ns(),
+                args,
+            }
+        } else {
+            Span {
+                rec: Recorder::disabled(),
+                cat,
+                name: Cow::Borrowed(""),
+                start_ns: 0,
+                args: Vec::new(),
+            }
         }
     }
 
@@ -325,15 +397,10 @@ impl Recorder {
     #[must_use]
     pub fn counter(&self, name: &str) -> Counter {
         Counter {
-            cell: self.inner.as_ref().map(|inner| {
-                inner
-                    .counters
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-                    .clone()
-            }),
+            cell: self
+                .inner
+                .as_ref()
+                .map(|inner| lookup(&inner.counters, name, || Arc::new(AtomicU64::new(0)))),
         }
     }
 
@@ -357,13 +424,8 @@ impl Recorder {
     fn gauge_with_mode(&self, name: &str, want: GaugeMode) -> Gauge {
         match &self.inner {
             Some(inner) => {
-                let (cell, mode) = inner
-                    .gauges
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .entry(name.to_string())
-                    .or_insert_with(|| (Arc::new(AtomicU64::new(0)), want))
-                    .clone();
+                let (cell, mode) =
+                    lookup(&inner.gauges, name, || (Arc::new(AtomicU64::new(0)), want));
                 Gauge {
                     cell: Some(cell),
                     mode,
@@ -380,15 +442,10 @@ impl Recorder {
     #[must_use]
     pub fn histogram(&self, name: &str) -> Histogram {
         Histogram {
-            cells: self.inner.as_ref().map(|inner| {
-                inner
-                    .histograms
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(hist::HistCells::new()))
-                    .clone()
-            }),
+            cells: self
+                .inner
+                .as_ref()
+                .map(|inner| lookup(&inner.histograms, name, || Arc::new(hist::HistCells::new()))),
         }
     }
 
@@ -424,42 +481,54 @@ impl Recorder {
             {
                 snap.histograms.insert(name.clone(), cells.snapshot());
             }
-            for ring in inner
+            snap.dropped_by_thread = inner
                 .rings
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-            {
-                let dropped = ring.dropped.load(Ordering::Relaxed);
-                if dropped > 0 {
-                    snap.dropped_by_thread.insert(ring.tid, dropped);
-                }
-            }
+                .drops_by_thread();
             snap.dropped_events = snap.dropped_by_thread.values().sum();
         }
         snap
     }
 
     /// Merges and clears every thread's ring, returning all events in
-    /// timestamp order.
+    /// timestamp order. Drained rings give their memory back, and the
+    /// rings of threads that have exited are retired (their drop counts
+    /// stay in [`Recorder::dropped_events`]), so a long-running traced
+    /// process that keeps starting threads does not grow without bound.
     #[must_use]
     pub fn drain_events(&self) -> Vec<Event> {
         let mut all = Vec::new();
         if let Some(inner) = &self.inner {
-            for ring in inner
-                .rings
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-            {
-                all.append(&mut ring.events.lock().unwrap_or_else(PoisonError::into_inner));
-            }
+            let mut rings = inner.rings.lock().unwrap_or_else(PoisonError::into_inner);
+            let Rings {
+                live,
+                retired_drops,
+            } = &mut *rings;
+            live.retain(|ring| {
+                let events = std::mem::take(
+                    &mut *ring.events.lock().unwrap_or_else(PoisonError::into_inner),
+                );
+                all.extend(events);
+                // The registry holds the only reference once the
+                // thread's TLS cache entry is gone: nothing can record
+                // into this ring again.
+                let exited = Arc::strong_count(ring) == 1;
+                if exited {
+                    let dropped = ring.dropped.load(Ordering::Relaxed);
+                    if dropped > 0 {
+                        retired_drops.insert(ring.tid, dropped);
+                    }
+                }
+                !exited
+            });
         }
         all.sort_by_key(|e| e.ts_ns);
         all
     }
 
-    /// Total events dropped because a ring was full.
+    /// Total events dropped because a ring was full (monotone over the
+    /// recorder's life).
     #[must_use]
     pub fn dropped_events(&self) -> u64 {
         match &self.inner {
@@ -467,8 +536,8 @@ impl Recorder {
                 .rings
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .map(|r| r.dropped.load(Ordering::Relaxed))
+                .drops_by_thread()
+                .values()
                 .sum(),
             None => 0,
         }
@@ -488,7 +557,7 @@ pub struct Span {
 impl Span {
     /// Attaches an argument to the span before it closes.
     pub fn push_arg(&mut self, key: &'static str, value: impl Into<ArgValue>) {
-        if self.rec.is_enabled() {
+        if self.rec.traces() {
             self.args.push((key, value.into()));
         }
     }
@@ -687,6 +756,20 @@ impl Snapshot {
     }
 }
 
+/// The registry cell named `name`, created with `make` on first use.
+/// Existing names (the common case) are found without allocating.
+fn lookup<T: Clone>(
+    registry: &Mutex<BTreeMap<String, T>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> T {
+    let mut map = registry.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(cell) = map.get(name) {
+        return cell.clone();
+    }
+    map.entry(name.to_string()).or_insert_with(make).clone()
+}
+
 static GLOBAL: OnceLock<Recorder> = OnceLock::new();
 
 /// Installs `rec` as the process-global recorder consulted by
@@ -727,7 +810,7 @@ mod tests {
 
     #[test]
     fn events_merge_in_timestamp_order() {
-        let rec = Recorder::enabled();
+        let rec = Recorder::tracing();
         rec.instant("a", "first");
         {
             let mut s = rec.span("a", "mid");
@@ -776,7 +859,7 @@ mod tests {
 
     #[test]
     fn per_thread_rings_get_distinct_tids() {
-        let rec = Recorder::enabled();
+        let rec = Recorder::tracing();
         std::thread::scope(|s| {
             for _ in 0..3 {
                 let rec = rec.clone();
@@ -815,7 +898,7 @@ mod tests {
         // recorder's address inherited its stale (unregistered) ring
         // and silently lost every event.
         for i in 0..64 {
-            let rec = Recorder::enabled();
+            let rec = Recorder::tracing();
             rec.instant("t", "e");
             assert_eq!(rec.drain_events().len(), 1, "iteration {i} lost its event");
         }
@@ -900,12 +983,85 @@ mod tests {
 
     #[test]
     fn two_recorders_do_not_share_state() {
-        let a = Recorder::enabled();
-        let b = Recorder::enabled();
+        let a = Recorder::tracing();
+        let b = Recorder::tracing();
         a.counter("x").inc();
         a.instant("t", "only-a");
         assert_eq!(b.snapshot().counter("x"), 0);
         assert!(b.drain_events().is_empty());
         assert_eq!(a.drain_events().len(), 1);
+    }
+
+    #[test]
+    fn metrics_plane_records_no_events() {
+        let rec = Recorder::enabled();
+        assert!(rec.is_enabled());
+        assert!(!rec.traces());
+        rec.counter("c").inc();
+        rec.histogram("h").observe(4);
+        rec.instant("t", "x");
+        {
+            let mut s = rec.span("t", "s");
+            s.push_arg("k", 1u64);
+        }
+        assert!(rec.drain_events().is_empty());
+        let snap = rec.snapshot();
+        assert_eq!(snap.counter("c"), 1);
+        assert_eq!(snap.histogram("h").count(), 1);
+        let inner = rec.inner.as_ref().unwrap();
+        assert!(
+            inner.rings.lock().unwrap().live.is_empty(),
+            "no ring is allocated without the event plane"
+        );
+        let traced = Recorder::tracing();
+        assert!(traced.is_enabled() && traced.traces());
+        assert!(!Recorder::disabled().traces());
+    }
+
+    #[test]
+    fn drain_retires_rings_of_exited_threads() {
+        let rec = Recorder::with_capacity(4);
+        let live = |rec: &Recorder| rec.inner.as_ref().unwrap().rings.lock().unwrap().live.len();
+        let mut last_dropped = 0;
+        for round in 1..=5u64 {
+            let handles: Vec<_> = (0..3)
+                .map(|_| {
+                    let rec = rec.clone();
+                    std::thread::spawn(move || {
+                        for _ in 0..10 {
+                            rec.instant("t", "e");
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert_eq!(
+                live(&rec),
+                3,
+                "round {round}: exited rings wait for a drain"
+            );
+            assert_eq!(rec.drain_events().len(), 12, "4 kept per thread");
+            assert_eq!(
+                live(&rec),
+                0,
+                "round {round}: drained rings of exited threads retire"
+            );
+            let dropped = rec.dropped_events();
+            assert_eq!(dropped, round * 18, "6 dropped per thread, never forgotten");
+            assert!(dropped > last_dropped, "drop total is monotone");
+            last_dropped = dropped;
+            let snap = rec.snapshot();
+            assert_eq!(snap.dropped_events, dropped);
+            assert_eq!(snap.dropped_by_thread.len() as u64, round * 3);
+        }
+        // A live thread keeps its ring, emptied to zero capacity.
+        rec.instant("t", "mine");
+        assert_eq!(rec.drain_events().len(), 1);
+        assert_eq!(live(&rec), 1);
+        let inner = rec.inner.as_ref().unwrap();
+        let rings = inner.rings.lock().unwrap();
+        assert_eq!(rings.live[0].events.lock().unwrap().capacity(), 0);
     }
 }

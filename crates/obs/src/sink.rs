@@ -192,7 +192,7 @@ mod tests {
     use crate::Recorder;
 
     fn sample() -> (Vec<Event>, Snapshot) {
-        let rec = Recorder::enabled();
+        let rec = Recorder::tracing();
         let c = rec.counter("proto.attempts");
         c.add(3);
         rec.gauge("cpu.queue_depth").record(7);
@@ -346,7 +346,7 @@ mod tests {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
         // A name with quotes must still produce parseable output.
-        let rec = Recorder::enabled();
+        let rec = Recorder::tracing();
         rec.instant("cat", "name \"with\" quotes");
         let events = rec.drain_events();
         parse(&chrome_trace_json(&events, &rec.snapshot())).unwrap();

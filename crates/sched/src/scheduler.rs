@@ -297,8 +297,8 @@ pub struct SchedStats {
     /// Jobs covered by those same-shape groups.
     pub plan_batch_points: u64,
     /// Jobs whose engine results were primed from a batched
-    /// struct-of-arrays plan-table evaluation (0 while a global
-    /// recorder is live: observed runs keep the interpreter path).
+    /// struct-of-arrays plan-table evaluation (0 while the global
+    /// recorder traces events: traced runs keep the interpreter path).
     pub plan_primed_jobs: u64,
     /// Time spent grouping the miss set and batch-evaluating plan
     /// tables, microseconds.
@@ -618,6 +618,23 @@ impl Scheduler {
         }
     }
 
+    /// Adds a batch of `n` jobs to the pending count shared by every
+    /// overlapping [`Scheduler::run_jobs`] call, folds the new depth
+    /// into the peak, and returns it.
+    fn enqueue(&self, n: u64) -> u64 {
+        let depth = self.profile.pending.fetch_add(n, Ordering::Relaxed) + n;
+        self.profile
+            .pending_peak
+            .fetch_max(depth, Ordering::Relaxed);
+        depth
+    }
+
+    /// Retires `n` finished jobs from the shared pending count and
+    /// returns what is left.
+    fn dequeue(&self, n: u64) -> u64 {
+        self.profile.pending.fetch_sub(n, Ordering::Relaxed) - n
+    }
+
     /// Runs a batch of jobs: cache hits are served immediately, misses
     /// run on the work-stealing pool, and the merged results come back
     /// in submission order — so N-worker output is byte-identical to
@@ -691,18 +708,12 @@ impl Scheduler {
                 .executed
                 .fetch_add(todo.len() as u64, Ordering::Relaxed);
             rec.counter("sched.jobs_executed").add(todo.len() as u64);
-            self.profile
-                .pending
-                .store(todo.len() as u64, Ordering::Relaxed);
-            self.profile
-                .pending_peak
-                .fetch_max(todo.len() as u64, Ordering::Relaxed);
-            rec.gauge_set("sched.queue_depth").set(todo.len() as u64);
-            rec.gauge("sched.queue_depth_peak")
-                .record(todo.len() as u64);
+            let depth_gauge = rec.gauge_set("sched.queue_depth");
+            let depth = self.enqueue(todo.len() as u64);
+            depth_gauge.set(depth);
+            rec.gauge("sched.queue_depth_peak").record(depth);
             let mut execs = backend(&todo);
-            self.profile.pending.store(0, Ordering::Relaxed);
-            rec.gauge_set("sched.queue_depth").set(0);
+            depth_gauge.set(self.dequeue(todo.len() as u64));
             execs.sort_by_key(|e| e.index);
             let mut first_err: Option<SyncPerfError> = None;
             for e in execs {
@@ -752,14 +763,10 @@ impl Scheduler {
         let peak_gauge = rec.gauge("sched.queue_depth_peak");
         let wait_hist = rec.histogram("sched.wait_us");
         let miss_hist = rec.histogram("sched.service_us.miss");
-        self.profile
-            .pending
-            .store(todo.len() as u64, Ordering::Relaxed);
-        self.profile
-            .pending_peak
-            .fetch_max(todo.len() as u64, Ordering::Relaxed);
-        depth_gauge.set(todo.len() as u64);
-        peak_gauge.record(todo.len() as u64);
+        let stores = rec.counter("sched.cache_stores");
+        let depth = self.enqueue(todo.len() as u64);
+        depth_gauge.set(depth);
+        peak_gauge.record(depth);
 
         let items: Vec<((usize, JobSpec, u64), Option<PrimedEngine>)> =
             todo.into_iter().zip(primed).collect();
@@ -782,7 +789,7 @@ impl Scheduler {
                         if cache.store(h, m).is_ok() {
                             self.note_stored(h);
                             self.stats.cache_stores.fetch_add(1, Ordering::Relaxed);
-                            obs::global().counter("sched.cache_stores").inc();
+                            stores.inc();
                             if let Some(hook) = self.store_hook.read().unwrap().as_ref() {
                                 hook(h, m);
                             }
@@ -790,8 +797,7 @@ impl Scheduler {
                     }
                     self.checkpoint.lock().unwrap().record(h);
                 }
-                let left = self.profile.pending.fetch_sub(1, Ordering::Relaxed) - 1;
-                depth_gauge.set(left);
+                depth_gauge.set(self.dequeue(1));
                 (i, r)
             },
         );
@@ -860,13 +866,15 @@ impl Scheduler {
     /// and batch-evaluates each parameter-sweep group of ≥ 2 jobs
     /// through one struct-of-arrays plan table, returning one optional
     /// primed engine pair per `todo` entry (in order). Group detection
-    /// is always counted, but priming is skipped entirely while a
-    /// global recorder is live: observed runs must keep per-rep trace
-    /// emission and therefore take the interpreter path. A group whose
+    /// is always counted, but priming is skipped while the global
+    /// recorder traces events: traced runs must keep per-rep event
+    /// emission and therefore take the interpreter path. A metrics-only
+    /// recorder primes exactly as an unobserved run does. A group whose
     /// batch evaluation fails primes nothing, so the per-job path
     /// reproduces the exact error.
     fn prepare_primed(&self, todo: &[(usize, JobSpec, u64)]) -> Vec<Option<PrimedEngine>> {
         let rec = obs::global();
+        let batch_size = rec.histogram("plan.batch_size");
         let start = Instant::now();
         let mut primed: Vec<Option<PrimedEngine>> = Vec::new();
         primed.resize_with(todo.len(), || None);
@@ -889,9 +897,8 @@ impl Scheduler {
             }
             batches += 1;
             batch_points += members.len() as u64;
-            rec.histogram("plan.batch_size")
-                .observe(members.len() as u64);
-            if rec.is_enabled() {
+            batch_size.observe(members.len() as u64);
+            if rec.traces() {
                 continue;
             }
             let group: Vec<&JobSpec> = members.iter().map(|&m| &todo[m].1).collect();
@@ -1136,7 +1143,7 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.plan_batches, 1, "three same-shape jobs form one group");
         assert_eq!(st.plan_batch_points, 3);
-        // Priming only happens while the global recorder is disabled
+        // Priming is skipped while the global recorder traces events
         // (another test may have installed one in this process), but
         // either path must be byte-identical to direct execution.
         assert!(st.plan_primed_jobs == 0 || st.plan_primed_jobs == 3);
@@ -1159,6 +1166,61 @@ mod tests {
         let st2 = s2.stats();
         assert_eq!((st2.plan_batches, st2.plan_batch_points), (1, 3));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn overlapping_run_jobs_keep_queue_depth_consistent() {
+        // Concurrent callers (the serving layer's compute workers)
+        // share one scheduler and one pending count: each batch must
+        // add and retire only its own jobs.
+        const CALLERS: usize = 8;
+        const ROUNDS: usize = 4;
+        let dir = tmp_dir("overlap");
+        let s = Scheduler::new(SchedConfig::new(2).with_cache_dir(&dir).without_cache());
+        let batch = |caller: usize, round: usize| -> Vec<JobSpec> {
+            (0..=(caller + round) % 4)
+                .map(|k| {
+                    JobSpec::cpu_sim(
+                        &SYSTEM3,
+                        kernel::omp_atomic_update_scalar(DType::I32),
+                        ExecParams::new(2 << (k % 3)).with_loops(20 + caller as u32, 2),
+                        Protocol::SIM,
+                    )
+                })
+                .collect()
+        };
+        let sizes: Vec<usize> = (0..CALLERS)
+            .flat_map(|c| (0..ROUNDS).map(move |r| (c, r)))
+            .map(|(c, r)| batch(c, r).len())
+            .collect();
+        let total: usize = sizes.iter().sum();
+        let start = std::sync::Barrier::new(CALLERS);
+        std::thread::scope(|scope| {
+            for caller in 0..CALLERS {
+                let (s, start) = (&s, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        let jobs = batch(caller, round);
+                        let n = jobs.len();
+                        assert_eq!(s.run_jobs(jobs).unwrap().len(), n);
+                    }
+                });
+            }
+        });
+        let st = s.stats();
+        assert_eq!(st.jobs, total as u64);
+        assert_eq!(st.executed, total as u64, "every job ran exactly once");
+        let mut snap = Snapshot::default();
+        s.export_into(&mut snap);
+        assert_eq!(snap.gauge("sched.queue_depth"), 0, "pending returns to 0");
+        let largest = *sizes.iter().max().unwrap() as u64;
+        assert!(
+            (largest..=total as u64).contains(&st.queue_depth_peak),
+            "peak {} must lie in [{largest}, {total}]",
+            st.queue_depth_peak
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

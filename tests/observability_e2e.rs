@@ -3,14 +3,19 @@
 //! recorder — protocol retries, simulator coherence traffic, and the
 //! real runtime's barrier rounds (ISSUE 1 acceptance criterion).
 
-use syncperf_core::obs::Recorder;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+use syncperf_core::obs::{self, Recorder};
 use syncperf_core::{kernel, DType, ExecParams, Protocol, SYSTEM3};
 use syncperf_cpu_sim::CpuSimExecutor;
 use syncperf_omp::OmpExecutor;
+use syncperf_sched::{SchedConfig, SchedStats, Scheduler};
 
 #[test]
 fn figure_experiment_with_recording_fills_cross_layer_counters() {
-    let rec = Recorder::enabled();
+    let rec = Recorder::tracing();
 
     // Layer 1+2 — protocol over the CPU simulator: a contended atomic
     // update produces MESI transitions, and measuring a near-zero-cost
@@ -90,4 +95,150 @@ fn retry_summary_reads_back_from_the_snapshot() {
     assert!(s.attempts >= s.runs);
     assert_eq!(s.rejected, s.attempts - s.runs + s.exhausted_runs);
     assert!(s.rejection_rate() > 0.0 && s.rejection_rate() < 1.0);
+}
+
+/// The recorder planes a sweep can run under. The global recorder is
+/// installed once per process, so each plane's sweep runs in a child
+/// process: this test binary re-run on one of the `plane_sweep_*`
+/// tests below.
+const PLANES: [&str; 3] = ["off", "metrics", "tracing"];
+
+/// Whether this process was started to run the `plane` child alone.
+/// The children install process-global state, so under a plain
+/// `--include-ignored` run (all tests in one process) they do nothing.
+fn is_child(plane: &str) -> bool {
+    let name = format!("plane_sweep_{plane}");
+    let args: Vec<String> = std::env::args().collect();
+    let alone = args.iter().any(|a| a == "--exact") && args.contains(&name);
+    if !alone {
+        eprintln!("{name} runs only as a child of planes_do_not_change_sweep_results");
+    }
+    alone
+}
+
+/// Runs a multi-figure sweep (CPU and GPU engines) on a 2-worker
+/// cacheless scheduler under the already-installed global recorder,
+/// writes every CSV/SVG into `SYNCPERF_RESULTS` (or a scratch
+/// directory when run by hand) and returns the scheduler's stats.
+fn sweep_into_results() -> SchedStats {
+    let dir = std::env::var_os("SYNCPERF_RESULTS").map_or_else(
+        || std::env::temp_dir().join(format!("syncperf-plane-{}", std::process::id())),
+        PathBuf::from,
+    );
+    let sched = syncperf_sched::install(Scheduler::new(
+        SchedConfig::new(2)
+            .without_cache()
+            .with_cache_dir(dir.join(".cache")),
+    ));
+    let mut figs = syncperf_bench::figures_cpu::fig01_barrier().unwrap();
+    figs.extend(syncperf_bench::figures_cpu::fig02_atomic_update_scalar().unwrap());
+    figs.extend(syncperf_bench::figures_gpu::fig07_syncthreads().unwrap());
+    for fig in &figs {
+        fig.write_csv(&dir).unwrap();
+        fig.write_svg(&dir).unwrap();
+    }
+    sched.finish();
+    syncperf_sched::uninstall();
+    sched.stats()
+}
+
+#[test]
+#[ignore = "child of planes_do_not_change_sweep_results"]
+fn plane_sweep_off() {
+    if !is_child("off") {
+        return;
+    }
+    let st = sweep_into_results();
+    assert!(st.plan_primed_jobs > 0, "unobserved sweeps batch: {st:?}");
+}
+
+#[test]
+#[ignore = "child of planes_do_not_change_sweep_results"]
+fn plane_sweep_metrics() {
+    if !is_child("metrics") {
+        return;
+    }
+    assert!(obs::install(Recorder::enabled()));
+    let st = sweep_into_results();
+    assert!(
+        st.plan_primed_jobs > 0,
+        "the metrics plane keeps the batched path: {st:?}"
+    );
+    let rec = obs::global();
+    let snap = rec.snapshot();
+    for name in ["sched.wait_us", "sched.service_us.miss", "plan.batch_size"] {
+        assert!(snap.histogram(name).count() > 0, "{name} missing: {snap:?}");
+    }
+    assert!(snap.counter("sched.jobs") > 0);
+    assert!(rec.drain_events().is_empty(), "metrics record no events");
+    assert_eq!(rec.dropped_events(), 0);
+}
+
+#[test]
+#[ignore = "child of planes_do_not_change_sweep_results"]
+fn plane_sweep_tracing() {
+    if !is_child("tracing") {
+        return;
+    }
+    assert!(obs::install(Recorder::tracing()));
+    let st = sweep_into_results();
+    assert!(st.jobs > 0);
+    let events = obs::global().drain_events();
+    assert!(!events.is_empty(), "tracing records events");
+    for cat in ["protocol", "cpu_sim", "cpu_sim.op", "gpu_sim"] {
+        assert!(
+            events.iter().any(|e| e.cat == cat),
+            "no `{cat}` events in the trace"
+        );
+    }
+}
+
+/// Every `.csv`/`.svg` in `dir`, by file name.
+fn outputs(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .filter_map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            let ext = Path::new(&name).extension()?.to_str()?;
+            matches!(ext, "csv" | "svg").then(|| (name, std::fs::read(e.path()).unwrap()))
+        })
+        .collect()
+}
+
+#[test]
+fn planes_do_not_change_sweep_results() {
+    let root = std::env::temp_dir().join(format!("syncperf-planes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let exe = std::env::current_exe().unwrap();
+    let mut runs = Vec::new();
+    for plane in PLANES {
+        let dir = root.join(plane);
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = Command::new(&exe)
+            .args(["--ignored", "--exact", &format!("plane_sweep_{plane}")])
+            .env("SYNCPERF_RESULTS", &dir)
+            .output()
+            .unwrap();
+        let log = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && log.contains("1 passed"),
+            "{plane} sweep failed:\n{log}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        runs.push((plane, outputs(&dir)));
+    }
+    let (_, want) = &runs[0];
+    assert!(want.len() >= 6, "csv + svg per figure: {:?}", want.keys());
+    for (plane, got) in &runs[1..] {
+        assert_eq!(
+            got.keys().collect::<Vec<_>>(),
+            want.keys().collect::<Vec<_>>(),
+            "{plane}: same files"
+        );
+        for (name, bytes) in want {
+            assert!(got[name] == *bytes, "{plane}: {name} differs");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -348,7 +348,7 @@ proptest! {
         let p = Placement::new(&SYSTEM3.cpu, aff, threads);
         let body: Vec<CpuOp> = idxs.iter().map(|&i| CPU_OP_POOL[i]).collect();
         let rec = if observe {
-            syncperf::core::obs::Recorder::enabled()
+            syncperf::core::obs::Recorder::tracing()
         } else {
             syncperf::core::obs::Recorder::disabled()
         };
@@ -369,7 +369,7 @@ proptest! {
         let o = Occupancy::compute(&SYSTEM3.gpu, blocks, threads).unwrap();
         let body: Vec<GpuOp> = idxs.iter().map(|&i| GPU_OP_POOL[i]).collect();
         let rec = if observe {
-            syncperf::core::obs::Recorder::enabled()
+            syncperf::core::obs::Recorder::tracing()
         } else {
             syncperf::core::obs::Recorder::disabled()
         };
@@ -415,7 +415,7 @@ proptest! {
             })
             .collect();
         let rec = if observe {
-            syncperf::core::obs::Recorder::enabled()
+            syncperf::core::obs::Recorder::tracing()
         } else {
             syncperf::core::obs::Recorder::disabled()
         };
