@@ -60,6 +60,11 @@ cargo clippy --workspace --release --offline --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace --release --offline -q
 
+# The paper-claim table (EXPERIMENTS.md): every one of the 19 claims
+# must reproduce. Exits nonzero on any failed claim.
+echo "==> verify_experiments (paper claims)"
+cargo run --release --offline -p syncperf-bench --bin verify_experiments
+
 # Criterion smoke run (docs/PERFORMANCE.md): every benchmark body must
 # still execute; SYNCPERF_BENCH_QUICK clamps the budgets so this takes
 # seconds, not minutes. The numbers are not comparison-grade.

@@ -103,17 +103,17 @@ fn bench_fast_vs_full(c: &mut Criterion) {
 
 /// The trace-compilation speedup ladder on one representative kernel
 /// point: the per-rep plan interpreter (full-stepping oracle), the
-/// flat branchless op-trace, and the batched struct-of-arrays plan
+/// one evaluator on a one-point plan table (what a single engine run
+/// pays, compilation included), and the same evaluator on an 8-point
 /// table amortizing one pass over a whole parameter sweep. All three
 /// produce bit-identical results; this group tracks what the lowering
-/// buys in raw evaluation speed.
+/// and the batching buy in raw evaluation speed.
 fn bench_trace_vs_interp(c: &mut Criterion) {
     let rec = syncperf_core::obs::Recorder::disabled();
     let model = CpuModel::for_system(&SYSTEM3.cpu, SYSTEM3.cpu_jitter);
     let body = kernel::omp_atomic_update_scalar(DType::I32).test;
-    let threads = 16u32;
     let reps = 10_000u64;
-    let placement = Placement::new(&SYSTEM3.cpu, Affinity::Spread, threads);
+    let placement = Placement::new(&SYSTEM3.cpu, Affinity::Spread, 16);
 
     let mut g = c.benchmark_group("trace_vs_interp");
     g.measurement_time(Duration::from_secs(2));
@@ -126,19 +126,9 @@ fn bench_trace_vs_interp(c: &mut Criterion) {
         });
     });
 
-    let trace = syncperf_cpu_sim::trace::OpTrace::compile_for(&model, &placement, &body);
-    g.bench_function("trace_10k", |b| {
-        let lanes = threads as usize;
-        let mut order = Vec::with_capacity(lanes);
-        b.iter(|| {
-            let mut t = vec![0u64; lanes];
-            let mut pending = vec![0u64; lanes];
-            let mut episodes = 0u64;
-            for _ in 0..reps {
-                episodes += trace.step_rep(&mut t, &mut pending, &mut order);
-            }
-            (t, episodes)
-        });
+    let one = std::slice::from_ref(&placement);
+    g.bench_function("table_1pt_10k", |b| {
+        b.iter(|| syncperf_cpu_sim::trace::run_batch(&model, &body, one, reps, &rec).unwrap());
     });
 
     // The batched path evaluates an 8-point thread sweep in one pass;
@@ -149,7 +139,7 @@ fn bench_trace_vs_interp(c: &mut Criterion) {
         .map(|&t| Placement::new(&SYSTEM3.cpu, Affinity::Spread, t))
         .collect();
     g.bench_function("batched_8pt_10k", |b| {
-        b.iter(|| syncperf_cpu_sim::trace::run_batch(&model, &body, &sweep, reps).unwrap());
+        b.iter(|| syncperf_cpu_sim::trace::run_batch(&model, &body, &sweep, reps, &rec).unwrap());
     });
     g.finish();
 }

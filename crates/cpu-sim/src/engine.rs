@@ -11,27 +11,28 @@
 //!
 //! Time is integer fixed-point (2²⁰ units per nanosecond, see
 //! [`crate::plan`]): every `(thread, op)` cost is quantized once per run
-//! by the compiled [`RunPlan`], and the engine detects the per-thread
-//! *steady state* — consecutive repetitions with identical per-thread
-//! deltas, barrier offsets, and store-buffer horizons — after which the
-//! remaining repetitions are extrapolated with one exact integer
-//! multiply instead of being stepped. [`run_full_stepping`] is the
-//! oracle that never extrapolates; the fast path is bit-exact against
-//! it by construction (property-tested in `tests/property_based.rs`).
+//! by the compiled [`RunPlan`]. A run is a one-point
+//! `trace::PlanTable` evaluated by the same loop that batched
+//! sweeps use (`trace::run_table`), which detects the
+//! per-thread *steady state* — consecutive repetitions with identical
+//! per-thread deltas, barrier offsets, and store-buffer horizons — and
+//! extrapolates the remaining repetitions with one exact integer
+//! multiply. [`run_full_stepping`] is the oracle: it interprets the
+//! plan op by op and never extrapolates; the evaluator is bit-exact
+//! against it (property-tested in `tests/property_based.rs`).
 
-use syncperf_core::obs::{ArgValue, Recorder};
+use syncperf_core::obs::Recorder;
 use syncperf_core::{CpuOp, Result, SyncPerfError};
 
 use crate::config::CpuModel;
 use crate::memline::{classify, line_of, Access, ContentionMap};
 use crate::plan::{units_to_ns, PlanOp, RunPlan};
 use crate::topology::Placement;
-use crate::trace::OpTrace;
+use crate::trace::{rendezvous, run_table, Narration, PlanTable};
 
 /// With a tracing recorder the first `OBSERVED_REPS` repetitions are
-/// always stepped with per-op event emission (bounding trace volume the
-/// same way the previous engine's warm-rep window did); steady-state
-/// extrapolation is only allowed past this window.
+/// always stepped with per-op event emission (bounding trace volume);
+/// steady-state extrapolation is only allowed past this window.
 pub const OBSERVED_REPS: u64 = 4;
 
 /// Outcome of one engine run: per-thread virtual nanoseconds.
@@ -58,8 +59,9 @@ pub fn run(
 }
 
 /// [`run`] with an explicit [`Recorder`]. Any live recorder counts
-/// `cpu_sim.engine_runs` and `cpu_sim.barrier_rounds`. With the event
-/// plane on ([`Recorder::traces`]) it also emits, under category
+/// `cpu_sim.engine_runs` and `cpu_sim.barrier_rounds` and gets the
+/// one-point table's `plan.compile_us` and `plan.trace_ops`. With the
+/// event plane on ([`Recorder::traces`]) it also emits, under category
 /// `cpu_sim`: an `engine_run` span, one per-op instant (tagged
 /// `tid`/`rep`/`idx`/`cost_ns`) for each of the first
 /// [`OBSERVED_REPS`] repetitions, and `store_buffer_drain` instants at
@@ -67,9 +69,9 @@ pub fn run(
 /// coherence-transaction count derived from the contention map) and
 /// `cpu_sim.store_buffer_drains` counters and the
 /// `cpu_sim.arb_queue_depth_max` high-water gauge. A disabled recorder
-/// costs one branch per site. Recording never changes
-/// the simulated times: the steady-state fast path is exact, so
-/// observed and unobserved runs return bit-identical results.
+/// costs one branch per site. Recording never changes the simulated
+/// times: the steady-state fast path is exact, so observed and
+/// unobserved runs return bit-identical results.
 ///
 /// # Errors
 ///
@@ -81,12 +83,32 @@ pub fn run_observed(
     reps: u64,
     rec: &Recorder,
 ) -> Result<EngineResult> {
-    run_impl(model, placement, body, reps, rec, false)
+    if reps == 0 {
+        return Err(SyncPerfError::InvalidParams("reps must be > 0".into()));
+    }
+    let mut span = rec.span("cpu_sim", "engine_run");
+    span.push_arg("threads", placement.len());
+    span.push_arg("ops", body.len());
+    span.push_arg("reps", reps);
+    rec.counter("cpu_sim.engine_runs").inc();
+    let narration = rec.traces().then(|| {
+        record_coherence_profile(model, placement, body, reps, rec);
+        Narration { body, rec }
+    });
+    let table = PlanTable::compile(model, body, std::slice::from_ref(placement), rec);
+    let r = run_table(&table, reps, narration.as_ref())
+        .pop()
+        .expect("one point in, one result out");
+    rec.counter("cpu_sim.barrier_rounds")
+        .add(r.barrier_episodes);
+    Ok(r)
 }
 
-/// The reference path: identical to [`run_observed`] but steps every
-/// repetition, never extrapolating. The property tests assert the fast
-/// path is bit-exact against this oracle.
+/// The stepping oracle: interprets the compiled plan's [`PlanOp`]s op
+/// by op for every repetition, never extrapolating and never lowering
+/// to a table. The property tests assert [`run_observed`] is bit-exact
+/// against it. `rec` is accepted for signature parity with
+/// [`run_observed`] and records nothing.
 ///
 /// # Errors
 ///
@@ -96,247 +118,53 @@ pub fn run_full_stepping(
     placement: &Placement,
     body: &[CpuOp],
     reps: u64,
-    rec: &Recorder,
-) -> Result<EngineResult> {
-    run_impl(model, placement, body, reps, rec, true)
-}
-
-/// Reusable per-run scratch: thread clocks, store-buffer horizons, the
-/// barrier release order, and the steady-state detector's previous-rep
-/// snapshot. One allocation set per run, none per rep or per op.
-struct Scratch {
-    /// Per-thread clock, fixed-point units.
-    t: Vec<u64>,
-    /// Per-thread store-buffer drain horizon, fixed-point units.
-    pending: Vec<u64>,
-    /// Barrier release order (reused across rendezvous).
-    order: Vec<usize>,
-    /// Previous rep boundary: per-thread clock.
-    prev_t: Vec<u64>,
-    /// Previous rep: per-thread delta.
-    prev_delta: Vec<u64>,
-    /// Previous rep boundary: clock offset above the slowest thread.
-    prev_off: Vec<u64>,
-    /// Previous rep boundary: `pending − t` (saturating).
-    prev_pend: Vec<u64>,
-}
-
-fn run_impl(
-    model: &CpuModel,
-    placement: &Placement,
-    body: &[CpuOp],
-    reps: u64,
-    rec: &Recorder,
-    force_full: bool,
+    _rec: &Recorder,
 ) -> Result<EngineResult> {
     if reps == 0 {
         return Err(SyncPerfError::InvalidParams("reps must be > 0".into()));
     }
-    let n = placement.len();
     let contention = ContentionMap::analyze(body, placement, 64);
     let plan = RunPlan::compile(model, placement, &contention, body);
-
-    let mut span = rec.span("cpu_sim", "engine_run");
-    span.push_arg("threads", n);
-    span.push_arg("ops", body.len());
-    span.push_arg("reps", reps);
-    rec.counter("cpu_sim.engine_runs").inc();
-    let traces = rec.traces();
-    if traces {
-        record_coherence_profile(model, placement, &contention, body, reps, rec);
-    }
-
-    let mut s = Scratch {
-        t: vec![0u64; n],
-        pending: vec![0u64; n],
-        order: Vec::with_capacity(n),
-        prev_t: vec![0u64; n],
-        prev_delta: vec![0u64; n],
-        prev_off: vec![0u64; n],
-        prev_pend: vec![0u64; n],
-    };
-    let mut barrier_episodes = 0u64;
-    let emit_reps = if traces { OBSERVED_REPS.min(reps) } else { 0 };
-    let has_barriers = plan.barriers_per_rep() > 0;
-    let mut have_prev = false;
-
-    // Reps inside the emit window (and the full-stepping oracle) run
-    // the op-by-op interpreter, which can narrate per-op events. Every
-    // other rep runs the lowered branchless trace — bit-exact against
-    // the interpreter (see [`crate::trace`]) and compiled lazily on
-    // first use.
-    let mut trace: Option<OpTrace> = None;
-    let mut rep = 0u64;
-    while rep < reps {
-        if force_full || rep < emit_reps {
-            step_rep(
-                &plan,
-                body,
-                &mut s,
-                rec,
-                rep < emit_reps,
-                rep,
-                &mut barrier_episodes,
-            );
-        } else {
-            let tr = trace.get_or_insert_with(|| compile_trace(&plan, rec));
-            barrier_episodes += tr.step_rep(&mut s.t, &mut s.pending, &mut s.order);
-        }
-        rep += 1;
-        if force_full {
-            continue;
-        }
-        // Steady-state detection at the rep boundary: the stepping
-        // relation is invariant under a uniform clock shift, so if this
-        // rep's per-thread deltas, store-buffer horizons, and (when
-        // barriers couple the threads) relative clock offsets all match
-        // the previous rep's, every later rep repeats exactly — one
-        // integer multiply extrapolates the rest bit-exactly.
-        let min_t = s.t.iter().copied().min().unwrap_or(0);
-        let mut steady = have_prev && rep >= emit_reps;
-        for tid in 0..n {
-            let delta = s.t[tid] - s.prev_t[tid];
-            let off = s.t[tid] - min_t;
-            let pend = s.pending[tid].saturating_sub(s.t[tid]);
-            if steady
-                && (delta != s.prev_delta[tid]
-                    || pend != s.prev_pend[tid]
-                    || (has_barriers && off != s.prev_off[tid]))
-            {
-                steady = false;
+    let n = plan.threads();
+    let mut t = vec![0u64; n];
+    let mut pending = vec![0u64; n];
+    let mut order = Vec::with_capacity(n);
+    for _ in 0..reps {
+        for (seg_idx, &(start, end)) in plan.segments().iter().enumerate() {
+            if seg_idx > 0 {
+                rendezvous(
+                    plan.barrier_units(),
+                    plan.stagger_units(),
+                    &mut t,
+                    &mut order,
+                );
             }
-            s.prev_delta[tid] = delta;
-            s.prev_off[tid] = off;
-            s.prev_pend[tid] = pend;
-            s.prev_t[tid] = s.t[tid];
-        }
-        have_prev = true;
-        if steady && rep < reps {
-            let remaining = reps - rep;
             for tid in 0..n {
-                s.t[tid] += s.prev_delta[tid] * remaining;
-                s.pending[tid] = s.t[tid] + s.prev_pend[tid];
-            }
-            barrier_episodes += plan.barriers_per_rep() * remaining;
-            break;
-        }
-    }
-    rec.counter("cpu_sim.barrier_rounds").add(barrier_episodes);
-
-    Ok(EngineResult {
-        per_thread_ns: s.t.iter().map(|&u| units_to_ns(u)).collect(),
-        barrier_episodes,
-    })
-}
-
-/// Lowers the plan to a flat trace, recording `plan.compile_us` and
-/// `plan.trace_ops` when observation is on.
-fn compile_trace(plan: &RunPlan, rec: &Recorder) -> OpTrace {
-    if !rec.is_enabled() {
-        return OpTrace::compile(plan);
-    }
-    let start = std::time::Instant::now();
-    let tr = OpTrace::compile(plan);
-    rec.histogram("plan.compile_us")
-        .observe(start.elapsed().as_micros() as u64);
-    rec.counter("plan.trace_ops").add(tr.trace_ops() as u64);
-    tr
-}
-
-/// Steps one full repetition for all threads: segment by segment with a
-/// rendezvous after every segment but the last.
-fn step_rep(
-    plan: &RunPlan,
-    body: &[CpuOp],
-    s: &mut Scratch,
-    rec: &Recorder,
-    emit: bool,
-    rep: u64,
-    barrier_episodes: &mut u64,
-) {
-    let segments = plan.segments();
-    let last = segments.len() - 1;
-    for (seg_idx, &(start, end)) in segments.iter().enumerate() {
-        for tid in 0..plan.threads() {
-            step_ops(plan, body, tid, start, end, s, rec, emit, rep);
-        }
-        if seg_idx < last {
-            rendezvous(plan, &mut s.t, &mut s.order);
-            *barrier_episodes += 1;
-        }
-    }
-}
-
-/// Executes a straight-line (barrier-free) op range for one thread.
-#[allow(clippy::too_many_arguments)]
-fn step_ops(
-    plan: &RunPlan,
-    body: &[CpuOp],
-    tid: usize,
-    start: usize,
-    end: usize,
-    s: &mut Scratch,
-    rec: &Recorder,
-    emit: bool,
-    rep: u64,
-) {
-    let t = &mut s.t[tid];
-    let pending = &mut s.pending[tid];
-    for (idx, op) in body.iter().enumerate().take(end).skip(start) {
-        let before = *t;
-        match plan.op(tid, idx) {
-            PlanOp::Barrier => unreachable!("barriers handled by rendezvous"),
-            PlanOp::Fixed(cost) => *t += cost,
-            PlanOp::Store {
-                visible,
-                pending_extra,
-            } => {
-                *t += visible;
-                *pending = (*pending).max(*t + pending_extra);
-            }
-            PlanOp::Flush { base } => {
-                let drain = pending.saturating_sub(*t);
-                *t += base + drain;
-                *pending = *t;
-                if emit && drain > 0 {
-                    rec.counter("cpu_sim.store_buffer_drains").inc();
-                    rec.instant_args(
-                        "cpu_sim",
-                        "store_buffer_drain",
-                        vec![
-                            ("tid", ArgValue::from(tid)),
-                            ("drain_ns", ArgValue::F64(units_to_ns(drain))),
-                        ],
-                    );
+                let (t, pending) = (&mut t[tid], &mut pending[tid]);
+                for idx in start..end {
+                    match plan.op(tid, idx) {
+                        PlanOp::Barrier => unreachable!("barriers delimit segments"),
+                        PlanOp::Fixed(cost) => *t += cost,
+                        PlanOp::Store {
+                            visible,
+                            pending_extra,
+                        } => {
+                            *t += visible;
+                            *pending = (*pending).max(*t + pending_extra);
+                        }
+                        PlanOp::Flush { base } => {
+                            *t += base + pending.saturating_sub(*t);
+                            *pending = *t;
+                        }
+                    }
                 }
             }
         }
-        if emit {
-            rec.instant_args(
-                "cpu_sim.op",
-                format!("{op:?}"),
-                vec![
-                    ("tid", ArgValue::from(tid)),
-                    ("rep", ArgValue::from(rep)),
-                    ("idx", ArgValue::from(idx)),
-                    ("cost_ns", ArgValue::F64(units_to_ns(*t - before))),
-                ],
-            );
-        }
     }
-}
-
-/// Releases all threads from a barrier. Order of release follows order
-/// of arrival (stable: ties release in thread-id order).
-fn rendezvous(plan: &RunPlan, t: &mut [u64], order: &mut Vec<usize>) {
-    let max_arrival = t.iter().copied().max().unwrap_or(0);
-    let release = max_arrival + plan.barrier_units();
-    order.clear();
-    order.extend(0..t.len());
-    order.sort_by_key(|&tid| t[tid]);
-    for (rank, &tid) in order.iter().enumerate() {
-        t[tid] = release + rank as u64 * plan.stagger_units();
-    }
+    Ok(EngineResult {
+        per_thread_ns: t.iter().map(|&u| units_to_ns(u)).collect(),
+        barrier_episodes: plan.barriers_per_rep() * reps,
+    })
 }
 
 /// Records the analytic coherence profile of a run: the number of
@@ -347,11 +175,11 @@ fn rendezvous(plan: &RunPlan, t: &mut [u64], order: &mut Vec<usize>) {
 fn record_coherence_profile(
     model: &CpuModel,
     placement: &Placement,
-    contention: &ContentionMap,
     body: &[CpuOp],
     reps: u64,
     rec: &Recorder,
 ) {
+    let contention = ContentionMap::analyze(body, placement, 64);
     let arb = rec.gauge("cpu_sim.arb_queue_depth_max");
     let mut transitions = 0u64;
     let mut lines: Vec<(crate::memline::LineId, bool)> = Vec::with_capacity(2);

@@ -1,5 +1,11 @@
 //! The CPU-simulator [`Executor`]: plugs the engine into the
 //! measurement protocol, adding deterministic per-run timing jitter.
+//!
+//! Every engine result comes from the one evaluator,
+//! `trace::run_table`: either the scheduler primed the memo
+//! from a batched plan table ([`CpuSimExecutor::prime_engine`]), or a
+//! miss runs [`engine::run_observed`], a table of one point. Traced
+//! runs bypass the memo so every execution narrates its per-op events.
 
 use syncperf_core::rng::SplitMix64;
 use syncperf_core::{

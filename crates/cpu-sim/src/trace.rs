@@ -1,10 +1,12 @@
-//! Flat op-traces compiled from a [`RunPlan`], and batched
-//! struct-of-arrays evaluation of many sweep points of one kernel
-//! shape.
+//! The CPU engine's one evaluator: compiled [`RunPlan`]s lowered into a
+//! struct-of-arrays `PlanTable` and advanced by `run_table`.
 //!
-//! The engine's interpreter ([`crate::engine`]) dispatches on a
-//! [`PlanOp`] enum per `(thread, op)` in the hot loop. An [`OpTrace`]
-//! lowers the plan one step further: every op becomes a pre-resolved
+//! Every production engine run goes through this loop. A batched sweep
+//! ([`run_batch`], behind the scheduler's `JobSpec::batch_prime`)
+//! lowers many parameter points of one kernel shape into one table; a
+//! single point ([`crate::engine::run_observed`]) is a table of one.
+//!
+//! Lowering turns every `(thread, op)` [`PlanOp`] into a pre-resolved
 //! `{advance, extra}` record plus a per-op drain mask, and the three
 //! non-barrier op kinds collapse into one branchless update:
 //!
@@ -14,41 +16,46 @@
 //! pending = max(pending, t' + extra)            // extra = 0 except stores
 //! ```
 //!
-//! This is bit-exact against the interpreter. For `Fixed` and `Flush`
-//! the updates are literally the interpreter's (a fence assigns
-//! `pending = t'`, and the max-clamp equals assignment there because
-//! `t' ≥ pending` after the drain). For `Store` the interpreter only
-//! raises `pending`, so the unified max is again identical. The one
-//! subtlety is that the trace applies `pending = max(pending, t')`
-//! after `Fixed` ops where the interpreter leaves `pending` alone —
-//! but `pending` is only ever *observed* through
-//! `saturating_sub(pending, t)` (at fences and at the steady-state
-//! detector's rep boundary), and clamping `pending` up to the current
-//! clock does not change that difference. Barriers never appear inside
-//! a trace segment; the engine's `rendezvous` runs between segments
-//! exactly as on the interpreted path.
+//! This is bit-exact against the `PlanOp` interpreter that
+//! [`crate::engine::run_full_stepping`] keeps as the oracle. For
+//! `Fixed` and `Flush` the updates are literally the interpreter's (a
+//! fence assigns `pending = t'`, and the max-clamp equals assignment
+//! there because `t' ≥ pending` after the drain). For `Store` the
+//! interpreter only raises `pending`, so the unified max is again
+//! identical. The one subtlety is that the table applies
+//! `pending = max(pending, t')` after `Fixed` ops where the interpreter
+//! leaves `pending` alone — but `pending` is only ever *observed*
+//! through `saturating_sub(pending, t)` (at fences and at the
+//! steady-state detector's rep boundary), and clamping `pending` up to
+//! the current clock does not change that difference. Barriers never
+//! appear inside a segment; `rendezvous` runs between segments.
 //!
-//! [`PlanTable`] extends the same layout across *many parameter
-//! points* of one kernel shape: the per-point lane arrays are
-//! concatenated per op into one struct-of-arrays table, so a whole
-//! sweep group advances through each op in a single contiguous pass
+//! Per segment and per op, the lanes of every point sit back-to-back,
+//! so one contiguous pass advances a whole sweep group through that op
 //! (the inner loop is a flat `u64` kernel over adjacent lanes — the
 //! layout autovectorizes). Rendezvous, steady-state detection, and
-//! extrapolation stay per point and bit-exact; see [`run_batch`].
+//! extrapolation stay per point and bit-exact. With a tracing recorder
+//! the first [`OBSERVED_REPS`] repetitions step lane by lane instead,
+//! so each op can be narrated as a `cpu_sim.op` event (plus a
+//! `store_buffer_drain` event at draining fences) in thread order.
 
-use syncperf_core::obs::Recorder;
+use std::time::Instant;
+
+use syncperf_core::obs::{ArgValue, Recorder};
 use syncperf_core::{CpuOp, Result, SyncPerfError};
 
 use crate::config::CpuModel;
-use crate::engine::EngineResult;
+use crate::engine::{EngineResult, OBSERVED_REPS};
 use crate::memline::ContentionMap;
 use crate::plan::{units_to_ns, PlanOp, RunPlan};
 use crate::topology::Placement;
 
-/// One barrier-free segment of a lowered trace, op-major: the records
-/// for op `i` occupy lanes `i * lanes .. (i + 1) * lanes`.
+/// One barrier-free segment of a table, op-major: the records for op
+/// `i` occupy lanes `i * lanes .. (i + 1) * lanes`.
 #[derive(Debug, Clone)]
 struct TraceSegment {
+    /// Body index of the segment's first op.
+    first: usize,
     /// Number of ops in this segment.
     ops: usize,
     /// Per-(op, lane) clock advance, fixed-point units.
@@ -60,18 +67,18 @@ struct TraceSegment {
     mask: Vec<u64>,
 }
 
-impl TraceSegment {
-    fn with_capacity(ops: usize, lanes: usize) -> Self {
-        Self {
-            ops,
-            advance: Vec::with_capacity(ops * lanes),
-            extra: Vec::with_capacity(ops * lanes),
-            mask: Vec::with_capacity(ops),
-        }
-    }
+/// The branchless per-lane update from the module docs. Returns the
+/// store-buffer drain the op paid (nonzero only at fences).
+#[inline]
+fn advance(t: &mut u64, pending: &mut u64, adv: u64, ext: u64, mask: u64) -> u64 {
+    let drain = pending.saturating_sub(*t) & mask;
+    *t += adv + drain;
+    *pending = (*pending).max(*t + ext);
+    drain
+}
 
-    /// Advances every lane through every op of this segment with the
-    /// branchless update described in the module docs.
+impl TraceSegment {
+    /// Advances every lane through every op of this segment.
     #[inline]
     fn step(&self, t: &mut [u64], pending: &mut [u64]) {
         let lanes = t.len();
@@ -81,129 +88,71 @@ impl TraceSegment {
             let ext = &self.extra[base..base + lanes];
             let mask = self.mask[op];
             for lane in 0..lanes {
-                let drain = pending[lane].saturating_sub(t[lane]) & mask;
-                let tn = t[lane] + adv[lane] + drain;
-                t[lane] = tn;
-                pending[lane] = pending[lane].max(tn + ext[lane]);
+                advance(&mut t[lane], &mut pending[lane], adv[lane], ext[lane], mask);
+            }
+        }
+    }
+
+    /// [`Self::step`] for one point, lane by lane, narrating every op
+    /// of repetition `rep` into `nar`'s recorder.
+    fn step_narrated(
+        &self,
+        t: &mut [u64],
+        pending: &mut [u64],
+        p: &TablePoint,
+        nar: &Narration,
+        rep: u64,
+    ) {
+        let lanes = t.len();
+        for tid in 0..p.lanes {
+            let lane = p.start + tid;
+            for op in 0..self.ops {
+                let i = op * lanes + lane;
+                let before = t[lane];
+                let drain = advance(
+                    &mut t[lane],
+                    &mut pending[lane],
+                    self.advance[i],
+                    self.extra[i],
+                    self.mask[op],
+                );
+                if drain > 0 {
+                    nar.rec.counter("cpu_sim.store_buffer_drains").inc();
+                    nar.rec.instant_args(
+                        "cpu_sim",
+                        "store_buffer_drain",
+                        vec![
+                            ("tid", ArgValue::from(tid)),
+                            ("drain_ns", ArgValue::F64(units_to_ns(drain))),
+                        ],
+                    );
+                }
+                let idx = self.first + op;
+                nar.rec.instant_args(
+                    "cpu_sim.op",
+                    format!("{:?}", nar.body[idx]),
+                    vec![
+                        ("tid", ArgValue::from(tid)),
+                        ("rep", ArgValue::from(rep)),
+                        ("idx", ArgValue::from(idx)),
+                        ("cost_ns", ArgValue::F64(units_to_ns(t[lane] - before))),
+                    ],
+                );
             }
         }
     }
 }
 
-/// Pushes the `{advance, extra}` record for `(plan op)` onto a
-/// segment's lane arrays. The per-op mask is pushed once per op by the
-/// caller (it is uniform across lanes).
+/// Releases a barrier: all arrivals leave at `max_arrival +
+/// barrier_units`, staggered by arrival rank (stable: ties release in
+/// lane order).
 #[inline]
-fn lower_op(seg: &mut TraceSegment, op: PlanOp) {
-    match op {
-        PlanOp::Barrier => unreachable!("barriers delimit segments"),
-        PlanOp::Fixed(cost) => {
-            seg.advance.push(cost);
-            seg.extra.push(0);
-        }
-        PlanOp::Store {
-            visible,
-            pending_extra,
-        } => {
-            seg.advance.push(visible);
-            seg.extra.push(pending_extra);
-        }
-        PlanOp::Flush { base } => {
-            seg.advance.push(base);
-            seg.extra.push(0);
-        }
-    }
-}
-
-/// Mask for one op position: the op *kind* is body-determined, so
-/// thread 0's plan op stands for every lane.
-#[inline]
-fn mask_of(op: PlanOp) -> u64 {
-    match op {
-        PlanOp::Flush { .. } => !0u64,
-        _ => 0u64,
-    }
-}
-
-/// A [`RunPlan`] lowered to flat, branchless per-segment lane arrays
-/// for a single parameter point (`lanes == threads`).
-#[derive(Debug, Clone)]
-pub struct OpTrace {
-    lanes: usize,
-    segments: Vec<TraceSegment>,
+pub(crate) fn rendezvous(
     barrier_units: u64,
     stagger_units: u64,
-    trace_ops: usize,
-}
-
-impl OpTrace {
-    /// Lowers a compiled plan into a flat trace.
-    #[must_use]
-    pub fn compile(plan: &RunPlan) -> Self {
-        let lanes = plan.threads();
-        let mut trace_ops = 0usize;
-        let mut segments = Vec::with_capacity(plan.segments().len());
-        for &(start, end) in plan.segments() {
-            let mut seg = TraceSegment::with_capacity(end - start, lanes);
-            for idx in start..end {
-                seg.mask.push(mask_of(plan.op(0, idx)));
-                for tid in 0..lanes {
-                    lower_op(&mut seg, plan.op(tid, idx));
-                }
-                trace_ops += lanes;
-            }
-            segments.push(seg);
-        }
-        Self {
-            lanes,
-            segments,
-            barrier_units: plan.barrier_units(),
-            stagger_units: plan.stagger_units(),
-            trace_ops,
-        }
-    }
-
-    /// Convenience: contention analysis + plan compilation + lowering
-    /// in one call (used by benches and tests).
-    #[must_use]
-    pub fn compile_for(model: &CpuModel, placement: &Placement, body: &[CpuOp]) -> Self {
-        let contention = ContentionMap::analyze(body, placement, 64);
-        Self::compile(&RunPlan::compile(model, placement, &contention, body))
-    }
-
-    /// Total `(op, lane)` records across all segments.
-    #[must_use]
-    pub fn trace_ops(&self) -> usize {
-        self.trace_ops
-    }
-
-    /// Barriers executed per repetition (`segments − 1`).
-    #[must_use]
-    pub fn barriers_per_rep(&self) -> u64 {
-        self.segments.len() as u64 - 1
-    }
-
-    /// Steps one full repetition for all lanes: straight-line segment
-    /// passes with a rendezvous after every segment but the last.
-    /// Returns the number of barrier episodes executed.
-    pub fn step_rep(&self, t: &mut [u64], pending: &mut [u64], order: &mut Vec<usize>) -> u64 {
-        debug_assert_eq!(t.len(), self.lanes);
-        let last = self.segments.len() - 1;
-        for (seg_idx, seg) in self.segments.iter().enumerate() {
-            seg.step(t, pending);
-            if seg_idx < last {
-                rendezvous(self.barrier_units, self.stagger_units, t, order);
-            }
-        }
-        last as u64
-    }
-}
-
-/// Barrier release identical to the engine's: all arrivals released at
-/// `max_arrival + barrier_units`, staggered by arrival rank (stable
-/// ties in lane order).
-#[inline]
-fn rendezvous(barrier_units: u64, stagger_units: u64, t: &mut [u64], order: &mut Vec<usize>) {
+    t: &mut [u64],
+    order: &mut Vec<usize>,
+) {
     let max_arrival = t.iter().copied().max().unwrap_or(0);
     let release = max_arrival + barrier_units;
     order.clear();
@@ -225,41 +174,56 @@ struct TablePoint {
     stagger_units: u64,
 }
 
-/// Many same-shape parameter points lowered into one struct-of-arrays
+/// Same-shape parameter points lowered into one struct-of-arrays
 /// table: per segment, per op, the lanes of every point sit
-/// back-to-back, so one contiguous pass advances the whole sweep
-/// group through that op.
+/// back-to-back, so one contiguous pass advances the whole sweep group
+/// through that op.
 #[derive(Debug)]
-pub struct PlanTable {
+pub(crate) struct PlanTable {
     segments: Vec<TraceSegment>,
     points: Vec<TablePoint>,
     total_lanes: usize,
     barriers_per_rep: u64,
-    trace_ops: usize,
 }
 
 impl PlanTable {
     /// Lowers one plan per point into a shared table. All plans must
-    /// come from the same body (identical segment structure); this is
-    /// guaranteed by construction when the caller compiles them from
-    /// one kernel body.
-    #[must_use]
-    pub fn compile(plans: &[RunPlan]) -> Self {
+    /// come from the same body (identical segment structure), as they
+    /// do when [`Self::compile`] builds them.
+    fn lower(plans: &[RunPlan]) -> Self {
         let total_lanes: usize = plans.iter().map(RunPlan::threads).sum();
-        let segs = plans[0].segments().to_vec();
-        let mut trace_ops = 0usize;
+        let segs = plans[0].segments();
         let mut segments = Vec::with_capacity(segs.len());
         for (seg_idx, &(start, end)) in segs.iter().enumerate() {
-            let mut seg = TraceSegment::with_capacity(end - start, total_lanes);
+            let ops = end - start;
+            let mut seg = TraceSegment {
+                first: start,
+                ops,
+                advance: Vec::with_capacity(ops * total_lanes),
+                extra: Vec::with_capacity(ops * total_lanes),
+                mask: Vec::with_capacity(ops),
+            };
             for idx in start..end {
-                seg.mask.push(mask_of(plans[0].op(0, idx)));
+                // The op kind is body-determined, so thread 0 of the
+                // first point stands for every lane.
+                let fence = matches!(plans[0].op(0, idx), PlanOp::Flush { .. });
+                seg.mask.push(if fence { !0 } else { 0 });
                 for plan in plans {
                     debug_assert_eq!(plan.segments()[seg_idx], (start, end));
                     for tid in 0..plan.threads() {
-                        lower_op(&mut seg, plan.op(tid, idx));
+                        let (adv, ext) = match plan.op(tid, idx) {
+                            PlanOp::Barrier => unreachable!("barriers delimit segments"),
+                            PlanOp::Fixed(cost) => (cost, 0),
+                            PlanOp::Store {
+                                visible,
+                                pending_extra,
+                            } => (visible, pending_extra),
+                            PlanOp::Flush { base } => (base, 0),
+                        };
+                        seg.advance.push(adv);
+                        seg.extra.push(ext);
                     }
                 }
-                trace_ops += total_lanes;
             }
             segments.push(seg);
         }
@@ -279,51 +243,57 @@ impl PlanTable {
             points,
             total_lanes,
             barriers_per_rep: segs.len() as u64 - 1,
-            trace_ops,
         }
     }
 
-    /// Total `(op, lane)` records across all segments and points.
-    #[must_use]
-    pub fn trace_ops(&self) -> usize {
-        self.trace_ops
-    }
-
-    /// Number of parameter points in the table.
-    #[must_use]
-    pub fn points(&self) -> usize {
-        self.points.len()
+    /// Contention analysis, plan compilation and lowering for `body` at
+    /// each placement. A live recorder gets the compile time in
+    /// `plan.compile_us` (compilation only, never evaluation) and the
+    /// table size in `plan.trace_ops`.
+    pub(crate) fn compile(
+        model: &CpuModel,
+        body: &[CpuOp],
+        placements: &[Placement],
+        rec: &Recorder,
+    ) -> Self {
+        let start = rec.is_enabled().then(Instant::now);
+        let plans: Vec<RunPlan> = placements
+            .iter()
+            .map(|p| {
+                let contention = ContentionMap::analyze(body, p, 64);
+                RunPlan::compile(model, p, &contention, body)
+            })
+            .collect();
+        let table = Self::lower(&plans);
+        if let Some(start) = start {
+            rec.histogram("plan.compile_us")
+                .observe(start.elapsed().as_micros() as u64);
+            let records: usize = table.segments.iter().map(|s| s.advance.len()).sum();
+            rec.counter("plan.trace_ops").add(records as u64);
+        }
+        table
     }
 }
 
-/// Per-point steady-state detector state for the batch evaluator —
-/// the same snapshot the engine's `Scratch` keeps, plus a per-point
-/// `steady` latch.
-struct BatchScratch {
-    t: Vec<u64>,
-    pending: Vec<u64>,
-    prev_t: Vec<u64>,
-    prev_delta: Vec<u64>,
-    prev_off: Vec<u64>,
-    prev_pend: Vec<u64>,
-    order: Vec<usize>,
+/// Per-op event narration for a traced run: the body the table was
+/// compiled from (for op names) and the recorder that takes the events.
+#[derive(Debug)]
+pub(crate) struct Narration<'a> {
+    pub(crate) body: &'a [CpuOp],
+    pub(crate) rec: &'a Recorder,
 }
 
 /// Evaluates every placement point of one kernel body in a single
-/// batched pass, returning one result per point, in order.
+/// batched pass, returning one result per point, in order. `rec`
+/// receives the table's `plan.compile_us` and `plan.trace_ops`; no
+/// events are emitted.
 ///
-/// Bit-exactness: the per-lane update is the branchless trace update
-/// (bit-exact against the interpreter, see the module docs), and
-/// rendezvous/steady-state detection run per point with the engine's
-/// exact logic. The only scheduling difference is that the lockstep
-/// rep loop keeps stepping a point that is already steady until
-/// *every* point is steady — and stepping a steady repetition then
-/// extrapolating from the later boundary is bit-identical to
-/// extrapolating from the earlier one (a steady rep advances each
-/// clock by exactly its repeating delta; that invariance is the same
-/// one the engine's fast path rests on). Equivalent to
-/// [`crate::engine::run_observed`] with a disabled recorder for each
-/// point individually.
+/// The lockstep rep loop keeps stepping a point that is already steady
+/// until *every* point is steady — and stepping a steady repetition
+/// then extrapolating from the later boundary is bit-identical to
+/// extrapolating from the earlier one (a steady rep advances each clock
+/// by exactly its repeating delta). Each result therefore equals
+/// [`crate::engine::run_observed`] at that point alone.
 ///
 /// # Errors
 ///
@@ -334,6 +304,7 @@ pub fn run_batch(
     body: &[CpuOp],
     placements: &[Placement],
     reps: u64,
+    rec: &Recorder,
 ) -> Result<Vec<EngineResult>> {
     if reps == 0 {
         return Err(SyncPerfError::InvalidParams("reps must be > 0".into()));
@@ -343,34 +314,34 @@ pub fn run_batch(
             "batch needs at least one point".into(),
         ));
     }
-    let plans: Vec<RunPlan> = placements
-        .iter()
-        .map(|p| {
-            let contention = ContentionMap::analyze(body, p, 64);
-            RunPlan::compile(model, p, &contention, body)
-        })
-        .collect();
-    let table = PlanTable::compile(&plans);
-    let rec = syncperf_core::obs::global();
-    if rec.is_enabled() {
-        rec.counter("plan.trace_ops").add(table.trace_ops() as u64);
-        rec.histogram("plan.batch_size")
-            .observe(table.points() as u64);
-    }
-    Ok(run_table(&table, reps))
+    let table = PlanTable::compile(model, body, placements, rec);
+    Ok(run_table(&table, reps, None))
 }
 
-/// The batched rep loop over a compiled [`PlanTable`].
-fn run_table(table: &PlanTable, reps: u64) -> Vec<EngineResult> {
+/// The rep loop over a compiled [`PlanTable`]. With a narration the
+/// first [`OBSERVED_REPS`] repetitions are stepped lane by lane with
+/// per-op events, and steady-state extrapolation is only allowed past
+/// that window. `reps` must be positive.
+pub(crate) fn run_table(
+    table: &PlanTable,
+    reps: u64,
+    narration: Option<&Narration>,
+) -> Vec<EngineResult> {
     let n = table.total_lanes;
-    let mut s = BatchScratch {
-        t: vec![0u64; n],
-        pending: vec![0u64; n],
-        prev_t: vec![0u64; n],
-        prev_delta: vec![0u64; n],
-        prev_off: vec![0u64; n],
-        prev_pend: vec![0u64; n],
-        order: Vec::new(),
+    let mut t = vec![0u64; n];
+    let mut pending = vec![0u64; n];
+    // The steady-state detector's previous rep boundary, per lane:
+    // clock, clock delta, offset above the point's slowest lane, and
+    // `pending − t` (saturating).
+    let mut prev_t = vec![0u64; n];
+    let mut prev_delta = vec![0u64; n];
+    let mut prev_off = vec![0u64; n];
+    let mut prev_pend = vec![0u64; n];
+    let mut order = Vec::new();
+    let emit_reps = if narration.is_some() {
+        OBSERVED_REPS
+    } else {
+        0
     };
     let has_barriers = table.barriers_per_rep > 0;
     let last = table.segments.len() - 1;
@@ -379,46 +350,54 @@ fn run_table(table: &PlanTable, reps: u64) -> Vec<EngineResult> {
     let mut all_steady = false;
     while rep < reps && !all_steady {
         for (seg_idx, seg) in table.segments.iter().enumerate() {
-            seg.step(&mut s.t, &mut s.pending);
+            match narration {
+                Some(nar) if rep < emit_reps => {
+                    for p in &table.points {
+                        seg.step_narrated(&mut t, &mut pending, p, nar, rep);
+                    }
+                }
+                _ => seg.step(&mut t, &mut pending),
+            }
             if seg_idx < last {
                 for p in &table.points {
                     rendezvous(
                         p.barrier_units,
                         p.stagger_units,
-                        &mut s.t[p.start..p.start + p.lanes],
-                        &mut s.order,
+                        &mut t[p.start..p.start + p.lanes],
+                        &mut order,
                     );
                 }
             }
         }
         rep += 1;
-        // Per-point steady-state detection, identical to the engine's
-        // rep-boundary check (emit window is always empty here: the
-        // batch path only runs recorder-free).
-        all_steady = have_prev;
+        // Steady-state detection at the rep boundary: the stepping
+        // relation is invariant under a uniform clock shift, so if this
+        // rep's per-lane deltas, store-buffer horizons, and (when
+        // barriers couple the lanes) offsets within the point all match
+        // the previous rep's, every later rep repeats exactly.
+        let may_extrapolate = have_prev && rep >= emit_reps;
+        all_steady = may_extrapolate;
         for p in &table.points {
             let range = p.start..p.start + p.lanes;
-            let min_t = s.t[range.clone()].iter().copied().min().unwrap_or(0);
-            let mut steady = have_prev;
+            let min_t = t[range.clone()].iter().copied().min().unwrap_or(0);
+            let mut steady = may_extrapolate;
             for lane in range {
-                let delta = s.t[lane] - s.prev_t[lane];
-                let off = s.t[lane] - min_t;
-                let pend = s.pending[lane].saturating_sub(s.t[lane]);
+                let delta = t[lane] - prev_t[lane];
+                let off = t[lane] - min_t;
+                let pend = pending[lane].saturating_sub(t[lane]);
                 if steady
-                    && (delta != s.prev_delta[lane]
-                        || pend != s.prev_pend[lane]
-                        || (has_barriers && off != s.prev_off[lane]))
+                    && (delta != prev_delta[lane]
+                        || pend != prev_pend[lane]
+                        || (has_barriers && off != prev_off[lane]))
                 {
                     steady = false;
                 }
-                s.prev_delta[lane] = delta;
-                s.prev_off[lane] = off;
-                s.prev_pend[lane] = pend;
-                s.prev_t[lane] = s.t[lane];
+                prev_delta[lane] = delta;
+                prev_off[lane] = off;
+                prev_pend[lane] = pend;
+                prev_t[lane] = t[lane];
             }
-            if !steady {
-                all_steady = false;
-            }
+            all_steady &= steady;
         }
         have_prev = true;
     }
@@ -427,47 +406,21 @@ fn run_table(table: &PlanTable, reps: u64) -> Vec<EngineResult> {
         // one exact integer multiply per lane.
         let remaining = reps - rep;
         for lane in 0..n {
-            s.t[lane] += s.prev_delta[lane] * remaining;
-            s.pending[lane] = s.t[lane] + s.prev_pend[lane];
+            t[lane] += prev_delta[lane] * remaining;
+            pending[lane] = t[lane] + prev_pend[lane];
         }
     }
     table
         .points
         .iter()
         .map(|p| EngineResult {
-            per_thread_ns: s.t[p.start..p.start + p.lanes]
+            per_thread_ns: t[p.start..p.start + p.lanes]
                 .iter()
                 .map(|&u| units_to_ns(u))
                 .collect(),
             barrier_episodes: table.barriers_per_rep * reps,
         })
         .collect()
-}
-
-/// Compiles a trace for `(model, body)` at each placement and runs
-/// [`run_batch`], measuring compile time into the given recorder's
-/// `plan.compile_us` histogram when enabled. Thin wrapper used by the
-/// scheduler's batch-prime path.
-///
-/// # Errors
-///
-/// Propagates [`run_batch`] errors.
-pub fn run_batch_observed(
-    model: &CpuModel,
-    body: &[CpuOp],
-    placements: &[Placement],
-    reps: u64,
-    rec: &Recorder,
-) -> Result<Vec<EngineResult>> {
-    if rec.is_enabled() {
-        let start = std::time::Instant::now();
-        let out = run_batch(model, body, placements, reps);
-        rec.histogram("plan.compile_us")
-            .observe(start.elapsed().as_micros() as u64);
-        out
-    } else {
-        run_batch(model, body, placements, reps)
-    }
 }
 
 #[cfg(test)]
@@ -489,25 +442,18 @@ mod tests {
     }
 
     #[test]
-    fn single_point_trace_matches_interpreter() {
+    fn one_point_table_matches_interpreter() {
         let model = CpuModel::baseline();
         let rec = Recorder::disabled();
         for (name, body) in bodies() {
             for threads in [1u32, 2, 7, 16, 32] {
                 let p = Placement::new(&SYSTEM3.cpu, Affinity::Spread, threads);
-                let trace = OpTrace::compile_for(&model, &p, &body);
-                let mut t = vec![0u64; threads as usize];
-                let mut pending = vec![0u64; threads as usize];
-                let mut order = Vec::new();
-                let reps = 37u64;
-                let mut episodes = 0u64;
-                for _ in 0..reps {
-                    episodes += trace.step_rep(&mut t, &mut pending, &mut order);
+                for reps in [1u64, 3, 37] {
+                    let table = PlanTable::compile(&model, &body, std::slice::from_ref(&p), &rec);
+                    let got = run_table(&table, reps, None).pop().unwrap();
+                    let oracle = run_full_stepping(&model, &p, &body, reps, &rec).unwrap();
+                    assert_eq!(got, oracle, "{name} x{threads} reps={reps}");
                 }
-                let oracle = run_full_stepping(&model, &p, &body, reps, &rec).unwrap();
-                let ns: Vec<f64> = t.iter().map(|&u| units_to_ns(u)).collect();
-                assert_eq!(ns, oracle.per_thread_ns, "{name} x{threads}");
-                assert_eq!(episodes, oracle.barrier_episodes, "{name} x{threads}");
             }
         }
     }
@@ -522,7 +468,7 @@ mod tests {
                 .map(|&n| Placement::new(&SYSTEM3.cpu, Affinity::Spread, n))
                 .collect();
             for reps in [1u64, 4, 500] {
-                let batch = run_batch(&model, &body, &placements, reps).unwrap();
+                let batch = run_batch(&model, &body, &placements, reps, &rec).unwrap();
                 for (p, got) in placements.iter().zip(&batch) {
                     let single = run_observed(&model, p, &body, reps, &rec).unwrap();
                     assert_eq!(got, &single, "{name} reps={reps} n={}", p.len());
@@ -541,7 +487,7 @@ mod tests {
             Placement::new(&SYSTEM3.cpu, Affinity::Close, 32),
             Placement::new(&SYSTEM3.cpu, Affinity::Spread, 16),
         ];
-        let batch = run_batch(&model, &body, &placements, 200).unwrap();
+        let batch = run_batch(&model, &body, &placements, 200, &rec).unwrap();
         for (p, got) in placements.iter().zip(&batch) {
             let single = run_observed(&model, p, &body, 200, &rec).unwrap();
             assert_eq!(got, &single);
@@ -551,9 +497,30 @@ mod tests {
     #[test]
     fn batch_rejects_bad_inputs() {
         let model = CpuModel::baseline();
+        let rec = Recorder::disabled();
         let body = kernel::omp_barrier().baseline;
         let p = Placement::new(&SYSTEM3.cpu, Affinity::Spread, 2);
-        assert!(run_batch(&model, &body, &[p], 0).is_err());
-        assert!(run_batch(&model, &body, &[], 10).is_err());
+        assert!(run_batch(&model, &body, &[p], 0, &rec).is_err());
+        assert!(run_batch(&model, &body, &[], 10, &rec).is_err());
+    }
+
+    #[test]
+    fn compile_time_goes_to_the_callers_recorder() {
+        let model = CpuModel::baseline();
+        let body = kernel::omp_flush(DType::I32, 1).test;
+        let placements: Vec<Placement> = [2u32, 4]
+            .iter()
+            .map(|&n| Placement::new(&SYSTEM3.cpu, Affinity::Spread, n))
+            .collect();
+        let rec = Recorder::enabled();
+        run_batch(&model, &body, &placements, 50, &rec).unwrap();
+        let snap = rec.snapshot();
+        assert_eq!(snap.histogram("plan.compile_us").count(), 1);
+        assert_eq!(snap.counter("plan.trace_ops"), (body.len() * 6) as u64);
+        assert_eq!(
+            snap.histogram("plan.batch_size").count(),
+            0,
+            "group sizes are the scheduler's to record"
+        );
     }
 }

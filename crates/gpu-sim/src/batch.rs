@@ -1,15 +1,16 @@
-//! Batched struct-of-arrays evaluation of many occupancy points of one
-//! kernel body.
+//! The GPU engine's one evaluator: struct-of-arrays evaluation of one
+//! kernel body at many occupancy points.
 //!
 //! A GPU sweep varies `(blocks, threads)` while the body stays fixed;
-//! the engine's per-run work is the per-op cost sum over the body. The
-//! batch evaluator flips the loop nest: for each op it fills one
-//! contiguous per-point units row and accumulates it into the running
-//! per-point totals — a flat `u64` pass over adjacent lanes, one row
-//! per op, matching the struct-of-arrays layout of the CPU-side
-//! [`crate::cost`]-free trace tables. Each point's accumulation visits
-//! ops in body order, so the quantized sum (and therefore the result)
-//! is bit-identical to [`crate::engine::run_observed`] per point.
+//! the per-run work is the per-op cost sum over the body. The evaluator
+//! flips the loop nest: for each op it fills one contiguous per-point
+//! units row and accumulates it into the running per-point totals — a
+//! flat `u64` pass over adjacent lanes, one row per op, the same layout
+//! as the CPU engine's plan tables. Each point's accumulation visits
+//! ops in body order, so the quantized sum is bit-identical to stepping
+//! the point alone ([`crate::engine::run_full_stepping`]). The
+//! scheduler's batched sweeps call it with a whole parameter group; a
+//! single run ([`crate::engine::run_observed`]) is a batch of one.
 
 use syncperf_core::{GpuOp, Result, Scope};
 
@@ -19,11 +20,11 @@ use crate::occupancy::Occupancy;
 
 /// Evaluates `body` at every occupancy point in one batched pass.
 ///
-/// Returns one result per point, in order, each bit-identical to
-/// [`crate::engine::run_observed`] with a disabled recorder at that
-/// point. Fails if any point rejects an op (unsupported dtype or
-/// capability) — callers fall back to the per-point path, which
-/// reproduces the exact error for the offending point.
+/// Returns one result per point, in order, each identical to
+/// [`crate::engine::run_observed`] at that point alone. Fails if any
+/// point rejects an op (unsupported dtype or capability) — batched
+/// callers fall back to per-point runs, which reproduce the exact
+/// error for the offending point.
 ///
 /// # Errors
 ///

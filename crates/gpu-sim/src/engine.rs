@@ -12,7 +12,10 @@
 //! Per-op cycle costs are quantized once to integer fixed-point units
 //! (2²⁰ units per cycle); the total over `reps` repetitions is one
 //! exact integer multiply, bit-identical to stepping every repetition
-//! ([`run_full_stepping`] is the oracle that does exactly that).
+//! ([`run_full_stepping`] is the oracle that does exactly that). The
+//! sum itself has one implementation, [`crate::batch::run_batch`]: a
+//! single run is a batch of one occupancy, and this module adds only
+//! validation ([`op_cycles`]) and the launch telemetry.
 
 use syncperf_core::obs::{ArgValue, Recorder};
 use syncperf_core::{DType, GpuOp, Result, Scope, SyncPerfError, Target};
@@ -144,8 +147,9 @@ pub fn run(m: &GpuModel, occ: &Occupancy, body: &[GpuOp], reps: u64) -> Result<G
     run_observed(m, occ, body, reps, syncperf_core::obs::global())
 }
 
-/// [`run`] with an explicit [`Recorder`]. Any live recorder counts
-/// `gpu_sim.launches`, `gpu_sim.blocks_scheduled`,
+/// [`run`] with an explicit [`Recorder`]: a one-occupancy
+/// [`crate::batch::run_batch`], plus telemetry. Any live recorder
+/// counts `gpu_sim.launches`, `gpu_sim.blocks_scheduled`,
 /// `gpu_sim.warps_scheduled` and `gpu_sim.atomic_conflicts`. With the
 /// event plane on it also emits, under category `gpu_sim`: a
 /// `kernel_launch` span carrying block/warp scheduling arguments, and
@@ -163,18 +167,49 @@ pub fn run_observed(
     reps: u64,
     rec: &Recorder,
 ) -> Result<GpuEngineResult> {
-    let mut r = analyze_body(m, occ, body, reps, rec)?;
-    // One exact integer multiply extrapolates all repetitions — every
-    // rep costs the same quantized units, so this is bit-identical to
-    // stepping them (u64 addition is associative).
-    r.total_units = r.units_per_rep * reps;
+    let mut span = rec.span("gpu_sim", "kernel_launch");
+    span.push_arg("blocks", u64::from(occ.blocks));
+    span.push_arg("threads_per_block", u64::from(occ.threads_per_block));
+    span.push_arg("resident_warps", u64::from(occ.total_resident_warps));
+    span.push_arg("waves", u64::from(occ.waves));
+    let r = crate::batch::run_batch(m, std::slice::from_ref(occ), body, reps)?
+        .pop()
+        .expect("one occupancy in, one result out");
+    rec.counter("gpu_sim.launches").inc();
+    rec.counter("gpu_sim.blocks_scheduled")
+        .add(u64::from(occ.blocks));
+    rec.counter("gpu_sim.warps_scheduled")
+        .add(u64::from(occ.blocks) * u64::from(occ.warps_per_block));
+    // Every thread RMW-ing the same address serializes at the atomic
+    // unit: all but one of the `total_threads` accesses conflict, every
+    // repetition.
+    for (idx, op) in body.iter().enumerate() {
+        if let Some((_, _, _, Target::SharedScalar(_))) = cost::atomic_kind(op) {
+            if r.total_threads > 1 {
+                rec.counter("gpu_sim.atomic_conflicts")
+                    .add((r.total_threads - 1) * reps);
+                if rec.traces() {
+                    rec.instant_args(
+                        "gpu_sim",
+                        "atomic_conflict",
+                        vec![
+                            ("op_idx", ArgValue::from(idx)),
+                            ("threads", ArgValue::U64(r.total_threads)),
+                            ("reps", ArgValue::U64(reps)),
+                        ],
+                    );
+                }
+            }
+        }
+    }
+    span.push_arg("cycles_per_rep", r.cycles_per_rep());
     Ok(r)
 }
 
-/// The reference path: identical to [`run_observed`] but charges every
-/// repetition op-by-op in a stepping loop instead of multiplying. The
-/// property tests assert the fast path is bit-exact against this
-/// oracle.
+/// The stepping oracle: charges every repetition op by op instead of
+/// multiplying. The property tests assert [`run_observed`] is
+/// bit-exact against it. `rec` is accepted for signature parity with
+/// [`run_observed`] and records nothing.
 ///
 /// # Errors
 ///
@@ -184,88 +219,33 @@ pub fn run_full_stepping(
     occ: &Occupancy,
     body: &[GpuOp],
     reps: u64,
-    rec: &Recorder,
+    _rec: &Recorder,
 ) -> Result<GpuEngineResult> {
-    let mut r = analyze_body(m, occ, body, reps, rec)?;
-    let mut op_units = Vec::with_capacity(body.len());
-    for op in body {
-        op_units.push(quantize_cycles(op_cycles(m, occ, op)?));
+    if reps == 0 {
+        return Err(SyncPerfError::InvalidParams("reps must be > 0".into()));
     }
+    let op_units = body
+        .iter()
+        .map(|op| Ok(quantize_cycles(op_cycles(m, occ, op)?)))
+        .collect::<Result<Vec<u64>>>()?;
     let mut total = 0u64;
     for _ in 0..reps {
         for &u in &op_units {
             total += u;
         }
     }
-    r.total_units = total;
-    Ok(r)
-}
-
-/// Shared per-run analysis: validates the body, sums the quantized
-/// per-repetition cost, flags system fences, and emits the launch span
-/// plus scheduling/conflict counters. `total_units` is left at zero for
-/// the caller to fill in.
-fn analyze_body(
-    m: &GpuModel,
-    occ: &Occupancy,
-    body: &[GpuOp],
-    reps: u64,
-    rec: &Recorder,
-) -> Result<GpuEngineResult> {
-    if reps == 0 {
-        return Err(SyncPerfError::InvalidParams("reps must be > 0".into()));
-    }
-    let mut span = rec.span("gpu_sim", "kernel_launch");
-    span.push_arg("blocks", u64::from(occ.blocks));
-    span.push_arg("threads_per_block", u64::from(occ.threads_per_block));
-    span.push_arg("resident_warps", u64::from(occ.total_resident_warps));
-    span.push_arg("waves", u64::from(occ.waves));
-    rec.counter("gpu_sim.launches").inc();
-    rec.counter("gpu_sim.blocks_scheduled")
-        .add(u64::from(occ.blocks));
-    rec.counter("gpu_sim.warps_scheduled")
-        .add(u64::from(occ.blocks) * u64::from(occ.warps_per_block));
-
-    let total_threads = u64::from(occ.blocks) * u64::from(occ.threads_per_block);
-    let mut units_per_rep = 0u64;
-    let mut has_system_fence = false;
-    for (idx, op) in body.iter().enumerate() {
-        units_per_rep += quantize_cycles(op_cycles(m, occ, op)?);
-        if matches!(
-            op,
-            GpuOp::ThreadFence {
-                scope: Scope::System
-            }
-        ) {
-            has_system_fence = true;
-        }
-        // Every thread RMW-ing the same address serializes at the
-        // atomic unit: all but one of the `total_threads` accesses
-        // conflict, every repetition.
-        if let Some((_, _, _, target)) = cost::atomic_kind(op) {
-            if matches!(target, Target::SharedScalar(_)) && total_threads > 1 {
-                rec.counter("gpu_sim.atomic_conflicts")
-                    .add((total_threads - 1) * reps);
-                if rec.traces() {
-                    rec.instant_args(
-                        "gpu_sim",
-                        "atomic_conflict",
-                        vec![
-                            ("op_idx", ArgValue::from(idx)),
-                            ("threads", ArgValue::U64(total_threads)),
-                            ("reps", ArgValue::U64(reps)),
-                        ],
-                    );
-                }
-            }
-        }
-    }
-    span.push_arg("cycles_per_rep", units_to_cycles(units_per_rep));
     Ok(GpuEngineResult {
-        total_units: 0,
-        units_per_rep,
-        total_threads,
-        has_system_fence,
+        total_units: total,
+        units_per_rep: op_units.iter().sum(),
+        total_threads: u64::from(occ.blocks) * u64::from(occ.threads_per_block),
+        has_system_fence: body.iter().any(|op| {
+            matches!(
+                op,
+                GpuOp::ThreadFence {
+                    scope: Scope::System
+                }
+            )
+        }),
     })
 }
 

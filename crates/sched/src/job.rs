@@ -410,7 +410,7 @@ impl JobSpec {
                     .clone()
                     .unwrap_or_else(|| CpuModel::for_system(&system.cpu, system.cpu_jitter));
                 let rec = syncperf_core::obs::global();
-                let baseline = syncperf_cpu_sim::trace::run_batch_observed(
+                let baseline = syncperf_cpu_sim::trace::run_batch(
                     &model,
                     &kernel.baseline,
                     &placements,
@@ -418,7 +418,7 @@ impl JobSpec {
                     rec,
                 )
                 .ok()?;
-                let test = syncperf_cpu_sim::trace::run_batch_observed(
+                let test = syncperf_cpu_sim::trace::run_batch(
                     &model,
                     &kernel.test,
                     &placements,

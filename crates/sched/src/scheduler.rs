@@ -298,7 +298,8 @@ pub struct SchedStats {
     pub plan_batch_points: u64,
     /// Jobs whose engine results were primed from a batched
     /// struct-of-arrays plan-table evaluation (0 while the global
-    /// recorder traces events: traced runs keep the interpreter path).
+    /// recorder traces events: traced runs evaluate one point at a
+    /// time so each can emit its per-op events).
     pub plan_primed_jobs: u64,
     /// Time spent grouping the miss set and batch-evaluating plan
     /// tables, microseconds.
@@ -866,10 +867,12 @@ impl Scheduler {
     /// and batch-evaluates each parameter-sweep group of ≥ 2 jobs
     /// through one struct-of-arrays plan table, returning one optional
     /// primed engine pair per `todo` entry (in order). Group detection
-    /// is always counted, but priming is skipped while the global
-    /// recorder traces events: traced runs must keep per-rep event
-    /// emission and therefore take the interpreter path. A metrics-only
-    /// recorder primes exactly as an unobserved run does. A group whose
+    /// is always counted (one `plan.batch_size` observation per
+    /// group), but priming is skipped while the global recorder traces
+    /// events: a batch emits no per-op events, so traced jobs run their
+    /// points one at a time (the same evaluator, as one-point tables).
+    /// A metrics-only recorder primes exactly as an unobserved run
+    /// does. A group whose
     /// batch evaluation fails primes nothing, so the per-job path
     /// reproduces the exact error.
     fn prepare_primed(&self, todo: &[(usize, JobSpec, u64)]) -> Vec<Option<PrimedEngine>> {

@@ -557,7 +557,7 @@ fn performance_docs_match_the_code() {
     // §6: the trace-compilation and batching layer the doc promises
     // is the one the code ships, under the names it uses.
     for name in [
-        "OpTrace",
+        "run_table",
         "PlanTable",
         "trace_vs_interp",
         "same_shape",
@@ -572,7 +572,7 @@ fn performance_docs_match_the_code() {
             "docs/PERFORMANCE.md missing {name}"
         );
     }
-    assert!(design.contains("OpTrace"));
+    assert!(design.contains("run_table"));
     assert!(design.contains("same_shape"));
     assert!(repo_root().join("crates/cpu-sim/src/trace.rs").exists());
     assert!(repo_root().join("crates/gpu-sim/src/batch.rs").exists());

@@ -169,6 +169,13 @@ fn plane_sweep_metrics() {
     for name in ["sched.wait_us", "sched.service_us.miss", "plan.batch_size"] {
         assert!(snap.histogram(name).count() > 0, "{name} missing: {snap:?}");
     }
+    // The sweep batches CPU and GPU groups alike; each group is one
+    // `plan.batch_size` observation, whichever engine evaluates it.
+    assert_eq!(
+        snap.histogram("plan.batch_size").count(),
+        st.plan_batches,
+        "one plan.batch_size observation per same-shape group"
+    );
     assert!(snap.counter("sched.jobs") > 0);
     assert!(rec.drain_events().is_empty(), "metrics record no events");
     assert_eq!(rec.dropped_events(), 0);

@@ -420,7 +420,7 @@ proptest! {
             syncperf::core::obs::Recorder::disabled()
         };
         let batched =
-            syncperf::cpu_sim::trace::run_batch_observed(&m, &body, &placements, reps, &rec)
+            syncperf::cpu_sim::trace::run_batch(&m, &body, &placements, reps, &rec)
                 .unwrap();
         prop_assert_eq!(batched.len(), placements.len());
         for (p, got) in placements.iter().zip(&batched) {

@@ -5,6 +5,7 @@
 //! These tests install the process-global scheduler, so they serialize
 //! on one mutex and always uninstall before releasing it.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
@@ -103,5 +104,64 @@ fn salt_bump_invalidates_every_entry() {
     let (_, bumped) = fig01_csv(2, &dir, 1);
     assert_eq!(bumped.cache_hits, 0);
     assert_eq!(bumped.executed, bumped.jobs);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The benchmark's byte check in tier-1: a cold `all_figures` sweep on
+/// a cacheless 2-worker scheduler must write exactly the CSV and SVG
+/// files that `perfbench/reference.txt` pins, each with the pinned
+/// length and FNV-1a 64 digest.
+#[test]
+fn scheduler_path_outputs_match_the_benchmark_reference() {
+    let _g = lock();
+    let dir = tmp("reference");
+    install(Scheduler::new(
+        SchedConfig::new(2)
+            .without_cache()
+            .with_cache_dir(dir.join(".cache"))
+            .with_label("all_figures"),
+    ));
+    let figs = syncperf_bench::all_figures();
+    uninstall();
+    for fig in &figs.expect("every figure generates") {
+        fig.write_csv(&dir).unwrap();
+        fig.write_svg(&dir).unwrap();
+    }
+
+    let want: BTreeMap<String, (u64, u64)> = include_str!("../perfbench/reference.txt")
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let f: Vec<&str> = l.split_whitespace().collect();
+            let hash = syncperf_sched::hash::parse_hex16(f[2]).expect("hex digest");
+            (f[0].to_string(), (f[1].parse().expect("byte count"), hash))
+        })
+        .collect();
+    assert_eq!(want.len(), 84, "reference lists every figure's csv + svg");
+    let got: BTreeMap<String, (u64, u64)> = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .filter_map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            let ext = std::path::Path::new(&name).extension()?.to_str()?;
+            matches!(ext, "csv" | "svg").then(|| {
+                let bytes = std::fs::read(e.path()).unwrap();
+                let digest = (bytes.len() as u64, syncperf_sched::hash::fnv1a(&bytes));
+                (name, digest)
+            })
+        })
+        .collect();
+    for (name, digest) in &want {
+        assert_eq!(
+            got.get(name),
+            Some(digest),
+            "{name} differs from the reference"
+        );
+    }
+    assert_eq!(
+        got.keys().collect::<Vec<_>>(),
+        want.keys().collect::<Vec<_>>(),
+        "the sweep writes exactly the reference files"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
