@@ -116,13 +116,22 @@ echo "==> scheduler warm-cache gate"
 rm -rf ci_sched_results
 SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-bench \
   --bin all_figures -- --jobs 2 --cache-stats results/cache_stats_cold.json > /dev/null
-# --cache-stats installs only the metrics plane (docs/OBSERVABILITY.md),
-# so the observed cold run must still batch-prime its sweep groups: zero
-# primed jobs means a stats flag switched the sweep onto another path.
-primed=$(sed -n 's/.*"plan_primed_jobs":\([0-9]*\).*/\1/p' results/cache_stats_cold.json)
-echo "cold-run batch-primed jobs: ${primed}"
-[ "${primed:-0}" -gt 0 ] || {
-  echo "--cache-stats disabled plan batching (plan_primed_jobs=${primed:-missing})"; exit 1; }
+# Observation never picks the path (docs/OBSERVABILITY.md): an observed
+# cold run must still batch-prime its sweep groups. Zero primed jobs
+# means a stats or trace flag switched the sweep onto another path.
+require_primed() {
+  primed=$(sed -n 's/.*"plan_primed_jobs":\([0-9]*\).*/\1/p' "$2")
+  echo "$1 cold-run batch-primed jobs: ${primed}"
+  [ "${primed:-0}" -gt 0 ] || {
+    echo "$1 disabled plan batching (plan_primed_jobs=${primed:-missing})"; exit 1; }
+}
+require_primed --cache-stats results/cache_stats_cold.json
+rm -rf ci_trace_results
+SYNCPERF_RESULTS=ci_trace_results cargo run --release --offline -p syncperf-bench \
+  --bin all_figures -- --jobs 2 --no-cache --trace ci_trace_results/all_figures.json \
+  --cache-stats results/cache_stats_trace.json > /dev/null
+require_primed --trace results/cache_stats_trace.json
+rm -rf ci_trace_results
 SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-bench \
   --bin all_figures -- --jobs 2 --cache-stats results/cache_stats_warm.json > /dev/null
 hit=$(sed -n 's/.*"hit_rate":\([0-9.]*\).*/\1/p' results/cache_stats_warm.json)
@@ -147,11 +156,11 @@ awk -v h="$sens_hit" 'BEGIN { exit (h >= 0.95) ? 0 : 1 }' || {
 
 # The same gate over the artifact `launch` sweeps (ROADMAP: warm-cache
 # gate breadth), run against the batched plan-table path: the cold run
-# takes no --cache-stats, so no global recorder is installed and the
-# scheduler batch-primes every same-shape sweep group (only --trace
-# runs fall back to the interpreter). The warm run must then be >=95%
-# cache hits — proving the batched path produced and keyed the exact
-# entries the plain path would have.
+# takes no --cache-stats, so no global recorder is installed, and the
+# scheduler batch-primes every same-shape sweep group (as it does under
+# any recorder). The warm run must then be >=95% cache hits — proving
+# the batched path produced and keyed the exact entries the plain path
+# would have.
 echo "==> launch warm-cache gate (batched cold pass)"
 SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-bench \
   --bin launch -- omp_barrier cuda_shfl --yes --jobs 2 > /dev/null

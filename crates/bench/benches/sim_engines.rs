@@ -68,7 +68,6 @@ fn bench_gpu_engine(c: &mut Criterion) {
 /// point. The ratio between these two groups is the whole point of the
 /// fast path — `BENCH_syncperf.json` tracks it end-to-end.
 fn bench_fast_vs_full(c: &mut Criterion) {
-    let rec = syncperf_core::obs::Recorder::disabled();
     let mut g = c.benchmark_group("fast_vs_full");
     g.measurement_time(Duration::from_secs(2));
     g.warm_up_time(Duration::from_millis(300));
@@ -82,8 +81,7 @@ fn bench_fast_vs_full(c: &mut Criterion) {
     });
     g.bench_function("cpu_full_stepping_100k", |b| {
         b.iter(|| {
-            syncperf_cpu_sim::run_full_stepping(&cpu_model, &placement, &body, 100_000, &rec)
-                .unwrap()
+            syncperf_cpu_sim::run_full_stepping(&cpu_model, &placement, &body, 100_000).unwrap()
         });
     });
 
@@ -95,7 +93,7 @@ fn bench_fast_vs_full(c: &mut Criterion) {
     });
     g.bench_function("gpu_full_stepping_100k", |b| {
         b.iter(|| {
-            syncperf_gpu_sim::run_full_stepping(&gpu_model, &occ, &gpu_body, 100_000, &rec).unwrap()
+            syncperf_gpu_sim::run_full_stepping(&gpu_model, &occ, &gpu_body, 100_000).unwrap()
         });
     });
     g.finish();
@@ -121,9 +119,7 @@ fn bench_trace_vs_interp(c: &mut Criterion) {
     g.sample_size(20);
 
     g.bench_function("interp_10k", |b| {
-        b.iter(|| {
-            syncperf_cpu_sim::run_full_stepping(&model, &placement, &body, reps, &rec).unwrap()
-        });
+        b.iter(|| syncperf_cpu_sim::run_full_stepping(&model, &placement, &body, reps).unwrap());
     });
 
     let one = std::slice::from_ref(&placement);

@@ -548,8 +548,8 @@ pub fn run_with_options(
     opts: &RunOptions,
 ) -> Result<()> {
     // `--trace` needs the event plane; the stats flags only read
-    // metrics, so they install the metrics plane alone and the sweep
-    // runs the same batched, memoized code as an unobserved one.
+    // metrics, so they install the metrics plane alone. Either way the
+    // sweep runs the same batched, memoized code as an unobserved one.
     let plane = if opts.trace.is_some() {
         Some(Recorder::tracing())
     } else if opts.cache_stats.is_some() || opts.metrics.is_some() || opts.metrics_addr.is_some() {

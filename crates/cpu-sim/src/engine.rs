@@ -25,14 +25,15 @@ use syncperf_core::obs::Recorder;
 use syncperf_core::{CpuOp, Result, SyncPerfError};
 
 use crate::config::CpuModel;
-use crate::memline::{classify, line_of, Access, ContentionMap};
+use crate::memline::ContentionMap;
 use crate::plan::{units_to_ns, PlanOp, RunPlan};
 use crate::topology::Placement;
-use crate::trace::{rendezvous, run_table, Narration, PlanTable};
+use crate::trace::{rendezvous, run_batch};
 
-/// With a tracing recorder the first `OBSERVED_REPS` repetitions are
-/// always stepped with per-op event emission (bounding trace volume);
-/// steady-state extrapolation is only allowed past this window.
+/// With a tracing recorder the first `OBSERVED_REPS` repetitions of
+/// every point are always stepped with per-op event emission (bounding
+/// trace volume); steady-state extrapolation is only allowed past this
+/// window.
 pub const OBSERVED_REPS: u64 = 4;
 
 /// Outcome of one engine run: per-thread virtual nanoseconds.
@@ -58,20 +59,9 @@ pub fn run(
     run_observed(model, placement, body, reps, syncperf_core::obs::global())
 }
 
-/// [`run`] with an explicit [`Recorder`]. Any live recorder counts
-/// `cpu_sim.engine_runs` and `cpu_sim.barrier_rounds` and gets the
-/// one-point table's `plan.compile_us` and `plan.trace_ops`. With the
-/// event plane on ([`Recorder::traces`]) it also emits, under category
-/// `cpu_sim`: an `engine_run` span, one per-op instant (tagged
-/// `tid`/`rep`/`idx`/`cost_ns`) for each of the first
-/// [`OBSERVED_REPS`] repetitions, and `store_buffer_drain` instants at
-/// fences — plus the `cpu_sim.mesi_transitions` (analytic
-/// coherence-transaction count derived from the contention map) and
-/// `cpu_sim.store_buffer_drains` counters and the
-/// `cpu_sim.arb_queue_depth_max` high-water gauge. A disabled recorder
-/// costs one branch per site. Recording never changes the simulated
-/// times: the steady-state fast path is exact, so observed and
-/// unobserved runs return bit-identical results.
+/// [`run`] with an explicit [`Recorder`]: a one-point
+/// [`crate::trace::run_batch`], which does all the recording (see its
+/// docs for the counters and events).
 ///
 /// # Errors
 ///
@@ -83,32 +73,17 @@ pub fn run_observed(
     reps: u64,
     rec: &Recorder,
 ) -> Result<EngineResult> {
-    if reps == 0 {
-        return Err(SyncPerfError::InvalidParams("reps must be > 0".into()));
-    }
-    let mut span = rec.span("cpu_sim", "engine_run");
-    span.push_arg("threads", placement.len());
-    span.push_arg("ops", body.len());
-    span.push_arg("reps", reps);
-    rec.counter("cpu_sim.engine_runs").inc();
-    let narration = rec.traces().then(|| {
-        record_coherence_profile(model, placement, body, reps, rec);
-        Narration { body, rec }
-    });
-    let table = PlanTable::compile(model, body, std::slice::from_ref(placement), rec);
-    let r = run_table(&table, reps, narration.as_ref())
-        .pop()
-        .expect("one point in, one result out");
-    rec.counter("cpu_sim.barrier_rounds")
-        .add(r.barrier_episodes);
-    Ok(r)
+    Ok(
+        run_batch(model, body, std::slice::from_ref(placement), reps, rec)?
+            .pop()
+            .expect("one point in, one result out"),
+    )
 }
 
 /// The stepping oracle: interprets the compiled plan's [`PlanOp`]s op
 /// by op for every repetition, never extrapolating and never lowering
 /// to a table. The property tests assert [`run_observed`] is bit-exact
-/// against it. `rec` is accepted for signature parity with
-/// [`run_observed`] and records nothing.
+/// against it.
 ///
 /// # Errors
 ///
@@ -118,7 +93,6 @@ pub fn run_full_stepping(
     placement: &Placement,
     body: &[CpuOp],
     reps: u64,
-    _rec: &Recorder,
 ) -> Result<EngineResult> {
     if reps == 0 {
         return Err(SyncPerfError::InvalidParams("reps must be > 0".into()));
@@ -165,51 +139,6 @@ pub fn run_full_stepping(
         per_thread_ns: t.iter().map(|&u| units_to_ns(u)).collect(),
         barrier_episodes: plan.barriers_per_rep() * reps,
     })
-}
-
-/// Records the analytic coherence profile of a run: the number of
-/// MESI-level coherence transactions the contention map implies (every
-/// contended access misses locally and goes through the directory) and
-/// the arbitration-queue depth high-water mark. Called only while the
-/// event plane is on.
-fn record_coherence_profile(
-    model: &CpuModel,
-    placement: &Placement,
-    body: &[CpuOp],
-    reps: u64,
-    rec: &Recorder,
-) {
-    let contention = ContentionMap::analyze(body, placement, 64);
-    let arb = rec.gauge("cpu_sim.arb_queue_depth_max");
-    let mut transitions = 0u64;
-    let mut lines: Vec<(crate::memline::LineId, bool)> = Vec::with_capacity(2);
-    for tid in 0..placement.len() {
-        let core = placement.slot(tid).core;
-        for op in body {
-            lines.clear();
-            match classify(op) {
-                Access::None => {}
-                Access::Read(dtype, target) => {
-                    lines.push((line_of(dtype, target, tid, contention.line_bytes()), false));
-                }
-                Access::Write(dtype, target) => {
-                    lines.push((line_of(dtype, target, tid, contention.line_bytes()), true));
-                }
-                Access::CriticalWrite(dtype, target) => {
-                    lines.push((crate::memline::lock_line(), true));
-                    lines.push((line_of(dtype, target, tid, contention.line_bytes()), true));
-                }
-            }
-            for &(line, write) in &lines {
-                let (c, _) = contention.contenders(line, core, write);
-                arb.record(u64::from(c.min(model.contention_sat)));
-                if c > 0 {
-                    transitions += reps;
-                }
-            }
-        }
-    }
-    rec.counter("cpu_sim.mesi_transitions").add(transitions);
 }
 
 #[cfg(test)]
@@ -472,7 +401,6 @@ mod tests {
 
     #[test]
     fn fast_path_matches_full_stepping_bit_exactly() {
-        let rec = Recorder::disabled();
         for (name, body) in [
             ("barrier", kernel::omp_barrier().test),
             ("flush", kernel::omp_flush(DType::I32, 1).test),
@@ -484,7 +412,7 @@ mod tests {
         ] {
             let (m, p) = setup(8);
             let fast = run(&m, &p, &body, 500).unwrap();
-            let full = run_full_stepping(&m, &p, &body, 500, &rec).unwrap();
+            let full = run_full_stepping(&m, &p, &body, 500).unwrap();
             assert_eq!(fast, full, "{name}");
         }
     }

@@ -2,10 +2,12 @@
 //! measurement protocol, adding deterministic per-run timing jitter.
 //!
 //! Every engine result comes from the one evaluator,
-//! `trace::run_table`: either the scheduler primed the memo
-//! from a batched plan table ([`CpuSimExecutor::prime_engine`]), or a
-//! miss runs [`engine::run_observed`], a table of one point. Traced
-//! runs bypass the memo so every execution narrates its per-op events.
+//! [`crate::trace::run_batch`], which also records it: either the
+//! scheduler primed the memo from a batched plan table
+//! ([`CpuSimExecutor::prime_engine`]), or a miss runs
+//! [`engine::run_observed`], a table of one point. The memo serves
+//! every recorder alike, so events describe engine evaluations, not
+//! protocol executions.
 
 use syncperf_core::rng::SplitMix64;
 use syncperf_core::{
@@ -67,9 +69,7 @@ pub struct CpuSimExecutor {
     /// Most-recent-first memo of engine runs. The engine is fully
     /// deterministic given `(body, threads, affinity, reps)` — the
     /// model and system are fixed at construction — so the protocol's
-    /// repeated identical executions reuse one simulation. Bypassed
-    /// whenever the recorder traces events (traced runs must re-emit
-    /// their per-op events).
+    /// repeated identical executions reuse one simulation.
     cache: Vec<CacheEntry>,
 }
 
@@ -149,9 +149,8 @@ impl CpuSimExecutor {
         }
     }
 
-    /// Runs the engine through the memo cache (event plane known to be
-    /// off). Hits move to the front; misses evict the oldest entry
-    /// beyond [`ENGINE_CACHE_CAP`].
+    /// Runs the engine through the memo cache. Hits move to the front;
+    /// misses evict the oldest entry beyond [`ENGINE_CACHE_CAP`].
     fn cached_run(&mut self, body: &[CpuOp], params: &ExecParams) -> Result<(EngineResult, bool)> {
         let reps = params.timed_reps();
         if let Some(pos) = self.cache.iter().position(|e| {
@@ -195,8 +194,8 @@ impl CpuSimExecutor {
     /// pass ([`crate::trace::run_batch`]) and hands each job its
     /// slice; the protocol's executions then hit the memo instead of
     /// re-simulating. Priming is invisible to results: the engine is
-    /// deterministic, the memo is bypassed only while events are
-    /// traced, and jitter is drawn after the (possibly memoized) run.
+    /// deterministic and jitter is drawn after the (possibly memoized)
+    /// run.
     pub fn prime_engine(&mut self, body: &[CpuOp], params: &ExecParams, result: EngineResult) {
         let placement = Placement::new(&self.system.cpu, params.affinity, params.threads);
         self.cache.insert(
@@ -232,22 +231,7 @@ impl Executor for CpuSimExecutor {
                 "the CPU simulator runs a single team (blocks must be 1)".into(),
             ));
         }
-        let (result, uses_hyperthreads) = if self.effective_recorder().traces() {
-            // Traced runs bypass the memo so every execution re-emits
-            // its trace events; metrics alone keep the memo.
-            let placement = Placement::new(&self.system.cpu, params.affinity, params.threads);
-            let r = engine::run_observed(
-                &self.model,
-                &placement,
-                body,
-                params.timed_reps(),
-                self.effective_recorder(),
-            )?;
-            let ht = placement.uses_hyperthreads();
-            (r, ht)
-        } else {
-            self.cached_run(body, params)?
-        };
+        let (result, uses_hyperthreads) = self.cached_run(body, params)?;
 
         // Timing jitter: one run-wide component (OS/system noise hits
         // the whole measurement — it survives the max-across-threads)
@@ -382,18 +366,27 @@ mod tests {
 
     #[test]
     fn engine_memo_is_invisible_to_results() {
-        // A cache-hitting executor and a traced (cache-bypassing)
-        // executor with the same jitter seed must agree bit-for-bit.
+        // A memo-hitting executor and a same-seed executor whose memo
+        // is primed with the stepping oracle's results must agree
+        // bit-for-bit, so the memo never stands in for a different
+        // evaluation.
         let body_a = kernel::omp_atomic_update_scalar(DType::I32).baseline;
         let body_b = kernel::omp_atomic_update_scalar(DType::I32).test;
+        let params = quick(8);
         let mut cached = CpuSimExecutor::with_seed(&SYSTEM3, 7);
-        let mut observed = CpuSimExecutor::with_seed(&SYSTEM3, 7)
-            .with_recorder(syncperf_core::obs::Recorder::tracing());
+        let mut oracle = CpuSimExecutor::with_seed(&SYSTEM3, 7);
+        let placement = Placement::new(&SYSTEM3.cpu, params.affinity, params.threads);
+        for body in [&body_a, &body_b] {
+            let full =
+                engine::run_full_stepping(oracle.model(), &placement, body, params.timed_reps())
+                    .unwrap();
+            oracle.prime_engine(body, &params, full);
+        }
         for _ in 0..3 {
             for body in [&body_a, &body_b] {
                 assert_eq!(
-                    cached.execute(body, &quick(8)).unwrap(),
-                    observed.execute(body, &quick(8)).unwrap()
+                    cached.execute(body, &params).unwrap(),
+                    oracle.execute(body, &params).unwrap()
                 );
             }
         }

@@ -1,10 +1,11 @@
 //! The CPU engine's one evaluator: compiled [`RunPlan`]s lowered into a
 //! struct-of-arrays `PlanTable` and advanced by `run_table`.
 //!
-//! Every production engine run goes through this loop. A batched sweep
-//! ([`run_batch`], behind the scheduler's `JobSpec::batch_prime`)
-//! lowers many parameter points of one kernel shape into one table; a
-//! single point ([`crate::engine::run_observed`]) is a table of one.
+//! Every production engine run goes through this loop, and [`run_batch`]
+//! is its one entry point and its one recording site. A batched sweep
+//! (behind the scheduler's `JobSpec::batch_prime`) lowers many parameter
+//! points of one kernel shape into one table; a single point
+//! ([`crate::engine::run_observed`]) is a table of one.
 //!
 //! Lowering turns every `(thread, op)` [`PlanOp`] into a pre-resolved
 //! `{advance, extra}` record plus a per-op drain mask, and the three
@@ -36,8 +37,9 @@
 //! layout autovectorizes). Rendezvous, steady-state detection, and
 //! extrapolation stay per point and bit-exact. With a tracing recorder
 //! the first [`OBSERVED_REPS`] repetitions step lane by lane instead,
-//! so each op can be narrated as a `cpu_sim.op` event (plus a
-//! `store_buffer_drain` event at draining fences) in thread order.
+//! so each op of every point can be narrated as a `cpu_sim.op` event
+//! (plus a `store_buffer_drain` event at draining fences) in point and
+//! thread order.
 
 use std::time::Instant;
 
@@ -46,7 +48,7 @@ use syncperf_core::{CpuOp, Result, SyncPerfError};
 
 use crate::config::CpuModel;
 use crate::engine::{EngineResult, OBSERVED_REPS};
-use crate::memline::ContentionMap;
+use crate::memline::{classify, line_of, lock_line, Access, ContentionMap, LineId};
 use crate::plan::{units_to_ns, PlanOp, RunPlan};
 use crate::topology::Placement;
 
@@ -93,12 +95,13 @@ impl TraceSegment {
         }
     }
 
-    /// [`Self::step`] for one point, lane by lane, narrating every op
-    /// of repetition `rep` into `nar`'s recorder.
+    /// [`Self::step`] for point `point` of the table, lane by lane,
+    /// narrating every op of repetition `rep` into `nar`'s recorder.
     fn step_narrated(
         &self,
         t: &mut [u64],
         pending: &mut [u64],
+        point: usize,
         p: &TablePoint,
         nar: &Narration,
         rep: u64,
@@ -122,6 +125,7 @@ impl TraceSegment {
                         "cpu_sim",
                         "store_buffer_drain",
                         vec![
+                            ("point", ArgValue::from(point)),
                             ("tid", ArgValue::from(tid)),
                             ("drain_ns", ArgValue::F64(units_to_ns(drain))),
                         ],
@@ -132,6 +136,7 @@ impl TraceSegment {
                     "cpu_sim.op",
                     format!("{:?}", nar.body[idx]),
                     vec![
+                        ("point", ArgValue::from(point)),
                         ("tid", ArgValue::from(tid)),
                         ("rep", ArgValue::from(rep)),
                         ("idx", ArgValue::from(idx)),
@@ -179,7 +184,7 @@ struct TablePoint {
 /// back-to-back, so one contiguous pass advances the whole sweep group
 /// through that op.
 #[derive(Debug)]
-pub(crate) struct PlanTable {
+struct PlanTable {
     segments: Vec<TraceSegment>,
     points: Vec<TablePoint>,
     total_lanes: usize,
@@ -250,12 +255,7 @@ impl PlanTable {
     /// each placement. A live recorder gets the compile time in
     /// `plan.compile_us` (compilation only, never evaluation) and the
     /// table size in `plan.trace_ops`.
-    pub(crate) fn compile(
-        model: &CpuModel,
-        body: &[CpuOp],
-        placements: &[Placement],
-        rec: &Recorder,
-    ) -> Self {
+    fn compile(model: &CpuModel, body: &[CpuOp], placements: &[Placement], rec: &Recorder) -> Self {
         let start = rec.is_enabled().then(Instant::now);
         let plans: Vec<RunPlan> = placements
             .iter()
@@ -278,22 +278,34 @@ impl PlanTable {
 /// Per-op event narration for a traced run: the body the table was
 /// compiled from (for op names) and the recorder that takes the events.
 #[derive(Debug)]
-pub(crate) struct Narration<'a> {
-    pub(crate) body: &'a [CpuOp],
-    pub(crate) rec: &'a Recorder,
+struct Narration<'a> {
+    body: &'a [CpuOp],
+    rec: &'a Recorder,
 }
 
 /// Evaluates every placement point of one kernel body in a single
-/// batched pass, returning one result per point, in order. `rec`
-/// receives the table's `plan.compile_us` and `plan.trace_ops`; no
-/// events are emitted.
+/// batched pass, returning one result per point, in order.
+///
+/// This is where every production CPU engine run is recorded. Any live
+/// recorder counts `cpu_sim.engine_runs` (one per point) and
+/// `cpu_sim.barrier_rounds`, and gets the table's `plan.compile_us`
+/// and `plan.trace_ops`. With the event plane on ([`Recorder::traces`])
+/// it also gets, under category `cpu_sim`: one `engine_run` span for
+/// the table, one per-op instant (tagged `point`/`tid`/`rep`/`idx`/
+/// `cost_ns`) for each of the first [`OBSERVED_REPS`] repetitions of
+/// every point, and `store_buffer_drain` instants at fences — plus the
+/// `cpu_sim.mesi_transitions` and `cpu_sim.store_buffer_drains`
+/// counters and the `cpu_sim.arb_queue_depth_max` gauge. Recording
+/// never changes the simulated times: the emit window steps exactly
+/// what the op-major pass would, so recorded and unrecorded runs return
+/// bit-identical results.
 ///
 /// The lockstep rep loop keeps stepping a point that is already steady
 /// until *every* point is steady — and stepping a steady repetition
 /// then extrapolating from the later boundary is bit-identical to
 /// extrapolating from the earlier one (a steady rep advances each clock
-/// by exactly its repeating delta). Each result therefore equals
-/// [`crate::engine::run_observed`] at that point alone.
+/// by exactly its repeating delta). Each result therefore equals a
+/// one-point batch of that point alone.
 ///
 /// # Errors
 ///
@@ -314,19 +326,79 @@ pub fn run_batch(
             "batch needs at least one point".into(),
         ));
     }
+    let mut span = rec.span("cpu_sim", "engine_run");
+    span.push_arg("points", placements.len());
+    span.push_arg(
+        "threads",
+        placements.iter().map(Placement::len).sum::<usize>(),
+    );
+    span.push_arg("ops", body.len());
+    span.push_arg("reps", reps);
+    let narration = rec.traces().then(|| {
+        for p in placements {
+            record_coherence_profile(model, p, body, reps, rec);
+        }
+        Narration { body, rec }
+    });
     let table = PlanTable::compile(model, body, placements, rec);
-    Ok(run_table(&table, reps, None))
+    let results = run_table(&table, reps, narration.as_ref());
+    let points = placements.len() as u64;
+    rec.counter("cpu_sim.engine_runs").add(points);
+    rec.counter("cpu_sim.barrier_rounds")
+        .add(table.barriers_per_rep * reps * points);
+    Ok(results)
+}
+
+/// Records the analytic coherence profile of one point: the number of
+/// MESI-level coherence transactions the contention map implies (every
+/// contended access misses locally and goes through the directory) and
+/// the arbitration-queue depth high-water mark. Called only while the
+/// event plane is on.
+fn record_coherence_profile(
+    model: &CpuModel,
+    placement: &Placement,
+    body: &[CpuOp],
+    reps: u64,
+    rec: &Recorder,
+) {
+    let contention = ContentionMap::analyze(body, placement, 64);
+    let arb = rec.gauge("cpu_sim.arb_queue_depth_max");
+    let mut transitions = 0u64;
+    let mut lines: Vec<(LineId, bool)> = Vec::with_capacity(2);
+    for tid in 0..placement.len() {
+        let core = placement.slot(tid).core;
+        for op in body {
+            lines.clear();
+            match classify(op) {
+                Access::None => {}
+                Access::Read(dtype, target) => {
+                    lines.push((line_of(dtype, target, tid, contention.line_bytes()), false));
+                }
+                Access::Write(dtype, target) => {
+                    lines.push((line_of(dtype, target, tid, contention.line_bytes()), true));
+                }
+                Access::CriticalWrite(dtype, target) => {
+                    lines.push((lock_line(), true));
+                    lines.push((line_of(dtype, target, tid, contention.line_bytes()), true));
+                }
+            }
+            for &(line, write) in &lines {
+                let (c, _) = contention.contenders(line, core, write);
+                arb.record(u64::from(c.min(model.contention_sat)));
+                if c > 0 {
+                    transitions += reps;
+                }
+            }
+        }
+    }
+    rec.counter("cpu_sim.mesi_transitions").add(transitions);
 }
 
 /// The rep loop over a compiled [`PlanTable`]. With a narration the
-/// first [`OBSERVED_REPS`] repetitions are stepped lane by lane with
-/// per-op events, and steady-state extrapolation is only allowed past
-/// that window. `reps` must be positive.
-pub(crate) fn run_table(
-    table: &PlanTable,
-    reps: u64,
-    narration: Option<&Narration>,
-) -> Vec<EngineResult> {
+/// first [`OBSERVED_REPS`] repetitions of every point are stepped lane
+/// by lane with per-op events, and steady-state extrapolation is only
+/// allowed past that window. `reps` must be positive.
+fn run_table(table: &PlanTable, reps: u64, narration: Option<&Narration>) -> Vec<EngineResult> {
     let n = table.total_lanes;
     let mut t = vec![0u64; n];
     let mut pending = vec![0u64; n];
@@ -352,8 +424,8 @@ pub(crate) fn run_table(
         for (seg_idx, seg) in table.segments.iter().enumerate() {
             match narration {
                 Some(nar) if rep < emit_reps => {
-                    for p in &table.points {
-                        seg.step_narrated(&mut t, &mut pending, p, nar, rep);
+                    for (point, p) in table.points.iter().enumerate() {
+                        seg.step_narrated(&mut t, &mut pending, point, p, nar, rep);
                     }
                 }
                 _ => seg.step(&mut t, &mut pending),
@@ -451,7 +523,7 @@ mod tests {
                 for reps in [1u64, 3, 37] {
                     let table = PlanTable::compile(&model, &body, std::slice::from_ref(&p), &rec);
                     let got = run_table(&table, reps, None).pop().unwrap();
-                    let oracle = run_full_stepping(&model, &p, &body, reps, &rec).unwrap();
+                    let oracle = run_full_stepping(&model, &p, &body, reps).unwrap();
                     assert_eq!(got, oracle, "{name} x{threads} reps={reps}");
                 }
             }
@@ -517,10 +589,45 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(snap.histogram("plan.compile_us").count(), 1);
         assert_eq!(snap.counter("plan.trace_ops"), (body.len() * 6) as u64);
+        assert_eq!(snap.counter("cpu_sim.engine_runs"), 2, "one run per point");
         assert_eq!(
             snap.histogram("plan.batch_size").count(),
             0,
             "group sizes are the scheduler's to record"
         );
+    }
+
+    #[test]
+    fn traced_batch_narrates_every_point() {
+        let model = CpuModel::baseline();
+        let body = kernel::omp_flush(DType::I32, 1).test;
+        let placements: Vec<Placement> = [2u32, 4, 8]
+            .iter()
+            .map(|&n| Placement::new(&SYSTEM3.cpu, Affinity::Spread, n))
+            .collect();
+        let quiet = run_batch(&model, &body, &placements, 50, &Recorder::disabled()).unwrap();
+        let rec = Recorder::tracing();
+        assert_eq!(
+            run_batch(&model, &body, &placements, 50, &rec).unwrap(),
+            quiet
+        );
+        let events = rec.drain_events();
+        let spans = events.iter().filter(|e| e.name == "engine_run").count();
+        assert_eq!(spans, 1, "one span per table");
+        for (point, p) in placements.iter().enumerate() {
+            let ops = events
+                .iter()
+                .filter(|e| e.cat == "cpu_sim.op")
+                .filter(|e| e.args.contains(&("point", ArgValue::from(point))))
+                .count();
+            assert_eq!(
+                ops,
+                p.len() * body.len() * OBSERVED_REPS as usize,
+                "point {point}"
+            );
+        }
+        let snap = rec.snapshot();
+        assert_eq!(snap.counter("cpu_sim.engine_runs"), 3);
+        assert!(snap.counter("cpu_sim.store_buffer_drains") > 0);
     }
 }

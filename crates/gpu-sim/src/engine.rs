@@ -13,12 +13,13 @@
 //! (2²⁰ units per cycle); the total over `reps` repetitions is one
 //! exact integer multiply, bit-identical to stepping every repetition
 //! ([`run_full_stepping`] is the oracle that does exactly that). The
-//! sum itself has one implementation, [`crate::batch::run_batch`]: a
-//! single run is a batch of one occupancy, and this module adds only
-//! validation ([`op_cycles`]) and the launch telemetry.
+//! sum itself has one implementation, [`crate::batch::run_batch`], which
+//! also records the launch telemetry: a single run is a batch of one
+//! occupancy, and this module adds only the per-op costs and their
+//! validation ([`op_cycles`]).
 
-use syncperf_core::obs::{ArgValue, Recorder};
-use syncperf_core::{DType, GpuOp, Result, Scope, SyncPerfError, Target};
+use syncperf_core::obs::Recorder;
+use syncperf_core::{DType, GpuOp, Result, Scope, SyncPerfError};
 
 use crate::config::GpuModel;
 use crate::cost::{self, AtomicKind};
@@ -148,14 +149,8 @@ pub fn run(m: &GpuModel, occ: &Occupancy, body: &[GpuOp], reps: u64) -> Result<G
 }
 
 /// [`run`] with an explicit [`Recorder`]: a one-occupancy
-/// [`crate::batch::run_batch`], plus telemetry. Any live recorder
-/// counts `gpu_sim.launches`, `gpu_sim.blocks_scheduled`,
-/// `gpu_sim.warps_scheduled` and `gpu_sim.atomic_conflicts`. With the
-/// event plane on it also emits, under category `gpu_sim`: a
-/// `kernel_launch` span carrying block/warp scheduling arguments, and
-/// an `atomic_conflict` instant per device-wide-contended atomic op in
-/// the body.
-/// A disabled recorder costs one branch per site.
+/// [`crate::batch::run_batch`], which does all the recording (see its
+/// docs for the counters and events).
 ///
 /// # Errors
 ///
@@ -167,49 +162,16 @@ pub fn run_observed(
     reps: u64,
     rec: &Recorder,
 ) -> Result<GpuEngineResult> {
-    let mut span = rec.span("gpu_sim", "kernel_launch");
-    span.push_arg("blocks", u64::from(occ.blocks));
-    span.push_arg("threads_per_block", u64::from(occ.threads_per_block));
-    span.push_arg("resident_warps", u64::from(occ.total_resident_warps));
-    span.push_arg("waves", u64::from(occ.waves));
-    let r = crate::batch::run_batch(m, std::slice::from_ref(occ), body, reps)?
-        .pop()
-        .expect("one occupancy in, one result out");
-    rec.counter("gpu_sim.launches").inc();
-    rec.counter("gpu_sim.blocks_scheduled")
-        .add(u64::from(occ.blocks));
-    rec.counter("gpu_sim.warps_scheduled")
-        .add(u64::from(occ.blocks) * u64::from(occ.warps_per_block));
-    // Every thread RMW-ing the same address serializes at the atomic
-    // unit: all but one of the `total_threads` accesses conflict, every
-    // repetition.
-    for (idx, op) in body.iter().enumerate() {
-        if let Some((_, _, _, Target::SharedScalar(_))) = cost::atomic_kind(op) {
-            if r.total_threads > 1 {
-                rec.counter("gpu_sim.atomic_conflicts")
-                    .add((r.total_threads - 1) * reps);
-                if rec.traces() {
-                    rec.instant_args(
-                        "gpu_sim",
-                        "atomic_conflict",
-                        vec![
-                            ("op_idx", ArgValue::from(idx)),
-                            ("threads", ArgValue::U64(r.total_threads)),
-                            ("reps", ArgValue::U64(reps)),
-                        ],
-                    );
-                }
-            }
-        }
-    }
-    span.push_arg("cycles_per_rep", r.cycles_per_rep());
-    Ok(r)
+    Ok(
+        crate::batch::run_batch(m, std::slice::from_ref(occ), body, reps, rec)?
+            .pop()
+            .expect("one occupancy in, one result out"),
+    )
 }
 
 /// The stepping oracle: charges every repetition op by op instead of
 /// multiplying. The property tests assert [`run_observed`] is
-/// bit-exact against it. `rec` is accepted for signature parity with
-/// [`run_observed`] and records nothing.
+/// bit-exact against it.
 ///
 /// # Errors
 ///
@@ -219,7 +181,6 @@ pub fn run_full_stepping(
     occ: &Occupancy,
     body: &[GpuOp],
     reps: u64,
-    _rec: &Recorder,
 ) -> Result<GpuEngineResult> {
     if reps == 0 {
         return Err(SyncPerfError::InvalidParams("reps must be > 0".into()));
@@ -285,7 +246,7 @@ mod tests {
                 let o = occ(blocks, threads);
                 for reps in [1, 7, 100, 10_000] {
                     let fast = run_observed(&model, &o, &k.test, reps, &rec).unwrap();
-                    let full = run_full_stepping(&model, &o, &k.test, reps, &rec).unwrap();
+                    let full = run_full_stepping(&model, &o, &k.test, reps).unwrap();
                     assert_eq!(fast, full, "{} b={blocks} t={threads} r={reps}", k.name);
                 }
             }

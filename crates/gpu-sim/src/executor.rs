@@ -57,11 +57,12 @@ pub struct GpuSimExecutor {
     rng: SplitMix64,
     recorder: syncperf_core::obs::Recorder,
     /// Most-recent-first memo of engine runs. The engine is fully
-    /// deterministic given `(body, blocks, threads, reps)`; bypassed
-    /// whenever the recorder traces events (traced runs must re-emit
-    /// their launch spans). The jitter RNG is only consumed for
-    /// system-fence bodies and draws from the memoized result exactly
-    /// as from a fresh run, so memoization never changes measurements.
+    /// deterministic given `(body, blocks, threads, reps)`, and the
+    /// memo serves every recorder alike (launch telemetry describes
+    /// engine evaluations, not protocol executions). The jitter RNG is
+    /// only consumed for system-fence bodies and draws from the
+    /// memoized result exactly as from a fresh run, so memoization
+    /// never changes measurements.
     cache: Vec<CacheEntry>,
 }
 
@@ -146,9 +147,8 @@ impl GpuSimExecutor {
         }
     }
 
-    /// Runs the engine through the memo cache (recorder known to be
-    /// disabled). Hits move to the front; misses evict the oldest entry
-    /// beyond [`ENGINE_CACHE_CAP`].
+    /// Runs the engine through the memo cache. Hits move to the front;
+    /// misses evict the oldest entry beyond [`ENGINE_CACHE_CAP`].
     fn cached_run(&mut self, body: &[GpuOp], params: &ExecParams) -> Result<GpuEngineResult> {
         let reps = params.timed_reps();
         if let Some(pos) = self.cache.iter().position(|e| {
@@ -216,20 +216,7 @@ impl Executor for GpuSimExecutor {
 
     fn execute(&mut self, body: &[GpuOp], params: &ExecParams) -> Result<ThreadTimes> {
         params.validate()?;
-        let result = if self.effective_recorder().traces() {
-            // Traced runs bypass the memo so every execution re-emits
-            // its launch span; metrics alone keep the memo.
-            let occ = Occupancy::compute(&self.system.gpu, params.blocks, params.threads)?;
-            engine::run_observed(
-                &self.model,
-                &occ,
-                body,
-                params.timed_reps(),
-                self.effective_recorder(),
-            )?
-        } else {
-            self.cached_run(body, params)?
-        };
+        let result = self.cached_run(body, params)?;
         let total = result.total_cycles();
         #[allow(clippy::cast_possible_truncation)]
         let n = result.total_threads as usize;
@@ -352,20 +339,27 @@ mod tests {
 
     #[test]
     fn engine_memo_is_invisible_to_results() {
-        // A cache-hitting executor and a traced (cache-bypassing)
-        // executor with the same jitter seed must agree bit-for-bit —
-        // including for system-fence bodies, whose jitter RNG draws
-        // from the memoized result exactly as from a fresh run.
+        // A memo-hitting executor and a same-seed executor whose memo
+        // is primed with the stepping oracle's results must agree
+        // bit-for-bit — including for system-fence bodies, whose jitter
+        // RNG draws from the memoized result exactly as from a fresh
+        // run.
         let fenced = kernel::cuda_threadfence(Scope::System, DType::I32, 1).test;
         let plain = kernel::cuda_atomic_add_scalar(DType::I32).baseline;
+        let params = quick(2, 64);
         let mut cached = GpuSimExecutor::with_seed(&SYSTEM3, 7);
-        let mut observed = GpuSimExecutor::with_seed(&SYSTEM3, 7)
-            .with_recorder(syncperf_core::obs::Recorder::tracing());
+        let mut oracle = GpuSimExecutor::with_seed(&SYSTEM3, 7);
+        let occ = Occupancy::compute(&SYSTEM3.gpu, params.blocks, params.threads).unwrap();
+        for body in [&fenced, &plain] {
+            let full =
+                engine::run_full_stepping(oracle.model(), &occ, body, params.timed_reps()).unwrap();
+            oracle.prime_engine(body, &params, full);
+        }
         for _ in 0..3 {
             for body in [&fenced, &plain] {
                 assert_eq!(
-                    cached.execute(body, &quick(2, 64)).unwrap(),
-                    observed.execute(body, &quick(2, 64)).unwrap()
+                    cached.execute(body, &params).unwrap(),
+                    oracle.execute(body, &params).unwrap()
                 );
             }
         }
@@ -385,6 +379,7 @@ mod tests {
             std::slice::from_ref(&occ),
             &body,
             params.timed_reps(),
+            &syncperf_core::obs::Recorder::disabled(),
         )
         .unwrap();
         primed.prime_engine(&body, &params, batch[0].clone());

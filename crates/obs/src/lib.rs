@@ -18,9 +18,9 @@
 //! - the **event plane** ([`Recorder::tracing`], on top of the
 //!   metrics): [`Event`]s written into per-thread ring buffers (each
 //!   thread appends under its own uncontended mutex; buffers are
-//!   bounded and count drops instead of blocking). Code that narrates
-//!   per-op events may take a slower path for it, gated on
-//!   [`Recorder::traces`].
+//!   bounded and count drops instead of blocking). Work done only to
+//!   produce events is gated on [`Recorder::traces`]; it never changes
+//!   which code path a run takes.
 //!
 //! At the end of a run, [`Recorder::drain_events`] merges the rings
 //! into one time-ordered stream and [`Recorder::snapshot`] freezes the
@@ -291,9 +291,10 @@ impl Recorder {
         self.inner.is_some()
     }
 
-    /// Whether the event plane is live. Gate every choice of code path
-    /// made for the sake of events on this, never on
-    /// [`Recorder::is_enabled`], so metrics alone change nothing.
+    /// Whether the event plane is live. Gate event emission, and work
+    /// done only to produce events, on this — never on
+    /// [`Recorder::is_enabled`], so metrics alone cost no event work.
+    /// No choice of code path (batching, memoization) may depend on it.
     #[must_use]
     pub fn traces(&self) -> bool {
         self.inner.as_ref().is_some_and(|inner| inner.traces)

@@ -455,11 +455,13 @@ impl JobSpec {
                 let model = model
                     .clone()
                     .unwrap_or_else(|| GpuModel::for_spec(&system.gpu));
+                let rec = syncperf_core::obs::global();
                 let baseline =
-                    syncperf_gpu_sim::batch::run_batch(&model, &occs, &kernel.baseline, reps)
+                    syncperf_gpu_sim::batch::run_batch(&model, &occs, &kernel.baseline, reps, rec)
                         .ok()?;
                 let test =
-                    syncperf_gpu_sim::batch::run_batch(&model, &occs, &kernel.test, reps).ok()?;
+                    syncperf_gpu_sim::batch::run_batch(&model, &occs, &kernel.test, reps, rec)
+                        .ok()?;
                 Some(
                     baseline
                         .into_iter()

@@ -297,9 +297,7 @@ pub struct SchedStats {
     /// Jobs covered by those same-shape groups.
     pub plan_batch_points: u64,
     /// Jobs whose engine results were primed from a batched
-    /// struct-of-arrays plan-table evaluation (0 while the global
-    /// recorder traces events: traced runs evaluate one point at a
-    /// time so each can emit its per-op events).
+    /// struct-of-arrays plan-table evaluation, whatever the recorder.
     pub plan_primed_jobs: u64,
     /// Time spent grouping the miss set and batch-evaluating plan
     /// tables, microseconds.
@@ -866,14 +864,11 @@ impl Scheduler {
     /// Groups the miss set by kernel shape ([`JobSpec::same_shape`])
     /// and batch-evaluates each parameter-sweep group of ≥ 2 jobs
     /// through one struct-of-arrays plan table, returning one optional
-    /// primed engine pair per `todo` entry (in order). Group detection
-    /// is always counted (one `plan.batch_size` observation per
-    /// group), but priming is skipped while the global recorder traces
-    /// events: a batch emits no per-op events, so traced jobs run their
-    /// points one at a time (the same evaluator, as one-point tables).
-    /// A metrics-only recorder primes exactly as an unobserved run
-    /// does. A group whose
-    /// batch evaluation fails primes nothing, so the per-job path
+    /// primed engine pair per `todo` entry (in order), and counts one
+    /// `plan.batch_size` observation per group. The recorder never
+    /// changes this: the batch evaluators record their own runs into
+    /// the global recorder, events included when it traces. A group
+    /// whose batch evaluation fails primes nothing, so the per-job path
     /// reproduces the exact error.
     fn prepare_primed(&self, todo: &[(usize, JobSpec, u64)]) -> Vec<Option<PrimedEngine>> {
         let rec = obs::global();
@@ -901,9 +896,6 @@ impl Scheduler {
             batches += 1;
             batch_points += members.len() as u64;
             batch_size.observe(members.len() as u64);
-            if rec.traces() {
-                continue;
-            }
             let group: Vec<&JobSpec> = members.iter().map(|&m| &todo[m].1).collect();
             if let Some(engines) = JobSpec::batch_prime(&group) {
                 primed_jobs += engines.len() as u64;
@@ -1146,10 +1138,10 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.plan_batches, 1, "three same-shape jobs form one group");
         assert_eq!(st.plan_batch_points, 3);
-        // Priming is skipped while the global recorder traces events
-        // (another test may have installed one in this process), but
-        // either path must be byte-identical to direct execution.
-        assert!(st.plan_primed_jobs == 0 || st.plan_primed_jobs == 3);
+        // Priming happens whatever recorder another test may have
+        // installed in this process, and must be byte-identical to
+        // direct execution.
+        assert_eq!(st.plan_primed_jobs, 3);
         let direct: Vec<Measurement> = jobs
             .iter()
             .map(|j| execute_job_with_retry(j, s.job_hash(j), |_| {}).unwrap())

@@ -177,6 +177,14 @@ fn plane_sweep_metrics() {
         "one plan.batch_size observation per same-shape group"
     );
     assert!(snap.counter("sched.jobs") > 0);
+    // Every executed job evaluates a baseline and a test body, primed
+    // from a batch or run as one point; the evaluators count both.
+    let engine_runs = snap.counter("cpu_sim.engine_runs") + snap.counter("gpu_sim.launches");
+    assert!(
+        engine_runs >= 2 * st.executed,
+        "{engine_runs} engine runs recorded for {} executed jobs",
+        st.executed
+    );
     assert!(rec.drain_events().is_empty(), "metrics record no events");
     assert_eq!(rec.dropped_events(), 0);
 }
@@ -190,6 +198,10 @@ fn plane_sweep_tracing() {
     assert!(obs::install(Recorder::tracing()));
     let st = sweep_into_results();
     assert!(st.jobs > 0);
+    assert!(
+        st.plan_primed_jobs > 0,
+        "the event plane keeps the batched path: {st:?}"
+    );
     let events = obs::global().drain_events();
     assert!(!events.is_empty(), "tracing records events");
     for cat in ["protocol", "cpu_sim", "cpu_sim.op", "gpu_sim"] {
@@ -198,6 +210,14 @@ fn plane_sweep_tracing() {
             "no `{cat}` events in the trace"
         );
     }
+    // Batched tables narrate every point, each event tagged with it.
+    assert!(
+        events.iter().any(|e| e.cat == "cpu_sim.op"
+            && e.args
+                .iter()
+                .any(|(k, v)| *k == "point" && *v != obs::ArgValue::U64(0))),
+        "no `cpu_sim.op` event from a batch point past the first"
+    );
 }
 
 /// Every `.csv`/`.svg` in `dir`, by file name.

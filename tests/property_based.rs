@@ -353,7 +353,7 @@ proptest! {
             syncperf::core::obs::Recorder::disabled()
         };
         let fast = syncperf::cpu_sim::engine::run_observed(&m, &p, &body, reps, &rec).unwrap();
-        let full = syncperf::cpu_sim::run_full_stepping(&m, &p, &body, reps, &rec).unwrap();
+        let full = syncperf::cpu_sim::run_full_stepping(&m, &p, &body, reps).unwrap();
         prop_assert_eq!(fast, full);
     }
 
@@ -374,7 +374,7 @@ proptest! {
             syncperf::core::obs::Recorder::disabled()
         };
         let fast = syncperf::gpu_sim::engine::run_observed(&m, &o, &body, reps, &rec);
-        let full = syncperf::gpu_sim::run_full_stepping(&m, &o, &body, reps, &rec);
+        let full = syncperf::gpu_sim::run_full_stepping(&m, &o, &body, reps);
         match (fast, full) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             // Unsupported op (e.g. a float atomicMax): both paths must
@@ -427,7 +427,7 @@ proptest! {
             let single =
                 syncperf::cpu_sim::engine::run_observed(&m, p, &body, reps, &rec).unwrap();
             prop_assert_eq!(got, &single, "batched point diverges from single-point engine");
-            let full = syncperf::cpu_sim::run_full_stepping(&m, p, &body, reps, &rec).unwrap();
+            let full = syncperf::cpu_sim::run_full_stepping(&m, p, &body, reps).unwrap();
             prop_assert_eq!(got, &full, "batched point diverges from the stepping oracle");
         }
     }
@@ -450,7 +450,7 @@ proptest! {
             })
             .collect();
         let rec = syncperf::core::obs::Recorder::disabled();
-        let batched = syncperf::gpu_sim::batch::run_batch(&m, &occs, &body, reps);
+        let batched = syncperf::gpu_sim::batch::run_batch(&m, &occs, &body, reps, &rec);
         match batched {
             Ok(results) => {
                 prop_assert_eq!(results.len(), occs.len());
