@@ -115,7 +115,15 @@ PYEOF
 echo "==> scheduler warm-cache gate"
 rm -rf ci_sched_results
 SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-bench \
-  --bin all_figures -- --jobs 2 --cache-stats results/cache_stats_cold.json > /dev/null
+  --bin all_figures -- --jobs 2 --cache-stats results/cache_stats_cold.json \
+  --metrics results/metrics_cold.prom > /dev/null
+# Every sink reads the same snapshot (docs/OBSERVABILITY.md): the
+# exposition's primed-job count must be the cache-stats JSON's.
+json_primed=$(sed -n 's/.*"plan_primed_jobs":\([0-9]*\).*/\1/p' results/cache_stats_cold.json)
+prom_primed=$(sed -n 's/^sched_plan_primed_jobs \([0-9]*\)$/\1/p' results/metrics_cold.prom)
+[ -n "$prom_primed" ] && [ "$prom_primed" = "$json_primed" ] || {
+  echo "--metrics sched_plan_primed_jobs=${prom_primed:-missing} but" \
+    "--cache-stats plan_primed_jobs=${json_primed:-missing}"; exit 1; }
 # Observation never picks the path (docs/OBSERVABILITY.md): an observed
 # cold run must still batch-prime its sweep groups. Zero primed jobs
 # means a stats or trace flag switched the sweep onto another path.

@@ -130,7 +130,7 @@ fn main() -> Result<()> {
     }
 
     let events = rec.drain_events();
-    let snap = rec.snapshot();
+    let snap = runner::process_snapshot(&rec, sched.as_deref());
     print!("{}", render_obs_summary(&snap));
     if let Some(s) = &sched {
         print!("{}", runner::render_sched_summary(&s.stats()));

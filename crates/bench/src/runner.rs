@@ -538,6 +538,24 @@ pub fn render_sched_summary(stats: &syncperf_sched::SchedStats) -> String {
     )
 }
 
+/// The process's metrics snapshot: `rec` (engine, protocol and runtime
+/// counters) merged with `sched`'s registry through
+/// [`Scheduler::export_into`](syncperf_sched::Scheduler::export_into),
+/// which carries the dist coordinator's too when one is attached.
+/// `--metrics`, `--metrics-addr`, and the `--trace` file and summary
+/// all render this one snapshot.
+#[must_use]
+pub fn process_snapshot(
+    rec: &Recorder,
+    sched: Option<&syncperf_sched::Scheduler>,
+) -> obs::Snapshot {
+    let mut snap = rec.snapshot();
+    if let Some(s) = sched {
+        s.export_into(&mut snap);
+    }
+    snap
+}
+
 /// [`run`] with pre-parsed options (used by `trace_report` and tests).
 ///
 /// # Errors
@@ -612,16 +630,10 @@ pub fn run_with_options(
 
     if let Some(addr) = &opts.metrics_addr {
         // Live scrape endpoint for syncperf_top: each request renders a
-        // fresh snapshot (global recorder + scheduler + dist export).
-        let rec2 = rec.clone();
-        let sched2 = sched.clone();
-        let bound = syncperf_dist::serve_metrics(addr, move || {
-            let mut snap = rec2.snapshot();
-            if let Some(s) = &sched2 {
-                s.export_into(&mut snap);
-            }
-            snap
-        })?;
+        // fresh process snapshot.
+        let (rec, sched) = (rec.clone(), sched.clone());
+        let bound =
+            syncperf_dist::serve_metrics(addr, move || process_snapshot(&rec, sched.as_deref()))?;
         println!("metrics listening on http://{bound}/metrics");
         use std::io::Write as _;
         std::io::stdout().flush().ok();
@@ -629,11 +641,9 @@ pub fn run_with_options(
 
     let outcome = generate().and_then(|figs| crate::emit(&figs));
 
-    let dist_stats = coord.as_ref().map(|c| {
-        let st = c.stats();
+    if let Some(c) = &coord {
         c.shutdown();
-        st
-    });
+    }
     if let Some(s) = &sched {
         if outcome.is_ok() {
             // Mark the checkpoint manifest complete only on success, so
@@ -641,7 +651,14 @@ pub fn run_with_options(
             s.finish();
         }
         syncperf_sched::uninstall();
-        let stats = s.stats();
+    }
+    // Every sink below reads this one snapshot.
+    let snap = process_snapshot(&rec, sched.as_deref());
+    if sched.is_some() {
+        let stats = syncperf_sched::SchedStats::from_snapshot(&snap);
+        let dist_stats = coord
+            .as_ref()
+            .map(|_| syncperf_dist::DistStats::from_snapshot(&snap));
         print!("{}", render_sched_summary(&stats));
         if let Some(d) = &dist_stats {
             print!("{}", render_dist_summary(d));
@@ -653,15 +670,12 @@ pub fn run_with_options(
     outcome?;
 
     if let Some(path) = &opts.metrics {
-        // Scheduler observations were mirrored into the global recorder
-        // while it ran, so the exposition covers sched.* histograms too.
-        std::fs::write(path, obs::metrics::render(&rec.snapshot()))?;
+        std::fs::write(path, obs::metrics::render(&snap))?;
         println!("(metrics: {})", path.display());
     }
     if let Some(path) = &opts.trace {
         let format = opts.effective_format(path);
         let events = rec.drain_events();
-        let snap = rec.snapshot();
         std::fs::write(path, render_trace(&events, &snap, format))?;
         print!("{}", render_obs_summary(&snap));
         println!("(trace: {})", path.display());

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use syncperf_core::obs::{self, json, GaugeMode, Histogram, Snapshot};
+use syncperf_core::obs::{self, json, Counter, Gauge, Histogram, Recorder, Snapshot};
 use syncperf_core::Measurement;
 
 use syncperf_sched::{
@@ -115,27 +115,64 @@ impl DistConfig {
     }
 }
 
-/// Atomic tally cells behind [`DistStats`].
-#[derive(Debug, Default)]
-struct DistCells {
-    batches_streamed: AtomicU64,
-    jobs_sent: AtomicU64,
-    results_received: AtomicU64,
-    shard_reissues: AtomicU64,
-    migrations: AtomicU64,
-    worker_deaths: AtomicU64,
-    corrupt_entries: AtomicU64,
-    duplicate_results: AtomicU64,
-    local_jobs: AtomicU64,
-    coordinator_jobs: AtomicU64,
-    worker_errors: AtomicU64,
-    retries: AtomicU64,
-    bytes_sent: AtomicU64,
+/// Handles to every metric in a coordinator's registry, resolved once
+/// at construction so the merge loop never looks a name up.
+#[derive(Debug)]
+struct Counters {
+    batches_streamed: Counter,
+    jobs_sent: Counter,
+    results_received: Counter,
+    shard_reissues: Counter,
+    migrations: Counter,
+    worker_deaths: Counter,
+    corrupt_entries: Counter,
+    duplicate_results: Counter,
+    local_jobs: Counter,
+    coordinator_jobs: Counter,
+    worker_errors: Counter,
+    retries: Counter,
+    bytes_sent: Counter,
+    /// Cloned into every reader thread, so it keeps counting while a
+    /// batch is idle.
+    bytes_received: Counter,
+    workers: Counter,
+    workers_live: Gauge,
+    /// Shards in flight plus backlog chunks of the running batch.
+    batches_inflight: Gauge,
+    wait_us: Histogram,
+    service_us: Histogram,
+}
+
+impl Counters {
+    fn new(rec: &Recorder) -> Self {
+        Counters {
+            batches_streamed: rec.counter("dist.batches_streamed"),
+            jobs_sent: rec.counter("dist.jobs_sent"),
+            results_received: rec.counter("dist.results_received"),
+            shard_reissues: rec.counter("dist.shard_reissues"),
+            migrations: rec.counter("dist.migrations"),
+            worker_deaths: rec.counter("dist.worker_deaths"),
+            corrupt_entries: rec.counter("dist.corrupt_entries"),
+            duplicate_results: rec.counter("dist.duplicate_results"),
+            local_jobs: rec.counter("dist.local_jobs"),
+            coordinator_jobs: rec.counter("dist.coordinator_jobs"),
+            worker_errors: rec.counter("dist.worker_errors"),
+            retries: rec.counter("dist.retries"),
+            bytes_sent: rec.counter("dist.bytes_sent"),
+            bytes_received: rec.counter("dist.bytes_received"),
+            workers: rec.counter("dist.workers"),
+            workers_live: rec.gauge_set("dist.workers_live"),
+            batches_inflight: rec.gauge_set("dist.batches_inflight"),
+            wait_us: rec.histogram("dist.wait_us"),
+            service_us: rec.histogram("dist.service_us"),
+        }
+    }
 }
 
 /// A point-in-time view of the coordinator's counters and latency
-/// quantiles — the `dist.*` analog of `SchedStats`, recoverable from
-/// any obs [`Snapshot`] via [`DistStats::from_snapshot`].
+/// quantiles — the `dist.*` analog of `SchedStats`: its registry's
+/// snapshot read back through [`DistStats::from_snapshot`], which works
+/// on any snapshot [`Coordinator::export_into`] filled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DistStats {
     /// Batch frames streamed to workers (initial shards + reissues +
@@ -286,12 +323,12 @@ pub struct Coordinator {
     /// of every batch — the lock doubles as the one-batch-at-a-time
     /// guard.
     events: Mutex<mpsc::Receiver<Event>>,
-    stats: DistCells,
-    wait_us: Histogram,
-    service_us: Histogram,
+    /// This coordinator's own metrics registry: each `dist.*` number is
+    /// counted here and nowhere else.
+    registry: Recorder,
+    counters: Counters,
     shard_counter: AtomicU64,
     chaos_armed: AtomicBool,
-    inflight_shards: AtomicU64,
     /// Sender half of the persistent cache-writer thread (present iff
     /// a cache is configured). Validated entries are queued here so the
     /// merge loop never blocks on the filesystem; [`Coordinator::shutdown`]
@@ -299,9 +336,6 @@ pub struct Coordinator {
     /// entry to disk.
     store_tx: Mutex<Option<mpsc::Sender<(u64, String)>>>,
     store_join: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Payload bytes received across all reader threads (shared with
-    /// them, so it keeps counting while a batch is idle).
-    bytes_received: Arc<AtomicU64>,
     /// Spawn mode on a host with one hardware thread: the local worker
     /// fleet cannot add parallelism, so dispatch keeps shards small and
     /// prefetch shallow and the work-conserving loop carries the bulk.
@@ -402,7 +436,8 @@ impl Coordinator {
         // never treated as starved — their workers may well be remote.)
         let spawned = !children.is_empty();
         let (tx, rx) = mpsc::channel();
-        let bytes_received = Arc::new(AtomicU64::new(0));
+        let registry = Recorder::enabled();
+        let counters = Counters::new(&registry);
         let mut workers = Vec::new();
         for (i, stream) in streams.into_iter().enumerate() {
             stream.set_nodelay(true).ok();
@@ -441,7 +476,7 @@ impl Coordinator {
                 stream,
                 Arc::clone(&handle),
                 tx.clone(),
-                Arc::clone(&bytes_received),
+                counters.bytes_received.clone(),
             );
             workers.push(handle);
         }
@@ -471,19 +506,18 @@ impl Coordinator {
             }
             None => (None, None),
         };
+        counters.workers.add(workers.len() as u64);
+        counters.workers_live.set(workers.len() as u64);
         Ok(Arc::new(Coordinator {
             cfg,
             workers,
             events: Mutex::new(rx),
-            stats: DistCells::default(),
-            wait_us: Histogram::standalone(),
-            service_us: Histogram::standalone(),
+            registry,
+            counters,
             shard_counter: AtomicU64::new(0),
             chaos_armed: AtomicBool::new(true),
-            inflight_shards: AtomicU64::new(0),
             store_tx: Mutex::new(store_tx),
             store_join: Mutex::new(store_join),
-            bytes_received,
             starved_host: spawned
                 && std::thread::available_parallelism().is_ok_and(|n| n.get() == 1),
             batch_seq: AtomicU64::new(0),
@@ -508,72 +542,16 @@ impl Coordinator {
     /// A point-in-time view of the counters and latency quantiles.
     #[must_use]
     pub fn stats(&self) -> DistStats {
-        let wait = self.wait_us.snapshot();
-        let service = self.service_us.snapshot();
-        DistStats {
-            batches_streamed: self.stats.batches_streamed.load(Ordering::Relaxed),
-            jobs_sent: self.stats.jobs_sent.load(Ordering::Relaxed),
-            results_received: self.stats.results_received.load(Ordering::Relaxed),
-            shard_reissues: self.stats.shard_reissues.load(Ordering::Relaxed),
-            migrations: self.stats.migrations.load(Ordering::Relaxed),
-            worker_deaths: self.stats.worker_deaths.load(Ordering::Relaxed),
-            corrupt_entries: self.stats.corrupt_entries.load(Ordering::Relaxed),
-            duplicate_results: self.stats.duplicate_results.load(Ordering::Relaxed),
-            local_jobs: self.stats.local_jobs.load(Ordering::Relaxed),
-            coordinator_jobs: self.stats.coordinator_jobs.load(Ordering::Relaxed),
-            worker_errors: self.stats.worker_errors.load(Ordering::Relaxed),
-            retries: self.stats.retries.load(Ordering::Relaxed),
-            bytes_sent: self.stats.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            workers: self.workers.len() as u64,
-            workers_live: self.live_workers() as u64,
-            wait_us_p50: wait.quantile(0.50),
-            wait_us_p99: wait.quantile(0.99),
-            service_us_p50: service.quantile(0.50),
-            service_us_p99: service.quantile(0.99),
-        }
+        DistStats::from_snapshot(&self.registry.snapshot())
     }
 
-    /// Injects the coordinator's live telemetry — `dist.*` counters,
-    /// live-worker/in-flight gauges, and wait/service histograms —
-    /// into `snap`. Wired into `Scheduler::export_into` by
+    /// Merges the coordinator's registry — `dist.*` counters,
+    /// live-worker/in-flight gauges, and wait/service histograms — into
+    /// `snap`. Wired into `Scheduler::export_into` by
     /// [`Coordinator::attach`], so `--cache-stats`, `--metrics`, and
     /// any `/metrics` endpoint pick it up automatically.
     pub fn export_into(&self, snap: &mut Snapshot) {
-        let st = self.stats();
-        for (name, v) in [
-            ("dist.batches_streamed", st.batches_streamed),
-            ("dist.jobs_sent", st.jobs_sent),
-            ("dist.results_received", st.results_received),
-            ("dist.shard_reissues", st.shard_reissues),
-            ("dist.migrations", st.migrations),
-            ("dist.worker_deaths", st.worker_deaths),
-            ("dist.corrupt_entries", st.corrupt_entries),
-            ("dist.duplicate_results", st.duplicate_results),
-            ("dist.local_jobs", st.local_jobs),
-            ("dist.coordinator_jobs", st.coordinator_jobs),
-            ("dist.worker_errors", st.worker_errors),
-            ("dist.retries", st.retries),
-            ("dist.bytes_sent", st.bytes_sent),
-            ("dist.bytes_received", st.bytes_received),
-            ("dist.workers", st.workers),
-        ] {
-            snap.counters.insert(name.to_string(), v);
-        }
-        snap.gauges
-            .insert("dist.workers_live".to_string(), st.workers_live);
-        snap.gauge_modes
-            .insert("dist.workers_live".to_string(), GaugeMode::Set);
-        snap.gauges.insert(
-            "dist.batches_inflight".to_string(),
-            self.inflight_shards.load(Ordering::Relaxed),
-        );
-        snap.gauge_modes
-            .insert("dist.batches_inflight".to_string(), GaugeMode::Set);
-        snap.histograms
-            .insert("dist.wait_us".to_string(), self.wait_us.snapshot());
-        snap.histograms
-            .insert("dist.service_us".to_string(), self.service_us.snapshot());
+        snap.merge(&self.registry.snapshot());
     }
 
     /// Installs this coordinator as `sched`'s execution backend and
@@ -592,7 +570,7 @@ impl Coordinator {
     /// module docs for the shard lifecycle.
     #[allow(clippy::too_many_lines)]
     pub fn run_batch(&self, todo: &[(usize, JobSpec, u64)]) -> Vec<BackendExec> {
-        let rec = obs::global();
+        let c = &self.counters;
         let events = self.events.lock().unwrap();
         // Absorb anything that happened between batches (worker deaths;
         // stray frames from a chaos-killed worker's last gasp).
@@ -703,15 +681,12 @@ impl Coordinator {
                 }
             }
         }
-        self.inflight_shards
-            .store((shards.len() + backlog.len()) as u64, Ordering::Relaxed);
+        c.batches_inflight
+            .set((shards.len() + backlog.len()) as u64);
 
         // Unserializable jobs execute on the coordinator while workers
         // chew on their shards.
-        self.stats
-            .local_jobs
-            .fetch_add(local.len() as u64, Ordering::Relaxed);
-        rec.counter("dist.local_jobs").add(local.len() as u64);
+        c.local_jobs.add(local.len() as u64);
         for (index, job, hash) in local {
             out.push(self.execute_locally(index, &job, hash));
         }
@@ -748,8 +723,8 @@ impl Coordinator {
                     }
                 }
             }
-            self.inflight_shards
-                .store((shards.len() + backlog.len()) as u64, Ordering::Relaxed);
+            c.batches_inflight
+                .set((shards.len() + backlog.len()) as u64);
             if pending.is_empty() {
                 break;
             }
@@ -770,8 +745,7 @@ impl Coordinator {
             if matches!(ev, Err(mpsc::RecvTimeoutError::Timeout)) {
                 if let Some(hash) = take_back(&mut backlog) {
                     if let Some(p) = pending.remove(&hash) {
-                        self.stats.coordinator_jobs.fetch_add(1, Ordering::Relaxed);
-                        rec.counter("dist.coordinator_jobs").inc();
+                        c.coordinator_jobs.inc();
                         out.push(self.execute_locally(p.index, &p.job, hash));
                     }
                     continue;
@@ -792,8 +766,7 @@ impl Coordinator {
                         .map(|(&h, _)| h);
                     if let Some(hash) = aged {
                         let p = pending.remove(&hash).unwrap();
-                        self.stats.coordinator_jobs.fetch_add(1, Ordering::Relaxed);
-                        rec.counter("dist.coordinator_jobs").inc();
+                        c.coordinator_jobs.inc();
                         out.push(self.execute_locally(p.index, &p.job, hash));
                         continue;
                     }
@@ -840,7 +813,7 @@ impl Coordinator {
                 }
             }
         }
-        self.inflight_shards.store(0, Ordering::Relaxed);
+        c.batches_inflight.set(0);
         out
     }
 
@@ -858,9 +831,8 @@ impl Coordinator {
         store_tx: Option<&mpsc::Sender<(u64, String)>>,
         out: &mut Vec<BackendExec>,
     ) {
-        let rec = obs::global();
-        self.stats.results_received.fetch_add(1, Ordering::Relaxed);
-        rec.counter("dist.results_received").inc();
+        let c = &self.counters;
+        c.results_received.inc();
         self.maybe_chaos_kill();
         if let Some(s) = shards.get_mut(&r.shard) {
             s.remaining.remove(&r.hash);
@@ -868,22 +840,17 @@ impl Coordinator {
         let Some(p) = pending.get(&r.hash) else {
             // Already merged (duplicate completion after a
             // migration/reissue race): exactly-once dedup.
-            self.stats.duplicate_results.fetch_add(1, Ordering::Relaxed);
-            rec.counter("dist.duplicate_results").inc();
+            c.duplicate_results.inc();
             return;
         };
         let validated = r
             .measurement
             .filter(|m| m.kernel_name == p.job.kernel_name() && m.params == *p.job.params());
         if let Some(m) = validated {
-            self.stats.retries.fetch_add(r.retries, Ordering::Relaxed);
-            rec.counter("dist.retries").add(r.retries);
+            c.retries.add(r.retries);
             let total_us = p.dispatched.elapsed().as_micros() as u64;
-            self.service_us.observe(r.micros);
-            rec.histogram("dist.service_us").observe(r.micros);
-            let wait = total_us.saturating_sub(r.micros);
-            self.wait_us.observe(wait);
-            rec.histogram("dist.wait_us").observe(wait);
+            c.service_us.observe(r.micros);
+            c.wait_us.observe(total_us.saturating_sub(r.micros));
             let stored = store_tx.is_some_and(|tx| tx.send((r.hash, r.entry)).is_ok());
             let p = pending.remove(&r.hash).unwrap();
             out.push(BackendExec {
@@ -896,8 +863,7 @@ impl Coordinator {
             // The bytes failed the same self-validating load a local
             // cache read would apply (or named the wrong job): count,
             // discard, recompute.
-            self.stats.corrupt_entries.fetch_add(1, Ordering::Relaxed);
-            rec.counter("dist.corrupt_entries").inc();
+            c.corrupt_entries.inc();
             let p = pending.remove(&r.hash).unwrap();
             out.push(self.execute_locally(p.index, &p.job, r.hash));
         }
@@ -916,17 +882,15 @@ impl Coordinator {
         backlog: &mut VecDeque<BTreeSet<u64>>,
         out: &mut Vec<BackendExec>,
     ) {
-        let rec = obs::global();
+        let c = &self.counters;
         match ty {
             FrameType::Result => {
                 // Only reached when the reader thread could not parse
                 // the payload at all (no header line / bad hash): there
                 // is nothing to attribute it to, so it is dropped and
                 // the job completes via reissue or heartbeat timeout.
-                self.stats.results_received.fetch_add(1, Ordering::Relaxed);
-                rec.counter("dist.results_received").inc();
-                self.stats.corrupt_entries.fetch_add(1, Ordering::Relaxed);
-                rec.counter("dist.corrupt_entries").inc();
+                c.results_received.inc();
+                c.corrupt_entries.inc();
             }
             FrameType::JobError => {
                 let Ok(doc) = json::parse(&String::from_utf8_lossy(payload)) else {
@@ -936,8 +900,7 @@ impl Coordinator {
                 if let Some(s) = shards.get_mut(&get_shard(&doc)) {
                     s.remaining.remove(&hash);
                 }
-                self.stats.worker_errors.fetch_add(1, Ordering::Relaxed);
-                rec.counter("dist.worker_errors").inc();
+                c.worker_errors.inc();
                 if let Some(p) = pending.remove(&hash) {
                     // Recompute locally so the error surfaced to the
                     // scheduler (if it persists) is the exact local
@@ -975,8 +938,7 @@ impl Coordinator {
                     .filter(|h| pending.contains_key(h))
                     .collect();
                 if !remaining.is_empty() {
-                    self.stats.migrations.fetch_add(1, Ordering::Relaxed);
-                    rec.counter("dist.migrations").inc();
+                    c.migrations.inc();
                     self.assign_shard(remaining, shards, pending, backlog, out, true);
                 }
             }
@@ -1073,8 +1035,7 @@ impl Coordinator {
         if remaining.is_empty() {
             return;
         }
-        self.stats.shard_reissues.fetch_add(1, Ordering::Relaxed);
-        obs::global().counter("dist.shard_reissues").inc();
+        self.counters.shard_reissues.inc();
         self.assign_shard(remaining, shards, pending, backlog, out, false);
     }
 
@@ -1137,7 +1098,6 @@ impl Coordinator {
         shards: &mut BTreeMap<u64, Shard>,
         pending: &BTreeMap<u64, Pending>,
     ) -> Option<BTreeSet<u64>> {
-        let rec = obs::global();
         let shard = self.shard_counter.fetch_add(1, Ordering::Relaxed);
         let items: Vec<&str> = remaining
             .iter()
@@ -1145,12 +1105,8 @@ impl Coordinator {
             .collect();
         let doc = format!("{{\"shard\":{shard},\"jobs\":[{}]}}", items.join(","));
         if self.send(w, FrameType::Batch, doc.as_bytes()) {
-            self.stats.batches_streamed.fetch_add(1, Ordering::Relaxed);
-            rec.counter("dist.batches_streamed").inc();
-            self.stats
-                .jobs_sent
-                .fetch_add(remaining.len() as u64, Ordering::Relaxed);
-            rec.counter("dist.jobs_sent").add(remaining.len() as u64);
+            self.counters.batches_streamed.inc();
+            self.counters.jobs_sent.add(remaining.len() as u64);
             shards.insert(
                 shard,
                 Shard {
@@ -1168,10 +1124,7 @@ impl Coordinator {
 
     /// Runs a job on the coordinator with the standard retry ladder.
     fn execute_locally(&self, index: usize, job: &JobSpec, hash: u64) -> BackendExec {
-        let result = execute_job_with_retry(job, hash, |_| {
-            self.stats.retries.fetch_add(1, Ordering::Relaxed);
-            obs::global().counter("dist.retries").inc();
-        });
+        let result = execute_job_with_retry(job, hash, |_| self.counters.retries.inc());
         BackendExec {
             index,
             hash,
@@ -1201,8 +1154,8 @@ impl Coordinator {
         if !h.alive.swap(false, Ordering::Relaxed) {
             return;
         }
-        self.stats.worker_deaths.fetch_add(1, Ordering::Relaxed);
-        obs::global().counter("dist.worker_deaths").inc();
+        self.counters.worker_deaths.inc();
+        self.counters.workers_live.sub(1);
         if let Ok(s) = h.writer.lock() {
             s.shutdown(std::net::Shutdown::Both).ok();
         }
@@ -1218,7 +1171,7 @@ impl Coordinator {
         let Some(after) = self.cfg.chaos_kill_one_after else {
             return;
         };
-        if self.stats.results_received.load(Ordering::Relaxed) < after {
+        if self.counters.results_received.get() < after {
             return;
         }
         if !self.chaos_armed.swap(false, Ordering::Relaxed) {
@@ -1239,9 +1192,7 @@ impl Coordinator {
     /// Sends one frame to worker `w`; `false` means the connection is
     /// broken.
     fn send(&self, w: usize, ty: FrameType, payload: &[u8]) -> bool {
-        self.stats
-            .bytes_sent
-            .fetch_add(payload.len() as u64 + 5, Ordering::Relaxed);
+        self.counters.bytes_sent.add(payload.len() as u64 + 5);
         let mut stream = self.workers[w].writer.lock().unwrap();
         write_frame(&mut *stream, ty, payload).is_ok()
     }
@@ -1312,7 +1263,7 @@ fn spawn_reader(
     stream: TcpStream,
     handle: Arc<WorkerHandle>,
     tx: mpsc::Sender<Event>,
-    bytes_received: Arc<AtomicU64>,
+    bytes_received: Counter,
 ) {
     std::thread::spawn(move || {
         // Buffered: a worker's flush delivers several frames in one
@@ -1321,7 +1272,7 @@ fn spawn_reader(
         loop {
             if let Ok((ty, payload)) = read_frame(&mut r) {
                 *handle.last_seen.lock().unwrap() = Instant::now();
-                bytes_received.fetch_add(payload.len() as u64 + 5, Ordering::Relaxed);
+                bytes_received.add(payload.len() as u64 + 5);
                 if ty == FrameType::Heartbeat {
                     continue;
                 }

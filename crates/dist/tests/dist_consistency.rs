@@ -12,10 +12,11 @@ use std::collections::BTreeSet;
 use std::net::{TcpListener, TcpStream};
 use std::thread;
 
-use syncperf_core::obs::json;
+use syncperf_core::obs::{json, Snapshot};
 use syncperf_core::{kernel, ExecParams, Protocol, SYSTEM3};
 use syncperf_dist::{
-    decode_job, read_frame, serve_stream, write_frame, Coordinator, DistConfig, FrameType,
+    decode_job, read_frame, serve_stream, write_frame, Coordinator, DistConfig, DistStats,
+    FrameType,
 };
 use syncperf_sched::{
     encode_measurement, execute_job_with_retry, job_hash_with_salt, Cache, JobSpec,
@@ -321,6 +322,12 @@ fn worker_death_mid_shard_reissues_and_finishes_locally() {
     assert_eq!(st.shard_reissues, 1, "orphaned remainder reissued");
     assert_eq!(st.results_received, 1, "only the pre-death result arrived");
     assert_eq!(coord.live_workers(), 0);
+    // The reader thread is gone, so nothing moves between the two reads:
+    // the exported snapshot reads back as the same stats.
+    let mut snap = Snapshot::default();
+    coord.export_into(&mut snap);
+    assert_eq!(DistStats::from_snapshot(&snap), st);
+    assert!(st.bytes_sent > 0);
     coord.shutdown();
     script.join().unwrap();
 }

@@ -92,9 +92,8 @@ pub struct Histogram {
 
 impl Histogram {
     /// A standalone always-recording histogram, not registered in any
-    /// recorder — for components (like the sweep scheduler) that keep
-    /// their own profile and export it into a
-    /// [`Snapshot`](crate::Snapshot) on demand.
+    /// recorder — for tallies kept outside any registry (like the load
+    /// generator's per-thread latency samples).
     #[must_use]
     pub fn standalone() -> Self {
         Histogram {

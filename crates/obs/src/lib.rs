@@ -658,23 +658,24 @@ impl Gauge {
         }
     }
 
-    /// Adds `n` to the current value.
-    pub fn add(&self, n: u64) {
-        if let Some(cell) = &self.cell {
-            cell.fetch_add(n, Ordering::Relaxed);
-        }
+    /// Adds `n` to the current value and returns the new value (0 when
+    /// disabled).
+    pub fn add(&self, n: u64) -> u64 {
+        self.cell
+            .as_ref()
+            .map_or(0, |cell| cell.fetch_add(n, Ordering::Relaxed) + n)
     }
 
-    /// Subtracts `n` from the current value (saturating at 0).
-    pub fn sub(&self, n: u64) {
-        if let Some(cell) = &self.cell {
-            let mut cur = cell.load(Ordering::Relaxed);
-            loop {
-                let next = cur.saturating_sub(n);
-                match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => break,
-                    Err(seen) => cur = seen,
-                }
+    /// Subtracts `n` from the current value (saturating at 0) and
+    /// returns the new value (0 when disabled).
+    pub fn sub(&self, n: u64) -> u64 {
+        let Some(cell) = &self.cell else { return 0 };
+        let mut cur = cell.load(Ordering::Relaxed);
+        loop {
+            let next = cur.saturating_sub(n);
+            match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return next,
+                Err(seen) => cur = seen,
             }
         }
     }
@@ -909,14 +910,14 @@ mod tests {
     fn set_gauge_tracks_current_value() {
         let rec = Recorder::enabled();
         let g = rec.gauge_set("queue.depth");
-        g.add(5);
-        g.sub(2);
+        assert_eq!(g.add(5), 5, "add returns the new value");
+        assert_eq!(g.sub(2), 3, "sub returns the new value");
         assert_eq!(g.get(), 3);
         g.record(9);
         g.record(1);
         assert_eq!(g.get(), 1, "set mode overwrites instead of keeping max");
-        g.sub(10);
-        assert_eq!(g.get(), 0, "sub saturates at zero");
+        assert_eq!(g.sub(10), 0, "sub saturates at zero");
+        assert_eq!(g.get(), 0);
         let snap = rec.snapshot();
         assert_eq!(snap.gauge("queue.depth"), 0);
         assert_eq!(snap.gauge_modes["queue.depth"], GaugeMode::Set);

@@ -10,11 +10,10 @@
 //! for every measurement it triggers.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use syncperf_core::obs::{self, Histogram, Snapshot};
+use syncperf_core::obs::{Counter, Gauge, Histogram, Recorder, Snapshot};
 use syncperf_core::{Measurement, Result, SyncPerfError};
 
 use crate::cache::Cache;
@@ -205,29 +204,24 @@ impl SchedConfig {
     }
 }
 
-/// Internal atomic tally cells (mirrored into `sched.*` obs counters).
-#[derive(Debug, Default)]
-struct StatCells {
-    jobs: AtomicU64,
-    executed: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_stores: AtomicU64,
-    steals: AtomicU64,
-    retries: AtomicU64,
-    resumed: AtomicU64,
-    plan_batches: AtomicU64,
-    plan_batch_points: AtomicU64,
-    plan_primed_jobs: AtomicU64,
-    plan_compile_us: AtomicU64,
-}
-
-/// Always-on scheduler profile: latency histograms, live queue depth,
-/// and per-worker execution tallies — kept standalone (not behind the
-/// global recorder) so a server that never installs a global recorder
-/// still gets scheduler telemetry via [`Scheduler::export_into`].
+/// Handles to every metric in a scheduler's registry, resolved once at
+/// construction so no hot path looks a name up.
 #[derive(Debug)]
-struct Profile {
+struct Counters {
+    jobs: Counter,
+    executed: Counter,
+    cache_hits: Counter,
+    cache_misses: Counter,
+    cache_stores: Counter,
+    steals: Counter,
+    retries: Counter,
+    resumed: Counter,
+    plan_batches: Counter,
+    plan_batch_points: Counter,
+    plan_primed_jobs: Counter,
+    plan_compile_us: Counter,
+    /// Jobs per same-shape group, one observation per group.
+    plan_batch_size: Histogram,
     /// Miss wait time: batch submission → a worker picking the job up
     /// (microseconds).
     wait_us: Histogram,
@@ -235,31 +229,42 @@ struct Profile {
     service_hit_us: Histogram,
     /// Miss service time: how long the execution took (microseconds).
     service_miss_us: Histogram,
-    /// Jobs currently dispatched to the pool and not yet finished.
-    pending: AtomicU64,
-    /// High-water mark of `pending`.
-    pending_peak: AtomicU64,
-    /// Per-worker tallies accumulated across batches (indexed by the
-    /// pool's worker number; the serial path is worker 0).
-    workers: Mutex<Vec<PoolWorkerStats>>,
+    /// Jobs dispatched and not yet finished, across every overlapping
+    /// [`Scheduler::run_jobs`] call.
+    queue_depth: Gauge,
+    /// High-water mark of `queue_depth`.
+    queue_depth_peak: Gauge,
 }
 
-impl Default for Profile {
-    fn default() -> Self {
-        Profile {
-            wait_us: Histogram::standalone(),
-            service_hit_us: Histogram::standalone(),
-            service_miss_us: Histogram::standalone(),
-            pending: AtomicU64::new(0),
-            pending_peak: AtomicU64::new(0),
-            workers: Mutex::new(Vec::new()),
+impl Counters {
+    fn new(rec: &Recorder) -> Self {
+        Counters {
+            jobs: rec.counter("sched.jobs"),
+            executed: rec.counter("sched.jobs_executed"),
+            cache_hits: rec.counter("sched.cache_hits"),
+            cache_misses: rec.counter("sched.cache_misses"),
+            cache_stores: rec.counter("sched.cache_stores"),
+            steals: rec.counter("sched.steals"),
+            retries: rec.counter("sched.retries"),
+            resumed: rec.counter("sched.resumed"),
+            plan_batches: rec.counter("sched.plan_batches"),
+            plan_batch_points: rec.counter("sched.plan_batch_points"),
+            plan_primed_jobs: rec.counter("sched.plan_primed_jobs"),
+            plan_compile_us: rec.counter("sched.plan_compile_us"),
+            plan_batch_size: rec.histogram("plan.batch_size"),
+            wait_us: rec.histogram("sched.wait_us"),
+            service_hit_us: rec.histogram("sched.service_us.hit"),
+            service_miss_us: rec.histogram("sched.service_us.miss"),
+            queue_depth: rec.gauge_set("sched.queue_depth"),
+            queue_depth_peak: rec.gauge("sched.queue_depth_peak"),
         }
     }
 }
 
-/// A point-in-time view of a scheduler's counters — also recoverable
-/// from any obs [`Snapshot`] via [`SchedStats::from_snapshot`], the
-/// way `RetrySummary` mirrors the `protocol.*` counters.
+/// A point-in-time view of a scheduler's counters: its registry's
+/// snapshot read back through [`SchedStats::from_snapshot`], which
+/// works on any snapshot [`Scheduler::export_into`] filled, the way
+/// `RetrySummary` reads the `protocol.*` counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedStats {
     /// Jobs submitted (hits + misses when caching, else all executed).
@@ -398,8 +403,14 @@ pub struct Scheduler {
     present: Mutex<Option<std::collections::HashSet<u64>>>,
     checkpoint: Mutex<Checkpoint>,
     resumed_hashes: std::collections::BTreeSet<u64>,
-    stats: StatCells,
-    profile: Profile,
+    /// This scheduler's own metrics registry, live whatever the global
+    /// recorder is: each `sched.*` number is counted here and nowhere
+    /// else, and [`Scheduler::export_into`] hands it to every sink.
+    registry: Recorder,
+    counters: Counters,
+    /// Per-worker tallies accumulated across batches (indexed by the
+    /// pool's worker number; the serial path is worker 0).
+    workers: Mutex<Vec<PoolWorkerStats>>,
     store_hook: RwLock<Option<StoreHook>>,
     backend: RwLock<Option<ExecBackend>>,
     export_hook: RwLock<Option<ExportHook>>,
@@ -410,7 +421,7 @@ impl std::fmt::Debug for Scheduler {
         f.debug_struct("Scheduler")
             .field("cfg", &self.cfg)
             .field("cache", &self.cache)
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -429,14 +440,16 @@ impl Scheduler {
         // Remember what the manifest already contained so hits caused
         // by resume can be told apart from ordinary warm-cache hits.
         let resumed_hashes = checkpoint.hashes().collect();
+        let registry = Recorder::enabled();
         Scheduler {
             cfg,
             cache,
             present: Mutex::new(None),
             checkpoint: Mutex::new(checkpoint),
             resumed_hashes,
-            stats: StatCells::default(),
-            profile: Profile::default(),
+            counters: Counters::new(&registry),
+            registry,
+            workers: Mutex::new(Vec::new()),
             store_hook: RwLock::new(None),
             backend: RwLock::new(None),
             export_hook: RwLock::new(None),
@@ -504,30 +517,7 @@ impl Scheduler {
     /// A point-in-time view of the counters and latency quantiles.
     #[must_use]
     pub fn stats(&self) -> SchedStats {
-        let wait = self.profile.wait_us.snapshot();
-        let hit = self.profile.service_hit_us.snapshot();
-        let miss = self.profile.service_miss_us.snapshot();
-        SchedStats {
-            jobs: self.stats.jobs.load(Ordering::Relaxed),
-            executed: self.stats.executed.load(Ordering::Relaxed),
-            cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.stats.cache_misses.load(Ordering::Relaxed),
-            cache_stores: self.stats.cache_stores.load(Ordering::Relaxed),
-            steals: self.stats.steals.load(Ordering::Relaxed),
-            retries: self.stats.retries.load(Ordering::Relaxed),
-            resumed: self.stats.resumed.load(Ordering::Relaxed),
-            wait_us_p50: wait.quantile(0.50),
-            wait_us_p99: wait.quantile(0.99),
-            service_hit_us_p50: hit.quantile(0.50),
-            service_hit_us_p99: hit.quantile(0.99),
-            service_miss_us_p50: miss.quantile(0.50),
-            service_miss_us_p99: miss.quantile(0.99),
-            queue_depth_peak: self.profile.pending_peak.load(Ordering::Relaxed),
-            plan_batches: self.stats.plan_batches.load(Ordering::Relaxed),
-            plan_batch_points: self.stats.plan_batch_points.load(Ordering::Relaxed),
-            plan_primed_jobs: self.stats.plan_primed_jobs.load(Ordering::Relaxed),
-            plan_compile_us: self.stats.plan_compile_us.load(Ordering::Relaxed),
-        }
+        SchedStats::from_snapshot(&self.registry.snapshot())
     }
 
     /// Per-worker execution tallies accumulated across every batch
@@ -535,55 +525,16 @@ impl Scheduler {
     /// accumulates onto worker 0).
     #[must_use]
     pub fn worker_stats(&self) -> Vec<PoolWorkerStats> {
-        self.profile.workers.lock().unwrap().clone()
+        self.workers.lock().unwrap().clone()
     }
 
-    /// Injects this scheduler's live telemetry — `sched.*` counters,
-    /// queue-depth gauges, wait/service histograms, and per-worker
-    /// tallies — into `snap`, so a process that never installed a
-    /// global recorder (like `syncperf-serve`) can still expose
-    /// scheduler metrics.
+    /// Merges this scheduler's registry — `sched.*` counters,
+    /// queue-depth gauges, wait/service histograms, `plan.batch_size` —
+    /// plus its per-worker tallies and the export hook's metrics into
+    /// `snap`, so every sink (`--metrics`, `--cache-stats`, `/metrics`)
+    /// reads the same numbers, global recorder or not.
     pub fn export_into(&self, snap: &mut Snapshot) {
-        use syncperf_core::obs::GaugeMode;
-        let st = self.stats();
-        for (name, v) in [
-            ("sched.jobs", st.jobs),
-            ("sched.jobs_executed", st.executed),
-            ("sched.cache_hits", st.cache_hits),
-            ("sched.cache_misses", st.cache_misses),
-            ("sched.cache_stores", st.cache_stores),
-            ("sched.steals", st.steals),
-            ("sched.retries", st.retries),
-            ("sched.resumed", st.resumed),
-            ("sched.plan_batches", st.plan_batches),
-            ("sched.plan_batch_points", st.plan_batch_points),
-            ("sched.plan_primed_jobs", st.plan_primed_jobs),
-            ("sched.plan_compile_us", st.plan_compile_us),
-        ] {
-            snap.counters.insert(name.to_string(), v);
-        }
-        snap.gauges.insert(
-            "sched.queue_depth".to_string(),
-            self.profile.pending.load(Ordering::Relaxed),
-        );
-        snap.gauge_modes
-            .insert("sched.queue_depth".to_string(), GaugeMode::Set);
-        snap.gauges.insert(
-            "sched.queue_depth_peak".to_string(),
-            self.profile.pending_peak.load(Ordering::Relaxed),
-        );
-        snap.gauge_modes
-            .insert("sched.queue_depth_peak".to_string(), GaugeMode::Max);
-        snap.histograms
-            .insert("sched.wait_us".to_string(), self.profile.wait_us.snapshot());
-        snap.histograms.insert(
-            "sched.service_us.hit".to_string(),
-            self.profile.service_hit_us.snapshot(),
-        );
-        snap.histograms.insert(
-            "sched.service_us.miss".to_string(),
-            self.profile.service_miss_us.snapshot(),
-        );
+        snap.merge(&self.registry.snapshot());
         for (w, p) in self.worker_stats().iter().enumerate() {
             snap.counters
                 .insert(format!("sched.worker.{w}.executed"), p.executed);
@@ -609,29 +560,24 @@ impl Scheduler {
             .contains(&hash)
     }
 
-    /// Records that this scheduler stored `hash`, keeping the presence
-    /// set current.
-    fn note_stored(&self, hash: u64) {
+    /// Books a result that reached the cache: the presence set, the
+    /// store count, and the store hook.
+    fn stored(&self, hash: u64, m: &Measurement) {
         if let Some(set) = self.present.lock().unwrap().as_mut() {
             set.insert(hash);
         }
+        self.counters.cache_stores.inc();
+        if let Some(hook) = self.store_hook.read().unwrap().as_ref() {
+            hook(hash, m);
+        }
     }
 
-    /// Adds a batch of `n` jobs to the pending count shared by every
-    /// overlapping [`Scheduler::run_jobs`] call, folds the new depth
-    /// into the peak, and returns it.
-    fn enqueue(&self, n: u64) -> u64 {
-        let depth = self.profile.pending.fetch_add(n, Ordering::Relaxed) + n;
-        self.profile
-            .pending_peak
-            .fetch_max(depth, Ordering::Relaxed);
-        depth
-    }
-
-    /// Retires `n` finished jobs from the shared pending count and
-    /// returns what is left.
-    fn dequeue(&self, n: u64) -> u64 {
-        self.profile.pending.fetch_sub(n, Ordering::Relaxed) - n
+    /// Adds a batch of `n` jobs to the queue depth shared by every
+    /// overlapping [`Scheduler::run_jobs`] call and folds the new depth
+    /// into the peak.
+    fn enqueue(&self, n: u64) {
+        let depth = self.counters.queue_depth.add(n);
+        self.counters.queue_depth_peak.record(depth);
     }
 
     /// Runs a batch of jobs: cache hits are served immediately, misses
@@ -646,16 +592,14 @@ impl Scheduler {
     /// only recomputes the failures).
     pub fn run_jobs(&self, jobs: Vec<JobSpec>) -> Result<Vec<Measurement>> {
         let n = jobs.len();
-        let rec = obs::global();
-        self.stats.jobs.fetch_add(n as u64, Ordering::Relaxed);
-        rec.counter("sched.jobs").add(n as u64);
+        let c = &self.counters;
+        c.jobs.add(n as u64);
 
         let mut results: Vec<Option<Measurement>> = Vec::new();
         results.resize_with(n, || None);
         let mut todo: Vec<(usize, JobSpec, u64)> = Vec::new();
         let mut hits = 0u64;
         let mut resumed = 0u64;
-        let hit_hist = rec.histogram("sched.service_us.hit");
         let mut canon = CanonicalCache::default();
         let salt_line = format!("salt={SCHED_SALT}/{}\n", self.cfg.salt_extra);
         for (i, job) in jobs.into_iter().enumerate() {
@@ -671,9 +615,8 @@ impl Scheduler {
                     // Guard against a (vanishingly unlikely) hash
                     // collision: the entry must describe this job.
                     if m.kernel_name == job.kernel_name() && m.params == *job.params() {
-                        let load_us = load_start.elapsed().as_micros() as u64;
-                        self.profile.service_hit_us.observe(load_us);
-                        hit_hist.observe(load_us);
+                        c.service_hit_us
+                            .observe(load_start.elapsed().as_micros() as u64);
                         hits += 1;
                         if self.resumed_hashes.contains(&h) {
                             resumed += 1;
@@ -686,15 +629,10 @@ impl Scheduler {
             }
             todo.push((i, job, h));
         }
-        self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        rec.counter("sched.cache_hits").add(hits);
-        self.stats.resumed.fetch_add(resumed, Ordering::Relaxed);
-        rec.counter("sched.resumed").add(resumed);
+        c.cache_hits.add(hits);
+        c.resumed.add(resumed);
         if self.cache.is_some() {
-            self.stats
-                .cache_misses
-                .fetch_add(todo.len() as u64, Ordering::Relaxed);
-            rec.counter("sched.cache_misses").add(todo.len() as u64);
+            c.cache_misses.add(todo.len() as u64);
         }
 
         // Backend path: an installed [`ExecBackend`] (the distributed
@@ -703,16 +641,10 @@ impl Scheduler {
         // same lowest-index-error-wins contract as the pool path.
         let backend_guard = self.backend.read().unwrap();
         if let Some(backend) = backend_guard.as_ref() {
-            self.stats
-                .executed
-                .fetch_add(todo.len() as u64, Ordering::Relaxed);
-            rec.counter("sched.jobs_executed").add(todo.len() as u64);
-            let depth_gauge = rec.gauge_set("sched.queue_depth");
-            let depth = self.enqueue(todo.len() as u64);
-            depth_gauge.set(depth);
-            rec.gauge("sched.queue_depth_peak").record(depth);
+            c.executed.add(todo.len() as u64);
+            self.enqueue(todo.len() as u64);
             let mut execs = backend(&todo);
-            depth_gauge.set(self.dequeue(todo.len() as u64));
+            c.queue_depth.sub(todo.len() as u64);
             execs.sort_by_key(|e| e.index);
             let mut first_err: Option<SyncPerfError> = None;
             for e in execs {
@@ -722,14 +654,8 @@ impl Scheduler {
                             // `stored` means the backend already wrote
                             // the entry (raw wire bytes); either way it
                             // counts and the store hook fires.
-                            let ok = e.stored || cache.store(e.hash, &m).is_ok();
-                            if ok {
-                                self.note_stored(e.hash);
-                                self.stats.cache_stores.fetch_add(1, Ordering::Relaxed);
-                                rec.counter("sched.cache_stores").inc();
-                                if let Some(hook) = self.store_hook.read().unwrap().as_ref() {
-                                    hook(e.hash, &m);
-                                }
+                            if e.stored || cache.store(e.hash, &m).is_ok() {
+                                self.stored(e.hash, &m);
                             }
                         }
                         self.checkpoint.lock().unwrap().record(e.hash);
@@ -755,17 +681,10 @@ impl Scheduler {
         // so workers start from pre-primed engine memos.
         let primed = self.prepare_primed(&todo);
 
-        // Dispatch: track live queue depth and per-job wait/service
-        // latency, mirroring into the global recorder's telemetry.
+        // Dispatch: track the live queue depth and each job's wait and
+        // service latency in this scheduler's registry.
         let dispatched = Instant::now();
-        let depth_gauge = rec.gauge_set("sched.queue_depth");
-        let peak_gauge = rec.gauge("sched.queue_depth_peak");
-        let wait_hist = rec.histogram("sched.wait_us");
-        let miss_hist = rec.histogram("sched.service_us.miss");
-        let stores = rec.counter("sched.cache_stores");
-        let depth = self.enqueue(todo.len() as u64);
-        depth_gauge.set(depth);
-        peak_gauge.record(depth);
+        self.enqueue(todo.len() as u64);
 
         let items: Vec<((usize, JobSpec, u64), Option<PrimedEngine>)> =
             todo.into_iter().zip(primed).collect();
@@ -773,39 +692,28 @@ impl Scheduler {
             self.effective_workers(),
             items,
             |_, ((i, job, h), primed)| {
-                let wait_us = dispatched.elapsed().as_micros() as u64;
-                self.profile.wait_us.observe(wait_us);
-                wait_hist.observe(wait_us);
+                c.wait_us.observe(dispatched.elapsed().as_micros() as u64);
                 let exec_start = Instant::now();
                 let r = self.execute_with_retry(&job, h, primed.as_ref());
-                let exec_us = exec_start.elapsed().as_micros() as u64;
-                self.profile.service_miss_us.observe(exec_us);
-                miss_hist.observe(exec_us);
+                c.service_miss_us
+                    .observe(exec_start.elapsed().as_micros() as u64);
                 if let Ok(m) = &r {
                     if let Some(cache) = &self.cache {
                         // A read-only cache directory must not fail the
                         // run; the result is simply not reusable.
                         if cache.store(h, m).is_ok() {
-                            self.note_stored(h);
-                            self.stats.cache_stores.fetch_add(1, Ordering::Relaxed);
-                            stores.inc();
-                            if let Some(hook) = self.store_hook.read().unwrap().as_ref() {
-                                hook(h, m);
-                            }
+                            self.stored(h, m);
                         }
                     }
                     self.checkpoint.lock().unwrap().record(h);
                 }
-                depth_gauge.set(self.dequeue(1));
+                c.queue_depth.sub(1);
                 (i, r)
             },
         );
-        self.stats
-            .steals
-            .fetch_add(outcome.steals, Ordering::Relaxed);
-        rec.counter("sched.steals").add(outcome.steals);
+        c.steals.add(outcome.steals);
         {
-            let mut workers = self.profile.workers.lock().unwrap();
+            let mut workers = self.workers.lock().unwrap();
             if workers.len() < outcome.per_worker.len() {
                 workers.resize_with(outcome.per_worker.len(), PoolWorkerStats::default);
             }
@@ -852,32 +760,26 @@ impl Scheduler {
         hash: u64,
         primed: Option<&PrimedEngine>,
     ) -> Result<Measurement> {
-        let rec = obs::global();
-        self.stats.executed.fetch_add(1, Ordering::Relaxed);
-        rec.counter("sched.jobs_executed").inc();
-        execute_job_with_retry_primed(job, hash, primed, |_| {
-            self.stats.retries.fetch_add(1, Ordering::Relaxed);
-            rec.counter("sched.retries").inc();
-        })
+        self.counters.executed.inc();
+        execute_job_with_retry_primed(job, hash, primed, |_| self.counters.retries.inc())
     }
 
     /// Groups the miss set by kernel shape ([`JobSpec::same_shape`])
     /// and batch-evaluates each parameter-sweep group of ≥ 2 jobs
     /// through one struct-of-arrays plan table, returning one optional
     /// primed engine pair per `todo` entry (in order), and counts one
-    /// `plan.batch_size` observation per group. The recorder never
-    /// changes this: the batch evaluators record their own runs into
-    /// the global recorder, events included when it traces. A group
+    /// `plan.batch_size` observation per group in this scheduler's
+    /// registry. The recorder never changes this: the batch evaluators
+    /// record their own runs into the global recorder, events included
+    /// when it traces. A group
     /// whose batch evaluation fails primes nothing, so the per-job path
     /// reproduces the exact error.
     fn prepare_primed(&self, todo: &[(usize, JobSpec, u64)]) -> Vec<Option<PrimedEngine>> {
-        let rec = obs::global();
-        let batch_size = rec.histogram("plan.batch_size");
+        let c = &self.counters;
         let start = Instant::now();
         let mut primed: Vec<Option<PrimedEngine>> = Vec::new();
         primed.resize_with(todo.len(), || None);
         let mut grouped = vec![false; todo.len()];
-        let (mut batches, mut batch_points, mut primed_jobs) = (0u64, 0u64, 0u64);
         for lead in 0..todo.len() {
             if grouped[lead] {
                 continue;
@@ -893,28 +795,18 @@ impl Scheduler {
             if members.len() < 2 {
                 continue;
             }
-            batches += 1;
-            batch_points += members.len() as u64;
-            batch_size.observe(members.len() as u64);
+            c.plan_batches.inc();
+            c.plan_batch_points.add(members.len() as u64);
+            c.plan_batch_size.observe(members.len() as u64);
             let group: Vec<&JobSpec> = members.iter().map(|&m| &todo[m].1).collect();
             if let Some(engines) = JobSpec::batch_prime(&group) {
-                primed_jobs += engines.len() as u64;
+                c.plan_primed_jobs.add(engines.len() as u64);
                 for (&m, pe) in members.iter().zip(engines) {
                     primed[m] = Some(pe);
                 }
             }
         }
-        let us = start.elapsed().as_micros() as u64;
-        self.stats
-            .plan_batches
-            .fetch_add(batches, Ordering::Relaxed);
-        self.stats
-            .plan_batch_points
-            .fetch_add(batch_points, Ordering::Relaxed);
-        self.stats
-            .plan_primed_jobs
-            .fetch_add(primed_jobs, Ordering::Relaxed);
-        self.stats.plan_compile_us.fetch_add(us, Ordering::Relaxed);
+        c.plan_compile_us.add(start.elapsed().as_micros() as u64);
         primed
     }
 
@@ -1219,9 +1111,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_mirror_obs_counters() {
-        // The global recorder may be disabled in the test process, so
-        // only check the struct round-trips through a snapshot shape.
+    fn hit_rate_is_hits_over_jobs() {
+        // Cache hits over submitted jobs, and 0 when nothing ran.
         let st = SchedStats {
             jobs: 10,
             cache_hits: 9,

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use syncperf_core::obs::{self, Recorder};
+use syncperf_core::obs::{self, Recorder, Snapshot};
 use syncperf_core::{kernel, DType, ExecParams, Protocol, SYSTEM3};
 use syncperf_cpu_sim::CpuSimExecutor;
 use syncperf_omp::OmpExecutor;
@@ -119,8 +119,9 @@ fn is_child(plane: &str) -> bool {
 /// Runs a multi-figure sweep (CPU and GPU engines) on a 2-worker
 /// cacheless scheduler under the already-installed global recorder,
 /// writes every CSV/SVG into `SYNCPERF_RESULTS` (or a scratch
-/// directory when run by hand) and returns the scheduler's stats.
-fn sweep_into_results() -> SchedStats {
+/// directory when run by hand) and returns the scheduler's stats with
+/// the process snapshot the runner would write for `--metrics`.
+fn sweep_into_results() -> (SchedStats, Snapshot) {
     let dir = std::env::var_os("SYNCPERF_RESULTS").map_or_else(
         || std::env::temp_dir().join(format!("syncperf-plane-{}", std::process::id())),
         PathBuf::from,
@@ -139,7 +140,8 @@ fn sweep_into_results() -> SchedStats {
     }
     sched.finish();
     syncperf_sched::uninstall();
-    sched.stats()
+    let snap = syncperf_bench::runner::process_snapshot(obs::global(), Some(&sched));
+    (sched.stats(), snap)
 }
 
 #[test]
@@ -148,7 +150,7 @@ fn plane_sweep_off() {
     if !is_child("off") {
         return;
     }
-    let st = sweep_into_results();
+    let (st, _) = sweep_into_results();
     assert!(st.plan_primed_jobs > 0, "unobserved sweeps batch: {st:?}");
 }
 
@@ -159,13 +161,24 @@ fn plane_sweep_metrics() {
         return;
     }
     assert!(obs::install(Recorder::enabled()));
-    let st = sweep_into_results();
+    let (st, snap) = sweep_into_results();
     assert!(
         st.plan_primed_jobs > 0,
         "the metrics plane keeps the batched path: {st:?}"
     );
     let rec = obs::global();
-    let snap = rec.snapshot();
+    // Each count is held once: the scheduler keeps its own registry,
+    // and the global recorder holds no copy of it.
+    let global = rec.snapshot();
+    let copies: Vec<&String> = global
+        .counters
+        .keys()
+        .chain(global.gauges.keys())
+        .chain(global.histograms.keys())
+        .filter(|n| n.starts_with("sched.") || n.starts_with("dist.") || *n == "plan.batch_size")
+        .collect();
+    assert!(copies.is_empty(), "counted twice: {copies:?}");
+    assert_eq!(snap.counter("sched.plan_primed_jobs"), st.plan_primed_jobs);
     for name in ["sched.wait_us", "sched.service_us.miss", "plan.batch_size"] {
         assert!(snap.histogram(name).count() > 0, "{name} missing: {snap:?}");
     }
@@ -196,7 +209,7 @@ fn plane_sweep_tracing() {
         return;
     }
     assert!(obs::install(Recorder::tracing()));
-    let st = sweep_into_results();
+    let (st, _) = sweep_into_results();
     assert!(st.jobs > 0);
     assert!(
         st.plan_primed_jobs > 0,
