@@ -146,6 +146,12 @@ hit=$(sed -n 's/.*"hit_rate":\([0-9.]*\).*/\1/p' results/cache_stats_warm.json)
 echo "warm-run cache hit rate: ${hit}"
 awk -v h="$hit" 'BEGIN { exit (h >= 0.95) ? 0 : 1 }' || {
   echo "warm-cache hit rate ${hit} is below 0.95"; exit 1; }
+# A warm rerun of the same sweep executes nothing: a canonical entry the
+# decoder rejected would pass the hit-rate floor, silently recomputed.
+executed=$(sed -n 's/.*"executed":\([0-9]*\).*/\1/p' results/cache_stats_warm.json)
+echo "warm-run executed jobs: ${executed}"
+[ "${executed:-missing}" = 0 ] || {
+  echo "warm rerun executed ${executed:-missing} jobs, expected 0"; exit 1; }
 
 # The same gate over the sensitivity grid: hundreds of perturbed-model
 # jobs whose hashes fold in each perturbed model's digest. A warm

@@ -841,6 +841,7 @@ pub fn current() -> Option<Arc<Scheduler>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::encode_measurement;
     use syncperf_core::{kernel, DType, ExecParams, Protocol, SYSTEM3};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -922,6 +923,41 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.cache_hits, 2, "two intact entries hit");
         assert_eq!(st.executed, 4, "one recompute after the corruption");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_entries_recompute_to_the_cold_results() {
+        // A store cut mid-flight leaves a prefix of the entry under its
+        // final name. The next sweep must count it as a miss, recompute
+        // it bit for bit, and write it whole again.
+        let dir = tmp_dir("torn");
+        let s = Scheduler::new(SchedConfig::new(2).with_cache_dir(&dir));
+        let jobs = sim_jobs();
+        let cold = s.run_jobs(jobs.clone()).unwrap();
+        let cache = s.cache().unwrap();
+        let torn = [s.job_hash(&jobs[0]), s.job_hash(&jobs[2])];
+        for (i, &h) in torn.iter().enumerate() {
+            let full = std::fs::read_to_string(cache.entry_path(h)).unwrap();
+            // All of one entry but its final newline; a third of the other.
+            let cut = [full.len() - 1, full.len() / 3][i];
+            cache.store_raw(h, &full[..cut]).unwrap();
+        }
+
+        let again = s.run_jobs(jobs).unwrap();
+        let st = s.stats();
+        assert_eq!(
+            (st.executed, st.cache_hits),
+            (3 + 2, 1),
+            "torn entries miss"
+        );
+        assert_eq!(again, cold, "recomputed results match the cold run");
+        for (a, c) in again.iter().zip(&cold) {
+            assert_eq!(encode_measurement(0, a), encode_measurement(0, c));
+        }
+        for h in torn {
+            assert!(cache.load(h).is_some(), "the recompute rewrote the entry");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -127,10 +127,7 @@ impl Index {
             state: Mutex::new(State::default()),
         });
         for info in infos {
-            let Ok(text) = std::fs::read_to_string(index.cache.entry_path(info.hash)) else {
-                continue;
-            };
-            let Some(m) = syncperf_sched::cache::decode_measurement(info.hash, &text) else {
+            let Some(m) = index.cache.load(info.hash) else {
                 continue;
             };
             index.insert_entry(info.hash, m, info.bytes);
@@ -292,10 +289,7 @@ impl Index {
             }
             // Decode outside the lock; misfiled or torn entries are
             // skipped exactly as at startup.
-            let Ok(text) = std::fs::read_to_string(self.cache.entry_path(info.hash)) else {
-                continue;
-            };
-            let Some(m) = syncperf_sched::cache::decode_measurement(info.hash, &text) else {
+            let Some(m) = self.cache.load(info.hash) else {
                 continue;
             };
             self.insert_entry(info.hash, m, info.bytes);
