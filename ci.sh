@@ -307,6 +307,12 @@ diff -r -x .cache ci_dist_serial ci_dist_workers \
   || { echo "3-worker output diverged from serial"; exit 1; }
 dist_workers=$(sed -n 's/.*"dist_workers":\([0-9]*\).*/\1/p' results/cache_stats_dist.json)
 [ "${dist_workers:-0}" -eq 3 ] || { echo "cache-stats did not record the fleet"; exit 1; }
+# Workers prime what they receive (docs/DISTRIBUTED.md): zero primed
+# worker results means the workers stopped batch-priming their batches.
+dist_primed=$(sed -n 's/.*"dist_primed_jobs":\([0-9]*\).*/\1/p' results/cache_stats_dist.json)
+echo "distributed run worker-primed jobs: ${dist_primed}"
+[ "${dist_primed:-0}" -gt 0 ] || {
+  echo "dist workers primed nothing (dist_primed_jobs=${dist_primed:-missing})"; exit 1; }
 
 echo "==> distributed chaos lane (kill one worker mid-sweep)"
 SYNCPERF_RESULTS=ci_dist_chaos cargo run --release --offline -p syncperf-bench \

@@ -475,7 +475,7 @@ pub fn cache_stats_json(
     if let Some(d) = dist {
         json.push_str(&format!(
             ",\"dist_workers\":{},\"dist_jobs_sent\":{},\"dist_results_received\":{},\
-             \"dist_local_jobs\":{},\"dist_coordinator_jobs\":{},\
+             \"dist_local_jobs\":{},\"dist_coordinator_jobs\":{},\"dist_primed_jobs\":{},\
              \"dist_shard_reissues\":{},\"dist_migrations\":{},\
              \"dist_worker_deaths\":{},\"dist_corrupt_entries\":{},\
              \"dist_duplicate_results\":{},\"dist_worker_errors\":{},\
@@ -487,6 +487,7 @@ pub fn cache_stats_json(
             d.results_received,
             d.local_jobs,
             d.coordinator_jobs,
+            d.primed_jobs,
             d.shard_reissues,
             d.migrations,
             d.worker_deaths,
@@ -805,6 +806,7 @@ mod tests {
             jobs_sent: 9,
             results_received: 9,
             shard_reissues: 1,
+            primed_jobs: 6,
             wait_us_p99: 77,
             service_us_p50: 41,
             ..Default::default()
@@ -813,6 +815,7 @@ mod tests {
         assert!(json.contains("\"dist_workers\":3"));
         assert!(json.contains("\"dist_jobs_sent\":9"));
         assert!(json.contains("\"dist_shard_reissues\":1"));
+        assert!(json.contains("\"dist_primed_jobs\":6"));
         assert!(json.contains("\"dist_wait_us_p99\":77"));
         assert!(json.contains("\"dist_service_us_p50\":41"));
         assert!(json.trim_end().ends_with('}'), "stays one flat object");

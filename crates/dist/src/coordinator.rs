@@ -131,6 +131,7 @@ struct Counters {
     coordinator_jobs: Counter,
     worker_errors: Counter,
     retries: Counter,
+    primed_jobs: Counter,
     bytes_sent: Counter,
     /// Cloned into every reader thread, so it keeps counting while a
     /// batch is idle.
@@ -158,6 +159,7 @@ impl Counters {
             coordinator_jobs: rec.counter("dist.coordinator_jobs"),
             worker_errors: rec.counter("dist.worker_errors"),
             retries: rec.counter("dist.retries"),
+            primed_jobs: rec.counter("dist.primed_jobs"),
             bytes_sent: rec.counter("dist.bytes_sent"),
             bytes_received: rec.counter("dist.bytes_received"),
             workers: rec.counter("dist.workers"),
@@ -205,6 +207,8 @@ pub struct DistStats {
     pub worker_errors: u64,
     /// Worker-side retry attempts reported in result headers.
     pub retries: u64,
+    /// Merged worker results run from batch-primed engine results.
+    pub primed_jobs: u64,
     /// Payload bytes streamed to workers (batches, revokes, control).
     pub bytes_sent: u64,
     /// Payload bytes received from workers (results, control).
@@ -244,6 +248,7 @@ impl DistStats {
             coordinator_jobs: snap.counter("dist.coordinator_jobs"),
             worker_errors: snap.counter("dist.worker_errors"),
             retries: snap.counter("dist.retries"),
+            primed_jobs: snap.counter("dist.primed_jobs"),
             bytes_sent: snap.counter("dist.bytes_sent"),
             bytes_received: snap.counter("dist.bytes_received"),
             workers: snap.counter("dist.workers"),
@@ -285,9 +290,10 @@ enum Event {
 struct DecodedResult {
     shard: u64,
     hash: u64,
-    /// Worker-side wall time and retry count, from the header.
+    /// Worker-side wall time, retry count and primed flag, from the header.
     micros: u64,
     retries: u64,
+    primed: u64,
     /// The raw cache-entry bytes, ready for the store thread.
     entry: String,
     /// `Some` iff the entry passed the self-validating load against
@@ -848,6 +854,7 @@ impl Coordinator {
             .filter(|m| m.kernel_name == p.job.kernel_name() && m.params == *p.job.params());
         if let Some(m) = validated {
             c.retries.add(r.retries);
+            c.primed_jobs.add(r.primed);
             let total_us = p.dispatched.elapsed().as_micros() as u64;
             c.service_us.observe(r.micros);
             c.wait_us.observe(total_us.saturating_sub(r.micros));
@@ -1314,6 +1321,7 @@ fn decode_result(payload: &[u8]) -> Option<DecodedResult> {
         hash,
         micros: field("micros"),
         retries: field("retries"),
+        primed: field("primed"),
         measurement: decode_measurement(hash, entry),
         entry: entry.to_string(),
     })
@@ -1327,13 +1335,13 @@ fn split_result(payload: &[u8]) -> Option<(json::Value, &str)> {
     Some((json::parse(header).ok()?, entry))
 }
 
-fn get_shard(doc: &json::Value) -> u64 {
+pub(crate) fn get_shard(doc: &json::Value) -> u64 {
     doc.get("shard")
         .and_then(json::Value::as_f64)
         .map_or(0, |s| s as u64)
 }
 
-fn get_hash(doc: &json::Value) -> Option<u64> {
+pub(crate) fn get_hash(doc: &json::Value) -> Option<u64> {
     doc.get("hash")
         .and_then(json::Value::as_str)
         .and_then(|s| u64::from_str_radix(s, 16).ok())
@@ -1355,7 +1363,7 @@ fn take_back(backlog: &mut VecDeque<BTreeSet<u64>>) -> Option<u64> {
     }
 }
 
-fn shard_id_of(payload: &[u8]) -> u64 {
+pub(crate) fn shard_id_of(payload: &[u8]) -> u64 {
     json::parse(&String::from_utf8_lossy(payload))
         .ok()
         .map_or(0, |d| get_shard(&d))

@@ -11,9 +11,10 @@
 //! - [`codec`] — a total JSON encoding of [`syncperf_sched::JobSpec`]
 //!   for the simulator job families; jobs that cannot travel (real
 //!   OpenMP threads, model overrides) stay on the coordinator.
-//! - [`worker`] — executes assigned shards job-by-job, streaming each
-//!   result back as raw cache-entry bytes, honouring revocation at job
-//!   granularity, heartbeating while idle.
+//! - [`worker`] — batch-primes each same-shape group it receives, then
+//!   executes assigned shards job-by-job, streaming each result back as
+//!   raw cache-entry bytes, honouring revocation at job granularity,
+//!   heartbeating while idle.
 //! - [`coordinator`] — partitions cache misses into hash-range shards,
 //!   merges results exactly-once (content-hash dedup), migrates shards
 //!   off busy workers to idle ones, reissues shards of dead or silent

@@ -2,11 +2,14 @@
 //!
 //! A worker serves one coordinator connection: it handshakes, then
 //! executes jobs from its assigned shards one at a time, streaming each
-//! finished result back as raw cache-entry bytes. Between jobs it
-//! drains any control frames that arrived (new batches, revocations,
-//! shutdown), so a [`crate::frame::FrameType::Revoke`] is honoured at
-//! job granularity — the remaining slice of the shard is reported back
-//! as a manifest delta and the coordinator reassigns it.
+//! finished result back as raw cache-entry bytes. Every same-shape
+//! group of ≥ 2 jobs in a received batch ([`JobSpec::shape_groups`]) is
+//! batch-primed on arrival, as the scheduler pool primes its chunks.
+//! Between jobs it drains any control frames that arrived (new
+//! batches, revocations, shutdown), so a
+//! [`crate::frame::FrameType::Revoke`] is honoured at job granularity —
+//! the remaining slice of the shard is reported back as a manifest
+//! delta and the coordinator reassigns it.
 //!
 //! The receive half of the socket is owned by a dedicated reader
 //! thread feeding an in-process channel; the main loop never reads the
@@ -21,9 +24,13 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use syncperf_core::obs::json;
-use syncperf_sched::{encode_measurement, execute_job_with_retry, job_hash_with_salt, SCHED_SALT};
+use syncperf_sched::{
+    encode_measurement, execute_job_with_retry_primed, job_hash_with_salt, JobSpec, PrimedEngine,
+    SCHED_SALT,
+};
 
 use crate::codec::{decode_job, json_string};
+use crate::coordinator::{get_hash, get_shard, shard_id_of};
 use crate::frame::{read_frame, write_frame, FrameType, PROTO_VERSION};
 
 /// How often an idle worker emits a heartbeat frame.
@@ -31,11 +38,13 @@ const HEARTBEAT_EVERY: Duration = Duration::from_millis(250);
 
 /// One queued job: shard id, expected content hash, decoded spec (or
 /// `None` when the payload failed to decode or hash-verify — reported
-/// as a job error when its turn comes, preserving shard accounting).
+/// as a job error when its turn comes, preserving shard accounting),
+/// and its batch-primed engine results, if its group was primed.
 struct QueuedJob {
     shard: u64,
     hash: u64,
-    job: Option<syncperf_sched::JobSpec>,
+    job: Option<JobSpec>,
+    primed: Option<PrimedEngine>,
 }
 
 /// Serves one coordinator connection until shutdown, EOF, or a fatal
@@ -171,17 +180,13 @@ fn handle_frame(
                     "unparseable Batch frame",
                 ));
             };
-            let shard = doc
-                .get("shard")
-                .and_then(json::Value::as_f64)
-                .map_or(0, |s| s as u64);
+            let shard = get_shard(&doc);
             let jobs = doc.get("jobs").and_then(json::Value::as_array);
+            let start = queue.len();
             for entry in jobs.unwrap_or(&[]) {
-                let hash = entry
-                    .get("hash")
-                    .and_then(json::Value::as_str)
-                    .and_then(|s| u64::from_str_radix(s, 16).ok());
-                let Some(hash) = hash else { continue };
+                let Some(hash) = get_hash(entry) else {
+                    continue;
+                };
                 // Verify: the decoded job must re-hash to exactly what
                 // the coordinator asked for; corruption or version skew
                 // becomes a JobError, never a wrongly-keyed result.
@@ -189,8 +194,14 @@ fn handle_frame(
                     .get("job")
                     .and_then(decode_job)
                     .filter(|j| job_hash_with_salt(j, salt_extra) == hash);
-                queue.push_back(QueuedJob { shard, hash, job });
+                queue.push_back(QueuedJob {
+                    shard,
+                    hash,
+                    job,
+                    primed: None,
+                });
             }
+            prime(&mut queue.make_contiguous()[start..]);
             if queue.iter().all(|q| q.shard != shard) {
                 // Empty (or fully invalid-and-reported) batch: tell the
                 // coordinator the shard is already drained.
@@ -200,7 +211,7 @@ fn handle_frame(
             Ok(false)
         }
         FrameType::Revoke => {
-            let shard = shard_of(&payload);
+            let shard = shard_id_of(&payload);
             let mut remaining = Vec::new();
             queue.retain(|q| {
                 if q.shard == shard {
@@ -224,43 +235,60 @@ fn handle_frame(
     }
 }
 
+/// Batch-primes every same-shape group of ≥ 2 decoded jobs in one
+/// received batch. A group whose batch evaluation fails primes
+/// nothing, so the per-job path reproduces the exact error.
+fn prime(batch: &mut [QueuedJob]) {
+    let (valid, jobs): (Vec<usize>, Vec<&JobSpec>) = batch
+        .iter()
+        .enumerate()
+        .filter_map(|(i, q)| Some((i, q.job.as_ref()?)))
+        .unzip();
+    let mut primed = Vec::new();
+    for group in JobSpec::shape_groups(&jobs)
+        .into_iter()
+        .filter(|g| g.len() >= 2)
+    {
+        let members: Vec<&JobSpec> = group.iter().map(|&g| jobs[g]).collect();
+        let engines = JobSpec::batch_prime(&members).unwrap_or_default();
+        primed.extend(group.iter().map(|&g| valid[g]).zip(engines));
+    }
+    for (i, pe) in primed {
+        batch[i].primed = Some(pe);
+    }
+}
+
 fn run_one(
     q: QueuedJob,
     queue: &VecDeque<QueuedJob>,
     writer: &mut BufWriter<TcpStream>,
 ) -> io::Result<()> {
-    let QueuedJob { shard, hash, job } = q;
-    if let Some(job) = job {
-        let mut retries = 0u32;
-        let start = std::time::Instant::now();
-        let result = execute_job_with_retry(&job, hash, |_| retries += 1);
-        let micros = start.elapsed().as_micros() as u64;
-        match result {
-            Ok(m) => {
-                let entry = encode_measurement(hash, &m);
-                let header = format!(
-                    "{{\"shard\":{shard},\"hash\":\"{hash:016x}\",\"micros\":{micros},\"retries\":{retries}}}"
-                );
-                let mut payload = Vec::with_capacity(header.len() + 1 + entry.len());
-                payload.extend_from_slice(header.as_bytes());
-                payload.push(b'\n');
-                payload.extend_from_slice(entry.as_bytes());
-                write_frame(writer, FrameType::Result, &payload)?;
-            }
-            Err(e) => {
-                let doc = format!(
-                    "{{\"shard\":{shard},\"hash\":\"{hash:016x}\",\"error\":{}}}",
-                    json_string(&e.to_string())
-                );
-                write_frame(writer, FrameType::JobError, doc.as_bytes())?;
-            }
+    let (shard, hash) = (q.shard, q.hash);
+    let mut retries = 0u32;
+    let start = std::time::Instant::now();
+    let result = match &q.job {
+        Some(job) => execute_job_with_retry_primed(job, hash, q.primed.as_ref(), |_| retries += 1)
+            .map_err(|e| e.to_string()),
+        None => Err("job failed wire decode or hash verification".to_string()),
+    };
+    let micros = start.elapsed().as_micros() as u64;
+    match result {
+        Ok(m) => {
+            // Header line, then the raw cache-entry bytes.
+            let payload = format!(
+                "{{\"shard\":{shard},\"hash\":\"{hash:016x}\",\"micros\":{micros},\"retries\":{retries},\"primed\":{}}}\n{}",
+                u8::from(q.primed.is_some()),
+                encode_measurement(hash, &m)
+            );
+            write_frame(writer, FrameType::Result, payload.as_bytes())?;
         }
-    } else {
-        let doc = format!(
-            "{{\"shard\":{shard},\"hash\":\"{hash:016x}\",\"error\":{}}}",
-            json_string("job failed wire decode or hash verification")
-        );
-        write_frame(writer, FrameType::JobError, doc.as_bytes())?;
+        Err(e) => {
+            let doc = format!(
+                "{{\"shard\":{shard},\"hash\":\"{hash:016x}\",\"error\":{}}}",
+                json_string(&e)
+            );
+            write_frame(writer, FrameType::JobError, doc.as_bytes())?;
+        }
     }
     if queue.iter().all(|p| p.shard != shard) {
         // Shard boundary: everything buffered (this shard's results and
@@ -273,13 +301,6 @@ fn run_one(
 
 fn shard_doc(shard: u64) -> String {
     format!("{{\"shard\":{shard}}}")
-}
-
-fn shard_of(payload: &[u8]) -> u64 {
-    json::parse(&String::from_utf8_lossy(payload))
-        .ok()
-        .and_then(|d| d.get("shard").and_then(json::Value::as_f64))
-        .map_or(0, |s| s as u64)
 }
 
 /// Dials `addr` and serves that coordinator until shutdown. The spawn

@@ -176,6 +176,12 @@ fn wire_results_and_cache_entries_match_local_execution_bytes() {
     );
     assert_eq!(st.corrupt_entries, 0);
     assert_eq!(st.duplicate_results, 0);
+    // The eight jobs share one shape: the workers batch-prime what they
+    // receive, and the bytes above still match unprimed local runs.
+    assert!(
+        st.primed_jobs > 0,
+        "workers primed none of the same-shape batch"
+    );
 
     // Shutdown flushes the store thread; the persisted entries must be
     // the same bytes, and a restarted run must see them as cache hits.

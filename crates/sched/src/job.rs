@@ -378,6 +378,22 @@ impl JobSpec {
         }
     }
 
+    /// Partitions `jobs` into same-shape groups ([`JobSpec::same_shape`])
+    /// by one scan over the group leads: indexes into `jobs`, groups in
+    /// order of first appearance, members ascending. A sweep's miss set
+    /// holds at most a handful of shapes, so the scan is cheap.
+    #[must_use]
+    pub fn shape_groups(jobs: &[&JobSpec]) -> Vec<Vec<usize>> {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (i, job) in jobs.iter().enumerate() {
+            match groups.iter_mut().find(|g| jobs[g[0]].same_shape(job)) {
+                Some(g) => g.push(i),
+                None => groups.push(vec![i]),
+            }
+        }
+        groups
+    }
+
     /// Evaluates a same-shape group of jobs in one batched
     /// struct-of-arrays pass per kernel body, returning one
     /// [`PrimedEngine`] per job (in group order). Returns `None` —
@@ -846,6 +862,11 @@ mod tests {
             proto,
         );
         assert!(!a.same_shape(&g), "executor kind is part of the shape");
+        assert_eq!(
+            JobSpec::shape_groups(&[&c, &a, &g, &b, &c, &a]),
+            vec![vec![0, 4], vec![1, 3, 5], vec![2]],
+            "groups in order of first appearance, members ascending"
+        );
     }
 
     #[test]

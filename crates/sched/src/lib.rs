@@ -10,8 +10,8 @@
 //!    whose canonical form — executor kind, system, latency-model
 //!    digest, full kernel body, parameters, protocol — is hashed with
 //!    FNV-1a ([`hash`]) into a stable content hash.
-//! 2. **Work-stealing pool** ([`pool`]): per-worker deques plus an
-//!    index-ordered result merge, built on `std::thread` only. Jobs
+//! 2. **Work-stealing pool** ([`pool`]): per-worker deques of
+//!    same-shape job chunks, built on `std::thread` only. Jobs
 //!    seed their simulator's jitter RNG from their own content hash,
 //!    so N-worker output is byte-identical to the 1-worker output.
 //! 3. **Content-addressed cache** ([`cache`]) and **checkpoint
@@ -39,10 +39,10 @@ pub mod scheduler;
 
 pub use cache::{decode_measurement, encode_measurement, Cache, EntryInfo};
 pub use checkpoint::Checkpoint;
-pub use job::{host_fingerprint, JobSpec};
-pub use pool::{run_indexed, PoolOutcome, PoolWorkerStats};
+pub use job::{host_fingerprint, JobSpec, PrimedEngine};
+pub use pool::{run_chunks, PoolOutcome, PoolWorkerStats};
 pub use scheduler::{
-    current, execute_job_with_retry, install, job_hash_with_salt, uninstall, BackendExec,
-    ExecBackend, ExportHook, SchedConfig, SchedStats, Scheduler, StoreHook, MAX_EXECUTE_ATTEMPTS,
-    SCHED_SALT,
+    current, execute_job_with_retry, execute_job_with_retry_primed, install, job_hash_with_salt,
+    uninstall, BackendExec, ExecBackend, ExportHook, SchedConfig, SchedStats, Scheduler, StoreHook,
+    MAX_EXECUTE_ATTEMPTS, SCHED_SALT,
 };

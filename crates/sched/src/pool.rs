@@ -1,12 +1,15 @@
 //! The work-stealing thread pool.
 //!
-//! Jobs are distributed round-robin across per-worker deques up front
-//! (the job set is static — there is no mid-run submission). Each
-//! worker pops its own deque from the back (LIFO keeps its cache
-//! warm); an idle worker steals from the *front* of a victim's deque
-//! (FIFO minimizes contention with the owner). Results land in
-//! per-job slots indexed by submission order, so the merged output is
-//! independent of which worker ran what — the byte-identical
+//! The unit of work is a *chunk*: a list of jobs one worker runs
+//! start to finish (the scheduler hands it same-shape chunks, which
+//! the worker batch-primes before running their points). Chunks are
+//! distributed round-robin across per-worker deques up front (the
+//! chunk set is static — there is no mid-run submission). Each worker
+//! pops its own deque from the back (LIFO keeps its cache warm); an
+//! idle worker steals a whole chunk from the *front* of a victim's
+//! deque (FIFO minimizes contention with the owner). Results land in
+//! per-chunk slots indexed by submission order, so the merged output
+//! is independent of which worker ran what — the byte-identical
 //! N-worker/serial guarantee reduces to each job being
 //! order-independent, which [`crate::job::JobSpec::execute`]
 //! guarantees by seeding per-job.
@@ -22,9 +25,10 @@ use std::time::Instant;
 /// Per-worker execution profile for one pool run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolWorkerStats {
-    /// Jobs this worker executed (own deque plus steals).
+    /// Jobs this worker executed (the lengths of the chunks it ran,
+    /// own deque plus steals).
     pub executed: u64,
-    /// Jobs this worker stole from another worker's deque.
+    /// Chunks this worker stole from another worker's deque.
     pub stolen: u64,
     /// Nanoseconds this worker spent inside job bodies (its
     /// utilization numerator; the denominator is the run's wall time).
@@ -45,38 +49,36 @@ impl PoolWorkerStats {
 /// statistics.
 #[derive(Debug)]
 pub struct PoolOutcome<R> {
-    /// One result per input item, in submission order.
+    /// One result per input chunk, in submission order.
     pub results: Vec<R>,
-    /// Successful steals (a worker taking a job from another worker's
-    /// deque).
+    /// Successful steals (a worker taking a chunk from another
+    /// worker's deque).
     pub steals: u64,
     /// One profile per worker thread (a single entry on the serial
     /// path).
     pub per_worker: Vec<PoolWorkerStats>,
 }
 
-/// Runs `f` over every item on `workers` threads, returning results in
-/// submission order. With `workers <= 1` (or one item) the items run
-/// serially on the calling thread — the serial reference path.
-pub fn run_indexed<T, R, F>(workers: usize, items: Vec<T>, f: F) -> PoolOutcome<R>
+/// Runs `f` over every chunk on `workers` threads, returning one
+/// result per chunk in submission order. With `workers <= 1` (or one
+/// chunk) the chunks run serially on the calling thread — the serial
+/// reference path.
+pub fn run_chunks<T, R, F>(workers: usize, chunks: Vec<Vec<T>>, f: F) -> PoolOutcome<R>
 where
     T: Send,
     R: Send,
-    F: Fn(usize, T) -> R + Sync,
+    F: Fn(Vec<T>) -> R + Sync,
 {
-    let n = items.len();
+    let n = chunks.len();
     if workers <= 1 || n <= 1 {
         let start = Instant::now();
-        let results = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
+        let jobs: usize = chunks.iter().map(Vec::len).sum();
+        let results = chunks.into_iter().map(&f).collect();
         return PoolOutcome {
             results,
             steals: 0,
             per_worker: vec![PoolWorkerStats {
-                executed: n as u64,
+                executed: jobs as u64,
                 stolen: 0,
                 busy_ns: start.elapsed().as_nanos() as u64,
             }],
@@ -84,10 +86,10 @@ where
     }
 
     let workers = workers.min(n);
-    let deques: Vec<Mutex<VecDeque<(usize, T)>>> =
+    let deques: Vec<Mutex<VecDeque<_>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        deques[i % workers].lock().unwrap().push_back((i, item));
+    for (i, chunk) in chunks.into_iter().enumerate() {
+        deques[i % workers].lock().unwrap().push_back((i, chunk));
     }
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let steals = AtomicU64::new(0);
@@ -106,7 +108,7 @@ where
                 // Tally locally; publish once when the worker retires.
                 let mut mine = PoolWorkerStats::default();
                 loop {
-                    // Own work first, newest job first.
+                    // Own work first, newest chunk first.
                     let mut job = deques[w].lock().unwrap().pop_back();
                     if job.is_none() {
                         // Steal oldest-first from the other workers,
@@ -122,15 +124,15 @@ where
                         }
                     }
                     match job {
-                        Some((i, item)) => {
+                        Some((i, chunk)) => {
                             let started = Instant::now();
-                            let r = f(i, item);
-                            mine.executed += 1;
+                            mine.executed += chunk.len() as u64;
+                            let r = f(chunk);
                             mine.busy_ns += started.elapsed().as_nanos() as u64;
                             *slots[i].lock().unwrap() = Some(r);
                         }
                         // Every deque is empty and no new work can
-                        // appear: the job set is static, so this
+                        // appear: the chunk set is static, so this
                         // worker is done.
                         None => break,
                     }
@@ -145,7 +147,7 @@ where
         .map(|slot| {
             slot.into_inner()
                 .unwrap()
-                .expect("every submitted job completes before the scope joins")
+                .expect("every submitted chunk completes before the scope joins")
         })
         .collect();
     PoolOutcome {
@@ -163,9 +165,17 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// One chunk per item, each carrying its submission index.
+    fn singletons<T>(items: Vec<T>) -> Vec<Vec<(usize, T)>> {
+        items.into_iter().enumerate().map(|p| vec![p]).collect()
+    }
+
     #[test]
     fn serial_path_preserves_order() {
-        let out = run_indexed(1, vec![3u32, 1, 4, 1, 5], |i, x| (i, x * 2));
+        let out = run_chunks(1, singletons(vec![3u32, 1, 4, 1, 5]), |c| {
+            let (i, x) = c[0];
+            (i, x * 2)
+        });
         assert_eq!(out.steals, 0);
         assert_eq!(out.results, vec![(0, 6), (1, 2), (2, 8), (3, 2), (4, 10)]);
     }
@@ -173,29 +183,32 @@ mod tests {
     #[test]
     fn parallel_results_match_serial_order() {
         let items: Vec<u64> = (0..100).collect();
-        let serial = run_indexed(1, items.clone(), |i, x| x * 3 + i as u64);
-        let parallel = run_indexed(4, items, |i, x| x * 3 + i as u64);
+        let f = |c: Vec<(usize, u64)>| c.iter().map(|&(i, x)| x * 3 + i as u64).sum::<u64>();
+        let serial = run_chunks(1, singletons(items.clone()), f);
+        let parallel = run_chunks(4, singletons(items), f);
         assert_eq!(serial.results, parallel.results);
     }
 
     #[test]
     fn all_jobs_run_exactly_once() {
         let count = AtomicUsize::new(0);
-        let out = run_indexed(8, (0..257).collect::<Vec<u32>>(), |_, x| {
-            count.fetch_add(1, Ordering::Relaxed);
-            x
+        let chunks: Vec<Vec<u32>> = (0..257).map(|x| vec![x; x as usize % 3 + 1]).collect();
+        let jobs: usize = chunks.iter().map(Vec::len).sum();
+        let out = run_chunks(8, chunks, |c| {
+            count.fetch_add(c.len(), Ordering::Relaxed);
+            c[0]
         });
-        assert_eq!(count.into_inner(), 257);
-        assert_eq!(out.results.len(), 257);
+        assert_eq!(count.into_inner(), jobs);
+        assert_eq!(out.results, (0..257).collect::<Vec<u32>>());
     }
 
     #[test]
     fn imbalanced_load_triggers_steals() {
-        // Worker 0 gets all the slow jobs (round-robin with 2 workers
-        // puts even indices on worker 0); make even jobs slow so the
+        // Worker 0 gets all the slow chunks (round-robin with 2 workers
+        // puts even indices on worker 0); make even chunks slow so the
         // other worker runs dry and must steal.
-        let items: Vec<u32> = (0..32).collect();
-        let out = run_indexed(2, items, |i, x| {
+        let out = run_chunks(2, singletons((0..32).collect::<Vec<u32>>()), |c| {
+            let (i, x) = c[0];
             if i % 2 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
@@ -207,23 +220,26 @@ mod tests {
 
     #[test]
     fn more_workers_than_items_is_fine() {
-        let out = run_indexed(16, vec![1, 2], |_, x| x);
+        let out = run_chunks(16, vec![vec![1], vec![2]], |c| c[0]);
         assert_eq!(out.results, vec![1, 2]);
     }
 
     #[test]
     fn per_worker_stats_account_for_every_job() {
-        let out = run_indexed(4, (0..64).collect::<Vec<u32>>(), |_, x| x);
+        // 64 chunks of 1–3 jobs: `executed` counts jobs, not chunks.
+        let chunks: Vec<Vec<u32>> = (0..64).map(|x| vec![x; x as usize % 3 + 1]).collect();
+        let jobs: u64 = chunks.iter().map(|c| c.len() as u64).sum();
+        let out = run_chunks(4, chunks, |c| c.len());
         assert_eq!(out.per_worker.len(), 4);
         let executed: u64 = out.per_worker.iter().map(|p| p.executed).sum();
-        assert_eq!(executed, 64, "every job attributed to some worker");
+        assert_eq!(executed, jobs, "every job attributed to some worker");
         let stolen: u64 = out.per_worker.iter().map(|p| p.stolen).sum();
         assert_eq!(stolen, out.steals, "per-worker steals sum to the total");
     }
 
     #[test]
     fn serial_path_reports_one_worker() {
-        let out = run_indexed(1, vec![1u32, 2, 3], |_, x| x);
+        let out = run_chunks(1, vec![vec![1u32, 2], vec![3]], |c| c.len());
         assert_eq!(out.per_worker.len(), 1);
         assert_eq!(out.per_worker[0].executed, 3);
         assert_eq!(out.per_worker[0].stolen, 0);
@@ -231,9 +247,9 @@ mod tests {
 
     #[test]
     fn busy_time_tracks_job_bodies() {
-        let out = run_indexed(2, (0..8).collect::<Vec<u32>>(), |_, x| {
+        let out = run_chunks(2, singletons((0..8).collect::<Vec<u32>>()), |c| {
             std::thread::sleep(std::time::Duration::from_millis(1));
-            x
+            c[0].1
         });
         for p in &out.per_worker {
             if p.executed > 0 {

@@ -3,6 +3,11 @@
 //! checkpoint manifest first, and retrying faulty measurements with
 //! backoff.
 //!
+//! The pool's unit of work is a same-shape chunk of the miss set, which
+//! the worker that picks it up batch-primes and runs. Pool tasks and an
+//! [`ExecBackend`] both return [`BackendExec`] records; one merge on the
+//! calling thread stores them and places each by submission index.
+//!
 //! A process-global scheduler can be installed with [`install`]; the
 //! bench sweep helpers branch on [`current`], so the serial legacy
 //! path (no scheduler) stays byte-for-byte what it always was, while
@@ -59,15 +64,8 @@ pub fn job_hash_with_salt_cached(
     job.hash_with(cache, &format!("salt={SCHED_SALT}/{salt_extra}\n"))
 }
 
-/// Executes one job under the scheduler's retry policy: up to
-/// [`MAX_EXECUTE_ATTEMPTS`] attempts with exponential backoff, retrying
-/// when the result looks faulty (exhausted protocol runs) or the error
-/// is transient. Attempt `k` perturbs the jitter seed as
-/// `hash ^ k · 0x9E37_79B9_7F4A_7C15`, so the outcome depends only on
-/// (hash, attempt) — never on which process or worker ran it — which is
-/// what lets a distributed worker reproduce the coordinator's results
-/// bit for bit. `on_retry` is called with the failed attempt number
-/// before each backoff sleep.
+/// [`execute_job_with_retry_primed`] without batch-primed engine
+/// results.
 ///
 /// # Errors
 ///
@@ -80,10 +78,18 @@ pub fn execute_job_with_retry(
     execute_job_with_retry_primed(job, hash, None, on_retry)
 }
 
-/// [`execute_job_with_retry`] with an optional batch-primed engine
-/// result pair. When `primed` is `Some`, every attempt reuses the
-/// pre-evaluated engine results (they depend only on the job, never on
-/// the seed), so retries stay bit-identical to the unprimed path.
+/// Executes one job under the scheduler's retry policy: up to
+/// [`MAX_EXECUTE_ATTEMPTS`] attempts with exponential backoff, retrying
+/// when the result looks faulty (exhausted protocol runs) or the error
+/// is transient. Attempt `k` perturbs the jitter seed as
+/// `hash ^ k · 0x9E37_79B9_7F4A_7C15`, so the outcome depends only on
+/// (hash, attempt) — never on which process or worker ran it — which is
+/// what lets a distributed worker reproduce the coordinator's results
+/// bit for bit. `on_retry` is called with the failed attempt number
+/// before each backoff sleep. When `primed` is `Some`, every attempt
+/// reuses the batch-evaluated engine results (they depend only on the
+/// job, never on the seed), so retries stay bit-identical to the
+/// unprimed path. The pool and the dist workers both run jobs here.
 ///
 /// # Errors
 ///
@@ -97,36 +103,23 @@ pub fn execute_job_with_retry_primed(
     let mut attempt = 0u32;
     loop {
         let seed = hash ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut reattempt = |a: u32| {
-            on_retry(a);
-            std::thread::sleep(std::time::Duration::from_millis(1 << a));
-        };
         let run = match primed {
             Some(pe) => job.execute_primed(seed, pe),
             None => job.execute(seed),
         };
-        match run {
-            Ok(m) => {
-                if m.exhausted_runs > 0 && attempt + 1 < MAX_EXECUTE_ATTEMPTS {
-                    reattempt(attempt);
-                    attempt += 1;
-                    continue;
-                }
-                return Ok(m);
-            }
-            Err(e) => {
-                let transient = matches!(
-                    e,
-                    SyncPerfError::MeasurementUnstable { .. } | SyncPerfError::Io(_)
-                );
-                if transient && attempt + 1 < MAX_EXECUTE_ATTEMPTS {
-                    reattempt(attempt);
-                    attempt += 1;
-                    continue;
-                }
-                return Err(e);
-            }
+        let faulty = match &run {
+            Ok(m) => m.exhausted_runs > 0,
+            Err(e) => matches!(
+                e,
+                SyncPerfError::MeasurementUnstable { .. } | SyncPerfError::Io(_)
+            ),
+        };
+        if !faulty || attempt + 1 >= MAX_EXECUTE_ATTEMPTS {
+            return run;
         }
+        on_retry(attempt);
+        std::thread::sleep(std::time::Duration::from_millis(1 << attempt));
+        attempt += 1;
     }
 }
 
@@ -222,8 +215,8 @@ struct Counters {
     plan_compile_us: Counter,
     /// Jobs per same-shape group, one observation per group.
     plan_batch_size: Histogram,
-    /// Miss wait time: batch submission → a worker picking the job up
-    /// (microseconds).
+    /// Miss wait time: batch submission → a worker picking the job's
+    /// chunk up (microseconds).
     wait_us: Histogram,
     /// Hit service time: how long the cache load took (microseconds).
     service_hit_us: Histogram,
@@ -283,7 +276,8 @@ pub struct SchedStats {
     pub retries: u64,
     /// Cache hits whose hash was recorded by the resumed checkpoint.
     pub resumed: u64,
-    /// Median miss wait (batch submission → pickup), microseconds.
+    /// Median miss wait (batch submission → chunk pickup),
+    /// microseconds.
     pub wait_us_p50: u64,
     /// p99 miss wait, microseconds.
     pub wait_us_p99: u64,
@@ -304,8 +298,8 @@ pub struct SchedStats {
     /// Jobs whose engine results were primed from a batched
     /// struct-of-arrays plan-table evaluation, whatever the recorder.
     pub plan_primed_jobs: u64,
-    /// Time spent grouping the miss set and batch-evaluating plan
-    /// tables, microseconds.
+    /// Time the pool tasks spent batch-evaluating their chunks' plan
+    /// tables, summed over tasks, microseconds.
     pub plan_compile_us: u64,
 }
 
@@ -355,7 +349,8 @@ impl SchedStats {
 /// Callback invoked after every successful cache store, with the job's
 /// content hash and the stored measurement. The serving layer uses it
 /// to update its in-memory index incrementally and to trigger cache
-/// eviction; it runs on the worker thread that stored the entry.
+/// eviction; it runs in [`Scheduler::run_jobs`]' merge, on the thread
+/// that called it.
 pub type StoreHook = Box<dyn Fn(u64, &Measurement) + Send + Sync>;
 
 /// One job's outcome as reported by an [`ExecBackend`].
@@ -487,8 +482,8 @@ impl Scheduler {
     }
 
     /// Registers (or replaces) the miss-execution backend; see
-    /// [`ExecBackend`]. Pass-through telemetry (executed counts, retry
-    /// counts, wait/service histograms) becomes the backend's job.
+    /// [`ExecBackend`]. Pass-through telemetry (retry counts,
+    /// wait/service histograms) becomes the backend's job.
     pub fn set_exec_backend(
         &self,
         backend: impl Fn(&[(usize, JobSpec, u64)]) -> Vec<BackendExec> + Send + Sync + 'static,
@@ -572,18 +567,10 @@ impl Scheduler {
         }
     }
 
-    /// Adds a batch of `n` jobs to the queue depth shared by every
-    /// overlapping [`Scheduler::run_jobs`] call and folds the new depth
-    /// into the peak.
-    fn enqueue(&self, n: u64) {
-        let depth = self.counters.queue_depth.add(n);
-        self.counters.queue_depth_peak.record(depth);
-    }
-
     /// Runs a batch of jobs: cache hits are served immediately, misses
-    /// run on the work-stealing pool, and the merged results come back
-    /// in submission order — so N-worker output is byte-identical to
-    /// 1-worker output.
+    /// run on the backend or the work-stealing pool, and the merged
+    /// results come back in submission order — so N-worker output is
+    /// byte-identical to 1-worker output.
     ///
     /// # Errors
     ///
@@ -635,101 +622,49 @@ impl Scheduler {
             c.cache_misses.add(todo.len() as u64);
         }
 
-        // Backend path: an installed [`ExecBackend`] (the distributed
-        // coordinator) takes the whole miss set at once; results come
-        // back unordered and are merged by submission index, with the
-        // same lowest-index-error-wins contract as the pool path.
-        let backend_guard = self.backend.read().unwrap();
-        if let Some(backend) = backend_guard.as_ref() {
-            c.executed.add(todo.len() as u64);
-            self.enqueue(todo.len() as u64);
-            let mut execs = backend(&todo);
-            c.queue_depth.sub(todo.len() as u64);
-            execs.sort_by_key(|e| e.index);
-            let mut first_err: Option<SyncPerfError> = None;
-            for e in execs {
-                match e.result {
-                    Ok(m) => {
-                        if let Some(cache) = &self.cache {
-                            // `stored` means the backend already wrote
-                            // the entry (raw wire bytes); either way it
-                            // counts and the store hook fires.
-                            if e.stored || cache.store(e.hash, &m).is_ok() {
-                                self.stored(e.hash, &m);
-                            }
-                        }
-                        self.checkpoint.lock().unwrap().record(e.hash);
-                        results[e.index] = Some(m);
-                    }
-                    // Finish persisting siblings before failing, so a
-                    // rerun only recomputes the failures.
-                    Err(err) => first_err = first_err.or(Some(err)),
-                }
-            }
-            if let Some(err) = first_err {
-                return Err(err);
-            }
-            return Ok(results
-                .into_iter()
-                .map(|m| m.expect("every job either hit the cache or ran on the backend"))
-                .collect());
-        }
-        drop(backend_guard);
-
-        // Batch pass: group the miss set by kernel shape and evaluate
-        // each parameter sweep through one struct-of-arrays plan table,
-        // so workers start from pre-primed engine memos.
-        let primed = self.prepare_primed(&todo);
-
-        // Dispatch: track the live queue depth and each job's wait and
-        // service latency in this scheduler's registry.
-        let dispatched = Instant::now();
-        self.enqueue(todo.len() as u64);
-
-        let items: Vec<((usize, JobSpec, u64), Option<PrimedEngine>)> =
-            todo.into_iter().zip(primed).collect();
-        let outcome = pool::run_indexed(
-            self.effective_workers(),
-            items,
-            |_, ((i, job, h), primed)| {
-                c.wait_us.observe(dispatched.elapsed().as_micros() as u64);
-                let exec_start = Instant::now();
-                let r = self.execute_with_retry(&job, h, primed.as_ref());
-                c.service_miss_us
-                    .observe(exec_start.elapsed().as_micros() as u64);
-                if let Ok(m) = &r {
+        // Misses run on the installed [`ExecBackend`] (the distributed
+        // coordinator) or on the pool; either way they come back as
+        // unordered [`BackendExec`] records that one loop merges by
+        // submission index on this thread. The queue depth is shared
+        // by every overlapping call.
+        c.executed.add(todo.len() as u64);
+        c.queue_depth_peak
+            .record(c.queue_depth.add(todo.len() as u64));
+        let backend = self.backend.read().unwrap();
+        let mut execs = if let Some(backend) = backend.as_ref() {
+            backend(&todo)
+        } else {
+            drop(backend);
+            self.run_on_pool(&todo)
+        };
+        c.queue_depth.sub(todo.len() as u64);
+        execs.sort_by_key(|e| e.index);
+        let mut first_err: Option<SyncPerfError> = None;
+        for e in execs {
+            match e.result {
+                Ok(m) => {
                     if let Some(cache) = &self.cache {
-                        // A read-only cache directory must not fail the
-                        // run; the result is simply not reusable.
-                        if cache.store(h, m).is_ok() {
-                            self.stored(h, m);
+                        // `stored` means a pool task or the coordinator
+                        // already wrote the entry; either way it counts
+                        // and the store hook fires. A read-only cache
+                        // directory must not fail the run; the result
+                        // is simply not reusable.
+                        if e.stored || cache.store(e.hash, &m).is_ok() {
+                            self.stored(e.hash, &m);
                         }
                     }
-                    self.checkpoint.lock().unwrap().record(h);
+                    self.checkpoint.lock().unwrap().record(e.hash);
+                    results[e.index] = Some(m);
                 }
-                c.queue_depth.sub(1);
-                (i, r)
-            },
-        );
-        c.steals.add(outcome.steals);
-        {
-            let mut workers = self.workers.lock().unwrap();
-            if workers.len() < outcome.per_worker.len() {
-                workers.resize_with(outcome.per_worker.len(), PoolWorkerStats::default);
-            }
-            for (acc, batch) in workers.iter_mut().zip(&outcome.per_worker) {
-                acc.absorb(batch);
+                // The records are in index order, so the first error is
+                // the lowest-index one — what the serial path returns.
+                // Finish persisting siblings before failing, so a rerun
+                // only recomputes the failures.
+                Err(err) => first_err = first_err.or(Some(err)),
             }
         }
-
-        for (i, r) in outcome.results {
-            match r {
-                Ok(m) => results[i] = Some(m),
-                // `outcome.results` is in submission (= index) order,
-                // so the first error seen is the lowest-index one —
-                // matching what the serial path would have returned.
-                Err(e) => return Err(e),
-            }
+        if let Some(err) = first_err {
+            return Err(err);
         }
         Ok(results
             .into_iter()
@@ -749,65 +684,82 @@ impl Scheduler {
             .expect("one job in, one measurement out"))
     }
 
-    /// Executes one job, retrying with exponential backoff when the
-    /// result looks faulty (exhausted protocol runs) or the error is
-    /// transient. The retry seed differs per attempt but depends only
-    /// on (hash, attempt), keeping the outcome independent of worker
-    /// count and execution order.
-    fn execute_with_retry(
-        &self,
-        job: &JobSpec,
-        hash: u64,
-        primed: Option<&PrimedEngine>,
-    ) -> Result<Measurement> {
-        self.counters.executed.inc();
-        execute_job_with_retry_primed(job, hash, primed, |_| self.counters.retries.inc())
-    }
-
-    /// Groups the miss set by kernel shape ([`JobSpec::same_shape`])
-    /// and batch-evaluates each parameter-sweep group of ≥ 2 jobs
-    /// through one struct-of-arrays plan table, returning one optional
-    /// primed engine pair per `todo` entry (in order), and counts one
-    /// `plan.batch_size` observation per group in this scheduler's
-    /// registry. The recorder never changes this: the batch evaluators
-    /// record their own runs into the global recorder, events included
-    /// when it traces. A group
-    /// whose batch evaluation fails primes nothing, so the per-job path
-    /// reproduces the exact error.
-    fn prepare_primed(&self, todo: &[(usize, JobSpec, u64)]) -> Vec<Option<PrimedEngine>> {
+    /// Runs the miss set on the work-stealing pool. Each same-shape
+    /// group ([`JobSpec::shape_groups`]) splits into
+    /// `clamp(len / 2, 1, workers)` contiguous chunks, so every chunk of
+    /// a group of ≥ 2 jobs holds ≥ 2 points. A chunk is one pool task:
+    /// its worker batch-evaluates the chunk's plan table
+    /// ([`JobSpec::batch_prime`]), then runs each point from the primed
+    /// memos and writes its cache entry. The `plan.*` counters count
+    /// groups, not chunks; a chunk whose batch evaluation fails primes
+    /// nothing, so the per-job path reproduces the exact error.
+    fn run_on_pool(&self, todo: &[(usize, JobSpec, u64)]) -> Vec<BackendExec> {
         let c = &self.counters;
-        let start = Instant::now();
-        let mut primed: Vec<Option<PrimedEngine>> = Vec::new();
-        primed.resize_with(todo.len(), || None);
-        let mut grouped = vec![false; todo.len()];
-        for lead in 0..todo.len() {
-            if grouped[lead] {
-                continue;
+        let workers = self.effective_workers();
+        let jobs: Vec<&JobSpec> = todo.iter().map(|(_, job, _)| job).collect();
+        let mut chunks: Vec<Vec<&(usize, JobSpec, u64)>> = Vec::new();
+        for group in JobSpec::shape_groups(&jobs) {
+            let len = group.len();
+            if len >= 2 {
+                c.plan_batches.inc();
+                c.plan_batch_points.add(len as u64);
+                c.plan_batch_size.observe(len as u64);
             }
-            grouped[lead] = true;
-            let mut members = vec![lead];
-            for other in lead + 1..todo.len() {
-                if !grouped[other] && todo[lead].1.same_shape(&todo[other].1) {
-                    grouped[other] = true;
-                    members.push(other);
-                }
-            }
-            if members.len() < 2 {
-                continue;
-            }
-            c.plan_batches.inc();
-            c.plan_batch_points.add(members.len() as u64);
-            c.plan_batch_size.observe(members.len() as u64);
-            let group: Vec<&JobSpec> = members.iter().map(|&m| &todo[m].1).collect();
-            if let Some(engines) = JobSpec::batch_prime(&group) {
-                c.plan_primed_jobs.add(engines.len() as u64);
-                for (&m, pe) in members.iter().zip(engines) {
-                    primed[m] = Some(pe);
-                }
-            }
+            let k = (len / 2).clamp(1, workers);
+            chunks.extend((0..k).map(|p| {
+                group[len * p / k..len * (p + 1) / k]
+                    .iter()
+                    .map(|&m| &todo[m])
+                    .collect()
+            }));
         }
-        c.plan_compile_us.add(start.elapsed().as_micros() as u64);
-        primed
+
+        let dispatched = Instant::now();
+        let outcome = pool::run_chunks(workers, chunks, |chunk| {
+            let waited = dispatched.elapsed().as_micros() as u64;
+            let mut primed = None;
+            if chunk.len() >= 2 {
+                let start = Instant::now();
+                let group: Vec<&JobSpec> = chunk.iter().map(|(_, job, _)| job).collect();
+                primed = JobSpec::batch_prime(&group);
+                c.plan_primed_jobs
+                    .add(primed.as_ref().map_or(0, |engines| engines.len() as u64));
+                c.plan_compile_us.add(start.elapsed().as_micros() as u64);
+            }
+            chunk
+                .iter()
+                .enumerate()
+                .map(|(k, &&(index, ref job, hash))| {
+                    c.wait_us.observe(waited);
+                    let exec_start = Instant::now();
+                    let pe = primed.as_ref().map(|engines| &engines[k]);
+                    let result = execute_job_with_retry_primed(job, hash, pe, |_| c.retries.inc());
+                    c.service_miss_us
+                        .observe(exec_start.elapsed().as_micros() as u64);
+                    // Writing the entry here keeps the file I/O
+                    // parallel; the merge books it.
+                    let stored = match (&result, &self.cache) {
+                        (Ok(m), Some(cache)) => cache.store(hash, m).is_ok(),
+                        _ => false,
+                    };
+                    BackendExec {
+                        index,
+                        hash,
+                        result,
+                        stored,
+                    }
+                })
+                .collect::<Vec<_>>()
+        });
+        c.steals.add(outcome.steals);
+        let mut tallies = self.workers.lock().unwrap();
+        if tallies.len() < outcome.per_worker.len() {
+            tallies.resize_with(outcome.per_worker.len(), PoolWorkerStats::default);
+        }
+        for (acc, batch) in tallies.iter_mut().zip(&outcome.per_worker) {
+            acc.absorb(batch);
+        }
+        outcome.results.into_iter().flatten().collect()
     }
 
     /// Marks the run's checkpoint complete and flushes it.
@@ -884,15 +836,112 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_results() {
-        let dir1 = tmp_dir("w1");
-        let dir4 = tmp_dir("w4");
-        let s1 = Scheduler::new(SchedConfig::new(1).with_cache_dir(&dir1));
-        let s4 = Scheduler::new(SchedConfig::new(4).with_cache_dir(&dir4));
-        let a = s1.run_jobs(sim_jobs()).unwrap();
-        let b = s4.run_jobs(sim_jobs()).unwrap();
-        assert_eq!(a, b);
-        let _ = std::fs::remove_dir_all(&dir1);
-        let _ = std::fs::remove_dir_all(&dir4);
+        // A 9-point same-shape group splits into a different number of
+        // primed chunks per worker count; the lone GPU job rides alone.
+        let mut jobs: Vec<JobSpec> = (1..=9)
+            .map(|t| {
+                JobSpec::cpu_sim(
+                    &SYSTEM3,
+                    kernel::omp_atomic_update_scalar(DType::I32),
+                    ExecParams::new(t).with_loops(50, 4),
+                    Protocol::SIM,
+                )
+            })
+            .collect();
+        jobs.push(JobSpec::gpu_sim(
+            &SYSTEM3,
+            kernel::cuda_syncthreads(),
+            ExecParams::new(64).with_blocks(2).with_loops(50, 4),
+            Protocol::SIM,
+        ));
+        let runs: Vec<(Vec<Measurement>, SchedStats)> = [1, 2, 4]
+            .iter()
+            .map(|&w| {
+                let dir = tmp_dir(&format!("w{w}"));
+                let s = Scheduler::new(SchedConfig::new(w).with_cache_dir(&dir));
+                let got = s.run_jobs(jobs.clone()).unwrap();
+                let _ = std::fs::remove_dir_all(&dir);
+                (got, s.stats())
+            })
+            .collect();
+        let (serial, st1) = &runs[0];
+        assert_eq!(
+            (
+                st1.plan_batches,
+                st1.plan_batch_points,
+                st1.plan_primed_jobs
+            ),
+            (1, 9, 9)
+        );
+        for (got, st) in &runs[1..] {
+            assert_eq!(got, serial);
+            for ((a, b), job) in got.iter().zip(serial).zip(&jobs) {
+                let h = job_hash_with_salt(job, 0);
+                assert_eq!(encode_measurement(h, a), encode_measurement(h, b));
+            }
+            assert_eq!(
+                (st.plan_batches, st.plan_batch_points, st.plan_primed_jobs),
+                (
+                    st1.plan_batches,
+                    st1.plan_batch_points,
+                    st1.plan_primed_jobs
+                ),
+                "plan counters count groups and points, not chunks"
+            );
+        }
+    }
+
+    #[test]
+    fn one_merge_keeps_the_lowest_index_error_and_persists_siblings() {
+        // Invalid CPU jobs (blocks = 2) at indices 1 and 3 fail with
+        // different messages; the pool and a backend that answers in
+        // reverse order must both return index 1's error and store the
+        // four valid siblings.
+        let jobs: Vec<JobSpec> = (0..6u32)
+            .map(|i| {
+                let p = match i {
+                    1 => ExecParams::new(2).with_blocks(2),
+                    3 => ExecParams::new(1025).with_blocks(2),
+                    _ => ExecParams::new(i + 1),
+                };
+                JobSpec::cpu_sim(
+                    &SYSTEM3,
+                    kernel::omp_atomic_update_scalar(DType::I32),
+                    p.with_loops(50, 4),
+                    Protocol::SIM,
+                )
+            })
+            .collect();
+        let want = execute_job_with_retry(&jobs[1], 0, |_| {}).unwrap_err();
+        for backend in [false, true] {
+            let dir = tmp_dir(&format!("merge-{backend}"));
+            let s = Scheduler::new(SchedConfig::new(2).with_cache_dir(&dir));
+            if backend {
+                s.set_exec_backend(|todo| {
+                    todo.iter()
+                        .rev()
+                        .map(|(index, job, hash)| BackendExec {
+                            index: *index,
+                            hash: *hash,
+                            result: execute_job_with_retry(job, *hash, |_| {}),
+                            stored: false,
+                        })
+                        .collect()
+                });
+            }
+            for run in 0..2 {
+                let err = s.run_jobs(jobs.clone()).unwrap_err();
+                assert_eq!(err, want, "backend={backend}: index 1's error wins");
+                let st = s.stats();
+                assert_eq!(st.cache_stores, 4, "backend={backend}: siblings stored");
+                assert_eq!(
+                    st.cache_hits,
+                    4 * run,
+                    "backend={backend}: a rerun hits them"
+                );
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
