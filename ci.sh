@@ -313,6 +313,12 @@ dist_primed=$(sed -n 's/.*"dist_primed_jobs":\([0-9]*\).*/\1/p' results/cache_st
 echo "distributed run worker-primed jobs: ${dist_primed}"
 [ "${dist_primed:-0}" -gt 0 ] || {
   echo "dist workers primed nothing (dist_primed_jobs=${dist_primed:-missing})"; exit 1; }
+# The coordinator primes what it runs itself (docs/DISTRIBUTED.md):
+# zero means its local path stopped batch-priming same-shape work.
+coord_primed=$(sed -n 's/.*"dist_coordinator_primed_jobs":\([0-9]*\).*/\1/p' results/cache_stats_dist.json)
+echo "distributed run coordinator-primed jobs: ${coord_primed}"
+[ "${coord_primed:-0}" -gt 0 ] || {
+  echo "dist coordinator primed nothing (dist_coordinator_primed_jobs=${coord_primed:-missing})"; exit 1; }
 
 echo "==> distributed chaos lane (kill one worker mid-sweep)"
 SYNCPERF_RESULTS=ci_dist_chaos cargo run --release --offline -p syncperf-bench \

@@ -188,17 +188,17 @@ fn render_frame(snap: &Snapshot, prev: Option<&Snapshot>, dt: Duration, addr: &s
     // endpoint belongs to (or exports) a `syncperf_dist` coordinator.
     if snap.counter("dist_workers") > 0 {
         out.push_str(&format!(
-            "\ndist: {} workers ({} live)   in-flight {}   reissues {}   migrations {}   deaths {}\n\
-             dist jobs: {} sent / {} results   coordinator {}   local {}   dup {}   corrupt {}\n",
+            "\ndist: {} workers ({} live)   in-flight {}   reissues {}   deaths {}\n\
+             dist jobs: {} sent / {} results   coordinator {} ({} primed)   local {}   dup {}   corrupt {}\n",
             snap.counter("dist_workers"),
             snap.gauge("dist_workers_live"),
             snap.gauge("dist_batches_inflight"),
             snap.counter("dist_shard_reissues"),
-            snap.counter("dist_migrations"),
             snap.counter("dist_worker_deaths"),
             snap.counter("dist_jobs_sent"),
             snap.counter("dist_results_received"),
             snap.counter("dist_coordinator_jobs"),
+            snap.counter("dist_coordinator_primed_jobs"),
             snap.counter("dist_local_jobs"),
             snap.counter("dist_duplicate_results"),
             snap.counter("dist_corrupt_entries"),
@@ -314,6 +314,7 @@ mod tests {
         rec.counter("dist_jobs_sent").add(90);
         rec.counter("dist_results_received").add(88);
         rec.counter("dist_coordinator_jobs").add(11);
+        rec.counter("dist_coordinator_primed_jobs").add(8);
         rec.histogram("dist_service_us").observe(42);
         let frame = render_frame(&rec.snapshot(), None, Duration::from_secs(1), "test:0");
         assert!(
@@ -323,7 +324,7 @@ mod tests {
         assert!(frame.contains("in-flight 4"));
         assert!(frame.contains("reissues 1"));
         assert!(frame.contains("90 sent / 88 results"));
-        assert!(frame.contains("coordinator 11"));
+        assert!(frame.contains("coordinator 11 (8 primed)"));
         assert!(frame.contains("dist svc"));
     }
 

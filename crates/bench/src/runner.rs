@@ -476,7 +476,7 @@ pub fn cache_stats_json(
         json.push_str(&format!(
             ",\"dist_workers\":{},\"dist_jobs_sent\":{},\"dist_results_received\":{},\
              \"dist_local_jobs\":{},\"dist_coordinator_jobs\":{},\"dist_primed_jobs\":{},\
-             \"dist_shard_reissues\":{},\"dist_migrations\":{},\
+             \"dist_coordinator_primed_jobs\":{},\"dist_shard_reissues\":{},\
              \"dist_worker_deaths\":{},\"dist_corrupt_entries\":{},\
              \"dist_duplicate_results\":{},\"dist_worker_errors\":{},\
              \"dist_bytes_sent\":{},\"dist_bytes_received\":{},\
@@ -488,8 +488,8 @@ pub fn cache_stats_json(
             d.local_jobs,
             d.coordinator_jobs,
             d.primed_jobs,
+            d.coordinator_primed_jobs,
             d.shard_reissues,
-            d.migrations,
             d.worker_deaths,
             d.corrupt_entries,
             d.duplicate_results,
@@ -511,15 +511,15 @@ pub fn cache_stats_json(
 pub fn render_dist_summary(d: &syncperf_dist::DistStats) -> String {
     format!(
         "dist: {} workers ({} live), {} jobs sent, {} results, {} local, \
-         {} coordinator, {} reissues, {} migrations, {} deaths\n",
+         {} coordinator ({} primed), {} reissues, {} deaths\n",
         d.workers,
         d.workers_live,
         d.jobs_sent,
         d.results_received,
         d.local_jobs,
         d.coordinator_jobs,
+        d.coordinator_primed_jobs,
         d.shard_reissues,
-        d.migrations,
         d.worker_deaths,
     )
 }
@@ -633,8 +633,9 @@ pub fn run_with_options(
         // Live scrape endpoint for syncperf_top: each request renders a
         // fresh process snapshot.
         let (rec, sched) = (rec.clone(), sched.clone());
-        let bound =
-            syncperf_dist::serve_metrics(addr, move || process_snapshot(&rec, sched.as_deref()))?;
+        let bound = syncperf_serve::metrics_endpoint(addr, move || {
+            process_snapshot(&rec, sched.as_deref())
+        })?;
         println!("metrics listening on http://{bound}/metrics");
         use std::io::Write as _;
         std::io::stdout().flush().ok();
@@ -807,6 +808,7 @@ mod tests {
             results_received: 9,
             shard_reissues: 1,
             primed_jobs: 6,
+            coordinator_primed_jobs: 4,
             wait_us_p99: 77,
             service_us_p50: 41,
             ..Default::default()
@@ -816,12 +818,14 @@ mod tests {
         assert!(json.contains("\"dist_jobs_sent\":9"));
         assert!(json.contains("\"dist_shard_reissues\":1"));
         assert!(json.contains("\"dist_primed_jobs\":6"));
+        assert!(json.contains("\"dist_coordinator_primed_jobs\":4"));
         assert!(json.contains("\"dist_wait_us_p99\":77"));
         assert!(json.contains("\"dist_service_us_p50\":41"));
         assert!(json.trim_end().ends_with('}'), "stays one flat object");
         let summary = render_dist_summary(&dist);
         assert!(summary.contains("3 workers (2 live)"));
         assert!(summary.contains("1 reissues"));
+        assert!(summary.contains("(4 primed)"));
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! The coordinator: partitions each batch of cache misses into
 //! hash-range shards, streams them to workers, merges results
-//! exactly-once, and migrates or reissues shards when workers idle,
-//! slow, or die.
+//! exactly-once, and reissues shards when workers die or go silent.
 //!
 //! ## Shard lifecycle
 //!
 //! ```text
-//!   assigned ──(results stream in)──▶ draining ──▶ complete
-//!      │                                 │
-//!      │ (owner dies / times out)        │ (owner goes idle elsewhere:
-//!      ▼                                 ▼  Revoke → Revoked)
-//!   reissued (new shard, live worker) migrated (new shard, idle worker)
+//!   backlog ──(refill)──▶ assigned ──(results stream in)──▶ complete
+//!      │                     │
+//!      │ (coordinator idle)  │ (owner dies / times out)
+//!      ▼                     ▼
+//!   run locally           reissued (new shard, live worker;
+//!                                   run locally once none is left)
 //! ```
 //!
 //! Every transition preserves two invariants: a job's result is merged
@@ -18,6 +18,12 @@
 //! counted and dropped), and every entry that reaches the cache passed
 //! the same self-validating decode a local store would have (a corrupt
 //! wire entry is counted, discarded, and recomputed locally).
+//!
+//! Whatever runs on the coordinator — unencodable or duplicate jobs,
+//! backlog chunks it drains while idle, straggler hedges, recomputes,
+//! and everything once the fleet is gone — goes through one path that
+//! batch-primes same-shape groups first, as the workers and the
+//! scheduler pool do (`dist.coordinator_primed_jobs`).
 //!
 //! The coordinator plugs into the scheduler as a
 //! [`syncperf_sched::ExecBackend`] (see [`Coordinator::attach`]):
@@ -27,18 +33,19 @@
 //! `--jobs N` serial output by construction.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, Read};
+use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use syncperf_core::obs::{self, json, Counter, Gauge, Histogram, Recorder, Snapshot};
+use syncperf_core::obs::{json, Counter, Gauge, Histogram, Recorder, Snapshot};
 use syncperf_core::Measurement;
 
 use syncperf_sched::{
-    decode_measurement, execute_job_with_retry, BackendExec, Cache, JobSpec, Scheduler, SCHED_SALT,
+    decode_measurement, execute_job_with_retry_primed, BackendExec, Cache, JobSpec, Scheduler,
+    SCHED_SALT,
 };
 
 use crate::codec::encode_job;
@@ -56,9 +63,6 @@ pub struct DistConfig {
     /// How long a worker may stay silent (no frames at all) before it
     /// is declared dead and its shards reissued.
     pub heartbeat_timeout: Duration,
-    /// Minimum remaining jobs in a shard for it to be worth migrating
-    /// to an idle worker.
-    pub rebalance_threshold: usize,
     /// Extra hash salt, forwarded to workers in the handshake (must
     /// match the scheduler's `salt_extra`).
     pub salt_extra: u64,
@@ -79,7 +83,6 @@ impl DistConfig {
             workers: workers.max(1),
             connect: Vec::new(),
             heartbeat_timeout: Duration::from_secs(10),
-            rebalance_threshold: 4,
             salt_extra: 0,
             chaos_kill_one_after: None,
             worker_cmd: None,
@@ -123,12 +126,12 @@ struct Counters {
     jobs_sent: Counter,
     results_received: Counter,
     shard_reissues: Counter,
-    migrations: Counter,
     worker_deaths: Counter,
     corrupt_entries: Counter,
     duplicate_results: Counter,
     local_jobs: Counter,
     coordinator_jobs: Counter,
+    coordinator_primed_jobs: Counter,
     worker_errors: Counter,
     retries: Counter,
     primed_jobs: Counter,
@@ -151,12 +154,12 @@ impl Counters {
             jobs_sent: rec.counter("dist.jobs_sent"),
             results_received: rec.counter("dist.results_received"),
             shard_reissues: rec.counter("dist.shard_reissues"),
-            migrations: rec.counter("dist.migrations"),
             worker_deaths: rec.counter("dist.worker_deaths"),
             corrupt_entries: rec.counter("dist.corrupt_entries"),
             duplicate_results: rec.counter("dist.duplicate_results"),
             local_jobs: rec.counter("dist.local_jobs"),
             coordinator_jobs: rec.counter("dist.coordinator_jobs"),
+            coordinator_primed_jobs: rec.counter("dist.coordinator_primed_jobs"),
             worker_errors: rec.counter("dist.worker_errors"),
             retries: rec.counter("dist.retries"),
             primed_jobs: rec.counter("dist.primed_jobs"),
@@ -177,8 +180,8 @@ impl Counters {
 /// on any snapshot [`Coordinator::export_into`] filled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DistStats {
-    /// Batch frames streamed to workers (initial shards + reissues +
-    /// migrations).
+    /// Batch frames streamed to workers (initial shards, refills and
+    /// reissues).
     pub batches_streamed: u64,
     /// Jobs shipped over the wire (a reissued job counts again).
     pub jobs_sent: u64,
@@ -186,8 +189,6 @@ pub struct DistStats {
     pub results_received: u64,
     /// Shards reissued after a worker death or heartbeat timeout.
     pub shard_reissues: u64,
-    /// Shards migrated from a busy worker to an idle one.
-    pub migrations: u64,
     /// Workers declared dead.
     pub worker_deaths: u64,
     /// Wire entries that failed the self-validating decode and were
@@ -203,13 +204,16 @@ pub struct DistStats {
     /// while its event queue was idle (throughput self-balancing; see
     /// [`Coordinator::run_batch`]).
     pub coordinator_jobs: u64,
+    /// Jobs the coordinator ran from batch-primed engine results, over
+    /// every local path (see [`JobSpec::prime_groups`]).
+    pub coordinator_primed_jobs: u64,
     /// Jobs a worker reported as failed (recomputed locally).
     pub worker_errors: u64,
     /// Worker-side retry attempts reported in result headers.
     pub retries: u64,
     /// Merged worker results run from batch-primed engine results.
     pub primed_jobs: u64,
-    /// Payload bytes streamed to workers (batches, revokes, control).
+    /// Payload bytes streamed to workers (batches and control).
     pub bytes_sent: u64,
     /// Payload bytes received from workers (results, control).
     pub bytes_received: u64,
@@ -240,12 +244,12 @@ impl DistStats {
             jobs_sent: snap.counter("dist.jobs_sent"),
             results_received: snap.counter("dist.results_received"),
             shard_reissues: snap.counter("dist.shard_reissues"),
-            migrations: snap.counter("dist.migrations"),
             worker_deaths: snap.counter("dist.worker_deaths"),
             corrupt_entries: snap.counter("dist.corrupt_entries"),
             duplicate_results: snap.counter("dist.duplicate_results"),
             local_jobs: snap.counter("dist.local_jobs"),
             coordinator_jobs: snap.counter("dist.coordinator_jobs"),
+            coordinator_primed_jobs: snap.counter("dist.coordinator_primed_jobs"),
             worker_errors: snap.counter("dist.worker_errors"),
             retries: snap.counter("dist.retries"),
             primed_jobs: snap.counter("dist.primed_jobs"),
@@ -305,8 +309,6 @@ struct DecodedResult {
 struct Shard {
     worker: usize,
     remaining: BTreeSet<u64>,
-    /// A Revoke is outstanding; don't revoke again or double-assign.
-    revoking: bool,
 }
 
 /// One pending (dispatched, unmerged) job.
@@ -316,6 +318,39 @@ struct Pending {
     /// The `{"hash":..,"job":..}` batch item, kept for reissue.
     payload: String,
     dispatched: Instant,
+}
+
+/// One running batch's bookkeeping, threaded through the drain loop's
+/// helpers.
+#[derive(Default)]
+struct Batch {
+    /// Shards in flight, by shard id.
+    shards: BTreeMap<u64, Shard>,
+    /// Dispatched, unmerged jobs, by content hash.
+    pending: BTreeMap<u64, Pending>,
+    /// Hash-range chunks no worker holds yet: workers refill from the
+    /// front, the idle coordinator drains the back.
+    backlog: VecDeque<BTreeSet<u64>>,
+    /// Jobs whose wire result was unusable, recomputed at the tail.
+    redo: Vec<(usize, JobSpec, u64)>,
+    out: Vec<BackendExec>,
+}
+
+impl Batch {
+    /// Removes `hashes` from the pending map, returning the jobs that
+    /// were still unmerged.
+    fn take(&mut self, hashes: impl IntoIterator<Item = u64>) -> Vec<(usize, JobSpec, u64)> {
+        hashes
+            .into_iter()
+            .filter_map(|h| self.pending.remove(&h).map(|p| (p.index, p.job, h)))
+            .collect()
+    }
+
+    /// Moves `hash`, if still pending, to the tail recompute list.
+    fn recompute(&mut self, hash: u64) {
+        let jobs = self.take([hash]);
+        self.redo.extend(jobs);
+    }
 }
 
 /// The coordinator. Create with [`Coordinator::start`] (spawn or
@@ -574,7 +609,6 @@ impl Coordinator {
     /// Executes one batch of cache misses across the worker fleet.
     /// This is the [`syncperf_sched::ExecBackend`] entry point; see the
     /// module docs for the shard lifecycle.
-    #[allow(clippy::too_many_lines)]
     pub fn run_batch(&self, todo: &[(usize, JobSpec, u64)]) -> Vec<BackendExec> {
         let c = &self.counters;
         let events = self.events.lock().unwrap();
@@ -586,21 +620,22 @@ impl Coordinator {
             }
         }
 
-        let mut out: Vec<BackendExec> = Vec::with_capacity(todo.len());
-        let mut pending: BTreeMap<u64, Pending> = BTreeMap::new();
+        let mut b = Batch::default();
         let mut local: Vec<(usize, JobSpec, u64)> = Vec::new();
         for (index, job, hash) in todo {
-            if pending.contains_key(hash) {
-                // Identical job submitted twice in one batch (the
-                // scheduler's own collision guard makes this unlikely);
-                // run the duplicate locally rather than double-issue.
-                local.push((*index, job.clone(), *hash));
-                continue;
-            }
-            match encode_job(job) {
+            // An identical job submitted twice in one batch (the
+            // scheduler's own collision guard makes this unlikely) runs
+            // locally rather than double-issue, as does a job with no
+            // wire encoding.
+            let encoded = if b.pending.contains_key(hash) {
+                None
+            } else {
+                encode_job(job)
+            };
+            match encoded {
                 Some(encoded) => {
                     let payload = format!("{{\"hash\":\"{hash:016x}\",\"job\":{encoded}}}");
-                    pending.insert(
+                    b.pending.insert(
                         *hash,
                         Pending {
                             index: *index,
@@ -623,24 +658,21 @@ impl Coordinator {
 
         // Partition the serializable jobs into small contiguous
         // hash-range chunks (the pending map is hash-ordered). Each
-        // live worker is primed with two chunks — one executing, one
-        // queued so it never starves between waves — and the rest wait
-        // in a coordinator-side backlog that idle workers drain. This
-        // self-balances without re-sending jobs; the Revoke/migrate
-        // path only fires at the tail, once the backlog is dry.
+        // live worker is primed with one chunk and kept double-buffered
+        // by refills; the rest wait in a coordinator-side backlog that
+        // workers drain from the front and the coordinator from the
+        // back, so the split follows the fleet's real throughput
+        // without re-sending a job.
         let live: Vec<usize> = (0..self.workers.len())
             .filter(|&w| self.workers[w].alive.load(Ordering::Relaxed))
             .collect();
-        let mut shards: BTreeMap<u64, Shard> = BTreeMap::new();
-        let mut backlog: VecDeque<BTreeSet<u64>> = VecDeque::new();
         if live.is_empty() {
             // Total fleet loss: everything runs locally.
-            let drained: Vec<(u64, Pending)> = std::mem::take(&mut pending).into_iter().collect();
-            for (hash, p) in drained {
-                out.push(self.execute_locally(p.index, &p.job, hash));
-            }
+            let all: Vec<u64> = b.pending.keys().copied().collect();
+            let jobs = b.take(all);
+            b.out.extend(self.run_local(&jobs));
         } else {
-            let hashes: Vec<u64> = pending.keys().copied().collect();
+            let hashes: Vec<u64> = b.pending.keys().copied().collect();
             let waves = 8;
             let ideal = hashes.len().div_ceil(live.len() * waves);
             // Small batches still amortize a round-trip over a few
@@ -655,12 +687,10 @@ impl Coordinator {
                 ideal.max(floor)
             };
             for c in hashes.chunks(chunk) {
-                backlog.push_back(c.iter().copied().collect());
+                b.backlog.push_back(c.iter().copied().collect());
             }
             // Prime workers with one chunk each; the refill path tops
-            // them up as they make progress. The rest of the backlog
-            // is drained from the front by worker refills and from the
-            // back by the coordinator's own work-conserving loop below.
+            // them up as they make progress.
             //
             // Starved host: any wire work in flight when a batch ends
             // adds a synchronization tail (one worker round-trip), and
@@ -679,81 +709,68 @@ impl Coordinator {
                 live.clone()
             };
             for w in prime {
-                let Some(remaining) = backlog.pop_front() else {
+                let Some(remaining) = b.backlog.pop_front() else {
                     break;
                 };
-                if let Some(unsent) = self.send_shard(w, remaining, &mut shards, &pending) {
-                    backlog.push_front(unsent);
+                if let Some(unsent) = self.send_shard(w, remaining, &mut b) {
+                    b.backlog.push_front(unsent);
                 }
             }
         }
         c.batches_inflight
-            .set((shards.len() + backlog.len()) as u64);
+            .set((b.shards.len() + b.backlog.len()) as u64);
 
         // Unserializable jobs execute on the coordinator while workers
         // chew on their shards.
         c.local_jobs.add(local.len() as u64);
-        for (index, job, hash) in local {
-            out.push(self.execute_locally(index, &job, hash));
-        }
+        b.out.extend(self.run_local(&local));
 
         // Drain until every dispatched job is merged.
-        while !pending.is_empty() {
+        while !b.pending.is_empty() {
             // Reissue any shard whose owner died before this iteration.
-            let orphaned: Vec<u64> = shards
+            let orphaned: Vec<u64> = b
+                .shards
                 .iter()
                 .filter(|(_, s)| !self.workers[s.worker].alive.load(Ordering::Relaxed))
                 .map(|(&id, _)| id)
                 .collect();
             for id in orphaned {
-                let shard = shards.remove(&id).unwrap();
-                self.reissue(
-                    shard.remaining,
-                    &mut shards,
-                    &mut pending,
-                    &mut backlog,
-                    &mut out,
-                );
+                let shard = b.shards.remove(&id).unwrap();
+                self.reissue(shard.remaining, &mut b);
             }
             // A dead fleet can leave work stranded in the backlog with
             // no ShardDone ever coming: run it locally.
-            if shards.is_empty()
-                && !backlog.is_empty()
+            if b.shards.is_empty()
+                && !b.backlog.is_empty()
                 && !self.workers.iter().any(|h| h.alive.load(Ordering::Relaxed))
             {
-                for chunk in backlog.drain(..) {
-                    for h in chunk {
-                        if let Some(p) = pending.remove(&h) {
-                            out.push(self.execute_locally(p.index, &p.job, h));
-                        }
-                    }
-                }
+                let stranded: Vec<u64> = b.backlog.drain(..).flatten().collect();
+                let jobs = b.take(stranded);
+                b.out.extend(self.run_local(&jobs));
             }
             c.batches_inflight
-                .set((shards.len() + backlog.len()) as u64);
-            if pending.is_empty() {
+                .set((b.shards.len() + b.backlog.len()) as u64);
+            if b.pending.is_empty() {
                 break;
             }
 
             // Work-conserving coordinator: when no worker traffic is
-            // waiting, execute one backlog job inline instead of
-            // blocking. Workers drain the backlog from the front (in
-            // whole chunks), the coordinator from the back (one job at
-            // a time), so the split self-balances with the fleet's
-            // real throughput: on a many-core host workers win most of
-            // the backlog; on a starved or single-core host the
-            // coordinator degrades gracefully toward serial speed
-            // instead of stalling on round-trips.
+            // waiting, run the backlog's last chunk inline instead of
+            // blocking. Workers drain the backlog from the front, the
+            // coordinator from the back, so the split self-balances
+            // with the fleet's real throughput: on a many-core host
+            // workers win most of the backlog; on a starved or
+            // single-core host the coordinator degrades gracefully
+            // toward serial speed instead of stalling on round-trips.
             let mut ev = events.try_recv().map_err(|e| match e {
                 mpsc::TryRecvError::Empty => mpsc::RecvTimeoutError::Timeout,
                 mpsc::TryRecvError::Disconnected => mpsc::RecvTimeoutError::Disconnected,
             });
             if matches!(ev, Err(mpsc::RecvTimeoutError::Timeout)) {
-                if let Some(hash) = take_back(&mut backlog) {
-                    if let Some(p) = pending.remove(&hash) {
-                        c.coordinator_jobs.inc();
-                        out.push(self.execute_locally(p.index, &p.job, hash));
-                    }
+                if let Some(chunk) = b.backlog.pop_back() {
+                    let jobs = b.take(chunk);
+                    c.coordinator_jobs.add(jobs.len() as u64);
+                    b.out.extend(self.run_local(&jobs));
                     continue;
                 }
                 // Backlog dry, wire jobs still out. On a starved host
@@ -765,15 +782,16 @@ impl Coordinator {
                 // it, short enough that the per-batch tail stays well
                 // under a round-trip.
                 if self.starved_host {
-                    let aged = pending
+                    let aged = b
+                        .pending
                         .iter()
                         .filter(|(_, p)| p.dispatched.elapsed() > Duration::from_micros(200))
                         .min_by_key(|(_, p)| p.dispatched)
                         .map(|(&h, _)| h);
                     if let Some(hash) = aged {
-                        let p = pending.remove(&hash).unwrap();
+                        let jobs = b.take([hash]);
                         c.coordinator_jobs.inc();
-                        out.push(self.execute_locally(p.index, &p.job, hash));
+                        b.out.extend(self.run_local(&jobs));
                         continue;
                     }
                 }
@@ -788,27 +806,9 @@ impl Coordinator {
             }
             match ev {
                 Ok(Event::Dead(w)) => self.mark_dead(w),
-                Ok(Event::Result(w, r)) => {
-                    self.handle_result(
-                        w,
-                        *r,
-                        &mut shards,
-                        &mut pending,
-                        &mut backlog,
-                        store_tx,
-                        &mut out,
-                    );
-                }
+                Ok(Event::Result(w, r)) => self.handle_result(w, *r, &mut b, store_tx),
                 Ok(Event::Frame(w, ty, payload)) => {
-                    self.handle_worker_frame(
-                        w,
-                        ty,
-                        &payload,
-                        &mut shards,
-                        &mut pending,
-                        &mut backlog,
-                        &mut out,
-                    );
+                    self.handle_worker_frame(w, ty, &payload, &mut b);
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => self.check_heartbeats(),
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -819,33 +819,34 @@ impl Coordinator {
                 }
             }
         }
+        // Every job whose wire result was unusable (corrupt entry or
+        // worker error) is recomputed here, together, so a same-shape
+        // set of them primes like any other local work.
+        let redo = std::mem::take(&mut b.redo);
+        b.out.extend(self.run_local(&redo));
         c.batches_inflight.set(0);
-        out
+        b.out
     }
 
     /// Merges one reader-decoded Result: exactly-once dedup against the
     /// pending map, cross-check of the already-verified measurement
     /// against the expected job, then handoff to the store thread.
-    #[allow(clippy::too_many_arguments)]
     fn handle_result(
         &self,
         w: usize,
         r: DecodedResult,
-        shards: &mut BTreeMap<u64, Shard>,
-        pending: &mut BTreeMap<u64, Pending>,
-        backlog: &mut VecDeque<BTreeSet<u64>>,
+        b: &mut Batch,
         store_tx: Option<&mpsc::Sender<(u64, String)>>,
-        out: &mut Vec<BackendExec>,
     ) {
         let c = &self.counters;
         c.results_received.inc();
         self.maybe_chaos_kill();
-        if let Some(s) = shards.get_mut(&r.shard) {
+        if let Some(s) = b.shards.get_mut(&r.shard) {
             s.remaining.remove(&r.hash);
         }
-        let Some(p) = pending.get(&r.hash) else {
-            // Already merged (duplicate completion after a
-            // migration/reissue race): exactly-once dedup.
+        let Some(p) = b.pending.get(&r.hash) else {
+            // Already merged (duplicate completion after a reissue or
+            // hedge race): exactly-once dedup.
             c.duplicate_results.inc();
             return;
         };
@@ -859,8 +860,8 @@ impl Coordinator {
             c.service_us.observe(r.micros);
             c.wait_us.observe(total_us.saturating_sub(r.micros));
             let stored = store_tx.is_some_and(|tx| tx.send((r.hash, r.entry)).is_ok());
-            let p = pending.remove(&r.hash).unwrap();
-            out.push(BackendExec {
+            let p = b.pending.remove(&r.hash).unwrap();
+            b.out.push(BackendExec {
                 index: p.index,
                 hash: r.hash,
                 result: Ok(m),
@@ -871,24 +872,13 @@ impl Coordinator {
             // cache read would apply (or named the wrong job): count,
             // discard, recompute.
             c.corrupt_entries.inc();
-            let p = pending.remove(&r.hash).unwrap();
-            out.push(self.execute_locally(p.index, &p.job, r.hash));
+            b.recompute(r.hash);
         }
-        self.maybe_rebalance(w, shards, pending, backlog);
+        self.refill(w, b);
     }
 
     /// Handles one worker control frame inside the drain loop.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_worker_frame(
-        &self,
-        w: usize,
-        ty: FrameType,
-        payload: &[u8],
-        shards: &mut BTreeMap<u64, Shard>,
-        pending: &mut BTreeMap<u64, Pending>,
-        backlog: &mut VecDeque<BTreeSet<u64>>,
-        out: &mut Vec<BackendExec>,
-    ) {
+    fn handle_worker_frame(&self, w: usize, ty: FrameType, payload: &[u8], b: &mut Batch) {
         let c = &self.counters;
         match ty {
             FrameType::Result => {
@@ -904,50 +894,28 @@ impl Coordinator {
                     return;
                 };
                 let Some(hash) = get_hash(&doc) else { return };
-                if let Some(s) = shards.get_mut(&get_shard(&doc)) {
+                if let Some(s) = b.shards.get_mut(&get_shard(&doc)) {
                     s.remaining.remove(&hash);
                 }
                 c.worker_errors.inc();
-                if let Some(p) = pending.remove(&hash) {
-                    // Recompute locally so the error surfaced to the
-                    // scheduler (if it persists) is the exact local
-                    // error, not a stringified remote one.
-                    out.push(self.execute_locally(p.index, &p.job, hash));
-                }
-                self.maybe_rebalance(w, shards, pending, backlog);
+                // Recompute locally so the error surfaced to the
+                // scheduler (if it persists) is the exact local error,
+                // not a stringified remote one.
+                b.recompute(hash);
+                self.refill(w, b);
             }
             FrameType::ShardDone => {
                 let shard_id = shard_id_of(payload);
-                if let Some(s) = shards.remove(&shard_id) {
+                if let Some(s) = b.shards.remove(&shard_id) {
                     // Frames from one worker arrive in order, so every
                     // result for this shard has already been merged;
                     // anything left produced no usable result (e.g. an
                     // unattributable corrupt frame) and is reissued.
                     if !s.remaining.is_empty() {
-                        self.reissue(s.remaining, shards, pending, backlog, out);
+                        self.reissue(s.remaining, b);
                     }
                 }
-                self.maybe_rebalance(w, shards, pending, backlog);
-            }
-            FrameType::Revoked => {
-                let Ok(doc) = json::parse(&String::from_utf8_lossy(payload)) else {
-                    return;
-                };
-                let shard_id = get_shard(&doc);
-                shards.remove(&shard_id);
-                let remaining: BTreeSet<u64> = doc
-                    .get("remaining")
-                    .and_then(json::Value::as_array)
-                    .unwrap_or(&[])
-                    .iter()
-                    .filter_map(|v| v.as_str())
-                    .filter_map(|s| u64::from_str_radix(s, 16).ok())
-                    .filter(|h| pending.contains_key(h))
-                    .collect();
-                if !remaining.is_empty() {
-                    c.migrations.inc();
-                    self.assign_shard(remaining, shards, pending, backlog, out, true);
-                }
+                self.refill(w, b);
             }
             // Heartbeats are consumed by the reader thread; anything
             // else is protocol chatter we can ignore.
@@ -955,114 +923,63 @@ impl Coordinator {
         }
     }
 
-    /// After worker `w` made progress, feed it more work if it has
-    /// gone idle: first from the coordinator-side backlog (free — no
-    /// job is re-sent), then — once the backlog is dry — by revoking
-    /// part of a busy peer's deepest shard (the migration path).
-    fn maybe_rebalance(
-        &self,
-        w: usize,
-        shards: &mut BTreeMap<u64, Shard>,
-        pending: &BTreeMap<u64, Pending>,
-        backlog: &mut VecDeque<BTreeSet<u64>>,
-    ) {
+    /// After worker `w` made progress, tops it up from the front of the
+    /// coordinator-side backlog (free — no job is re-sent). The worker
+    /// stays double-buffered: one chunk executing, one queued behind
+    /// it, so the refill round-trip hides behind execution instead of
+    /// stalling the worker after every chunk. (Depth 1 on a starved
+    /// host — prefetch there only moves work away from the faster
+    /// work-conserving coordinator.)
+    fn refill(&self, w: usize, b: &mut Batch) {
         if !self.workers[w].alive.load(Ordering::Relaxed) {
             return;
         }
-        // Keep the worker double-buffered: one chunk executing, one
-        // queued behind it, so the refill round-trip hides behind
-        // execution instead of stalling the worker after every chunk.
-        // (Depth 1 on a starved host — prefetch there only moves work
-        // away from the faster work-conserving coordinator.)
-        let depth = if self.starved_host { 1 } else { 2 };
-        let outstanding = shards
+        let depth: usize = if self.starved_host { 1 } else { 2 };
+        let outstanding = b
+            .shards
             .values()
             .filter(|s| s.worker == w && !s.remaining.is_empty())
             .count();
-        if outstanding >= depth {
-            return;
-        }
-        let mut need = depth - outstanding;
+        let mut need = depth.saturating_sub(outstanding);
         while need > 0 {
-            let Some(chunk) = backlog.pop_front() else {
-                break;
+            let Some(chunk) = b.backlog.pop_front() else {
+                return;
             };
             let remaining: BTreeSet<u64> = chunk
                 .into_iter()
-                .filter(|h| pending.contains_key(h))
+                .filter(|h| b.pending.contains_key(h))
                 .collect();
             if remaining.is_empty() {
                 continue;
             }
-            if let Some(unsent) = self.send_shard(w, remaining, shards, pending) {
+            if let Some(unsent) = self.send_shard(w, remaining, b) {
                 // Worker just died mid-assignment; keep the chunk.
-                backlog.push_front(unsent);
+                b.backlog.push_front(unsent);
                 return;
             }
             need -= 1;
         }
-        if need < depth - outstanding || outstanding > 0 {
-            // Fed from the backlog (or still executing): no migration.
-            return;
-        }
-        // Backlog dry: steal from the deepest revocable shard on
-        // another live worker.
-        let candidate = shards
-            .iter_mut()
-            .filter(|(_, s)| {
-                s.worker != w
-                    && !s.revoking
-                    && s.remaining.len() > self.cfg.rebalance_threshold
-                    && self.workers[s.worker].alive.load(Ordering::Relaxed)
-            })
-            .max_by_key(|(_, s)| s.remaining.len());
-        if let Some((&id, s)) = candidate {
-            s.revoking = true;
-            let doc = format!("{{\"shard\":{id}}}");
-            let owner = s.worker;
-            if !self.send(owner, FrameType::Revoke, doc.as_bytes()) {
-                self.mark_dead(owner);
-            }
-        }
     }
 
     /// Reissues orphaned hashes (dead worker) as a fresh shard.
-    fn reissue(
-        &self,
-        remaining: BTreeSet<u64>,
-        shards: &mut BTreeMap<u64, Shard>,
-        pending: &mut BTreeMap<u64, Pending>,
-        backlog: &mut VecDeque<BTreeSet<u64>>,
-        out: &mut Vec<BackendExec>,
-    ) {
+    fn reissue(&self, remaining: BTreeSet<u64>, b: &mut Batch) {
         let remaining: BTreeSet<u64> = remaining
             .into_iter()
-            .filter(|h| pending.contains_key(h))
+            .filter(|h| b.pending.contains_key(h))
             .collect();
         if remaining.is_empty() {
             return;
         }
         self.counters.shard_reissues.inc();
-        self.assign_shard(remaining, shards, pending, backlog, out, false);
+        self.assign_shard(remaining, b);
     }
 
     /// Ships `remaining` as a new shard to the least-loaded live
-    /// worker, or executes locally when the fleet is gone.
-    /// `prefer_idle` (the migration path) requires a fully idle target
-    /// and parks the shard in the backlog when nobody is idle.
-    fn assign_shard(
-        &self,
-        remaining: BTreeSet<u64>,
-        shards: &mut BTreeMap<u64, Shard>,
-        pending: &mut BTreeMap<u64, Pending>,
-        backlog: &mut VecDeque<BTreeSet<u64>>,
-        out: &mut Vec<BackendExec>,
-        prefer_idle: bool,
-    ) {
-        let mut remaining = remaining;
+    /// worker, or runs it locally when the fleet is gone.
+    fn assign_shard(&self, mut remaining: BTreeSet<u64>, b: &mut Batch) {
         loop {
             let load = |w: usize| -> usize {
-                shards
+                b.shards
                     .values()
                     .filter(|s| s.worker == w)
                     .map(|s| s.remaining.len())
@@ -1070,28 +987,16 @@ impl Coordinator {
             };
             let target = (0..self.workers.len())
                 .filter(|&w| self.workers[w].alive.load(Ordering::Relaxed))
-                .filter(|&w| !prefer_idle || load(w) == 0)
                 .min_by_key(|&w| load(w));
-            match target {
-                Some(w) => match self.send_shard(w, remaining, shards, pending) {
-                    None => return,
-                    // That worker died mid-send: try the next one.
-                    Some(unsent) => remaining = unsent,
-                },
-                None if prefer_idle => {
-                    // Nobody idle right now: the next worker to drain
-                    // its queue picks this up from the backlog.
-                    backlog.push_front(remaining);
-                    return;
-                }
-                None => {
-                    for h in remaining {
-                        if let Some(p) = pending.remove(&h) {
-                            out.push(self.execute_locally(p.index, &p.job, h));
-                        }
-                    }
-                    return;
-                }
+            let Some(w) = target else {
+                let jobs = b.take(remaining);
+                b.out.extend(self.run_local(&jobs));
+                return;
+            };
+            match self.send_shard(w, remaining, b) {
+                None => return,
+                // That worker died mid-send: try the next one.
+                Some(unsent) => remaining = unsent,
             }
         }
     }
@@ -1102,24 +1007,22 @@ impl Coordinator {
         &self,
         w: usize,
         remaining: BTreeSet<u64>,
-        shards: &mut BTreeMap<u64, Shard>,
-        pending: &BTreeMap<u64, Pending>,
+        b: &mut Batch,
     ) -> Option<BTreeSet<u64>> {
         let shard = self.shard_counter.fetch_add(1, Ordering::Relaxed);
         let items: Vec<&str> = remaining
             .iter()
-            .filter_map(|h| pending.get(h).map(|p| p.payload.as_str()))
+            .filter_map(|h| b.pending.get(h).map(|p| p.payload.as_str()))
             .collect();
         let doc = format!("{{\"shard\":{shard},\"jobs\":[{}]}}", items.join(","));
         if self.send(w, FrameType::Batch, doc.as_bytes()) {
             self.counters.batches_streamed.inc();
             self.counters.jobs_sent.add(remaining.len() as u64);
-            shards.insert(
+            b.shards.insert(
                 shard,
                 Shard {
                     worker: w,
                     remaining,
-                    revoking: false,
                 },
             );
             None
@@ -1129,17 +1032,26 @@ impl Coordinator {
         }
     }
 
-    /// Runs a job on the coordinator with the standard retry ladder.
-    fn execute_locally(&self, index: usize, job: &JobSpec, hash: u64) -> BackendExec {
-        let result = execute_job_with_retry(job, hash, |_| self.counters.retries.inc());
-        BackendExec {
-            index,
-            hash,
-            result,
-            stored: false,
-        }
+    /// Runs jobs on the coordinator: batch-primes their same-shape
+    /// groups with the pool's and the workers' rule
+    /// ([`JobSpec::prime_groups`]), then runs each under the standard
+    /// retry ladder. Every coordinator-side execution goes through here.
+    fn run_local(&self, jobs: &[(usize, JobSpec, u64)]) -> Vec<BackendExec> {
+        let c = &self.counters;
+        let refs: Vec<&JobSpec> = jobs.iter().map(|(_, job, _)| job).collect();
+        let primed = JobSpec::prime_groups(&refs);
+        c.coordinator_primed_jobs
+            .add(primed.iter().flatten().count() as u64);
+        jobs.iter()
+            .zip(&primed)
+            .map(|(&(index, ref job, hash), pe)| BackendExec {
+                index,
+                hash,
+                result: execute_job_with_retry_primed(job, hash, pe.as_ref(), |_| c.retries.inc()),
+                stored: false,
+            })
+            .collect()
     }
-
     /// Declares workers dead when they exceed the heartbeat timeout
     /// (the reader thread refreshes `last_seen` on every frame,
     /// heartbeats included).
@@ -1347,58 +1259,8 @@ pub(crate) fn get_hash(doc: &json::Value) -> Option<u64> {
         .and_then(|s| u64::from_str_radix(s, 16).ok())
 }
 
-/// Pops one hash off the back of the backlog (the coordinator's end —
-/// worker refills take whole chunks from the front), dropping chunks it
-/// empties.
-fn take_back(backlog: &mut VecDeque<BTreeSet<u64>>) -> Option<u64> {
-    loop {
-        let chunk = backlog.back_mut()?;
-        if let Some(h) = chunk.pop_last() {
-            if chunk.is_empty() {
-                backlog.pop_back();
-            }
-            return Some(h);
-        }
-        backlog.pop_back();
-    }
-}
-
-pub(crate) fn shard_id_of(payload: &[u8]) -> u64 {
+fn shard_id_of(payload: &[u8]) -> u64 {
     json::parse(&String::from_utf8_lossy(payload))
         .ok()
         .map_or(0, |d| get_shard(&d))
-}
-
-/// Serves a minimal `GET /metrics` endpoint (Prometheus exposition
-/// 0.0.4, same renderer as `syncperf-serve`) on `addr` from a detached
-/// thread; `make` produces each scrape's snapshot. Returns the bound
-/// address. `syncperf_dist --metrics-addr` uses this so `syncperf_top`
-/// can watch a live coordinator.
-///
-/// # Errors
-///
-/// Fails when the address cannot be bound.
-pub fn serve_metrics(
-    addr: &str,
-    make: impl Fn() -> Snapshot + Send + 'static,
-) -> io::Result<std::net::SocketAddr> {
-    let listener = TcpListener::bind(addr)?;
-    let bound = listener.local_addr()?;
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut s) = stream else { continue };
-            // Read (and discard) the request line + headers.
-            let mut buf = [0u8; 4096];
-            let _ = s.read(&mut buf);
-            let body = obs::metrics::render(&make());
-            let resp = format!(
-                "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-                body.len(),
-                body
-            );
-            use std::io::Write as _;
-            let _ = s.write_all(resp.as_bytes());
-        }
-    });
-    Ok(bound)
 }

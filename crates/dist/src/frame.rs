@@ -28,8 +28,9 @@ use std::io::{self, Read, Write};
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
 /// Protocol revision, exchanged in the hello handshake. Bump on any
-/// frame- or payload-shape change.
-pub const PROTO_VERSION: u32 = 1;
+/// frame- or payload-shape change. Revision 2 retired type bytes 7 and
+/// 8 (shard revocation); they are never reused.
+pub const PROTO_VERSION: u32 = 2;
 
 /// One frame kind. Numeric values are the on-wire type byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,12 +48,6 @@ pub enum FrameType {
     JobError = 5,
     /// Worker → coordinator: a shard has no jobs left.
     ShardDone = 6,
-    /// Coordinator → worker: stop working on a shard and report what
-    /// remains (the migration request).
-    Revoke = 7,
-    /// Worker → coordinator: the revoked shard's remaining hashes (the
-    /// manifest delta handed back for reassignment).
-    Revoked = 8,
     /// Worker → coordinator: liveness signal while idle.
     Heartbeat = 9,
     /// Coordinator → worker: drain and exit.
@@ -70,8 +65,6 @@ impl FrameType {
             4 => FrameType::Result,
             5 => FrameType::JobError,
             6 => FrameType::ShardDone,
-            7 => FrameType::Revoke,
-            8 => FrameType::Revoked,
             9 => FrameType::Heartbeat,
             10 => FrameType::Shutdown,
             _ => return None,
@@ -135,7 +128,7 @@ mod tests {
     #[test]
     fn round_trips_each_type() {
         for (ty, payload) in [
-            (FrameType::Hello, &b"{\"proto\":1}"[..]),
+            (FrameType::Hello, &b"{\"proto\":2}"[..]),
             (FrameType::Result, b"header\nraw bytes"),
             (FrameType::Heartbeat, b""),
         ] {
@@ -166,12 +159,15 @@ mod tests {
 
     #[test]
     fn rejects_unknown_type_and_oversize() {
-        let mut bogus = vec![0xEEu8];
-        bogus.extend_from_slice(&0u32.to_le_bytes());
-        assert_eq!(
-            read_frame(&mut bogus.as_slice()).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
+        // 7 and 8 are retired codes (shard revocation, protocol 1).
+        for ty in [0xEEu8, 7, 8] {
+            let mut bogus = vec![ty];
+            bogus.extend_from_slice(&0u32.to_le_bytes());
+            assert_eq!(
+                read_frame(&mut bogus.as_slice()).unwrap_err().kind(),
+                io::ErrorKind::InvalidData
+            );
+        }
         let mut huge = vec![FrameType::Batch as u8];
         huge.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
         assert_eq!(

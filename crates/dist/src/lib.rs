@@ -6,19 +6,19 @@
 //! **byte-identical** to a serial `--jobs N` run:
 //!
 //! - [`frame`] — the wire framing: one type byte, a little-endian u32
-//!   length, and a payload; ten frame kinds cover handshake, batches,
-//!   results, shard control, and liveness.
+//!   length, and a payload; eight frame kinds cover handshake, batches,
+//!   results, shard completion, and liveness.
 //! - [`codec`] — a total JSON encoding of [`syncperf_sched::JobSpec`]
 //!   for the simulator job families; jobs that cannot travel (real
 //!   OpenMP threads, model overrides) stay on the coordinator.
 //! - [`worker`] — batch-primes each same-shape group it receives, then
 //!   executes assigned shards job-by-job, streaming each result back as
-//!   raw cache-entry bytes, honouring revocation at job granularity,
-//!   heartbeating while idle.
+//!   raw cache-entry bytes, heartbeating while idle.
 //! - [`coordinator`] — partitions cache misses into hash-range shards,
-//!   merges results exactly-once (content-hash dedup), migrates shards
-//!   off busy workers to idle ones, reissues shards of dead or silent
-//!   workers, and recomputes locally anything a worker cannot deliver.
+//!   merges results exactly-once (content-hash dedup), feeds idle
+//!   workers from a backlog it also drains itself, reissues shards of
+//!   dead or silent workers, and runs locally anything a worker cannot
+//!   deliver — every coordinator-side job through one batch-primed path.
 //!
 //! Determinism is carried end to end: a job's content hash (salted,
 //! see [`syncperf_sched::job_hash_with_salt`]) seeds its execution on
@@ -36,6 +36,6 @@ pub mod frame;
 pub mod worker;
 
 pub use codec::{decode_job, encode_job};
-pub use coordinator::{serve_metrics, Coordinator, DistConfig, DistStats};
+pub use coordinator::{Coordinator, DistConfig, DistStats};
 pub use frame::{read_frame, write_frame, FrameType, MAX_FRAME, PROTO_VERSION};
 pub use worker::{run_connect, run_listen, serve_stream};

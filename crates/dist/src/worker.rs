@@ -3,13 +3,10 @@
 //! A worker serves one coordinator connection: it handshakes, then
 //! executes jobs from its assigned shards one at a time, streaming each
 //! finished result back as raw cache-entry bytes. Every same-shape
-//! group of ≥ 2 jobs in a received batch ([`JobSpec::shape_groups`]) is
-//! batch-primed on arrival, as the scheduler pool primes its chunks.
-//! Between jobs it drains any control frames that arrived (new
-//! batches, revocations, shutdown), so a
-//! [`crate::frame::FrameType::Revoke`] is honoured at job granularity —
-//! the remaining slice of the shard is reported back as a manifest
-//! delta and the coordinator reassigns it.
+//! group of ≥ 2 jobs in a received batch is batch-primed on arrival
+//! ([`JobSpec::prime_groups`], the rule the scheduler pool and the
+//! coordinator use). Between jobs it drains any control frames that
+//! arrived (new batches, shutdown).
 //!
 //! The receive half of the socket is owned by a dedicated reader
 //! thread feeding an in-process channel; the main loop never reads the
@@ -30,7 +27,7 @@ use syncperf_sched::{
 };
 
 use crate::codec::{decode_job, json_string};
-use crate::coordinator::{get_hash, get_shard, shard_id_of};
+use crate::coordinator::{get_hash, get_shard};
 use crate::frame::{read_frame, write_frame, FrameType, PROTO_VERSION};
 
 /// How often an idle worker emits a heartbeat frame.
@@ -201,7 +198,12 @@ fn handle_frame(
                     primed: None,
                 });
             }
-            prime(&mut queue.make_contiguous()[start..]);
+            let batch = &mut queue.make_contiguous()[start..];
+            let jobs: Vec<&JobSpec> = batch.iter().filter_map(|q| q.job.as_ref()).collect();
+            let mut primed = JobSpec::prime_groups(&jobs).into_iter();
+            for q in batch.iter_mut().filter(|q| q.job.is_some()) {
+                q.primed = primed.next().flatten();
+            }
             if queue.iter().all(|q| q.shard != shard) {
                 // Empty (or fully invalid-and-reported) batch: tell the
                 // coordinator the shard is already drained.
@@ -210,51 +212,9 @@ fn handle_frame(
             }
             Ok(false)
         }
-        FrameType::Revoke => {
-            let shard = shard_id_of(&payload);
-            let mut remaining = Vec::new();
-            queue.retain(|q| {
-                if q.shard == shard {
-                    remaining.push(format!("\"{:016x}\"", q.hash));
-                    false
-                } else {
-                    true
-                }
-            });
-            let doc = format!(
-                "{{\"shard\":{shard},\"remaining\":[{}]}}",
-                remaining.join(",")
-            );
-            write_frame(writer, FrameType::Revoked, doc.as_bytes())?;
-            writer.flush()?;
-            Ok(false)
-        }
         FrameType::Shutdown => Ok(true),
         // Anything else from the coordinator is ignorable chatter.
         _ => Ok(false),
-    }
-}
-
-/// Batch-primes every same-shape group of ≥ 2 decoded jobs in one
-/// received batch. A group whose batch evaluation fails primes
-/// nothing, so the per-job path reproduces the exact error.
-fn prime(batch: &mut [QueuedJob]) {
-    let (valid, jobs): (Vec<usize>, Vec<&JobSpec>) = batch
-        .iter()
-        .enumerate()
-        .filter_map(|(i, q)| Some((i, q.job.as_ref()?)))
-        .unzip();
-    let mut primed = Vec::new();
-    for group in JobSpec::shape_groups(&jobs)
-        .into_iter()
-        .filter(|g| g.len() >= 2)
-    {
-        let members: Vec<&JobSpec> = group.iter().map(|&g| jobs[g]).collect();
-        let engines = JobSpec::batch_prime(&members).unwrap_or_default();
-        primed.extend(group.iter().map(|&g| valid[g]).zip(engines));
-    }
-    for (i, pe) in primed {
-        batch[i].primed = Some(pe);
     }
 }
 

@@ -9,17 +9,19 @@
 //! duplicate completion of the same job hash, and mid-shard death.
 
 use std::collections::BTreeSet;
+use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::thread;
 
-use syncperf_core::obs::{json, Snapshot};
+use syncperf_core::obs::{self, json, Snapshot};
 use syncperf_core::{kernel, ExecParams, Protocol, SYSTEM3};
 use syncperf_dist::{
     decode_job, read_frame, serve_stream, write_frame, Coordinator, DistConfig, DistStats,
-    FrameType,
+    FrameType, PROTO_VERSION,
 };
 use syncperf_sched::{
-    encode_measurement, execute_job_with_retry, job_hash_with_salt, Cache, JobSpec,
+    encode_measurement, execute_job_with_retry, job_hash_with_salt, BackendExec, Cache, JobSpec,
+    SCHED_SALT,
 };
 
 /// `n` distinct simulator jobs, cheap enough to execute many times.
@@ -38,6 +40,20 @@ fn make_jobs(n: usize) -> Vec<(usize, JobSpec, u64)> {
         .collect()
 }
 
+/// Nine same-shape CPU points plus one lone GPU job.
+fn group_and_lone_gpu() -> Vec<(usize, JobSpec, u64)> {
+    let mut todo = make_jobs(9);
+    let gpu = JobSpec::gpu_sim(
+        &SYSTEM3,
+        kernel::cuda_syncthreads(),
+        ExecParams::new(32).with_blocks(2).with_loops(20, 4),
+        Protocol::SIM,
+    );
+    let hash = job_hash_with_salt(&gpu, 0);
+    todo.push((9, gpu, hash));
+    todo
+}
+
 /// A connected localhost pair: (coordinator side, worker side).
 fn socket_pair() -> (TcpStream, TcpStream) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -49,7 +65,7 @@ fn socket_pair() -> (TcpStream, TcpStream) {
 
 /// Every index appears exactly once and every result is `Ok` — the
 /// exactly-once merge invariant.
-fn assert_exactly_once(out: &[syncperf_sched::BackendExec], n: usize) {
+fn assert_exactly_once(out: &[BackendExec], n: usize) {
     assert_eq!(out.len(), n, "one BackendExec per submitted job");
     let indexes: BTreeSet<usize> = out.iter().map(|b| b.index).collect();
     assert_eq!(indexes.len(), n, "no index merged twice");
@@ -117,6 +133,11 @@ fn real_entry(job: &JobSpec, hash: u64) -> String {
 fn send_result(stream: &TcpStream, shard: u64, hash: u64, entry: &str) {
     let payload = result_payload(shard, hash, entry);
     write_frame(&mut &*stream, FrameType::Result, &payload).unwrap();
+}
+
+fn send_job_error(stream: &TcpStream, shard: u64, hash: u64) {
+    let doc = format!("{{\"shard\":{shard},\"hash\":\"{hash:016x}\",\"error\":\"injected\"}}");
+    write_frame(&mut &*stream, FrameType::JobError, doc.as_bytes()).unwrap();
 }
 
 fn send_shard_done(stream: &TcpStream, shard: u64) {
@@ -207,7 +228,7 @@ fn duplicate_completion_of_same_hash_merges_exactly_once() {
         let (shard, jobs) = next_batch(&w);
         let entries: Vec<(u64, String)> =
             jobs.iter().map(|(h, j)| (*h, real_entry(j, *h))).collect();
-        // First job completes twice — a migration-race double send.
+        // First job completes twice — a reissue-race double send.
         send_result(&w, shard, entries[0].0, &entries[0].1);
         send_result(&w, shard, entries[0].0, &entries[0].1);
         for (h, e) in &entries[1..] {
@@ -338,22 +359,114 @@ fn worker_death_mid_shard_reissues_and_finishes_locally() {
     script.join().unwrap();
 }
 
-#[test]
-fn metrics_endpoint_serves_prometheus_exposition() {
-    use std::io::{Read as _, Write as _};
-    let rec = syncperf_core::obs::Recorder::enabled();
-    rec.counter("dist.workers").add(3);
-    rec.counter("dist.jobs_sent").add(42);
-    let bound = syncperf_dist::serve_metrics("127.0.0.1:0", move || rec.snapshot()).unwrap();
-    // Two sequential scrapes: the endpoint must survive its first client.
-    for _ in 0..2 {
-        let mut s = TcpStream::connect(bound).unwrap();
-        s.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
-        let mut body = String::new();
-        s.read_to_string(&mut body).unwrap();
-        assert!(body.starts_with("HTTP/1.1 200 OK"), "got: {body}");
-        assert!(body.contains("dist_workers 3"), "got: {body}");
-        assert!(body.contains("dist_jobs_sent 42"), "got: {body}");
+// ---- the coordinator's own executions ------------------------------
+
+/// Checks a [`group_and_lone_gpu`] batch the coordinator ran itself:
+/// every result encodes to the bytes a serial run writes, and the nine
+/// same-shape points (never the lone GPU job) ran batch-primed, as the
+/// stats, the exported snapshot and its exposition all report.
+fn assert_ran_primed_locally(coord: &Coordinator, out: &[BackendExec]) {
+    let todo = group_and_lone_gpu();
+    assert_exactly_once(out, todo.len());
+    for (index, job, hash) in &todo {
+        let got = out.iter().find(|b| b.index == *index).unwrap();
+        assert_eq!(
+            encode_measurement(*hash, got.result.as_ref().unwrap()),
+            real_entry(job, *hash),
+        );
     }
+    let mut snap = Snapshot::default();
+    coord.export_into(&mut snap);
+    assert_eq!(DistStats::from_snapshot(&snap), coord.stats());
+    assert_eq!(coord.stats().coordinator_primed_jobs, 9);
+    let exposition = obs::metrics::render(&snap);
+    assert!(
+        exposition.contains("\ndist_coordinator_primed_jobs 9\n"),
+        "exposition:\n{exposition}"
+    );
+}
+
+#[test]
+fn coordinator_primes_a_batch_it_runs_after_losing_the_fleet() {
+    let (c, w) = socket_pair();
+    let script = thread::spawn(move || {
+        handshake(&w);
+        // Die holding the first shard.
+        let _ = next_batch(&w);
+        drop(w);
+    });
+    let coord = Coordinator::from_streams(DistConfig::new(1), None, vec![c]).unwrap();
+    // The only worker dies under a one-job batch, which finishes locally.
+    let lone = JobSpec::cpu_sim(
+        &SYSTEM3,
+        kernel::omp_barrier(),
+        ExecParams::new(4).with_loops(30, 4),
+        Protocol::SIM,
+    );
+    let hash = job_hash_with_salt(&lone, 0);
+    assert_exactly_once(&coord.run_batch(&[(0, lone, hash)]), 1);
+    script.join().unwrap();
+    assert_eq!(coord.live_workers(), 0);
+    assert_eq!(
+        coord.stats().coordinator_primed_jobs,
+        0,
+        "one job is no group"
+    );
+
+    // Whole-fleet loss: the next batch runs on the coordinator, primed.
+    let out = coord.run_batch(&group_and_lone_gpu());
+    assert_ran_primed_locally(&coord, &out);
+    assert_eq!(coord.stats().jobs_sent, 1, "nothing else touched the wire");
+    coord.shutdown();
+}
+
+#[test]
+fn coordinator_primes_the_jobs_it_recomputes() {
+    // Three workers, one shard each (chunks of 4, 4 and 2, so the
+    // backlog is empty): each answers its first job with a JobError and
+    // the rest with corrupt entry bytes.
+    let mut ends = Vec::new();
+    let mut scripts = Vec::new();
+    for _ in 0..3 {
+        let (c, w) = socket_pair();
+        ends.push(c);
+        scripts.push(thread::spawn(move || {
+            handshake(&w);
+            let (shard, jobs) = next_batch(&w);
+            send_job_error(&w, shard, jobs[0].0);
+            for (h, _) in &jobs[1..] {
+                send_result(&w, shard, *h, "not a cache entry");
+            }
+            send_shard_done(&w, shard);
+            drain_until_shutdown(&w);
+        }));
+    }
+    let coord = Coordinator::from_streams(DistConfig::new(3), None, ends).unwrap();
+    let out = coord.run_batch(&group_and_lone_gpu());
+    let st = coord.stats();
+    assert_eq!(st.jobs_sent, 10, "every job went out on the wire");
+    assert_eq!((st.worker_errors, st.corrupt_entries), (3, 7));
+    assert_eq!(st.coordinator_jobs + st.local_jobs, 0);
+    // The ten failures are recomputed together at the batch tail.
+    assert_ran_primed_locally(&coord, &out);
+    coord.shutdown();
+    for s in scripts {
+        s.join().unwrap();
+    }
+}
+
+#[test]
+fn worker_refuses_a_hello_from_another_protocol_revision() {
+    let (c, w) = socket_pair();
+    let worker = thread::spawn(move || serve_stream(w));
+    let hello = format!(
+        "{{\"proto\":{},\"salt\":\"{SCHED_SALT}\",\"salt_extra\":\"{:016x}\"}}",
+        PROTO_VERSION - 1,
+        0
+    );
+    write_frame(&mut &c, FrameType::Hello, hello.as_bytes()).unwrap();
+    let (ty, _) = read_frame(&mut &c).unwrap();
+    assert_eq!(ty, FrameType::Shutdown, "a skewed worker refuses loudly");
+    let err = worker.join().unwrap().unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 }

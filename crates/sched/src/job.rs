@@ -235,50 +235,6 @@ impl JobSpec {
         );
     }
 
-    /// [`JobSpec::canonical`] through a [`CanonicalCache`]: byte-identical
-    /// output, but the expensive system/model prefix and kernel debug
-    /// strings are memoized across calls. A sweep hashes thousands of
-    /// jobs that share a handful of systems and kernels, so this turns
-    /// the dominant hashing cost into a few lookups per job.
-    #[must_use]
-    pub fn canonical_with(&self, cache: &mut CanonicalCache) -> String {
-        match self {
-            JobSpec::CpuSim {
-                system,
-                model,
-                kernel,
-                params,
-                protocol,
-            } => {
-                let pi = cache.cpu_prefix_idx(system, model.as_ref());
-                let ki = cache.cpu_kernel_idx(kernel);
-                let prefix = &cache.cpu_prefixes[pi].2;
-                let mut s =
-                    String::with_capacity(prefix.len() + cache.cpu_kernels[ki].1.len() + 128);
-                s.push_str(prefix);
-                Self::push_tail(&mut s, &cache.cpu_kernels[ki].1, params, *protocol);
-                s
-            }
-            JobSpec::GpuSim {
-                system,
-                model,
-                kernel,
-                params,
-                protocol,
-            } => {
-                let pi = cache.gpu_prefix_idx(system, model.as_ref());
-                let ki = cache.gpu_kernel_idx(kernel);
-                let prefix = &cache.gpu_prefixes[pi].2;
-                let mut s =
-                    String::with_capacity(prefix.len() + cache.gpu_kernels[ki].1.len() + 128);
-                s.push_str(prefix);
-                Self::push_tail(&mut s, &cache.gpu_kernels[ki].1, params, *protocol);
-                s
-            }
-            JobSpec::RealOmp { .. } => self.canonical(),
-        }
-    }
-
     /// The FNV-1a hash of `canonical() + salt_line` without building
     /// the canonical string: the hash *state* over the shared
     /// prefix-plus-kernel head is memoized in `cache` (FNV-1a is a
@@ -392,6 +348,28 @@ impl JobSpec {
             }
         }
         groups
+    }
+
+    /// Batch-primes every same-shape group of ≥ 2 jobs in `jobs`
+    /// ([`JobSpec::shape_groups`], [`JobSpec::batch_prime`]): one slot
+    /// per job, in input order. A lone job, and every member of a group
+    /// whose batch evaluation fails, stays `None`, so the per-job path
+    /// runs it and reproduces any error exactly. The pool's chunk
+    /// tasks, the dist workers and the dist coordinator all prime here.
+    #[must_use]
+    pub fn prime_groups(jobs: &[&JobSpec]) -> Vec<Option<PrimedEngine>> {
+        let mut primed = vec![None; jobs.len()];
+        for group in Self::shape_groups(jobs) {
+            if group.len() < 2 {
+                continue;
+            }
+            let members: Vec<&JobSpec> = group.iter().map(|&i| jobs[i]).collect();
+            let engines = Self::batch_prime(&members).unwrap_or_default();
+            for (i, pe) in group.into_iter().zip(engines) {
+                primed[i] = Some(pe);
+            }
+        }
+        primed
     }
 
     /// Evaluates a same-shape group of jobs in one batched
@@ -798,42 +776,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_canonical_is_byte_identical() {
-        let (p, proto) = point();
-        let mut m = CpuModel::for_system(&SYSTEM3.cpu, SYSTEM3.cpu_jitter);
-        m.line_transfer_ns *= 2.0;
-        let jobs = vec![
-            JobSpec::cpu_sim(&SYSTEM3, kernel::omp_barrier(), p, proto),
-            JobSpec::cpu_sim(
-                &SYSTEM3,
-                kernel::omp_barrier(),
-                ExecParams { threads: 8, ..p },
-                proto,
-            ),
-            JobSpec::cpu_sim_with_model(&SYSTEM3, m, kernel::omp_barrier(), p, proto),
-            JobSpec::cpu_sim(
-                &SYSTEM3,
-                kernel::omp_atomic_update_scalar(DType::I32),
-                p,
-                Protocol::PAPER,
-            ),
-            JobSpec::gpu_sim(
-                &SYSTEM3,
-                kernel::cuda_syncthreads(),
-                ExecParams::new(32).with_blocks(2).with_loops(50, 4),
-                proto,
-            ),
-            JobSpec::real_omp(kernel::omp_barrier(), p, proto),
-        ];
-        let mut cache = CanonicalCache::default();
-        for _ in 0..2 {
-            for job in &jobs {
-                assert_eq!(job.canonical(), job.canonical_with(&mut cache));
-            }
-        }
-    }
-
-    #[test]
     fn same_shape_groups_parameter_points_only() {
         let (p, proto) = point();
         let a = JobSpec::cpu_sim(&SYSTEM3, kernel::omp_barrier(), p, proto);
@@ -928,5 +870,37 @@ mod tests {
         let bad = JobSpec::cpu_sim(&SYSTEM3, kernel::omp_barrier(), p.with_blocks(2), proto);
         let ok = JobSpec::cpu_sim(&SYSTEM3, kernel::omp_barrier(), p, proto);
         assert!(JobSpec::batch_prime(&[&ok, &bad]).is_none());
+    }
+
+    #[test]
+    fn prime_groups_fills_groups_of_two_or_more() {
+        let (p, proto) = point();
+        let at = |threads| {
+            JobSpec::cpu_sim(
+                &SYSTEM3,
+                kernel::omp_barrier(),
+                ExecParams { threads, ..p },
+                proto,
+            )
+        };
+        let (a, b) = (at(2), at(8));
+        let lone = JobSpec::gpu_sim(
+            &SYSTEM3,
+            kernel::cuda_syncthreads(),
+            ExecParams::new(32).with_blocks(2).with_loops(50, 4),
+            proto,
+        );
+        let slots = JobSpec::prime_groups(&[&a, &lone, &b]);
+        let filled: Vec<bool> = slots.iter().map(Option::is_some).collect();
+        assert_eq!(filled, [true, false, true], "a lone job stays unprimed");
+        assert_eq!(
+            a.execute_primed(3, slots[0].as_ref().unwrap()).unwrap(),
+            a.execute(3).unwrap()
+        );
+        // A group whose batch evaluation fails primes none of its members.
+        let bad = JobSpec::cpu_sim(&SYSTEM3, kernel::omp_barrier(), p.with_blocks(2), proto);
+        assert!(JobSpec::prime_groups(&[&a, &bad])
+            .iter()
+            .all(Option::is_none));
     }
 }

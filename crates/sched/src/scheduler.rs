@@ -50,20 +50,6 @@ pub fn job_hash_with_salt(job: &JobSpec, salt_extra: u64) -> u64 {
     fnv1a(s.as_bytes())
 }
 
-/// [`job_hash_with_salt`] with a [`CanonicalCache`] memoizing the
-/// expensive kernel/system formatting — and the FNV-1a hash state of
-/// that shared head — across the jobs of one batch. Produces the same
-/// hash bit for bit ([`JobSpec::hash_with`]): only each job's short
-/// params/protocol/salt tail is formatted and hashed per call.
-#[must_use]
-pub fn job_hash_with_salt_cached(
-    job: &JobSpec,
-    salt_extra: u64,
-    cache: &mut CanonicalCache,
-) -> u64 {
-    job.hash_with(cache, &format!("salt={SCHED_SALT}/{salt_extra}\n"))
-}
-
 /// [`execute_job_with_retry_primed`] without batch-primed engine
 /// results.
 ///
@@ -89,7 +75,8 @@ pub fn execute_job_with_retry(
 /// before each backoff sleep. When `primed` is `Some`, every attempt
 /// reuses the batch-evaluated engine results (they depend only on the
 /// job, never on the seed), so retries stay bit-identical to the
-/// unprimed path. The pool and the dist workers both run jobs here.
+/// unprimed path. The pool, the dist workers and the dist coordinator
+/// all run jobs here.
 ///
 /// # Errors
 ///
@@ -689,7 +676,7 @@ impl Scheduler {
     /// `clamp(len / 2, 1, workers)` contiguous chunks, so every chunk of
     /// a group of ≥ 2 jobs holds ≥ 2 points. A chunk is one pool task:
     /// its worker batch-evaluates the chunk's plan table
-    /// ([`JobSpec::batch_prime`]), then runs each point from the primed
+    /// ([`JobSpec::prime_groups`]), then runs each point from the primed
     /// memos and writes its cache entry. The `plan.*` counters count
     /// groups, not chunks; a chunk whose batch evaluation fails primes
     /// nothing, so the per-job path reproduces the exact error.
@@ -717,23 +704,20 @@ impl Scheduler {
         let dispatched = Instant::now();
         let outcome = pool::run_chunks(workers, chunks, |chunk| {
             let waited = dispatched.elapsed().as_micros() as u64;
-            let mut primed = None;
-            if chunk.len() >= 2 {
-                let start = Instant::now();
-                let group: Vec<&JobSpec> = chunk.iter().map(|(_, job, _)| job).collect();
-                primed = JobSpec::batch_prime(&group);
-                c.plan_primed_jobs
-                    .add(primed.as_ref().map_or(0, |engines| engines.len() as u64));
-                c.plan_compile_us.add(start.elapsed().as_micros() as u64);
-            }
+            let start = Instant::now();
+            let group: Vec<&JobSpec> = chunk.iter().map(|(_, job, _)| job).collect();
+            let primed = JobSpec::prime_groups(&group);
+            c.plan_primed_jobs
+                .add(primed.iter().flatten().count() as u64);
+            c.plan_compile_us.add(start.elapsed().as_micros() as u64);
             chunk
                 .iter()
-                .enumerate()
-                .map(|(k, &&(index, ref job, hash))| {
+                .zip(&primed)
+                .map(|(&&(index, ref job, hash), pe)| {
                     c.wait_us.observe(waited);
                     let exec_start = Instant::now();
-                    let pe = primed.as_ref().map(|engines| &engines[k]);
-                    let result = execute_job_with_retry_primed(job, hash, pe, |_| c.retries.inc());
+                    let result =
+                        execute_job_with_retry_primed(job, hash, pe.as_ref(), |_| c.retries.inc());
                     c.service_miss_us
                         .observe(exec_start.elapsed().as_micros() as u64);
                     // Writing the entry here keeps the file I/O
@@ -1094,12 +1078,41 @@ mod tests {
 
     #[test]
     fn cached_job_hash_matches_uncached() {
+        let p = ExecParams::new(4).with_loops(50, 4);
+        let proto = Protocol::SIM;
+        let mut m = syncperf_cpu_sim::CpuModel::for_system(&SYSTEM3.cpu, SYSTEM3.cpu_jitter);
+        m.line_transfer_ns *= 2.0;
+        let jobs = [
+            JobSpec::cpu_sim(&SYSTEM3, kernel::omp_barrier(), p, proto),
+            JobSpec::cpu_sim(
+                &SYSTEM3,
+                kernel::omp_barrier(),
+                ExecParams { threads: 8, ..p },
+                proto,
+            ),
+            JobSpec::cpu_sim_with_model(&SYSTEM3, m, kernel::omp_barrier(), p, proto),
+            JobSpec::cpu_sim(
+                &SYSTEM3,
+                kernel::omp_atomic_update_scalar(DType::I32),
+                p,
+                Protocol::PAPER,
+            ),
+            JobSpec::gpu_sim(
+                &SYSTEM3,
+                kernel::cuda_syncthreads(),
+                ExecParams::new(32).with_blocks(2).with_loops(50, 4),
+                proto,
+            ),
+            JobSpec::real_omp(kernel::omp_barrier(), p, proto),
+        ];
+        // Two passes: the second is served from the memoized heads.
         let mut canon = CanonicalCache::default();
         for salt in [0u64, 7] {
-            for job in sim_jobs() {
+            let salt_line = format!("salt={SCHED_SALT}/{salt}\n");
+            for job in &jobs {
                 assert_eq!(
-                    job_hash_with_salt_cached(&job, salt, &mut canon),
-                    job_hash_with_salt(&job, salt),
+                    job.hash_with(&mut canon, &salt_line),
+                    job_hash_with_salt(job, salt),
                     "memoized canonical text must hash identically"
                 );
             }

@@ -60,6 +60,6 @@ pub use http::{ParseFailure, ParseStep, Request, Response};
 pub use index::{Index, Pin, Query, QueryMatch};
 pub use inflight::{Claim, Inflight, OwnerGuard};
 pub use server::{
-    cache_bytes_from_env, endpoint_label, install_sigterm_handler, sigterm_received,
-    ComputeRequest, Resolver, ServeConfig, ServeStats, Server, ENDPOINT_LABELS,
+    cache_bytes_from_env, endpoint_label, install_sigterm_handler, metrics_endpoint,
+    sigterm_received, ComputeRequest, Resolver, ServeConfig, ServeStats, Server, ENDPOINT_LABELS,
 };

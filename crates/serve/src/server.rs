@@ -1041,7 +1041,7 @@ fn route(req: &Request, shared: &Arc<Shared>) -> Routed {
     let resp = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Response::text(200, "ok\n"),
         ("GET", "/stats") => stats_response(shared),
-        ("GET", "/metrics") => metrics_response(shared),
+        ("GET", "/metrics") => metrics_response(&telemetry_snapshot(shared)),
         ("GET", "/events") => events_response(req, shared),
         ("GET" | "POST", "/shutdown") => {
             shared.shutdown.store(true, Ordering::SeqCst);
@@ -1101,13 +1101,49 @@ fn telemetry_snapshot(shared: &Arc<Shared>) -> Snapshot {
     snap
 }
 
-fn metrics_response(shared: &Arc<Shared>) -> Response {
+/// `GET /metrics`: `snap` in Prometheus text exposition format.
+fn metrics_response(snap: &Snapshot) -> Response {
     Response {
         status: 200,
         content_type: "text/plain; version=0.0.4",
-        body: obs::metrics::render(&telemetry_snapshot(shared)),
+        body: obs::metrics::render(snap),
         retry_after: None,
     }
+}
+
+/// Serves `GET /metrics` alone on `addr` from a detached thread, for a
+/// process that is not a query server (`--metrics-addr` on the figure
+/// binaries and `syncperf_dist`, which `syncperf_top` scrapes). Each
+/// scrape answers with the response the server's own `/metrics` gives,
+/// over a fresh snapshot from `make`; any other request gets the
+/// server's 404 or 405. One request per connection. Returns the bound
+/// address.
+///
+/// # Errors
+///
+/// Fails when the address cannot be bound.
+pub fn metrics_endpoint(
+    addr: &str,
+    make: impl Fn() -> Snapshot + Send + 'static,
+) -> std::io::Result<SocketAddr> {
+    let listener = TcpListener::bind(addr)?;
+    let bound = listener.local_addr()?;
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut s) = stream else { continue };
+            s.set_read_timeout(Some(Duration::from_secs(5))).ok();
+            let resp = match crate::http::read_request(&mut s) {
+                Ok(req) => match (req.method.as_str(), req.path.as_str()) {
+                    ("GET", "/metrics") => metrics_response(&make()),
+                    (_, "/metrics") => Response::error(405, "method not allowed"),
+                    _ => Response::error(404, "no such endpoint"),
+                },
+                Err(e) => Response::error(e.status(), e.message()),
+            };
+            let _ = s.write_all(&render_response(&resp, false));
+        }
+    });
+    Ok(bound)
 }
 
 /// `GET /events?n=..`: the last `n` flight-recorder entries (default
@@ -1362,6 +1398,43 @@ fn stats_response(shared: &Arc<Shared>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn metrics_endpoint_serves_prometheus_exposition() {
+        use std::io::Read as _;
+        let rec = Recorder::enabled();
+        rec.counter("dist.workers").add(3);
+        rec.counter("dist.jobs_sent").add(42);
+        let bound = metrics_endpoint("127.0.0.1:0", move || rec.snapshot()).unwrap();
+        let fetch = |request: &[u8]| {
+            let mut s = TcpStream::connect(bound).unwrap();
+            s.write_all(request).unwrap();
+            let mut reply = String::new();
+            s.read_to_string(&mut reply).unwrap();
+            reply
+        };
+        // Two sequential scrapes: the endpoint must survive its first client.
+        for _ in 0..2 {
+            let body = fetch(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+            assert!(body.starts_with("HTTP/1.1 200 OK"), "got: {body}");
+            assert!(
+                body.contains("Content-Type: text/plain; version=0.0.4\r\n"),
+                "the server's /metrics content type, got: {body}"
+            );
+            assert!(body.contains("dist_workers 3"), "got: {body}");
+            assert!(body.contains("dist_jobs_sent 42"), "got: {body}");
+        }
+        let missing = fetch(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(
+            missing.starts_with("HTTP/1.1 404 Not Found"),
+            "got: {missing}"
+        );
+        let wrong = fetch(b"POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(
+            wrong.starts_with("HTTP/1.1 405 Method Not Allowed"),
+            "got: {wrong}"
+        );
+    }
 
     #[test]
     fn compute_request_parses_and_validates() {

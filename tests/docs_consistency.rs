@@ -176,8 +176,6 @@ fn distributed_docs_match_the_wire_and_code() {
         "Result",
         "JobError",
         "ShardDone",
-        "Revoke",
-        "Revoked",
         "Heartbeat",
         "Shutdown",
     ] {
@@ -186,6 +184,17 @@ fn distributed_docs_match_the_wire_and_code() {
             "docs/DISTRIBUTED.md missing frame {frame_kind}"
         );
         assert!(frame.contains(frame_kind), "frame.rs missing {frame_kind}");
+    }
+    // Protocol 2 retired shard revocation (type bytes 7 and 8): the
+    // wire table says so and no frame of that name is left.
+    assert!(frame.contains("pub const PROTO_VERSION: u32 = 2;"));
+    assert!(dist_doc.contains("retired in revision 2"));
+    for gone in ["Revoke", "Revoked"] {
+        assert!(!frame.contains(gone), "frame.rs still defines {gone}");
+        assert!(
+            !dist_doc.contains(&format!("`{gone}`")),
+            "docs/DISTRIBUTED.md still documents {gone}"
+        );
     }
 
     // The documented dist.* metric names are the ones the coordinator
@@ -199,8 +208,8 @@ fn distributed_docs_match_the_wire_and_code() {
         "dist.results_received",
         "dist.local_jobs",
         "dist.coordinator_jobs",
+        "dist.coordinator_primed_jobs",
         "dist.shard_reissues",
-        "dist.migrations",
         "dist.worker_deaths",
         "dist.corrupt_entries",
         "dist.duplicate_results",
