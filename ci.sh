@@ -159,7 +159,15 @@ echo "warm-run executed jobs: ${executed}"
 echo "==> sensitivity warm-cache gate"
 SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-bench \
   --bin sensitivity_analysis -- --jobs 2 \
-  --cache-stats results/cache_stats_sensitivity_cold.json > /dev/null
+  --cache-stats results/cache_stats_sensitivity_cold.json \
+  --metrics results/metrics_sensitivity_cold.prom > /dev/null
+# The sensitivity run is a runner session too: its --metrics exposition
+# and --cache-stats JSON read one snapshot, so their job counts agree.
+json_jobs=$(sed -n 's/.*"jobs":\([0-9]*\).*/\1/p' results/cache_stats_sensitivity_cold.json)
+prom_jobs=$(sed -n 's/^sched_jobs \([0-9]*\)$/\1/p' results/metrics_sensitivity_cold.prom)
+[ -n "$prom_jobs" ] && [ "$prom_jobs" = "$json_jobs" ] || {
+  echo "sensitivity --metrics sched_jobs=${prom_jobs:-missing} but" \
+    "--cache-stats jobs=${json_jobs:-missing}"; exit 1; }
 SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-bench \
   --bin sensitivity_analysis -- --jobs 2 \
   --cache-stats results/cache_stats_sensitivity_warm.json > /dev/null

@@ -8,22 +8,37 @@
 //! $ launch cuda --system 1     # CUDA codes on the System 1 model
 //! $ launch omp_barrier cuda_shfl
 //! $ launch list                # list available codes
+//! $ launch openmp --yes --jobs 2 --cache-stats stats.json
 //! ```
+//!
+//! The sweeps route through `measure_{cpu,gpu}_batch` inside a
+//! `runner::session`, so every shared flag (`--jobs`, `--workers`,
+//! `--no-cache`, `--resume`, `--cache-stats`, `--metrics`, ...) and
+//! `SYNCPERF_JOBS` turn each grid point into a content-hashed
+//! cacheable job, as for the figure binaries.
 
 use std::io::Write as _;
 
 use syncperf_bench::codes;
+use syncperf_bench::runner::{self, RunOptions};
 use syncperf_core::{ResultsStore, SystemSpec, SYSTEM1, SYSTEM2, SYSTEM3};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: launch <all|openmp|cuda|list|TEST...> [--yes] [--system 1|2|3] [--system-file PATH] [--out DIR] [--jobs N] [--no-cache] [--cache-stats PATH]"
+        "usage: launch <all|openmp|cuda|list|TEST...> [--yes] [--system 1|2|3] [--system-file PATH] [--out DIR] [shared runner flags: --jobs N, --no-cache, --cache-stats PATH, ...]"
     );
     std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (mut opts, args) = match RunOptions::parse_known(runner::args()) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    };
+    opts.label = Some("launch".into());
     if args.is_empty() {
         usage();
     }
@@ -34,21 +49,9 @@ fn main() {
     let mut system: &SystemSpec = &SYSTEM3;
     let mut it = args.iter();
     let mut out = syncperf_bench::common::results_dir();
-    let mut jobs: Option<usize> = None;
-    let mut no_cache = false;
-    let mut cache_stats: Option<std::path::PathBuf> = None;
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--yes" | "-y" => yes = true,
-            "--jobs" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) => jobs = Some(n.max(1)),
-                None => usage(),
-            },
-            "--no-cache" => no_cache = true,
-            "--cache-stats" => match it.next() {
-                Some(path) => cache_stats = Some(path.into()),
-                None => usage(),
-            },
             "--system" => {
                 system = match it.next().map(String::as_str) {
                     Some("1") => &SYSTEM1,
@@ -115,54 +118,25 @@ fn main() {
         }
     }
 
-    // The sweeps route through `measure_{cpu,gpu}_batch`, so installing
-    // a scheduler turns every grid point into a content-hashed cacheable
-    // job — the same `--jobs`/`--no-cache`/`--cache-stats` surface the
-    // figure binaries expose via `runner`.
-    let wants_scheduler = jobs.is_some() || no_cache || cache_stats.is_some();
-    let sched = if wants_scheduler {
-        let effective = syncperf_bench::runner::RunOptions::jobs_from(
-            jobs,
-            std::env::var("SYNCPERF_JOBS").ok().as_deref(),
-        );
-        let mut cfg = syncperf_sched::SchedConfig::new(effective).with_label("launch");
-        if no_cache {
-            cfg = cfg.without_cache();
-        }
-        Some(syncperf_sched::install(syncperf_sched::Scheduler::new(cfg)))
-    } else {
-        None
-    };
-
     let host = format!("system{}", system.id);
-    let mut store = ResultsStore::new(&host);
-    for code in &picked {
-        print!("running {:<28} ", code.name);
-        std::io::stdout().flush().expect("stdout");
-        let before = store.len();
-        match (code.run)(system, &mut store) {
-            Ok(()) => println!("{} points", store.len() - before),
-            Err(e) => {
-                eprintln!("failed: {e}");
-                std::process::exit(1);
-            }
+    let outcome = runner::session(&opts, || {
+        let mut store = ResultsStore::new(&host);
+        for code in &picked {
+            print!("running {:<28} ", code.name);
+            std::io::stdout().flush().expect("stdout");
+            let before = store.len();
+            (code.run)(system, &mut store)?;
+            println!("{} points", store.len() - before);
         }
-    }
-
-    if let Some(s) = &sched {
-        s.finish();
-        syncperf_sched::uninstall();
-        let stats = s.stats();
-        print!("{}", syncperf_bench::runner::render_sched_summary(&stats));
-        if let Some(path) = &cache_stats {
-            if let Err(e) =
-                std::fs::write(path, syncperf_bench::runner::cache_stats_json(&stats, None))
-            {
-                eprintln!("error writing cache stats: {e}");
-                std::process::exit(1);
-            }
+        Ok(store)
+    });
+    let store = match outcome {
+        Ok(store) => store,
+        Err(e) => {
+            eprintln!("failed: {e}");
+            std::process::exit(1);
         }
-    }
+    };
     if let Err(e) = store.write(&out) {
         eprintln!("error writing results: {e}");
         std::process::exit(1);

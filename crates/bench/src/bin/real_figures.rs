@@ -9,7 +9,7 @@
 //! are host-scoped, so results never leak across machines.
 
 use syncperf_bench::common::{max_real_threads, real_series};
-use syncperf_bench::runner::{run_with_options, RunOptions};
+use syncperf_bench::runner::{self, RunOptions};
 use syncperf_core::sweep::thread_sweep;
 use syncperf_core::{kernel, DType, ExecParams, FigureData, Protocol, Result};
 use syncperf_omp::OmpExecutor;
@@ -81,7 +81,7 @@ fn generate(full: bool) -> Result<Vec<FigureData>> {
 }
 
 fn main() -> Result<()> {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = runner::args();
     let full = args.iter().any(|a| a == "--full");
     args.retain(|a| a != "--full");
     let mut opts = RunOptions::parse(args)?;
@@ -92,5 +92,7 @@ fn main() -> Result<()> {
     } else {
         "real_figures".into()
     });
-    run_with_options(|| generate(full), &opts)
+    runner::session(&opts, || {
+        generate(full).and_then(|figs| syncperf_bench::emit(&figs))
+    })
 }

@@ -2,46 +2,19 @@
 //! re-evaluates the paper's shape claims — showing which conclusions
 //! follow from mechanisms rather than calibration.
 //!
-//! Accepts the shared scheduler flags (`--jobs`, `--no-cache`,
-//! `--resume`, `--cache-stats`): the grid is hundreds of perturbed-model
+//! Runs as a `runner::session`, so every shared flag applies
+//! (`--jobs`, `--workers`, `--no-cache`, `--resume`, `--cache-stats`,
+//! `--metrics`, `--trace`, ...): the grid is hundreds of perturbed-model
 //! measurements, and every one is an independent cacheable job.
 
 use syncperf_bench::runner::{self, RunOptions};
+use syncperf_bench::sensitivity;
 
 fn main() -> syncperf_core::Result<()> {
-    let mut opts = RunOptions::parse(std::env::args().skip(1))?;
+    let mut opts = RunOptions::parse(runner::args())?;
     opts.label = Some("sensitivity_analysis".into());
-
-    let sched = if opts.wants_scheduler() {
-        let mut cfg = syncperf_sched::SchedConfig::new(opts.effective_jobs())
-            .with_label(opts.label.clone().unwrap_or_default());
-        if opts.no_cache {
-            cfg = cfg.without_cache();
-        }
-        if opts.resume {
-            cfg = cfg.with_resume();
-        }
-        Some(syncperf_sched::install(syncperf_sched::Scheduler::new(cfg)))
-    } else {
-        None
-    };
-
-    let outcome = syncperf_bench::sensitivity::run_sensitivity();
-
-    if let Some(s) = &sched {
-        if outcome.is_ok() {
-            s.finish();
-        }
-        syncperf_sched::uninstall();
-        let stats = s.stats();
-        print!("{}", runner::render_sched_summary(&stats));
-        if let Some(path) = &opts.cache_stats {
-            std::fs::write(path, runner::cache_stats_json(&stats, None))?;
-        }
-    }
-
-    let rows = outcome?;
-    print!("{}", syncperf_bench::sensitivity::render(&rows));
+    let rows = runner::session(&opts, sensitivity::run_sensitivity)?;
+    print!("{}", sensitivity::render(&rows));
     if rows.iter().any(|r| !r.robust()) {
         std::process::exit(1);
     }

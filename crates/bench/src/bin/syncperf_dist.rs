@@ -46,30 +46,12 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    match args.get(1).map(String::as_str) {
-        // Hidden re-exec mode used by spawn-mode coordinators (both
-        // this binary's and the figure binaries').
-        Some("__dist-worker") => {
-            let code = match args.get(2).map(String::as_str) {
-                Some("--connect") if args.len() == 4 => {
-                    match syncperf_dist::run_connect(&args[3]) {
-                        Ok(()) => 0,
-                        Err(e) => {
-                            eprintln!("worker: {e}");
-                            1
-                        }
-                    }
-                }
-                _ => {
-                    eprintln!("__dist-worker requires --connect <host:port>");
-                    2
-                }
-            };
-            std::process::exit(code);
-        }
+    // `runner::args` serves the hidden `__dist-worker` re-exec mode
+    // that spawn-mode coordinators use.
+    let args = runner::args();
+    match args.first().map(String::as_str) {
         Some("worker") => {
-            let result = match (args.get(2).map(String::as_str), args.get(3)) {
+            let result = match (args.get(1).map(String::as_str), args.get(2)) {
                 (Some("--listen"), Some(addr)) => syncperf_dist::run_listen(addr),
                 (Some("--connect"), Some(addr)) => syncperf_dist::run_connect(addr),
                 _ => usage(),
@@ -79,13 +61,13 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        Some("bench") => bench(&args[2..]),
+        Some("bench") => bench(&args[1..]),
         Some("--list") => {
             for e in runner::registry() {
                 println!("{:32} {}", e.name, e.about);
             }
         }
-        Some(entry) if !entry.starts_with('-') => coordinate(entry, &args[2..]),
+        Some(entry) if !entry.starts_with('-') => coordinate(entry, &args[1..]),
         _ => usage(),
     }
 }
@@ -109,7 +91,9 @@ fn coordinate(entry: &str, rest: &[String]) {
     // Label by entry name so checkpoint manifests merge with (and
     // resume from) runs of the plain figure binary.
     opts.label = Some(e.name.to_string());
-    if let Err(err) = runner::run_with_options(e.generate, &opts) {
+    if let Err(err) = runner::session(&opts, || {
+        (e.generate)().and_then(|figs| syncperf_bench::emit(&figs))
+    }) {
         eprintln!("error: {err}");
         std::process::exit(1);
     }

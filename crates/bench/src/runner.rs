@@ -1,19 +1,28 @@
-//! Shared entry point for the figure/experiment binaries.
+//! Shared entry point for every binary that runs sweeps.
 //!
-//! Every `fig*`/`exp*` binary is a one-liner delegating here, so the
-//! command-line surface — including the `--trace <path>` observability
-//! flag — is implemented once rather than once per binary.
+//! [`session`] is the one run lifecycle: it installs the observability
+//! plane and the sweep scheduler (with the dist coordinator attached
+//! for `--workers`/`--connect`), serves `--metrics-addr`, runs the
+//! caller's body, marks the checkpoint manifest complete on success,
+//! and writes the scheduler summary, `--cache-stats`, `--metrics` and
+//! `--trace`. Every `fig*`/`exp*` binary is `runner::run(generate)`;
+//! tools with arguments of their own (`trace_report`, `launch`,
+//! `sensitivity_analysis`, `real_figures`, `syncperf_dist`) read them
+//! through [`args`], hand the shared flags to [`RunOptions`], and run
+//! their work as a session body.
 //!
 //! ```console
 //! $ fig02_omp_atomic_update_scalar --trace fig02.json
 //! $ fig02_omp_atomic_update_scalar --trace fig02.jsonl --trace-format jsonl
+//! $ sensitivity_analysis --jobs 2 --metrics -
 //! ```
 //!
 //! With `--trace`, a process-global [`Recorder`] is installed before
-//! the generators run, so every layer (protocol, simulators, real
-//! runtime) records into it; the merged events plus the counter
-//! snapshot are then written in the requested format and an ASCII
-//! summary of the counters is printed to stdout.
+//! the body runs, so every layer (protocol, simulators, real runtime)
+//! records into it; the merged events plus the counter snapshot are
+//! then written in the requested format and an ASCII summary of the
+//! counters is printed to stdout. `--trace` and `--metrics` take `-`
+//! for stdout.
 
 use std::path::{Path, PathBuf};
 
@@ -202,7 +211,7 @@ impl TraceFormat {
     }
 }
 
-/// Options shared by every figure binary.
+/// Options shared by every session binary.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Write a trace of the run to this path.
@@ -223,8 +232,8 @@ pub struct RunOptions {
     /// exposition format to this path (`--metrics <path>`) — the same
     /// rendering `syncperf-serve` exposes at `GET /metrics`.
     pub metrics: Option<PathBuf>,
-    /// Run label scoping the checkpoint manifest (derived from the
-    /// binary name by [`run`]).
+    /// Run label scoping the checkpoint manifest (the binary name for
+    /// [`run`]; tools pick their own).
     pub label: Option<String>,
     /// Execute cache misses on this many local worker *processes*
     /// (`--workers N`) via the distributed coordinator instead of
@@ -250,7 +259,31 @@ impl RunOptions {
     ///
     /// Returns `InvalidParams` on unknown flags or missing values.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self> {
+        let (opts, rest) = Self::parse_known(args)?;
+        match rest.first() {
+            Some(other) => Err(SyncPerfError::InvalidParams(format!(
+                "unknown flag `{other}` (supported: --trace <path>, \
+                 --trace-format chrome|jsonl|summary, --jobs <n>, \
+                 --workers <n>, --connect <host:port>, \
+                 --chaos-kill-one <n>, --metrics-addr <host:port>, \
+                 --no-cache, --resume, --cache-stats <path>, \
+                 --metrics <path>)"
+            ))),
+            None => Ok(opts),
+        }
+    }
+
+    /// Parses the shared flags out of `args` and returns, in order,
+    /// every argument they leave over: a tool's own positionals and
+    /// flags.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidParams` when a shared flag lacks its value or
+    /// the value is malformed.
+    pub fn parse_known<I: IntoIterator<Item = String>>(args: I) -> Result<(Self, Vec<String>)> {
         let mut opts = RunOptions::default();
+        let mut rest = Vec::new();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
             match a.as_str() {
@@ -321,19 +354,10 @@ impl RunOptions {
                     })?;
                     opts.metrics = Some(PathBuf::from(path));
                 }
-                other => {
-                    return Err(SyncPerfError::InvalidParams(format!(
-                        "unknown flag `{other}` (supported: --trace <path>, \
-                         --trace-format chrome|jsonl|summary, --jobs <n>, \
-                         --workers <n>, --connect <host:port>, \
-                         --chaos-kill-one <n>, --metrics-addr <host:port>, \
-                         --no-cache, --resume, --cache-stats <path>, \
-                         --metrics <path>)"
-                    )));
-                }
+                _ => rest.push(a),
             }
         }
-        Ok(opts)
+        Ok((opts, rest))
     }
 
     /// The effective format for `path`.
@@ -358,7 +382,7 @@ impl RunOptions {
     }
 
     /// Whether any scheduler-facing option was given. Only then does
-    /// [`run_with_options`] install a scheduler; otherwise measurements
+    /// [`session`] install a scheduler; otherwise measurements
     /// take the serial legacy path, which stays the reference output.
     #[must_use]
     pub fn wants_scheduler(&self) -> bool {
@@ -379,7 +403,7 @@ impl RunOptions {
 
 /// Renders a drained trace in `format`.
 #[must_use]
-pub fn render_trace(events: &[obs::Event], snap: &obs::Snapshot, format: TraceFormat) -> String {
+fn render_trace(events: &[obs::Event], snap: &obs::Snapshot, format: TraceFormat) -> String {
     match format {
         TraceFormat::Chrome => sink::chrome_trace_json(events, snap),
         TraceFormat::Jsonl => sink::jsonl(events),
@@ -387,40 +411,46 @@ pub fn render_trace(events: &[obs::Event], snap: &obs::Snapshot, format: TraceFo
     }
 }
 
-/// Runs `generate` with the shared CLI surface: parses `--trace`/
-/// `--trace-format` from `std::env::args`, installs a process-global
-/// recorder when tracing, emits the figures, and writes the trace.
+/// Runs `generate` as a [`session`] over the shared flags in
+/// `std::env::args`, emitting the figures inside it.
 ///
 /// Every figure binary's `main` is exactly `runner::run(generate)`.
 ///
 /// # Errors
 ///
-/// Propagates generator and I/O errors.
+/// Propagates flag, generator and I/O errors.
 pub fn run(generate: impl FnOnce() -> Result<Vec<FigureData>>) -> Result<()> {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).is_some_and(|a| a == "__dist-worker") {
-        // This process was re-exec'd by a coordinator as a local dist
-        // worker: skip the figure pipeline entirely and serve jobs.
-        // (Every figure binary is therefore self-hosting as a worker.)
-        return run_dist_worker(&args[2..]);
-    }
-    let mut opts = RunOptions::parse(args.iter().skip(1).cloned())?;
-    opts.label = args.first().map(|a| binary_label(a));
-    run_with_options(generate, &opts)
+    let mut opts = RunOptions::parse(args())?;
+    opts.label = std::env::args().next().map(|a| binary_label(&a));
+    session(&opts, || generate().and_then(|figs| crate::emit(&figs)))
 }
 
-/// The `__dist-worker --connect <addr>` re-exec mode: dial the
-/// coordinator and serve until shutdown.
-fn run_dist_worker(args: &[String]) -> Result<()> {
-    let addr = match args {
-        [flag, addr] if flag == "--connect" => addr,
-        _ => {
-            return Err(SyncPerfError::InvalidParams(
+/// This process's arguments after `argv[0]`.
+///
+/// A process that a spawn-mode coordinator re-exec'd
+/// (`<binary> __dist-worker --connect <addr>`) never returns from
+/// here: it dials the coordinator, serves jobs until shutdown and
+/// exits. Every binary that reads its arguments through this therefore
+/// hosts the workers its own `--workers` run spawns.
+#[must_use]
+pub fn args() -> Vec<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "__dist-worker") {
+        let served = match &args[1..] {
+            [flag, addr] if flag == "--connect" => {
+                syncperf_dist::run_connect(addr).map_err(SyncPerfError::from)
+            }
+            _ => Err(SyncPerfError::InvalidParams(
                 "__dist-worker requires --connect <host:port>".into(),
-            ))
+            )),
+        };
+        if let Err(e) = served {
+            eprintln!("worker: {e}");
+            std::process::exit(1);
         }
-    };
-    syncperf_dist::run_connect(addr).map_err(SyncPerfError::from)
+        std::process::exit(0);
+    }
+    args
 }
 
 /// Derives a checkpoint label from `argv[0]` (its file stem).
@@ -508,7 +538,7 @@ pub fn cache_stats_json(
 
 /// One-line human summary of a distributed run.
 #[must_use]
-pub fn render_dist_summary(d: &syncperf_dist::DistStats) -> String {
+fn render_dist_summary(d: &syncperf_dist::DistStats) -> String {
     format!(
         "dist: {} workers ({} live), {} jobs sent, {} results, {} local, \
          {} coordinator ({} primed), {} reissues, {} deaths\n",
@@ -526,7 +556,7 @@ pub fn render_dist_summary(d: &syncperf_dist::DistStats) -> String {
 
 /// One-line human summary of a scheduler run.
 #[must_use]
-pub fn render_sched_summary(stats: &syncperf_sched::SchedStats) -> String {
+fn render_sched_summary(stats: &syncperf_sched::SchedStats) -> String {
     format!(
         "scheduler: {} jobs, {} cache hits ({:.1}%), {} executed, {} steals, {} retries, {} resumed\n",
         stats.jobs,
@@ -557,15 +587,19 @@ pub fn process_snapshot(
     snap
 }
 
-/// [`run`] with pre-parsed options (used by `trace_report` and tests).
+/// Runs `body` as one run session under `opts`, the lifecycle every
+/// sweep binary shares. The observability plane a flag needs and the
+/// scheduler (plus the dist coordinator) are set up before `body`.
+/// After it the scheduler is uninstalled, its checkpoint manifest is
+/// marked complete only if `body` succeeded, and the scheduler summary
+/// and `--cache-stats` are written either way; `--metrics` and
+/// `--trace` are written on success. Every output reads one snapshot
+/// taken after `body`.
 ///
 /// # Errors
 ///
-/// Propagates generator and I/O errors.
-pub fn run_with_options(
-    generate: impl FnOnce() -> Result<Vec<FigureData>>,
-    opts: &RunOptions,
-) -> Result<()> {
+/// Returns `body`'s error, or a setup or output I/O error.
+pub fn session<T>(opts: &RunOptions, body: impl FnOnce() -> Result<T>) -> Result<T> {
     // `--trace` needs the event plane; the stats flags only read
     // metrics, so they install the metrics plane alone. Either way the
     // sweep runs the same batched, memoized code as an unobserved one.
@@ -641,7 +675,7 @@ pub fn run_with_options(
         std::io::stdout().flush().ok();
     }
 
-    let outcome = generate().and_then(|figs| crate::emit(&figs));
+    let outcome = body();
 
     if let Some(c) = &coord {
         c.shutdown();
@@ -669,20 +703,34 @@ pub fn run_with_options(
             std::fs::write(path, cache_stats_json(&stats, dist_stats.as_ref()))?;
         }
     }
-    outcome?;
+    let value = outcome?;
 
     if let Some(path) = &opts.metrics {
-        std::fs::write(path, obs::metrics::render(&snap))?;
-        println!("(metrics: {})", path.display());
+        if write_out(path, &obs::metrics::render(&snap))? {
+            println!("(metrics: {})", path.display());
+        }
     }
     if let Some(path) = &opts.trace {
-        let format = opts.effective_format(path);
         let events = rec.drain_events();
-        std::fs::write(path, render_trace(&events, &snap, format))?;
-        print!("{}", render_obs_summary(&snap));
-        println!("(trace: {})", path.display());
+        let text = render_trace(&events, &snap, opts.effective_format(path));
+        if write_out(path, &text)? {
+            print!("{}", render_obs_summary(&snap));
+            println!("(trace: {})", path.display());
+        }
     }
-    Ok(())
+    Ok(value)
+}
+
+/// Writes `text` to `path`, or to stdout when `path` is `-`; returns
+/// whether a file was written.
+fn write_out(path: &Path, text: &str) -> Result<bool> {
+    if path.as_os_str() == "-" {
+        print!("{text}");
+        Ok(false)
+    } else {
+        std::fs::write(path, text)?;
+        Ok(true)
+    }
 }
 
 #[cfg(test)]
@@ -746,6 +794,29 @@ mod tests {
         assert_eq!(opts.metrics, None);
         assert_eq!(m.metrics.as_deref(), Some(Path::new("m.prom")));
         assert!(RunOptions::parse(["--metrics".to_string()]).is_err());
+    }
+
+    #[test]
+    fn parse_known_leaves_tool_arguments_in_order() {
+        let (opts, rest) = RunOptions::parse_known(
+            [
+                "omp_barrier",
+                "--jobs",
+                "2",
+                "--yes",
+                "--system",
+                "1",
+                "--metrics",
+                "-",
+            ]
+            .map(String::from),
+        )
+        .unwrap();
+        assert_eq!(opts.jobs, Some(2));
+        assert_eq!(opts.metrics.as_deref(), Some(Path::new("-")));
+        assert_eq!(rest, ["omp_barrier", "--yes", "--system", "1"]);
+        assert!(RunOptions::parse(rest).is_err());
+        assert!(RunOptions::parse_known(["--jobs".to_string()]).is_err());
     }
 
     #[test]

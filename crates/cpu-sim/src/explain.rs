@@ -139,6 +139,20 @@ pub fn explain_op(
                 b.service_ns = model.barrier_ns(placement.len() as u32);
                 b.op.push_str(" (rendezvous cost; arrival wait excluded)");
             }
+            // The two halves of a split critical section touch only the
+            // lock line: the acquire pays the lock overhead and an RMW,
+            // the release a store, each plus the lock line's contention.
+            CpuOp::CriticalBegin { .. } | CpuOp::CriticalEnd { .. } => {
+                let (lc, lcross) = contention.contenders(lock_line(), slot.core, true);
+                let (lt, la, lx) = contention_parts(model, lc, lcross);
+                let own = if matches!(op, CpuOp::CriticalBegin { .. }) {
+                    model.lock_overhead_ns + model.rmw_int_ns
+                } else {
+                    model.store_ns
+                };
+                b.lock_ns = own * smt + lt + la + lx;
+                (b.contenders, b.cross_socket) = (lc, lcross);
+            }
             _ => {}
         },
         Access::Read(dtype, target) => {
@@ -243,6 +257,8 @@ mod tests {
             kernel::omp_atomic_update_array(DType::I32, 16).baseline,
             kernel::omp_atomic_write(DType::F32).baseline,
             kernel::omp_critical_add(DType::I32).baseline,
+            kernel::omp_critical_section(DType::I32).baseline,
+            kernel::omp_critical_section(DType::I32).test,
             kernel::omp_atomic_read(DType::U64).baseline,
         ];
         for body in &bodies {

@@ -383,7 +383,10 @@ pub struct Scheduler {
     /// scale. Entries added by *other* processes mid-run are simply
     /// recomputed (a conservative miss is always correct).
     present: Mutex<Option<std::collections::HashSet<u64>>>,
-    checkpoint: Mutex<Checkpoint>,
+    /// The run label's progress manifest, held only when the cache is
+    /// on: resume is served by the cache, so a cacheless run's hashes
+    /// could never be reused.
+    checkpoint: Option<Mutex<Checkpoint>>,
     resumed_hashes: std::collections::BTreeSet<u64>,
     /// This scheduler's own metrics registry, live whatever the global
     /// recorder is: each `sched.*` number is counted here and nowhere
@@ -414,20 +417,22 @@ impl Scheduler {
     #[must_use]
     pub fn new(cfg: SchedConfig) -> Self {
         let cache = cfg.cache.then(|| Cache::new(&cfg.cache_dir));
-        let checkpoint = if cfg.resume {
-            Checkpoint::load(&cfg.cache_dir, &cfg.label)
-        } else {
-            Checkpoint::fresh(&cfg.cache_dir, &cfg.label)
-        };
+        let checkpoint = cfg.cache.then(|| {
+            if cfg.resume {
+                Checkpoint::load(&cfg.cache_dir, &cfg.label)
+            } else {
+                Checkpoint::fresh(&cfg.cache_dir, &cfg.label)
+            }
+        });
         // Remember what the manifest already contained so hits caused
         // by resume can be told apart from ordinary warm-cache hits.
-        let resumed_hashes = checkpoint.hashes().collect();
+        let resumed_hashes = checkpoint.iter().flat_map(Checkpoint::hashes).collect();
         let registry = Recorder::enabled();
         Scheduler {
             cfg,
             cache,
             present: Mutex::new(None),
-            checkpoint: Mutex::new(checkpoint),
+            checkpoint: checkpoint.map(Mutex::new),
             resumed_hashes,
             counters: Counters::new(&registry),
             registry,
@@ -595,7 +600,7 @@ impl Scheduler {
                         if self.resumed_hashes.contains(&h) {
                             resumed += 1;
                         }
-                        self.checkpoint.lock().unwrap().record(h);
+                        self.record(h);
                         results[i] = Some(m);
                         continue;
                     }
@@ -640,7 +645,7 @@ impl Scheduler {
                             self.stored(e.hash, &m);
                         }
                     }
-                    self.checkpoint.lock().unwrap().record(e.hash);
+                    self.record(e.hash);
                     results[e.index] = Some(m);
                 }
                 // The records are in index order, so the first error is
@@ -746,9 +751,20 @@ impl Scheduler {
         outcome.results.into_iter().flatten().collect()
     }
 
-    /// Marks the run's checkpoint complete and flushes it.
+    /// Records a completed job in the checkpoint manifest, if one is
+    /// held.
+    fn record(&self, hash: u64) {
+        if let Some(cp) = &self.checkpoint {
+            cp.lock().unwrap().record(hash);
+        }
+    }
+
+    /// Marks the run's checkpoint complete and flushes it (a no-op
+    /// without the cache, which keeps no checkpoint).
     pub fn finish(&self) {
-        self.checkpoint.lock().unwrap().finish();
+        if let Some(cp) = &self.checkpoint {
+            cp.lock().unwrap().finish();
+        }
     }
 }
 
@@ -1002,6 +1018,11 @@ mod tests {
         s.run_jobs(sim_jobs()).unwrap();
         let st = s.stats();
         assert_eq!((st.executed, st.cache_hits, st.cache_misses), (6, 0, 0));
+        s.finish();
+        assert!(
+            !Checkpoint::path_for(&dir, &s.config().label).exists(),
+            "no checkpoint manifest without caching"
+        );
         assert!(!dir.exists(), "no cache directory without caching");
     }
 
