@@ -168,6 +168,13 @@ prom_jobs=$(sed -n 's/^sched_jobs \([0-9]*\)$/\1/p' results/metrics_sensitivity_
 [ -n "$prom_jobs" ] && [ "$prom_jobs" = "$json_jobs" ] || {
   echo "sensitivity --metrics sched_jobs=${prom_jobs:-missing} but" \
     "--cache-stats jobs=${json_jobs:-missing}"; exit 1; }
+# The grid lowers each distinct job once, and its jobs carry an explicit
+# model digest, so they share no hash with the figures cached above: a
+# cold run that hits the cache submitted a job twice.
+sens_cold_hits=$(sed -n 's/.*"cache_hits":\([0-9]*\).*/\1/p' results/cache_stats_sensitivity_cold.json)
+echo "sensitivity cold-run cache hits: ${sens_cold_hits}"
+[ "${sens_cold_hits:-missing}" = 0 ] || {
+  echo "sensitivity cold run hit the cache ${sens_cold_hits:-missing} times, expected 0"; exit 1; }
 SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-bench \
   --bin sensitivity_analysis -- --jobs 2 \
   --cache-stats results/cache_stats_sensitivity_warm.json > /dev/null

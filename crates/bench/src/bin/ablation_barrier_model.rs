@@ -6,39 +6,38 @@
 //! Fig. 1 under both models shows which algorithm the measured OpenMP
 //! runtime resembles.
 
-use syncperf_core::sweep::{thread_sweep, throughput_series};
-use syncperf_core::{kernel, Affinity, ExecParams, FigureData, Protocol, SYSTEM3};
-use syncperf_cpu_sim::{BarrierKind, CpuModel, CpuSimExecutor};
-
-fn series(label: &str, kind: BarrierKind) -> syncperf_core::Result<syncperf_core::Series> {
-    let mut model = CpuModel::for_system(&SYSTEM3.cpu, SYSTEM3.cpu_jitter);
-    model.barrier_kind = kind;
-    let mut exec = CpuSimExecutor::with_model(&SYSTEM3, model);
-    let points = thread_sweep(
-        &SYSTEM3.cpu.omp_thread_counts(),
-        ExecParams::new(2)
-            .with_affinity(Affinity::Spread)
-            .with_loops(1000, 100),
-        |_| kernel::omp_barrier(),
-    );
-    throughput_series(&mut exec, &Protocol::PAPER, label, points)
-}
+use syncperf_bench::common::{cpu_jobs, measure_series};
+use syncperf_core::{kernel, Affinity, FigureData, SYSTEM3};
+use syncperf_cpu_sim::{BarrierKind, CpuModel};
 
 fn figures() -> syncperf_core::Result<Vec<syncperf_core::FigureData>> {
+    let jobs = |kind| {
+        let mut model = CpuModel::for_system(&SYSTEM3.cpu, SYSTEM3.cpu_jitter);
+        model.barrier_kind = kind;
+        cpu_jobs(
+            &SYSTEM3,
+            Some(&model),
+            Affinity::Spread,
+            &kernel::omp_barrier(),
+        )
+    };
     let mut fig = FigureData::new(
         "ablation_barrier_model",
         "OpenMP barrier: centralized (paper shape) vs combining tree",
         "threads",
         "barriers/s/thread",
     );
-    fig.push_series(series(
-        "centralized (saturating counter)",
-        BarrierKind::Centralized,
-    )?);
-    fig.push_series(series(
-        "combining tree, fan-in 4",
-        BarrierKind::CombiningTree { fanin: 4 },
-    )?);
+    // Two models, so two executors, as the two legacy sweeps had.
+    fig.series = measure_series(vec![
+        (
+            "centralized (saturating counter)",
+            jobs(BarrierKind::Centralized),
+        ),
+        (
+            "combining tree, fan-in 4",
+            jobs(BarrierKind::CombiningTree { fanin: 4 }),
+        ),
+    ])?;
     fig.annotate("the measured plateau beyond ~8 threads matches the centralized algorithm");
     Ok(vec![fig])
 }

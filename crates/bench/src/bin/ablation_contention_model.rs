@@ -6,26 +6,22 @@
 //! linear model keeps declining past 8 threads, failing to reproduce
 //! the paper's plateau.
 
-use syncperf_core::sweep::{thread_sweep, throughput_series};
-use syncperf_core::{kernel, Affinity, ExecParams, FigureData, Protocol, SYSTEM3};
-use syncperf_cpu_sim::{CpuModel, CpuSimExecutor};
-
-fn barrier_series(label: &str, model: CpuModel) -> syncperf_core::Result<syncperf_core::Series> {
-    let mut exec = CpuSimExecutor::with_model(&SYSTEM3, model);
-    let points = thread_sweep(
-        &SYSTEM3.cpu.omp_thread_counts(),
-        ExecParams::new(2)
-            .with_affinity(Affinity::Spread)
-            .with_loops(1000, 100),
-        |_| kernel::omp_barrier(),
-    );
-    throughput_series(&mut exec, &Protocol::PAPER, label, points)
-}
+use syncperf_bench::common::{cpu_jobs, measure_series};
+use syncperf_core::{kernel, Affinity, FigureData, SYSTEM3};
+use syncperf_cpu_sim::CpuModel;
 
 fn figures() -> syncperf_core::Result<Vec<syncperf_core::FigureData>> {
     let saturating = CpuModel::for_system(&SYSTEM3.cpu, SYSTEM3.cpu_jitter);
     let mut linear = saturating.clone();
     linear.contention_sat = u32::MAX; // never saturate
+    let jobs = |model| {
+        cpu_jobs(
+            &SYSTEM3,
+            Some(model),
+            Affinity::Spread,
+            &kernel::omp_barrier(),
+        )
+    };
 
     let mut fig = FigureData::new(
         "ablation_contention",
@@ -33,8 +29,11 @@ fn figures() -> syncperf_core::Result<Vec<syncperf_core::FigureData>> {
         "threads",
         "barriers/s/thread",
     );
-    fig.push_series(barrier_series("saturating (paper shape)", saturating)?);
-    fig.push_series(barrier_series("linear (no plateau)", linear)?);
+    // Two models, so two executors, as the two legacy sweeps had.
+    fig.series = measure_series(vec![
+        ("saturating (paper shape)", jobs(&saturating)),
+        ("linear (no plateau)", jobs(&linear)),
+    ])?;
     fig.annotate("the paper's Fig. 1 plateaus beyond ~8 threads; only the saturating model does");
     Ok(vec![fig])
 }

@@ -3,23 +3,9 @@
 //! Zeroing the CAS-loop surcharge makes the int/float gap of Fig. 2
 //! vanish — the gap is entirely the compare-exchange lowering.
 
-use syncperf_core::sweep::{thread_sweep, throughput_series};
-use syncperf_core::{kernel, DType, ExecParams, FigureData, Protocol, SYSTEM3};
-use syncperf_cpu_sim::{CpuModel, CpuSimExecutor};
-
-fn series(
-    label: &str,
-    dtype: DType,
-    model: CpuModel,
-) -> syncperf_core::Result<syncperf_core::Series> {
-    let mut exec = CpuSimExecutor::with_model(&SYSTEM3, model);
-    let points = thread_sweep(
-        &SYSTEM3.cpu.omp_thread_counts(),
-        ExecParams::new(2).with_loops(1000, 100),
-        |_| kernel::omp_atomic_update_scalar(dtype),
-    );
-    throughput_series(&mut exec, &Protocol::PAPER, label, points)
-}
+use syncperf_bench::common::{cpu_jobs, measure_series};
+use syncperf_core::{kernel, Affinity, DType, FigureData, SYSTEM3};
+use syncperf_cpu_sim::CpuModel;
 
 fn figures() -> syncperf_core::Result<Vec<syncperf_core::FigureData>> {
     let cas_loop = CpuModel::for_system(&SYSTEM3.cpu, SYSTEM3.cpu_jitter);
@@ -33,13 +19,17 @@ fn figures() -> syncperf_core::Result<Vec<syncperf_core::FigureData>> {
         "threads",
         "ops/s/thread",
     );
-    fig.push_series(series("int", DType::I32, cas_loop.clone())?);
-    fig.push_series(series(
-        "double (CAS loop, paper shape)",
-        DType::F64,
-        cas_loop,
-    )?);
-    fig.push_series(series("double (native, gap gone)", DType::F64, native)?);
+    // One call per series: each gets a fresh executor, as each legacy
+    // sweep did, even where two series share a model.
+    for (label, dtype, model) in [
+        ("int", DType::I32, &cas_loop),
+        ("double (CAS loop, paper shape)", DType::F64, &cas_loop),
+        ("double (native, gap gone)", DType::F64, &native),
+    ] {
+        let k = kernel::omp_atomic_update_scalar(dtype);
+        let jobs = cpu_jobs(&SYSTEM3, Some(model), Affinity::SystemChoice, &k);
+        fig.series.extend(measure_series(vec![(label, jobs)])?);
+    }
     fig.annotate("the Fig. 2 integer/floating-point gap is the CAS-loop lowering");
     Ok(vec![fig])
 }

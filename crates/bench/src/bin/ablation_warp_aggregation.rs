@@ -5,21 +5,9 @@
 //! *slower* than Reduction 2 — evidence that the driver's JIT
 //! aggregation is what makes R1 beat R2 on real hardware.
 
-use syncperf_core::sweep::{thread_sweep, throughput_series};
-use syncperf_core::{kernel, DType, ExecParams, FigureData, Protocol, SYSTEM3};
-use syncperf_gpu_sim::{
-    simulate_reduction, GpuModel, GpuSimExecutor, ReductionConfig, ReductionStrategy,
-};
-
-fn add_series(label: &str, model: GpuModel) -> syncperf_core::Result<syncperf_core::Series> {
-    let mut exec = GpuSimExecutor::with_model(&SYSTEM3, model);
-    let points = thread_sweep(
-        &SYSTEM3.gpu.thread_count_sweep(),
-        ExecParams::new(1).with_blocks(2).with_loops(1000, 100),
-        |_| kernel::cuda_atomic_add_scalar(DType::I32),
-    );
-    throughput_series(&mut exec, &Protocol::PAPER, label, points)
-}
+use syncperf_bench::common::{gpu_jobs, measure_series};
+use syncperf_core::{kernel, DType, FigureData, SYSTEM3};
+use syncperf_gpu_sim::{simulate_reduction, GpuModel, ReductionConfig, ReductionStrategy};
 
 fn figures() -> syncperf_core::Result<Vec<syncperf_core::FigureData>> {
     let on = GpuModel::for_spec(&SYSTEM3.gpu);
@@ -33,8 +21,15 @@ fn figures() -> syncperf_core::Result<Vec<syncperf_core::FigureData>> {
         "ops/s/thread",
     )
     .with_log_x();
-    fig.push_series(add_series("aggregation on (paper shape)", on.clone())?);
-    fig.push_series(add_series("aggregation off", off.clone())?);
+    let add = kernel::cuda_atomic_add_scalar(DType::I32);
+    // Two models, so two executors, as the two legacy sweeps had.
+    fig.series = measure_series(vec![
+        (
+            "aggregation on (paper shape)",
+            gpu_jobs(&SYSTEM3, Some(&on), 2, &add),
+        ),
+        ("aggregation off", gpu_jobs(&SYSTEM3, Some(&off), 2, &add)),
+    ])?;
     fig.annotate("with aggregation off the constant region up to 64 threads disappears");
 
     let cfg = ReductionConfig::megabyte_input(&SYSTEM3.gpu);

@@ -2,11 +2,8 @@
 //! Listing 1's Reduction 3 exploits (`atomicAdd_block` is serviced on
 //! the SM rather than at the L2, compute capability ≥ 6.0).
 
-use syncperf_core::sweep::{thread_sweep, throughput_series};
-use syncperf_core::{
-    DType, ExecParams, FigureData, GpuOp, Kernel, Protocol, Scope, Target, SYSTEM3,
-};
-use syncperf_gpu_sim::GpuSimExecutor;
+use syncperf_bench::common::{gpu_jobs, measure_series};
+use syncperf_core::{DType, FigureData, GpuOp, Kernel, Scope, Target, SYSTEM3};
 
 fn scoped_kernel(scope: Scope) -> Kernel<GpuOp> {
     let op = GpuOp::AtomicAdd {
@@ -24,7 +21,6 @@ fn scoped_kernel(scope: Scope) -> Kernel<GpuOp> {
 
 fn main() -> syncperf_core::Result<()> {
     syncperf_bench::runner::run(|| {
-        let mut exec = GpuSimExecutor::new(&SYSTEM3);
         let mut fig = FigureData::new(
             "exp_atomic_scope",
             "atomicAdd() vs atomicAdd_block() on one shared int (System 3, 64 blocks)",
@@ -32,22 +28,12 @@ fn main() -> syncperf_core::Result<()> {
             "ops/s/thread",
         )
         .with_log_x();
-        for (label, scope) in [
-            ("device scope (atomicAdd)", Scope::Device),
-            ("block scope (atomicAdd_block)", Scope::Block),
-        ] {
-            let points = thread_sweep(
-                &SYSTEM3.gpu.thread_count_sweep(),
-                ExecParams::new(1).with_blocks(64).with_loops(1000, 100),
-                |_| scoped_kernel(scope),
-            );
-            fig.push_series(throughput_series(
-                &mut exec,
-                &Protocol::PAPER,
-                label,
-                points,
-            )?);
-        }
+        let jobs = |scope| gpu_jobs(&SYSTEM3, None, 64, &scoped_kernel(scope));
+        // Both scopes share one executor, as the legacy sweep did.
+        fig.series = measure_series(vec![
+            ("device scope (atomicAdd)", jobs(Scope::Device)),
+            ("block scope (atomicAdd_block)", jobs(Scope::Block)),
+        ])?;
         fig.annotate(
             "block-scoped atomics are serviced on the SM: cheaper and contended only block-wide",
         );

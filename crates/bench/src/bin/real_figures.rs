@@ -12,7 +12,6 @@ use syncperf_bench::common::{max_real_threads, real_series};
 use syncperf_bench::runner::{self, RunOptions};
 use syncperf_core::sweep::thread_sweep;
 use syncperf_core::{kernel, DType, ExecParams, FigureData, Protocol, Result};
-use syncperf_omp::OmpExecutor;
 
 fn generate(full: bool) -> Result<Vec<FigureData>> {
     let protocol = if full { Protocol::PAPER } else { Protocol::SIM };
@@ -21,7 +20,6 @@ fn generate(full: bool) -> Result<Vec<FigureData>> {
     let base = ExecParams::new(2)
         .with_loops(n_iter, n_unroll)
         .with_warmup(2);
-    let mut exec = OmpExecutor::new();
 
     let mut figs = Vec::new();
 
@@ -32,7 +30,6 @@ fn generate(full: bool) -> Result<Vec<FigureData>> {
         "barriers/s/thread",
     );
     fig.push_series(real_series(
-        &mut exec,
         protocol,
         "barrier",
         thread_sweep(&threads, base, |_| kernel::omp_barrier()),
@@ -47,7 +44,6 @@ fn generate(full: bool) -> Result<Vec<FigureData>> {
     );
     for dt in DType::ALL {
         fig.push_series(real_series(
-            &mut exec,
             protocol,
             dt.label(),
             thread_sweep(&threads, base, |_| kernel::omp_atomic_update_scalar(dt)),
@@ -62,13 +58,11 @@ fn generate(full: bool) -> Result<Vec<FigureData>> {
         "ops/s/thread",
     );
     fig.push_series(real_series(
-        &mut exec,
         protocol,
         "critical",
         thread_sweep(&threads, base, |_| kernel::omp_critical_add(DType::I32)),
     )?);
     fig.push_series(real_series(
-        &mut exec,
         protocol,
         "atomic (for comparison)",
         thread_sweep(&threads, base, |_| {

@@ -8,11 +8,12 @@
 //! grid on a simulated system and pushing [`RunRecord`]s.
 
 use syncperf_core::{
-    kernel, Affinity, CpuKernel, DType, ExecParams, Protocol, Result, ResultsStore, RunRecord,
-    Scope, ShflVariant, SystemSpec, VoteKind,
+    kernel, Affinity, CpuKernel, DType, ExecParams, GpuKernel, Protocol, Result, ResultsStore,
+    RunRecord, Scope, ShflVariant, SystemSpec, VoteKind,
 };
+use syncperf_sched::JobSpec;
 
-use crate::common::{measure_cpu_batch, measure_gpu_batch};
+use crate::common::measure_jobs;
 
 /// Which API a test code exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,43 +72,25 @@ fn push_record(store: &mut ResultsStore, name: &str, g: GridPoint, m: &syncperf_
     });
 }
 
-/// Measures an accumulated CPU grid through [`measure_cpu_batch`] —
-/// serially on one executor without a scheduler (the legacy byte-exact
-/// path), as content-hashed cacheable jobs with one installed — and
+/// Measures an accumulated grid in one [`measure_jobs`] call and
 /// records each point.
-fn run_cpu_grid(
-    sys: &SystemSpec,
+fn run_grid(
     store: &mut ResultsStore,
     name: &str,
-    batch: Vec<(CpuKernel, ExecParams)>,
+    jobs: Vec<JobSpec>,
     grid: Vec<GridPoint>,
 ) -> Result<()> {
-    let ms = measure_cpu_batch(sys, Protocol::PAPER, &batch)?;
-    for (g, m) in grid.into_iter().zip(ms) {
+    for (g, m) in grid.into_iter().zip(measure_jobs(jobs)?) {
         push_record(store, name, g, &m);
     }
     Ok(())
 }
 
-/// GPU twin of [`run_cpu_grid`].
-fn run_gpu_grid(
-    sys: &SystemSpec,
-    store: &mut ResultsStore,
-    name: &str,
-    batch: Vec<(syncperf_core::GpuKernel, ExecParams)>,
-    grid: Vec<GridPoint>,
-) -> Result<()> {
-    let ms = measure_gpu_batch(sys, Protocol::PAPER, &batch)?;
-    for (g, m) in grid.into_iter().zip(ms) {
-        push_record(store, name, g, &m);
-    }
-    Ok(())
-}
-
-fn cpu_params(threads: u32, affinity: Affinity) -> ExecParams {
-    ExecParams::new(threads)
+fn cpu_job(sys: &SystemSpec, k: &CpuKernel, threads: u32, affinity: Affinity) -> JobSpec {
+    let params = ExecParams::new(threads)
         .with_affinity(affinity)
-        .with_loops(1000, 100)
+        .with_loops(1000, 100);
+    JobSpec::cpu_sim(sys, k.clone(), params, Protocol::PAPER)
 }
 
 fn cpu_scalar_code(
@@ -117,12 +100,12 @@ fn cpu_scalar_code(
     affinity: Affinity,
     make: fn(DType) -> CpuKernel,
 ) -> Result<()> {
-    let mut batch = Vec::new();
+    let mut jobs = Vec::new();
     let mut grid = Vec::new();
     for dt in DType::ALL {
         let k = make(dt);
         for threads in sys.cpu.omp_thread_counts() {
-            batch.push((k.clone(), cpu_params(threads, affinity)));
+            jobs.push(cpu_job(sys, &k, threads, affinity));
             grid.push(GridPoint {
                 threads,
                 blocks: 1,
@@ -132,7 +115,7 @@ fn cpu_scalar_code(
             });
         }
     }
-    run_cpu_grid(sys, store, name, batch, grid)
+    run_grid(store, name, jobs, grid)
 }
 
 fn cpu_array_code(
@@ -142,13 +125,13 @@ fn cpu_array_code(
     affinity: Affinity,
     make: fn(DType, u32) -> CpuKernel,
 ) -> Result<()> {
-    let mut batch = Vec::new();
+    let mut jobs = Vec::new();
     let mut grid = Vec::new();
     for stride in CPU_STRIDES {
         for dt in DType::ALL {
             let k = make(dt, stride);
             for threads in sys.cpu.omp_thread_counts() {
-                batch.push((k.clone(), cpu_params(threads, affinity)));
+                jobs.push(cpu_job(sys, &k, threads, affinity));
                 grid.push(GridPoint {
                     threads,
                     blocks: 1,
@@ -159,13 +142,14 @@ fn cpu_array_code(
             }
         }
     }
-    run_cpu_grid(sys, store, name, batch, grid)
+    run_grid(store, name, jobs, grid)
 }
 
-fn gpu_params(blocks: u32, threads: u32) -> ExecParams {
-    ExecParams::new(threads)
+fn gpu_job(sys: &SystemSpec, k: &GpuKernel, blocks: u32, threads: u32) -> JobSpec {
+    let params = ExecParams::new(threads)
         .with_blocks(blocks)
-        .with_loops(1000, 100)
+        .with_loops(1000, 100);
+    JobSpec::gpu_sim(sys, k.clone(), params, Protocol::PAPER)
 }
 
 fn gpu_code(
@@ -174,16 +158,16 @@ fn gpu_code(
     name: &str,
     dtypes: &[Option<DType>],
     strides: &[u32],
-    make: fn(Option<DType>, u32) -> syncperf_core::GpuKernel,
+    make: fn(Option<DType>, u32) -> GpuKernel,
 ) -> Result<()> {
-    let mut batch = Vec::new();
+    let mut jobs = Vec::new();
     let mut grid = Vec::new();
     for &stride in strides {
         for &dt in dtypes {
             let k = make(dt, stride);
             for blocks in sys.gpu.block_count_sweep() {
                 for threads in sys.gpu.thread_count_sweep() {
-                    batch.push((k.clone(), gpu_params(blocks, threads)));
+                    jobs.push(gpu_job(sys, &k, blocks, threads));
                     grid.push(GridPoint {
                         threads,
                         blocks,
@@ -195,7 +179,7 @@ fn gpu_code(
             }
         }
     }
-    run_gpu_grid(sys, store, name, batch, grid)
+    run_grid(store, name, jobs, grid)
 }
 
 const ALL_DT: [Option<DType>; 4] = [
@@ -216,10 +200,10 @@ pub fn registry() -> Vec<TestCode> {
             api: Api::OpenMp,
             run: |sys, store| {
                 let k = kernel::omp_barrier();
-                let mut batch = Vec::new();
+                let mut jobs = Vec::new();
                 let mut grid = Vec::new();
                 for threads in sys.cpu.omp_thread_counts() {
-                    batch.push((k.clone(), cpu_params(threads, Affinity::Spread)));
+                    jobs.push(cpu_job(sys, &k, threads, Affinity::Spread));
                     grid.push(GridPoint {
                         threads,
                         blocks: 1,
@@ -228,7 +212,7 @@ pub fn registry() -> Vec<TestCode> {
                         affinity: Affinity::Spread,
                     });
                 }
-                run_cpu_grid(sys, store, "omp_barrier", batch, grid)
+                run_grid(store, "omp_barrier", jobs, grid)
             },
         },
         TestCode {
@@ -454,13 +438,13 @@ pub fn registry() -> Vec<TestCode> {
             name: "cuda_vote",
             api: Api::Cuda,
             run: |sys, store| {
-                let mut batch = Vec::new();
+                let mut jobs = Vec::new();
                 let mut grid = Vec::new();
                 for kind in [VoteKind::Ballot, VoteKind::All, VoteKind::Any] {
                     let k = kernel::cuda_vote(kind);
                     for blocks in sys.gpu.block_count_sweep() {
                         for threads in sys.gpu.thread_count_sweep() {
-                            batch.push((k.clone(), gpu_params(blocks, threads)));
+                            jobs.push(gpu_job(sys, &k, blocks, threads));
                             grid.push(GridPoint {
                                 threads,
                                 blocks,
@@ -471,7 +455,7 @@ pub fn registry() -> Vec<TestCode> {
                         }
                     }
                 }
-                run_gpu_grid(sys, store, "cuda_vote", batch, grid)
+                run_grid(store, "cuda_vote", jobs, grid)
             },
         },
     ]
@@ -483,7 +467,7 @@ pub enum AnyKernel {
     /// An OpenMP (CPU) kernel.
     Cpu(CpuKernel),
     /// A CUDA (GPU) kernel.
-    Gpu(syncperf_core::GpuKernel),
+    Gpu(GpuKernel),
 }
 
 impl AnyKernel {
@@ -537,7 +521,7 @@ pub fn kernel_inventory() -> Vec<KernelInstance> {
             cpu("omp_flush", kernel::omp_flush(dt, stride));
         }
     }
-    let mut gpu = |code: &'static str, k: syncperf_core::GpuKernel| {
+    let mut gpu = |code: &'static str, k: GpuKernel| {
         inv.push(KernelInstance {
             code,
             kernel: AnyKernel::Gpu(k),

@@ -1,22 +1,27 @@
 //! Shared helpers for the figure-regeneration harness.
 //!
-//! Every sweep helper here branches on the process-global scheduler
-//! ([`syncperf_sched::current`]): with no scheduler installed (the
-//! default, and what every library unit test uses) measurements run on
-//! the serial legacy path — one executor per series with a continuous
-//! jitter-RNG stream — byte-for-byte as they always have. With a
-//! scheduler installed (the `--jobs`/`--no-cache`/`--resume` CLI
-//! surface), each sweep point becomes an independent content-hashed
-//! job that can be cached and run on the work-stealing pool.
+//! Every measurement this crate makes is a [`JobSpec`], and
+//! [`measure_jobs`] runs them all: it is the one place that asks
+//! whether a sweep scheduler is installed ([`syncperf_sched::current`]).
+//! With one installed (the `--jobs`/`--workers`/`--no-cache`/
+//! `--resume`/`--cache-stats` CLI surface), each job is content-hashed,
+//! cached and run on the work-stealing pool or the dist fleet. With
+//! none (the default, and what every library unit test uses), the
+//! legacy serial path is that function's other arm
+//! ([`JobSpec::execute_serially`]): the jobs of one call that share an
+//! executor configuration run in order on one executor with a
+//! continuous jitter-RNG stream, byte-for-byte as the pre-scheduler
+//! sweeps did. A caller therefore makes one call per executor the
+//! legacy sweep shared. The sweep helpers below only lower sweeps to
+//! jobs and fold the measurements back into series.
 
-use syncperf_core::sweep::{thread_sweep, throughput_series, SweepPoint, PLOT_FLOOR_SECONDS};
+use syncperf_core::sweep::{SweepPoint, PLOT_FLOOR_SECONDS};
 use syncperf_core::{
     Affinity, CpuKernel, DType, ExecParams, GpuKernel, Measurement, Protocol, Result, Series,
     SystemSpec,
 };
-use syncperf_cpu_sim::CpuSimExecutor;
-use syncperf_gpu_sim::GpuSimExecutor;
-use syncperf_omp::OmpExecutor;
+use syncperf_cpu_sim::CpuModel;
+use syncperf_gpu_sim::GpuModel;
 use syncperf_sched::JobSpec;
 
 /// The loop structure used for all regenerated figures (the paper's
@@ -45,51 +50,98 @@ pub fn gpu_threads(system: &SystemSpec) -> Vec<u32> {
     system.gpu.thread_count_sweep()
 }
 
-/// Lowers CPU sweep points onto an installed scheduler and folds the
-/// cached/pooled measurements back into a throughput series.
-fn sched_cpu_series(
-    sched: &syncperf_sched::Scheduler,
-    system: &SystemSpec,
-    label: &str,
-    points: &[SweepPoint<syncperf_core::CpuOp>],
-    protocol: Protocol,
-) -> Result<Series> {
-    let jobs = points
-        .iter()
-        .map(|p| JobSpec::cpu_sim(system, p.kernel.clone(), p.params, protocol))
-        .collect();
-    let ms = sched.run_jobs(jobs)?;
-    Ok(Series::new(
-        label,
-        points
-            .iter()
-            .zip(ms)
-            .map(|(p, m)| (p.x, m.throughput_clamped(PLOT_FLOOR_SECONDS)))
-            .collect::<Vec<_>>(),
-    ))
+/// Measures `jobs`, results in submission order: through the
+/// installed scheduler, else serially on the legacy path (see the
+/// module docs).
+///
+/// # Errors
+///
+/// Propagates the first job error.
+pub fn measure_jobs(jobs: Vec<JobSpec>) -> Result<Vec<Measurement>> {
+    match syncperf_sched::current() {
+        Some(sched) => sched.run_jobs(jobs),
+        None => JobSpec::execute_serially(&jobs),
+    }
 }
 
-/// GPU twin of [`sched_cpu_series`].
-fn sched_gpu_series(
-    sched: &syncperf_sched::Scheduler,
-    system: &SystemSpec,
-    label: &str,
-    points: &[SweepPoint<syncperf_core::GpuOp>],
-    protocol: Protocol,
-) -> Result<Series> {
-    let jobs = points
-        .iter()
-        .map(|p| JobSpec::gpu_sim(system, p.kernel.clone(), p.params, protocol))
+/// Measures labelled sweeps of `(x, job)` points in one
+/// [`measure_jobs`] call and folds each into a throughput series
+/// (ops/s/thread, the paper's y axis).
+///
+/// # Errors
+///
+/// Propagates the first job error.
+pub fn measure_series(sweeps: Vec<(&str, Vec<(f64, JobSpec)>)>) -> Result<Vec<Series>> {
+    let mut jobs = Vec::new();
+    let xs: Vec<(&str, Vec<f64>)> = sweeps
+        .into_iter()
+        .map(|(label, points)| {
+            let xs = points
+                .into_iter()
+                .map(|(x, job)| {
+                    jobs.push(job);
+                    x
+                })
+                .collect();
+            (label, xs)
+        })
         .collect();
-    let ms = sched.run_jobs(jobs)?;
-    Ok(Series::new(
-        label,
-        points
-            .iter()
-            .zip(ms)
-            .map(|(p, m)| (p.x, m.throughput_clamped(PLOT_FLOOR_SECONDS)))
-            .collect::<Vec<_>>(),
-    ))
+    let mut ms = measure_jobs(jobs)?.into_iter();
+    Ok(xs
+        .into_iter()
+        .map(|(label, xs)| {
+            let points: Vec<(f64, f64)> = xs
+                .into_iter()
+                .zip(ms.by_ref())
+                .map(|(x, m)| (x, m.throughput_clamped(PLOT_FLOOR_SECONDS)))
+                .collect();
+            Series::new(label, points)
+        })
+        .collect())
+}
+
+/// `kernel`'s OpenMP thread sweep on `system` as `(x, job)` points,
+/// under `model` if one is given (else the system's calibrated model).
+#[must_use]
+pub fn cpu_jobs(
+    system: &SystemSpec,
+    model: Option<&CpuModel>,
+    affinity: Affinity,
+    kernel: &CpuKernel,
+) -> Vec<(f64, JobSpec)> {
+    let job = |t| JobSpec::CpuSim {
+        system: system.clone(),
+        model: model.cloned(),
+        kernel: kernel.clone(),
+        params: paper_loops(t).with_affinity(affinity),
+        protocol: protocol(),
+    };
+    omp_threads(system)
+        .into_iter()
+        .map(|t| (f64::from(t), job(t)))
+        .collect()
+}
+
+/// `kernel`'s thread-per-block sweep at `blocks` blocks as `(x, job)`
+/// points, under `model` if one is given.
+#[must_use]
+pub fn gpu_jobs(
+    system: &SystemSpec,
+    model: Option<&GpuModel>,
+    blocks: u32,
+    kernel: &GpuKernel,
+) -> Vec<(f64, JobSpec)> {
+    let job = |t| JobSpec::GpuSim {
+        system: system.clone(),
+        model: model.cloned(),
+        kernel: kernel.clone(),
+        params: paper_loops(t).with_blocks(blocks),
+        protocol: protocol(),
+    };
+    gpu_threads(system)
+        .into_iter()
+        .map(|t| (f64::from(t), job(t)))
+        .collect()
 }
 
 /// Runs a CPU kernel family over the thread sweep, one series per data
@@ -104,21 +156,17 @@ pub fn cpu_dtype_series(
     dtypes: &[DType],
     mut make_kernel: impl FnMut(DType) -> CpuKernel,
 ) -> Result<Vec<Series>> {
-    let threads = omp_threads(system);
-    let sched = syncperf_sched::current();
-    let mut exec = CpuSimExecutor::new(system);
-    let mut out = Vec::new();
-    for &dt in dtypes {
-        let kernel = make_kernel(dt);
-        let points = thread_sweep(&threads, paper_loops(2).with_affinity(affinity), |_| {
-            kernel.clone()
-        });
-        out.push(match &sched {
-            Some(s) => sched_cpu_series(s, system, dt.label(), &points, protocol())?,
-            None => throughput_series(&mut exec, &protocol(), dt.label(), points)?,
-        });
-    }
-    Ok(out)
+    measure_series(
+        dtypes
+            .iter()
+            .map(|&dt| {
+                (
+                    dt.label(),
+                    cpu_jobs(system, None, affinity, &make_kernel(dt)),
+                )
+            })
+            .collect(),
+    )
 }
 
 /// Runs a single CPU kernel over the thread sweep.
@@ -132,15 +180,7 @@ pub fn cpu_series(
     label: &str,
     kernel: &CpuKernel,
 ) -> Result<Series> {
-    let threads = omp_threads(system);
-    let points = thread_sweep(&threads, paper_loops(2).with_affinity(affinity), |_| {
-        kernel.clone()
-    });
-    if let Some(sched) = syncperf_sched::current() {
-        return sched_cpu_series(&sched, system, label, &points, protocol());
-    }
-    let mut exec = CpuSimExecutor::new(system);
-    throughput_series(&mut exec, &protocol(), label, points)
+    Ok(measure_series(vec![(label, cpu_jobs(system, None, affinity, kernel))])?.remove(0))
 }
 
 /// Runs a GPU kernel family over the thread-per-block sweep at a fixed
@@ -155,21 +195,12 @@ pub fn gpu_dtype_series(
     dtypes: &[DType],
     mut make_kernel: impl FnMut(DType) -> GpuKernel,
 ) -> Result<Vec<Series>> {
-    let threads = gpu_threads(system);
-    let sched = syncperf_sched::current();
-    let mut exec = GpuSimExecutor::new(system);
-    let mut out = Vec::new();
-    for &dt in dtypes {
-        let kernel = make_kernel(dt);
-        let points = thread_sweep(&threads, paper_loops(1).with_blocks(blocks), |_| {
-            kernel.clone()
-        });
-        out.push(match &sched {
-            Some(s) => sched_gpu_series(s, system, dt.label(), &points, protocol())?,
-            None => throughput_series(&mut exec, &protocol(), dt.label(), points)?,
-        });
-    }
-    Ok(out)
+    measure_series(
+        dtypes
+            .iter()
+            .map(|&dt| (dt.label(), gpu_jobs(system, None, blocks, &make_kernel(dt))))
+            .collect(),
+    )
 }
 
 /// Runs a single GPU kernel over the thread sweep at a fixed block
@@ -184,99 +215,25 @@ pub fn gpu_series(
     label: &str,
     kernel: &GpuKernel,
 ) -> Result<Series> {
-    let threads = gpu_threads(system);
-    let points = thread_sweep(&threads, paper_loops(1).with_blocks(blocks), |_| {
-        kernel.clone()
-    });
-    if let Some(sched) = syncperf_sched::current() {
-        return sched_gpu_series(&sched, system, label, &points, protocol());
-    }
-    let mut exec = GpuSimExecutor::new(system);
-    throughput_series(&mut exec, &protocol(), label, points)
+    Ok(measure_series(vec![(label, gpu_jobs(system, None, blocks, kernel))])?.remove(0))
 }
 
-/// Measures a flat batch of (kernel, params) pairs on the CPU
-/// simulator: through the scheduler when one is installed, else
-/// serially on one shared executor in submission order (the legacy
-/// path the pre-scheduler experiment generators used).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn measure_cpu_batch(
-    system: &SystemSpec,
-    protocol: Protocol,
-    batch: &[(CpuKernel, ExecParams)],
-) -> Result<Vec<Measurement>> {
-    if let Some(sched) = syncperf_sched::current() {
-        return sched.run_jobs(
-            batch
-                .iter()
-                .map(|(k, p)| JobSpec::cpu_sim(system, k.clone(), *p, protocol))
-                .collect(),
-        );
-    }
-    let mut exec = CpuSimExecutor::new(system);
-    batch
-        .iter()
-        .map(|(k, p)| protocol.measure(&mut exec, k, p))
-        .collect()
-}
-
-/// GPU twin of [`measure_cpu_batch`].
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn measure_gpu_batch(
-    system: &SystemSpec,
-    protocol: Protocol,
-    batch: &[(GpuKernel, ExecParams)],
-) -> Result<Vec<Measurement>> {
-    if let Some(sched) = syncperf_sched::current() {
-        return sched.run_jobs(
-            batch
-                .iter()
-                .map(|(k, p)| JobSpec::gpu_sim(system, k.clone(), *p, protocol))
-                .collect(),
-        );
-    }
-    let mut exec = GpuSimExecutor::new(system);
-    batch
-        .iter()
-        .map(|(k, p)| protocol.measure(&mut exec, k, p))
-        .collect()
-}
-
-/// Runs a real-thread sweep as a throughput series: through the
-/// scheduler when one is installed (jobs are host-scoped, so cached
-/// results never cross machines), else serially on `exec`.
+/// Runs a real-thread sweep as a throughput series. Its jobs are
+/// host-scoped, so cached results never cross machines.
 ///
 /// # Errors
 ///
 /// Propagates executor errors.
 pub fn real_series(
-    exec: &mut OmpExecutor,
     protocol: Protocol,
     label: &str,
     points: Vec<SweepPoint<syncperf_core::CpuOp>>,
 ) -> Result<Series> {
-    if let Some(sched) = syncperf_sched::current() {
-        let jobs = points
-            .iter()
-            .map(|p| JobSpec::real_omp(p.kernel.clone(), p.params, protocol))
-            .collect();
-        let ms = sched.run_jobs(jobs)?;
-        return Ok(Series::new(
-            label,
-            points
-                .iter()
-                .zip(ms)
-                .map(|(p, m)| (p.x, m.throughput_clamped(PLOT_FLOOR_SECONDS)))
-                .collect::<Vec<_>>(),
-        ));
-    }
-    throughput_series(exec, &protocol, label, points)
+    let jobs = points
+        .into_iter()
+        .map(|p| (p.x, JobSpec::real_omp(p.kernel, p.params, protocol)))
+        .collect();
+    Ok(measure_series(vec![(label, jobs)])?.remove(0))
 }
 
 /// Upper thread-count bound for real-thread sweeps on this host: twice
@@ -330,5 +287,48 @@ mod tests {
     fn gpu_series_has_eleven_points() {
         let s = gpu_series(&SYSTEM3, 2, "syncwarp", &kernel::cuda_syncwarp()).unwrap();
         assert_eq!(s.points.len(), 11);
+    }
+
+    #[test]
+    fn one_call_continues_the_legacy_jitter_stream() {
+        use syncperf_core::sweep::{thread_sweep, throughput_series};
+        use syncperf_cpu_sim::CpuSimExecutor;
+
+        assert!(syncperf_sched::current().is_none(), "the legacy arm runs");
+        let bits = |s: &Series| -> Vec<(u64, u64)> {
+            s.points
+                .iter()
+                .map(|&(x, y)| (x.to_bits(), y.to_bits()))
+                .collect()
+        };
+        let dtypes = [DType::I32, DType::F64];
+        let make = kernel::omp_atomic_update_scalar;
+        let one_call = cpu_dtype_series(&SYSTEM3, Affinity::Spread, &dtypes, make).unwrap();
+        // The pre-scheduler sweep: both dtypes on one shared executor.
+        let mut exec = CpuSimExecutor::new(&SYSTEM3);
+        let legacy: Vec<Series> = dtypes
+            .iter()
+            .map(|&dt| {
+                let points = thread_sweep(
+                    &omp_threads(&SYSTEM3),
+                    paper_loops(2).with_affinity(Affinity::Spread),
+                    |_| make(dt),
+                );
+                throughput_series(&mut exec, &protocol(), dt.label(), points).unwrap()
+            })
+            .collect();
+        assert_eq!(one_call.len(), 2);
+        for (new, old) in one_call.iter().zip(&legacy) {
+            assert_eq!(new.label, old.label);
+            assert_eq!(bits(new), bits(old), "{} differs", new.label);
+        }
+        // Two calls build two executors: the second series restarts
+        // the stream, so it no longer matches the shared one.
+        let split: Vec<Series> = dtypes
+            .iter()
+            .map(|&dt| cpu_series(&SYSTEM3, Affinity::Spread, dt.label(), &make(dt)).unwrap())
+            .collect();
+        assert_eq!(bits(&split[0]), bits(&legacy[0]));
+        assert_ne!(bits(&split[1]), bits(&legacy[1]));
     }
 }

@@ -2,8 +2,9 @@
 //! no-figure findings) on the CPU simulator.
 
 use syncperf_core::{kernel, Affinity, DType, FigureData, Protocol, Result, SYSTEM2, SYSTEM3};
+use syncperf_sched::JobSpec;
 
-use crate::common::{cpu_dtype_series, cpu_series, measure_cpu_batch, paper_loops};
+use crate::common::{cpu_dtype_series, cpu_series, measure_jobs, paper_loops};
 
 /// Fig. 1 — throughput of the OpenMP barrier (System 3, spread).
 ///
@@ -171,18 +172,18 @@ pub fn fig06_flush() -> Result<Vec<FigureData>> {
 /// Propagates simulator errors.
 pub fn exp_atomic_read_capture() -> Result<Vec<FigureData>> {
     let threads = [2u32, 4, 8, 16, 32];
-    let batch: Vec<_> = threads
+    let jobs = threads
         .iter()
         .flat_map(|&t| {
-            let p = paper_loops(t);
             [
-                (kernel::omp_atomic_update_scalar(DType::I32), p),
-                (kernel::omp_atomic_capture_scalar(DType::I32), p),
-                (kernel::omp_atomic_read(DType::I32), p),
+                kernel::omp_atomic_update_scalar(DType::I32),
+                kernel::omp_atomic_capture_scalar(DType::I32),
+                kernel::omp_atomic_read(DType::I32),
             ]
+            .map(|k| JobSpec::cpu_sim(&SYSTEM3, k, paper_loops(t), Protocol::PAPER))
         })
         .collect();
-    let ms = measure_cpu_batch(&SYSTEM3, Protocol::PAPER, &batch)?;
+    let ms = measure_jobs(jobs)?;
     let mut ratio_points = Vec::new();
     let mut free_points = Vec::new();
     for (i, &t) in threads.iter().enumerate() {

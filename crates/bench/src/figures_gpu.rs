@@ -1,11 +1,12 @@
 //! Regeneration of the paper's CUDA figures (Figs. 7-15, §V-B3/4's
 //! no-figure findings) on the GPU simulator.
 
-use crate::common::{gpu_dtype_series, gpu_series, measure_gpu_batch, paper_loops};
+use crate::common::{gpu_dtype_series, gpu_jobs, gpu_series, measure_jobs, paper_loops};
 use syncperf_core::{
     kernel, DType, FigureData, Protocol, Result, Scope, Series, ShflVariant, VoteKind, SYSTEM1,
     SYSTEM3,
 };
+use syncperf_sched::JobSpec;
 
 /// Fig. 7 — `__syncthreads()` throughput (identical at any block
 /// count).
@@ -265,18 +266,16 @@ pub fn exp_fence_scopes() -> Result<Vec<FigureData>> {
         ("device", Scope::Device),
         ("system", Scope::System),
     ];
-    let batch: Vec<_> = scopes
+    let jobs = scopes
         .iter()
         .flat_map(|&(_, scope)| {
-            threads.iter().map(move |&t| {
-                (
-                    kernel::cuda_threadfence(scope, DType::I32, 1),
-                    paper_loops(t).with_blocks(128),
-                )
-            })
+            let fence = kernel::cuda_threadfence(scope, DType::I32, 1);
+            gpu_jobs(&SYSTEM3, None, 128, &fence)
+                .into_iter()
+                .map(|(_, job)| job)
         })
         .collect();
-    let ms = measure_gpu_batch(&SYSTEM3, Protocol::PAPER, &batch)?;
+    let ms = measure_jobs(jobs)?;
     for (si, (label, _)) in scopes.iter().enumerate() {
         let points = threads
             .iter()
@@ -405,16 +404,18 @@ pub fn exp_divergence() -> Result<Vec<FigureData>> {
         "cycles per divergent branch",
     );
     let paths = [1u32, 2, 4, 8, 16, 32];
-    let batch: Vec<_> = paths
+    let jobs = paths
         .iter()
         .map(|&p| {
-            (
+            JobSpec::gpu_sim(
+                &SYSTEM3,
                 kernel::cuda_divergence(DType::I32, p),
                 paper_loops(32).with_blocks(1),
+                Protocol::PAPER,
             )
         })
         .collect();
-    let ms = measure_gpu_batch(&SYSTEM3, Protocol::PAPER, &batch)?;
+    let ms = measure_jobs(jobs)?;
     let points = paths
         .iter()
         .zip(&ms)

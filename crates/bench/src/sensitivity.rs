@@ -6,10 +6,14 @@
 //! re-evaluates the shape claims, demonstrating which conclusions
 //! depend on calibration and which follow from the modeled mechanisms.
 
-use syncperf_core::{kernel, DType, ExecParams, Protocol, Result, SYSTEM3};
-use syncperf_cpu_sim::{CpuModel, CpuSimExecutor};
-use syncperf_gpu_sim::{GpuModel, GpuSimExecutor};
+use std::collections::HashMap;
+
+use syncperf_core::{kernel, DType, ExecParams, Measurement, Protocol, Result, SYSTEM3};
+use syncperf_cpu_sim::CpuModel;
+use syncperf_gpu_sim::GpuModel;
 use syncperf_sched::JobSpec;
+
+use crate::common::measure_jobs;
 
 /// Outcome of evaluating one claim under one perturbed constant.
 #[derive(Debug, Clone)]
@@ -36,107 +40,89 @@ impl SensitivityRow {
 /// calibration point).
 pub const SCALES: [f64; 5] = [0.5, 0.75, 1.0, 1.5, 2.0];
 
-fn cpu_claim_holds(model: CpuModel, claim: &str) -> Result<bool> {
-    // Perturbed-model measurements route through the scheduler when one
-    // is installed (`JobSpec::cpu_sim_with_model` folds the model digest
-    // into the cache key), else run serially on one shared executor.
-    let sched = syncperf_sched::current();
-    let mut sim = CpuSimExecutor::with_model(&SYSTEM3, model.clone());
-    let mut runtime = |k: &syncperf_core::CpuKernel, t: u32| -> Result<f64> {
-        let p = ExecParams::new(t).with_loops(500, 50);
-        let m = match &sched {
-            Some(s) => s.measure(JobSpec::cpu_sim_with_model(
-                &SYSTEM3,
-                model.clone(),
-                k.clone(),
-                p,
-                Protocol::SIM,
-            ))?,
-            None => Protocol::SIM.measure(&mut sim, k, &p)?,
-        };
-        Ok(m.runtime_seconds())
-    };
-    Ok(match claim {
-        "barrier plateaus beyond ~8 threads" => {
-            let b = kernel::omp_barrier();
-            let r2 = runtime(&b, 2)?;
-            let r8 = runtime(&b, 8)?;
-            let r32 = runtime(&b, 32)?;
-            r8 > 1.5 * r2 && r32 < 2.0 * r8
-        }
-        "int atomics beat doubles" => {
-            let i = runtime(&kernel::omp_atomic_update_scalar(DType::I32), 16)?;
-            let d = runtime(&kernel::omp_atomic_update_scalar(DType::F64), 16)?;
-            d > i
-        }
-        "padding removes the false-sharing penalty" => {
-            let s1 = runtime(&kernel::omp_atomic_update_array(DType::I32, 1), 16)?;
-            let s16 = runtime(&kernel::omp_atomic_update_array(DType::I32, 16), 16)?;
-            s1 > 2.0 * s16
-        }
-        "critical sections lose to atomics" => {
-            let c = runtime(&kernel::omp_critical_add(DType::I32), 16)?;
-            let a = runtime(&kernel::omp_atomic_update_scalar(DType::I32), 16)?;
-            c > a
-        }
-        other => unreachable!("unknown cpu claim {other}"),
-    })
+/// A shape claim: the points it reads, in order, and its test over
+/// their values (runtime in seconds on the CPU, cycles per op on the
+/// GPU).
+struct Claim<K> {
+    name: &'static str,
+    points: Vec<(K, ExecParams)>,
+    holds: fn(&[f64]) -> bool,
 }
 
-fn gpu_claim_holds(model: GpuModel, claim: &str) -> Result<bool> {
-    let sched = syncperf_sched::current();
-    let mut sim = GpuSimExecutor::with_model(&SYSTEM3, model.clone());
-    let mut cy = |k: &syncperf_core::GpuKernel, blocks: u32, threads: u32| -> Result<f64> {
-        let p = ExecParams::new(threads)
+fn cpu_claims() -> Vec<Claim<syncperf_core::CpuKernel>> {
+    let at = |threads: u32| ExecParams::new(threads).with_loops(500, 50);
+    let int_add = kernel::omp_atomic_update_scalar(DType::I32);
+    vec![
+        Claim {
+            name: "barrier plateaus beyond ~8 threads",
+            points: [2, 8, 32].map(|t| (kernel::omp_barrier(), at(t))).into(),
+            holds: |r| r[1] > 1.5 * r[0] && r[2] < 2.0 * r[1],
+        },
+        Claim {
+            name: "int atomics beat doubles",
+            points: vec![
+                (int_add.clone(), at(16)),
+                (kernel::omp_atomic_update_scalar(DType::F64), at(16)),
+            ],
+            holds: |r| r[1] > r[0],
+        },
+        Claim {
+            name: "padding removes the false-sharing penalty",
+            points: vec![
+                (kernel::omp_atomic_update_array(DType::I32, 1), at(16)),
+                (kernel::omp_atomic_update_array(DType::I32, 16), at(16)),
+            ],
+            holds: |r| r[0] > 2.0 * r[1],
+        },
+        Claim {
+            name: "critical sections lose to atomics",
+            points: vec![
+                (kernel::omp_critical_add(DType::I32), at(16)),
+                (int_add, at(16)),
+            ],
+            holds: |r| r[0] > r[1],
+        },
+    ]
+}
+
+fn gpu_claims() -> Vec<Claim<syncperf_core::GpuKernel>> {
+    let at = |blocks: u32, threads: u32| {
+        ExecParams::new(threads)
             .with_blocks(blocks)
-            .with_loops(500, 50);
-        let m = match &sched {
-            Some(s) => s.measure(JobSpec::gpu_sim_with_model(
-                &SYSTEM3,
-                model.clone(),
-                k.clone(),
-                p,
-                Protocol::SIM,
-            ))?,
-            None => Protocol::SIM.measure(&mut sim, k, &p)?,
-        };
-        Ok(m.per_op)
+            .with_loops(500, 50)
     };
-    Ok(match claim {
-        "aggregated adds flat to 64 threads at 2 blocks" => {
-            let k = kernel::cuda_atomic_add_scalar(DType::I32);
-            let t32 = cy(&k, 2, 32)?;
-            let t64 = cy(&k, 2, 64)?;
-            let t128 = cy(&k, 2, 128)?;
-            (t64 - t32).abs() < 1e-9 && t128 > t64
-        }
-        "CAS knee at 4 threads for 1 block" => {
-            let k = kernel::cuda_atomic_cas_scalar(DType::I32);
-            let t4 = cy(&k, 1, 4)?;
-            let t8 = cy(&k, 1, 8)?;
-            t8 > t4
-        }
-        "fences cost the same at any occupancy" => {
-            let k = kernel::cuda_threadfence(syncperf_core::Scope::Device, DType::I32, 1);
-            let a = cy(&k, 1, 32)?;
-            let b = cy(&k, 128, 1024)?;
-            (a / b - 1.0).abs() < 0.05
-        }
-        "64-bit shuffles cost twice 32-bit" => {
-            let f32k = kernel::cuda_shfl(DType::F32, syncperf_core::ShflVariant::Idx);
-            let f64k = kernel::cuda_shfl(DType::F64, syncperf_core::ShflVariant::Idx);
-            let a = cy(&f32k, 2, 32)?;
-            let b = cy(&f64k, 2, 32)?;
-            (b / a - 2.0).abs() < 0.1
-        }
-        other => unreachable!("unknown gpu claim {other}"),
-    })
+    let add = kernel::cuda_atomic_add_scalar(DType::I32);
+    let cas = kernel::cuda_atomic_cas_scalar(DType::I32);
+    let fence = kernel::cuda_threadfence(syncperf_core::Scope::Device, DType::I32, 1);
+    let shfl = |dt| kernel::cuda_shfl(dt, syncperf_core::ShflVariant::Idx);
+    vec![
+        Claim {
+            name: "aggregated adds flat to 64 threads at 2 blocks",
+            points: [32, 64, 128].map(|t| (add.clone(), at(2, t))).into(),
+            holds: |c| (c[1] - c[0]).abs() < 1e-9 && c[2] > c[1],
+        },
+        Claim {
+            name: "CAS knee at 4 threads for 1 block",
+            points: vec![(cas.clone(), at(1, 4)), (cas, at(1, 8))],
+            holds: |c| c[1] > c[0],
+        },
+        Claim {
+            name: "fences cost the same at any occupancy",
+            points: vec![(fence.clone(), at(1, 32)), (fence, at(128, 1024))],
+            holds: |c| (c[0] / c[1] - 1.0).abs() < 0.05,
+        },
+        Claim {
+            name: "64-bit shuffles cost twice 32-bit",
+            points: vec![(shfl(DType::F32), at(2, 32)), (shfl(DType::F64), at(2, 32))],
+            holds: |c| (c[1] / c[0] - 2.0).abs() < 0.1,
+        },
+    ]
 }
 
-type CpuKnob = (&'static str, fn(&mut CpuModel, f64));
-type GpuKnob = (&'static str, fn(&mut GpuModel, f64));
+/// A model constant's name and how to scale it.
+type Knob<M> = (&'static str, fn(&mut M, f64));
 
-fn cpu_knobs() -> Vec<CpuKnob> {
+fn cpu_knobs() -> Vec<Knob<CpuModel>> {
     vec![
         ("cpu.line_transfer_ns", |m, s| m.line_transfer_ns *= s),
         ("cpu.arbitration_ns", |m, s| m.arbitration_ns *= s),
@@ -147,7 +133,7 @@ fn cpu_knobs() -> Vec<CpuKnob> {
     ]
 }
 
-fn gpu_knobs() -> Vec<GpuKnob> {
+fn gpu_knobs() -> Vec<Knob<GpuModel>> {
     vec![
         ("gpu.same_addr_arb_cy", |m, s| m.same_addr_arb_cy *= s),
         ("gpu.atomic_service(int)", |m, s| {
@@ -159,68 +145,112 @@ fn gpu_knobs() -> Vec<GpuKnob> {
     ]
 }
 
+/// The sweep's distinct jobs, in first-use order: a job two claims or
+/// two knobs share (every knob at 1.0 is the unperturbed model) is
+/// lowered once.
+#[derive(Default)]
+struct Grid {
+    jobs: Vec<JobSpec>,
+    index: HashMap<String, usize>,
+}
+
+/// A (constant, claim) row whose points are lowered but not yet
+/// measured: the grid indexes of the claim's points at each scale.
+struct PendingRow {
+    constant: &'static str,
+    claim: &'static str,
+    holds: fn(&[f64]) -> bool,
+    metric: fn(&Measurement) -> f64,
+    at: Vec<(f64, Vec<usize>)>,
+}
+
+impl PendingRow {
+    fn evaluate(self, ms: &[Measurement]) -> SensitivityRow {
+        let (held, broke): (Vec<_>, Vec<_>) = self.at.into_iter().partition(|(_, idx)| {
+            let values: Vec<f64> = idx.iter().map(|&i| (self.metric)(&ms[i])).collect();
+            (self.holds)(&values)
+        });
+        SensitivityRow {
+            constant: self.constant,
+            claim: self.claim,
+            held_at: held.into_iter().map(|(scale, _)| scale).collect(),
+            broke_at: broke.into_iter().map(|(scale, _)| scale).collect(),
+        }
+    }
+}
+
+/// Lowers every (knob, claim) row of one simulator into `grid`: the
+/// claims' points under `base` with each knob scaled by each of
+/// [`SCALES`], model by model.
+fn lower<M: Clone, K>(
+    grid: &mut Grid,
+    base: &M,
+    knobs: Vec<Knob<M>>,
+    claims: &[Claim<K>],
+    metric: fn(&Measurement) -> f64,
+    job: impl Fn(&M, &K, ExecParams) -> JobSpec,
+) -> Vec<PendingRow> {
+    let mut rows = Vec::new();
+    for (constant, apply) in knobs {
+        let first = rows.len();
+        rows.extend(claims.iter().map(|c| PendingRow {
+            constant,
+            claim: c.name,
+            holds: c.holds,
+            metric,
+            at: Vec::new(),
+        }));
+        for scale in SCALES {
+            let mut model = base.clone();
+            apply(&mut model, scale);
+            for (row, claim) in rows[first..].iter_mut().zip(claims) {
+                let idx = claim
+                    .points
+                    .iter()
+                    .map(|(k, p)| {
+                        let job = job(&model, k, *p);
+                        let next = grid.jobs.len();
+                        *grid.index.entry(job.canonical()).or_insert_with(|| {
+                            grid.jobs.push(job);
+                            next
+                        })
+                    })
+                    .collect();
+                row.at.push((scale, idx));
+            }
+        }
+    }
+    rows
+}
+
 /// Runs the full sensitivity sweep: every (constant, claim) pair across
-/// [`SCALES`].
+/// [`SCALES`]. Every distinct point of every perturbed model is
+/// measured in one [`measure_jobs`] call, then the claims are evaluated
+/// from the results.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
 pub fn run_sensitivity() -> Result<Vec<SensitivityRow>> {
-    let cpu_claims = [
-        "barrier plateaus beyond ~8 threads",
-        "int atomics beat doubles",
-        "padding removes the false-sharing penalty",
-        "critical sections lose to atomics",
-    ];
-    let gpu_claims = [
-        "aggregated adds flat to 64 threads at 2 blocks",
-        "CAS knee at 4 threads for 1 block",
-        "fences cost the same at any occupancy",
-        "64-bit shuffles cost twice 32-bit",
-    ];
-
-    let mut rows = Vec::new();
-    for (name, apply) in cpu_knobs() {
-        for claim in cpu_claims {
-            let mut row = SensitivityRow {
-                constant: name,
-                claim,
-                held_at: vec![],
-                broke_at: vec![],
-            };
-            for scale in SCALES {
-                let mut model = CpuModel::for_system(&SYSTEM3.cpu, 0.0);
-                apply(&mut model, scale);
-                if cpu_claim_holds(model, claim)? {
-                    row.held_at.push(scale);
-                } else {
-                    row.broke_at.push(scale);
-                }
-            }
-            rows.push(row);
-        }
-    }
-    for (name, apply) in gpu_knobs() {
-        for claim in gpu_claims {
-            let mut row = SensitivityRow {
-                constant: name,
-                claim,
-                held_at: vec![],
-                broke_at: vec![],
-            };
-            for scale in SCALES {
-                let mut model = GpuModel::for_spec(&SYSTEM3.gpu);
-                apply(&mut model, scale);
-                if gpu_claim_holds(model, claim)? {
-                    row.held_at.push(scale);
-                } else {
-                    row.broke_at.push(scale);
-                }
-            }
-            rows.push(row);
-        }
-    }
-    Ok(rows)
+    let mut grid = Grid::default();
+    let mut rows = lower(
+        &mut grid,
+        &CpuModel::for_system(&SYSTEM3.cpu, 0.0),
+        cpu_knobs(),
+        &cpu_claims(),
+        Measurement::runtime_seconds,
+        |m, k, p| JobSpec::cpu_sim_with_model(&SYSTEM3, m.clone(), k.clone(), p, Protocol::SIM),
+    );
+    rows.extend(lower(
+        &mut grid,
+        &GpuModel::for_spec(&SYSTEM3.gpu),
+        gpu_knobs(),
+        &gpu_claims(),
+        |m| m.per_op,
+        |m, k, p| JobSpec::gpu_sim_with_model(&SYSTEM3, m.clone(), k.clone(), p, Protocol::SIM),
+    ));
+    let ms = measure_jobs(grid.jobs)?;
+    Ok(rows.into_iter().map(|r| r.evaluate(&ms)).collect())
 }
 
 /// Renders the sweep as a table.

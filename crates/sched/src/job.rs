@@ -475,54 +475,34 @@ impl JobSpec {
     /// Byte-identical to `execute(seed)` — the memo is result-invisible
     /// (jitter is drawn after the memoized run) and the engine results
     /// are seed-independent, so retries with different seeds may reuse
-    /// the same primed results. Falls back to `execute` on a
-    /// kind-mismatched priming.
+    /// the same primed results. A kind-mismatched priming primes
+    /// nothing.
     ///
     /// # Errors
     ///
     /// Propagates executor/protocol errors.
     pub fn execute_primed(&self, seed: u64, primed: &PrimedEngine) -> Result<Measurement> {
-        match (self, primed) {
+        let mut exec = self.executor().with_jitter_seed(seed);
+        match (&mut exec, self, primed) {
             (
-                JobSpec::CpuSim {
-                    system,
-                    model,
-                    kernel,
-                    params,
-                    protocol,
-                },
+                JobExecutor::Cpu(e),
+                JobSpec::CpuSim { kernel, params, .. },
                 PrimedEngine::Cpu { baseline, test },
             ) => {
-                let mut exec = match model {
-                    Some(m) => CpuSimExecutor::with_model(system, m.clone()),
-                    None => CpuSimExecutor::new(system),
-                }
-                .with_jitter_seed(seed);
-                exec.prime_engine(&kernel.baseline, params, baseline.clone());
-                exec.prime_engine(&kernel.test, params, test.clone());
-                protocol.measure(&mut exec, kernel, params)
+                e.prime_engine(&kernel.baseline, params, baseline.clone());
+                e.prime_engine(&kernel.test, params, test.clone());
             }
             (
-                JobSpec::GpuSim {
-                    system,
-                    model,
-                    kernel,
-                    params,
-                    protocol,
-                },
+                JobExecutor::Gpu(e),
+                JobSpec::GpuSim { kernel, params, .. },
                 PrimedEngine::Gpu { baseline, test },
             ) => {
-                let mut exec = match model {
-                    Some(m) => GpuSimExecutor::with_model(system, m.clone()),
-                    None => GpuSimExecutor::new(system),
-                }
-                .with_jitter_seed(seed);
-                exec.prime_engine(&kernel.baseline, params, baseline.clone());
-                exec.prime_engine(&kernel.test, params, test.clone());
-                protocol.measure(&mut exec, kernel, params)
+                e.prime_engine(&kernel.baseline, params, baseline.clone());
+                e.prime_engine(&kernel.test, params, test.clone());
             }
-            _ => self.execute(seed),
+            _ => {}
         }
+        exec.measure(self)
     }
 
     /// Executes the job. Simulator jobs get `seed` as their jitter
@@ -534,44 +514,132 @@ impl JobSpec {
     ///
     /// Propagates executor/protocol errors.
     pub fn execute(&self, seed: u64) -> Result<Measurement> {
+        self.executor().with_jitter_seed(seed).measure(self)
+    }
+
+    /// Executes `jobs` serially, in order, without per-job seeds: the
+    /// jobs that share an executor configuration (kind, system and
+    /// model override) run on one executor, built on first use with
+    /// its default jitter seed, so their measurements continue one
+    /// jitter-RNG stream. This is the flagless legacy path; a caller
+    /// that wants a fresh stream makes a separate call.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first job's error, in order.
+    pub fn execute_serially(jobs: &[JobSpec]) -> Result<Vec<Measurement>> {
+        let mut execs: Vec<(&JobSpec, JobExecutor)> = Vec::new();
+        jobs.iter()
+            .map(|job| {
+                let i = execs
+                    .iter()
+                    .position(|(lead, _)| lead.same_executor(job))
+                    .unwrap_or_else(|| {
+                        execs.push((job, job.executor()));
+                        execs.len() - 1
+                    });
+                execs[i].1.measure(job)
+            })
+            .collect()
+    }
+
+    /// The executor this job runs on, built from its system and model
+    /// override with the executor's default jitter seed.
+    fn executor(&self) -> JobExecutor {
         match self {
-            JobSpec::CpuSim {
-                system,
-                model,
-                kernel,
-                params,
-                protocol,
-            } => {
-                let mut exec = match model {
-                    Some(m) => CpuSimExecutor::with_model(system, m.clone()),
-                    None => CpuSimExecutor::new(system),
-                }
-                .with_jitter_seed(seed);
-                protocol.measure(&mut exec, kernel, params)
-            }
-            JobSpec::GpuSim {
-                system,
-                model,
-                kernel,
-                params,
-                protocol,
-            } => {
-                let mut exec = match model {
-                    Some(m) => GpuSimExecutor::with_model(system, m.clone()),
-                    None => GpuSimExecutor::new(system),
-                }
-                .with_jitter_seed(seed);
-                protocol.measure(&mut exec, kernel, params)
-            }
-            JobSpec::RealOmp {
-                kernel,
-                params,
-                protocol,
-                ..
-            } => {
-                let mut exec = OmpExecutor::new();
-                protocol.measure(&mut exec, kernel, params)
-            }
+            JobSpec::CpuSim { system, model, .. } => JobExecutor::Cpu(match model {
+                Some(m) => CpuSimExecutor::with_model(system, m.clone()),
+                None => CpuSimExecutor::new(system),
+            }),
+            JobSpec::GpuSim { system, model, .. } => JobExecutor::Gpu(match model {
+                Some(m) => GpuSimExecutor::with_model(system, m.clone()),
+                None => GpuSimExecutor::new(system),
+            }),
+            JobSpec::RealOmp { .. } => JobExecutor::Real(OmpExecutor::new()),
+        }
+    }
+
+    /// Whether `self` and `other` build the same executor: same kind,
+    /// system and model override.
+    fn same_executor(&self, other: &JobSpec) -> bool {
+        match (self, other) {
+            (
+                JobSpec::CpuSim {
+                    system: s1,
+                    model: m1,
+                    ..
+                },
+                JobSpec::CpuSim {
+                    system: s2,
+                    model: m2,
+                    ..
+                },
+            ) => m1 == m2 && s1 == s2,
+            (
+                JobSpec::GpuSim {
+                    system: s1,
+                    model: m1,
+                    ..
+                },
+                JobSpec::GpuSim {
+                    system: s2,
+                    model: m2,
+                    ..
+                },
+            ) => m1 == m2 && s1 == s2,
+            (JobSpec::RealOmp { .. }, JobSpec::RealOmp { .. }) => true,
+            _ => false,
+        }
+    }
+}
+
+/// A job's executor ([`JobSpec::executor`]).
+enum JobExecutor {
+    Cpu(CpuSimExecutor),
+    Gpu(GpuSimExecutor),
+    Real(OmpExecutor),
+}
+
+impl JobExecutor {
+    fn with_jitter_seed(self, seed: u64) -> Self {
+        match self {
+            JobExecutor::Cpu(e) => JobExecutor::Cpu(e.with_jitter_seed(seed)),
+            JobExecutor::Gpu(e) => JobExecutor::Gpu(e.with_jitter_seed(seed)),
+            JobExecutor::Real(e) => JobExecutor::Real(e),
+        }
+    }
+
+    /// Runs `job`'s protocol on this executor, which `job` built.
+    fn measure(&mut self, job: &JobSpec) -> Result<Measurement> {
+        match (self, job) {
+            (
+                JobExecutor::Cpu(e),
+                JobSpec::CpuSim {
+                    kernel,
+                    params,
+                    protocol,
+                    ..
+                },
+            ) => protocol.measure(e, kernel, params),
+            (
+                JobExecutor::Gpu(e),
+                JobSpec::GpuSim {
+                    kernel,
+                    params,
+                    protocol,
+                    ..
+                },
+            ) => protocol.measure(e, kernel, params),
+            (
+                JobExecutor::Real(e),
+                JobSpec::RealOmp {
+                    kernel,
+                    params,
+                    protocol,
+                    ..
+                },
+            ) => protocol.measure(e, kernel, params),
+            _ => unreachable!("a job runs on the executor it built"),
         }
     }
 }
@@ -766,6 +834,21 @@ mod tests {
         assert_eq!(job.kernel_name(), "cuda_syncthreads");
         let m = job.execute(1).unwrap();
         assert_eq!(m.kernel_name, "cuda_syncthreads");
+    }
+
+    #[test]
+    fn serial_execution_keeps_one_stream_per_executor_configuration() {
+        let (p, proto) = point();
+        let k = kernel::omp_atomic_update_scalar(DType::F64);
+        let mut m = CpuModel::for_system(&SYSTEM3.cpu, SYSTEM3.cpu_jitter);
+        m.line_transfer_ns *= 2.0;
+        let a = JobSpec::cpu_sim(&SYSTEM3, k.clone(), p, proto);
+        let b = JobSpec::cpu_sim_with_model(&SYSTEM3, m, k, p, proto);
+        let mixed = JobSpec::execute_serially(&[a.clone(), b.clone(), a.clone()]).unwrap();
+        let alone = JobSpec::execute_serially(&[a.clone(), a]).unwrap();
+        assert_ne!(alone[0], alone[1], "one executor continues its stream");
+        assert_eq!((&mixed[0], &mixed[2]), (&alone[0], &alone[1]));
+        assert_eq!(mixed[1], JobSpec::execute_serially(&[b]).unwrap()[0]);
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!    crash), plus per-run-label manifests enabling `--resume`.
 //!
 //! The [`scheduler`] module ties them together and exposes the
-//! process-global [`install`]/[`current`] registry the bench sweep
-//! helpers branch on; without an installed scheduler every measurement
-//! takes the serial legacy path, unchanged.
+//! process-global [`install`]/[`current`] registry that the bench
+//! crate's one measurement entry point reads; without an installed
+//! scheduler it runs its jobs on the serial legacy path
+//! ([`JobSpec::execute_serially`]), unchanged.
 //!
 //! The measurement protocol itself (Section IV of the paper: 9 runs ×
 //! 7 attempts, median-of-medians differential timing) is untouched —
