@@ -153,6 +153,29 @@ echo "warm-run executed jobs: ${executed}"
 [ "${executed:-missing}" = 0 ] || {
   echo "warm rerun executed ${executed:-missing} jobs, expected 0"; exit 1; }
 
+# One sweep per report (EXPERIMENTS.md): a flagless make_report must
+# reproduce the committed results/REPORT.md to the byte, and a report
+# must submit exactly the jobs of the cold all_figures run above (its
+# count is read from that run's stats, not pinned here). A report that
+# submits more regenerates figures twice.
+echo "==> make_report lane (committed report, one sweep)"
+rm -rf ci_report_results
+SYNCPERF_RESULTS=ci_report_results cargo run --release --offline -p syncperf-bench \
+  --bin make_report > /dev/null
+cmp ci_report_results/REPORT.md results/REPORT.md || {
+  echo "flagless make_report diverged from the committed results/REPORT.md"; exit 1; }
+rm -rf ci_report_results
+SYNCPERF_RESULTS=ci_report_results cargo run --release --offline -p syncperf-bench \
+  --bin make_report -- --jobs 2 --no-cache \
+  --cache-stats results/cache_stats_report.json > /dev/null
+report_jobs=$(sed -n 's/.*"jobs":\([0-9]*\).*/\1/p' results/cache_stats_report.json)
+figure_jobs=$(sed -n 's/.*"jobs":\([0-9]*\).*/\1/p' results/cache_stats_cold.json)
+echo "make_report jobs: ${report_jobs}; cold all_figures jobs: ${figure_jobs}"
+[ -n "$report_jobs" ] && [ "$report_jobs" = "$figure_jobs" ] || {
+  echo "make_report submitted ${report_jobs:-missing} jobs," \
+    "one all_figures sweep ${figure_jobs:-missing}"; exit 1; }
+rm -rf ci_report_results
+
 # The same gate over the sensitivity grid: hundreds of perturbed-model
 # jobs whose hashes fold in each perturbed model's digest. A warm
 # second run under 95% means model-digest hashing went unstable.

@@ -11,7 +11,7 @@
 //! $ launch openmp --yes --jobs 2 --cache-stats stats.json
 //! ```
 //!
-//! The sweeps route through `measure_{cpu,gpu}_batch` inside a
+//! The sweeps route through `common::measure_jobs` inside a
 //! `runner::session`, so every shared flag (`--jobs`, `--workers`,
 //! `--no-cache`, `--resume`, `--cache-stats`, `--metrics`, ...) and
 //! `SYNCPERF_JOBS` turn each grid point into a content-hashed

@@ -1,6 +1,6 @@
-//! Verifies every qualitative claim in EXPERIMENTS.md against freshly
-//! regenerated data. Exits nonzero if any claim fails — the
-//! artifact-evaluation entry point.
+//! Verifies every qualitative claim in EXPERIMENTS.md against one
+//! freshly regenerated `all_figures` sweep. Exits nonzero if any claim
+//! fails — the artifact-evaluation entry point.
 //!
 //! Runs as a `runner::session`, so every shared flag applies
 //! (`--jobs`, `--workers`, `--no-cache`, `--resume`, `--cache-stats`,
@@ -8,13 +8,14 @@
 //! session has written its summary and stats.
 
 use syncperf_bench::runner::{self, RunOptions};
-use syncperf_bench::verify;
+use syncperf_bench::{all_figures, tables, verify};
+use syncperf_core::SYSTEM3;
 
 fn main() -> syncperf_core::Result<()> {
     let mut opts = RunOptions::parse(runner::args())?;
     opts.label = Some("verify_experiments".into());
     let passed = runner::session(&opts, || {
-        let checks = verify::run_all_checks()?;
+        let checks = verify::check(&all_figures()?, &tables::listing1(&SYSTEM3)?);
         print!("{}", verify::render(&checks));
         Ok(checks.iter().all(|c| c.passed))
     })?;

@@ -44,33 +44,18 @@ pub fn emit(figs: &[FigureData]) -> Result<()> {
     Ok(())
 }
 
-/// Every figure generator in paper order, for the umbrella binary.
+/// Every figure generator of [`runner::registry`] in paper order, for
+/// the umbrella binary, `make_report` and `verify_experiments`.
 ///
 /// # Errors
 ///
 /// Propagates the first generator error.
 pub fn all_figures() -> Result<Vec<FigureData>> {
     let mut figs = Vec::new();
-    figs.extend(figures_cpu::fig01_barrier()?);
-    figs.extend(figures_cpu::fig02_atomic_update_scalar()?);
-    figs.extend(figures_cpu::fig03_atomic_update_array()?);
-    figs.extend(figures_cpu::fig04_atomic_write()?);
-    figs.extend(figures_cpu::fig05_critical()?);
-    figs.extend(figures_cpu::fig06_flush()?);
-    figs.extend(figures_cpu::exp_atomic_read_capture()?);
-    figs.extend(figures_cpu::exp_affinity()?);
-    figs.extend(figures_gpu::fig07_syncthreads()?);
-    figs.extend(figures_gpu::fig08_syncwarp()?);
-    figs.extend(figures_gpu::fig09_atomicadd_scalar()?);
-    figs.extend(figures_gpu::fig10_atomicadd_array()?);
-    figs.extend(figures_gpu::fig11_atomiccas_scalar()?);
-    figs.extend(figures_gpu::fig12_atomiccas_array()?);
-    figs.extend(figures_gpu::fig13_atomicexch()?);
-    figs.extend(figures_gpu::fig14_threadfence()?);
-    figs.extend(figures_gpu::fig15_shfl()?);
-    figs.extend(figures_gpu::exp_fence_scopes()?);
-    figs.extend(figures_gpu::exp_vote()?);
-    figs.extend(figures_gpu::exp_atomic_ops()?);
-    figs.extend(figures_gpu::exp_divergence()?);
+    for entry in runner::registry() {
+        if entry.name != runner::ALL_FIGURES {
+            figs.extend((entry.generate)()?);
+        }
+    }
     Ok(figs)
 }

@@ -44,11 +44,16 @@ pub struct Entry {
     pub generate: Generator,
 }
 
+/// The registry name of the umbrella entry, whose generator runs every
+/// other entry in order.
+pub const ALL_FIGURES: &str = "all_figures";
+
 /// Every library-backed figure/experiment generator, in paper order.
 ///
-/// This is the single source of truth used both by the per-figure
-/// binaries and by `trace_report` (which can run any entry by name
-/// with recording enabled).
+/// This is the single source of truth used by the per-figure binaries,
+/// by [`crate::all_figures`] (every entry but the umbrella one) and by
+/// `trace_report` (which can run any entry by name with recording
+/// enabled).
 #[must_use]
 pub fn registry() -> Vec<Entry> {
     vec![
@@ -158,7 +163,7 @@ pub fn registry() -> Vec<Entry> {
             generate: crate::figures_gpu::exp_divergence,
         },
         Entry {
-            name: "all_figures",
+            name: ALL_FIGURES,
             about: "every figure in paper order",
             generate: crate::all_figures,
         },

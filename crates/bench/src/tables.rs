@@ -3,7 +3,9 @@
 use std::fmt::Write as _;
 
 use syncperf_core::{all_systems, Result, SystemSpec};
-use syncperf_gpu_sim::{simulate_reduction, GpuModel, ReductionConfig, ReductionStrategy};
+use syncperf_gpu_sim::{
+    simulate_reduction, GpuModel, ReductionConfig, ReductionReport, ReductionStrategy,
+};
 
 /// Renders Table I (system specifications) from the encoded specs.
 #[must_use]
@@ -48,59 +50,66 @@ pub fn table1() -> String {
     out
 }
 
-/// Runs the Listing 1 reduction study on `system` and renders the
-/// comparison table (runtime in cycles and µs, op counts, and the
-/// ordering statement from Section II-C).
+/// Listing 1's five max-reductions on `system`'s GPU over a
+/// one-million-element input, in R1–R5 ([`ReductionStrategy::ALL`]) order.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn listing1_report(system: &SystemSpec) -> Result<String> {
+pub fn listing1(system: &SystemSpec) -> Result<Vec<ReductionReport>> {
     let model = GpuModel::for_spec(&system.gpu);
     let cfg = ReductionConfig::megabyte_input(&system.gpu);
+    ReductionStrategy::ALL
+        .into_iter()
+        .map(|s| simulate_reduction(&model, &system.gpu, s, &cfg))
+        .collect()
+}
+
+/// Renders `system`'s [`listing1`] result as the comparison table
+/// (runtime in cycles and µs, op counts, and the ordering statement
+/// from Section II-C).
+#[must_use]
+pub fn render_listing1(system: &SystemSpec, reports: &[ReductionReport]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Listing 1: five max-reduction strategies, {} int elements on {}",
-        cfg.size, system.gpu.name
+        ReductionConfig::megabyte_input(&system.gpu).size,
+        system.gpu.name
     );
     let _ = writeln!(
         out,
         "{:<42} {:>12} {:>10} {:>12} {:>12}",
         "strategy", "cycles", "µs", "global atm", "block atm"
     );
-    let mut results = Vec::new();
-    for s in ReductionStrategy::ALL {
-        let r = simulate_reduction(&model, &system.gpu, s, &cfg)?;
-        let us = r.total_cycles / (system.gpu.clock_ghz * 1e3);
+    for r in reports {
         let _ = writeln!(
             out,
             "{:<42} {:>12.0} {:>10.1} {:>12} {:>12}",
-            s.label(),
+            r.strategy.label(),
             r.total_cycles,
-            us,
+            r.total_cycles / (system.gpu.clock_ghz * 1e3),
             r.global_atomics,
             r.block_atomics
         );
-        results.push((s, r.total_cycles));
     }
-    let mut by_time = results.clone();
-    by_time.sort_by(|a, b| a.1.total_cmp(&b.1));
-    let order: Vec<&str> = by_time
-        .iter()
-        .map(|(s, _)| match s {
-            ReductionStrategy::GlobalAtomic => "R1",
-            ReductionStrategy::ShflThenGlobalAtomic => "R2",
-            ReductionStrategy::BlockAtomicThenGlobal => "R3",
-            ReductionStrategy::WarpReduceThenBlock => "R4",
-            ReductionStrategy::PersistentThreads => "R5",
-        })
-        .collect();
+    // Reduction N is the Nth report.
+    let mut by_time: Vec<usize> = (0..reports.len()).collect();
+    by_time.sort_by(|&a, &b| reports[a].total_cycles.total_cmp(&reports[b].total_cycles));
+    let order: Vec<String> = by_time.iter().map(|i| format!("R{}", i + 1)).collect();
     let _ = writeln!(out, "\nfastest to slowest: {}", order.join(" < "));
-    let r2 = results[1].1;
-    let r5 = results[4].1;
-    let _ = writeln!(out, "R5 speedup over R2: {:.2}x (paper: ~2.5x)", r2 / r5);
-    Ok(out)
+    let speedup = reports[1].total_cycles / reports[4].total_cycles;
+    let _ = writeln!(out, "R5 speedup over R2: {speedup:.2}x (paper: ~2.5x)");
+    out
+}
+
+/// Runs the Listing 1 reduction study on `system` and renders it.
+///
+/// # Errors
+///
+/// Propagates simulator errors.
+pub fn listing1_report(system: &SystemSpec) -> Result<String> {
+    Ok(render_listing1(system, &listing1(system)?))
 }
 
 #[cfg(test)]
