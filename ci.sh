@@ -153,6 +153,26 @@ echo "warm-run executed jobs: ${executed}"
 [ "${executed:-missing}" = 0 ] || {
   echo "warm rerun executed ${executed:-missing} jobs, expected 0"; exit 1; }
 
+# The unprimed single-point engine path (docs/PERFORMANCE.md): a
+# flagless all_figures installs no scheduler, so every engine run is a
+# memo miss through `engine::run_observed`, and each CSV/SVG it writes
+# must equal the committed results/ copy to the byte.
+# tests/sched_consistency.rs pins only the scheduler path.
+echo "==> flagless all_figures lane (committed figures, byte for byte)"
+rm -rf ci_figures_results
+SYNCPERF_RESULTS=ci_figures_results cargo run --release --offline -p syncperf-bench \
+  --bin all_figures > /dev/null
+figure_files=0
+for f in ci_figures_results/*.csv ci_figures_results/*.svg; do
+  [ -e "$f" ] || continue
+  cmp "$f" "results/$(basename "$f")" || {
+    echo "flagless all_figures diverged from the committed results/$(basename "$f")"; exit 1; }
+  figure_files=$((figure_files + 1))
+done
+echo "flagless all_figures: ${figure_files} CSV/SVG files match results/"
+[ "$figure_files" -gt 0 ] || { echo "flagless all_figures wrote no figures"; exit 1; }
+rm -rf ci_figures_results
+
 # One sweep per report (EXPERIMENTS.md): a flagless make_report must
 # reproduce the committed results/REPORT.md to the byte, and a report
 # must submit exactly the jobs of the cold all_figures run above (its

@@ -5,6 +5,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use syncperf_core::{kernel, Affinity, DType, ExecParams, Protocol, SYSTEM3};
+use syncperf_cpu_sim::memline::ContentionMap;
+use syncperf_cpu_sim::plan::RunPlan;
 use syncperf_cpu_sim::{CpuModel, CpuSimExecutor, Placement};
 use syncperf_gpu_sim::{
     simulate_reduction, GpuModel, GpuSimExecutor, Occupancy, ReductionConfig, ReductionStrategy,
@@ -140,6 +142,39 @@ fn bench_trace_vs_interp(c: &mut Criterion) {
     g.finish();
 }
 
+/// Engine set-up, the layer a cold sweep pays per point before any
+/// evaluation: contention analysis plus plan compilation of one
+/// 64-thread point (twice System 3's hardware threads, so SMT-loaded
+/// cores and wrapped-around threads are both in it), and the plan
+/// table of a 63-point thread sweep as batched priming builds it,
+/// evaluated for a single repetition so compilation dominates.
+fn bench_plan_compile(c: &mut Criterion) {
+    let rec = syncperf_core::obs::Recorder::disabled();
+    let model = CpuModel::for_system(&SYSTEM3.cpu, SYSTEM3.cpu_jitter);
+    let body = kernel::omp_flush(DType::I32, 16).test;
+
+    let mut g = c.benchmark_group("plan_compile");
+    g.measurement_time(Duration::from_secs(2));
+    g.warm_up_time(Duration::from_millis(300));
+    g.sample_size(20);
+
+    let placement = Placement::new(&SYSTEM3.cpu, Affinity::Spread, 64);
+    g.bench_function("omp_flush_64t", |b| {
+        b.iter(|| {
+            let contention = ContentionMap::analyze(&body, &placement, 64);
+            RunPlan::compile(&model, &placement, &contention, &body)
+        });
+    });
+
+    let sweep: Vec<Placement> = (1..=63u32)
+        .map(|t| Placement::new(&SYSTEM3.cpu, Affinity::Spread, t))
+        .collect();
+    g.bench_function("omp_flush_table_63pt", |b| {
+        b.iter(|| syncperf_cpu_sim::trace::run_batch(&model, &body, &sweep, 1, &rec).unwrap());
+    });
+    g.finish();
+}
+
 fn bench_full_protocol(c: &mut Criterion) {
     let mut g = c.benchmark_group("protocol");
     g.measurement_time(Duration::from_secs(2));
@@ -185,6 +220,7 @@ criterion_group!(
     bench_gpu_engine,
     bench_fast_vs_full,
     bench_trace_vs_interp,
+    bench_plan_compile,
     bench_full_protocol,
     bench_reductions
 );

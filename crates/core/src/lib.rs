@@ -21,7 +21,7 @@
 //!
 //! ```
 //! use syncperf_core::{
-//!     kernel, ExecParams, Executor, Protocol, Result, ThreadTimes, TimeUnit,
+//!     kernel, ExecParams, Executor, Protocol, Result, TimeUnit,
 //! };
 //!
 //! struct FixedCost;
@@ -30,9 +30,8 @@
 //!     type Op = syncperf_core::CpuOp;
 //!     fn name(&self) -> &str { "fixed" }
 //!     fn time_unit(&self) -> TimeUnit { TimeUnit::Seconds }
-//!     fn execute(&mut self, body: &[Self::Op], p: &ExecParams) -> Result<ThreadTimes> {
-//!         let t = body.len() as f64 * 20e-9 * p.timed_reps() as f64;
-//!         Ok(ThreadTimes::uniform(t, p.threads as usize))
+//!     fn execute(&mut self, body: &[Self::Op], p: &ExecParams) -> Result<f64> {
+//!         Ok(body.len() as f64 * 20e-9 * p.timed_reps() as f64)
 //!     }
 //! }
 //!
@@ -75,7 +74,7 @@ pub use kernel::{
     CpuKernel, CpuOp, GpuKernel, GpuOp, Kernel, RmwOp, Scope, ShflVariant, Target, VoteKind,
 };
 pub use params::{Affinity, ExecParams};
-pub use platform::{Executor, ThreadTimes, TimeUnit};
+pub use platform::{Executor, TimeUnit};
 pub use protocol::{Measurement, Protocol};
 pub use report::{FigureData, Series};
 pub use system::{all_systems, CpuSpec, GpuSpec, SystemSpec, SYSTEM1, SYSTEM2, SYSTEM3};

@@ -1,4 +1,5 @@
-//! The [`Executor`] abstraction: anything that can run a kernel body.
+//! The [`Executor`] abstraction: anything that can run a kernel body
+//! and report the slowest thread's elapsed time.
 //!
 //! Three executors implement this trait in the workspace:
 //!
@@ -46,148 +47,15 @@ impl TimeUnit {
     }
 }
 
-/// Per-thread elapsed times for one execution of a loop body.
-///
-/// Each entry is in the executor's [`TimeUnit`] and covers the full
-/// timed region (`n_iter × N_UNROLL` body repetitions). Executors whose
-/// threads all finish at the same instant (the SIMT simulator outside
-/// its erratic system-fence mode) report the [`ThreadTimes::Uniform`]
-/// variant, which stores one value instead of a potentially
-/// 100k-element vector — the protocol only ever takes the max anyway.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ThreadTimes {
-    /// One entry per participating thread.
-    PerThread(Vec<f64>),
-    /// All `count` threads reported the same `value`.
-    Uniform {
-        /// The common per-thread time.
-        value: f64,
-        /// How many threads participated.
-        count: usize,
-    },
-}
-
-impl ThreadTimes {
-    /// Wraps a per-thread vector.
-    #[must_use]
-    pub fn per_thread(times: Vec<f64>) -> Self {
-        ThreadTimes::PerThread(times)
-    }
-
-    /// All `count` threads took `value`.
-    #[must_use]
-    pub fn uniform(value: f64, count: usize) -> Self {
-        ThreadTimes::Uniform { value, count }
-    }
-
-    /// The maximum across threads — the paper records "the maximum
-    /// runtime across the running threads" per attempt (Section IV).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no thread reported a time.
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        match self {
-            ThreadTimes::PerThread(v) => crate::stats::max(v),
-            ThreadTimes::Uniform { value, count } => {
-                assert!(*count > 0, "max of empty ThreadTimes");
-                *value
-            }
-        }
-    }
-
-    /// Number of participating threads.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            ThreadTimes::PerThread(v) => v.len(),
-            ThreadTimes::Uniform { count, .. } => *count,
-        }
-    }
-
-    /// Whether no thread reported a time.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterates over all per-thread times (expanding the uniform case).
-    pub fn iter(&self) -> ThreadTimesIter<'_> {
-        match self {
-            ThreadTimes::PerThread(v) => ThreadTimesIter::Slice(v.iter()),
-            ThreadTimes::Uniform { value, count } => ThreadTimesIter::Uniform {
-                value: *value,
-                left: *count,
-            },
-        }
-    }
-
-    /// Materializes the times as a vector.
-    #[must_use]
-    pub fn to_vec(&self) -> Vec<f64> {
-        match self {
-            ThreadTimes::PerThread(v) => v.clone(),
-            ThreadTimes::Uniform { value, count } => vec![*value; *count],
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a ThreadTimes {
-    type Item = f64;
-    type IntoIter = ThreadTimesIter<'a>;
-
-    fn into_iter(self) -> ThreadTimesIter<'a> {
-        self.iter()
-    }
-}
-
-/// Iterator over [`ThreadTimes`] entries.
-#[derive(Debug)]
-pub enum ThreadTimesIter<'a> {
-    /// Iterating a stored vector.
-    Slice(std::slice::Iter<'a, f64>),
-    /// Repeating the uniform value.
-    Uniform {
-        /// The common per-thread time.
-        value: f64,
-        /// Entries still to yield.
-        left: usize,
-    },
-}
-
-impl Iterator for ThreadTimesIter<'_> {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        match self {
-            ThreadTimesIter::Slice(it) => it.next().copied(),
-            ThreadTimesIter::Uniform { value, left } => {
-                if *left == 0 {
-                    None
-                } else {
-                    *left -= 1;
-                    Some(*value)
-                }
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = match self {
-            ThreadTimesIter::Slice(it) => it.len(),
-            ThreadTimesIter::Uniform { left, .. } => *left,
-        };
-        (n, Some(n))
-    }
-}
-
 /// A platform capable of executing kernel loop bodies.
 ///
 /// Implementations interpret a body (slice of ops) `n_iter × N_UNROLL`
-/// times per thread after `n_warmup × N_UNROLL` warmup repetitions, and
-/// report per-thread elapsed times for the timed region only — exactly
-/// the structure of the paper's Listings 2 and 3.
+/// times per thread after `n_warmup × N_UNROLL` warmup repetitions and
+/// time each thread's timed region only — exactly the structure of the
+/// paper's Listings 2 and 3. An execution returns the one number the
+/// protocol records per attempt: "the maximum runtime across the
+/// running threads" (Section IV). How an executor reduces its threads
+/// to that maximum is its own business.
 pub trait Executor {
     /// The operation vocabulary this executor understands
     /// ([`crate::CpuOp`] or [`crate::GpuOp`]).
@@ -199,13 +67,14 @@ pub trait Executor {
     /// The unit of the returned times.
     fn time_unit(&self) -> TimeUnit;
 
-    /// Executes `body` under `params` and returns per-thread times.
+    /// Executes `body` under `params` and returns the maximum elapsed
+    /// time across the participating threads, in [`Self::time_unit`].
     ///
     /// # Errors
     ///
     /// Returns an error if the body contains an unsupported operation or
     /// the parameters are invalid for this platform.
-    fn execute(&mut self, body: &[Self::Op], params: &ExecParams) -> Result<ThreadTimes>;
+    fn execute(&mut self, body: &[Self::Op], params: &ExecParams) -> Result<f64>;
 }
 
 #[cfg(test)]
@@ -222,39 +91,5 @@ mod tests {
         let tu = TimeUnit::Cycles { clock_ghz: 2.625 }; // RTX 4090
         let s = tu.to_seconds(2.625e9);
         assert!((s - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn thread_times_max() {
-        let t = ThreadTimes::per_thread(vec![1.0, 3.0, 2.0]);
-        assert_eq!(t.max(), 3.0);
-        let u = ThreadTimes::uniform(2.5, 4);
-        assert_eq!(u.max(), 2.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn thread_times_max_empty_panics() {
-        let t = ThreadTimes::per_thread(vec![]);
-        let _ = t.max();
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn thread_times_uniform_max_empty_panics() {
-        let t = ThreadTimes::uniform(1.0, 0);
-        let _ = t.max();
-    }
-
-    #[test]
-    fn thread_times_iteration_matches_to_vec() {
-        let u = ThreadTimes::uniform(1.5, 3);
-        assert_eq!(u.len(), 3);
-        assert!(!u.is_empty());
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1.5, 1.5, 1.5]);
-        assert_eq!(u.to_vec(), vec![1.5, 1.5, 1.5]);
-        let p = ThreadTimes::per_thread(vec![1.0, 2.0]);
-        assert_eq!(p.iter().size_hint(), (2, Some(2)));
-        assert_eq!(p.to_vec(), vec![1.0, 2.0]);
     }
 }

@@ -111,8 +111,8 @@ impl Protocol {
         for run in 0..self.runs {
             let mut chosen: Option<(f64, f64)> = None;
             for attempt in 0..self.max_attempts {
-                let base = executor.execute(&kernel.baseline, params)?.max();
-                let test = executor.execute(&kernel.test, params)?.max();
+                let base = executor.execute(&kernel.baseline, params)?;
+                let test = executor.execute(&kernel.test, params)?;
                 c_attempts.inc();
                 if test >= base {
                     chosen = Some((base, test));
@@ -313,7 +313,6 @@ mod tests {
     use super::*;
     use crate::error::Result as SpResult;
     use crate::kernel::CpuOp;
-    use crate::platform::ThreadTimes;
 
     /// A deterministic fake executor: every op costs `op_cost` units and
     /// each execution adds `noise` units that alternate in sign.
@@ -334,7 +333,7 @@ mod tests {
             TimeUnit::Seconds
         }
 
-        fn execute(&mut self, body: &[CpuOp], params: &ExecParams) -> SpResult<ThreadTimes> {
+        fn execute(&mut self, body: &[CpuOp], params: &ExecParams) -> SpResult<f64> {
             self.calls += 1;
             let reps = params.timed_reps() as f64;
             let jitter = if self.calls.is_multiple_of(2) {
@@ -343,7 +342,7 @@ mod tests {
                 -self.noise
             };
             let t = body.len() as f64 * self.op_cost * reps + jitter;
-            Ok(ThreadTimes::uniform(t, params.threads as usize))
+            Ok(t)
         }
     }
 
@@ -494,7 +493,7 @@ mod tests {
             TimeUnit::Seconds
         }
 
-        fn execute(&mut self, _body: &[CpuOp], params: &ExecParams) -> SpResult<ThreadTimes> {
+        fn execute(&mut self, _body: &[CpuOp], _params: &ExecParams) -> SpResult<f64> {
             self.calls += 1;
             // The protocol strictly alternates baseline, test.
             let is_baseline = self.next_is_baseline;
@@ -508,7 +507,7 @@ mod tests {
                 self.rejected_so_far = 0; // good attempt ends the run
                 self.base * 2.0
             };
-            Ok(ThreadTimes::uniform(t, params.threads as usize))
+            Ok(t)
         }
     }
 

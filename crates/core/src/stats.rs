@@ -67,9 +67,20 @@ pub fn stddev(values: &[f64]) -> f64 {
 /// Panics if `values` is empty or contains NaN.
 #[must_use]
 pub fn max(values: &[f64]) -> f64 {
+    max_of(values.iter().copied())
+}
+
+/// [`max`] over an iterator, so an executor can reduce per-thread
+/// times as it draws them instead of collecting them first. On a tie
+/// the later value wins, exactly as in [`max`].
+///
+/// # Panics
+///
+/// Panics if `values` yields nothing, or NaN beside another value.
+#[must_use]
+pub fn max_of(values: impl IntoIterator<Item = f64>) -> f64 {
     values
-        .iter()
-        .copied()
+        .into_iter()
         .max_by(|a, b| a.partial_cmp(b).expect("NaN in samples"))
         .expect("max of empty slice")
 }
@@ -277,5 +288,25 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn median_empty_panics() {
         let _ = median(&[]);
+    }
+
+    #[test]
+    fn max_of_an_iterator_is_max_of_the_slice() {
+        let v = [1.0, 3.0, -0.0, 3.0, 0.0, 2.0];
+        assert_eq!(max_of(v.iter().copied()).to_bits(), max(&v).to_bits());
+        // On a tie the later value wins: +0.0 after -0.0.
+        assert_eq!(max_of([-0.0, 0.0]).to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "max of empty slice")]
+    fn max_of_nothing_panics() {
+        let _ = max_of(std::iter::empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in samples")]
+    fn max_of_nan_panics() {
+        let _ = max_of([1.0, f64::NAN]);
     }
 }

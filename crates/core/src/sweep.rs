@@ -86,7 +86,7 @@ pub fn thread_sweep<Op>(
 mod tests {
     use super::*;
     use crate::kernel::{omp_barrier, CpuOp};
-    use crate::platform::{ThreadTimes, TimeUnit};
+    use crate::platform::TimeUnit;
 
     struct UnitExec;
 
@@ -101,15 +101,11 @@ mod tests {
             TimeUnit::Seconds
         }
 
-        fn execute(
-            &mut self,
-            body: &[CpuOp],
-            params: &ExecParams,
-        ) -> crate::error::Result<ThreadTimes> {
+        fn execute(&mut self, body: &[CpuOp], params: &ExecParams) -> crate::error::Result<f64> {
             // Cost grows with thread count: 1 ns per op per thread.
             let reps = params.timed_reps() as f64;
             let t = body.len() as f64 * 1e-9 * f64::from(params.threads) * reps;
-            Ok(ThreadTimes::uniform(t, params.threads as usize))
+            Ok(t)
         }
     }
 

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use syncperf_core::{
     kernel, Affinity, CpuOp, DType, ExecParams, Executor, FigureData, Kernel, Protocol,
-    ResultsStore, RunRecord, Series, ThreadTimes, TimeUnit,
+    ResultsStore, RunRecord, Series, TimeUnit,
 };
 
 /// Deterministic executor whose per-op cost and per-call noise are
@@ -26,15 +26,11 @@ impl Executor for ParamExec {
         TimeUnit::Seconds
     }
 
-    fn execute(
-        &mut self,
-        body: &[CpuOp],
-        params: &ExecParams,
-    ) -> syncperf_core::Result<ThreadTimes> {
+    fn execute(&mut self, body: &[CpuOp], params: &ExecParams) -> syncperf_core::Result<f64> {
         let noise = self.noise_seq[self.call % self.noise_seq.len()];
         self.call += 1;
         let t = body.len() as f64 * self.op_cost * params.timed_reps() as f64 * (1.0 + noise);
-        Ok(ThreadTimes::uniform(t, params.threads as usize))
+        Ok(t)
     }
 }
 

@@ -8,10 +8,17 @@
 //! [`engine::run_observed`], a table of one point. The memo serves
 //! every recorder alike, so events describe engine evaluations, not
 //! protocol executions.
+//!
+//! An execution draws its jitter over the memoized per-thread times in
+//! place and keeps only their running maximum: no result is cloned and
+//! no per-thread vector is built, yet the draws and the maximum are
+//! exactly those of jittering a copy and taking [`stats::max`] of it.
+//!
+//! [`stats::max`]: syncperf_core::stats::max
 
 use syncperf_core::rng::SplitMix64;
 use syncperf_core::{
-    Affinity, CpuOp, ExecParams, Executor, Result, SyncPerfError, SystemSpec, ThreadTimes, TimeUnit,
+    stats, Affinity, CpuOp, ExecParams, Executor, Result, SyncPerfError, SystemSpec, TimeUnit,
 };
 
 use crate::config::CpuModel;
@@ -32,7 +39,6 @@ struct CacheEntry {
     affinity: Affinity,
     reps: u64,
     result: EngineResult,
-    uses_hyperthreads: bool,
 }
 
 /// Simulates the CPU of one of the paper's systems.
@@ -149,9 +155,10 @@ impl CpuSimExecutor {
         }
     }
 
-    /// Runs the engine through the memo cache. Hits move to the front;
-    /// misses evict the oldest entry beyond [`ENGINE_CACHE_CAP`].
-    fn cached_run(&mut self, body: &[CpuOp], params: &ExecParams) -> Result<(EngineResult, bool)> {
+    /// Brings the engine result for `(body, params)` to the front of
+    /// the memo cache, running the engine on a miss. Hits move to the
+    /// front; misses evict the oldest entry beyond [`ENGINE_CACHE_CAP`].
+    fn memo_to_front(&mut self, body: &[CpuOp], params: &ExecParams) -> Result<()> {
         let reps = params.timed_reps();
         if let Some(pos) = self.cache.iter().position(|e| {
             e.threads == params.threads
@@ -159,10 +166,8 @@ impl CpuSimExecutor {
                 && e.reps == reps
                 && e.body == body
         }) {
-            let hit = self.cache.remove(pos);
-            let out = (hit.result.clone(), hit.uses_hyperthreads);
-            self.cache.insert(0, hit);
-            return Ok(out);
+            self.cache[..=pos].rotate_right(1);
+            return Ok(());
         }
         let placement = Placement::new(&self.system.cpu, params.affinity, params.threads);
         let result = engine::run_observed(
@@ -172,20 +177,8 @@ impl CpuSimExecutor {
             reps,
             self.effective_recorder(),
         )?;
-        let uses_hyperthreads = placement.uses_hyperthreads();
-        self.cache.insert(
-            0,
-            CacheEntry {
-                body: body.to_vec(),
-                threads: params.threads,
-                affinity: params.affinity,
-                reps,
-                result: result.clone(),
-                uses_hyperthreads,
-            },
-        );
-        self.cache.truncate(ENGINE_CACHE_CAP);
-        Ok((result, uses_hyperthreads))
+        self.prime_engine(body, params, result);
+        Ok(())
     }
 
     /// Seeds the engine memo with a precomputed result for
@@ -197,7 +190,6 @@ impl CpuSimExecutor {
     /// deterministic and jitter is drawn after the (possibly memoized)
     /// run.
     pub fn prime_engine(&mut self, body: &[CpuOp], params: &ExecParams, result: EngineResult) {
-        let placement = Placement::new(&self.system.cpu, params.affinity, params.threads);
         self.cache.insert(
             0,
             CacheEntry {
@@ -206,7 +198,6 @@ impl CpuSimExecutor {
                 affinity: params.affinity,
                 reps: params.timed_reps(),
                 result,
-                uses_hyperthreads: placement.uses_hyperthreads(),
             },
         );
         self.cache.truncate(ENGINE_CACHE_CAP);
@@ -224,37 +215,35 @@ impl Executor for CpuSimExecutor {
         TimeUnit::Seconds
     }
 
-    fn execute(&mut self, body: &[CpuOp], params: &ExecParams) -> Result<ThreadTimes> {
+    fn execute(&mut self, body: &[CpuOp], params: &ExecParams) -> Result<f64> {
         params.validate()?;
         if params.blocks != 1 {
             return Err(SyncPerfError::InvalidParams(
                 "the CPU simulator runs a single team (blocks must be 1)".into(),
             ));
         }
-        let (result, uses_hyperthreads) = self.cached_run(body, params)?;
+        self.memo_to_front(body, params)?;
 
         // Timing jitter: one run-wide component (OS/system noise hits
         // the whole measurement — it survives the max-across-threads)
-        // plus a small per-thread component. Hyperthreading adds
-        // variability (Section V-A2 observes exactly that). Drawn after
-        // the (possibly memoized) engine run so the RNG sequence is
-        // independent of cache hits.
+        // plus a small per-thread component, drawn in thread order.
+        // Hyperthreading adds variability (Section V-A2 observes
+        // exactly that). Drawn after the (possibly memoized) engine run
+        // so the RNG sequence is independent of cache hits.
         let amp = self.model.jitter_amplitude
-            + if uses_hyperthreads {
+            + if Placement::engages_smt(&self.system.cpu, params.threads) {
                 self.model.smt_jitter_boost
             } else {
                 0.0
             };
-        let run_noise: f64 = 1.0 + amp * self.rng.gen_symmetric();
-        let per_thread = result
-            .per_thread_ns
-            .iter()
-            .map(|&ns| {
-                let u: f64 = self.rng.gen_symmetric();
+        let rng = &mut self.rng;
+        let run_noise: f64 = 1.0 + amp * rng.gen_symmetric();
+        Ok(stats::max_of(
+            self.cache[0].result.per_thread_ns.iter().map(|&ns| {
+                let u: f64 = rng.gen_symmetric();
                 ns * 1e-9 * run_noise * (1.0 + 0.1 * amp * u)
-            })
-            .collect();
-        Ok(ThreadTimes::per_thread(per_thread))
+            }),
+        ))
     }
 }
 
@@ -268,14 +257,64 @@ mod tests {
     }
 
     #[test]
-    fn reports_per_thread_seconds() {
+    fn reports_max_thread_seconds() {
         let mut sim = CpuSimExecutor::new(&SYSTEM3);
         let t = sim
             .execute(&kernel::omp_barrier().baseline, &quick(8))
             .unwrap();
-        assert_eq!(t.len(), 8);
-        for v in &t {
-            assert!(v > 0.0 && v < 1.0, "unreasonable virtual time {v}");
+        assert!(t > 0.0 && t < 1.0, "unreasonable virtual time {t}");
+    }
+
+    /// The per-thread contract the executor used to return: jitter a
+    /// copy of every thread's engine time, drawing from `rng` in
+    /// thread order, and take the maximum of the vector.
+    fn per_thread_vector_max(
+        rng: &mut SplitMix64,
+        model: &CpuModel,
+        placement: &Placement,
+        per_thread_ns: &[f64],
+    ) -> f64 {
+        let amp = model.jitter_amplitude
+            + if placement.uses_hyperthreads() {
+                model.smt_jitter_boost
+            } else {
+                0.0
+            };
+        let run_noise = 1.0 + amp * rng.gen_symmetric();
+        let per_thread: Vec<f64> = per_thread_ns
+            .iter()
+            .map(|&ns| ns * 1e-9 * run_noise * (1.0 + 0.1 * amp * rng.gen_symmetric()))
+            .collect();
+        stats::max(&per_thread)
+    }
+
+    #[test]
+    fn execution_is_the_max_of_the_jittered_thread_vector() {
+        // 1 thread, one thread per core, the first SMT sibling, and a
+        // wrapped-around team twice the hardware threads (System 3 has
+        // 16 cores × 2 ways). Three executions per body pin the RNG
+        // stream position: a draw too many or too few shifts every
+        // later result.
+        let bodies = [
+            kernel::omp_atomic_update_array(DType::I32, 1).test,
+            kernel::omp_flush(DType::F64, 4).test,
+        ];
+        for threads in [1u32, 16, 17, 64] {
+            let params = quick(threads);
+            let placement = Placement::new(&SYSTEM3.cpu, params.affinity, threads);
+            let mut sim = CpuSimExecutor::with_seed(&SYSTEM3, 11);
+            let mut rng = SplitMix64::seed_from_u64(11);
+            for _ in 0..3 {
+                for body in &bodies {
+                    let ns = engine::run(sim.model(), &placement, body, params.timed_reps())
+                        .unwrap()
+                        .per_thread_ns;
+                    assert_eq!(ns.len(), threads as usize);
+                    let expect = per_thread_vector_max(&mut rng, sim.model(), &placement, &ns);
+                    let got = sim.execute(body, &params).unwrap();
+                    assert_eq!(got.to_bits(), expect.to_bits(), "{threads} threads");
+                }
+            }
         }
     }
 

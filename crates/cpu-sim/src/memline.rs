@@ -12,30 +12,45 @@ use syncperf_core::{CpuOp, DType, Target};
 
 use crate::topology::Placement;
 
-/// FNV-1a hasher for [`LineId`] keys. The line map is probed once per
-/// `(thread, op)` during plan compilation — batched sweep compilation
-/// runs that per point — and SipHash's per-lookup setup cost is
-/// measurable there. Line ids are tiny structured keys, not
-/// attacker-controlled input, so a fast non-keyed hash is fine.
+/// FNV-1a hasher for [`LineId`] keys, folding whole words. The line
+/// map is probed once per line during plan compilation and contention
+/// analysis — batched sweep compilation runs that per point — and
+/// SipHash's per-lookup setup cost is measurable there, as is a
+/// byte-at-a-time loop over the id's 12 bytes. Line ids are tiny
+/// structured keys, not attacker-controlled input, so a fast non-keyed
+/// hash is fine. Nothing iterates the map in hash order into a result.
 #[derive(Debug, Default, Clone)]
 struct FnvHasher(u64);
 
+impl FnvHasher {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn fold(&mut self, word: u64) {
+        let h = if self.0 == 0 { Self::OFFSET } else { self.0 };
+        self.0 = (h ^ word).wrapping_mul(Self::PRIME);
+    }
+}
+
 impl std::hash::Hasher for FnvHasher {
     fn finish(&self) -> u64 {
-        self.0
+        // Fold the high bits down: the multiply leaves the low bits,
+        // which pick the bucket, depending on low input bits only.
+        self.0 ^ (self.0 >> 32)
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
         for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            self.fold(u64::from(b));
         }
-        self.0 = h;
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.fold(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.fold(word);
     }
 }
 
@@ -161,6 +176,20 @@ impl LineStats {
             self.writer_cores.insert(core);
         }
     }
+
+    /// [`ContentionMap::contenders`] for this line, already looked up
+    /// with [`ContentionMap::line`].
+    #[must_use]
+    pub fn contenders(&self, my_core: u32, is_write: bool) -> (u32, bool) {
+        let set = if is_write {
+            &self.accessor_cores
+        } else {
+            &self.writer_cores
+        };
+        let others = (set.len() - usize::from(set.contains(my_core))) as u32;
+        let cross = self.sockets.len() > 1;
+        (others, cross)
+    }
 }
 
 /// What one op does to memory, for analysis purposes.
@@ -208,11 +237,31 @@ impl ContentionMap {
     /// threads execute `body`.
     #[must_use]
     pub fn analyze(body: &[CpuOp], placement: &Placement, line_bytes: usize) -> Self {
-        let mut lines: HashMap<LineId, LineStats, FnvBuild> = HashMap::default();
+        // At most one line per thread per private op, one per other op:
+        // sized up front, the map never rehashes while it fills.
+        let private_ops = body
+            .iter()
+            .filter(|op| {
+                matches!(
+                    classify(op),
+                    Access::Read(_, Target::Private { .. })
+                        | Access::Write(_, Target::Private { .. })
+                        | Access::CriticalWrite(_, Target::Private { .. })
+                )
+            })
+            .count();
+        let mut lines: HashMap<LineId, LineStats, FnvBuild> = HashMap::with_capacity_and_hasher(
+            private_ops * placement.len() + body.len() + 1,
+            FnvBuild,
+        );
         // Op-major so every op resolves its line map entry once where
         // the line is thread-independent (scalars, the lock line) —
         // the sweep's batched plan compilation runs this per point.
-        for op in body {
+        for (i, op) in body.iter().enumerate() {
+            // Touching is idempotent: a repeated op adds nothing.
+            if body[..i].contains(op) {
+                continue;
+            }
             // Explicit critical brackets write the lock line even
             // though they carry no memory operand of their own.
             let (access, hits_lock) = match op {
@@ -245,12 +294,18 @@ impl ContentionMap {
                     }
                 }
                 Target::Private { .. } => {
-                    for tid in 0..placement.len() {
-                        let slot = placement.slot(tid);
-                        lines
-                            .entry(line_of(dt, tg, tid, line_bytes))
-                            .or_default()
-                            .touch(slot.core, slot.socket, writes);
+                    // Consecutive threads share a line until their
+                    // elements cross into the next: probe the map once
+                    // per run of threads on one line.
+                    let mut tid = 0;
+                    while tid < placement.len() {
+                        let line = line_of(dt, tg, tid, line_bytes);
+                        let s = lines.entry(line).or_default();
+                        while tid < placement.len() && line_of(dt, tg, tid, line_bytes) == line {
+                            let slot = placement.slot(tid);
+                            s.touch(slot.core, slot.socket, writes);
+                            tid += 1;
+                        }
                     }
                 }
             }
@@ -277,17 +332,16 @@ impl ContentionMap {
     /// they never count as contenders (Section V-A2).
     #[must_use]
     pub fn contenders(&self, line: LineId, my_core: u32, is_write: bool) -> (u32, bool) {
-        let Some(s) = self.lines.get(&line) else {
-            return (0, false);
-        };
-        let set = if is_write {
-            &s.accessor_cores
-        } else {
-            &s.writer_cores
-        };
-        let others = (set.len() - usize::from(set.contains(my_core))) as u32;
-        let cross = s.sockets.len() > 1;
-        (others, cross)
+        self.line(line)
+            .map_or((0, false), |s| s.contenders(my_core, is_write))
+    }
+
+    /// The sharing facts of `line`, or `None` when no thread touches
+    /// it. A caller resolving many threads on one line looks it up once
+    /// and asks [`LineStats::contenders`] per thread.
+    #[must_use]
+    pub fn line(&self, line: LineId) -> Option<&LineStats> {
+        self.lines.get(&line)
     }
 
     /// Number of distinct lines with at least one inter-core writer

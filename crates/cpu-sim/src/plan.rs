@@ -12,11 +12,23 @@
 //! is never true of repeated `f64` addition. A nanosecond is split into
 //! 2²⁰ units; the worst-case run total stays far below 2⁵³ units, so
 //! the single conversion back to `f64` at the end of a run is exact.
+//!
+//! Compilation is O(threads × ops) and does the float math once per
+//! distinct key. A cost depends on the thread only through the op's
+//! line contention and whether its core is SMT-loaded, so compilation
+//! splits in two. A resolver finds each `(thread, op)`'s contenders,
+//! looking a data line up once per run of consecutive threads on it;
+//! the SMT flag is an O(1) read of the [`Placement`]. The cost function
+//! then turns `(op, contenders, SMT)` into a quantized [`PlanOp`], and
+//! runs again only when that key changes from the previous thread's. A
+//! repeated op copies its first occurrence's costs. [`op_cost`] is the
+//! same pair of steps for one `(thread, op)` with nothing shared, the
+//! oracle the plan is checked against.
 
-use syncperf_core::CpuOp;
+use syncperf_core::{CpuOp, DType, Target};
 
 use crate::config::CpuModel;
-use crate::memline::{classify, line_of, Access, ContentionMap};
+use crate::memline::{classify, line_of, lock_line, Access, ContentionMap, LineId, LineStats};
 use crate::topology::Placement;
 
 /// log₂ of the number of fixed-point units per nanosecond.
@@ -97,15 +109,32 @@ impl RunPlan {
         body: &[CpuOp],
     ) -> Self {
         let n = placement.len();
-        let mut ops = Vec::with_capacity(n * body.len());
-        for tid in 0..n {
-            let smt = if placement.core_is_smt_loaded(tid) {
-                model.smt_service_factor
-            } else {
-                1.0
-            };
-            for op in body {
-                ops.push(compile_op(model, placement, contention, op, tid, smt));
+        let mut ops = vec![PlanOp::Barrier; n * body.len()];
+        let mut resolver = Resolver::new(contention);
+        for (idx, op) in body.iter().enumerate() {
+            // A cost depends on the op, not its position: a repeated op
+            // (a test body is often its baseline's op twice) copies the
+            // first occurrence's costs.
+            if let Some(first) = body[..idx].iter().position(|o| o == op) {
+                for tid in 0..n {
+                    ops[tid * body.len() + idx] = ops[tid * body.len() + first];
+                }
+                continue;
+            }
+            let lines = OpLines::of(op);
+            let mut last: Option<(OpContention, bool, PlanOp)> = None;
+            for tid in 0..n {
+                let c = resolver.resolve(lines, tid, placement.slot(tid).core);
+                let smt_loaded = placement.core_is_smt_loaded(tid);
+                let cost = match last {
+                    Some((lc, ls, cost)) if lc == c && ls == smt_loaded => cost,
+                    _ => {
+                        let cost = cost_of(model, op, c, smt_loaded);
+                        last = Some((c, smt_loaded, cost));
+                        cost
+                    }
+                };
+                ops[tid * body.len() + idx] = cost;
             }
         }
 
@@ -168,89 +197,156 @@ impl RunPlan {
     }
 }
 
-/// Compiles one op's latency for one thread, mirroring the cost model
-/// the engine previously evaluated per repetition.
-fn compile_op(
+/// The line contention one op meets for one thread: `(contenders,
+/// cross_socket)` on its data line and on the critical-section lock
+/// line, `(0, false)` for a line it does not touch. With the op and the
+/// thread's SMT flag it is the whole key of the op's cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OpContention {
+    line: (u32, bool),
+    lock: (u32, bool),
+}
+
+/// The lines an op touches, the same for every thread: the lock line
+/// (always written) and its data line as `(dtype, target, is_write)`.
+#[derive(Debug, Clone, Copy)]
+struct OpLines {
+    lock: bool,
+    data: Option<(DType, Target, bool)>,
+}
+
+impl OpLines {
+    fn of(op: &CpuOp) -> Self {
+        let (lock, data) = match classify(op) {
+            // The critical brackets carry no operand but take the lock.
+            Access::None => (
+                matches!(op, CpuOp::CriticalBegin { .. } | CpuOp::CriticalEnd { .. }),
+                None,
+            ),
+            Access::Read(dtype, target) => (false, Some((dtype, target, false))),
+            Access::Write(dtype, target) => (false, Some((dtype, target, true))),
+            Access::CriticalWrite(dtype, target) => (true, Some((dtype, target, true))),
+        };
+        OpLines { lock, data }
+    }
+}
+
+/// Finds each `(thread, op)`'s [`OpContention`]. Consecutive threads
+/// mostly touch one data line, so the last line's stats are kept and
+/// the map is probed only when the line changes; the lock line's stats
+/// are looked up once.
+#[derive(Debug)]
+struct Resolver<'a> {
+    contention: &'a ContentionMap,
+    lock: Option<&'a LineStats>,
+    run: Option<(LineId, Option<&'a LineStats>)>,
+}
+
+impl<'a> Resolver<'a> {
+    fn new(contention: &'a ContentionMap) -> Self {
+        Resolver {
+            contention,
+            lock: contention.line(lock_line()),
+            run: None,
+        }
+    }
+
+    fn resolve(&mut self, lines: OpLines, tid: usize, core: u32) -> OpContention {
+        let lock = if lines.lock {
+            self.lock.map_or((0, false), |s| s.contenders(core, true))
+        } else {
+            (0, false)
+        };
+        let line = match lines.data {
+            None => (0, false),
+            Some((dtype, target, is_write)) => {
+                let id = line_of(dtype, target, tid, self.contention.line_bytes());
+                let stats = match self.run {
+                    Some((run_id, stats)) if run_id == id => stats,
+                    _ => {
+                        let stats = self.contention.line(id);
+                        self.run = Some((id, stats));
+                        stats
+                    }
+                };
+                stats.map_or((0, false), |s| s.contenders(core, is_write))
+            }
+        };
+        OpContention { line, lock }
+    }
+}
+
+/// The compiled cost of `op` for thread `tid`, computed directly: the
+/// plan's resolver and cost function with nothing shared between
+/// threads or ops. [`RunPlan::compile`] must agree with it on every
+/// `(thread, op)`.
+#[must_use]
+pub fn op_cost(
     model: &CpuModel,
     placement: &Placement,
     contention: &ContentionMap,
     op: &CpuOp,
     tid: usize,
-    smt: f64,
 ) -> PlanOp {
-    let slot = placement.slot(tid);
+    let c = Resolver::new(contention).resolve(OpLines::of(op), tid, placement.slot(tid).core);
+    cost_of(model, op, c, placement.core_is_smt_loaded(tid))
+}
+
+/// The cost function: one op's latency under contention `c`, on an
+/// SMT-loaded core or not, quantized.
+fn cost_of(model: &CpuModel, op: &CpuOp, c: OpContention, smt_loaded: bool) -> PlanOp {
+    let smt = if smt_loaded {
+        model.smt_service_factor
+    } else {
+        1.0
+    };
+    let lock_line_cost = model.contention_ns(c.lock.0, c.lock.1);
+    let coherence = model.contention_ns(c.line.0, c.line.1);
     match *op {
         CpuOp::Barrier => PlanOp::Barrier,
         CpuOp::Flush => PlanOp::Flush {
             base: quantize(model.fence_base_ns * smt),
         },
-        CpuOp::CriticalAdd { dtype, target } => {
+        CpuOp::CriticalAdd { .. } => {
             // Lock acquire (RMW on the lock line), protected plain
             // update, lock release (store on the lock line).
-            let (lc, lcross) = contention.contenders(crate::memline::lock_line(), slot.core, true);
-            let lock_line_cost = model.contention_ns(lc, lcross);
             let acquire = model.rmw_int_ns * smt + lock_line_cost;
             let release = model.store_ns * smt + lock_line_cost;
-            let line = line_of(dtype, target, tid, contention.line_bytes());
-            let (c, cross) = contention.contenders(line, slot.core, true);
-            let body_cost =
-                (model.l1_hit_ns + model.store_ns) * smt + model.contention_ns(c, cross);
+            let body_cost = (model.l1_hit_ns + model.store_ns) * smt + coherence;
             PlanOp::Fixed(quantize(
                 model.lock_overhead_ns * smt + acquire + body_cost + release,
             ))
         }
-        CpuOp::CriticalBegin { .. } => {
-            // The acquire half of the CriticalAdd cost split: lock
-            // overhead plus an RMW on the contended lock line.
-            let (lc, lcross) = contention.contenders(crate::memline::lock_line(), slot.core, true);
-            let lock_line_cost = model.contention_ns(lc, lcross);
-            PlanOp::Fixed(quantize(
-                model.lock_overhead_ns * smt + model.rmw_int_ns * smt + lock_line_cost,
-            ))
-        }
-        CpuOp::CriticalEnd { .. } => {
-            // The release half: a store on the lock line.
-            let (lc, lcross) = contention.contenders(crate::memline::lock_line(), slot.core, true);
-            let lock_line_cost = model.contention_ns(lc, lcross);
-            PlanOp::Fixed(quantize(model.store_ns * smt + lock_line_cost))
-        }
+        // The acquire half of the CriticalAdd cost split: lock overhead
+        // plus an RMW on the contended lock line.
+        CpuOp::CriticalBegin { .. } => PlanOp::Fixed(quantize(
+            model.lock_overhead_ns * smt + model.rmw_int_ns * smt + lock_line_cost,
+        )),
+        // The release half: a store on the lock line.
+        CpuOp::CriticalEnd { .. } => PlanOp::Fixed(quantize(model.store_ns * smt + lock_line_cost)),
         _ => match classify(op) {
             Access::None => PlanOp::Fixed(0),
-            Access::Read(dtype, target) => {
-                let line = line_of(dtype, target, tid, contention.line_bytes());
-                let (c, cross) = contention.contenders(line, slot.core, false);
-                PlanOp::Fixed(quantize(
-                    model.l1_hit_ns * smt + model.contention_ns(c, cross),
-                ))
-            }
-            Access::Write(dtype, target) => {
-                let is_plain_store = matches!(op, CpuOp::Update { .. });
-                let is_pure_write = matches!(op, CpuOp::AtomicWrite { .. });
-                let line = line_of(dtype, target, tid, contention.line_bytes());
-                let (c, cross) = contention.contenders(line, slot.core, true);
-                let coherence = model.contention_ns(c, cross);
-                if is_plain_store {
-                    // The store buffer hides part of the coherence
-                    // latency from the issuing thread; a fence that
-                    // drains the buffer pays the hidden fraction.
-                    let visible = (model.l1_hit_ns + model.store_ns) * smt
-                        + (1.0 - model.store_buffer_hiding) * coherence;
-                    PlanOp::Store {
-                        visible: quantize(visible),
-                        pending_extra: quantize(coherence * model.store_buffer_hiding),
-                    }
-                } else {
-                    let service = if is_pure_write {
-                        // No arithmetic: word size and type are
-                        // irrelevant (Fig. 4) — a 64-bit CPU stores
-                        // ≤ 8 B in one go.
-                        model.store_ns
-                    } else {
-                        atomic_rmw_service(model, dtype, c)
-                    };
-                    PlanOp::Fixed(quantize(service * smt + coherence))
+            Access::Read(..) => PlanOp::Fixed(quantize(model.l1_hit_ns * smt + coherence)),
+            Access::Write(dtype, _) => match op {
+                // The store buffer hides part of the coherence latency
+                // from the issuing thread; a fence that drains the
+                // buffer pays the hidden fraction.
+                CpuOp::Update { .. } => PlanOp::Store {
+                    visible: quantize(
+                        (model.l1_hit_ns + model.store_ns) * smt
+                            + (1.0 - model.store_buffer_hiding) * coherence,
+                    ),
+                    pending_extra: quantize(coherence * model.store_buffer_hiding),
+                },
+                // No arithmetic: word size and type are irrelevant
+                // (Fig. 4) — a 64-bit CPU stores ≤ 8 B in one go.
+                CpuOp::AtomicWrite { .. } => {
+                    PlanOp::Fixed(quantize(model.store_ns * smt + coherence))
                 }
-            }
+                _ => PlanOp::Fixed(quantize(
+                    atomic_rmw_service(model, dtype, c.line.0) * smt + coherence,
+                )),
+            },
             Access::CriticalWrite(..) => unreachable!("handled above"),
         },
     }

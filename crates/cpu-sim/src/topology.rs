@@ -23,9 +23,10 @@ pub struct Slot {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     slots: Vec<Slot>,
-    cores_per_socket: u32,
-    smt_ways: u32,
-    sockets: u32,
+    /// Per thread: whether another team thread occupies a different
+    /// SMT way of the same core (see [`Placement::core_is_smt_loaded`]).
+    smt_loaded: Vec<bool>,
+    uses_hyperthreads: bool,
 }
 
 impl Placement {
@@ -42,6 +43,10 @@ impl Placement {
     /// * `SystemChoice` behaves like `Spread` (load balancing).
     ///
     /// Threads beyond the hardware-thread count wrap around.
+    ///
+    /// The per-thread SMT-loaded flags are settled here, in one pass
+    /// over a per-core record of the SMT ways the team occupies, so
+    /// every SMT query is O(1).
     ///
     /// # Panics
     ///
@@ -80,13 +85,27 @@ impl Placement {
                     smt,
                 }
             })
-            .collect();
+            .collect::<Vec<Slot>>();
+
+        // A core is SMT-loaded when the team occupies two or more of
+        // its ways: remember each core's first way and whether another
+        // one showed up. Wrapped-around duplicates of a way add nothing.
+        let mut first_way: Vec<Option<u32>> = vec![None; total_cores as usize];
+        let mut shared = vec![false; total_cores as usize];
+        for s in &slots {
+            let core = s.core as usize;
+            match first_way[core] {
+                None => first_way[core] = Some(s.smt),
+                Some(way) if way != s.smt => shared[core] = true,
+                Some(_) => {}
+            }
+        }
+        let smt_loaded = slots.iter().map(|s| shared[s.core as usize]).collect();
 
         Placement {
             slots,
-            cores_per_socket: cps,
-            smt_ways: ways,
-            sockets,
+            smt_loaded,
+            uses_hyperthreads: Self::engages_smt(cpu, nthreads),
         }
     }
 
@@ -115,28 +134,36 @@ impl Placement {
     /// Whether both SMT ways of `tid`'s core are occupied by team
     /// threads — when true the core's issue bandwidth is shared and
     /// service times rise by the SMT factor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid` is out of range.
     #[must_use]
     pub fn core_is_smt_loaded(&self, tid: usize) -> bool {
-        let me = self.slots[tid];
-        self.slots
-            .iter()
-            .enumerate()
-            .any(|(i, s)| i != tid && s.core == me.core && s.smt != me.smt)
+        self.smt_loaded[tid]
     }
 
     /// Whether any thread uses a second SMT way (hyperthreading region
     /// of the sweep, right of the dashed line in the paper's figures).
     #[must_use]
     pub fn uses_hyperthreads(&self) -> bool {
-        self.slots.iter().any(|s| s.smt > 0)
+        self.uses_hyperthreads
+    }
+
+    /// Whether `nthreads` threads on `cpu` use a second SMT way, under
+    /// any affinity — [`Placement::uses_hyperthreads`] without building
+    /// the placement. Both policies fill every core's first way before
+    /// any second one, so that happens exactly when the team outgrows
+    /// the cores of an SMT machine.
+    #[must_use]
+    pub fn engages_smt(cpu: &CpuSpec, nthreads: u32) -> bool {
+        cpu.threads_per_core > 1 && nthreads > cpu.total_cores()
     }
 
     /// Fraction of threads whose core is SMT-loaded.
     #[must_use]
     pub fn smt_loaded_fraction(&self) -> f64 {
-        let loaded = (0..self.slots.len())
-            .filter(|&t| self.core_is_smt_loaded(t))
-            .count();
+        let loaded = self.smt_loaded.iter().filter(|&&l| l).count();
         loaded as f64 / self.slots.len() as f64
     }
 }
@@ -144,7 +171,44 @@ impl Placement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syncperf_core::{SYSTEM1, SYSTEM3};
+    use syncperf_core::{SYSTEM1, SYSTEM2, SYSTEM3};
+
+    /// The brute-force team scan the O(1) flags replaced: another
+    /// thread on the same core, on a different SMT way.
+    fn scan_smt_loaded(p: &Placement, tid: usize) -> bool {
+        let me = p.slot(tid);
+        (0..p.len()).any(|i| {
+            let s = p.slot(i);
+            i != tid && s.core == me.core && s.smt != me.smt
+        })
+    }
+
+    #[test]
+    fn smt_flags_match_the_team_scan() {
+        for sys in [&SYSTEM1, &SYSTEM2, &SYSTEM3] {
+            let hw = sys.cpu.total_threads();
+            for aff in [Affinity::Close, Affinity::Spread, Affinity::SystemChoice] {
+                // Up to twice the hardware threads, so wrapped-around
+                // duplicates of an occupied way are covered.
+                for n in 1..=2 * hw {
+                    let p = Placement::new(&sys.cpu, aff, n);
+                    let scan: Vec<bool> = (0..p.len()).map(|t| scan_smt_loaded(&p, t)).collect();
+                    for (t, &loaded) in scan.iter().enumerate() {
+                        assert_eq!(p.core_is_smt_loaded(t), loaded, "{sys} {aff:?} n={n} t={t}");
+                    }
+                    let uses = (0..p.len()).any(|t| p.slot(t).smt > 0);
+                    assert_eq!(p.uses_hyperthreads(), uses, "{sys} {aff:?} n={n}");
+                    assert_eq!(
+                        Placement::engages_smt(&sys.cpu, n),
+                        uses,
+                        "{sys} {aff:?} n={n}"
+                    );
+                    let fraction = scan.iter().filter(|&&l| l).count() as f64 / f64::from(n);
+                    assert_eq!(p.smt_loaded_fraction(), fraction, "{sys} {aff:?} n={n}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn close_fills_socket0_first() {

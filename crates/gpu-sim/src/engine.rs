@@ -52,7 +52,7 @@ pub fn units_to_cycles(units: u64) -> f64 {
 }
 
 /// Outcome of one engine run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GpuEngineResult {
     /// Total elapsed time of the run in fixed-point units
     /// ([`SCALE`] units per cycle); identical for every thread.

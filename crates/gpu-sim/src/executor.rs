@@ -1,8 +1,17 @@
 //! The GPU-simulator [`Executor`]: plugs the engine into the
 //! measurement protocol with `clock64()`-style cycle reporting.
+//!
+//! Every launched thread finishes at the engine's one total, so an
+//! execution returns that total — except for a system-fence body, whose
+//! per-thread PCIe jitter is drawn thread by thread and folded into a
+//! running maximum. No per-thread vector is built, even at
+//! 128 × 1024 threads, and the draws and the maximum are exactly those
+//! of jittering a vector of the total and taking [`stats::max`] of it.
+//!
+//! [`stats::max`]: syncperf_core::stats::max
 
 use syncperf_core::rng::SplitMix64;
-use syncperf_core::{ExecParams, Executor, GpuOp, Result, SystemSpec, ThreadTimes, TimeUnit};
+use syncperf_core::{stats, ExecParams, Executor, GpuOp, Result, SystemSpec, TimeUnit};
 
 use crate::config::GpuModel;
 use crate::engine::{self, GpuEngineResult};
@@ -147,7 +156,8 @@ impl GpuSimExecutor {
         }
     }
 
-    /// Runs the engine through the memo cache. Hits move to the front;
+    /// Returns the engine result for `(body, params)` from the memo
+    /// cache, running the engine on a miss. Hits move to the front;
     /// misses evict the oldest entry beyond [`ENGINE_CACHE_CAP`].
     fn cached_run(&mut self, body: &[GpuOp], params: &ExecParams) -> Result<GpuEngineResult> {
         let reps = params.timed_reps();
@@ -157,25 +167,13 @@ impl GpuSimExecutor {
                 && e.reps == reps
                 && e.body == body
         }) {
-            let hit = self.cache.remove(pos);
-            let result = hit.result.clone();
-            self.cache.insert(0, hit);
-            return Ok(result);
+            self.cache[..=pos].rotate_right(1);
+            return Ok(self.cache[0].result);
         }
         let occ = Occupancy::compute(&self.system.gpu, params.blocks, params.threads)?;
         let result =
             engine::run_observed(&self.model, &occ, body, reps, self.effective_recorder())?;
-        self.cache.insert(
-            0,
-            CacheEntry {
-                body: body.to_vec(),
-                blocks: params.blocks,
-                threads: params.threads,
-                reps,
-                result: result.clone(),
-            },
-        );
-        self.cache.truncate(ENGINE_CACHE_CAP);
+        self.prime_engine(body, params, result);
         Ok(result)
     }
 
@@ -214,24 +212,19 @@ impl Executor for GpuSimExecutor {
         }
     }
 
-    fn execute(&mut self, body: &[GpuOp], params: &ExecParams) -> Result<ThreadTimes> {
+    fn execute(&mut self, body: &[GpuOp], params: &ExecParams) -> Result<f64> {
         params.validate()?;
         let result = self.cached_run(body, params)?;
         let total = result.total_cycles();
-        #[allow(clippy::cast_possible_truncation)]
-        let n = result.total_threads as usize;
-        if result.has_system_fence {
-            let amp = self.model.fence_system_jitter;
-            let per_thread = (0..n)
-                .map(|_| {
-                    let u: f64 = self.rng.gen_symmetric();
-                    total * (1.0 + amp * u)
-                })
-                .collect();
-            Ok(ThreadTimes::per_thread(per_thread))
-        } else {
-            Ok(ThreadTimes::uniform(total, n))
+        if !result.has_system_fence {
+            return Ok(total);
         }
+        let amp = self.model.fence_system_jitter;
+        let rng = &mut self.rng;
+        Ok(stats::max_of((0..result.total_threads).map(|_| {
+            let u: f64 = rng.gen_symmetric();
+            total * (1.0 + amp * u)
+        })))
     }
 }
 
@@ -256,12 +249,44 @@ mod tests {
     }
 
     #[test]
-    fn per_thread_length_is_total_threads() {
+    fn uniform_threads_report_the_engine_total() {
         let mut gpu = GpuSimExecutor::new(&SYSTEM3);
-        let t = gpu
-            .execute(&kernel::cuda_syncwarp().baseline, &quick(4, 64))
-            .unwrap();
-        assert_eq!(t.len(), 256);
+        let body = kernel::cuda_syncwarp().baseline;
+        let params = quick(4, 64);
+        let occ = Occupancy::compute(&SYSTEM3.gpu, params.blocks, params.threads).unwrap();
+        let run = engine::run(gpu.model(), &occ, &body, params.timed_reps()).unwrap();
+        assert_eq!(run.total_threads, 256);
+        assert_eq!(
+            gpu.execute(&body, &params).unwrap().to_bits(),
+            run.total_cycles().to_bits()
+        );
+    }
+
+    #[test]
+    fn system_fence_is_the_max_of_the_jittered_thread_vector() {
+        // The largest launch the sweeps make: 128 blocks × 1024 threads.
+        // The oracle jitters a vector of one total per launched thread,
+        // as the executor used to return, and takes its maximum. Three
+        // executions pin the RNG stream position: a draw too many or
+        // too few shifts every later result.
+        let body = kernel::cuda_threadfence(Scope::System, DType::I32, 1).test;
+        let params = quick(128, 1024);
+        let mut gpu = GpuSimExecutor::with_seed(&SYSTEM3, 11);
+        let occ = Occupancy::compute(&SYSTEM3.gpu, params.blocks, params.threads).unwrap();
+        let run = engine::run(gpu.model(), &occ, &body, params.timed_reps()).unwrap();
+        assert!(run.has_system_fence);
+        let amp = gpu.model().fence_system_jitter;
+        let mut rng = SplitMix64::seed_from_u64(11);
+        for _ in 0..3 {
+            let per_thread: Vec<f64> = (0..128 * 1024)
+                .map(|_| run.total_cycles() * (1.0 + amp * rng.gen_symmetric()))
+                .collect();
+            let expect = stats::max(&per_thread);
+            assert_eq!(
+                gpu.execute(&body, &params).unwrap().to_bits(),
+                expect.to_bits()
+            );
+        }
     }
 
     #[test]
@@ -382,7 +407,7 @@ mod tests {
             &syncperf_core::obs::Recorder::disabled(),
         )
         .unwrap();
-        primed.prime_engine(&body, &params, batch[0].clone());
+        primed.prime_engine(&body, &params, batch[0]);
         assert_eq!(primed.execute(&body, &params).unwrap(), expect);
     }
 

@@ -497,8 +497,8 @@ impl JobSpec {
                 JobSpec::GpuSim { kernel, params, .. },
                 PrimedEngine::Gpu { baseline, test },
             ) => {
-                e.prime_engine(&kernel.baseline, params, baseline.clone());
-                e.prime_engine(&kernel.test, params, test.clone());
+                e.prime_engine(&kernel.baseline, params, *baseline);
+                e.prime_engine(&kernel.test, params, *test);
             }
             _ => {}
         }

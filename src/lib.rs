@@ -50,8 +50,7 @@ pub mod prelude {
     pub use syncperf_core::{
         kernel, Affinity, CpuKernel, CpuOp, DType, ExecParams, Executor, FigureData, GpuKernel,
         GpuOp, Kernel, Measurement, Protocol, Result, RmwOp, Scope, Series, ShflVariant,
-        SyncPerfError, SystemSpec, Target, ThreadTimes, TimeUnit, VoteKind, SYSTEM1, SYSTEM2,
-        SYSTEM3,
+        SyncPerfError, SystemSpec, Target, TimeUnit, VoteKind, SYSTEM1, SYSTEM2, SYSTEM3,
     };
     pub use syncperf_cpu_sim::CpuSimExecutor;
     pub use syncperf_gpu_sim::{GpuSimExecutor, ReductionConfig, ReductionStrategy};
