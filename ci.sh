@@ -78,9 +78,9 @@ echo "==> bench_report --check"
 cargo run --release --offline -p syncperf-bench --bin bench_report -- --check
 
 # Tracked distributed benchmark (docs/DISTRIBUTED.md): cold
-# `all_figures` with 3 worker processes must stay within 25% of the
-# committed BENCH_dist.json number (and is re-measured against
-# `--jobs 3` threads each run).
+# `all_figures` over 3 local `worker --listen` processes must stay
+# within 25% of the committed BENCH_dist.json number (and is
+# re-measured against `--jobs 3` threads each run).
 echo "==> syncperf_dist bench --check"
 cargo run --release --offline -p syncperf-bench --bin syncperf_dist -- bench --check
 
@@ -347,18 +347,50 @@ echo "load lane artifacts: results/load_report.json + $(ls results/flightrec-*.j
 rm -f load_serve_out.log
 rm -rf ci_load_results
 
-# Distributed execution lane (docs/DISTRIBUTED.md): a cold 3-worker
-# run and a cold run with one worker SIGKILLed mid-sweep must both
-# produce byte-identical figures to a serial `--jobs 3` run. The
-# cache trees are excluded from the diff (same entries, but the
-# kill can orphan an in-flight store); everything the figures are
-# built from must match to the byte.
+# Distributed execution lane (docs/DISTRIBUTED.md): a cold run over a
+# fleet of 3 pre-started `worker --listen` processes, and a cold run
+# that severs one worker's connection mid-sweep, must both produce
+# byte-identical figures to a serial `--jobs 3` run. The cache trees
+# are excluded from the diff (same entries, but the severed
+# connection can orphan an in-flight store); everything the figures
+# are built from must match to the byte.
+#
+# start_dist_fleet starts the 3 workers on free loopback ports, waits
+# for their ready lines, and fills `connect_flags` with one
+# `--connect <addr>` pair per worker; they are killed on exit. A
+# worker serves one coordinator at a time and accepts the next when
+# it ends, so both lanes share the fleet.
+dist_fleet_pids=()
+stop_dist_fleet() {
+  if [ "${#dist_fleet_pids[@]}" -gt 0 ]; then
+    kill "${dist_fleet_pids[@]}" 2>/dev/null || true
+    wait "${dist_fleet_pids[@]}" 2>/dev/null || true
+  fi
+  dist_fleet_pids=()
+  rm -f dist_fleet.log
+}
+start_dist_fleet() {
+  rm -f dist_fleet.log
+  trap stop_dist_fleet EXIT
+  for _ in 1 2 3; do
+    "${CARGO_TARGET_DIR:-target}/release/syncperf_dist" worker --listen 127.0.0.1:0 >> dist_fleet.log &
+    dist_fleet_pids+=("$!")
+  done
+  local addrs
+  addrs=$(wait_for_ready dist_fleet.log 's#^worker listening on ##p' 3) \
+    || { echo "dist worker fleet did not come up"; cat dist_fleet.log; exit 1; }
+  connect_flags=()
+  while IFS= read -r a; do connect_flags+=(--connect "$a"); done <<< "$addrs"
+  echo "dist worker fleet is up on: $(printf '%s' "$addrs" | tr '\n' ' ')"
+}
+
 echo "==> distributed execution lane"
 rm -rf ci_dist_serial ci_dist_workers ci_dist_chaos dist_out.log dist_chaos_out.log
 SYNCPERF_RESULTS=ci_dist_serial cargo run --release --offline -p syncperf-bench \
   --bin all_figures -- --jobs 3 > /dev/null
+start_dist_fleet
 SYNCPERF_RESULTS=ci_dist_workers cargo run --release --offline -p syncperf-bench \
-  --bin syncperf_dist -- all_figures --workers 3 \
+  --bin syncperf_dist -- all_figures "${connect_flags[@]}" \
   --cache-stats results/cache_stats_dist.json > dist_out.log
 grep '^dist:' dist_out.log || { echo "coordinator summary line missing"; cat dist_out.log; exit 1; }
 diff -r -x .cache ci_dist_serial ci_dist_workers \
@@ -378,16 +410,17 @@ echo "distributed run coordinator-primed jobs: ${coord_primed}"
 [ "${coord_primed:-0}" -gt 0 ] || {
   echo "dist coordinator primed nothing (dist_coordinator_primed_jobs=${coord_primed:-missing})"; exit 1; }
 
-echo "==> distributed chaos lane (kill one worker mid-sweep)"
+echo "==> distributed chaos lane (sever one worker mid-sweep)"
 SYNCPERF_RESULTS=ci_dist_chaos cargo run --release --offline -p syncperf-bench \
-  --bin syncperf_dist -- all_figures --workers 3 --chaos-kill-one 25 \
+  --bin syncperf_dist -- all_figures "${connect_flags[@]}" --chaos-kill-one 25 \
   --cache-stats results/cache_stats_dist_chaos.json > dist_chaos_out.log
 grep '^dist:' dist_chaos_out.log || { echo "chaos summary line missing"; cat dist_chaos_out.log; exit 1; }
 diff -r -x .cache ci_dist_serial ci_dist_chaos \
   || { echo "chaos output diverged from serial"; exit 1; }
 deaths=$(sed -n 's/.*"dist_worker_deaths":\([0-9]*\).*/\1/p' results/cache_stats_dist_chaos.json)
-[ "${deaths:-0}" -ge 1 ] || { echo "chaos hook did not kill a worker"; exit 1; }
+[ "${deaths:-0}" -ge 1 ] || { echo "chaos hook did not sever a worker"; exit 1; }
 echo "chaos run converged with ${deaths} worker death(s)"
+stop_dist_fleet
 rm -f dist_out.log dist_chaos_out.log
 rm -rf ci_dist_serial ci_dist_workers ci_dist_chaos
 

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! The sweeps route through `common::measure_jobs` inside a
-//! `runner::session`, so every shared flag (`--jobs`, `--workers`,
+//! `runner::session`, so every shared flag (`--jobs`, `--connect`,
 //! `--no-cache`, `--resume`, `--cache-stats`, `--metrics`, ...) and
 //! `SYNCPERF_JOBS` turn each grid point into a content-hashed
 //! cacheable job, as for the figure binaries.
@@ -31,7 +31,7 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let (mut opts, args) = match RunOptions::parse_known(runner::args()) {
+    let (mut opts, args) = match RunOptions::parse_known(std::env::args().skip(1)) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");

@@ -4,7 +4,7 @@
 //! and one Listing 1 run feed both the claim table and the figures.
 //!
 //! Runs as a `runner::session`, so every shared flag applies
-//! (`--jobs`, `--workers`, `--no-cache`, `--resume`, `--cache-stats`,
+//! (`--jobs`, `--connect`, `--no-cache`, `--resume`, `--cache-stats`,
 //! `--metrics`, `--trace`, ...).
 
 use std::fmt::Write as _;
@@ -14,7 +14,7 @@ use syncperf_bench::{all_figures, tables, verify};
 use syncperf_core::SYSTEM3;
 
 fn main() -> syncperf_core::Result<()> {
-    let mut opts = RunOptions::parse(runner::args())?;
+    let mut opts = RunOptions::parse(std::env::args().skip(1))?;
     opts.label = Some("make_report".into());
     runner::session(&opts, report)
 }

@@ -75,7 +75,7 @@ fn generate(full: bool) -> Result<Vec<FigureData>> {
 }
 
 fn main() -> Result<()> {
-    let mut args = runner::args();
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     args.retain(|a| a != "--full");
     let mut opts = RunOptions::parse(args)?;

@@ -3,7 +3,7 @@
 //! follow from mechanisms rather than calibration.
 //!
 //! Runs as a `runner::session`, so every shared flag applies
-//! (`--jobs`, `--workers`, `--no-cache`, `--resume`, `--cache-stats`,
+//! (`--jobs`, `--connect`, `--no-cache`, `--resume`, `--cache-stats`,
 //! `--metrics`, `--trace`, ...): the grid is hundreds of perturbed-model
 //! measurements, and every one is an independent cacheable job.
 
@@ -11,7 +11,7 @@ use syncperf_bench::runner::{self, RunOptions};
 use syncperf_bench::sensitivity;
 
 fn main() -> syncperf_core::Result<()> {
-    let mut opts = RunOptions::parse(runner::args())?;
+    let mut opts = RunOptions::parse(std::env::args().skip(1))?;
     opts.label = Some("sensitivity_analysis".into());
     let rows = runner::session(&opts, sensitivity::run_sensitivity)?;
     print!("{}", sensitivity::render(&rows));

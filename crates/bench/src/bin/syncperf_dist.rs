@@ -1,25 +1,23 @@
 //! `syncperf_dist` — the distributed sweep front-end.
 //!
 //! ```console
-//! $ syncperf_dist all_figures --workers 3            # spawn 3 local worker
-//!                                                    # processes, run the sweep
-//! $ syncperf_dist worker --listen 0.0.0.0:7070       # pre-started worker
+//! $ syncperf_dist worker --listen 0.0.0.0:7070       # on each worker host
 //! $ syncperf_dist all_figures --connect host:7070 \
-//!                             --connect host:7071    # use pre-started workers
-//! $ syncperf_dist all_figures --workers 3 --chaos-kill-one 25
-//! $ syncperf_dist all_figures --workers 3 --metrics-addr 127.0.0.1:0
+//!                             --connect host:7071    # run the sweep on them
+//! $ syncperf_dist all_figures --connect host:7070 --chaos-kill-one 25
+//! $ syncperf_dist all_figures --connect host:7070 --metrics-addr 127.0.0.1:0
 //! $ syncperf_dist bench                              # tracked BENCH_dist.json:
 //!                                                    # 3 processes vs --jobs 3 threads
 //! $ syncperf_dist bench --check                      # regression gate vs committed
 //! ```
 //!
 //! Coordinator mode accepts every shared figure-binary flag (see
-//! `syncperf_bench::runner::RunOptions`); when neither `--workers` nor
-//! `--connect` is given it defaults to `--workers 3`. The spawned
-//! workers are this same binary re-exec'd in the hidden `__dist-worker`
-//! mode.
+//! `syncperf_bench::runner::RunOptions`) and needs at least one
+//! `--connect`.
 
+use std::io::{self, BufRead as _};
 use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
 use std::time::Instant;
 
 use syncperf_bench::runner::{self, RunOptions};
@@ -37,8 +35,8 @@ const BENCH_WORKERS: usize = 3;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: syncperf_dist <entry> [--workers N | --connect host:port ...] [shared flags]\n\
-         \x20      syncperf_dist worker (--listen|--connect) host:port\n\
+        "usage: syncperf_dist <entry> --connect host:port ... [shared flags]\n\
+         \x20      syncperf_dist worker --listen host:port\n\
          \x20      syncperf_dist bench [--check] [--out PATH]\n\
          \x20      syncperf_dist --list"
     );
@@ -46,14 +44,11 @@ fn usage() -> ! {
 }
 
 fn main() {
-    // `runner::args` serves the hidden `__dist-worker` re-exec mode
-    // that spawn-mode coordinators use.
-    let args = runner::args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("worker") => {
             let result = match (args.get(1).map(String::as_str), args.get(2)) {
                 (Some("--listen"), Some(addr)) => syncperf_dist::run_listen(addr),
-                (Some("--connect"), Some(addr)) => syncperf_dist::run_connect(addr),
                 _ => usage(),
             };
             if let Err(e) = result {
@@ -86,7 +81,11 @@ fn coordinate(entry: &str, rest: &[String]) {
         }
     };
     if !opts.wants_dist() {
-        opts.workers = Some(BENCH_WORKERS);
+        eprintln!(
+            "syncperf_dist {entry} needs --connect host:port for each worker \
+             (start workers with `syncperf_dist worker --listen host:port`)"
+        );
+        usage();
     }
     // Label by entry name so checkpoint manifests merge with (and
     // resume from) runs of the plain figure binary.
@@ -121,9 +120,57 @@ fn workload() -> syncperf_core::Result<()> {
     syncperf_bench::emit(&figs)
 }
 
+/// `BENCH_WORKERS` local `worker --listen` processes of this binary on
+/// free loopback ports, killed on drop.
+struct Fleet {
+    children: Vec<Child>,
+    addrs: Vec<String>,
+}
+
+impl Fleet {
+    /// Spawns the workers and reads each one's ready line
+    /// (`worker listening on <addr>`).
+    fn start() -> io::Result<Fleet> {
+        let exe = std::env::current_exe()?;
+        let mut fleet = Fleet {
+            children: Vec::new(),
+            addrs: Vec::new(),
+        };
+        for _ in 0..BENCH_WORKERS {
+            let mut child = Command::new(&exe)
+                .args(["worker", "--listen", "127.0.0.1:0"])
+                .stdin(Stdio::null())
+                .stdout(Stdio::piped())
+                .spawn()?;
+            let stdout = child.stdout.take().expect("stdout is piped");
+            fleet.children.push(child);
+            let mut line = String::new();
+            io::BufReader::new(stdout).read_line(&mut line)?;
+            let addr = line
+                .trim()
+                .strip_prefix("worker listening on ")
+                .ok_or_else(|| {
+                    io::Error::other(format!("worker printed no ready line: {line:?}"))
+                })?;
+            fleet.addrs.push(addr.to_string());
+        }
+        Ok(fleet)
+    }
+}
+
+impl Drop for Fleet {
+    fn drop(&mut self) {
+        for c in &mut self.children {
+            c.kill().ok();
+            c.wait().ok();
+        }
+    }
+}
+
 /// One cold run: fresh results dir and cache. `dist` routes execution
-/// through a freshly spawned local worker fleet; otherwise the
-/// scheduler's in-process thread pool runs it.
+/// through a freshly started local `worker --listen` fleet (started
+/// before the timed region); otherwise the scheduler's in-process
+/// thread pool runs it.
 fn cold_run_ms(root: &std::path::Path, tag: &str, dist: bool) -> syncperf_core::Result<f64> {
     let dir = root.join(format!("syncperf-dist-bench-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -132,18 +179,20 @@ fn cold_run_ms(root: &std::path::Path, tag: &str, dist: bool) -> syncperf_core::
         .with_cache_dir(dir.join(".cache"))
         .with_label("dist_bench");
     let sched = syncperf_sched::install(syncperf_sched::Scheduler::new(cfg));
-    let coord = if dist {
-        let cache = sched
-            .cache()
-            .map(|c| syncperf_sched::Cache::new(c.dir().to_path_buf()));
-        let coord = syncperf_dist::Coordinator::start(
-            syncperf_dist::DistConfig::new(BENCH_WORKERS),
-            cache,
-        )?;
-        coord.attach(&sched);
-        Some(coord)
-    } else {
-        None
+    let fleet = dist.then(Fleet::start).transpose()?;
+    let coord = match &fleet {
+        Some(fleet) => {
+            let cache = sched
+                .cache()
+                .map(|c| syncperf_sched::Cache::new(c.dir().to_path_buf()));
+            let coord = syncperf_dist::Coordinator::start(
+                syncperf_dist::DistConfig::new(fleet.addrs.clone()),
+                cache,
+            )?;
+            coord.attach(&sched);
+            Some(coord)
+        }
+        None => None,
     };
 
     let start = Instant::now();
@@ -153,6 +202,7 @@ fn cold_run_ms(root: &std::path::Path, tag: &str, dist: bool) -> syncperf_core::
     if let Some(c) = &coord {
         c.shutdown();
     }
+    drop(fleet);
     if outcome.is_ok() {
         sched.finish();
     }

@@ -14,7 +14,7 @@
 //! `--format` (inferred from the extension by default) and the summary
 //! is printed as well. `--out`/`--format` are `--trace`/`--trace-format`
 //! under this tool's names; the run is a `runner::session`, so every
-//! other shared flag (`--jobs`, `--workers`, `--resume`,
+//! other shared flag (`--jobs`, `--connect`, `--resume`,
 //! `--cache-stats`, `--metrics <path|->`, ...) applies too.
 
 use std::path::PathBuf;
@@ -27,14 +27,14 @@ fn usage() -> ! {
         "usage: trace_report <name|list> [--format chrome|jsonl|summary] [--out <path>] \
          [--show-figures] [shared runner flags]\n\nruns the named figure experiment with \
          recording enabled, prints the counter summary, and optionally exports the trace; \
-         accepts every shared runner flag (--jobs, --workers, --no-cache, --resume, \
+         accepts every shared runner flag (--jobs, --connect, --no-cache, --resume, \
          --cache-stats, --metrics <path|->, ...)"
     );
     std::process::exit(2);
 }
 
 fn main() -> Result<()> {
-    let (mut opts, rest) = RunOptions::parse_known(runner::args())?;
+    let (mut opts, rest) = RunOptions::parse_known(std::env::args().skip(1))?;
     let mut name = None;
     let mut show_figures = false;
     let mut it = rest.into_iter();

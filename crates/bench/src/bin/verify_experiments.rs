@@ -3,7 +3,7 @@
 //! fails — the artifact-evaluation entry point.
 //!
 //! Runs as a `runner::session`, so every shared flag applies
-//! (`--jobs`, `--workers`, `--no-cache`, `--resume`, `--cache-stats`,
+//! (`--jobs`, `--connect`, `--no-cache`, `--resume`, `--cache-stats`,
 //! `--metrics`, `--trace`, ...). The exit status is set after the
 //! session has written its summary and stats.
 
@@ -12,7 +12,7 @@ use syncperf_bench::{all_figures, tables, verify};
 use syncperf_core::SYSTEM3;
 
 fn main() -> syncperf_core::Result<()> {
-    let mut opts = RunOptions::parse(runner::args())?;
+    let mut opts = RunOptions::parse(std::env::args().skip(1))?;
     opts.label = Some("verify_experiments".into());
     let passed = runner::session(&opts, || {
         let checks = verify::check(&all_figures()?, &tables::listing1(&SYSTEM3)?);

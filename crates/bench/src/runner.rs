@@ -2,14 +2,13 @@
 //!
 //! [`session`] is the one run lifecycle: it installs the observability
 //! plane and the sweep scheduler (with the dist coordinator attached
-//! for `--workers`/`--connect`), serves `--metrics-addr`, runs the
+//! for `--connect`), serves `--metrics-addr`, runs the
 //! caller's body, marks the checkpoint manifest complete on success,
 //! and writes the scheduler summary, `--cache-stats`, `--metrics` and
 //! `--trace`. Every `fig*`/`exp*` binary is `runner::run(generate)`;
 //! tools with arguments of their own (`trace_report`, `launch`,
-//! `sensitivity_analysis`, `real_figures`, `syncperf_dist`) read them
-//! through [`args`], hand the shared flags to [`RunOptions`], and run
-//! their work as a session body.
+//! `sensitivity_analysis`, `real_figures`, `syncperf_dist`) hand the
+//! shared flags to [`RunOptions`] and run their work as a session body.
 //!
 //! ```console
 //! $ fig02_omp_atomic_update_scalar --trace fig02.json
@@ -240,15 +239,12 @@ pub struct RunOptions {
     /// Run label scoping the checkpoint manifest (the binary name for
     /// [`run`]; tools pick their own).
     pub label: Option<String>,
-    /// Execute cache misses on this many local worker *processes*
-    /// (`--workers N`) via the distributed coordinator instead of
-    /// in-process threads.
-    pub workers: Option<usize>,
     /// Pre-started worker addresses (`--connect host:port`, repeatable)
-    /// — implies distributed execution with exactly these workers.
+    /// — execute cache misses on exactly these workers via the
+    /// distributed coordinator instead of in-process threads.
     pub connect: Vec<String>,
-    /// Chaos hook (`--chaos-kill-one N`): SIGKILL one spawned worker
-    /// after N results have been received. Spawn mode only.
+    /// Chaos hook (`--chaos-kill-one N`): sever the connection to one
+    /// worker after N results have been received.
     pub chaos_kill_one: Option<u64>,
     /// Serve live `GET /metrics` on this address for the duration of
     /// the run (`--metrics-addr host:port`; port 0 picks a free port
@@ -269,7 +265,7 @@ impl RunOptions {
             Some(other) => Err(SyncPerfError::InvalidParams(format!(
                 "unknown flag `{other}` (supported: --trace <path>, \
                  --trace-format chrome|jsonl|summary, --jobs <n>, \
-                 --workers <n>, --connect <host:port>, \
+                 --connect <host:port>, \
                  --chaos-kill-one <n>, --metrics-addr <host:port>, \
                  --no-cache, --resume, --cache-stats <path>, \
                  --metrics <path>)"
@@ -315,15 +311,6 @@ impl RunOptions {
                 }
                 "--no-cache" => opts.no_cache = true,
                 "--resume" => opts.resume = true,
-                "--workers" => {
-                    let n = it.next().ok_or_else(|| {
-                        SyncPerfError::InvalidParams("--workers requires a process count".into())
-                    })?;
-                    let n: usize = n.parse().map_err(|_| {
-                        SyncPerfError::InvalidParams(format!("--workers: `{n}` is not a number"))
-                    })?;
-                    opts.workers = Some(n.max(1));
-                }
                 "--connect" => {
                     let addr = it.next().ok_or_else(|| {
                         SyncPerfError::InvalidParams("--connect requires host:port".into())
@@ -402,7 +389,7 @@ impl RunOptions {
     /// Whether distributed (multi-process) execution was requested.
     #[must_use]
     pub fn wants_dist(&self) -> bool {
-        self.workers.is_some() || !self.connect.is_empty()
+        !self.connect.is_empty()
     }
 }
 
@@ -425,37 +412,9 @@ fn render_trace(events: &[obs::Event], snap: &obs::Snapshot, format: TraceFormat
 ///
 /// Propagates flag, generator and I/O errors.
 pub fn run(generate: impl FnOnce() -> Result<Vec<FigureData>>) -> Result<()> {
-    let mut opts = RunOptions::parse(args())?;
+    let mut opts = RunOptions::parse(std::env::args().skip(1))?;
     opts.label = std::env::args().next().map(|a| binary_label(&a));
     session(&opts, || generate().and_then(|figs| crate::emit(&figs)))
-}
-
-/// This process's arguments after `argv[0]`.
-///
-/// A process that a spawn-mode coordinator re-exec'd
-/// (`<binary> __dist-worker --connect <addr>`) never returns from
-/// here: it dials the coordinator, serves jobs until shutdown and
-/// exits. Every binary that reads its arguments through this therefore
-/// hosts the workers its own `--workers` run spawns.
-#[must_use]
-pub fn args() -> Vec<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "__dist-worker") {
-        let served = match &args[1..] {
-            [flag, addr] if flag == "--connect" => {
-                syncperf_dist::run_connect(addr).map_err(SyncPerfError::from)
-            }
-            _ => Err(SyncPerfError::InvalidParams(
-                "__dist-worker requires --connect <host:port>".into(),
-            )),
-        };
-        if let Err(e) = served {
-            eprintln!("worker: {e}");
-            std::process::exit(1);
-        }
-        std::process::exit(0);
-    }
-    args
 }
 
 /// Derives a checkpoint label from `argv[0]` (its file stem).
@@ -641,7 +600,7 @@ pub fn session<T>(opts: &RunOptions, body: impl FnOnce() -> Result<T>) -> Result
         None
     };
 
-    // Distributed mode: start the coordinator fleet and route every
+    // Distributed mode: connect to the worker fleet and route every
     // cache miss through it. The scheduler still owns cache lookups,
     // checkpointing, and the index-ordered merge, so the output bytes
     // are identical to an in-process run.
@@ -649,12 +608,8 @@ pub fn session<T>(opts: &RunOptions, body: impl FnOnce() -> Result<T>) -> Result
         let s = sched
             .as_ref()
             .expect("wants_dist implies a scheduler is installed");
-        let mut dcfg = if opts.connect.is_empty() {
-            syncperf_dist::DistConfig::new(opts.workers.unwrap_or(1))
-        } else {
-            syncperf_dist::DistConfig::new(opts.connect.len()).with_connect(opts.connect.clone())
-        };
-        dcfg = dcfg.with_salt_extra(s.config().salt_extra);
+        let mut dcfg = syncperf_dist::DistConfig::new(opts.connect.clone())
+            .with_salt_extra(s.config().salt_extra);
         if let Some(n) = opts.chaos_kill_one {
             dcfg = dcfg.with_chaos_kill_one_after(n);
         }
@@ -906,20 +861,21 @@ mod tests {
 
     #[test]
     fn parse_accepts_dist_flags() {
-        let opts = RunOptions::parse(["--workers", "3"].map(String::from)).unwrap();
-        assert_eq!(opts.workers, Some(3));
-        assert!(opts.wants_dist());
-        assert!(opts.wants_scheduler());
         let opts = RunOptions::parse(
             ["--connect", "127.0.0.1:7001", "--connect", "127.0.0.1:7002"].map(String::from),
         )
         .unwrap();
         assert_eq!(opts.connect.len(), 2);
         assert!(opts.wants_dist());
+        assert!(opts.wants_scheduler());
         assert!(!RunOptions::default().wants_dist());
-        assert!(RunOptions::parse(["--workers".to_string()]).is_err());
-        assert!(RunOptions::parse(["--workers".to_string(), "many".to_string()]).is_err());
         assert!(RunOptions::parse(["--connect".to_string()]).is_err());
+        // No flag starts a local worker fleet.
+        let err = RunOptions::parse(["--workers", "3"].map(String::from)).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown flag `--workers`"),
+            "{err}"
+        );
     }
 
     #[test]

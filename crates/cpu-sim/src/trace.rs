@@ -252,15 +252,25 @@ impl PlanTable {
     }
 
     /// Contention analysis, plan compilation and lowering for `body` at
-    /// each placement. A live recorder gets the compile time in
-    /// `plan.compile_us` (compilation only, never evaluation) and the
-    /// table size in `plan.trace_ops`.
-    fn compile(model: &CpuModel, body: &[CpuOp], placements: &[Placement], rec: &Recorder) -> Self {
+    /// each placement. `analyzed` is handed each placement's contention
+    /// map as it is built, so a caller that needs the map too (the
+    /// traced path's coherence profile) never analyzes a placement
+    /// again. A live recorder gets the compile time in
+    /// `plan.compile_us` (compilation and `analyzed`, never evaluation)
+    /// and the table size in `plan.trace_ops`.
+    fn compile(
+        model: &CpuModel,
+        body: &[CpuOp],
+        placements: &[Placement],
+        rec: &Recorder,
+        mut analyzed: impl FnMut(&Placement, &ContentionMap),
+    ) -> Self {
         let start = rec.is_enabled().then(Instant::now);
         let plans: Vec<RunPlan> = placements
             .iter()
             .map(|p| {
                 let contention = ContentionMap::analyze(body, p, 64);
+                analyzed(p, &contention);
                 RunPlan::compile(model, p, &contention, body)
             })
             .collect();
@@ -334,13 +344,12 @@ pub fn run_batch(
     );
     span.push_arg("ops", body.len());
     span.push_arg("reps", reps);
-    let narration = rec.traces().then(|| {
-        for p in placements {
-            record_coherence_profile(model, p, body, reps, rec);
+    let narration = rec.traces().then_some(Narration { body, rec });
+    let table = PlanTable::compile(model, body, placements, rec, |p, contention| {
+        if narration.is_some() {
+            record_coherence_profile(model, p, contention, body, reps, rec);
         }
-        Narration { body, rec }
     });
-    let table = PlanTable::compile(model, body, placements, rec);
     let results = run_table(&table, reps, narration.as_ref());
     let points = placements.len() as u64;
     rec.counter("cpu_sim.engine_runs").add(points);
@@ -349,19 +358,19 @@ pub fn run_batch(
     Ok(results)
 }
 
-/// Records the analytic coherence profile of one point: the number of
-/// MESI-level coherence transactions the contention map implies (every
-/// contended access misses locally and goes through the directory) and
-/// the arbitration-queue depth high-water mark. Called only while the
-/// event plane is on.
+/// Records the analytic coherence profile of one point from its
+/// contention map: the number of MESI-level coherence transactions the
+/// map implies (every contended access misses locally and goes through
+/// the directory) and the arbitration-queue depth high-water mark.
+/// Called only while the event plane is on.
 fn record_coherence_profile(
     model: &CpuModel,
     placement: &Placement,
+    contention: &ContentionMap,
     body: &[CpuOp],
     reps: u64,
     rec: &Recorder,
 ) {
-    let contention = ContentionMap::analyze(body, placement, 64);
     let arb = rec.gauge("cpu_sim.arb_queue_depth_max");
     let mut transitions = 0u64;
     let mut lines: Vec<(LineId, bool)> = Vec::with_capacity(2);
@@ -521,7 +530,13 @@ mod tests {
             for threads in [1u32, 2, 7, 16, 32] {
                 let p = Placement::new(&SYSTEM3.cpu, Affinity::Spread, threads);
                 for reps in [1u64, 3, 37] {
-                    let table = PlanTable::compile(&model, &body, std::slice::from_ref(&p), &rec);
+                    let table = PlanTable::compile(
+                        &model,
+                        &body,
+                        std::slice::from_ref(&p),
+                        &rec,
+                        |_, _| {},
+                    );
                     let got = run_table(&table, reps, None).pop().unwrap();
                     let oracle = run_full_stepping(&model, &p, &body, reps).unwrap();
                     assert_eq!(got, oracle, "{name} x{threads} reps={reps}");

@@ -20,8 +20,8 @@
 //! wire entry is counted, discarded, and recomputed locally).
 //!
 //! Whatever runs on the coordinator — unencodable or duplicate jobs,
-//! backlog chunks it drains while idle, straggler hedges, recomputes,
-//! and everything once the fleet is gone — goes through one path that
+//! backlog chunks it drains while idle, recomputes, and everything
+//! once the fleet is gone — goes through one path that
 //! batch-primes same-shape groups first, as the workers and the
 //! scheduler pool do (`dist.coordinator_primed_jobs`).
 //!
@@ -34,8 +34,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
-use std::net::{TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -54,11 +53,8 @@ use crate::frame::{read_frame, write_frame, FrameType, PROTO_VERSION};
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
 pub struct DistConfig {
-    /// Worker processes to spawn locally (ignored when `connect` is
-    /// non-empty).
-    pub workers: usize,
-    /// Addresses of pre-started workers to connect to instead of
-    /// spawning.
+    /// Addresses of the pre-started workers (`syncperf_dist worker
+    /// --listen`) that [`Coordinator::start`] dials: the fleet.
     pub connect: Vec<String>,
     /// How long a worker may stay silent (no frames at all) before it
     /// is declared dead and its shards reissued.
@@ -66,34 +62,21 @@ pub struct DistConfig {
     /// Extra hash salt, forwarded to workers in the handshake (must
     /// match the scheduler's `salt_extra`).
     pub salt_extra: u64,
-    /// Chaos hook: after this many results have been received, SIGKILL
-    /// one spawned worker (spawn mode only; `None` = never).
+    /// Chaos hook: after this many results have been received, sever
+    /// the connection to one live worker (`None` = never).
     pub chaos_kill_one_after: Option<u64>,
-    /// Override argv for spawned workers (`None` = re-exec the current
-    /// binary with `__dist-worker --connect <addr>` appended).
-    pub worker_cmd: Option<Vec<String>>,
 }
 
 impl DistConfig {
-    /// A spawn-mode config with `workers` local worker processes and
-    /// default timeouts.
+    /// A config for the workers at `connect`, with default timeouts.
     #[must_use]
-    pub fn new(workers: usize) -> Self {
+    pub fn new(connect: Vec<String>) -> Self {
         DistConfig {
-            workers: workers.max(1),
-            connect: Vec::new(),
+            connect,
             heartbeat_timeout: Duration::from_secs(10),
             salt_extra: 0,
             chaos_kill_one_after: None,
-            worker_cmd: None,
         }
-    }
-
-    /// Connect-mode: use these pre-started workers.
-    #[must_use]
-    pub fn with_connect(mut self, addrs: Vec<String>) -> Self {
-        self.connect = addrs;
-        self
     }
 
     /// Replaces the extra hash salt.
@@ -275,8 +258,6 @@ struct WorkerHandle {
     /// Last instant any frame arrived (updated by the reader thread,
     /// so it stays fresh even between batches).
     last_seen: Mutex<Instant>,
-    /// The spawned child process, in spawn mode.
-    child: Mutex<Option<Child>>,
 }
 
 /// Events funneled from all reader threads into the drain loop.
@@ -353,10 +334,10 @@ impl Batch {
     }
 }
 
-/// The coordinator. Create with [`Coordinator::start`] (spawn or
-/// connect mode per the config) or [`Coordinator::from_streams`]
-/// (pre-established connections, used by in-process tests), then
-/// [`Coordinator::attach`] it to a scheduler.
+/// The coordinator. Create with [`Coordinator::start`] (dials the
+/// configured workers) or [`Coordinator::from_streams`] (connections
+/// the caller already holds), then [`Coordinator::attach`] it to a
+/// scheduler.
 pub struct Coordinator {
     cfg: DistConfig,
     workers: Vec<Arc<WorkerHandle>>,
@@ -377,15 +358,6 @@ pub struct Coordinator {
     /// entry to disk.
     store_tx: Mutex<Option<mpsc::Sender<(u64, String)>>>,
     store_join: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Spawn mode on a host with one hardware thread: the local worker
-    /// fleet cannot add parallelism, so dispatch keeps shards small and
-    /// prefetch shallow and the work-conserving loop carries the bulk.
-    /// Never set in connect mode — remote workers are real parallelism
-    /// regardless of this host's core count.
-    starved_host: bool,
-    /// Monotonic batch number, used to rotate starved-host priming
-    /// through the fleet.
-    batch_seq: AtomicU64,
 }
 
 impl std::fmt::Debug for Coordinator {
@@ -398,62 +370,24 @@ impl std::fmt::Debug for Coordinator {
 }
 
 impl Coordinator {
-    /// Starts a coordinator per `cfg`: connects to `cfg.connect`
-    /// workers when given, otherwise binds a loopback listener and
-    /// spawns `cfg.workers` local worker processes that dial back in.
+    /// Starts a coordinator over the fleet in `cfg.connect`: dials
+    /// each address, then handshakes as [`Coordinator::from_streams`].
     ///
     /// # Errors
     ///
-    /// Fails when workers cannot be spawned/connected or a handshake
-    /// is refused (version or salt skew).
+    /// Fails when a worker cannot be reached or refuses the handshake
+    /// (version or salt skew).
     pub fn start(cfg: DistConfig, cache: Option<Cache>) -> io::Result<Arc<Coordinator>> {
-        let mut streams: Vec<TcpStream> = Vec::new();
-        let mut children: Vec<Child> = Vec::new();
-        if cfg.connect.is_empty() {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            let addr = listener.local_addr()?.to_string();
-            listener.set_nonblocking(true)?;
-            children = (0..cfg.workers)
-                .map(|_| spawn_worker(cfg.worker_cmd.as_deref(), &addr))
-                .collect::<io::Result<_>>()?;
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while streams.len() < cfg.workers {
-                match listener.accept() {
-                    Ok((s, _)) => {
-                        s.set_nonblocking(false)?;
-                        streams.push(s);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        for c in &mut children {
-                            if let Ok(Some(status)) = c.try_wait() {
-                                return Err(io::Error::new(
-                                    io::ErrorKind::BrokenPipe,
-                                    format!("worker exited during startup: {status}"),
-                                ));
-                            }
-                        }
-                        if Instant::now() > deadline {
-                            return Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                "workers did not connect within 10s",
-                            ));
-                        }
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        } else {
-            for addr in &cfg.connect {
-                streams.push(TcpStream::connect(addr)?);
-            }
-        }
-        Self::from_parts(cfg, cache, streams, children)
+        let streams = cfg
+            .connect
+            .iter()
+            .map(TcpStream::connect)
+            .collect::<io::Result<_>>()?;
+        Self::from_streams(cfg, cache, streams)
     }
 
     /// Builds a coordinator over already-connected worker streams (the
-    /// in-process test entry point; the far ends run
-    /// [`crate::worker::serve_stream`]).
+    /// far ends run [`crate::worker::serve_stream`]).
     ///
     /// # Errors
     ///
@@ -463,19 +397,6 @@ impl Coordinator {
         cache: Option<Cache>,
         streams: Vec<TcpStream>,
     ) -> io::Result<Arc<Coordinator>> {
-        Self::from_parts(cfg, cache, streams, Vec::new())
-    }
-
-    fn from_parts(
-        cfg: DistConfig,
-        cache: Option<Cache>,
-        streams: Vec<TcpStream>,
-        mut children: Vec<Child>,
-    ) -> io::Result<Arc<Coordinator>> {
-        // Children imply spawn mode: the fleet shares this host's
-        // cores. (`from_streams` test rigs and connect-mode fleets are
-        // never treated as starved — their workers may well be remote.)
-        let spawned = !children.is_empty();
         let (tx, rx) = mpsc::channel();
         let registry = Recorder::enabled();
         let counters = Counters::new(&registry);
@@ -488,29 +409,17 @@ impl Coordinator {
                 cfg.salt_extra
             );
             write_frame(&mut writer, FrameType::Hello, hello.as_bytes())?;
-            let (ty, ack) = read_frame(&mut &stream)?;
+            let (ty, _) = read_frame(&mut &stream)?;
             if ty != FrameType::HelloAck {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "worker refused handshake",
                 ));
             }
-            // Pair this connection with the child process that owns it
-            // (the ack carries the worker's PID; accept order is not
-            // spawn order, so positional pairing would kill the wrong
-            // process on heartbeat timeout or chaos injection).
-            let pid = json::parse(&String::from_utf8_lossy(&ack))
-                .ok()
-                .and_then(|d| d.get("pid").and_then(json::Value::as_f64))
-                .map(|p| p as u32);
-            let child = pid
-                .and_then(|p| children.iter().position(|c| c.id() == p))
-                .map(|at| children.remove(at));
             let handle = Arc::new(WorkerHandle {
                 writer: Mutex::new(writer),
                 alive: AtomicBool::new(true),
                 last_seen: Mutex::new(Instant::now()),
-                child: Mutex::new(child),
             });
             spawn_reader(
                 i,
@@ -520,16 +429,6 @@ impl Coordinator {
                 counters.bytes_received.clone(),
             );
             workers.push(handle);
-        }
-        // Any child left unmatched (e.g. a worker whose ack did not
-        // carry a usable PID) still needs reaping at shutdown: hand the
-        // leftovers to handles that have none, in order.
-        let mut leftovers = children.into_iter();
-        for h in &workers {
-            let mut slot = h.child.lock().unwrap();
-            if slot.is_none() {
-                *slot = leftovers.next();
-            }
         }
         // Persistent cache-writer thread: one per coordinator, not one
         // per batch, so batch completion never waits on fsync tails.
@@ -559,9 +458,6 @@ impl Coordinator {
             chaos_armed: AtomicBool::new(true),
             store_tx: Mutex::new(store_tx),
             store_join: Mutex::new(store_join),
-            starved_host: spawned
-                && std::thread::available_parallelism().is_ok_and(|n| n.get() == 1),
-            batch_seq: AtomicU64::new(0),
         }))
     }
 
@@ -678,37 +574,12 @@ impl Coordinator {
             // Small batches still amortize a round-trip over a few
             // jobs instead of paying one per job.
             let floor = 4usize.min(hashes.len().div_ceil(live.len()).max(1));
-            // On a one-core host, every wire job costs codec overhead
-            // and buys no parallelism: keep shards tiny so the fleet
-            // stays exercised while the coordinator does the bulk.
-            let chunk = if self.starved_host {
-                2
-            } else {
-                ideal.max(floor)
-            };
-            for c in hashes.chunks(chunk) {
+            for c in hashes.chunks(ideal.max(floor)) {
                 b.backlog.push_back(c.iter().copied().collect());
             }
             // Prime workers with one chunk each; the refill path tops
             // them up as they make progress.
-            //
-            // Starved host: any wire work in flight when a batch ends
-            // adds a synchronization tail (one worker round-trip), and
-            // the scheduler issues many small batches — so only every
-            // sixteenth batch primes, rotating through the fleet,
-            // which keeps every worker (and the whole protocol)
-            // exercised without paying the tail on each batch.
-            let seq = self.batch_seq.fetch_add(1, Ordering::Relaxed);
-            let prime: Vec<usize> = if self.starved_host {
-                if seq.is_multiple_of(16) {
-                    vec![live[(seq / 16) as usize % live.len()]]
-                } else {
-                    Vec::new()
-                }
-            } else {
-                live.clone()
-            };
-            for w in prime {
+            for w in live {
                 let Some(remaining) = b.backlog.pop_front() else {
                     break;
                 };
@@ -758,10 +629,8 @@ impl Coordinator {
             // waiting, run the backlog's last chunk inline instead of
             // blocking. Workers drain the backlog from the front, the
             // coordinator from the back, so the split self-balances
-            // with the fleet's real throughput: on a many-core host
-            // workers win most of the backlog; on a starved or
-            // single-core host the coordinator degrades gracefully
-            // toward serial speed instead of stalling on round-trips.
+            // with the fleet's real throughput: the faster the workers,
+            // the more of the backlog they win.
             let mut ev = events.try_recv().map_err(|e| match e {
                 mpsc::TryRecvError::Empty => mpsc::RecvTimeoutError::Timeout,
                 mpsc::TryRecvError::Disconnected => mpsc::RecvTimeoutError::Disconnected,
@@ -773,36 +642,7 @@ impl Coordinator {
                     b.out.extend(self.run_local(&jobs));
                     continue;
                 }
-                // Backlog dry, wire jobs still out. On a starved host
-                // the batch tail must not wait a full worker round-trip
-                // on one core: hedge the oldest straggler locally (the
-                // slower copy lands as a counted duplicate). The age
-                // gate is a handful of job-execution times — long
-                // enough that a healthy in-flight result usually beats
-                // it, short enough that the per-batch tail stays well
-                // under a round-trip.
-                if self.starved_host {
-                    let aged = b
-                        .pending
-                        .iter()
-                        .filter(|(_, p)| p.dispatched.elapsed() > Duration::from_micros(200))
-                        .min_by_key(|(_, p)| p.dispatched)
-                        .map(|(&h, _)| h);
-                    if let Some(hash) = aged {
-                        let jobs = b.take([hash]);
-                        c.coordinator_jobs.inc();
-                        b.out.extend(self.run_local(&jobs));
-                        continue;
-                    }
-                }
-                let wait = if self.starved_host {
-                    // Short enough to re-check the hedge age gate
-                    // promptly when the wire goes silent.
-                    Duration::from_micros(500)
-                } else {
-                    Duration::from_millis(100)
-                };
-                ev = events.recv_timeout(wait);
+                ev = events.recv_timeout(Duration::from_millis(100));
             }
             match ev {
                 Ok(Event::Dead(w)) => self.mark_dead(w),
@@ -845,8 +685,8 @@ impl Coordinator {
             s.remaining.remove(&r.hash);
         }
         let Some(p) = b.pending.get(&r.hash) else {
-            // Already merged (duplicate completion after a reissue or
-            // hedge race): exactly-once dedup.
+            // Already merged (duplicate completion after a reissue
+            // race): exactly-once dedup.
             c.duplicate_results.inc();
             return;
         };
@@ -927,20 +767,17 @@ impl Coordinator {
     /// coordinator-side backlog (free — no job is re-sent). The worker
     /// stays double-buffered: one chunk executing, one queued behind
     /// it, so the refill round-trip hides behind execution instead of
-    /// stalling the worker after every chunk. (Depth 1 on a starved
-    /// host — prefetch there only moves work away from the faster
-    /// work-conserving coordinator.)
+    /// stalling the worker after every chunk.
     fn refill(&self, w: usize, b: &mut Batch) {
         if !self.workers[w].alive.load(Ordering::Relaxed) {
             return;
         }
-        let depth: usize = if self.starved_host { 1 } else { 2 };
         let outstanding = b
             .shards
             .values()
             .filter(|s| s.worker == w && !s.remaining.is_empty())
             .count();
-        let mut need = depth.saturating_sub(outstanding);
+        let mut need = 2usize.saturating_sub(outstanding);
         while need > 0 {
             let Some(chunk) = b.backlog.pop_front() else {
                 return;
@@ -1066,8 +903,8 @@ impl Coordinator {
         }
     }
 
-    /// Marks a worker dead: closes its socket (unblocking its reader),
-    /// kills its child process, counts the death. Idempotent.
+    /// Marks a worker dead: closes its socket (unblocking its reader)
+    /// and counts the death. Idempotent.
     fn mark_dead(&self, w: usize) {
         let h = &self.workers[w];
         if !h.alive.swap(false, Ordering::Relaxed) {
@@ -1078,14 +915,10 @@ impl Coordinator {
         if let Ok(s) = h.writer.lock() {
             s.shutdown(std::net::Shutdown::Both).ok();
         }
-        if let Some(c) = h.child.lock().unwrap().as_mut() {
-            c.kill().ok();
-            c.wait().ok();
-        }
     }
 
     /// Fires the kill-one-worker chaos hook once the configured result
-    /// count is reached (spawn mode only).
+    /// count is reached.
     fn maybe_chaos_kill(&self) {
         let Some(after) = self.cfg.chaos_kill_one_after else {
             return;
@@ -1096,15 +929,20 @@ impl Coordinator {
         if !self.chaos_armed.swap(false, Ordering::Relaxed) {
             return;
         }
-        // SIGKILL the first live spawned worker — no goodbye frames,
-        // exactly the crash the reissue path must absorb.
-        for h in &self.workers {
-            if h.alive.load(Ordering::Relaxed) {
-                if let Some(c) = h.child.lock().unwrap().as_mut() {
-                    c.kill().ok();
-                    return;
-                }
-            }
+        // Sever the first live worker's connection without marking it
+        // dead — no goodbye frames, exactly the loss of a crashed or
+        // unreachable host. Its reader sees EOF, and the `Dead` event
+        // it sends drives the reissue path.
+        if let Some(h) = self
+            .workers
+            .iter()
+            .find(|h| h.alive.load(Ordering::Relaxed))
+        {
+            h.writer
+                .lock()
+                .unwrap()
+                .shutdown(std::net::Shutdown::Both)
+                .ok();
         }
     }
 
@@ -1116,9 +954,8 @@ impl Coordinator {
         write_frame(&mut *stream, ty, payload).is_ok()
     }
 
-    /// Graceful shutdown: flushes the cache-writer queue, sends
-    /// Shutdown frames to live workers, then reaps children (killing
-    /// any that linger past 2 s). Idempotent.
+    /// Graceful shutdown: flushes the cache-writer queue, then sends
+    /// Shutdown frames to live workers. Idempotent.
     pub fn shutdown(&self) {
         drop(self.store_tx.lock().unwrap().take());
         if let Some(handle) = self.store_join.lock().unwrap().take() {
@@ -1129,25 +966,6 @@ impl Coordinator {
                 self.send(w, FrameType::Shutdown, b"{}");
             }
         }
-        let deadline = Instant::now() + Duration::from_secs(2);
-        for h in &self.workers {
-            let mut child = h.child.lock().unwrap();
-            if let Some(c) = child.as_mut() {
-                loop {
-                    match c.try_wait() {
-                        Ok(Some(_)) => break,
-                        Ok(None) if Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(20));
-                        }
-                        _ => {
-                            c.kill().ok();
-                            c.wait().ok();
-                            break;
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -1155,24 +973,6 @@ impl Drop for Coordinator {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-fn spawn_worker(cmd: Option<&[String]>, addr: &str) -> io::Result<Child> {
-    let mut command = if let Some([prog, args @ ..]) = cmd {
-        let mut c = Command::new(prog);
-        c.args(args);
-        c
-    } else {
-        let mut c = Command::new(std::env::current_exe()?);
-        c.arg("__dist-worker");
-        c
-    };
-    command
-        .arg("--connect")
-        .arg(addr)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .spawn()
 }
 
 /// Reader thread: owns the receive half, refreshes liveness, forwards

@@ -1,9 +1,11 @@
 //! Distributed sweep execution for syncperf.
 //!
-//! This crate turns a single-process sweep into a coordinator plus N
-//! worker processes connected over a length-prefixed TCP protocol
-//! (std-only — no external dependencies), while keeping the output
-//! **byte-identical** to a serial `--jobs N` run:
+//! This crate runs a sweep's cache misses on pre-started worker
+//! processes (`syncperf_dist worker --listen`, typically on hosts that
+//! do not share a filesystem) that a coordinator dials over a
+//! length-prefixed TCP protocol (std-only — no external dependencies),
+//! while keeping the output **byte-identical** to a serial `--jobs N`
+//! run:
 //!
 //! - [`frame`] — the wire framing: one type byte, a little-endian u32
 //!   length, and a payload; eight frame kinds cover handshake, batches,
@@ -26,8 +28,8 @@
 //! executing, and the coordinator re-validates every returned entry
 //! with the same self-validating decode a local cache load uses. The
 //! scheduler keeps ownership of cache consultation, checkpointing, and
-//! the index-ordered merge, so a distributed run — even one where a
-//! worker was SIGKILLed mid-shard — converges to the same bytes as an
+//! the index-ordered merge, so a distributed run — even one that lost
+//! a worker's connection mid-shard — converges to the same bytes as an
 //! undisturbed serial run.
 
 pub mod codec;
@@ -38,4 +40,4 @@ pub mod worker;
 pub use codec::{decode_job, encode_job};
 pub use coordinator::{Coordinator, DistConfig, DistStats};
 pub use frame::{read_frame, write_frame, FrameType, MAX_FRAME, PROTO_VERSION};
-pub use worker::{run_connect, run_listen, serve_stream};
+pub use worker::{run_listen, serve_stream};

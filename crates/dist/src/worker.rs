@@ -45,8 +45,8 @@ struct QueuedJob {
 }
 
 /// Serves one coordinator connection until shutdown, EOF, or a fatal
-/// I/O error. This is the whole worker: `syncperf_dist worker` and the
-/// `__dist-worker` re-exec mode in the figure binaries both land here.
+/// I/O error. This is the whole worker: `syncperf_dist worker
+/// --listen` runs it on each connection it accepts.
 ///
 /// # Errors
 ///
@@ -85,11 +85,7 @@ pub fn serve_stream(stream: TcpStream) -> io::Result<()> {
         .and_then(json::Value::as_str)
         .and_then(|s| u64::from_str_radix(s, 16).ok())
         .unwrap_or(0);
-    // The ack carries our PID so a spawn-mode coordinator can pair
-    // this connection with the right child handle (accept order is
-    // not spawn order).
-    let ack = format!("{{\"pid\":{}}}", std::process::id());
-    write_frame(&mut writer, FrameType::HelloAck, ack.as_bytes())?;
+    write_frame(&mut writer, FrameType::HelloAck, b"{}")?;
     writer.flush()?;
 
     // Reader thread: owns the receive half, forwards whole frames.
@@ -263,19 +259,9 @@ fn shard_doc(shard: u64) -> String {
     format!("{{\"shard\":{shard}}}")
 }
 
-/// Dials `addr` and serves that coordinator until shutdown. The spawn
-/// mode's child processes and `syncperf_dist worker --connect` use this.
-///
-/// # Errors
-///
-/// Propagates connection and protocol I/O errors.
-pub fn run_connect(addr: &str) -> io::Result<()> {
-    serve_stream(TcpStream::connect(addr)?)
-}
-
 /// Binds `addr`, prints the ready line (`worker listening on <addr>`)
-/// to stdout, and serves coordinator connections one at a time — the
-/// pre-started `--connect` deployment mode.
+/// to stdout, and serves coordinator connections one at a time: the
+/// worker a `--connect` coordinator dials.
 ///
 /// # Errors
 ///

@@ -1,8 +1,12 @@
 //! Merge-correctness tests for the coordinator/worker protocol.
 //!
-//! Two rigs are used. Real-worker tests drive [`serve_stream`] over a
-//! localhost socket pair and check the results (and the persisted cache
-//! entries) are byte-identical to local execution. Fake-worker tests
+//! Three rigs are used. The connect test starts a fleet of in-process
+//! listening workers and drives it through [`Coordinator::start`], as
+//! `syncperf_dist <entry> --connect` does, once plainly and once with
+//! a connection severed mid-batch. Real-worker tests drive
+//! [`serve_stream`] over a localhost socket pair and check the results
+//! (and the persisted cache entries) are byte-identical to local
+//! execution. Fake-worker tests
 //! speak the wire protocol by hand to force the manifest-merge edge
 //! cases that a healthy worker never produces: overlapping hash ranges
 //! from a reissued shard, corrupt cache-entry bytes over the wire,
@@ -79,7 +83,7 @@ fn assert_exactly_once(out: &[BackendExec], n: usize) {
 fn handshake(stream: &TcpStream) {
     let (ty, _) = read_frame(&mut &*stream).unwrap();
     assert_eq!(ty, FrameType::Hello);
-    write_frame(&mut &*stream, FrameType::HelloAck, b"{\"pid\":0}").unwrap();
+    write_frame(&mut &*stream, FrameType::HelloAck, b"{}").unwrap();
 }
 
 /// Skips protocol chatter until the next Batch frame, returning its
@@ -156,6 +160,81 @@ fn drain_until_shutdown(stream: &TcpStream) {
     }
 }
 
+// ---- connect-mode test ---------------------------------------------
+
+/// `n` in-process workers, each a loopback listener whose thread serves
+/// the first connection it accepts, as `syncperf_dist worker --listen`
+/// does. Returns their addresses and threads; a thread returns when
+/// its connection ends.
+fn listen_fleet(n: usize) -> (Vec<String>, Vec<thread::JoinHandle<io::Result<()>>>) {
+    (0..n)
+        .map(|_| {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let worker = thread::spawn(move || serve_stream(listener.accept()?.0));
+            (addr, worker)
+        })
+        .unzip()
+}
+
+#[test]
+fn connect_fleet_merges_exactly_once_when_a_connection_is_severed() {
+    // Sixty distinct jobs of at most 16 threads make fifteen 4-job
+    // shards; each worker is primed with one, so at least twelve
+    // results reach the coordinator and the hook fires in the first
+    // batch.
+    let todo: Vec<(usize, JobSpec, u64)> = (0..60)
+        .map(|i| {
+            let job = JobSpec::cpu_sim(
+                &SYSTEM3,
+                kernel::omp_barrier(),
+                ExecParams::new(i as u32 % 15 + 2).with_loops(20 + i as u32 / 15, 4),
+                Protocol::SIM,
+            );
+            let hash = job_hash_with_salt(&job, 0);
+            (i, job, hash)
+        })
+        .collect();
+    for chaos in [None, Some(3)] {
+        let (addrs, workers) = listen_fleet(3);
+        let mut cfg = DistConfig::new(addrs);
+        if let Some(k) = chaos {
+            cfg = cfg.with_chaos_kill_one_after(k);
+        }
+        let coord = Coordinator::start(cfg, None).unwrap();
+        // A sweep is many batches. A worker severed after its last wire
+        // job of one batch is found dead by the next (its EOF, or the
+        // failed send of its next shard), so the batch goes out twice.
+        for round in 0..2 {
+            let out = coord.run_batch(&todo);
+            assert_exactly_once(&out, todo.len());
+            for (index, job, hash) in &todo {
+                let got = out.iter().find(|b| b.index == *index).unwrap();
+                assert_eq!(
+                    encode_measurement(*hash, got.result.as_ref().unwrap()),
+                    real_entry(job, *hash),
+                    "job {index}, round {round}, chaos {chaos:?}"
+                );
+            }
+        }
+        let st = coord.stats();
+        assert_eq!(st.workers, 3);
+        assert!(st.results_received > 0, "the fleet returned no results");
+        // The severed connection reads as exactly one death.
+        assert_eq!(st.worker_deaths, u64::from(chaos.is_some()), "{st:?}");
+        assert_eq!(coord.live_workers(), 3 - usize::from(chaos.is_some()));
+        coord.shutdown();
+        for (w, worker) in workers.into_iter().enumerate() {
+            // Every worker thread returns: the severed one (the first)
+            // when its connection ends, the rest on the Shutdown frame.
+            let served = worker.join().unwrap();
+            if chaos.is_none() || w > 0 {
+                served.unwrap();
+            }
+        }
+    }
+}
+
 // ---- real-worker tests --------------------------------------------
 
 #[test]
@@ -171,8 +250,12 @@ fn wire_results_and_cache_entries_match_local_execution_bytes() {
     let (c1, w1) = socket_pair();
     let h0 = thread::spawn(move || serve_stream(w0));
     let h1 = thread::spawn(move || serve_stream(w1));
-    let coord = Coordinator::from_streams(DistConfig::new(2), Some(Cache::new(&dir)), vec![c0, c1])
-        .unwrap();
+    let coord = Coordinator::from_streams(
+        DistConfig::new(Vec::new()),
+        Some(Cache::new(&dir)),
+        vec![c0, c1],
+    )
+    .unwrap();
 
     let todo = make_jobs(8);
     let out = coord.run_batch(&todo);
@@ -238,7 +321,7 @@ fn duplicate_completion_of_same_hash_merges_exactly_once() {
         drain_until_shutdown(&w);
     });
 
-    let coord = Coordinator::from_streams(DistConfig::new(1), None, vec![c]).unwrap();
+    let coord = Coordinator::from_streams(DistConfig::new(Vec::new()), None, vec![c]).unwrap();
     let todo = make_jobs(4);
     let out = coord.run_batch(&todo);
     assert_exactly_once(&out, todo.len());
@@ -268,7 +351,7 @@ fn corrupt_wire_entry_is_counted_and_recomputed() {
         drain_until_shutdown(&w);
     });
 
-    let coord = Coordinator::from_streams(DistConfig::new(1), None, vec![c]).unwrap();
+    let coord = Coordinator::from_streams(DistConfig::new(Vec::new()), None, vec![c]).unwrap();
     let todo = make_jobs(4);
     let out = coord.run_batch(&todo);
     assert_exactly_once(&out, todo.len());
@@ -317,7 +400,7 @@ fn reissued_shard_with_overlapping_range_converges_exactly_once() {
         drain_until_shutdown(&w);
     });
 
-    let coord = Coordinator::from_streams(DistConfig::new(1), None, vec![c]).unwrap();
+    let coord = Coordinator::from_streams(DistConfig::new(Vec::new()), None, vec![c]).unwrap();
     let todo = make_jobs(4);
     let out = coord.run_batch(&todo);
     assert_exactly_once(&out, todo.len());
@@ -340,7 +423,7 @@ fn worker_death_mid_shard_reissues_and_finishes_locally() {
         drop(w);
     });
 
-    let coord = Coordinator::from_streams(DistConfig::new(1), None, vec![c]).unwrap();
+    let coord = Coordinator::from_streams(DistConfig::new(Vec::new()), None, vec![c]).unwrap();
     let todo = make_jobs(4);
     let out = coord.run_batch(&todo);
     assert_exactly_once(&out, todo.len());
@@ -395,7 +478,7 @@ fn coordinator_primes_a_batch_it_runs_after_losing_the_fleet() {
         let _ = next_batch(&w);
         drop(w);
     });
-    let coord = Coordinator::from_streams(DistConfig::new(1), None, vec![c]).unwrap();
+    let coord = Coordinator::from_streams(DistConfig::new(Vec::new()), None, vec![c]).unwrap();
     // The only worker dies under a one-job batch, which finishes locally.
     let lone = JobSpec::cpu_sim(
         &SYSTEM3,
@@ -441,7 +524,7 @@ fn coordinator_primes_the_jobs_it_recomputes() {
             drain_until_shutdown(&w);
         }));
     }
-    let coord = Coordinator::from_streams(DistConfig::new(3), None, ends).unwrap();
+    let coord = Coordinator::from_streams(DistConfig::new(Vec::new()), None, ends).unwrap();
     let out = coord.run_batch(&group_and_lone_gpu());
     let st = coord.stats();
     assert_eq!(st.jobs_sent, 10, "every job went out on the wire");

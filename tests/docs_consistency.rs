@@ -153,12 +153,7 @@ fn distributed_docs_match_the_wire_and_code() {
 
     // CLI flags: documented where the scheduler flags are, parsed by
     // the shared runner.
-    for flag in [
-        "--workers",
-        "--connect",
-        "--chaos-kill-one",
-        "--metrics-addr",
-    ] {
+    for flag in ["--connect", "--chaos-kill-one", "--metrics-addr"] {
         for (doc, name) in [
             (&dist_doc, "docs/DISTRIBUTED.md"),
             (&sched_doc, "docs/SCHEDULER.md"),
