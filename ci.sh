@@ -48,6 +48,23 @@ wait_for_ready() { # wait_for_ready <logfile> <sed-capture-pattern> [count]
   return 1
 }
 
+# Reads one counter from a `--metrics` exposition file: the value on
+# its `^<name> <value>$` line (counters carry no labels). Every
+# scheduler and dist gate below reads its numbers this way.
+prom() { # prom <file> <counter>
+  sed -n "s/^$2 \([0-9]*\)\$/\1/p" "$1"
+}
+# Fails unless a warm run's hit ratio, sched_cache_hits / sched_jobs,
+# is at least 0.95.
+require_warm_hits() { # require_warm_hits <label> <file>
+  local hits jobs
+  hits=$(prom "$2" sched_cache_hits)
+  jobs=$(prom "$2" sched_jobs)
+  echo "$1 warm-run cache hits: ${hits:-missing} of ${jobs:-missing} jobs"
+  awk -v h="${hits:-0}" -v j="${jobs:-0}" 'BEGIN { exit (j > 0 && h / j >= 0.95) ? 0 : 1 }' || {
+    echo "$1 warm-cache hit ratio ${hits:-missing}/${jobs:-missing} is below 0.95"; exit 1; }
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -115,40 +132,29 @@ PYEOF
 echo "==> scheduler warm-cache gate"
 rm -rf ci_sched_results
 SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-bench \
-  --bin all_figures -- --jobs 2 --cache-stats results/cache_stats_cold.json \
-  --metrics results/metrics_cold.prom > /dev/null
-# Every sink reads the same snapshot (docs/OBSERVABILITY.md): the
-# exposition's primed-job count must be the cache-stats JSON's.
-json_primed=$(sed -n 's/.*"plan_primed_jobs":\([0-9]*\).*/\1/p' results/cache_stats_cold.json)
-prom_primed=$(sed -n 's/^sched_plan_primed_jobs \([0-9]*\)$/\1/p' results/metrics_cold.prom)
-[ -n "$prom_primed" ] && [ "$prom_primed" = "$json_primed" ] || {
-  echo "--metrics sched_plan_primed_jobs=${prom_primed:-missing} but" \
-    "--cache-stats plan_primed_jobs=${json_primed:-missing}"; exit 1; }
+  --bin all_figures -- --jobs 2 --metrics results/metrics_cold.prom > /dev/null
 # Observation never picks the path (docs/OBSERVABILITY.md): an observed
 # cold run must still batch-prime its sweep groups. Zero primed jobs
-# means a stats or trace flag switched the sweep onto another path.
+# means a metrics or trace flag switched the sweep onto another path.
 require_primed() {
-  primed=$(sed -n 's/.*"plan_primed_jobs":\([0-9]*\).*/\1/p' "$2")
+  primed=$(prom "$2" sched_plan_primed_jobs)
   echo "$1 cold-run batch-primed jobs: ${primed}"
   [ "${primed:-0}" -gt 0 ] || {
-    echo "$1 disabled plan batching (plan_primed_jobs=${primed:-missing})"; exit 1; }
+    echo "$1 disabled plan batching (sched_plan_primed_jobs=${primed:-missing})"; exit 1; }
 }
-require_primed --cache-stats results/cache_stats_cold.json
+require_primed --metrics results/metrics_cold.prom
 rm -rf ci_trace_results
 SYNCPERF_RESULTS=ci_trace_results cargo run --release --offline -p syncperf-bench \
   --bin all_figures -- --jobs 2 --no-cache --trace ci_trace_results/all_figures.json \
-  --cache-stats results/cache_stats_trace.json > /dev/null
-require_primed --trace results/cache_stats_trace.json
+  --metrics results/metrics_trace.prom > /dev/null
+require_primed --trace results/metrics_trace.prom
 rm -rf ci_trace_results
 SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-bench \
-  --bin all_figures -- --jobs 2 --cache-stats results/cache_stats_warm.json > /dev/null
-hit=$(sed -n 's/.*"hit_rate":\([0-9.]*\).*/\1/p' results/cache_stats_warm.json)
-echo "warm-run cache hit rate: ${hit}"
-awk -v h="$hit" 'BEGIN { exit (h >= 0.95) ? 0 : 1 }' || {
-  echo "warm-cache hit rate ${hit} is below 0.95"; exit 1; }
+  --bin all_figures -- --jobs 2 --metrics results/metrics_warm.prom > /dev/null
+require_warm_hits all_figures results/metrics_warm.prom
 # A warm rerun of the same sweep executes nothing: a canonical entry the
-# decoder rejected would pass the hit-rate floor, silently recomputed.
-executed=$(sed -n 's/.*"executed":\([0-9]*\).*/\1/p' results/cache_stats_warm.json)
+# decoder rejected would pass the hit-ratio floor, silently recomputed.
+executed=$(prom results/metrics_warm.prom sched_jobs_executed)
 echo "warm-run executed jobs: ${executed}"
 [ "${executed:-missing}" = 0 ] || {
   echo "warm rerun executed ${executed:-missing} jobs, expected 0"; exit 1; }
@@ -176,7 +182,7 @@ rm -rf ci_figures_results
 # One sweep per report (EXPERIMENTS.md): a flagless make_report must
 # reproduce the committed results/REPORT.md to the byte, and a report
 # must submit exactly the jobs of the cold all_figures run above (its
-# count is read from that run's stats, not pinned here). A report that
+# count is read from that run's exposition, not pinned here). A report that
 # submits more regenerates figures twice.
 echo "==> make_report lane (committed report, one sweep)"
 rm -rf ci_report_results
@@ -187,9 +193,9 @@ cmp ci_report_results/REPORT.md results/REPORT.md || {
 rm -rf ci_report_results
 SYNCPERF_RESULTS=ci_report_results cargo run --release --offline -p syncperf-bench \
   --bin make_report -- --jobs 2 --no-cache \
-  --cache-stats results/cache_stats_report.json > /dev/null
-report_jobs=$(sed -n 's/.*"jobs":\([0-9]*\).*/\1/p' results/cache_stats_report.json)
-figure_jobs=$(sed -n 's/.*"jobs":\([0-9]*\).*/\1/p' results/cache_stats_cold.json)
+  --metrics results/metrics_report.prom > /dev/null
+report_jobs=$(prom results/metrics_report.prom sched_jobs)
+figure_jobs=$(prom results/metrics_cold.prom sched_jobs)
 echo "make_report jobs: ${report_jobs}; cold all_figures jobs: ${figure_jobs}"
 [ -n "$report_jobs" ] && [ "$report_jobs" = "$figure_jobs" ] || {
   echo "make_report submitted ${report_jobs:-missing} jobs," \
@@ -202,33 +208,22 @@ rm -rf ci_report_results
 echo "==> sensitivity warm-cache gate"
 SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-bench \
   --bin sensitivity_analysis -- --jobs 2 \
-  --cache-stats results/cache_stats_sensitivity_cold.json \
   --metrics results/metrics_sensitivity_cold.prom > /dev/null
-# The sensitivity run is a runner session too: its --metrics exposition
-# and --cache-stats JSON read one snapshot, so their job counts agree.
-json_jobs=$(sed -n 's/.*"jobs":\([0-9]*\).*/\1/p' results/cache_stats_sensitivity_cold.json)
-prom_jobs=$(sed -n 's/^sched_jobs \([0-9]*\)$/\1/p' results/metrics_sensitivity_cold.prom)
-[ -n "$prom_jobs" ] && [ "$prom_jobs" = "$json_jobs" ] || {
-  echo "sensitivity --metrics sched_jobs=${prom_jobs:-missing} but" \
-    "--cache-stats jobs=${json_jobs:-missing}"; exit 1; }
 # The grid lowers each distinct job once, and its jobs carry an explicit
 # model digest, so they share no hash with the figures cached above: a
 # cold run that hits the cache submitted a job twice.
-sens_cold_hits=$(sed -n 's/.*"cache_hits":\([0-9]*\).*/\1/p' results/cache_stats_sensitivity_cold.json)
+sens_cold_hits=$(prom results/metrics_sensitivity_cold.prom sched_cache_hits)
 echo "sensitivity cold-run cache hits: ${sens_cold_hits}"
 [ "${sens_cold_hits:-missing}" = 0 ] || {
   echo "sensitivity cold run hit the cache ${sens_cold_hits:-missing} times, expected 0"; exit 1; }
 SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-bench \
   --bin sensitivity_analysis -- --jobs 2 \
-  --cache-stats results/cache_stats_sensitivity_warm.json > /dev/null
-sens_hit=$(sed -n 's/.*"hit_rate":\([0-9.]*\).*/\1/p' results/cache_stats_sensitivity_warm.json)
-echo "sensitivity warm-run cache hit rate: ${sens_hit}"
-awk -v h="$sens_hit" 'BEGIN { exit (h >= 0.95) ? 0 : 1 }' || {
-  echo "sensitivity warm-cache hit rate ${sens_hit} is below 0.95"; exit 1; }
+  --metrics results/metrics_sensitivity_warm.prom > /dev/null
+require_warm_hits sensitivity results/metrics_sensitivity_warm.prom
 
 # The same gate over the artifact `launch` sweeps (ROADMAP: warm-cache
 # gate breadth), run against the batched plan-table path: the cold run
-# takes no --cache-stats, so no global recorder is installed, and the
+# takes no --metrics, so no global recorder is installed, and the
 # scheduler batch-primes every same-shape sweep group (as it does under
 # any recorder). The warm run must then be >=95% cache hits — proving
 # the batched path produced and keyed the exact entries the plain path
@@ -238,11 +233,8 @@ SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-benc
   --bin launch -- omp_barrier cuda_shfl --yes --jobs 2 > /dev/null
 SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-bench \
   --bin launch -- omp_barrier cuda_shfl --yes --jobs 2 \
-  --cache-stats results/cache_stats_launch_warm.json > /dev/null
-launch_hit=$(sed -n 's/.*"hit_rate":\([0-9.]*\).*/\1/p' results/cache_stats_launch_warm.json)
-echo "launch warm-run cache hit rate: ${launch_hit}"
-awk -v h="$launch_hit" 'BEGIN { exit (h >= 0.95) ? 0 : 1 }' || {
-  echo "launch warm-cache hit rate ${launch_hit} is below 0.95"; exit 1; }
+  --metrics results/metrics_launch_warm.prom > /dev/null
+require_warm_hits launch results/metrics_launch_warm.prom
 
 # Serve smoke test (docs/SERVING.md): launch the query service over
 # the warm cache the gates above just filled, hit every read endpoint
@@ -390,34 +382,34 @@ SYNCPERF_RESULTS=ci_dist_serial cargo run --release --offline -p syncperf-bench 
   --bin all_figures -- --jobs 3 > /dev/null
 start_dist_fleet
 SYNCPERF_RESULTS=ci_dist_workers cargo run --release --offline -p syncperf-bench \
-  --bin syncperf_dist -- all_figures "${connect_flags[@]}" \
-  --cache-stats results/cache_stats_dist.json > dist_out.log
+  --bin all_figures -- "${connect_flags[@]}" \
+  --metrics results/metrics_dist.prom > dist_out.log
 grep '^dist:' dist_out.log || { echo "coordinator summary line missing"; cat dist_out.log; exit 1; }
 diff -r -x .cache ci_dist_serial ci_dist_workers \
   || { echo "3-worker output diverged from serial"; exit 1; }
-dist_workers=$(sed -n 's/.*"dist_workers":\([0-9]*\).*/\1/p' results/cache_stats_dist.json)
-[ "${dist_workers:-0}" -eq 3 ] || { echo "cache-stats did not record the fleet"; exit 1; }
+dist_workers=$(prom results/metrics_dist.prom dist_workers)
+[ "${dist_workers:-0}" -eq 3 ] || { echo "the exposition did not record the fleet"; exit 1; }
 # Workers prime what they receive (docs/DISTRIBUTED.md): zero primed
 # worker results means the workers stopped batch-priming their batches.
-dist_primed=$(sed -n 's/.*"dist_primed_jobs":\([0-9]*\).*/\1/p' results/cache_stats_dist.json)
+dist_primed=$(prom results/metrics_dist.prom dist_primed_jobs)
 echo "distributed run worker-primed jobs: ${dist_primed}"
 [ "${dist_primed:-0}" -gt 0 ] || {
   echo "dist workers primed nothing (dist_primed_jobs=${dist_primed:-missing})"; exit 1; }
 # The coordinator primes what it runs itself (docs/DISTRIBUTED.md):
 # zero means its local path stopped batch-priming same-shape work.
-coord_primed=$(sed -n 's/.*"dist_coordinator_primed_jobs":\([0-9]*\).*/\1/p' results/cache_stats_dist.json)
+coord_primed=$(prom results/metrics_dist.prom dist_coordinator_primed_jobs)
 echo "distributed run coordinator-primed jobs: ${coord_primed}"
 [ "${coord_primed:-0}" -gt 0 ] || {
   echo "dist coordinator primed nothing (dist_coordinator_primed_jobs=${coord_primed:-missing})"; exit 1; }
 
 echo "==> distributed chaos lane (sever one worker mid-sweep)"
 SYNCPERF_RESULTS=ci_dist_chaos cargo run --release --offline -p syncperf-bench \
-  --bin syncperf_dist -- all_figures "${connect_flags[@]}" --chaos-kill-one 25 \
-  --cache-stats results/cache_stats_dist_chaos.json > dist_chaos_out.log
+  --bin all_figures -- "${connect_flags[@]}" --chaos-kill-one 25 \
+  --metrics results/metrics_dist_chaos.prom > dist_chaos_out.log
 grep '^dist:' dist_chaos_out.log || { echo "chaos summary line missing"; cat dist_chaos_out.log; exit 1; }
 diff -r -x .cache ci_dist_serial ci_dist_chaos \
   || { echo "chaos output diverged from serial"; exit 1; }
-deaths=$(sed -n 's/.*"dist_worker_deaths":\([0-9]*\).*/\1/p' results/cache_stats_dist_chaos.json)
+deaths=$(prom results/metrics_dist_chaos.prom dist_worker_deaths)
 [ "${deaths:-0}" -ge 1 ] || { echo "chaos hook did not sever a worker"; exit 1; }
 echo "chaos run converged with ${deaths} worker death(s)"
 stop_dist_fleet

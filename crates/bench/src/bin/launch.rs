@@ -8,12 +8,12 @@
 //! $ launch cuda --system 1     # CUDA codes on the System 1 model
 //! $ launch omp_barrier cuda_shfl
 //! $ launch list                # list available codes
-//! $ launch openmp --yes --jobs 2 --cache-stats stats.json
+//! $ launch openmp --yes --jobs 2 --metrics stats.prom
 //! ```
 //!
 //! The sweeps route through `common::measure_jobs` inside a
 //! `runner::session`, so every shared flag (`--jobs`, `--connect`,
-//! `--no-cache`, `--resume`, `--cache-stats`, `--metrics`, ...) and
+//! `--no-cache`, `--metrics`, ...) and
 //! `SYNCPERF_JOBS` turn each grid point into a content-hashed
 //! cacheable job, as for the figure binaries.
 
@@ -25,7 +25,7 @@ use syncperf_core::{ResultsStore, SystemSpec, SYSTEM1, SYSTEM2, SYSTEM3};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: launch <all|openmp|cuda|list|TEST...> [--yes] [--system 1|2|3] [--system-file PATH] [--out DIR] [shared runner flags: --jobs N, --no-cache, --cache-stats PATH, ...]"
+        "usage: launch <all|openmp|cuda|list|TEST...> [--yes] [--system 1|2|3] [--system-file PATH] [--out DIR] [shared runner flags: --jobs N, --no-cache, --metrics PATH, ...]"
     );
     std::process::exit(2);
 }

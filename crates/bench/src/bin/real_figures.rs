@@ -4,8 +4,8 @@
 //!
 //! On a many-core machine the shapes approach the paper's; on a small
 //! machine the sweep simply ends earlier. Use `--full` for the paper's
-//! 9×7 protocol. The shared runner flags (`--jobs`, `--resume`,
-//! `--cache-stats`, `--trace`, ...) apply; real-thread cache entries
+//! 9×7 protocol. The shared runner flags (`--jobs`, `--metrics`,
+//! `--trace`, ...) apply; real-thread cache entries
 //! are host-scoped, so results never leak across machines.
 
 use syncperf_bench::common::{max_real_threads, real_series};

@@ -3,8 +3,8 @@
 //! follow from mechanisms rather than calibration.
 //!
 //! Runs as a `runner::session`, so every shared flag applies
-//! (`--jobs`, `--connect`, `--no-cache`, `--resume`, `--cache-stats`,
-//! `--metrics`, `--trace`, ...): the grid is hundreds of perturbed-model
+//! (`--jobs`, `--connect`, `--no-cache`, `--metrics`, `--trace`, ...):
+//! the grid is hundreds of perturbed-model
 //! measurements, and every one is an independent cacheable job.
 
 use syncperf_bench::runner::{self, RunOptions};

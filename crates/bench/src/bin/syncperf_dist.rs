@@ -1,26 +1,22 @@
-//! `syncperf_dist` — the distributed sweep front-end.
+//! `syncperf_dist` — the distributed worker and its tracked benchmark.
 //!
 //! ```console
 //! $ syncperf_dist worker --listen 0.0.0.0:7070       # on each worker host
-//! $ syncperf_dist all_figures --connect host:7070 \
-//!                             --connect host:7071    # run the sweep on them
-//! $ syncperf_dist all_figures --connect host:7070 --chaos-kill-one 25
-//! $ syncperf_dist all_figures --connect host:7070 --metrics-addr 127.0.0.1:0
+//! $ all_figures --connect host:7070 --connect host:7071  # run a sweep on them
 //! $ syncperf_dist bench                              # tracked BENCH_dist.json:
 //!                                                    # 3 processes vs --jobs 3 threads
 //! $ syncperf_dist bench --check                      # regression gate vs committed
 //! ```
 //!
-//! Coordinator mode accepts every shared figure-binary flag (see
-//! `syncperf_bench::runner::RunOptions`) and needs at least one
-//! `--connect`.
+//! A sweep reaches the fleet through its own binary: every figure,
+//! `exp_*`, `ablation_*` and session tool takes `--connect` (see
+//! `syncperf_bench::runner::RunOptions`).
 
 use std::io::{self, BufRead as _};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::Instant;
 
-use syncperf_bench::runner::{self, RunOptions};
 use syncperf_core::obs::json;
 
 /// Cold `all_figures` runs per configuration; the minimum is tracked.
@@ -35,10 +31,9 @@ const BENCH_WORKERS: usize = 3;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: syncperf_dist <entry> --connect host:port ... [shared flags]\n\
-         \x20      syncperf_dist worker --listen host:port\n\
+        "usage: syncperf_dist worker --listen host:port\n\
          \x20      syncperf_dist bench [--check] [--out PATH]\n\
-         \x20      syncperf_dist --list"
+         (run a sweep on the workers with `<figure binary> --connect host:port ...`)"
     );
     std::process::exit(2);
 }
@@ -57,44 +52,7 @@ fn main() {
             }
         }
         Some("bench") => bench(&args[1..]),
-        Some("--list") => {
-            for e in runner::registry() {
-                println!("{:32} {}", e.name, e.about);
-            }
-        }
-        Some(entry) if !entry.starts_with('-') => coordinate(entry, &args[1..]),
         _ => usage(),
-    }
-}
-
-/// Coordinator mode: run a registry entry with distributed execution.
-fn coordinate(entry: &str, rest: &[String]) {
-    let Some(e) = runner::find(entry) else {
-        eprintln!("unknown entry `{entry}` (try --list)");
-        std::process::exit(2);
-    };
-    let mut opts = match RunOptions::parse(rest.iter().cloned()) {
-        Ok(o) => o,
-        Err(err) => {
-            eprintln!("error: {err}");
-            std::process::exit(2);
-        }
-    };
-    if !opts.wants_dist() {
-        eprintln!(
-            "syncperf_dist {entry} needs --connect host:port for each worker \
-             (start workers with `syncperf_dist worker --listen host:port`)"
-        );
-        usage();
-    }
-    // Label by entry name so checkpoint manifests merge with (and
-    // resume from) runs of the plain figure binary.
-    opts.label = Some(e.name.to_string());
-    if let Err(err) = runner::session(&opts, || {
-        (e.generate)().and_then(|figs| syncperf_bench::emit(&figs))
-    }) {
-        eprintln!("error: {err}");
-        std::process::exit(1);
     }
 }
 

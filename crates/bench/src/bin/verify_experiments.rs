@@ -3,9 +3,9 @@
 //! fails — the artifact-evaluation entry point.
 //!
 //! Runs as a `runner::session`, so every shared flag applies
-//! (`--jobs`, `--connect`, `--no-cache`, `--resume`, `--cache-stats`,
-//! `--metrics`, `--trace`, ...). The exit status is set after the
-//! session has written its summary and stats.
+//! (`--jobs`, `--connect`, `--no-cache`, `--metrics`, `--trace`, ...).
+//! The exit status is set after the session has written its summary
+//! and metrics.
 
 use syncperf_bench::runner::{self, RunOptions};
 use syncperf_bench::{all_figures, tables, verify};

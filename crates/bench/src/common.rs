@@ -3,8 +3,8 @@
 //! Every measurement this crate makes is a [`JobSpec`], and
 //! [`measure_jobs`] runs them all: it is the one place that asks
 //! whether a sweep scheduler is installed ([`syncperf_sched::current`]).
-//! With one installed (the `--jobs`/`--connect`/`--no-cache`/
-//! `--resume`/`--cache-stats` CLI surface), each job is content-hashed,
+//! With one installed (the `--jobs`/`--connect`/`--no-cache` CLI
+//! surface), each job is content-hashed,
 //! cached and run on the work-stealing pool or the dist fleet. With
 //! none (the default, and what every library unit test uses), the
 //! legacy serial path is that function's other arm

@@ -5,14 +5,17 @@
 use std::path::Path;
 use std::process::Command;
 
+use syncperf_core::obs::metrics;
+use syncperf_sched::SchedStats;
+
 /// Runs `make_report` with `flags` under `SYNCPERF_RESULTS=root` and
-/// returns its `--cache-stats` JSON.
-fn run(root: &Path, tag: &str, flags: &[&str]) -> String {
-    let stats = root.join(format!("{tag}.json"));
+/// returns the scheduler stats of its `--metrics` exposition.
+fn run(root: &Path, tag: &str, flags: &[&str]) -> SchedStats {
+    let prom = root.join(format!("{tag}.prom"));
     let out = Command::new(env!("CARGO_BIN_EXE_make_report"))
         .args(flags)
-        .arg("--cache-stats")
-        .arg(&stats)
+        .arg("--metrics")
+        .arg(&prom)
         .env("SYNCPERF_RESULTS", root.join(tag))
         .env_remove("SYNCPERF_JOBS")
         .output()
@@ -22,7 +25,8 @@ fn run(root: &Path, tag: &str, flags: &[&str]) -> String {
         "{tag}: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    std::fs::read_to_string(stats).expect("a --cache-stats file")
+    let text = std::fs::read_to_string(prom).expect("a --metrics file");
+    SchedStats::from_snapshot(&metrics::parse(&text))
 }
 
 #[test]
@@ -33,13 +37,11 @@ fn make_report_sweeps_the_figures_once() {
 
     // One `all_figures` sweep: 3,204 jobs, every one run.
     let stats = run(&root, "no_cache", &["--jobs", "2", "--no-cache"]);
-    assert!(stats.contains("\"jobs\":3204,"), "{stats}");
-    assert!(stats.contains("\"executed\":3204,"), "{stats}");
+    assert_eq!((stats.jobs, stats.executed), (3204, 3204), "{stats:?}");
 
     // Cold cache: only the 38 jobs `all_figures` itself repeats hit.
     let cold = run(&root, "cold", &["--jobs", "2"]);
-    assert!(cold.contains("\"executed\":3166,"), "{cold}");
-    assert!(cold.contains("\"cache_hits\":38,"), "{cold}");
+    assert_eq!((cold.executed, cold.cache_hits), (3166, 38), "{cold:?}");
 
     std::fs::remove_dir_all(&root).unwrap();
 }

@@ -5,14 +5,17 @@
 use std::path::Path;
 use std::process::Command;
 
+use syncperf_core::obs::metrics;
+use syncperf_sched::SchedStats;
+
 /// Runs `ablation_barrier_model` with `flags` under `SYNCPERF_RESULTS=root`
-/// and returns its `--cache-stats` JSON.
-fn run(root: &Path, tag: &str, flags: &[&str]) -> String {
-    let stats = root.join(format!("{tag}.json"));
+/// and returns the scheduler stats of its `--metrics` exposition.
+fn run(root: &Path, tag: &str, flags: &[&str]) -> SchedStats {
+    let prom = root.join(format!("{tag}.prom"));
     let out = Command::new(env!("CARGO_BIN_EXE_ablation_barrier_model"))
         .args(flags)
-        .arg("--cache-stats")
-        .arg(&stats)
+        .arg("--metrics")
+        .arg(&prom)
         .env("SYNCPERF_RESULTS", root)
         .env_remove("SYNCPERF_JOBS")
         .output()
@@ -22,7 +25,8 @@ fn run(root: &Path, tag: &str, flags: &[&str]) -> String {
         "{tag}: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    std::fs::read_to_string(stats).expect("a --cache-stats file")
+    let text = std::fs::read_to_string(prom).expect("a --metrics file");
+    SchedStats::from_snapshot(&metrics::parse(&text))
 }
 
 #[test]
@@ -33,12 +37,12 @@ fn ablation_sweeps_run_through_the_scheduler() {
 
     // 31 thread counts x 2 barrier models.
     let stats = run(&root, "no_cache", &["--jobs", "2", "--no-cache"]);
-    assert!(stats.contains("\"executed\":62"), "{stats}");
+    assert_eq!(stats.executed, 62, "{stats:?}");
 
     let cold = run(&root, "cold", &["--jobs", "2"]);
-    assert!(cold.contains("\"executed\":62"), "{cold}");
+    assert_eq!(cold.executed, 62, "{cold:?}");
     let warm = run(&root, "warm", &["--jobs", "2"]);
-    assert!(warm.contains("\"executed\":0,"), "{warm}");
+    assert_eq!(warm.executed, 0, "{warm:?}");
 
     std::fs::remove_dir_all(&root).unwrap();
 }

@@ -185,7 +185,7 @@ impl Protocol {
 
 /// Aggregate retry/rejection statistics recovered from a recorder's
 /// counter [`Snapshot`] — the protocol-health summary the tracing
-/// layer surfaces in `trace_report` and the ASCII summary table.
+/// layer surfaces in the ASCII summary table a `--trace` run prints.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetrySummary {
     /// Total baseline+test attempt pairs executed.

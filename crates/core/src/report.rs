@@ -401,9 +401,9 @@ pub fn fmt_eng(v: f64) -> String {
 
 /// Renders a recorder's counter/gauge [`Snapshot`](crate::obs::Snapshot)
 /// as a fixed-width ASCII table, prefixed with the protocol retry
-/// summary when any `protocol.*` counters are present. This is the
-/// `--format summary` sink of `trace_report` and the human-readable
-/// companion to the Chrome/JSONL exports.
+/// summary when any `protocol.*` counters are present. A `--trace` run
+/// prints it next to the Chrome JSON it writes, as that trace's
+/// human-readable companion.
 #[must_use]
 pub fn render_obs_summary(snap: &crate::obs::Snapshot) -> String {
     let mut out = String::new();

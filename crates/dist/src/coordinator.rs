@@ -48,7 +48,7 @@ use syncperf_sched::{
 };
 
 use crate::codec::encode_job;
-use crate::frame::{read_frame, write_frame, FrameType, PROTO_VERSION};
+use crate::frame::{read_frame, read_handshake, write_frame, FrameType, PROTO_VERSION};
 
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
@@ -409,7 +409,13 @@ impl Coordinator {
                 cfg.salt_extra
             );
             write_frame(&mut writer, FrameType::Hello, hello.as_bytes())?;
-            let (ty, _) = read_frame(&mut &stream)?;
+            // A worker busy with another peer must not hang the start:
+            // the ack is due within the heartbeat timeout.
+            let (ty, _) = read_handshake(
+                &stream,
+                cfg.heartbeat_timeout,
+                &format!("HelloAck from worker {i}"),
+            )?;
             if ty != FrameType::HelloAck {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -485,7 +491,7 @@ impl Coordinator {
     /// Merges the coordinator's registry — `dist.*` counters,
     /// live-worker/in-flight gauges, and wait/service histograms — into
     /// `snap`. Wired into `Scheduler::export_into` by
-    /// [`Coordinator::attach`], so `--cache-stats`, `--metrics`, and
+    /// [`Coordinator::attach`], so `--metrics`, `--metrics-addr`, and
     /// any `/metrics` endpoint pick it up automatically.
     pub fn export_into(&self, snap: &mut Snapshot) {
         snap.merge(&self.registry.snapshot());

@@ -20,6 +20,8 @@
 //! can own the receive half of a socket without any reassembly state.
 
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 /// Upper bound on a frame payload. A batch of a few hundred jobs with
 /// full kernel bodies is a few hundred KiB; 64 MiB is comfortably
@@ -119,6 +121,32 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(FrameType, Vec<u8>)> {
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
     Ok((ty, payload))
+}
+
+/// Reads one handshake frame from `stream`, failing with
+/// [`io::ErrorKind::TimedOut`] when none arrives within `deadline`, so
+/// a silent peer cannot hold either side. The deadline is cleared
+/// afterwards: past the handshake each side's reader thread relies on
+/// blocking reads, and `try_clone`d halves share the socket's timeout.
+///
+/// # Errors
+///
+/// As [`read_frame`], plus the timeout, which names `what`.
+pub(crate) fn read_handshake(
+    stream: &TcpStream,
+    deadline: Duration,
+    what: &str,
+) -> io::Result<(FrameType, Vec<u8>)> {
+    stream.set_read_timeout(Some(deadline))?;
+    let frame = read_frame(&mut &*stream).map_err(|e| match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!("no {what} within {deadline:?}"),
+        ),
+        _ => e,
+    });
+    stream.set_read_timeout(None)?;
+    frame
 }
 
 #[cfg(test)]

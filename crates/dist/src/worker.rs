@@ -1,12 +1,13 @@
 //! The worker side of the wire protocol.
 //!
-//! A worker serves one coordinator connection: it handshakes, then
-//! executes jobs from its assigned shards one at a time, streaming each
-//! finished result back as raw cache-entry bytes. Every same-shape
-//! group of ≥ 2 jobs in a received batch is batch-primed on arrival
-//! ([`JobSpec::prime_groups`], the rule the scheduler pool and the
-//! coordinator use). Between jobs it drains any control frames that
-//! arrived (new batches, shutdown).
+//! A worker serves one coordinator connection: it handshakes (a peer
+//! that sends no `Hello` within a few seconds is dropped, so it cannot
+//! hold the worker), then executes jobs from its assigned shards one
+//! at a time, streaming each finished result back as raw cache-entry
+//! bytes. Every same-shape group of ≥ 2 jobs in a received batch is
+//! batch-primed on arrival ([`JobSpec::prime_groups`], the rule the
+//! scheduler pool and the coordinator use). Between jobs it drains any
+//! control frames that arrived (new batches, shutdown).
 //!
 //! The receive half of the socket is owned by a dedicated reader
 //! thread feeding an in-process channel; the main loop never reads the
@@ -28,10 +29,18 @@ use syncperf_sched::{
 
 use crate::codec::{decode_job, json_string};
 use crate::coordinator::{get_hash, get_shard};
-use crate::frame::{read_frame, write_frame, FrameType, PROTO_VERSION};
+use crate::frame::{read_frame, read_handshake, write_frame, FrameType, PROTO_VERSION};
 
 /// How often an idle worker emits a heartbeat frame.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(250);
+
+/// How long a new connection may take to send its `Hello`. A worker
+/// serves one connection at a time, so a peer that connects and sends
+/// nothing would otherwise hold it, and every coordinator dialing it,
+/// forever. Shorter than the coordinator's default heartbeat timeout,
+/// which bounds its wait for the `HelloAck`, so a coordinator queued
+/// behind an idle peer still gets its answer.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// One queued job: shard id, expected content hash, decoded spec (or
 /// `None` when the payload failed to decode or hash-verify — reported
@@ -58,8 +67,8 @@ pub fn serve_stream(stream: TcpStream) -> io::Result<()> {
     // flushed explicitly at shard boundaries and before idling.
     let mut writer = BufWriter::new(stream.try_clone()?);
 
-    // Handshake: the coordinator speaks first.
-    let (ty, payload) = read_frame(&mut &stream)?;
+    // Handshake: the coordinator speaks first, within HELLO_TIMEOUT.
+    let (ty, payload) = read_handshake(&stream, HELLO_TIMEOUT, "Hello")?;
     if ty != FrameType::Hello {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -282,4 +291,15 @@ pub fn run_listen(addr: &str) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hello_deadline_is_shorter_than_the_coordinators_ack_wait() {
+        // A coordinator queued behind an idle peer outlasts it.
+        assert!(HELLO_TIMEOUT < crate::DistConfig::new(Vec::new()).heartbeat_timeout);
+    }
 }

@@ -1,9 +1,9 @@
 //! Merge-correctness tests for the coordinator/worker protocol.
 //!
-//! Three rigs are used. The connect test starts a fleet of in-process
-//! listening workers and drives it through [`Coordinator::start`], as
-//! `syncperf_dist <entry> --connect` does, once plainly and once with
-//! a connection severed mid-batch. Real-worker tests drive
+//! Three rigs are used. The connect tests start in-process listening
+//! workers and drive them through [`Coordinator::start`], as a figure
+//! binary's `--connect` does: a fleet once plainly and once with a
+//! connection severed mid-batch, and one worker held by an idle peer. Real-worker tests drive
 //! [`serve_stream`] over a localhost socket pair and check the results
 //! (and the persisted cache entries) are byte-identical to local
 //! execution. Fake-worker tests
@@ -15,7 +15,9 @@
 use std::collections::BTreeSet;
 use std::io;
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
 use syncperf_core::obs::{self, json, Snapshot};
 use syncperf_core::{kernel, ExecParams, Protocol, SYSTEM3};
@@ -233,6 +235,48 @@ fn connect_fleet_merges_exactly_once_when_a_connection_is_severed() {
             }
         }
     }
+}
+
+#[test]
+fn an_idle_peer_cannot_wedge_a_worker_or_its_coordinators() {
+    // One worker serving its connections one at a time, as
+    // `syncperf_dist worker --listen` does. An idle peer connects first
+    // and sends nothing, so its connection holds the worker.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let idle = TcpStream::connect(&addr).unwrap();
+    let worker = thread::spawn(move || {
+        (0..2)
+            .map(|_| serve_stream(listener.accept()?.0))
+            .collect::<Vec<io::Result<()>>>()
+    });
+
+    // A coordinator dials the held worker and runs a batch. It runs on
+    // its own thread and the test waits with a deadline, so a wedged
+    // handshake fails the test instead of hanging it.
+    let todo = make_jobs(4);
+    let (tx, rx) = mpsc::channel();
+    let batch = todo.clone();
+    let coordinator = thread::spawn(move || {
+        let out = Coordinator::start(DistConfig::new(vec![addr]), None).map(|coord| {
+            let out = coord.run_batch(&batch);
+            coord.shutdown();
+            out
+        });
+        let _ = tx.send(out);
+    });
+    let out = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the coordinator hung behind an idle peer")
+        .expect("the coordinator completed its handshake");
+    coordinator.join().unwrap();
+    assert_exactly_once(&out, todo.len());
+
+    // The idle connection timed out; the coordinator's ended cleanly.
+    let served = worker.join().unwrap();
+    assert!(served[0].is_err(), "the idle peer never said Hello");
+    served[1].as_ref().unwrap();
+    drop(idle);
 }
 
 // ---- real-worker tests --------------------------------------------

@@ -24,9 +24,10 @@
 //!
 //! At the end of a run, [`Recorder::drain_events`] merges the rings
 //! into one time-ordered stream and [`Recorder::snapshot`] freezes the
-//! counter registry; [`sink`] turns either into JSONL, Chrome
-//! `trace_event` JSON (loadable in `chrome://tracing` or Perfetto), or
-//! feeds the ASCII summary rendered by `syncperf-core`.
+//! counter registry; [`sink`] turns both into Chrome `trace_event`
+//! JSON (loadable in `chrome://tracing` or Perfetto), [`metrics`]
+//! renders the snapshot as the Prometheus text exposition, and
+//! `syncperf-core` renders it as an ASCII summary.
 //!
 //! ## Example
 //!
@@ -712,24 +713,37 @@ pub struct Snapshot {
     pub dropped_by_thread: BTreeMap<u64, u64>,
 }
 
+/// Looks `name` up in `map`, or else under its exposition name: a
+/// snapshot parsed back by [`metrics::parse`] holds the sanitized
+/// names (`sched_jobs` for `sched.jobs`), so typed readers such as
+/// `SchedStats::from_snapshot` read either kind of snapshot.
+fn get_named<'a, V>(map: &'a BTreeMap<String, V>, name: &str) -> Option<&'a V> {
+    map.get(name).or_else(|| {
+        let exposed = metrics::sanitize_name(name);
+        (exposed != name).then(|| map.get(&exposed)).flatten()
+    })
+}
+
 impl Snapshot {
     /// Convenience lookup (0 when the counter never fired).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        get_named(&self.counters, name).copied().unwrap_or(0)
     }
 
     /// Convenience lookup (0 when the gauge never fired).
     #[must_use]
     pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges.get(name).copied().unwrap_or(0)
+        get_named(&self.gauges, name).copied().unwrap_or(0)
     }
 
     /// Convenience lookup (empty snapshot when the histogram never
     /// fired).
     #[must_use]
     pub fn histogram(&self, name: &str) -> HistogramSnapshot {
-        self.histograms.get(name).cloned().unwrap_or_default()
+        get_named(&self.histograms, name)
+            .cloned()
+            .unwrap_or_default()
     }
 
     /// Folds `other` into `self`: counters add, `Max` gauges take the

@@ -2,8 +2,8 @@
 //!
 //! [`render`] turns any snapshot — counters, gauges, histograms, and
 //! event-drop counts — into `# TYPE`-annotated exposition text, the
-//! format served by `GET /metrics` and printed by
-//! `trace_report --metrics`. [`parse`] is the inverse (up to log-bucket
+//! format served by `GET /metrics` and written by every session
+//! binary's `--metrics`. [`parse`] is the inverse (up to log-bucket
 //! resolution), so `syncperf-top` and the golden tests consume the
 //! same schema the renderer produces instead of scraping ad-hoc JSON.
 //!
@@ -225,6 +225,20 @@ mod tests {
         assert_eq!(sanitize_name("a-b c"), "a_b_c");
         assert_eq!(sanitize_name("9lives"), "_9lives");
         assert_eq!(sanitize_name(""), "_");
+    }
+
+    #[test]
+    fn parsed_snapshots_answer_lookups_by_their_recorded_names() {
+        let rec = Recorder::enabled();
+        rec.counter("sched.jobs").add(3204);
+        rec.gauge("sched.queue_depth_peak").record(9);
+        rec.histogram("sched.wait_us").observe(40);
+        let parsed = parse(&render(&rec.snapshot()));
+        assert_eq!(parsed.counter("sched.jobs"), 3204);
+        assert_eq!(parsed.counter("sched_jobs"), 3204);
+        assert_eq!(parsed.gauge("sched.queue_depth_peak"), 9);
+        assert_eq!(parsed.histogram("sched.wait_us").count(), 1);
+        assert_eq!(parsed.counter("sched.missing"), 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Output sinks: Chrome `trace_event` JSON, JSONL, and helpers shared
-//! by the ASCII summary renderer in `syncperf-core`.
+//! The event sink: Chrome `trace_event` JSON, plus the JSON string
+//! escaping the flight recorder's lines share.
 //!
 //! The Chrome format follows the Trace Event Format spec's JSON object
 //! flavor: a top-level object with a `traceEvents` array of events,
@@ -119,70 +119,6 @@ pub fn chrome_trace_json(events: &[Event], snapshot: &Snapshot) -> String {
         entries.join(","),
         snapshot.dropped_events,
     )
-}
-
-/// Serializes events as JSON Lines: one self-contained JSON object per
-/// line, streaming-friendly.
-#[must_use]
-pub fn jsonl(events: &[Event]) -> String {
-    let mut out = String::new();
-    for e in events {
-        out.push_str(&format!(
-            "{{\"ts_ns\":{},{}\"cat\":\"{}\",\"name\":\"{}\",\"tid\":{},\"args\":{}}}\n",
-            e.ts_ns,
-            match e.dur_ns {
-                Some(d) => format!("\"dur_ns\":{d},"),
-                None => String::new(),
-            },
-            json_escape(e.cat),
-            json_escape(&e.name),
-            e.tid,
-            args_object(&e.args),
-        ));
-    }
-    out
-}
-
-/// Serializes a counter/gauge snapshot as one JSON object (used as the
-/// trailing line of a JSONL export).
-#[must_use]
-pub fn snapshot_json(snapshot: &Snapshot) -> String {
-    let mut out = String::from("{\"counters\":{");
-    for (i, (name, value)) in snapshot.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{value}", json_escape(name)));
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, value)) in snapshot.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{value}", json_escape(name)));
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in snapshot.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-            json_escape(name),
-            h.count(),
-            h.sum,
-            h.min(),
-            h.max(),
-            h.quantile(0.50),
-            h.quantile(0.90),
-            h.quantile(0.99),
-        ));
-    }
-    out.push_str(&format!(
-        "}},\"dropped_events\":{}}}",
-        snapshot.dropped_events
-    ));
-    out
 }
 
 #[cfg(test)]
@@ -311,37 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_parse_independently() {
-        let (events, _) = sample();
-        let text = jsonl(&events);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), events.len());
-        for line in lines {
-            let v = parse(line).expect("each JSONL line is standalone JSON");
-            v.get("ts_ns").and_then(Value::as_f64).expect("ts_ns");
-            v.get("name").and_then(Value::as_str).expect("name");
-        }
-    }
-
-    #[test]
-    fn snapshot_json_parses() {
-        let (_, snap) = sample();
-        let v = parse(&snapshot_json(&snap)).unwrap();
-        assert_eq!(
-            v.get("counters")
-                .and_then(|c| c.get("proto.attempts"))
-                .and_then(Value::as_f64),
-            Some(3.0)
-        );
-        assert_eq!(
-            v.get("gauges")
-                .and_then(|g| g.get("cpu.queue_depth"))
-                .and_then(Value::as_f64),
-            Some(7.0)
-        );
-    }
-
-    #[test]
     fn escaping_handles_quotes_and_control_chars() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
@@ -350,7 +255,6 @@ mod tests {
         rec.instant("cat", "name \"with\" quotes");
         let events = rec.drain_events();
         parse(&chrome_trace_json(&events, &rec.snapshot())).unwrap();
-        parse(jsonl(&events).lines().next().unwrap()).unwrap();
     }
 
     #[test]

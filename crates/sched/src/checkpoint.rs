@@ -1,18 +1,16 @@
-//! Checkpoint manifests: which jobs of a labeled run already
-//! completed, enabling `--resume` after an interruption.
+//! Checkpoint manifests: which jobs of a labeled run completed, and
+//! whether the run finished.
 //!
-//! A checkpoint lists content hashes, so it composes with the cache:
-//! resuming re-keys every job, skips the ones whose hash is both in
-//! the manifest and in the cache, and recomputes anything else. A
-//! stale manifest can therefore never resurrect wrong results — at
-//! worst it causes recomputation.
+//! A manifest lists content hashes, so it names cache entries: a client
+//! that reads it (`syncperf-serve`'s `GET /manifest/<label>`) fetches
+//! the done entries and computes only the remainder. Resuming a run in
+//! process needs no manifest at all: a rerun re-keys every job and the
+//! cache serves whatever already completed.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use syncperf_core::obs::json;
-
-use crate::hash::{hex16, parse_hex16};
+use crate::hash::hex16;
 
 /// How many completions may accumulate before the manifest is
 /// re-flushed to disk (the floor — see [`Checkpoint::record`]).
@@ -60,61 +58,6 @@ impl Checkpoint {
             complete: false,
             dirty: 0,
         }
-    }
-
-    /// Loads the manifest for `label`, tolerating a missing or corrupt
-    /// file (both yield an empty manifest — resume then simply
-    /// recomputes).
-    #[must_use]
-    pub fn load(dir: &Path, label: &str) -> Self {
-        let mut cp = Self::fresh(dir, label);
-        let Ok(text) = std::fs::read_to_string(&cp.path) else {
-            return cp;
-        };
-        let Ok(v) = json::parse(&text) else {
-            return cp;
-        };
-        if v.get("label").and_then(json::Value::as_str) != Some(label) {
-            return cp;
-        }
-        cp.complete = matches!(v.get("complete"), Some(json::Value::Bool(true)));
-        if let Some(done) = v.get("done").and_then(json::Value::as_array) {
-            for h in done {
-                if let Some(h) = h.as_str().and_then(parse_hex16) {
-                    cp.done.insert(h);
-                }
-            }
-        }
-        cp
-    }
-
-    /// Whether the labeled run previously finished all its jobs.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.complete
-    }
-
-    /// Whether `hash` completed in a previous (or the current) run.
-    #[must_use]
-    pub fn contains(&self, hash: u64) -> bool {
-        self.done.contains(&hash)
-    }
-
-    /// Number of recorded completions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.done.len()
-    }
-
-    /// Whether no completions are recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.done.is_empty()
-    }
-
-    /// Iterates over the recorded completion hashes.
-    pub fn hashes(&self) -> impl Iterator<Item = u64> + '_ {
-        self.done.iter().copied()
     }
 
     /// Records a completed job, flushing the manifest to disk after at
@@ -178,6 +121,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use syncperf_core::obs::json;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -187,42 +131,38 @@ mod tests {
         dir
     }
 
+    /// The saved manifest at `dir` for `label`, parsed as JSON.
+    fn saved(dir: &Path, label: &str) -> json::Value {
+        json::parse(&std::fs::read_to_string(Checkpoint::path_for(dir, label)).unwrap()).unwrap()
+    }
+
     #[test]
-    fn roundtrip_and_resume() {
+    fn saved_manifest_round_trips_through_json() {
         let dir = tmp_dir("roundtrip");
         let mut cp = Checkpoint::fresh(&dir, "all_figures");
         cp.record(1);
         cp.record(2);
+        cp.record(2);
         cp.save().unwrap();
 
-        let resumed = Checkpoint::load(&dir, "all_figures");
-        assert!(resumed.contains(1) && resumed.contains(2) && !resumed.contains(3));
-        assert_eq!(resumed.len(), 2);
-        assert!(!resumed.is_complete());
+        let v = saved(&dir, "all_figures");
+        assert_eq!(
+            v.get("label").and_then(json::Value::as_str),
+            Some("all_figures")
+        );
+        assert!(matches!(v.get("complete"), Some(json::Value::Bool(false))));
+        let done: Vec<&str> = v
+            .get("done")
+            .and_then(json::Value::as_array)
+            .unwrap()
+            .iter()
+            .filter_map(json::Value::as_str)
+            .collect();
+        assert_eq!(done, [hex16(1), hex16(2)]);
 
         cp.finish();
-        assert!(Checkpoint::load(&dir, "all_figures").is_complete());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_corrupt_or_mislabeled_manifests_load_empty() {
-        let dir = tmp_dir("tolerant");
-        assert!(Checkpoint::load(&dir, "nothing").is_empty());
-
-        std::fs::write(Checkpoint::path_for(&dir, "bad"), "{{{").unwrap();
-        assert!(Checkpoint::load(&dir, "bad").is_empty());
-
-        let mut cp = Checkpoint::fresh(&dir, "fig01");
-        cp.record(9);
-        cp.save().unwrap();
-        // A manifest saved for one label must not resume another.
-        std::fs::copy(
-            Checkpoint::path_for(&dir, "fig01"),
-            Checkpoint::path_for(&dir, "fig02"),
-        )
-        .unwrap();
-        assert!(Checkpoint::load(&dir, "fig02").is_empty());
+        let v = saved(&dir, "all_figures");
+        assert!(matches!(v.get("complete"), Some(json::Value::Bool(true))));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

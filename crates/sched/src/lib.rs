@@ -1,7 +1,7 @@
 //! # syncperf-sched
 //!
 //! Work-stealing sweep scheduler with a content-addressed result
-//! cache and checkpoint/resume for the syncperf measurement harness.
+//! cache and checkpoint manifests for the syncperf measurement harness.
 //!
 //! Three layers, bottom up:
 //!
@@ -18,7 +18,8 @@
 //!    manifests** ([`checkpoint`]): `results/.cache/<hash>.json`
 //!    entries with bytes deterministic per hash, loaded
 //!    corruption-tolerantly (a bad or torn entry is a miss, never a
-//!    crash), plus per-run-label manifests enabling `--resume`.
+//!    crash), plus per-run-label manifests of completed hashes. A
+//!    rerun resumes from the cache itself.
 //!
 //! The [`scheduler`] module ties them together and exposes the
 //! process-global [`install`]/[`current`] registry that the bench

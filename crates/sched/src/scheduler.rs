@@ -119,8 +119,6 @@ pub struct SchedConfig {
     pub cache: bool,
     /// Cache directory (also holds checkpoint manifests).
     pub cache_dir: PathBuf,
-    /// Whether to resume from the run label's checkpoint manifest.
-    pub resume: bool,
     /// Run label for the checkpoint manifest (usually the binary
     /// name).
     pub label: String,
@@ -141,7 +139,6 @@ impl SchedConfig {
             workers: workers.max(1),
             cache: true,
             cache_dir: results.join(".cache"),
-            resume: false,
             label: "run".to_string(),
             salt_extra: 0,
         }
@@ -159,13 +156,6 @@ impl SchedConfig {
     #[must_use]
     pub fn without_cache(mut self) -> Self {
         self.cache = false;
-        self
-    }
-
-    /// Enables resuming from the label's checkpoint manifest.
-    #[must_use]
-    pub fn with_resume(mut self) -> Self {
-        self.resume = true;
         self
     }
 
@@ -195,7 +185,6 @@ struct Counters {
     cache_stores: Counter,
     steals: Counter,
     retries: Counter,
-    resumed: Counter,
     plan_batches: Counter,
     plan_batch_points: Counter,
     plan_primed_jobs: Counter,
@@ -226,7 +215,6 @@ impl Counters {
             cache_stores: rec.counter("sched.cache_stores"),
             steals: rec.counter("sched.steals"),
             retries: rec.counter("sched.retries"),
-            resumed: rec.counter("sched.resumed"),
             plan_batches: rec.counter("sched.plan_batches"),
             plan_batch_points: rec.counter("sched.plan_batch_points"),
             plan_primed_jobs: rec.counter("sched.plan_primed_jobs"),
@@ -261,8 +249,6 @@ pub struct SchedStats {
     pub steals: u64,
     /// Reattempts after a transient error or an exhausted-run result.
     pub retries: u64,
-    /// Cache hits whose hash was recorded by the resumed checkpoint.
-    pub resumed: u64,
     /// Median miss wait (batch submission → chunk pickup),
     /// microseconds.
     pub wait_us_p50: u64,
@@ -306,7 +292,6 @@ impl SchedStats {
             cache_stores: snap.counter("sched.cache_stores"),
             steals: snap.counter("sched.steals"),
             retries: snap.counter("sched.retries"),
-            resumed: snap.counter("sched.resumed"),
             wait_us_p50: wait.quantile(0.50),
             wait_us_p99: wait.quantile(0.99),
             service_hit_us_p50: hit.quantile(0.50),
@@ -368,7 +353,7 @@ pub type ExecBackend = Box<dyn Fn(&[(usize, JobSpec, u64)]) -> Vec<BackendExec> 
 /// Extra telemetry exporter appended to [`Scheduler::export_into`]:
 /// lets a subsystem attached to the scheduler (like the distributed
 /// coordinator's `dist.*` metrics) ride along every `/metrics` and
-/// `--cache-stats` export without the host knowing about it.
+/// `--metrics` export without the host knowing about it.
 pub type ExportHook = Box<dyn Fn(&mut Snapshot) + Send + Sync>;
 
 /// The sweep scheduler: cache consultation, work-stealing execution,
@@ -384,10 +369,9 @@ pub struct Scheduler {
     /// recomputed (a conservative miss is always correct).
     present: Mutex<Option<std::collections::HashSet<u64>>>,
     /// The run label's progress manifest, held only when the cache is
-    /// on: resume is served by the cache, so a cacheless run's hashes
-    /// could never be reused.
+    /// on: it lists the hashes of cache entries, so a cacheless run has
+    /// nothing to list.
     checkpoint: Option<Mutex<Checkpoint>>,
-    resumed_hashes: std::collections::BTreeSet<u64>,
     /// This scheduler's own metrics registry, live whatever the global
     /// recorder is: each `sched.*` number is counted here and nowhere
     /// else, and [`Scheduler::export_into`] hands it to every sink.
@@ -412,28 +396,20 @@ impl std::fmt::Debug for Scheduler {
 }
 
 impl Scheduler {
-    /// Builds a scheduler from `cfg`, loading the checkpoint manifest
-    /// when resuming.
+    /// Builds a scheduler from `cfg`, starting a fresh checkpoint
+    /// manifest for its label when the cache is on.
     #[must_use]
     pub fn new(cfg: SchedConfig) -> Self {
         let cache = cfg.cache.then(|| Cache::new(&cfg.cache_dir));
-        let checkpoint = cfg.cache.then(|| {
-            if cfg.resume {
-                Checkpoint::load(&cfg.cache_dir, &cfg.label)
-            } else {
-                Checkpoint::fresh(&cfg.cache_dir, &cfg.label)
-            }
-        });
-        // Remember what the manifest already contained so hits caused
-        // by resume can be told apart from ordinary warm-cache hits.
-        let resumed_hashes = checkpoint.iter().flat_map(Checkpoint::hashes).collect();
+        let checkpoint = cfg
+            .cache
+            .then(|| Checkpoint::fresh(&cfg.cache_dir, &cfg.label));
         let registry = Recorder::enabled();
         Scheduler {
             cfg,
             cache,
             present: Mutex::new(None),
             checkpoint: checkpoint.map(Mutex::new),
-            resumed_hashes,
             counters: Counters::new(&registry),
             registry,
             workers: Mutex::new(Vec::new()),
@@ -518,7 +494,7 @@ impl Scheduler {
     /// Merges this scheduler's registry — `sched.*` counters,
     /// queue-depth gauges, wait/service histograms, `plan.batch_size` —
     /// plus its per-worker tallies and the export hook's metrics into
-    /// `snap`, so every sink (`--metrics`, `--cache-stats`, `/metrics`)
+    /// `snap`, so every sink (`--metrics`, `--metrics-addr`, `/metrics`)
     /// reads the same numbers, global recorder or not.
     pub fn export_into(&self, snap: &mut Snapshot) {
         snap.merge(&self.registry.snapshot());
@@ -578,7 +554,6 @@ impl Scheduler {
         results.resize_with(n, || None);
         let mut todo: Vec<(usize, JobSpec, u64)> = Vec::new();
         let mut hits = 0u64;
-        let mut resumed = 0u64;
         let mut canon = CanonicalCache::default();
         let salt_line = format!("salt={SCHED_SALT}/{}\n", self.cfg.salt_extra);
         for (i, job) in jobs.into_iter().enumerate() {
@@ -597,9 +572,6 @@ impl Scheduler {
                         c.service_hit_us
                             .observe(load_start.elapsed().as_micros() as u64);
                         hits += 1;
-                        if self.resumed_hashes.contains(&h) {
-                            resumed += 1;
-                        }
                         self.record(h);
                         results[i] = Some(m);
                         continue;
@@ -609,7 +581,6 @@ impl Scheduler {
             todo.push((i, job, h));
         }
         c.cache_hits.add(hits);
-        c.resumed.add(resumed);
         if self.cache.is_some() {
             c.cache_misses.add(todo.len() as u64);
         }
@@ -1024,32 +995,6 @@ mod tests {
             "no checkpoint manifest without caching"
         );
         assert!(!dir.exists(), "no cache directory without caching");
-    }
-
-    #[test]
-    fn resume_counts_manifest_hits() {
-        let dir = tmp_dir("resume");
-        let first = Scheduler::new(SchedConfig::new(1).with_cache_dir(&dir).with_label("t"));
-        first.run_jobs(sim_jobs()).unwrap();
-        // Simulate an interruption: the manifest flushes on finish.
-        first.finish();
-
-        let resumed = Scheduler::new(
-            SchedConfig::new(1)
-                .with_cache_dir(&dir)
-                .with_label("t")
-                .with_resume(),
-        );
-        resumed.run_jobs(sim_jobs()).unwrap();
-        let st = resumed.stats();
-        assert_eq!(st.resumed, 3, "all three hits were checkpointed work");
-
-        // Without --resume the same hits are plain cache hits.
-        let fresh = Scheduler::new(SchedConfig::new(1).with_cache_dir(&dir).with_label("t"));
-        fresh.run_jobs(sim_jobs()).unwrap();
-        assert_eq!(fresh.stats().resumed, 0);
-        assert_eq!(fresh.stats().cache_hits, 3);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

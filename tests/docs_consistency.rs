@@ -224,18 +224,58 @@ fn distributed_docs_match_the_wire_and_code() {
         }
     }
 
-    // Flat-field schema sync: every key `--cache-stats` actually
-    // writes (base and dist) is listed verbatim in docs/SCHEDULER.md.
-    let json = syncperf_bench::runner::cache_stats_json(
-        &syncperf_sched::SchedStats::default(),
-        Some(&syncperf_dist::DistStats::default()),
-    );
-    for piece in json.split('"').skip(1).step_by(2) {
+    // Exposition schema sync: the `sched_*`/`dist_*` metric names
+    // docs/SCHEDULER.md lists are exactly the ones `--metrics` renders
+    // for a scheduler with a dist coordinator attached (histograms
+    // count once, without their `_min`/`_max` companions).
+    let sched = syncperf_sched::Scheduler::new(syncperf_sched::SchedConfig::new(1).without_cache());
+    let coord = syncperf_dist::Coordinator::start(syncperf_dist::DistConfig::new(Vec::new()), None)
+        .unwrap();
+    coord.attach(&sched);
+    let mut snap = syncperf_core::obs::Snapshot::default();
+    sched.export_into(&mut snap);
+    let exposition = syncperf_core::obs::metrics::render(&snap);
+    let typed: Vec<(&str, &str)> = exposition
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' '))
+        .collect();
+    let histograms: BTreeSet<&str> = typed
+        .iter()
+        .filter(|(_, kind)| *kind == "histogram")
+        .map(|(name, _)| *name)
+        .collect();
+    let exported: BTreeSet<&str> = typed
+        .iter()
+        .map(|(name, _)| *name)
+        .filter(|n| n.starts_with("sched_") || n.starts_with("dist_") || n.starts_with("plan_"))
+        .filter(|n| {
+            let base = n.strip_suffix("_min").or_else(|| n.strip_suffix("_max"));
+            !base.is_some_and(|b| histograms.contains(b))
+        })
+        .collect();
+    let documented: BTreeSet<&str> = sched_doc
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|t| {
+            (t.starts_with("sched_") || t.starts_with("dist_") || t.starts_with("plan_"))
+                && t.chars()
+                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+        })
+        .collect();
+    for name in &documented {
         assert!(
-            sched_doc.contains(&format!("`{piece}`")),
-            "docs/SCHEDULER.md missing --cache-stats field `{piece}`"
+            exported.contains(name),
+            "docs/SCHEDULER.md lists `{name}`, which --metrics does not export"
         );
     }
+    for name in &exported {
+        assert!(
+            documented.contains(name),
+            "docs/SCHEDULER.md missing exposition name `{name}`"
+        );
+    }
+    coord.shutdown();
 
     // Cross-references, the front-end binary, and the tracked bench.
     assert!(readme.contains("docs/DISTRIBUTED.md"));
@@ -268,7 +308,7 @@ fn scheduler_docs_match_the_cli_and_code() {
     let readme = read("README.md");
     let runner = read("crates/bench/src/runner.rs");
 
-    for flag in ["--jobs", "--no-cache", "--resume", "--cache-stats"] {
+    for flag in ["--jobs", "--no-cache"] {
         for (doc, name) in [
             (&sched_doc, "docs/SCHEDULER.md"),
             (&design, "DESIGN.md"),
