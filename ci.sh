@@ -236,6 +236,17 @@ SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-benc
   --metrics results/metrics_launch_warm.prom > /dev/null
 require_warm_hits launch results/metrics_launch_warm.prom
 
+# `explain` reads the same test-code table as `launch`: every code it
+# lists must explain cleanly.
+echo "==> explain every listed test code"
+explain_codes=$(cargo run --release --offline -q -p syncperf-bench --bin explain -- list)
+[ "$(printf '%s\n' "$explain_codes" | grep -c .)" = 20 ] || {
+  echo "explain list printed $(printf '%s\n' "$explain_codes" | grep -c .) codes, expected 20"; exit 1; }
+for code in $explain_codes; do
+  cargo run --release --offline -q -p syncperf-bench --bin explain -- "$code" > /dev/null \
+    || { echo "explain $code failed"; exit 1; }
+done
+
 # Serve smoke test (docs/SERVING.md): launch the query service over
 # the warm cache the gates above just filled, hit every read endpoint
 # plus a 404, prove the answers came from the cache without any

@@ -9,11 +9,18 @@ use syncperf_core::ResultsStore;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() < 3 {
+    let usage = || -> ! {
         eprintln!("usage: compare_results <dir> <baseline-host> <other-host> [tolerance]");
         std::process::exit(2);
+    };
+    if args.len() < 3 {
+        usage();
     }
-    let tolerance: f64 = args.get(3).map_or(0.10, |t| t.parse().unwrap_or(0.10));
+    let tolerance = match args.get(3).map(|t| t.parse::<f64>()) {
+        None => 0.10,
+        Some(Ok(t)) if t > 0.0 && t.is_finite() => t,
+        Some(_) => usage(),
+    };
     let load = |host: &str| match ResultsStore::load(&args[0], host) {
         Ok(s) => s,
         Err(e) => {

@@ -1,5 +1,5 @@
-//! Explains where a primitive's modeled time goes, component by
-//! component.
+//! Explains where a test code's modeled time goes, component by
+//! component, on the simulated System 3 at the code's own affinity.
 //!
 //! ```console
 //! $ explain omp_atomicadd_scalar --threads 16
@@ -7,73 +7,13 @@
 //! $ explain omp_atomicadd_array --threads 16 --stride 1 --dtype double
 //! $ explain list
 //! ```
+//!
+//! `--dtype` and `--stride` pick among the code's kernel instances
+//! (first match in sweep order); a kernel instance's own name, such as
+//! `cuda_vote_All`, picks that instance.
 
-use syncperf_core::{kernel, Affinity, CpuKernel, DType, GpuKernel, Scope, SYSTEM3};
-use syncperf_cpu_sim::{explain_body, CpuModel, Placement};
-use syncperf_gpu_sim::{GpuModel, Occupancy};
-
-enum Explainable {
-    Cpu(fn(DType, u32) -> CpuKernel),
-    Gpu(fn(DType, u32) -> GpuKernel),
-}
-
-fn catalog() -> Vec<(&'static str, Explainable)> {
-    vec![
-        (
-            "omp_barrier",
-            Explainable::Cpu(|_, _| kernel::omp_barrier()),
-        ),
-        (
-            "omp_atomicadd_scalar",
-            Explainable::Cpu(|dt, _| kernel::omp_atomic_update_scalar(dt)),
-        ),
-        (
-            "omp_atomicadd_array",
-            Explainable::Cpu(kernel::omp_atomic_update_array),
-        ),
-        (
-            "omp_atomicwrite",
-            Explainable::Cpu(|dt, _| kernel::omp_atomic_write(dt)),
-        ),
-        (
-            "omp_atomicread",
-            Explainable::Cpu(|dt, _| kernel::omp_atomic_read(dt)),
-        ),
-        (
-            "omp_critical",
-            Explainable::Cpu(|dt, _| kernel::omp_critical_add(dt)),
-        ),
-        ("omp_flush", Explainable::Cpu(kernel::omp_flush)),
-        (
-            "cuda_syncthreads",
-            Explainable::Gpu(|_, _| kernel::cuda_syncthreads()),
-        ),
-        (
-            "cuda_syncwarp",
-            Explainable::Gpu(|_, _| kernel::cuda_syncwarp()),
-        ),
-        (
-            "cuda_atomicadd_scalar",
-            Explainable::Gpu(|dt, _| kernel::cuda_atomic_add_scalar(dt)),
-        ),
-        (
-            "cuda_atomicadd_array",
-            Explainable::Gpu(kernel::cuda_atomic_add_array),
-        ),
-        (
-            "cuda_atomiccas_scalar",
-            Explainable::Gpu(|dt, _| kernel::cuda_atomic_cas_scalar(dt)),
-        ),
-        (
-            "cuda_threadfence",
-            Explainable::Gpu(|dt, s| kernel::cuda_threadfence(Scope::Device, dt, s)),
-        ),
-        (
-            "cuda_shfl",
-            Explainable::Gpu(|dt, _| kernel::cuda_shfl(dt, syncperf_core::ShflVariant::Idx)),
-        ),
-    ]
-}
+use syncperf_bench::codes;
+use syncperf_core::{DType, SYSTEM3};
 
 fn usage() -> ! {
     eprintln!(
@@ -82,86 +22,63 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+fn fail(e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
+}
+
+fn number(arg: Option<&String>) -> u32 {
+    arg.and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+}
+
+fn data_type(arg: Option<&String>) -> DType {
+    arg.and_then(|l| DType::ALL.into_iter().find(|d| d.label() == l))
+        .unwrap_or_else(|| usage())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut name = None;
     let mut threads = 16u32;
     let mut blocks = 2u32;
-    let mut stride = 1u32;
-    let mut dtype = DType::I32;
+    let mut stride = None;
+    let mut dtype = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--blocks" => {
-                blocks = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--stride" => {
-                stride = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--dtype" => {
-                dtype = match it.next().map(String::as_str) {
-                    Some("int") => DType::I32,
-                    Some("ull") => DType::U64,
-                    Some("float") => DType::F32,
-                    Some("double") => DType::F64,
-                    _ => usage(),
-                }
-            }
+            "--threads" => threads = number(it.next()),
+            "--blocks" => blocks = number(it.next()),
+            "--stride" => stride = Some(number(it.next())),
+            "--dtype" => dtype = Some(data_type(it.next())),
             other if other.starts_with('-') => usage(),
             other => name = Some(other.to_string()),
         }
     }
     let Some(name) = name else { usage() };
     if name == "list" {
-        for (n, _) in catalog() {
-            println!("{n}");
+        for code in codes::registry() {
+            println!("{}", code.name);
         }
         return;
     }
-    let Some((_, what)) = catalog().into_iter().find(|(n, _)| *n == name) else {
-        eprintln!("unknown primitive `{name}` (try `explain list`)");
-        std::process::exit(2);
+    let Some((code, inst)) = codes::find_instance(&name, dtype, stride) else {
+        let instances: Vec<&str> = codes::registry()
+            .iter()
+            .filter(|c| c.name == name)
+            .flat_map(|c| c.instances.iter().map(|i| i.kernel.name()))
+            .collect();
+        if instances.is_empty() {
+            fail(format!(
+                "unknown code or instance `{name}` (try `explain list`)"
+            ));
+        }
+        fail(format!(
+            "no instance of `{name}` has that dtype and stride; its instances: {}",
+            instances.join(", ")
+        ));
     };
-
-    match what {
-        Explainable::Cpu(make) => {
-            let k = make(dtype, stride);
-            println!(
-                "{} (test body) on the simulated {}:",
-                k.name, SYSTEM3.cpu.name
-            );
-            let model = CpuModel::for_system(&SYSTEM3.cpu, SYSTEM3.cpu_jitter);
-            let placement = Placement::new(&SYSTEM3.cpu, Affinity::Spread, threads);
-            print!("{}", explain_body(&model, &placement, &k.test));
-        }
-        Explainable::Gpu(make) => {
-            let k = make(dtype, stride);
-            println!(
-                "{} (test body) on the simulated {}:",
-                k.name, SYSTEM3.gpu.name
-            );
-            let model = GpuModel::for_spec(&SYSTEM3.gpu);
-            match Occupancy::compute(&SYSTEM3.gpu, blocks, threads)
-                .and_then(|occ| syncperf_gpu_sim::explain::explain_body(&model, &occ, &k.test))
-            {
-                Ok(report) => print!("{report}"),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
+    match code.explain(inst, &SYSTEM3, threads, blocks) {
+        Ok(report) => print!("{report}"),
+        Err(e) => fail(e),
     }
 }

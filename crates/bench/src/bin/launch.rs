@@ -19,9 +19,9 @@
 
 use std::io::Write as _;
 
-use syncperf_bench::codes;
+use syncperf_bench::codes::{self, Machine};
 use syncperf_bench::runner::{self, RunOptions};
-use syncperf_core::{ResultsStore, SystemSpec, SYSTEM1, SYSTEM2, SYSTEM3};
+use syncperf_core::{SystemSpec, SYSTEM1, SYSTEM2, SYSTEM3};
 
 fn usage() -> ! {
     eprintln!(
@@ -30,18 +30,15 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+fn fail(e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let (mut opts, args) = match RunOptions::parse_known(std::env::args().skip(1)) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let (mut opts, args) =
+        RunOptions::parse_known(std::env::args().skip(1)).unwrap_or_else(|e| fail(e));
     opts.label = Some("launch".into());
-    if args.is_empty() {
-        usage();
-    }
 
     let mut selectors = Vec::new();
     let mut yes = false;
@@ -60,27 +57,17 @@ fn main() {
                     _ => usage(),
                 }
             }
-            "--system-file" => match it.next() {
-                Some(path) => match syncperf_core::sysfile::load_system(path) {
-                    Ok(spec) => custom = Some(spec),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                },
-                None => usage(),
-            },
-            "--out" => match it.next() {
-                Some(dir) => out = dir.into(),
-                None => usage(),
-            },
+            "--system-file" => {
+                let path = it.next().unwrap_or_else(|| usage());
+                custom =
+                    Some(syncperf_core::sysfile::load_system(path).unwrap_or_else(|e| fail(e)));
+            }
+            "--out" => out = it.next().unwrap_or_else(|| usage()).into(),
             other if other.starts_with('-') => usage(),
             other => selectors.push(other.to_string()),
         }
     }
-    if let Some(spec) = &custom {
-        system = spec;
-    }
+    let system = custom.as_ref().unwrap_or(system);
     if selectors.is_empty() {
         usage();
     }
@@ -94,13 +81,7 @@ fn main() {
 
     let mut picked = Vec::new();
     for sel in &selectors {
-        match codes::select(sel) {
-            Ok(mut c) => picked.append(&mut c),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
+        picked.append(&mut codes::select(sel).unwrap_or_else(|e| fail(e)));
     }
 
     println!("The following codes will be run on the simulated {system}:");
@@ -120,15 +101,15 @@ fn main() {
 
     let host = format!("system{}", system.id);
     let outcome = runner::session(&opts, || {
-        let mut store = ResultsStore::new(&host);
-        for code in &picked {
-            print!("running {:<28} ", code.name);
-            std::io::stdout().flush().expect("stdout");
-            let before = store.len();
-            (code.run)(system, &mut store)?;
-            println!("{} points", store.len() - before);
-        }
-        Ok(store)
+        codes::sweep(
+            &picked,
+            Machine::Simulated(system),
+            &host,
+            |code, points| {
+                println!("running {:<28} {} points", code.name, points?);
+                Ok(())
+            },
+        )
     });
     let store = match outcome {
         Ok(store) => store,

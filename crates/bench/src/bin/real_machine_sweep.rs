@@ -5,94 +5,64 @@
 //! Trends depend on the host's core count; on a many-core machine this
 //! reproduces the paper's CPU figures on genuine hardware. A reduced
 //! protocol keeps the run short; pass `--full` for the paper's 9×7
-//! protocol with full loop counts.
+//! protocol with full loop counts. Each code runs at the affinity
+//! `launch` sweeps it at, so `compare_results` matches every point
+//! against a simulated system. The shared runner flags (`--jobs`,
+//! `--metrics`, `--trace`, ...) apply; real-thread cache entries are
+//! host-scoped, so results never leak across machines.
 
-use syncperf_core::{
-    kernel, Affinity, CpuKernel, DType, ExecParams, Protocol, ResultsStore, RunRecord,
-};
-use syncperf_omp::OmpExecutor;
+use syncperf_bench::codes::{self, Machine};
+use syncperf_bench::common::{max_real_threads, results_dir};
+use syncperf_bench::runner::{self, RunOptions};
+use syncperf_core::{ExecParams, Protocol};
 
 fn main() -> syncperf_core::Result<()> {
-    let full = std::env::args().any(|a| a == "--full");
-    let max_threads = syncperf_bench::common::max_real_threads();
-    let (protocol, n_iter, n_unroll) = if full {
-        (Protocol::PAPER, 1000, 100)
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let full = args.iter().any(|a| a == "--full");
+    args.retain(|a| a != "--full");
+    let mut opts = RunOptions::parse(args)?;
+    opts.label = Some(if full {
+        "real_machine_sweep_full".into()
     } else {
-        (Protocol::SIM, 100, 20)
+        "real_machine_sweep".into()
+    });
+    let params = ExecParams::new(2).with_warmup(2);
+    let (protocol, params) = if full {
+        (Protocol::PAPER, params)
+    } else {
+        (Protocol::SIM, params.with_loops(100, 20))
     };
     println!(
-        "real-thread sweep: up to {max_threads} threads, protocol {}x{} runs, {}x{} loops",
-        protocol.runs, protocol.max_attempts, n_iter, n_unroll
+        "real-thread sweep: up to {} threads, protocol {}x{} runs, {}x{} loops",
+        max_real_threads().max(2),
+        protocol.runs,
+        protocol.max_attempts,
+        params.n_iter,
+        params.n_unroll
     );
 
-    let host = std::env::var("HOSTNAME").unwrap_or_else(|_| "localhost".into());
-    let mut store = ResultsStore::new(&host);
-    let mut exec = OmpExecutor::new();
-    let thread_counts: Vec<u32> = (2..=max_threads.max(2)).collect();
-
-    let mut run = |name: &str, dtype: Option<DType>, stride: u32, k: &CpuKernel| {
-        for &t in &thread_counts {
-            let p = ExecParams::new(t)
-                .with_loops(n_iter, n_unroll)
-                .with_warmup(2);
-            match protocol.measure(&mut exec, k, &p) {
-                Ok(m) => store.push(RunRecord {
-                    test: name.to_string(),
-                    threads: t,
-                    blocks: 1,
-                    stride,
-                    dtype,
-                    affinity: Affinity::SystemChoice,
-                    runtime_ns: m.runtime_seconds() * 1e9,
-                    throughput: m.throughput_clamped(1e-10),
-                }),
-                Err(e) => eprintln!("{name} at {t} threads failed: {e}"),
+    let hostname = std::env::var("HOSTNAME").unwrap_or_else(|_| "localhost".into());
+    let openmp = codes::select("openmp")?;
+    let host = Machine::Host { protocol, params };
+    let store = runner::session(&opts, || {
+        codes::sweep(&openmp, host, &hostname, |code, points| {
+            if let Err(e) = points {
+                eprintln!("{} failed: {e}", code.name);
             }
-        }
-    };
+            Ok(())
+        })
+    })?;
 
-    run("omp_barrier", None, 0, &kernel::omp_barrier());
-    for dt in DType::ALL {
-        run(
-            "omp_atomicadd_scalar",
-            Some(dt),
-            0,
-            &kernel::omp_atomic_update_scalar(dt),
-        );
-        run(
-            "omp_atomicwrite",
-            Some(dt),
-            0,
-            &kernel::omp_atomic_write(dt),
-        );
-        run("omp_atomicread", Some(dt), 0, &kernel::omp_atomic_read(dt));
-        run("omp_critical", Some(dt), 0, &kernel::omp_critical_add(dt));
-        for stride in [1u32, 4, 8, 16] {
-            run(
-                "omp_atomicadd_array",
-                Some(dt),
-                stride,
-                &kernel::omp_atomic_update_array(dt, stride),
-            );
-            run(
-                "omp_flush",
-                Some(dt),
-                stride,
-                &kernel::omp_flush(dt, stride),
-            );
-        }
-    }
-
-    let out = syncperf_bench::common::results_dir();
+    let out = results_dir();
     store.write(&out)?;
     println!(
-        "wrote {} records for {} tests under {}/{host}/",
+        "wrote {} records for {} tests under {}/{hostname}/",
         store.len(),
         store.tests().len(),
         out.display()
     );
     println!(
-        "compare against a simulated system with:\n  cargo run -p syncperf-bench --bin launch -- openmp --yes\n  cargo run -p syncperf-bench --bin compare_results -- {} system3 {host}",
+        "compare against a simulated system with:\n  cargo run -p syncperf-bench --bin launch -- openmp --yes\n  cargo run -p syncperf-bench --bin compare_results -- {} system3 {hostname}",
         out.display()
     );
     Ok(())
