@@ -5,8 +5,6 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use syncperf_core::{kernel, Affinity, DType, ExecParams, Protocol, SYSTEM3};
-use syncperf_cpu_sim::memline::ContentionMap;
-use syncperf_cpu_sim::plan::RunPlan;
 use syncperf_cpu_sim::{CpuModel, CpuSimExecutor, Placement};
 use syncperf_gpu_sim::{
     simulate_reduction, GpuModel, GpuSimExecutor, Occupancy, ReductionConfig, ReductionStrategy,
@@ -143,11 +141,11 @@ fn bench_trace_vs_interp(c: &mut Criterion) {
 }
 
 /// Engine set-up, the layer a cold sweep pays per point before any
-/// evaluation: contention analysis plus plan compilation of one
-/// 64-thread point (twice System 3's hardware threads, so SMT-loaded
-/// cores and wrapped-around threads are both in it), and the plan
-/// table of a 63-point thread sweep as batched priming builds it,
-/// evaluated for a single repetition so compilation dominates.
+/// evaluation: the production compile of one 64-thread point (twice
+/// System 3's hardware threads, so SMT-loaded cores and wrapped-around
+/// threads are both in it) as a one-point table, and the plan table of
+/// a 63-point thread sweep as batched priming builds it, each evaluated
+/// for a single repetition so compilation dominates.
 fn bench_plan_compile(c: &mut Criterion) {
     let rec = syncperf_core::obs::Recorder::disabled();
     let model = CpuModel::for_system(&SYSTEM3.cpu, SYSTEM3.cpu_jitter);
@@ -159,11 +157,9 @@ fn bench_plan_compile(c: &mut Criterion) {
     g.sample_size(20);
 
     let placement = Placement::new(&SYSTEM3.cpu, Affinity::Spread, 64);
+    let one = std::slice::from_ref(&placement);
     g.bench_function("omp_flush_64t", |b| {
-        b.iter(|| {
-            let contention = ContentionMap::analyze(&body, &placement, 64);
-            RunPlan::compile(&model, &placement, &contention, &body)
-        });
+        b.iter(|| syncperf_cpu_sim::trace::run_batch(&model, &body, one, 1, &rec).unwrap());
     });
 
     let sweep: Vec<Placement> = (1..=63u32)

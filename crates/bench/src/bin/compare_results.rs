@@ -5,7 +5,9 @@
 //! $ compare_results results system3 system1 [tolerance]
 //! ```
 
-use syncperf_core::ResultsStore;
+use std::io::{self, Write};
+
+use syncperf_core::{DiffReport, ResultsStore};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,30 +33,52 @@ fn main() {
     let base = load(&args[1]);
     let other = load(&args[2]);
     let diff = base.diff(&other);
-    println!(
+    // A reader that stops early (`| head`) closes the pipe: that ends
+    // the report, it is not an error.
+    match report(&mut io::stdout().lock(), &args, &diff, tolerance) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("error writing the report: {e}");
+            std::process::exit(1);
+        }
+        _ => {}
+    }
+}
+
+/// Writes the comparison of `args[1]` (baseline) and `args[2]`.
+fn report(
+    out: &mut impl Write,
+    args: &[String],
+    diff: &DiffReport,
+    tolerance: f64,
+) -> io::Result<()> {
+    writeln!(
+        out,
         "matched {} points ({} only in {}, {} only in {})",
         diff.entries.len(),
         diff.only_in_baseline,
         args[1],
         diff.missing_in_baseline,
         args[2]
-    );
+    )?;
     if diff.entries.is_empty() {
-        return;
+        return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "geometric-mean throughput ratio {}/{}: {:.3}",
         args[2],
         args[1],
         diff.geomean_ratio()
-    );
+    )?;
     let outliers = diff.outliers(tolerance);
-    println!(
+    writeln!(
+        out,
         "{} points deviate more than {:.0}%:",
         outliers.len(),
         tolerance * 100.0
-    );
+    )?;
     for e in outliers.iter().take(20) {
-        println!("  {:<60} {:>7.2}x", e.key, e.ratio);
+        writeln!(out, "  {:<60} {:>7.2}x", e.key, e.ratio)?;
     }
+    Ok(())
 }

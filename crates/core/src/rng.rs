@@ -7,6 +7,27 @@
 //! measurement protocol's reproducibility guarantees — is trivially
 //! seedable and portable across platforms.
 
+/// The SplitMix64 state increment (the odd "golden gamma").
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function: the raw word of state `z`.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A raw word as a uniform `f64` in `[0, 1)`: its top 53 bits — the
+/// low bits of any LCG-ish mix are the weakest.
+fn unit(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// A raw word as a uniform `f64` in `[-1, 1]`.
+fn symmetric(word: u64) -> f64 {
+    2.0 * unit(word) - 1.0
+}
+
 /// Deterministic 64-bit PRNG (SplitMix64).
 ///
 /// # Examples
@@ -35,24 +56,66 @@ impl SplitMix64 {
 
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GAMMA);
+        mix(self.state)
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
-        // Take the top 53 bits — the low bits of any LCG-ish mix are
-        // the weakest.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit(self.next_u64())
     }
 
     /// Uniform `f64` in `[-1, 1]` — the shape both simulators' jitter
     /// models draw from.
     pub fn gen_symmetric(&mut self) -> f64 {
-        2.0 * self.next_f64() - 1.0
+        symmetric(self.next_u64())
+    }
+
+    /// The largest of the next `n` [`Self::gen_symmetric`] draws, bit
+    /// for bit, leaving the generator exactly where those `n` draws
+    /// would. A draw is a non-decreasing function of its raw word, so
+    /// the largest draw is the draw of the largest word: the words are
+    /// reduced with integer maxima (eight independent lanes) and only
+    /// the winner is converted to `f64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn max_symmetric(&mut self, n: u64) -> f64 {
+        symmetric(self.reduce_words(n, u64::max))
+    }
+
+    /// [`Self::max_symmetric`] for the smallest of the next `n` draws.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn min_symmetric(&mut self, n: u64) -> f64 {
+        symmetric(self.reduce_words(n, u64::min))
+    }
+
+    /// Folds the next `n` raw words with `pick` and advances the state
+    /// past them. Word `i` (1-based) is `mix(state + i·γ)`, so the
+    /// words are independent and eight lanes fold side by side; `pick`
+    /// is a max or a min, for which lane order does not matter.
+    fn reduce_words(&mut self, n: u64, pick: impl Fn(u64, u64) -> u64) -> u64 {
+        assert!(n > 0, "no draws to reduce");
+        const LANES: usize = 8;
+        let start = self.state;
+        let mut acc = [mix(start.wrapping_add(GAMMA)); LANES];
+        let mut base = start;
+        for _ in 0..n / LANES as u64 {
+            for (lane, a) in acc.iter_mut().enumerate() {
+                let word = mix(base.wrapping_add(GAMMA.wrapping_mul(lane as u64 + 1)));
+                *a = pick(*a, word);
+            }
+            base = base.wrapping_add(GAMMA.wrapping_mul(LANES as u64));
+        }
+        for i in 0..n % LANES as u64 {
+            acc[0] = pick(acc[0], mix(base.wrapping_add(GAMMA.wrapping_mul(i + 1))));
+        }
+        self.state = start.wrapping_add(GAMMA.wrapping_mul(n));
+        acc.into_iter().reduce(pick).expect("eight lanes")
     }
 
     /// Uniform `u64` below `bound` (`bound > 0`), via rejection-free
@@ -106,6 +169,36 @@ mod tests {
             "mean {} not near 0",
             sum / 10_000.0
         );
+    }
+
+    #[test]
+    fn extreme_draws_match_the_draw_loop() {
+        for seed in [0u64, 7, 0x5E_AD_BE_EF, u64::MAX - 3] {
+            for n in [1u64, 7, 8, 9, 1000, 131_072] {
+                let mut fast = SplitMix64::seed_from_u64(seed);
+                let mut slow = fast.clone();
+                let mut max = f64::NEG_INFINITY;
+                let mut min = f64::INFINITY;
+                for _ in 0..n {
+                    let u = slow.gen_symmetric();
+                    max = max.max(u);
+                    min = min.min(u);
+                }
+                let got = fast.max_symmetric(n);
+                assert_eq!(got.to_bits(), max.to_bits(), "max seed={seed} n={n}");
+                assert_eq!(fast, slow, "state after max, seed={seed} n={n}");
+                let mut fast = SplitMix64::seed_from_u64(seed);
+                let got = fast.min_symmetric(n);
+                assert_eq!(got.to_bits(), min.to_bits(), "min seed={seed} n={n}");
+                assert_eq!(fast, slow, "state after min, seed={seed} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no draws")]
+    fn extreme_of_no_draws_panics() {
+        SplitMix64::seed_from_u64(1).max_symmetric(0);
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //! arrivals together after a participant-count-dependent cost.
 //!
 //! Time is integer fixed-point (2²⁰ units per nanosecond, see
-//! [`crate::plan`]): every `(thread, op)` cost is quantized once per run
-//! by the compiled [`RunPlan`]. A run is a one-point
-//! `trace::PlanTable` evaluated by the same loop that batched
-//! sweeps use (`trace::run_table`), which detects the
+//! [`crate::plan`]): every `(thread, op)` cost is quantized once per run.
+//! A run is a one-point `trace::PlanTable`, compiled and evaluated by
+//! the same code that batched sweeps use (`trace::run_table`), which
+//! detects the
 //! per-thread *steady state* — consecutive repetitions with identical
 //! per-thread deltas, barrier offsets, and store-buffer horizons — and
 //! extrapolates the remaining repetitions with one exact integer
-//! multiply. [`run_full_stepping`] is the oracle: it interprets the
-//! plan op by op and never extrapolates; the evaluator is bit-exact
-//! against it (property-tested in `tests/property_based.rs`).
+//! multiply. [`run_full_stepping`] is the oracle: it compiles a
+//! [`RunPlan`] from a [`ContentionMap`], interprets it op by op and
+//! never extrapolates; the evaluator is bit-exact against it
+//! (property-tested in `tests/property_based.rs`).
 
 use syncperf_core::obs::Recorder;
 use syncperf_core::{CpuOp, Result, SyncPerfError};

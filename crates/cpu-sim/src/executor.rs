@@ -3,13 +3,13 @@
 //!
 //! Every engine result comes from the one evaluator,
 //! [`crate::trace::run_batch`], which also records it: either the
-//! scheduler primed the memo from a batched plan table
-//! ([`CpuSimExecutor::prime_engine`]), or a miss runs
-//! [`engine::run_observed`], a table of one point. The memo serves
+//! scheduler evaluated a batched plan table and lends the job's two
+//! results by reference ([`CpuSimExecutor::primed`]), or a memo miss
+//! runs [`engine::run_observed`], a table of one point. The memo serves
 //! every recorder alike, so events describe engine evaluations, not
 //! protocol executions.
 //!
-//! An execution draws its jitter over the memoized per-thread times in
+//! An execution draws its jitter over the per-thread engine times in
 //! place and keeps only their running maximum: no result is cloned and
 //! no per-thread vector is built, yet the draws and the maximum are
 //! exactly those of jittering a copy and taking [`stats::max`] of it.
@@ -18,7 +18,7 @@
 
 use syncperf_core::rng::SplitMix64;
 use syncperf_core::{
-    stats, Affinity, CpuOp, ExecParams, Executor, Result, SyncPerfError, SystemSpec, TimeUnit,
+    Affinity, CpuOp, ExecParams, Executor, Result, SyncPerfError, SystemSpec, TimeUnit,
 };
 
 use crate::config::CpuModel;
@@ -177,30 +177,126 @@ impl CpuSimExecutor {
             reps,
             self.effective_recorder(),
         )?;
-        self.prime_engine(body, params, result);
-        Ok(())
-    }
-
-    /// Seeds the engine memo with a precomputed result for
-    /// `(body, params)`. The scheduler's batched sweep evaluation
-    /// computes many same-shape engine runs in one struct-of-arrays
-    /// pass ([`crate::trace::run_batch`]) and hands each job its
-    /// slice; the protocol's executions then hit the memo instead of
-    /// re-simulating. Priming is invisible to results: the engine is
-    /// deterministic and jitter is drawn after the (possibly memoized)
-    /// run.
-    pub fn prime_engine(&mut self, body: &[CpuOp], params: &ExecParams, result: EngineResult) {
         self.cache.insert(
             0,
             CacheEntry {
                 body: body.to_vec(),
                 threads: params.threads,
                 affinity: params.affinity,
-                reps: params.timed_reps(),
+                reps,
                 result,
             },
         );
         self.cache.truncate(ENGINE_CACHE_CAP);
+        Ok(())
+    }
+
+    /// Lends this executor precomputed engine results for `params`,
+    /// one per body. The scheduler's batched sweep evaluation computes
+    /// many same-shape engine runs in one struct-of-arrays pass
+    /// ([`crate::trace::run_batch`]) and hands each job its slice; the
+    /// protocol then runs on the returned executor, whose executions of
+    /// a lent body (the same slice, compared by address) jitter its
+    /// result instead of re-simulating. Nothing is copied into the
+    /// memo. Invisible to results: the engine is deterministic and
+    /// jitter is drawn after the (possibly lent) run.
+    pub fn primed<'a>(
+        &'a mut self,
+        params: &ExecParams,
+        lent: [(&'a [CpuOp], &'a EngineResult); 2],
+    ) -> PrimedCpuSim<'a> {
+        PrimedCpuSim {
+            exec: self,
+            key: (params.threads, params.affinity, params.timed_reps()),
+            lent,
+        }
+    }
+
+    /// The parameter checks every execution makes before it looks for
+    /// an engine result.
+    fn check(params: &ExecParams) -> Result<()> {
+        params.validate()?;
+        if params.blocks != 1 {
+            return Err(SyncPerfError::InvalidParams(
+                "the CPU simulator runs a single team (blocks must be 1)".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// The jitter amplitude of a team of `threads`: hyperthreading
+    /// adds variability (Section V-A2 observes exactly that).
+    fn amplitude(&self, threads: u32) -> f64 {
+        self.model.jitter_amplitude
+            + if Placement::engages_smt(&self.system.cpu, threads) {
+                self.model.smt_jitter_boost
+            } else {
+                0.0
+            }
+    }
+}
+
+/// One execution's reported time: the largest jittered copy of the
+/// per-thread engine times, in seconds.
+///
+/// Timing jitter has one run-wide component (OS/system noise hits the
+/// whole measurement — it survives the max-across-threads) plus a small
+/// per-thread component, drawn in thread order. It is drawn after the
+/// (possibly memoized) engine run, so the RNG sequence is independent
+/// of cache hits. The per-thread amplitude `0.1·amp` is hoisted (the
+/// product stays left-associative, so no bit moves), and the running
+/// maximum lets a later equal value win, as [`stats::max`] does.
+///
+/// [`stats::max`]: syncperf_core::stats::max
+fn jittered(rng: &mut SplitMix64, amp: f64, per_thread_ns: &[f64]) -> f64 {
+    let run_noise: f64 = 1.0 + amp * rng.gen_symmetric();
+    let thread_amp = 0.1 * amp;
+    let mut max = f64::NEG_INFINITY;
+    for &ns in per_thread_ns {
+        let t = ns * 1e-9 * run_noise * (1.0 + thread_amp * rng.gen_symmetric());
+        if t >= max {
+            max = t;
+        }
+    }
+    max
+}
+
+/// A [`CpuSimExecutor`] lent the batch-evaluated engine results of one
+/// parameter point ([`CpuSimExecutor::primed`]). Any other execution
+/// falls through to the executor itself.
+#[derive(Debug)]
+pub struct PrimedCpuSim<'a> {
+    exec: &'a mut CpuSimExecutor,
+    /// `(threads, affinity, reps)` the lent results were evaluated at.
+    key: (u32, Affinity, u64),
+    lent: [(&'a [CpuOp], &'a EngineResult); 2],
+}
+
+impl Executor for PrimedCpuSim<'_> {
+    type Op = CpuOp;
+
+    fn name(&self) -> &str {
+        self.exec.name()
+    }
+
+    fn time_unit(&self) -> TimeUnit {
+        self.exec.time_unit()
+    }
+
+    fn execute(&mut self, body: &[CpuOp], params: &ExecParams) -> Result<f64> {
+        let lent = (params.threads, params.affinity, params.timed_reps()) == self.key;
+        match self
+            .lent
+            .iter()
+            .find(|(b, _)| lent && std::ptr::eq(*b, body))
+        {
+            Some(&(_, result)) => {
+                CpuSimExecutor::check(params)?;
+                let amp = self.exec.amplitude(params.threads);
+                Ok(jittered(&mut self.exec.rng, amp, &result.per_thread_ns))
+            }
+            None => self.exec.execute(body, params),
+        }
     }
 }
 
@@ -216,33 +312,13 @@ impl Executor for CpuSimExecutor {
     }
 
     fn execute(&mut self, body: &[CpuOp], params: &ExecParams) -> Result<f64> {
-        params.validate()?;
-        if params.blocks != 1 {
-            return Err(SyncPerfError::InvalidParams(
-                "the CPU simulator runs a single team (blocks must be 1)".into(),
-            ));
-        }
+        Self::check(params)?;
         self.memo_to_front(body, params)?;
-
-        // Timing jitter: one run-wide component (OS/system noise hits
-        // the whole measurement — it survives the max-across-threads)
-        // plus a small per-thread component, drawn in thread order.
-        // Hyperthreading adds variability (Section V-A2 observes
-        // exactly that). Drawn after the (possibly memoized) engine run
-        // so the RNG sequence is independent of cache hits.
-        let amp = self.model.jitter_amplitude
-            + if Placement::engages_smt(&self.system.cpu, params.threads) {
-                self.model.smt_jitter_boost
-            } else {
-                0.0
-            };
-        let rng = &mut self.rng;
-        let run_noise: f64 = 1.0 + amp * rng.gen_symmetric();
-        Ok(stats::max_of(
-            self.cache[0].result.per_thread_ns.iter().map(|&ns| {
-                let u: f64 = rng.gen_symmetric();
-                ns * 1e-9 * run_noise * (1.0 + 0.1 * amp * u)
-            }),
+        let amp = self.amplitude(params.threads);
+        Ok(jittered(
+            &mut self.rng,
+            amp,
+            &self.cache[0].result.per_thread_ns,
         ))
     }
 }
@@ -250,7 +326,7 @@ impl Executor for CpuSimExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syncperf_core::{kernel, DType, Protocol, SYSTEM1, SYSTEM2, SYSTEM3};
+    use syncperf_core::{kernel, stats, DType, Protocol, SYSTEM1, SYSTEM2, SYSTEM3};
 
     fn quick(threads: u32) -> ExecParams {
         ExecParams::new(threads).with_loops(50, 4)
@@ -413,14 +489,13 @@ mod tests {
         let body_b = kernel::omp_atomic_update_scalar(DType::I32).test;
         let params = quick(8);
         let mut cached = CpuSimExecutor::with_seed(&SYSTEM3, 7);
-        let mut oracle = CpuSimExecutor::with_seed(&SYSTEM3, 7);
+        let mut exec = CpuSimExecutor::with_seed(&SYSTEM3, 7);
         let placement = Placement::new(&SYSTEM3.cpu, params.affinity, params.threads);
-        for body in [&body_a, &body_b] {
-            let full =
-                engine::run_full_stepping(oracle.model(), &placement, body, params.timed_reps())
-                    .unwrap();
-            oracle.prime_engine(body, &params, full);
-        }
+        let full = |body: &[CpuOp]| {
+            engine::run_full_stepping(exec.model(), &placement, body, params.timed_reps()).unwrap()
+        };
+        let (full_a, full_b) = (full(&body_a), full(&body_b));
+        let mut oracle = exec.primed(&params, [(&body_a, &full_a), (&body_b, &full_b)]);
         for _ in 0..3 {
             for body in [&body_a, &body_b] {
                 assert_eq!(

@@ -57,7 +57,7 @@ pub mod trace_tap;
 
 pub use config::{BarrierKind, CpuModel};
 pub use engine::{run_full_stepping, EngineResult, OBSERVED_REPS};
-pub use executor::CpuSimExecutor;
+pub use executor::{CpuSimExecutor, PrimedCpuSim};
 pub use explain::{explain_body, explain_op, CpuCostBreakdown};
 pub use mesi::{MesiDirectory, MesiState, Transaction};
 pub use program::{simulate_cpu_reduction, CpuReductionReport, CpuReductionStrategy};

@@ -12,99 +12,6 @@ use syncperf_core::{CpuOp, DType, Target};
 
 use crate::topology::Placement;
 
-/// FNV-1a hasher for [`LineId`] keys, folding whole words. The line
-/// map is probed once per line during plan compilation and contention
-/// analysis — batched sweep compilation runs that per point — and
-/// SipHash's per-lookup setup cost is measurable there, as is a
-/// byte-at-a-time loop over the id's 12 bytes. Line ids are tiny
-/// structured keys, not attacker-controlled input, so a fast non-keyed
-/// hash is fine. Nothing iterates the map in hash order into a result.
-#[derive(Debug, Default, Clone)]
-struct FnvHasher(u64);
-
-impl FnvHasher {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn fold(&mut self, word: u64) {
-        let h = if self.0 == 0 { Self::OFFSET } else { self.0 };
-        self.0 = (h ^ word).wrapping_mul(Self::PRIME);
-    }
-}
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        // Fold the high bits down: the multiply leaves the low bits,
-        // which pick the bucket, depending on low input bits only.
-        self.0 ^ (self.0 >> 32)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.fold(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.fold(u64::from(word));
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.fold(word);
-    }
-}
-
-/// `BuildHasher` for [`FnvHasher`].
-#[derive(Debug, Default, Clone)]
-struct FnvBuild;
-
-impl std::hash::BuildHasher for FnvBuild {
-    type Hasher = FnvHasher;
-
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher::default()
-    }
-}
-
-/// Dense id set for core/socket numbers: a 256-bit bitmask with an
-/// exact spill set for larger ids (no shipped or configurable topology
-/// comes close to 256 cores, but correctness must not depend on that).
-/// Membership and cardinality are O(1) on the mask path, which is what
-/// makes [`ContentionMap::analyze`] and [`ContentionMap::contenders`]
-/// cheap enough to run once per sweep point during batched plan
-/// compilation.
-#[derive(Debug, Default, Clone)]
-struct IdSet {
-    words: [u64; 4],
-    spill: BTreeSet<u32>,
-}
-
-impl IdSet {
-    fn insert(&mut self, id: u32) {
-        if id < 256 {
-            self.words[(id / 64) as usize] |= 1u64 << (id % 64);
-        } else {
-            self.spill.insert(id);
-        }
-    }
-
-    fn contains(&self, id: u32) -> bool {
-        if id < 256 {
-            self.words[(id / 64) as usize] & (1u64 << (id % 64)) != 0
-        } else {
-            self.spill.contains(&id)
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.words
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum::<usize>()
-            + self.spill.len()
-    }
-}
-
 /// Identifies one cache line of the simulated address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LineId {
@@ -127,25 +34,64 @@ fn dtype_idx(dtype: DType) -> u32 {
     }
 }
 
-/// The line touched by `(dtype, target)` for thread `tid`.
-///
-/// Shared scalars each occupy their own line (the paper pads them to
-/// separate cache lines); private elements land at byte offset
-/// `tid × stride × sizeof(dtype)` of their array.
+/// How one `(dtype, target)` operand maps threads to lines: thread
+/// `tid` touches line `base + ⌊tid · step / line_bytes⌋` of `region`.
+/// A shared scalar has step 0, so the whole team touches one line; a
+/// private element advances `stride × sizeof(dtype)` bytes per thread,
+/// so consecutive threads share a line until their elements cross into
+/// the next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stripe {
+    /// Memory region of every line of the stripe.
+    pub(crate) region: u32,
+    base: u64,
+    step: u64,
+}
+
+impl Stripe {
+    /// The stripe of `(dtype, target)`. Shared scalars each occupy
+    /// their own line (the paper pads them to separate cache lines);
+    /// private elements land at byte offset `tid × stride ×
+    /// sizeof(dtype)` of their array.
+    pub(crate) fn of(dtype: DType, target: Target) -> Self {
+        match target {
+            Target::SharedScalar(i) => Stripe {
+                region: 0x1000 + u32::from(i),
+                base: u64::from(dtype_idx(dtype)),
+                step: 0,
+            },
+            Target::Private { array, stride } => Stripe {
+                region: 0x2000 + dtype_idx(dtype) * 16 + u32::from(array),
+                base: 0,
+                step: u64::from(stride) * dtype.size_bytes() as u64,
+            },
+        }
+    }
+
+    /// The critical-section lock word's stripe: one line for the team.
+    pub(crate) fn lock() -> Self {
+        Stripe {
+            region: REGION_LOCK,
+            base: 0,
+            step: 0,
+        }
+    }
+
+    /// Index within [`Stripe::region`] of the line thread `tid` touches.
+    pub(crate) fn index(self, tid: usize, line_bytes: usize) -> u64 {
+        self.base + tid as u64 * self.step / line_bytes as u64
+    }
+}
+
+/// The line touched by `(dtype, target)` for thread `tid`: line
+/// `base + ⌊tid · step / line_bytes⌋` of the operand's region (its
+/// `Stripe`).
 #[must_use]
 pub fn line_of(dtype: DType, target: Target, tid: usize, line_bytes: usize) -> LineId {
-    match target {
-        Target::SharedScalar(i) => LineId {
-            region: 0x1000 + u32::from(i),
-            index: u64::from(dtype_idx(dtype)),
-        },
-        Target::Private { array, stride } => {
-            let byte = tid as u64 * u64::from(stride) * dtype.size_bytes() as u64;
-            LineId {
-                region: 0x2000 + dtype_idx(dtype) * 16 + u32::from(array),
-                index: byte / line_bytes as u64,
-            }
-        }
+    let stripe = Stripe::of(dtype, target);
+    LineId {
+        region: stripe.region,
+        index: stripe.index(tid, line_bytes),
     }
 }
 
@@ -161,9 +107,9 @@ pub fn lock_line() -> LineId {
 /// Static per-line sharing facts.
 #[derive(Debug, Default, Clone)]
 pub struct LineStats {
-    writer_cores: IdSet,
-    accessor_cores: IdSet,
-    sockets: IdSet,
+    writer_cores: BTreeSet<u32>,
+    accessor_cores: BTreeSet<u32>,
+    sockets: BTreeSet<u32>,
 }
 
 impl LineStats {
@@ -186,9 +132,8 @@ impl LineStats {
         } else {
             &self.writer_cores
         };
-        let others = (set.len() - usize::from(set.contains(my_core))) as u32;
-        let cross = self.sockets.len() > 1;
-        (others, cross)
+        let others = (set.len() - usize::from(set.contains(&my_core))) as u32;
+        (others, self.sockets.len() > 1)
     }
 }
 
@@ -228,7 +173,7 @@ pub fn classify(op: &CpuOp) -> Access {
 /// The static contention map of one (body, placement) combination.
 #[derive(Debug, Clone)]
 pub struct ContentionMap {
-    lines: HashMap<LineId, LineStats, FnvBuild>,
+    lines: HashMap<LineId, LineStats>,
     line_bytes: usize,
 }
 
@@ -237,26 +182,7 @@ impl ContentionMap {
     /// threads execute `body`.
     #[must_use]
     pub fn analyze(body: &[CpuOp], placement: &Placement, line_bytes: usize) -> Self {
-        // At most one line per thread per private op, one per other op:
-        // sized up front, the map never rehashes while it fills.
-        let private_ops = body
-            .iter()
-            .filter(|op| {
-                matches!(
-                    classify(op),
-                    Access::Read(_, Target::Private { .. })
-                        | Access::Write(_, Target::Private { .. })
-                        | Access::CriticalWrite(_, Target::Private { .. })
-                )
-            })
-            .count();
-        let mut lines: HashMap<LineId, LineStats, FnvBuild> = HashMap::with_capacity_and_hasher(
-            private_ops * placement.len() + body.len() + 1,
-            FnvBuild,
-        );
-        // Op-major so every op resolves its line map entry once where
-        // the line is thread-independent (scalars, the lock line) —
-        // the sweep's batched plan compilation runs this per point.
+        let mut lines: HashMap<LineId, LineStats> = HashMap::new();
         for (i, op) in body.iter().enumerate() {
             // Touching is idempotent: a repeated op adds nothing.
             if body[..i].contains(op) {
@@ -284,30 +210,12 @@ impl ContentionMap {
                 Access::Read(dt, tg) => (dt, tg, false),
                 Access::Write(dt, tg) | Access::CriticalWrite(dt, tg) => (dt, tg, true),
             };
-            match tg {
-                Target::SharedScalar(_) => {
-                    // One line regardless of thread: probe the map once.
-                    let s = lines.entry(line_of(dt, tg, 0, line_bytes)).or_default();
-                    for tid in 0..placement.len() {
-                        let slot = placement.slot(tid);
-                        s.touch(slot.core, slot.socket, writes);
-                    }
-                }
-                Target::Private { .. } => {
-                    // Consecutive threads share a line until their
-                    // elements cross into the next: probe the map once
-                    // per run of threads on one line.
-                    let mut tid = 0;
-                    while tid < placement.len() {
-                        let line = line_of(dt, tg, tid, line_bytes);
-                        let s = lines.entry(line).or_default();
-                        while tid < placement.len() && line_of(dt, tg, tid, line_bytes) == line {
-                            let slot = placement.slot(tid);
-                            s.touch(slot.core, slot.socket, writes);
-                            tid += 1;
-                        }
-                    }
-                }
+            for tid in 0..placement.len() {
+                let slot = placement.slot(tid);
+                lines
+                    .entry(line_of(dt, tg, tid, line_bytes))
+                    .or_default()
+                    .touch(slot.core, slot.socket, writes);
             }
         }
         ContentionMap { lines, line_bytes }

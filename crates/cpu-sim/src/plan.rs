@@ -13,17 +13,19 @@
 //! 2²⁰ units; the worst-case run total stays far below 2⁵³ units, so
 //! the single conversion back to `f64` at the end of a run is exact.
 //!
-//! Compilation is O(threads × ops) and does the float math once per
-//! distinct key. A cost depends on the thread only through the op's
-//! line contention and whether its core is SMT-loaded, so compilation
-//! splits in two. A resolver finds each `(thread, op)`'s contenders,
-//! looking a data line up once per run of consecutive threads on it;
-//! the SMT flag is an O(1) read of the [`Placement`]. The cost function
-//! then turns `(op, contenders, SMT)` into a quantized [`PlanOp`], and
-//! runs again only when that key changes from the previous thread's. A
-//! repeated op copies its first occurrence's costs. [`op_cost`] is the
-//! same pair of steps for one `(thread, op)` with nothing shared, the
-//! oracle the plan is checked against.
+//! A cost depends on the thread only through the op's line contention
+//! and whether its core is SMT-loaded, so a cost is two steps: find the
+//! `(thread, op)`'s contenders (`OpContention`), then turn `(op,
+//! contenders, SMT)` into a quantized [`PlanOp`] (`cost_of`).
+//! Production compiles go straight into the evaluator's table
+//! (`trace::PlanTable::compile`), finding contenders from runs of
+//! threads on a line. The oracle takes the first step from a
+//! [`ContentionMap`] instead: [`RunPlan::compile`], what the stepping
+//! oracle ([`crate::engine::run_full_stepping`]) interprets, looks a
+//! line up once per run of consecutive threads on it and calls the
+//! cost function when the key changes from the previous thread's, and
+//! [`op_cost`] is the same pair of steps for one `(thread, op)` with
+//! nothing shared.
 
 use syncperf_core::{CpuOp, DType, Target};
 
@@ -202,21 +204,21 @@ impl RunPlan {
 /// line, `(0, false)` for a line it does not touch. With the op and the
 /// thread's SMT flag it is the whole key of the op's cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct OpContention {
-    line: (u32, bool),
-    lock: (u32, bool),
+pub(crate) struct OpContention {
+    pub(crate) line: (u32, bool),
+    pub(crate) lock: (u32, bool),
 }
 
 /// The lines an op touches, the same for every thread: the lock line
 /// (always written) and its data line as `(dtype, target, is_write)`.
 #[derive(Debug, Clone, Copy)]
-struct OpLines {
-    lock: bool,
-    data: Option<(DType, Target, bool)>,
+pub(crate) struct OpLines {
+    pub(crate) lock: bool,
+    pub(crate) data: Option<(DType, Target, bool)>,
 }
 
 impl OpLines {
-    fn of(op: &CpuOp) -> Self {
+    pub(crate) fn of(op: &CpuOp) -> Self {
         let (lock, data) = match classify(op) {
             // The critical brackets carry no operand but take the lock.
             Access::None => (
@@ -294,7 +296,7 @@ pub fn op_cost(
 
 /// The cost function: one op's latency under contention `c`, on an
 /// SMT-loaded core or not, quantized.
-fn cost_of(model: &CpuModel, op: &CpuOp, c: OpContention, smt_loaded: bool) -> PlanOp {
+pub(crate) fn cost_of(model: &CpuModel, op: &CpuOp, c: OpContention, smt_loaded: bool) -> PlanOp {
     let smt = if smt_loaded {
         model.smt_service_factor
     } else {

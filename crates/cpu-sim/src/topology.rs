@@ -20,12 +20,21 @@ pub struct Slot {
 }
 
 /// A complete placement of `n` threads on a machine.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A placement is a closed form, not a table: every slot and SMT flag
+/// is a few integer operations on the thread id, so building one
+/// allocates nothing. Batched sweep compilation builds one per point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
-    slots: Vec<Slot>,
-    /// Per thread: whether another team thread occupies a different
-    /// SMT way of the same core (see [`Placement::core_is_smt_loaded`]).
-    smt_loaded: Vec<bool>,
+    affinity: Affinity,
+    nthreads: u32,
+    sockets: u32,
+    cores_per_socket: u32,
+    /// Hardware threads (`cores × SMT ways`); thread ids wrap around
+    /// it.
+    hw_threads: u32,
+    /// Distinct hardware slots the team occupies: `min(n, hw)`.
+    occupied: u32,
     uses_hyperthreads: bool,
 }
 
@@ -44,67 +53,20 @@ impl Placement {
     ///
     /// Threads beyond the hardware-thread count wrap around.
     ///
-    /// The per-thread SMT-loaded flags are settled here, in one pass
-    /// over a per-core record of the SMT ways the team occupies, so
-    /// every SMT query is O(1).
-    ///
     /// # Panics
     ///
     /// Panics if `nthreads` is zero.
     #[must_use]
     pub fn new(cpu: &CpuSpec, affinity: Affinity, nthreads: u32) -> Self {
         assert!(nthreads > 0, "placement of zero threads");
-        let sockets = cpu.sockets;
-        let cps = cpu.cores_per_socket;
-        let ways = cpu.threads_per_core;
-        let total_cores = sockets * cps;
-        let hw_total = total_cores * ways;
-
-        let slots = (0..nthreads)
-            .map(|t| {
-                let slot = t % hw_total;
-                let (core, smt) = match affinity {
-                    Affinity::Close => {
-                        let smt = slot / total_cores;
-                        let core = slot % total_cores;
-                        (core, smt)
-                    }
-                    Affinity::Spread | Affinity::SystemChoice => {
-                        let smt = slot / total_cores;
-                        let within = slot % total_cores;
-                        // Alternate sockets: thread 0 → socket 0 core 0,
-                        // thread 1 → socket 1 core 0, …
-                        let socket = within % sockets;
-                        let core_in_socket = within / sockets;
-                        (socket * cps + core_in_socket, smt)
-                    }
-                };
-                Slot {
-                    socket: core / cps,
-                    core,
-                    smt,
-                }
-            })
-            .collect::<Vec<Slot>>();
-
-        // A core is SMT-loaded when the team occupies two or more of
-        // its ways: remember each core's first way and whether another
-        // one showed up. Wrapped-around duplicates of a way add nothing.
-        let mut first_way: Vec<Option<u32>> = vec![None; total_cores as usize];
-        let mut shared = vec![false; total_cores as usize];
-        for s in &slots {
-            let core = s.core as usize;
-            match first_way[core] {
-                None => first_way[core] = Some(s.smt),
-                Some(way) if way != s.smt => shared[core] = true,
-                Some(_) => {}
-            }
-        }
-        let smt_loaded = slots.iter().map(|s| shared[s.core as usize]).collect();
-
+        let hw_threads = cpu.total_cores() * cpu.threads_per_core;
         Placement {
-            slots,
-            smt_loaded,
+            affinity,
+            nthreads,
+            sockets: cpu.sockets,
+            cores_per_socket: cpu.cores_per_socket,
+            hw_threads,
+            occupied: nthreads.min(hw_threads),
             uses_hyperthreads: Self::engages_smt(cpu, nthreads),
         }
     }
@@ -112,13 +74,25 @@ impl Placement {
     /// Number of placed threads.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.nthreads as usize
     }
 
     /// Whether the placement is empty (never true once constructed).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.nthreads == 0
+    }
+
+    fn total_cores(&self) -> u32 {
+        self.sockets * self.cores_per_socket
+    }
+
+    /// Thread `tid`'s hardware slot: its SMT way and its index within
+    /// the way, which both policies lay out way by way.
+    fn way_and_index(&self, tid: usize) -> (u32, u32) {
+        assert!(tid < self.len(), "thread {tid} of {}", self.nthreads);
+        let slot = tid as u32 % self.hw_threads;
+        (slot / self.total_cores(), slot % self.total_cores())
     }
 
     /// The slot of thread `tid`.
@@ -128,19 +102,72 @@ impl Placement {
     /// Panics if `tid` is out of range.
     #[must_use]
     pub fn slot(&self, tid: usize) -> Slot {
-        self.slots[tid]
+        let (smt, within) = self.way_and_index(tid);
+        let core = match self.affinity {
+            Affinity::Close => within,
+            // Alternate sockets: thread 0 → socket 0 core 0, thread 1 →
+            // socket 1 core 0, …
+            Affinity::Spread | Affinity::SystemChoice => {
+                (within % self.sockets) * self.cores_per_socket + within / self.sockets
+            }
+        };
+        Slot {
+            socket: core / self.cores_per_socket,
+            core,
+            smt,
+        }
     }
 
     /// Whether both SMT ways of `tid`'s core are occupied by team
     /// threads — when true the core's issue bandwidth is shared and
     /// service times rise by the SMT factor.
     ///
+    /// Each policy maps a way's indices onto the cores one to one, the
+    /// same way for every way, and the team occupies hardware slots
+    /// `0 .. min(n, hw)`. So the core of index `i` carries a second way
+    /// exactly when slot `cores + i` is occupied; wrapped-around
+    /// duplicates of a way add nothing.
+    ///
     /// # Panics
     ///
     /// Panics if `tid` is out of range.
     #[must_use]
     pub fn core_is_smt_loaded(&self, tid: usize) -> bool {
-        self.smt_loaded[tid]
+        let (_, within) = self.way_and_index(tid);
+        self.total_cores() + within < self.occupied
+    }
+
+    /// Calls `f` with every thread's [`Placement::slot`] and
+    /// [`Placement::core_is_smt_loaded`], in thread order, stepping the
+    /// slot from the previous thread's instead of dividing per thread.
+    pub(crate) fn for_each_thread(&self, mut f: impl FnMut(Slot, bool)) {
+        let cores = self.total_cores();
+        // `Close` lays a way's indices out socket by socket, `Spread`
+        // round-robins them over the sockets: index = q·d + r.
+        let d = match self.affinity {
+            Affinity::Close => self.cores_per_socket,
+            Affinity::Spread | Affinity::SystemChoice => self.sockets,
+        };
+        let (mut smt, mut within, mut q, mut r) = (0, 0, 0, 0);
+        for _ in 0..self.nthreads {
+            let (socket, core) = match self.affinity {
+                Affinity::Close => (q, within),
+                Affinity::Spread | Affinity::SystemChoice => (r, r * self.cores_per_socket + q),
+            };
+            f(Slot { socket, core, smt }, cores + within < self.occupied);
+            within += 1;
+            r += 1;
+            if r == d {
+                (q, r) = (q + 1, 0);
+            }
+            if within == cores {
+                (within, q, r) = (0, 0, 0);
+                smt += 1;
+                if smt * cores == self.hw_threads {
+                    smt = 0;
+                }
+            }
+        }
     }
 
     /// Whether any thread uses a second SMT way (hyperthreading region
@@ -163,8 +190,10 @@ impl Placement {
     /// Fraction of threads whose core is SMT-loaded.
     #[must_use]
     pub fn smt_loaded_fraction(&self) -> f64 {
-        let loaded = self.smt_loaded.iter().filter(|&&l| l).count();
-        loaded as f64 / self.slots.len() as f64
+        let loaded = (0..self.len())
+            .filter(|&t| self.core_is_smt_loaded(t))
+            .count();
+        loaded as f64 / self.len() as f64
     }
 }
 
@@ -196,6 +225,12 @@ mod tests {
                     for (t, &loaded) in scan.iter().enumerate() {
                         assert_eq!(p.core_is_smt_loaded(t), loaded, "{sys} {aff:?} n={n} t={t}");
                     }
+                    let mut walked = Vec::new();
+                    p.for_each_thread(|slot, loaded| walked.push((slot, loaded)));
+                    let direct: Vec<(Slot, bool)> = (0..p.len())
+                        .map(|t| (p.slot(t), p.core_is_smt_loaded(t)))
+                        .collect();
+                    assert_eq!(walked, direct, "{sys} {aff:?} n={n}");
                     let uses = (0..p.len()).any(|t| p.slot(t).smt > 0);
                     assert_eq!(p.uses_hyperthreads(), uses, "{sys} {aff:?} n={n}");
                     assert_eq!(

@@ -1,13 +1,29 @@
-//! The CPU engine's one evaluator: compiled [`RunPlan`]s lowered into a
-//! struct-of-arrays `PlanTable` and advanced by `run_table`.
+//! The CPU engine's one evaluator: each parameter point compiled in
+//! one dense pass into a struct-of-arrays `PlanTable` and advanced by
+//! `run_table`.
 //!
 //! Every production engine run goes through this loop, and [`run_batch`]
 //! is its one entry point and its one recording site. A batched sweep
-//! (behind the scheduler's `JobSpec::batch_prime`) lowers many parameter
-//! points of one kernel shape into one table; a single point
+//! (behind the scheduler's `JobSpec::batch_prime`) compiles many
+//! parameter points of one kernel shape into one table; a single point
 //! ([`crate::engine::run_observed`]) is a table of one.
 //!
-//! Lowering turns every `(thread, op)` [`PlanOp`] into a pre-resolved
+//! **Compilation.** An op's cost depends on the thread only through the
+//! contention on the lines it touches and whether its core is
+//! SMT-loaded ([`crate::plan`]). Which threads share a line is
+//! arithmetic, not a lookup: an operand's `Stripe` puts thread `tid`
+//! on line `base + ⌊tid · step / 64⌋`, so a private element's line holds
+//! a run of consecutive threads, and a shared scalar's line or the lock
+//! line holds the whole team. Per point, the pass walks each line's
+//! threads once, counts their distinct cores and sockets with stamp
+//! arrays (no hash map, no per-line set), calls the cost function once
+//! per run of threads with the same `(contention, SMT)` key, and writes
+//! each cost into its table cell directly. Stripes of one memory region
+//! that could meet on a line (two strides into one array) are merged by
+//! line before counting. The cells equal [`crate::plan::op_cost`] —
+//! the [`ContentionMap`]-based oracle — on every `(thread, op)`.
+//!
+//! **Evaluation.** Every `(thread, op)` is a pre-resolved
 //! `{advance, extra}` record plus a per-op drain mask, and the three
 //! non-barrier op kinds collapse into one branchless update:
 //!
@@ -31,16 +47,17 @@
 //! the current clock does not change that difference. Barriers never
 //! appear inside a segment; `rendezvous` runs between segments.
 //!
-//! Per segment and per op, the lanes of every point sit back-to-back,
-//! so one contiguous pass advances a whole sweep group through that op
-//! (the inner loop is a flat `u64` kernel over adjacent lanes — the
-//! layout autovectorizes). Rendezvous, steady-state detection, and
+//! Per op, the lanes of every point sit back-to-back, so one contiguous
+//! pass advances a whole sweep group through that op (the inner loop is
+//! a flat `u64` kernel over adjacent lanes — the layout
+//! autovectorizes). Rendezvous, steady-state detection, and
 //! extrapolation stay per point and bit-exact. With a tracing recorder
 //! the first [`OBSERVED_REPS`] repetitions step lane by lane instead,
 //! so each op of every point can be narrated as a `cpu_sim.op` event
 //! (plus a `store_buffer_drain` event at draining fences) in point and
 //! thread order.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use syncperf_core::obs::{ArgValue, Recorder};
@@ -48,25 +65,20 @@ use syncperf_core::{CpuOp, Result, SyncPerfError};
 
 use crate::config::CpuModel;
 use crate::engine::{EngineResult, OBSERVED_REPS};
-use crate::memline::{classify, line_of, lock_line, Access, ContentionMap, LineId};
-use crate::plan::{units_to_ns, PlanOp, RunPlan};
+use crate::memline::{classify, line_of, lock_line, Access, ContentionMap, LineId, Stripe};
+use crate::plan::{cost_of, quantize, units_to_ns, OpContention, OpLines, PlanOp};
 use crate::topology::Placement;
 
-/// One barrier-free segment of a table, op-major: the records for op
-/// `i` occupy lanes `i * lanes .. (i + 1) * lanes`.
+/// Cache-line size of the production compile, in bytes.
+const LINE_BYTES: usize = 64;
+
+/// One barrier-free segment of a table: body ops `first ..` are table
+/// rows `rows`.
 #[derive(Debug, Clone)]
-struct TraceSegment {
+struct Segment {
     /// Body index of the segment's first op.
     first: usize,
-    /// Number of ops in this segment.
-    ops: usize,
-    /// Per-(op, lane) clock advance, fixed-point units.
-    advance: Vec<u64>,
-    /// Per-(op, lane) store-buffer horizon extension (0 except stores).
-    extra: Vec<u64>,
-    /// Per-op drain mask: `!0` at fences, `0` elsewhere. The op kind
-    /// depends only on the body, so one scalar covers every lane.
-    mask: Vec<u64>,
+    rows: Range<usize>,
 }
 
 /// The branchless per-lane update from the module docs. Returns the
@@ -77,75 +89,6 @@ fn advance(t: &mut u64, pending: &mut u64, adv: u64, ext: u64, mask: u64) -> u64
     *t += adv + drain;
     *pending = (*pending).max(*t + ext);
     drain
-}
-
-impl TraceSegment {
-    /// Advances every lane through every op of this segment.
-    #[inline]
-    fn step(&self, t: &mut [u64], pending: &mut [u64]) {
-        let lanes = t.len();
-        for op in 0..self.ops {
-            let base = op * lanes;
-            let adv = &self.advance[base..base + lanes];
-            let ext = &self.extra[base..base + lanes];
-            let mask = self.mask[op];
-            for lane in 0..lanes {
-                advance(&mut t[lane], &mut pending[lane], adv[lane], ext[lane], mask);
-            }
-        }
-    }
-
-    /// [`Self::step`] for point `point` of the table, lane by lane,
-    /// narrating every op of repetition `rep` into `nar`'s recorder.
-    fn step_narrated(
-        &self,
-        t: &mut [u64],
-        pending: &mut [u64],
-        point: usize,
-        p: &TablePoint,
-        nar: &Narration,
-        rep: u64,
-    ) {
-        let lanes = t.len();
-        for tid in 0..p.lanes {
-            let lane = p.start + tid;
-            for op in 0..self.ops {
-                let i = op * lanes + lane;
-                let before = t[lane];
-                let drain = advance(
-                    &mut t[lane],
-                    &mut pending[lane],
-                    self.advance[i],
-                    self.extra[i],
-                    self.mask[op],
-                );
-                if drain > 0 {
-                    nar.rec.counter("cpu_sim.store_buffer_drains").inc();
-                    nar.rec.instant_args(
-                        "cpu_sim",
-                        "store_buffer_drain",
-                        vec![
-                            ("point", ArgValue::from(point)),
-                            ("tid", ArgValue::from(tid)),
-                            ("drain_ns", ArgValue::F64(units_to_ns(drain))),
-                        ],
-                    );
-                }
-                let idx = self.first + op;
-                nar.rec.instant_args(
-                    "cpu_sim.op",
-                    format!("{:?}", nar.body[idx]),
-                    vec![
-                        ("point", ArgValue::from(point)),
-                        ("tid", ArgValue::from(tid)),
-                        ("rep", ArgValue::from(rep)),
-                        ("idx", ArgValue::from(idx)),
-                        ("cost_ns", ArgValue::F64(units_to_ns(t[lane] - before))),
-                    ],
-                );
-            }
-        }
-    }
 }
 
 /// Releases a barrier: all arrivals leave at `max_arrival +
@@ -179,109 +122,441 @@ struct TablePoint {
     stagger_units: u64,
 }
 
-/// Same-shape parameter points lowered into one struct-of-arrays
-/// table: per segment, per op, the lanes of every point sit
-/// back-to-back, so one contiguous pass advances the whole sweep group
-/// through that op.
+/// Same-shape parameter points compiled into one struct-of-arrays
+/// table: one row per non-barrier body op, and in each row the lanes of
+/// every point back-to-back, so one contiguous pass advances the whole
+/// sweep group through that op.
 #[derive(Debug)]
 struct PlanTable {
-    segments: Vec<TraceSegment>,
+    /// Per-(row, lane) clock advance, fixed-point units.
+    advance: Vec<u64>,
+    /// Per-(row, lane) store-buffer horizon extension (0 except stores).
+    extra: Vec<u64>,
+    /// Per-row drain mask: `!0` at fences, `0` elsewhere. The op kind
+    /// depends only on the body, so one scalar covers every lane.
+    mask: Vec<u64>,
+    segments: Vec<Segment>,
     points: Vec<TablePoint>,
     total_lanes: usize,
     barriers_per_rep: u64,
 }
 
 impl PlanTable {
-    /// Lowers one plan per point into a shared table. All plans must
-    /// come from the same body (identical segment structure), as they
-    /// do when [`Self::compile`] builds them.
-    fn lower(plans: &[RunPlan]) -> Self {
-        let total_lanes: usize = plans.iter().map(RunPlan::threads).sum();
-        let segs = plans[0].segments();
-        let mut segments = Vec::with_capacity(segs.len());
-        for (seg_idx, &(start, end)) in segs.iter().enumerate() {
-            let ops = end - start;
-            let mut seg = TraceSegment {
-                first: start,
-                ops,
-                advance: Vec::with_capacity(ops * total_lanes),
-                extra: Vec::with_capacity(ops * total_lanes),
-                mask: Vec::with_capacity(ops),
-            };
-            for idx in start..end {
-                // The op kind is body-determined, so thread 0 of the
-                // first point stands for every lane.
-                let fence = matches!(plans[0].op(0, idx), PlanOp::Flush { .. });
-                seg.mask.push(if fence { !0 } else { 0 });
-                for plan in plans {
-                    debug_assert_eq!(plan.segments()[seg_idx], (start, end));
-                    for tid in 0..plan.threads() {
-                        let (adv, ext) = match plan.op(tid, idx) {
-                            PlanOp::Barrier => unreachable!("barriers delimit segments"),
-                            PlanOp::Fixed(cost) => (cost, 0),
-                            PlanOp::Store {
-                                visible,
-                                pending_extra,
-                            } => (visible, pending_extra),
-                            PlanOp::Flush { base } => (base, 0),
-                        };
-                        seg.advance.push(adv);
-                        seg.extra.push(ext);
-                    }
+    /// Compiles `body` at each placement into one table, one dense pass
+    /// per point (see the module docs). A live recorder gets the
+    /// compile time in `plan.compile_us` and the table size in
+    /// `plan.trace_ops`.
+    fn compile(model: &CpuModel, body: &[CpuOp], placements: &[Placement], rec: &Recorder) -> Self {
+        let start = rec.is_enabled().then(Instant::now);
+        let lines = BodyLines::of(body);
+        let total_lanes: usize = placements.iter().map(Placement::len).sum();
+        let mut segments = Vec::new();
+        let mut mask = Vec::with_capacity(body.len());
+        let mut row_of = vec![usize::MAX; body.len()];
+        let (mut first, mut first_row) = (0, 0);
+        for (idx, op) in body.iter().enumerate() {
+            if matches!(op, CpuOp::Barrier) {
+                segments.push(Segment {
+                    first,
+                    rows: first_row..mask.len(),
+                });
+                (first, first_row) = (idx + 1, mask.len());
+            } else {
+                row_of[idx] = mask.len();
+                mask.push(if matches!(op, CpuOp::Flush) { !0 } else { 0 });
+            }
+        }
+        segments.push(Segment {
+            first,
+            rows: first_row..mask.len(),
+        });
+        let mut advance = vec![0u64; mask.len() * total_lanes];
+        let mut extra = vec![0u64; mask.len() * total_lanes];
+
+        let mut team = Team::default();
+        let mut points = Vec::with_capacity(placements.len());
+        let mut at = 0usize;
+        for p in placements {
+            let n = p.len();
+            team.place(p, &lines);
+            for (idx, op) in body.iter().enumerate() {
+                if let Some(stripes) = lines.ops[idx] {
+                    let cells = row_of[idx] * total_lanes + at..row_of[idx] * total_lanes + at + n;
+                    team.fill(
+                        model,
+                        op,
+                        stripes,
+                        &mut advance[cells.clone()],
+                        &mut extra[cells],
+                    );
                 }
             }
-            segments.push(seg);
-        }
-        let mut points = Vec::with_capacity(plans.len());
-        let mut at = 0usize;
-        for plan in plans {
+            #[allow(clippy::cast_possible_truncation)]
             points.push(TablePoint {
                 start: at,
-                lanes: plan.threads(),
-                barrier_units: plan.barrier_units(),
-                stagger_units: plan.stagger_units(),
+                lanes: n,
+                barrier_units: quantize(model.barrier_ns(n as u32)),
+                stagger_units: quantize(model.release_stagger_ns),
             });
-            at += plan.threads();
+            at += n;
         }
-        Self {
+        // A cost depends on the op, not its position: a repeated op (a
+        // test body is often its baseline's op twice) copies the first
+        // occurrence's row.
+        for (idx, op) in body.iter().enumerate() {
+            if row_of[idx] == usize::MAX || lines.ops[idx].is_some() {
+                continue;
+            }
+            let from = row_of[body.iter().position(|o| o == op).expect("first occurrence")];
+            let src = from * total_lanes..(from + 1) * total_lanes;
+            advance.copy_within(src.clone(), row_of[idx] * total_lanes);
+            extra.copy_within(src, row_of[idx] * total_lanes);
+        }
+
+        let table = Self {
+            advance,
+            extra,
+            mask,
+            barriers_per_rep: segments.len() as u64 - 1,
             segments,
             points,
             total_lanes,
-            barriers_per_rep: segs.len() as u64 - 1,
-        }
-    }
-
-    /// Contention analysis, plan compilation and lowering for `body` at
-    /// each placement. `analyzed` is handed each placement's contention
-    /// map as it is built, so a caller that needs the map too (the
-    /// traced path's coherence profile) never analyzes a placement
-    /// again. A live recorder gets the compile time in
-    /// `plan.compile_us` (compilation and `analyzed`, never evaluation)
-    /// and the table size in `plan.trace_ops`.
-    fn compile(
-        model: &CpuModel,
-        body: &[CpuOp],
-        placements: &[Placement],
-        rec: &Recorder,
-        mut analyzed: impl FnMut(&Placement, &ContentionMap),
-    ) -> Self {
-        let start = rec.is_enabled().then(Instant::now);
-        let plans: Vec<RunPlan> = placements
-            .iter()
-            .map(|p| {
-                let contention = ContentionMap::analyze(body, p, 64);
-                analyzed(p, &contention);
-                RunPlan::compile(model, p, &contention, body)
-            })
-            .collect();
-        let table = Self::lower(&plans);
+        };
         if let Some(start) = start {
             rec.histogram("plan.compile_us")
                 .observe(start.elapsed().as_micros() as u64);
-            let records: usize = table.segments.iter().map(|s| s.advance.len()).sum();
-            rec.counter("plan.trace_ops").add(records as u64);
+            rec.counter("plan.trace_ops")
+                .add(table.advance.len() as u64);
         }
         table
+    }
+
+    /// Advances every lane through every op of `seg`.
+    #[inline]
+    fn step(&self, seg: &Segment, t: &mut [u64], pending: &mut [u64]) {
+        let lanes = self.total_lanes;
+        for row in seg.rows.clone() {
+            let base = row * lanes;
+            let adv = &self.advance[base..base + lanes];
+            let ext = &self.extra[base..base + lanes];
+            let mask = self.mask[row];
+            for lane in 0..lanes {
+                advance(&mut t[lane], &mut pending[lane], adv[lane], ext[lane], mask);
+            }
+        }
+    }
+
+    /// [`Self::step`] for point `point` of the table, lane by lane,
+    /// narrating every op of repetition `rep` into `nar`'s recorder.
+    fn step_narrated(
+        &self,
+        seg: &Segment,
+        t: &mut [u64],
+        pending: &mut [u64],
+        point: usize,
+        nar: &Narration,
+        rep: u64,
+    ) {
+        let p = &self.points[point];
+        for tid in 0..p.lanes {
+            let lane = p.start + tid;
+            for (op, row) in seg.rows.clone().enumerate() {
+                let i = row * self.total_lanes + lane;
+                let before = t[lane];
+                let drain = advance(
+                    &mut t[lane],
+                    &mut pending[lane],
+                    self.advance[i],
+                    self.extra[i],
+                    self.mask[row],
+                );
+                if drain > 0 {
+                    nar.rec.counter("cpu_sim.store_buffer_drains").inc();
+                    nar.rec.instant_args(
+                        "cpu_sim",
+                        "store_buffer_drain",
+                        vec![
+                            ("point", ArgValue::from(point)),
+                            ("tid", ArgValue::from(tid)),
+                            ("drain_ns", ArgValue::F64(units_to_ns(drain))),
+                        ],
+                    );
+                }
+                let idx = seg.first + op;
+                nar.rec.instant_args(
+                    "cpu_sim.op",
+                    format!("{:?}", nar.body[idx]),
+                    vec![
+                        ("point", ArgValue::from(point)),
+                        ("tid", ArgValue::from(tid)),
+                        ("rep", ArgValue::from(rep)),
+                        ("idx", ArgValue::from(idx)),
+                        ("cost_ns", ArgValue::F64(units_to_ns(t[lane] - before))),
+                    ],
+                );
+            }
+        }
+    }
+}
+
+/// The stripes one op touches, as indices into [`BodyLines::stripes`]:
+/// its data stripe with whether the op writes it, and the lock stripe.
+#[derive(Debug, Clone, Copy)]
+struct OpStripes {
+    data: Option<(usize, bool)>,
+    lock: Option<usize>,
+}
+
+/// The line geometry of a body, the same at every point: its distinct
+/// stripes, grouped by memory region (only stripes of one region can
+/// meet on a line).
+#[derive(Debug)]
+struct BodyLines {
+    stripes: Vec<Stripe>,
+    /// Per stripe: whether any op writes through it.
+    writes: Vec<bool>,
+    /// Stripe indices, one group per region.
+    regions: Vec<Vec<usize>>,
+    /// Per body op: its stripes, for the first occurrence of each
+    /// non-barrier op (`None` for barriers and repeats).
+    ops: Vec<Option<OpStripes>>,
+}
+
+impl BodyLines {
+    fn of(body: &[CpuOp]) -> Self {
+        let mut lines = BodyLines {
+            stripes: Vec::new(),
+            writes: Vec::new(),
+            regions: Vec::new(),
+            ops: Vec::with_capacity(body.len()),
+        };
+        for (idx, op) in body.iter().enumerate() {
+            if matches!(op, CpuOp::Barrier) || body[..idx].contains(op) {
+                lines.ops.push(None);
+                continue;
+            }
+            let touched = OpLines::of(op);
+            let data = touched.data.map(|(dtype, target, is_write)| {
+                (lines.intern(Stripe::of(dtype, target), is_write), is_write)
+            });
+            let lock = touched.lock.then(|| lines.intern(Stripe::lock(), true));
+            lines.ops.push(Some(OpStripes { data, lock }));
+        }
+        lines
+    }
+
+    /// The index of `stripe`, added on first sight; `write` marks it
+    /// written.
+    fn intern(&mut self, stripe: Stripe, write: bool) -> usize {
+        let s = if let Some(s) = self.stripes.iter().position(|&x| x == stripe) {
+            s
+        } else {
+            let s = self.stripes.len();
+            self.stripes.push(stripe);
+            self.writes.push(false);
+            let stripes = &self.stripes;
+            match self
+                .regions
+                .iter_mut()
+                .find(|r| stripes[r[0]].region == stripe.region)
+            {
+                Some(r) => r.push(s),
+                None => self.regions.push(vec![s]),
+            }
+            s
+        };
+        self.writes[s] |= write;
+        s
+    }
+}
+
+/// What one thread meets on the line one stripe puts it on.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineFacts {
+    /// Contenders of a write: the line's other accessing cores.
+    write: u32,
+    /// Contenders of a read: the line's other writing cores.
+    read: u32,
+    /// Whether the line's accessors span sockets.
+    cross: bool,
+}
+
+impl LineFacts {
+    fn contenders(self, is_write: bool) -> (u32, bool) {
+        (if is_write { self.write } else { self.read }, self.cross)
+    }
+}
+
+/// One point's team during compilation, reused across points: where
+/// each thread runs and, per `(stripe, thread)`, the facts of its line.
+#[derive(Debug, Default)]
+struct Team {
+    core: Vec<u32>,
+    socket: Vec<u32>,
+    smt: Vec<bool>,
+    /// Stripe-major: `facts[stripe * threads + tid]`.
+    facts: Vec<LineFacts>,
+    /// `(line index, tid, stripe)` of one multi-stripe region, ordered
+    /// by line.
+    entries: Vec<(u64, usize, usize)>,
+    /// Stamp arrays: the last line that counted a core, a writing core,
+    /// a socket.
+    core_seen: Vec<u32>,
+    writer_seen: Vec<u32>,
+    socket_seen: Vec<u32>,
+    stamp: u32,
+}
+
+impl Team {
+    /// Places the team of `p` and works out the facts of every line
+    /// `lines` puts a thread on.
+    fn place(&mut self, p: &Placement, lines: &BodyLines) {
+        let n = p.len();
+        self.core.clear();
+        self.socket.clear();
+        self.smt.clear();
+        let (mut cores, mut sockets) = (0, 0);
+        p.for_each_thread(|slot, smt| {
+            self.core.push(slot.core);
+            self.socket.push(slot.socket);
+            self.smt.push(smt);
+            cores = cores.max(slot.core as usize + 1);
+            sockets = sockets.max(slot.socket as usize + 1);
+        });
+        for (seen, len) in [
+            (&mut self.core_seen, cores),
+            (&mut self.writer_seen, cores),
+            (&mut self.socket_seen, sockets),
+        ] {
+            if seen.len() < len {
+                seen.resize(len, 0);
+            }
+        }
+        self.facts.clear();
+        self.facts
+            .resize(lines.stripes.len() * n, LineFacts::default());
+        for region in &lines.regions {
+            if let &[s] = region.as_slice() {
+                // One stripe's lines rise with the thread id: each line
+                // holds a run of consecutive threads.
+                let stripe = lines.stripes[s];
+                let mut tid = 0;
+                while tid < n {
+                    let line = stripe.index(tid, LINE_BYTES);
+                    let end = (tid + 1..n)
+                        .find(|&t| stripe.index(t, LINE_BYTES) != line)
+                        .unwrap_or(n);
+                    if end == tid + 1 {
+                        // A thread alone on its line meets no one.
+                        self.facts[s * n + tid] = LineFacts::default();
+                    } else {
+                        self.count_line((tid..end).map(|t| (t, s)), &lines.writes, n);
+                    }
+                    tid = end;
+                }
+                continue;
+            }
+            // Two stripes of a region interleave: merge them by line.
+            let mut entries = std::mem::take(&mut self.entries);
+            entries.clear();
+            for &s in region {
+                let stripe = lines.stripes[s];
+                entries.extend((0..n).map(|tid| (stripe.index(tid, LINE_BYTES), tid, s)));
+            }
+            entries.sort_unstable_by_key(|e| e.0);
+            for group in entries.chunk_by(|a, b| a.0 == b.0) {
+                self.count_line(group.iter().map(|&(_, t, s)| (t, s)), &lines.writes, n);
+            }
+            self.entries = entries;
+        }
+    }
+
+    /// Counts one line's distinct cores, writing cores and sockets over
+    /// the `(tid, stripe)` accesses of `group`, and records each
+    /// access's facts.
+    fn count_line(
+        &mut self,
+        group: impl Iterator<Item = (usize, usize)> + Clone,
+        writes: &[bool],
+        n: usize,
+    ) {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let (mut cores, mut writers, mut sockets) = (0u32, 0u32, 0u32);
+        for (tid, s) in group.clone() {
+            let core = self.core[tid] as usize;
+            let socket = self.socket[tid] as usize;
+            if self.core_seen[core] != stamp {
+                self.core_seen[core] = stamp;
+                cores += 1;
+            }
+            if self.socket_seen[socket] != stamp {
+                self.socket_seen[socket] = stamp;
+                sockets += 1;
+            }
+            if writes[s] && self.writer_seen[core] != stamp {
+                self.writer_seen[core] = stamp;
+                writers += 1;
+            }
+        }
+        for (tid, s) in group {
+            let writes_here = self.writer_seen[self.core[tid] as usize] == stamp;
+            self.facts[s * n + tid] = LineFacts {
+                // The thread's own core accesses the line.
+                write: cores - 1,
+                read: writers - u32::from(writes_here),
+                cross: sockets > 1,
+            };
+        }
+    }
+
+    /// Writes the cost of `op` for every thread of the placed team into
+    /// `adv` and `ext`, calling the cost function once per run of
+    /// threads with one `(contention, SMT)` key.
+    fn fill(
+        &self,
+        model: &CpuModel,
+        op: &CpuOp,
+        stripes: OpStripes,
+        adv: &mut [u64],
+        ext: &mut [u64],
+    ) {
+        let n = adv.len();
+        let mut last: Option<(OpContention, bool, (u64, u64))> = None;
+        for tid in 0..n {
+            let c = OpContention {
+                line: stripes.data.map_or((0, false), |(s, is_write)| {
+                    self.facts[s * n + tid].contenders(is_write)
+                }),
+                lock: stripes
+                    .lock
+                    .map_or((0, false), |s| self.facts[s * n + tid].contenders(true)),
+            };
+            let smt = self.smt[tid];
+            let cell = match last {
+                Some((lc, ls, cell)) if lc == c && ls == smt => cell,
+                _ => {
+                    let cell = cell_of(cost_of(model, op, c, smt));
+                    last = Some((c, smt, cell));
+                    cell
+                }
+            };
+            adv[tid] = cell.0;
+            ext[tid] = cell.1;
+        }
+    }
+}
+
+/// A compiled cost as its table cell `(advance, extra)`.
+fn cell_of(cost: PlanOp) -> (u64, u64) {
+    match cost {
+        PlanOp::Barrier => unreachable!("barriers delimit segments"),
+        PlanOp::Fixed(cost) => (cost, 0),
+        PlanOp::Store {
+            visible,
+            pending_extra,
+        } => (visible, pending_extra),
+        PlanOp::Flush { base } => (base, 0),
     }
 }
 
@@ -345,11 +620,13 @@ pub fn run_batch(
     span.push_arg("ops", body.len());
     span.push_arg("reps", reps);
     let narration = rec.traces().then_some(Narration { body, rec });
-    let table = PlanTable::compile(model, body, placements, rec, |p, contention| {
-        if narration.is_some() {
-            record_coherence_profile(model, p, contention, body, reps, rec);
+    let table = PlanTable::compile(model, body, placements, rec);
+    if narration.is_some() {
+        for p in placements {
+            let contention = ContentionMap::analyze(body, p, LINE_BYTES);
+            record_coherence_profile(model, p, &contention, body, reps, rec);
         }
-    });
+    }
     let results = run_table(&table, reps, narration.as_ref());
     let points = placements.len() as u64;
     rec.counter("cpu_sim.engine_runs").add(points);
@@ -433,11 +710,11 @@ fn run_table(table: &PlanTable, reps: u64, narration: Option<&Narration>) -> Vec
         for (seg_idx, seg) in table.segments.iter().enumerate() {
             match narration {
                 Some(nar) if rep < emit_reps => {
-                    for (point, p) in table.points.iter().enumerate() {
-                        seg.step_narrated(&mut t, &mut pending, point, p, nar, rep);
+                    for point in 0..table.points.len() {
+                        table.step_narrated(seg, &mut t, &mut pending, point, nar, rep);
                     }
                 }
-                _ => seg.step(&mut t, &mut pending),
+                _ => table.step(seg, &mut t, &mut pending),
             }
             if seg_idx < last {
                 for p in &table.points {
@@ -508,7 +785,8 @@ fn run_table(table: &PlanTable, reps: u64, narration: Option<&Narration>) -> Vec
 mod tests {
     use super::*;
     use crate::engine::{run_full_stepping, run_observed};
-    use syncperf_core::{kernel, Affinity, DType, SYSTEM3};
+    use crate::plan::op_cost;
+    use syncperf_core::{kernel, Affinity, DType, Target, SYSTEM1, SYSTEM2, SYSTEM3};
 
     fn bodies() -> Vec<(&'static str, Vec<CpuOp>)> {
         vec![
@@ -522,6 +800,139 @@ mod tests {
         ]
     }
 
+    /// Asserts every cell of one table compiled from `placements` is
+    /// the oracle's [`op_cost`] of its `(thread, op)`, and every
+    /// point's barrier constants are the model's.
+    fn assert_table_is_the_oracle(
+        model: &CpuModel,
+        body: &[CpuOp],
+        placements: &[Placement],
+        what: &str,
+    ) {
+        let table = PlanTable::compile(model, body, placements, &Recorder::disabled());
+        assert_eq!(table.points.len(), placements.len());
+        for (p, point) in placements.iter().zip(&table.points) {
+            assert_eq!(point.lanes, p.len());
+            assert_eq!(
+                point.barrier_units,
+                quantize(model.barrier_ns(p.len() as u32))
+            );
+            assert_eq!(point.stagger_units, quantize(model.release_stagger_ns));
+            let contention = ContentionMap::analyze(body, p, LINE_BYTES);
+            for seg in &table.segments {
+                for (op, row) in seg.rows.clone().enumerate() {
+                    let idx = seg.first + op;
+                    for tid in 0..p.len() {
+                        let cell = row * table.total_lanes + point.start + tid;
+                        let want = cell_of(op_cost(model, p, &contention, &body[idx], tid));
+                        assert_eq!(
+                            (table.advance[cell], table.extra[cell]),
+                            want,
+                            "{what}: {:?} tid {tid} of {:?}",
+                            body[idx],
+                            p
+                        );
+                    }
+                }
+            }
+        }
+        let ops = body
+            .iter()
+            .filter(|op| !matches!(op, CpuOp::Barrier))
+            .count();
+        assert_eq!(table.advance.len(), ops * table.total_lanes, "{what}");
+    }
+
+    /// Both bodies of every CPU kernel constructor, over every dtype
+    /// and a spread of strides.
+    fn every_kernel_body() -> Vec<(String, Vec<CpuOp>)> {
+        let mut kernels = vec![kernel::omp_barrier()];
+        for dt in DType::ALL {
+            kernels.extend([
+                kernel::omp_atomic_update_scalar(dt),
+                kernel::omp_atomic_capture_scalar(dt),
+                kernel::omp_atomic_write(dt),
+                kernel::omp_atomic_read(dt),
+                kernel::omp_critical_add(dt),
+                kernel::omp_critical_section(dt),
+            ]);
+            for stride in [0u32, 1, 3, 8, 16, 64] {
+                kernels.push(kernel::omp_atomic_update_array(dt, stride));
+                kernels.push(kernel::omp_flush(dt, stride));
+            }
+        }
+        kernels
+            .into_iter()
+            .flat_map(|k| {
+                [
+                    (format!("{} baseline", k.name), k.baseline),
+                    (format!("{} test", k.name), k.test),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_cell_is_the_oracle_cost() {
+        for sys in [&SYSTEM1, &SYSTEM2, &SYSTEM3] {
+            let model = CpuModel::for_system(&sys.cpu, sys.cpu_jitter);
+            let cores = sys.cpu.total_cores();
+            let hw = sys.cpu.total_threads();
+            // One table per body mixing every thread count and
+            // affinity, so points of different shapes share rows.
+            let placements: Vec<Placement> = [1, 2, cores, cores + 1, hw, hw + 1]
+                .into_iter()
+                .flat_map(|n| {
+                    [Affinity::Close, Affinity::Spread, Affinity::SystemChoice]
+                        .map(|aff| Placement::new(&sys.cpu, aff, n))
+                })
+                .collect();
+            for (name, body) in every_kernel_body() {
+                assert_table_is_the_oracle(&model, &body, &placements, &format!("{sys} {name}"));
+            }
+        }
+    }
+
+    #[test]
+    fn stripes_that_meet_on_a_line_are_merged() {
+        // Bodies no kernel builds but the engine accepts: two strides
+        // into one array, a read and a write of one private element,
+        // and int array 16 sharing its region with u64 array 0.
+        let upd = |dtype, array, stride| CpuOp::Update {
+            dtype,
+            target: Target::Private { array, stride },
+        };
+        let read = |dtype, array, stride| CpuOp::Read {
+            dtype,
+            target: Target::Private { array, stride },
+        };
+        let bodies = [
+            vec![upd(DType::I32, 0, 1), upd(DType::I32, 0, 3)],
+            vec![read(DType::I32, 0, 2), upd(DType::I32, 0, 5), CpuOp::Flush],
+            vec![
+                read(DType::F64, 1, 1),
+                CpuOp::Barrier,
+                upd(DType::F64, 1, 1),
+            ],
+            vec![upd(DType::I32, 16, 2), read(DType::U64, 0, 1), CpuOp::Flush],
+            vec![
+                read(DType::U64, 0, 0),
+                read(DType::U64, 0, 9),
+                upd(DType::U64, 0, 9),
+            ],
+        ];
+        let model = CpuModel::baseline();
+        let placements: Vec<Placement> = [1u32, 5, 16, 17, 33]
+            .into_iter()
+            .flat_map(|n| {
+                [Affinity::Close, Affinity::Spread].map(|aff| Placement::new(&SYSTEM3.cpu, aff, n))
+            })
+            .collect();
+        for (i, body) in bodies.iter().enumerate() {
+            assert_table_is_the_oracle(&model, body, &placements, &format!("body {i}"));
+        }
+    }
+
     #[test]
     fn one_point_table_matches_interpreter() {
         let model = CpuModel::baseline();
@@ -530,13 +941,7 @@ mod tests {
             for threads in [1u32, 2, 7, 16, 32] {
                 let p = Placement::new(&SYSTEM3.cpu, Affinity::Spread, threads);
                 for reps in [1u64, 3, 37] {
-                    let table = PlanTable::compile(
-                        &model,
-                        &body,
-                        std::slice::from_ref(&p),
-                        &rec,
-                        |_, _| {},
-                    );
+                    let table = PlanTable::compile(&model, &body, std::slice::from_ref(&p), &rec);
                     let got = run_table(&table, reps, None).pop().unwrap();
                     let oracle = run_full_stepping(&model, &p, &body, reps).unwrap();
                     assert_eq!(got, oracle, "{name} x{threads} reps={reps}");

@@ -3,15 +3,23 @@
 //!
 //! Every launched thread finishes at the engine's one total, so an
 //! execution returns that total — except for a system-fence body, whose
-//! per-thread PCIe jitter is drawn thread by thread and folded into a
-//! running maximum. No per-thread vector is built, even at
-//! 128 × 1024 threads, and the draws and the maximum are exactly those
-//! of jittering a vector of the total and taking [`stats::max`] of it.
+//! per-thread PCIe jitter scales the total by `1 + amp·u` with one draw
+//! `u` per launched thread. That map is monotone in `u`, so the largest
+//! jittered copy is the copy of the extreme draw, and the extreme draw
+//! comes from integer maxima over the generator's raw words
+//! ([`SplitMix64::max_symmetric`]). No per-thread value is built or
+//! converted, even at 128 × 1024 threads, yet the result and the RNG
+//! stream position are exactly those of jittering a vector of the total
+//! and taking [`stats::max`] of it.
+//!
+//! A scheduler job that was batch-evaluated runs its protocol on a
+//! [`PrimedGpuSim`], which lends the executor the job's two engine
+//! results by reference instead of copying them into the memo.
 //!
 //! [`stats::max`]: syncperf_core::stats::max
 
 use syncperf_core::rng::SplitMix64;
-use syncperf_core::{stats, ExecParams, Executor, GpuOp, Result, SystemSpec, TimeUnit};
+use syncperf_core::{ExecParams, Executor, GpuOp, Result, SystemSpec, TimeUnit};
 
 use crate::config::GpuModel;
 use crate::engine::{self, GpuEngineResult};
@@ -173,29 +181,99 @@ impl GpuSimExecutor {
         let occ = Occupancy::compute(&self.system.gpu, params.blocks, params.threads)?;
         let result =
             engine::run_observed(&self.model, &occ, body, reps, self.effective_recorder())?;
-        self.prime_engine(body, params, result);
-        Ok(result)
-    }
-
-    /// Seeds the engine memo with a precomputed result for
-    /// `(body, params)`. The scheduler's batched sweep evaluation
-    /// computes many same-shape points in one struct-of-arrays pass
-    /// ([`crate::batch::run_batch`]) and hands each job its slice; the
-    /// protocol's executions then hit the memo instead of re-running
-    /// the engine. Invisible to results for the same reasons the memo
-    /// itself is (see the `cache` field docs).
-    pub fn prime_engine(&mut self, body: &[GpuOp], params: &ExecParams, result: GpuEngineResult) {
         self.cache.insert(
             0,
             CacheEntry {
                 body: body.to_vec(),
                 blocks: params.blocks,
                 threads: params.threads,
-                reps: params.timed_reps(),
+                reps,
                 result,
             },
         );
         self.cache.truncate(ENGINE_CACHE_CAP);
+        Ok(result)
+    }
+
+    /// Lends this executor precomputed engine results for `params`,
+    /// one per body. The scheduler's batched sweep evaluation computes
+    /// many same-shape points in one struct-of-arrays pass
+    /// ([`crate::batch::run_batch`]) and hands each job its slice; the
+    /// protocol then runs on the returned executor, whose executions of
+    /// a lent body (the same slice, compared by address) use its result
+    /// instead of running the engine. Nothing is copied into the memo.
+    /// Invisible to results for the same reasons the memo is (see the
+    /// `cache` field docs).
+    pub fn primed<'a>(
+        &'a mut self,
+        params: &ExecParams,
+        lent: [(&'a [GpuOp], GpuEngineResult); 2],
+    ) -> PrimedGpuSim<'a> {
+        PrimedGpuSim {
+            exec: self,
+            key: (params.blocks, params.threads, params.timed_reps()),
+            lent,
+        }
+    }
+
+    /// One execution's reported time for an engine result: the total,
+    /// or for a system-fence body the largest of one jittered copy of
+    /// the total per launched thread. `total·(1 + amp·u)` never
+    /// decreases in `u` for `amp ≥ 0` (the total is a non-negative
+    /// cycle count), so that copy is the one of the largest draw, and
+    /// of the smallest draw for a negative `amp`; either consumes one
+    /// draw per thread, as the per-thread loop did.
+    fn jittered(&mut self, result: &GpuEngineResult) -> f64 {
+        let total = result.total_cycles();
+        if !result.has_system_fence {
+            return total;
+        }
+        let amp = self.model.fence_system_jitter;
+        let u = if amp < 0.0 {
+            self.rng.min_symmetric(result.total_threads)
+        } else {
+            self.rng.max_symmetric(result.total_threads)
+        };
+        total * (1.0 + amp * u)
+    }
+}
+
+/// A [`GpuSimExecutor`] lent the batch-evaluated engine results of one
+/// parameter point ([`GpuSimExecutor::primed`]). Any other execution
+/// falls through to the executor itself.
+#[derive(Debug)]
+pub struct PrimedGpuSim<'a> {
+    exec: &'a mut GpuSimExecutor,
+    /// `(blocks, threads, reps)` the lent results were evaluated at.
+    key: (u32, u32, u64),
+    lent: [(&'a [GpuOp], GpuEngineResult); 2],
+}
+
+impl Executor for PrimedGpuSim<'_> {
+    type Op = GpuOp;
+
+    fn name(&self) -> &str {
+        self.exec.name()
+    }
+
+    fn time_unit(&self) -> TimeUnit {
+        self.exec.time_unit()
+    }
+
+    fn execute(&mut self, body: &[GpuOp], params: &ExecParams) -> Result<f64> {
+        let lent = (params.blocks, params.threads, params.timed_reps()) == self.key;
+        match self
+            .lent
+            .iter()
+            .find(|(b, _)| lent && std::ptr::eq(*b, body))
+        {
+            Some((_, result)) => {
+                params.validate()?;
+                let result = *result;
+                Ok(self.exec.jittered(&result))
+            }
+            None => self.exec.execute(body, params),
+        }
     }
 }
 
@@ -215,23 +293,14 @@ impl Executor for GpuSimExecutor {
     fn execute(&mut self, body: &[GpuOp], params: &ExecParams) -> Result<f64> {
         params.validate()?;
         let result = self.cached_run(body, params)?;
-        let total = result.total_cycles();
-        if !result.has_system_fence {
-            return Ok(total);
-        }
-        let amp = self.model.fence_system_jitter;
-        let rng = &mut self.rng;
-        Ok(stats::max_of((0..result.total_threads).map(|_| {
-            let u: f64 = rng.gen_symmetric();
-            total * (1.0 + amp * u)
-        })))
+        Ok(self.jittered(&result))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syncperf_core::{kernel, DType, Protocol, Scope, SYSTEM1, SYSTEM2, SYSTEM3};
+    use syncperf_core::{kernel, stats, DType, Protocol, Scope, SYSTEM1, SYSTEM2, SYSTEM3};
 
     fn quick(blocks: u32, threads: u32) -> ExecParams {
         ExecParams::new(threads)
@@ -269,23 +338,30 @@ mod tests {
         // as the executor used to return, and takes its maximum. Three
         // executions pin the RNG stream position: a draw too many or
         // too few shifts every later result.
+        // A negative amplitude turns the largest copy into the one of
+        // the smallest draw.
         let body = kernel::cuda_threadfence(Scope::System, DType::I32, 1).test;
         let params = quick(128, 1024);
-        let mut gpu = GpuSimExecutor::with_seed(&SYSTEM3, 11);
         let occ = Occupancy::compute(&SYSTEM3.gpu, params.blocks, params.threads).unwrap();
-        let run = engine::run(gpu.model(), &occ, &body, params.timed_reps()).unwrap();
-        assert!(run.has_system_fence);
-        let amp = gpu.model().fence_system_jitter;
-        let mut rng = SplitMix64::seed_from_u64(11);
-        for _ in 0..3 {
-            let per_thread: Vec<f64> = (0..128 * 1024)
-                .map(|_| run.total_cycles() * (1.0 + amp * rng.gen_symmetric()))
-                .collect();
-            let expect = stats::max(&per_thread);
-            assert_eq!(
-                gpu.execute(&body, &params).unwrap().to_bits(),
-                expect.to_bits()
-            );
+        let default_amp = GpuSimExecutor::new(&SYSTEM3).model().fence_system_jitter;
+        assert!(default_amp > 0.0);
+        for amp in [default_amp, -default_amp] {
+            let mut gpu = GpuSimExecutor::with_seed(&SYSTEM3, 11);
+            gpu.model_mut().fence_system_jitter = amp;
+            let run = engine::run(gpu.model(), &occ, &body, params.timed_reps()).unwrap();
+            assert!(run.has_system_fence);
+            let mut rng = SplitMix64::seed_from_u64(11);
+            for _ in 0..3 {
+                let per_thread: Vec<f64> = (0..128 * 1024)
+                    .map(|_| run.total_cycles() * (1.0 + amp * rng.gen_symmetric()))
+                    .collect();
+                let expect = stats::max(&per_thread);
+                assert_eq!(
+                    gpu.execute(&body, &params).unwrap().to_bits(),
+                    expect.to_bits(),
+                    "amp {amp}"
+                );
+            }
         }
     }
 
@@ -373,13 +449,13 @@ mod tests {
         let plain = kernel::cuda_atomic_add_scalar(DType::I32).baseline;
         let params = quick(2, 64);
         let mut cached = GpuSimExecutor::with_seed(&SYSTEM3, 7);
-        let mut oracle = GpuSimExecutor::with_seed(&SYSTEM3, 7);
+        let mut exec = GpuSimExecutor::with_seed(&SYSTEM3, 7);
         let occ = Occupancy::compute(&SYSTEM3.gpu, params.blocks, params.threads).unwrap();
-        for body in [&fenced, &plain] {
-            let full =
-                engine::run_full_stepping(oracle.model(), &occ, body, params.timed_reps()).unwrap();
-            oracle.prime_engine(body, &params, full);
-        }
+        let full = |body: &[GpuOp]| {
+            engine::run_full_stepping(exec.model(), &occ, body, params.timed_reps()).unwrap()
+        };
+        let lent = [(&fenced[..], full(&fenced)), (&plain[..], full(&plain))];
+        let mut oracle = exec.primed(&params, lent);
         for _ in 0..3 {
             for body in [&fenced, &plain] {
                 assert_eq!(
@@ -407,8 +483,14 @@ mod tests {
             &syncperf_core::obs::Recorder::disabled(),
         )
         .unwrap();
-        primed.prime_engine(&body, &params, batch[0]);
-        assert_eq!(primed.execute(&body, &params).unwrap(), expect);
+        let baseline = kernel::cuda_syncthreads().baseline;
+        let mut lent = primed.primed(&params, [(&body, batch[0]), (&baseline, batch[0])]);
+        assert_eq!(lent.execute(&body, &params).unwrap(), expect);
+        // An equal body at another address is not lent: it runs the
+        // engine, and the result is the same.
+        let copy = body.clone();
+        assert_eq!(lent.execute(&copy, &params).unwrap(), expect);
+        assert_eq!(primed.cache.len(), 1, "the copy ran the engine");
     }
 
     #[test]

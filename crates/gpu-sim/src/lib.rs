@@ -54,7 +54,7 @@ pub mod trace_tap;
 
 pub use config::{AtomicService, GpuModel};
 pub use engine::{run_full_stepping, GpuEngineResult};
-pub use executor::GpuSimExecutor;
+pub use executor::{GpuSimExecutor, PrimedGpuSim};
 pub use explain::{explain_op as explain_gpu_op, GpuCostBreakdown};
 pub use occupancy::Occupancy;
 pub use program::{

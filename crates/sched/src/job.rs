@@ -469,40 +469,49 @@ impl JobSpec {
     }
 
     /// [`JobSpec::execute`] with batch-precomputed engine results: the
-    /// executor is constructed exactly as in `execute` and its engine
-    /// memo is primed with the kernel's two bodies before the protocol
-    /// runs, so every execution hits the memo instead of re-simulating.
-    /// Byte-identical to `execute(seed)` — the memo is result-invisible
-    /// (jitter is drawn after the memoized run) and the engine results
-    /// are seed-independent, so retries with different seeds may reuse
-    /// the same primed results. A kind-mismatched priming primes
-    /// nothing.
+    /// executor is constructed exactly as in `execute` and is lent the
+    /// kernel's two engine results by reference
+    /// (`CpuSimExecutor::primed`, `GpuSimExecutor::primed`), so every
+    /// execution uses them instead of re-simulating, and nothing is
+    /// copied. Byte-identical to `execute(seed)` — a lent result is
+    /// result-invisible (jitter is drawn after the engine run) and the
+    /// engine results are seed-independent, so retries with different
+    /// seeds lend the same primed results again. A kind-mismatched
+    /// priming primes nothing.
     ///
     /// # Errors
     ///
     /// Propagates executor/protocol errors.
     pub fn execute_primed(&self, seed: u64, primed: &PrimedEngine) -> Result<Measurement> {
-        let mut exec = self.executor().with_jitter_seed(seed);
-        match (&mut exec, self, primed) {
+        match (self.executor().with_jitter_seed(seed), self, primed) {
             (
-                JobExecutor::Cpu(e),
-                JobSpec::CpuSim { kernel, params, .. },
+                JobExecutor::Cpu(mut e),
+                JobSpec::CpuSim {
+                    kernel,
+                    params,
+                    protocol,
+                    ..
+                },
                 PrimedEngine::Cpu { baseline, test },
             ) => {
-                e.prime_engine(&kernel.baseline, params, baseline.clone());
-                e.prime_engine(&kernel.test, params, test.clone());
+                let lent = [(&kernel.baseline[..], baseline), (&kernel.test[..], test)];
+                protocol.measure(&mut e.primed(params, lent), kernel, params)
             }
             (
-                JobExecutor::Gpu(e),
-                JobSpec::GpuSim { kernel, params, .. },
+                JobExecutor::Gpu(mut e),
+                JobSpec::GpuSim {
+                    kernel,
+                    params,
+                    protocol,
+                    ..
+                },
                 PrimedEngine::Gpu { baseline, test },
             ) => {
-                e.prime_engine(&kernel.baseline, params, *baseline);
-                e.prime_engine(&kernel.test, params, *test);
+                let lent = [(&kernel.baseline[..], *baseline), (&kernel.test[..], *test)];
+                protocol.measure(&mut e.primed(params, lent), kernel, params)
             }
-            _ => {}
+            (mut exec, ..) => exec.measure(self),
         }
-        exec.measure(self)
     }
 
     /// Executes the job. Simulator jobs get `seed` as their jitter

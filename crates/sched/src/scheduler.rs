@@ -16,7 +16,7 @@
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use syncperf_core::obs::{Counter, Gauge, Histogram, Recorder, Snapshot};
 use syncperf_core::{Measurement, Result, SyncPerfError};
@@ -64,19 +64,31 @@ pub fn execute_job_with_retry(
     execute_job_with_retry_primed(job, hash, None, on_retry)
 }
 
+/// How long to wait before retrying `job` after failed attempt
+/// `attempt`. A real-thread job backs off 1, 2, 4 ms … so a transient
+/// disturbance of the host can pass; a simulator job retries at once,
+/// because its fresh jitter seed is the whole remedy and there is
+/// nothing to wait out.
+fn retry_backoff(job: &JobSpec, attempt: u32) -> Option<Duration> {
+    match job {
+        JobSpec::RealOmp { .. } => Some(Duration::from_millis(1 << attempt)),
+        JobSpec::CpuSim { .. } | JobSpec::GpuSim { .. } => None,
+    }
+}
+
 /// Executes one job under the scheduler's retry policy: up to
-/// [`MAX_EXECUTE_ATTEMPTS`] attempts with exponential backoff, retrying
-/// when the result looks faulty (exhausted protocol runs) or the error
-/// is transient. Attempt `k` perturbs the jitter seed as
-/// `hash ^ k · 0x9E37_79B9_7F4A_7C15`, so the outcome depends only on
-/// (hash, attempt) — never on which process or worker ran it — which is
-/// what lets a distributed worker reproduce the coordinator's results
-/// bit for bit. `on_retry` is called with the failed attempt number
-/// before each backoff sleep. When `primed` is `Some`, every attempt
-/// reuses the batch-evaluated engine results (they depend only on the
-/// job, never on the seed), so retries stay bit-identical to the
-/// unprimed path. The pool, the dist workers and the dist coordinator
-/// all run jobs here.
+/// [`MAX_EXECUTE_ATTEMPTS`] attempts, retrying when the result looks
+/// faulty (exhausted protocol runs) or the error is transient, after
+/// the job kind's backoff ([`retry_backoff`]). Attempt `k` perturbs the
+/// jitter seed as `hash ^ k · 0x9E37_79B9_7F4A_7C15`, so the outcome
+/// depends only on (hash, attempt) — never on which process or worker
+/// ran it — which is what lets a distributed worker reproduce the
+/// coordinator's results bit for bit. `on_retry` is called with the
+/// failed attempt number before each retry. When `primed` is `Some`,
+/// every attempt reuses the batch-evaluated engine results (they depend
+/// only on the job, never on the seed), so retries stay bit-identical
+/// to the unprimed path. The pool, the dist workers and the dist
+/// coordinator all run jobs here.
 ///
 /// # Errors
 ///
@@ -105,7 +117,9 @@ pub fn execute_job_with_retry_primed(
             return run;
         }
         on_retry(attempt);
-        std::thread::sleep(std::time::Duration::from_millis(1 << attempt));
+        if let Some(wait) = retry_backoff(job, attempt) {
+            std::thread::sleep(wait);
+        }
         attempt += 1;
     }
 }
@@ -786,6 +800,22 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn only_real_thread_jobs_back_off_before_a_retry() {
+        let p = ExecParams::new(2).with_loops(50, 4);
+        let cpu = JobSpec::cpu_sim(&SYSTEM3, kernel::omp_barrier(), p, Protocol::SIM);
+        let gpu = JobSpec::gpu_sim(&SYSTEM3, kernel::cuda_syncwarp(), p, Protocol::SIM);
+        let real = JobSpec::real_omp(kernel::omp_barrier(), p, Protocol::SIM);
+        for attempt in 0..MAX_EXECUTE_ATTEMPTS {
+            assert_eq!(retry_backoff(&cpu, attempt), None);
+            assert_eq!(retry_backoff(&gpu, attempt), None);
+            assert_eq!(
+                retry_backoff(&real, attempt),
+                Some(Duration::from_millis(1 << attempt))
+            );
+        }
     }
 
     #[test]
