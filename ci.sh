@@ -237,14 +237,18 @@ SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-benc
 require_warm_hits launch results/metrics_launch_warm.prom
 
 # `explain` reads the same test-code table as `launch`: every code it
-# lists must explain cleanly.
+# lists must explain cleanly, at the default 16 threads and at 33,
+# where System 3's cores are SMT-loaded (tests/plan_costs.rs pins the
+# totals to the engines' charges).
 echo "==> explain every listed test code"
 explain_codes=$(cargo run --release --offline -q -p syncperf-bench --bin explain -- list)
 [ "$(printf '%s\n' "$explain_codes" | grep -c .)" = 20 ] || {
   echo "explain list printed $(printf '%s\n' "$explain_codes" | grep -c .) codes, expected 20"; exit 1; }
 for code in $explain_codes; do
-  cargo run --release --offline -q -p syncperf-bench --bin explain -- "$code" > /dev/null \
-    || { echo "explain $code failed"; exit 1; }
+  for threads in 16 33; do
+    cargo run --release --offline -q -p syncperf-bench --bin explain -- "$code" --threads "$threads" \
+      > /dev/null || { echo "explain $code --threads $threads failed"; exit 1; }
+  done
 done
 
 # Serve smoke test (docs/SERVING.md): launch the query service over

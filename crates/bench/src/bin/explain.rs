@@ -10,9 +10,11 @@
 //!
 //! `--dtype` and `--stride` pick among the code's kernel instances
 //! (first match in sweep order); a kernel instance's own name, such as
-//! `cuda_vote_All`, picks that instance.
+//! `cuda_vote_All`, picks that instance. `--blocks` (default 2) is the
+//! CUDA codes' axis: an OpenMP code runs one team and takes only
+//! `--blocks 1`.
 
-use syncperf_bench::codes;
+use syncperf_bench::codes::{self, AnyKernel};
 use syncperf_core::{DType, SYSTEM3};
 
 fn usage() -> ! {
@@ -40,14 +42,14 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut name = None;
     let mut threads = 16u32;
-    let mut blocks = 2u32;
+    let mut blocks = None;
     let mut stride = None;
     let mut dtype = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--threads" => threads = number(it.next()),
-            "--blocks" => blocks = number(it.next()),
+            "--blocks" => blocks = Some(number(it.next())),
             "--stride" => stride = Some(number(it.next())),
             "--dtype" => dtype = Some(data_type(it.next())),
             other if other.starts_with('-') => usage(),
@@ -77,6 +79,10 @@ fn main() {
             instances.join(", ")
         ));
     };
+    let blocks = blocks.unwrap_or(match inst.kernel {
+        AnyKernel::Cpu(_) => 1,
+        AnyKernel::Gpu(_) => 2,
+    });
     match code.explain(inst, &SYSTEM3, threads, blocks) {
         Ok(report) => print!("{report}"),
         Err(e) => fail(e),

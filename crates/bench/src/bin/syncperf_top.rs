@@ -211,7 +211,7 @@ fn render_frame(snap: &Snapshot, prev: Option<&Snapshot>, dt: Duration, addr: &s
     let plan_batches = snap.counter("sched_plan_batches");
     if plan_batches > 0 {
         out.push_str(&format!(
-            "\nplan: {plan_batches} batches   {} points   {} primed   compile {}us   trace ops {}\n",
+            "\nplan: {plan_batches} batches   {} points   {} primed   batch priming (compile + evaluate) {}us   trace ops {}\n",
             snap.counter("sched_plan_batch_points"),
             snap.counter("sched_plan_primed_jobs"),
             snap.counter("sched_plan_compile_us"),
@@ -344,7 +344,9 @@ mod tests {
         rec.histogram("plan_batch_size").observe(5);
         let frame = render_frame(&rec.snapshot(), None, Duration::from_secs(1), "test:0");
         assert!(
-            frame.contains("plan: 2 batches   9 points   9 primed   compile 120us   trace ops 340"),
+            frame.contains(
+                "plan: 2 batches   9 points   9 primed   batch priming (compile + evaluate) 120us   trace ops 340"
+            ),
             "frame:\n{frame}"
         );
         assert!(frame.contains("plan batch"));

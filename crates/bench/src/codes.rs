@@ -19,7 +19,7 @@ use syncperf_core::{
     kernel, Affinity, CpuKernel, DType, ExecParams, GpuKernel, Protocol, Result, ResultsStore,
     RunRecord, Scope, ShflVariant, SyncPerfError, SystemSpec, VoteKind,
 };
-use syncperf_cpu_sim::{CpuModel, Placement};
+use syncperf_cpu_sim::{CpuModel, CpuSimExecutor, Placement};
 use syncperf_gpu_sim::{GpuModel, Occupancy};
 use syncperf_sched::JobSpec;
 
@@ -338,9 +338,9 @@ impl TestCode {
     ///
     /// # Errors
     ///
-    /// Returns [`SyncPerfError::InvalidParams`] for parameters
-    /// [`ExecParams::validate`] rejects, and propagates the GPU
-    /// explainer's errors.
+    /// Returns [`SyncPerfError::InvalidParams`] for parameters the
+    /// code's simulator rejects (an OpenMP code runs one team, so
+    /// `blocks` must be 1), and propagates the GPU explainer's errors.
     pub fn explain(
         &self,
         inst: &KernelInstance,
@@ -348,15 +348,17 @@ impl TestCode {
         threads: u32,
         blocks: u32,
     ) -> Result<String> {
-        ExecParams::new(threads).with_blocks(blocks).validate()?;
+        let params = ExecParams::new(threads).with_blocks(blocks);
         let (kernel, device, body) = match &inst.kernel {
             AnyKernel::Cpu(k) => {
+                CpuSimExecutor::check(&params)?;
                 let model = CpuModel::for_system(&system.cpu, system.cpu_jitter);
                 let placement = Placement::new(&system.cpu, self.affinity, threads);
                 let body = syncperf_cpu_sim::explain_body(&model, &placement, &k.test);
                 (&k.name, &system.cpu.name, body)
             }
             AnyKernel::Gpu(k) => {
+                params.validate()?;
                 let occ = Occupancy::compute(&system.gpu, blocks, threads)?;
                 let model = GpuModel::for_spec(&system.gpu);
                 let body = syncperf_gpu_sim::explain::explain_body(&model, &occ, &k.test)?;
@@ -530,8 +532,12 @@ mod tests {
                     (by_labels.dtype, by_labels.stride),
                     (inst.dtype, inst.stride)
                 );
+                let blocks = match code.api {
+                    Api::OpenMp => 1,
+                    Api::Cuda => 2,
+                };
                 let report = code
-                    .explain(inst, &SYSTEM3, 16, 2)
+                    .explain(inst, &SYSTEM3, 16, blocks)
                     .unwrap_or_else(|e| panic!("{}: {e}", inst.kernel.name()));
                 assert!(report.starts_with(inst.kernel.name()), "{report}");
             }
@@ -545,6 +551,11 @@ mod tests {
             .explain(&code.instances[0], &SYSTEM3, 0, 2)
             .unwrap_err();
         assert!(err.to_string().contains("threads must be > 0"), "{err}");
+        // An OpenMP code runs one team: blocks are the CUDA codes' axis.
+        let omp = select("omp_barrier").unwrap()[0];
+        let err = omp.explain(&omp.instances[0], &SYSTEM3, 16, 2).unwrap_err();
+        assert!(err.to_string().contains("single team"), "{err}");
+        assert!(omp.explain(&omp.instances[0], &SYSTEM3, 16, 1).is_ok());
     }
 
     #[test]

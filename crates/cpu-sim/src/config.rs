@@ -156,17 +156,27 @@ impl CpuModel {
     /// contenders span sockets.
     #[must_use]
     pub fn contention_ns(&self, contenders: u32, cross_socket: bool) -> f64 {
+        let [transfer, arbitration, sharer_tax] = self.contention_terms(contenders, cross_socket);
+        transfer + arbitration + sharer_tax
+    }
+
+    /// [`Self::contention_ns`] by mechanism: `[transfer, arbitration,
+    /// sharer tax]`, all zero without contenders.
+    #[must_use]
+    pub(crate) fn contention_terms(&self, contenders: u32, cross_socket: bool) -> [f64; 3] {
         if contenders == 0 {
-            return 0.0;
+            return [0.0; 3];
         }
         let transfer = if cross_socket {
             self.line_transfer_ns * self.cross_socket_factor
         } else {
             self.line_transfer_ns
         };
-        transfer
-            + self.arbitration_ns * f64::from(contenders.min(self.contention_sat))
-            + self.sharer_tax_ns * f64::from(contenders)
+        [
+            transfer,
+            self.arbitration_ns * f64::from(contenders.min(self.contention_sat)),
+            self.sharer_tax_ns * f64::from(contenders),
+        ]
     }
 
     /// Barrier cost for `n` participants, under the configured

@@ -214,7 +214,13 @@ impl CpuSimExecutor {
 
     /// The parameter checks every execution makes before it looks for
     /// an engine result.
-    fn check(params: &ExecParams) -> Result<()> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SyncPerfError::InvalidParams`] for parameters
+    /// [`ExecParams::validate`] rejects and for more than one block:
+    /// the simulated CPU runs a single team.
+    pub fn check(params: &ExecParams) -> Result<()> {
         params.validate()?;
         if params.blocks != 1 {
             return Err(SyncPerfError::InvalidParams(

@@ -2,26 +2,28 @@
 //! mechanism components — the "why is this slow" counterpart of the
 //! engine's opaque totals.
 //!
-//! The breakdown is computed from the same model primitives the engine
-//! uses; a consistency test asserts that the components sum to exactly
-//! what [`crate::engine`] charges.
+//! The breakdown is the engine's own: [`explain_op`] resolves the op's
+//! contention as [`crate::plan::op_cost`] does and reports the terms the
+//! plan's cost function added up, so its total is, to the fixed-point
+//! unit, what [`crate::engine`] charges.
 
-use syncperf_core::{CpuOp, DType};
+use syncperf_core::CpuOp;
 
 use crate::config::CpuModel;
-use crate::memline::{classify, line_of, lock_line, Access, ContentionMap};
+use crate::memline::ContentionMap;
+use crate::plan::op_charge;
 use crate::topology::Placement;
 
 /// One op's latency, split by mechanism. All values in nanoseconds
 /// except the dimensionless `smt_factor` (already applied to the
-/// service term) and the contention metadata.
+/// service, retry and lock terms) and the contention metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CpuCostBreakdown {
     /// Human-readable op description.
     pub op: String,
     /// Core-local service time (includes the SMT factor).
     pub service_ns: f64,
-    /// SMT slowdown applied to the service term (1.0 = core not
+    /// SMT slowdown applied to the core-local terms (1.0 = core not
     /// shared).
     pub smt_factor: f64,
     /// Cache-to-cache line transfer.
@@ -30,7 +32,7 @@ pub struct CpuCostBreakdown {
     pub arbitration_ns: f64,
     /// Unbounded per-sharer tax.
     pub sharer_tax_ns: f64,
-    /// Floating-point CAS-loop retries.
+    /// Floating-point CAS-loop retries (includes the SMT factor).
     pub fp_retry_ns: f64,
     /// Lock acquire/release overhead (critical sections only).
     pub lock_ns: f64,
@@ -41,7 +43,8 @@ pub struct CpuCostBreakdown {
 }
 
 impl CpuCostBreakdown {
-    /// Total modeled latency.
+    /// Total modeled latency: what the plan charges, before it is
+    /// quantized to fixed-point units.
     #[must_use]
     pub fn total_ns(&self) -> f64 {
         self.service_ns
@@ -77,22 +80,6 @@ impl CpuCostBreakdown {
     }
 }
 
-fn contention_parts(model: &CpuModel, contenders: u32, cross: bool) -> (f64, f64, f64) {
-    if contenders == 0 {
-        return (0.0, 0.0, 0.0);
-    }
-    let transfer = if cross {
-        model.line_transfer_ns * model.cross_socket_factor
-    } else {
-        model.line_transfer_ns
-    };
-    (
-        transfer,
-        model.arbitration_ns * f64::from(contenders.min(model.contention_sat)),
-        model.sharer_tax_ns * f64::from(contenders),
-    )
-}
-
 /// Explains the steady-state cost of `body[op_index]` for thread `tid`.
 ///
 /// Barrier and flush costs depend on run-time state (arrival spread,
@@ -112,108 +99,27 @@ pub fn explain_op(
 ) -> CpuCostBreakdown {
     let op = &body[op_index];
     let contention = ContentionMap::analyze(body, placement, 64);
-    let slot = placement.slot(tid);
-    let smt = if placement.core_is_smt_loaded(tid) {
-        model.smt_service_factor
-    } else {
-        1.0
-    };
-
+    let (_, t) = op_charge(model, placement, &contention, op, tid);
     let mut b = CpuCostBreakdown {
         op: format!("{op:?}"),
-        service_ns: 0.0,
-        smt_factor: smt,
-        transfer_ns: 0.0,
-        arbitration_ns: 0.0,
-        sharer_tax_ns: 0.0,
-        fp_retry_ns: 0.0,
-        lock_ns: 0.0,
-        contenders: 0,
-        cross_socket: false,
+        service_ns: t.service,
+        smt_factor: t.smt,
+        transfer_ns: t.transfer,
+        arbitration_ns: t.arbitration,
+        sharer_tax_ns: t.sharer_tax,
+        fp_retry_ns: t.fp_retry,
+        lock_ns: t.lock,
+        contenders: t.contenders,
+        cross_socket: t.cross_socket,
     };
-
-    match classify(op) {
-        Access::None => match op {
-            CpuOp::Flush => b.service_ns = model.fence_base_ns * smt,
-            CpuOp::Barrier => {
-                b.service_ns = model.barrier_ns(placement.len() as u32);
-                b.op.push_str(" (rendezvous cost; arrival wait excluded)");
-            }
-            // The two halves of a split critical section touch only the
-            // lock line: the acquire pays the lock overhead and an RMW,
-            // the release a store, each plus the lock line's contention.
-            CpuOp::CriticalBegin { .. } | CpuOp::CriticalEnd { .. } => {
-                let (lc, lcross) = contention.contenders(lock_line(), slot.core, true);
-                let (lt, la, lx) = contention_parts(model, lc, lcross);
-                let own = if matches!(op, CpuOp::CriticalBegin { .. }) {
-                    model.lock_overhead_ns + model.rmw_int_ns
-                } else {
-                    model.store_ns
-                };
-                b.lock_ns = own * smt + lt + la + lx;
-                (b.contenders, b.cross_socket) = (lc, lcross);
-            }
-            _ => {}
-        },
-        Access::Read(dtype, target) => {
-            let line = line_of(dtype, target, tid, 64);
-            let (c, cross) = contention.contenders(line, slot.core, false);
-            let (t, a, x) = contention_parts(model, c, cross);
-            b.service_ns = model.l1_hit_ns * smt;
-            (b.transfer_ns, b.arbitration_ns, b.sharer_tax_ns) = (t, a, x);
-            (b.contenders, b.cross_socket) = (c, cross);
-        }
-        Access::Write(dtype, target) => {
-            let line = line_of(dtype, target, tid, 64);
-            let (c, cross) = contention.contenders(line, slot.core, true);
-            let (t, a, x) = contention_parts(model, c, cross);
-            (b.contenders, b.cross_socket) = (c, cross);
-            match op {
-                CpuOp::Update { .. } => {
-                    // Store-buffered: the thread sees only part of the
-                    // coherence latency.
-                    let visible = 1.0 - model.store_buffer_hiding;
-                    b.service_ns = (model.l1_hit_ns + model.store_ns) * smt;
-                    b.transfer_ns = t * visible;
-                    b.arbitration_ns = a * visible;
-                    b.sharer_tax_ns = x * visible;
-                }
-                CpuOp::AtomicWrite { .. } => {
-                    b.service_ns = model.store_ns * smt;
-                    (b.transfer_ns, b.arbitration_ns, b.sharer_tax_ns) = (t, a, x);
-                }
-                _ => {
-                    b.service_ns = atomic_service(model, dtype) * smt;
-                    if dtype.is_float() {
-                        b.fp_retry_ns = model.fp_retry_ns * f64::from(c.min(model.contention_sat));
-                    }
-                    (b.transfer_ns, b.arbitration_ns, b.sharer_tax_ns) = (t, a, x);
-                }
-            }
-        }
-        Access::CriticalWrite(dtype, target) => {
-            let (lc, lcross) = contention.contenders(lock_line(), slot.core, true);
-            let (lt, la, lx) = contention_parts(model, lc, lcross);
-            let line = line_of(dtype, target, tid, 64);
-            let (c, cross) = contention.contenders(line, slot.core, true);
-            let (t, a, x) = contention_parts(model, c, cross);
-            b.lock_ns = model.lock_overhead_ns * smt
-                + (model.rmw_int_ns + model.store_ns) * smt
-                + 2.0 * (lt + la + lx);
-            b.service_ns = (model.l1_hit_ns + model.store_ns) * smt;
-            (b.transfer_ns, b.arbitration_ns, b.sharer_tax_ns) = (t, a, x);
-            (b.contenders, b.cross_socket) = (lc.max(c), cross || lcross);
-        }
+    if matches!(op, CpuOp::Barrier) {
+        // The plan charges a barrier at the rendezvous, not per op.
+        #[allow(clippy::cast_possible_truncation)]
+        let n = placement.len() as u32;
+        b.service_ns = model.barrier_ns(n);
+        b.op.push_str(" (rendezvous cost; arrival wait excluded)");
     }
     b
-}
-
-fn atomic_service(model: &CpuModel, dtype: DType) -> f64 {
-    if dtype.is_integer() {
-        model.rmw_int_ns
-    } else {
-        model.rmw_int_ns + model.fp_cas_extra_ns
-    }
 }
 
 /// Explains every op of `body` for thread 0 and renders a report.
@@ -237,7 +143,7 @@ pub fn explain_body(model: &CpuModel, placement: &Placement, body: &[CpuOp]) -> 
 mod tests {
     use super::*;
     use crate::engine;
-    use syncperf_core::{kernel, Affinity, SYSTEM3};
+    use syncperf_core::{kernel, Affinity, DType, SYSTEM3};
 
     fn setup(threads: u32) -> (CpuModel, Placement) {
         (
@@ -375,7 +281,11 @@ mod tests {
         let b = explain_op(&model, &placement, &body, 0, 0);
         assert_eq!(b.contenders, 0);
         assert_eq!(b.transfer_ns + b.arbitration_ns + b.sharer_tax_ns, 0.0);
-        assert!((b.total_ns() - model.rmw_int_ns).abs() < 1e-9);
+        assert!(b.service_ns > 0.0);
+        assert_eq!(b.total_ns(), b.service_ns);
+        // Padding makes a team of 16 cost what a thread alone does.
+        let (_, alone) = setup(1);
+        assert_eq!(b, explain_op(&model, &alone, &body, 0, 0));
     }
 
     #[test]
@@ -394,16 +304,29 @@ mod tests {
         let (model, placement) = setup(8);
         let body = kernel::omp_critical_add(DType::I32).baseline;
         let b = explain_op(&model, &placement, &body, 0, 0);
-        assert!(b.lock_ns > model.lock_overhead_ns);
+        let (_, alone) = setup(1);
+        let uncontended = explain_op(&model, &alone, &body, 0, 0);
+        assert!(uncontended.lock_ns > 0.0);
+        assert!(
+            b.lock_ns > uncontended.lock_ns,
+            "the lock line is contended"
+        );
     }
 
     #[test]
     fn smt_factor_reported_when_core_shared() {
         let model = CpuModel::baseline();
-        let placement = Placement::new(&SYSTEM3.cpu, Affinity::Close, 32);
-        let body = kernel::omp_atomic_update_array(DType::I32, 16).baseline;
-        let b = explain_op(&model, &placement, &body, 0, 0);
-        assert_eq!(b.smt_factor, model.smt_service_factor);
+        let body = kernel::omp_atomic_update_scalar(DType::F64).baseline;
+        let shared = Placement::new(&SYSTEM3.cpu, Affinity::Close, 32);
+        let b = explain_op(&model, &shared, &body, 0, 0);
+        let (_, own_core) = setup(16);
+        let unshared = explain_op(&model, &own_core, &body, 0, 0);
+        assert!(b.smt_factor > 1.0);
+        assert_eq!(unshared.smt_factor, 1.0);
+        // The factor scales every core-local term, CAS retries too.
+        assert_eq!(b.contenders, unshared.contenders);
+        assert_eq!(b.service_ns, unshared.service_ns * b.smt_factor);
+        assert_eq!(b.fp_retry_ns, unshared.fp_retry_ns * b.smt_factor);
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! A cost depends on the thread only through the op's line contention
 //! and whether its core is SMT-loaded, so a cost is two steps: find the
 //! `(thread, op)`'s contenders (`OpContention`), then turn `(op,
-//! contenders, SMT)` into a quantized [`PlanOp`] (`cost_of`).
+//! contenders, SMT)` into a quantized [`PlanOp`] (`cost_of`). The cost
+//! function is the one place the model's latencies are combined: it
+//! also returns the mechanism terms it added up, which
+//! [`crate::explain`] reports, so an explained total is the charged
+//! one.
 //! Production compiles go straight into the evaluator's table
 //! (`trace::PlanTable::compile`), finding contenders from runs of
 //! threads on a line. The oracle takes the first step from a
@@ -131,7 +135,7 @@ impl RunPlan {
                 let cost = match last {
                     Some((lc, ls, cost)) if lc == c && ls == smt_loaded => cost,
                     _ => {
-                        let cost = cost_of(model, op, c, smt_loaded);
+                        let cost = cost_of(model, op, c, smt_loaded).0;
                         last = Some((c, smt_loaded, cost));
                         cost
                     }
@@ -290,82 +294,146 @@ pub fn op_cost(
     op: &CpuOp,
     tid: usize,
 ) -> PlanOp {
+    op_charge(model, placement, contention, op, tid).0
+}
+
+/// [`op_cost`] with the terms it was built from.
+pub(crate) fn op_charge(
+    model: &CpuModel,
+    placement: &Placement,
+    contention: &ContentionMap,
+    op: &CpuOp,
+    tid: usize,
+) -> (PlanOp, CostTerms) {
     let c = Resolver::new(contention).resolve(OpLines::of(op), tid, placement.slot(tid).core);
     cost_of(model, op, c, placement.core_is_smt_loaded(tid))
 }
 
+/// One op's cost by mechanism, in nanoseconds: the terms [`cost_of`]
+/// charges, before quantization. The data line's terms are what the
+/// issuing thread sees; a plain store leaves the rest to a later fence.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct CostTerms {
+    /// SMT slowdown of the issuing core (1.0 = core not shared),
+    /// already applied to the service, retry and lock terms.
+    pub(crate) smt: f64,
+    /// Core-local service time.
+    pub(crate) service: f64,
+    /// Cache-to-cache transfer of the data line.
+    pub(crate) transfer: f64,
+    /// Saturating arbitration queue on the data line.
+    pub(crate) arbitration: f64,
+    /// Unbounded per-sharer tax on the data line.
+    pub(crate) sharer_tax: f64,
+    /// Floating-point CAS-loop retries.
+    pub(crate) fp_retry: f64,
+    /// Lock overhead, acquire and release, with the lock line's
+    /// contention.
+    pub(crate) lock: f64,
+    /// Contenders on the most contended line the op touches.
+    pub(crate) contenders: u32,
+    /// Whether any touched line's contenders span sockets.
+    pub(crate) cross_socket: bool,
+}
+
 /// The cost function: one op's latency under contention `c`, on an
-/// SMT-loaded core or not, quantized.
-pub(crate) fn cost_of(model: &CpuModel, op: &CpuOp, c: OpContention, smt_loaded: bool) -> PlanOp {
+/// SMT-loaded core or not, quantized, and the terms it adds up. The
+/// one place the model's latencies are combined into an op cost.
+pub(crate) fn cost_of(
+    model: &CpuModel,
+    op: &CpuOp,
+    c: OpContention,
+    smt_loaded: bool,
+) -> (PlanOp, CostTerms) {
     let smt = if smt_loaded {
         model.smt_service_factor
     } else {
         1.0
     };
-    let lock_line_cost = model.contention_ns(c.lock.0, c.lock.1);
-    let coherence = model.contention_ns(c.line.0, c.line.1);
-    match *op {
+    let lock_line = model.contention_ns(c.lock.0, c.lock.1);
+    let [transfer, arbitration, sharer_tax] = model.contention_terms(c.line.0, c.line.1);
+    let coherence = transfer + arbitration + sharer_tax;
+    let mut t = CostTerms {
+        smt,
+        transfer,
+        arbitration,
+        sharer_tax,
+        contenders: c.line.0.max(c.lock.0),
+        cross_socket: c.line.1 || c.lock.1,
+        ..CostTerms::default()
+    };
+    let plan = match *op {
         CpuOp::Barrier => PlanOp::Barrier,
-        CpuOp::Flush => PlanOp::Flush {
-            base: quantize(model.fence_base_ns * smt),
-        },
+        CpuOp::Flush => {
+            t.service = model.fence_base_ns * smt;
+            PlanOp::Flush {
+                base: quantize(t.service),
+            }
+        }
         CpuOp::CriticalAdd { .. } => {
             // Lock acquire (RMW on the lock line), protected plain
             // update, lock release (store on the lock line).
-            let acquire = model.rmw_int_ns * smt + lock_line_cost;
-            let release = model.store_ns * smt + lock_line_cost;
-            let body_cost = (model.l1_hit_ns + model.store_ns) * smt + coherence;
+            let acquire = model.rmw_int_ns * smt + lock_line;
+            let release = model.store_ns * smt + lock_line;
+            t.service = (model.l1_hit_ns + model.store_ns) * smt;
+            t.lock = model.lock_overhead_ns * smt + acquire + release;
             PlanOp::Fixed(quantize(
-                model.lock_overhead_ns * smt + acquire + body_cost + release,
+                model.lock_overhead_ns * smt + acquire + (t.service + coherence) + release,
             ))
         }
         // The acquire half of the CriticalAdd cost split: lock overhead
         // plus an RMW on the contended lock line.
-        CpuOp::CriticalBegin { .. } => PlanOp::Fixed(quantize(
-            model.lock_overhead_ns * smt + model.rmw_int_ns * smt + lock_line_cost,
-        )),
+        CpuOp::CriticalBegin { .. } => {
+            t.lock = model.lock_overhead_ns * smt + model.rmw_int_ns * smt + lock_line;
+            PlanOp::Fixed(quantize(t.lock))
+        }
         // The release half: a store on the lock line.
-        CpuOp::CriticalEnd { .. } => PlanOp::Fixed(quantize(model.store_ns * smt + lock_line_cost)),
-        _ => match classify(op) {
-            Access::None => PlanOp::Fixed(0),
-            Access::Read(..) => PlanOp::Fixed(quantize(model.l1_hit_ns * smt + coherence)),
-            Access::Write(dtype, _) => match op {
-                // The store buffer hides part of the coherence latency
-                // from the issuing thread; a fence that drains the
-                // buffer pays the hidden fraction.
-                CpuOp::Update { .. } => PlanOp::Store {
-                    visible: quantize(
-                        (model.l1_hit_ns + model.store_ns) * smt
-                            + (1.0 - model.store_buffer_hiding) * coherence,
-                    ),
-                    pending_extra: quantize(coherence * model.store_buffer_hiding),
-                },
-                // No arithmetic: word size and type are irrelevant
-                // (Fig. 4) — a 64-bit CPU stores ≤ 8 B in one go.
-                CpuOp::AtomicWrite { .. } => {
-                    PlanOp::Fixed(quantize(model.store_ns * smt + coherence))
-                }
-                _ => PlanOp::Fixed(quantize(
-                    atomic_rmw_service(model, dtype, c.line.0) * smt + coherence,
-                )),
-            },
-            Access::CriticalWrite(..) => unreachable!("handled above"),
-        },
-    }
-}
-
-/// Service time of an atomic read-modify-write: integers use one
-/// lock-prefixed instruction; floats run a compare-exchange loop that
-/// retries under contention (hence the integer/floating-point gap in
-/// Figs. 2 and 3).
-fn atomic_rmw_service(model: &CpuModel, dtype: syncperf_core::DType, contenders: u32) -> f64 {
-    if dtype.is_integer() {
-        model.rmw_int_ns
-    } else {
-        model.rmw_int_ns
-            + model.fp_cas_extra_ns
-            + model.fp_retry_ns * f64::from(contenders.min(model.contention_sat))
-    }
+        CpuOp::CriticalEnd { .. } => {
+            t.lock = model.store_ns * smt + lock_line;
+            PlanOp::Fixed(quantize(t.lock))
+        }
+        CpuOp::Read { .. } | CpuOp::AtomicRead { .. } => {
+            t.service = model.l1_hit_ns * smt;
+            PlanOp::Fixed(quantize(t.service + coherence))
+        }
+        // The store buffer hides part of the coherence latency from the
+        // issuing thread; a fence that drains the buffer pays the
+        // hidden fraction.
+        CpuOp::Update { .. } => {
+            let seen = 1.0 - model.store_buffer_hiding;
+            t.service = (model.l1_hit_ns + model.store_ns) * smt;
+            t.transfer *= seen;
+            t.arbitration *= seen;
+            t.sharer_tax *= seen;
+            PlanOp::Store {
+                visible: quantize(t.service + seen * coherence),
+                pending_extra: quantize(coherence * model.store_buffer_hiding),
+            }
+        }
+        // No arithmetic: word size and type are irrelevant (Fig. 4) —
+        // a 64-bit CPU stores ≤ 8 B in one go.
+        CpuOp::AtomicWrite { .. } => {
+            t.service = model.store_ns * smt;
+            PlanOp::Fixed(quantize(t.service + coherence))
+        }
+        // Integers use one lock-prefixed instruction; floats run a
+        // compare-exchange loop that retries under contention (hence
+        // the integer/floating-point gap in Figs. 2 and 3).
+        CpuOp::AtomicUpdate { dtype, .. } | CpuOp::AtomicCapture { dtype, .. } => {
+            let (service, retry) = if dtype.is_integer() {
+                (model.rmw_int_ns, 0.0)
+            } else {
+                (
+                    model.rmw_int_ns + model.fp_cas_extra_ns,
+                    model.fp_retry_ns * f64::from(c.line.0.min(model.contention_sat)),
+                )
+            };
+            t.service = service * smt;
+            t.fp_retry = retry * smt;
+            PlanOp::Fixed(quantize((service + retry) * smt + coherence))
+        }
+    };
+    (plan, t)
 }
 
 #[cfg(test)]

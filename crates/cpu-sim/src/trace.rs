@@ -21,7 +21,8 @@
 //! each cost into its table cell directly. Stripes of one memory region
 //! that could meet on a line (two strides into one array) are merged by
 //! line before counting. The cells equal [`crate::plan::op_cost`] —
-//! the [`ContentionMap`]-based oracle — on every `(thread, op)`.
+//! the [`crate::memline::ContentionMap`]-based oracle — on every
+//! `(thread, op)`.
 //!
 //! **Evaluation.** Every `(thread, op)` is a pre-resolved
 //! `{advance, extra}` record plus a per-op drain mask, and the three
@@ -65,7 +66,7 @@ use syncperf_core::{CpuOp, Result, SyncPerfError};
 
 use crate::config::CpuModel;
 use crate::engine::{EngineResult, OBSERVED_REPS};
-use crate::memline::{classify, line_of, lock_line, Access, ContentionMap, LineId, Stripe};
+use crate::memline::Stripe;
 use crate::plan::{cost_of, quantize, units_to_ns, OpContention, OpLines, PlanOp};
 use crate::topology::Placement;
 
@@ -139,13 +140,41 @@ struct PlanTable {
     points: Vec<TablePoint>,
     total_lanes: usize,
     barriers_per_rep: u64,
+    /// The coherence profile, compiled only for a tracing recorder.
+    profile: Option<CoherenceProfile>,
+}
+
+/// The analytic coherence profile of a table: per repetition, the
+/// contended line accesses (each a MESI-level transaction through the
+/// directory), and the arbitration-queue high-water depth.
+#[derive(Debug, Default, Clone, Copy)]
+struct CoherenceProfile {
+    transitions_per_rep: u64,
+    arb_depth_max: u32,
+}
+
+impl CoherenceProfile {
+    /// Counts one thread's accesses of an op that meets contention `c`
+    /// on `stripes`, once per copy of the op in the body.
+    fn count(&mut self, sat: u32, stripes: OpStripes, c: OpContention) {
+        for (touched, (contenders, _)) in [
+            (stripes.data.is_some(), c.line),
+            (stripes.lock.is_some(), c.lock),
+        ] {
+            if touched {
+                self.arb_depth_max = self.arb_depth_max.max(contenders.min(sat));
+                self.transitions_per_rep += u64::from(contenders > 0) * stripes.copies;
+            }
+        }
+    }
 }
 
 impl PlanTable {
     /// Compiles `body` at each placement into one table, one dense pass
     /// per point (see the module docs). A live recorder gets the
     /// compile time in `plan.compile_us` and the table size in
-    /// `plan.trace_ops`.
+    /// `plan.trace_ops`; a tracing one also gets the table's
+    /// [`CoherenceProfile`], counted in the same pass.
     fn compile(model: &CpuModel, body: &[CpuOp], placements: &[Placement], rec: &Recorder) -> Self {
         let start = rec.is_enabled().then(Instant::now);
         let lines = BodyLines::of(body);
@@ -174,6 +203,7 @@ impl PlanTable {
         let mut extra = vec![0u64; mask.len() * total_lanes];
 
         let mut team = Team::default();
+        let mut profile = rec.traces().then(CoherenceProfile::default);
         let mut points = Vec::with_capacity(placements.len());
         let mut at = 0usize;
         for p in placements {
@@ -188,6 +218,7 @@ impl PlanTable {
                         stripes,
                         &mut advance[cells.clone()],
                         &mut extra[cells],
+                        profile.as_mut(),
                     );
                 }
             }
@@ -221,6 +252,7 @@ impl PlanTable {
             segments,
             points,
             total_lanes,
+            profile,
         };
         if let Some(start) = start {
             rec.histogram("plan.compile_us")
@@ -305,6 +337,8 @@ impl PlanTable {
 struct OpStripes {
     data: Option<(usize, bool)>,
     lock: Option<usize>,
+    /// How many times the op occurs in the body.
+    copies: u64,
 }
 
 /// The line geometry of a body, the same at every point: its distinct
@@ -340,7 +374,8 @@ impl BodyLines {
                 (lines.intern(Stripe::of(dtype, target), is_write), is_write)
             });
             let lock = touched.lock.then(|| lines.intern(Stripe::lock(), true));
-            lines.ops.push(Some(OpStripes { data, lock }));
+            let copies = body[idx..].iter().filter(|&o| o == op).count() as u64;
+            lines.ops.push(Some(OpStripes { data, lock, copies }));
         }
         lines
     }
@@ -512,7 +547,8 @@ impl Team {
 
     /// Writes the cost of `op` for every thread of the placed team into
     /// `adv` and `ext`, calling the cost function once per run of
-    /// threads with one `(contention, SMT)` key.
+    /// threads with one `(contention, SMT)` key, and counts each
+    /// thread's key into `profile`.
     fn fill(
         &self,
         model: &CpuModel,
@@ -520,6 +556,7 @@ impl Team {
         stripes: OpStripes,
         adv: &mut [u64],
         ext: &mut [u64],
+        mut profile: Option<&mut CoherenceProfile>,
     ) {
         let n = adv.len();
         let mut last: Option<(OpContention, bool, (u64, u64))> = None;
@@ -532,11 +569,14 @@ impl Team {
                     .lock
                     .map_or((0, false), |s| self.facts[s * n + tid].contenders(true)),
             };
+            if let Some(profile) = profile.as_deref_mut() {
+                profile.count(model.contention_sat, stripes, c);
+            }
             let smt = self.smt[tid];
             let cell = match last {
                 Some((lc, ls, cell)) if lc == c && ls == smt => cell,
                 _ => {
-                    let cell = cell_of(cost_of(model, op, c, smt));
+                    let cell = cell_of(cost_of(model, op, c, smt).0);
                     last = Some((c, smt, cell));
                     cell
                 }
@@ -621,11 +661,11 @@ pub fn run_batch(
     span.push_arg("reps", reps);
     let narration = rec.traces().then_some(Narration { body, rec });
     let table = PlanTable::compile(model, body, placements, rec);
-    if narration.is_some() {
-        for p in placements {
-            let contention = ContentionMap::analyze(body, p, LINE_BYTES);
-            record_coherence_profile(model, p, &contention, body, reps, rec);
-        }
+    if let Some(profile) = table.profile {
+        rec.gauge("cpu_sim.arb_queue_depth_max")
+            .record(u64::from(profile.arb_depth_max));
+        rec.counter("cpu_sim.mesi_transitions")
+            .add(profile.transitions_per_rep * reps);
     }
     let results = run_table(&table, reps, narration.as_ref());
     let points = placements.len() as u64;
@@ -633,51 +673,6 @@ pub fn run_batch(
     rec.counter("cpu_sim.barrier_rounds")
         .add(table.barriers_per_rep * reps * points);
     Ok(results)
-}
-
-/// Records the analytic coherence profile of one point from its
-/// contention map: the number of MESI-level coherence transactions the
-/// map implies (every contended access misses locally and goes through
-/// the directory) and the arbitration-queue depth high-water mark.
-/// Called only while the event plane is on.
-fn record_coherence_profile(
-    model: &CpuModel,
-    placement: &Placement,
-    contention: &ContentionMap,
-    body: &[CpuOp],
-    reps: u64,
-    rec: &Recorder,
-) {
-    let arb = rec.gauge("cpu_sim.arb_queue_depth_max");
-    let mut transitions = 0u64;
-    let mut lines: Vec<(LineId, bool)> = Vec::with_capacity(2);
-    for tid in 0..placement.len() {
-        let core = placement.slot(tid).core;
-        for op in body {
-            lines.clear();
-            match classify(op) {
-                Access::None => {}
-                Access::Read(dtype, target) => {
-                    lines.push((line_of(dtype, target, tid, contention.line_bytes()), false));
-                }
-                Access::Write(dtype, target) => {
-                    lines.push((line_of(dtype, target, tid, contention.line_bytes()), true));
-                }
-                Access::CriticalWrite(dtype, target) => {
-                    lines.push((lock_line(), true));
-                    lines.push((line_of(dtype, target, tid, contention.line_bytes()), true));
-                }
-            }
-            for &(line, write) in &lines {
-                let (c, _) = contention.contenders(line, core, write);
-                arb.record(u64::from(c.min(model.contention_sat)));
-                if c > 0 {
-                    transitions += reps;
-                }
-            }
-        }
-    }
-    rec.counter("cpu_sim.mesi_transitions").add(transitions);
 }
 
 /// The rep loop over a compiled [`PlanTable`]. With a narration the
@@ -785,6 +780,7 @@ fn run_table(table: &PlanTable, reps: u64, narration: Option<&Narration>) -> Vec
 mod tests {
     use super::*;
     use crate::engine::{run_full_stepping, run_observed};
+    use crate::memline::{line_of, lock_line, ContentionMap};
     use crate::plan::op_cost;
     use syncperf_core::{kernel, Affinity, DType, Target, SYSTEM1, SYSTEM2, SYSTEM3};
 
@@ -891,6 +887,91 @@ mod tests {
                 assert_table_is_the_oracle(&model, &body, &placements, &format!("{sys} {name}"));
             }
         }
+    }
+
+    /// The coherence profile of `body` at `placements` from contention
+    /// maps: per repetition, every line access of every op (the lock
+    /// line of a critical bracket too) that meets a contender, and the
+    /// deepest saturated arbitration queue.
+    fn profile_oracle(model: &CpuModel, body: &[CpuOp], placements: &[Placement]) -> (u64, u32) {
+        let (mut transitions, mut depth) = (0, 0);
+        for p in placements {
+            let contention = ContentionMap::analyze(body, p, LINE_BYTES);
+            for tid in 0..p.len() {
+                let core = p.slot(tid).core;
+                for op in body {
+                    let lines = OpLines::of(op);
+                    let data = lines
+                        .data
+                        .map(|(dtype, target, w)| (line_of(dtype, target, tid, LINE_BYTES), w));
+                    let lock = lines.lock.then(|| (lock_line(), true));
+                    for (line, write) in data.into_iter().chain(lock) {
+                        let (c, _) = contention.contenders(line, core, write);
+                        depth = depth.max(c.min(model.contention_sat));
+                        transitions += u64::from(c > 0);
+                    }
+                }
+            }
+        }
+        (transitions, depth)
+    }
+
+    #[test]
+    fn coherence_profile_is_the_oracles() {
+        for sys in [&SYSTEM1, &SYSTEM3] {
+            let model = CpuModel::for_system(&sys.cpu, sys.cpu_jitter);
+            let placements: Vec<Placement> = [1, 4, sys.cpu.total_cores() + 1]
+                .into_iter()
+                .flat_map(|n| {
+                    [Affinity::Close, Affinity::Spread].map(|aff| Placement::new(&sys.cpu, aff, n))
+                })
+                .collect();
+            for (name, body) in every_kernel_body() {
+                let table = PlanTable::compile(&model, &body, &placements, &Recorder::tracing());
+                let profile = table.profile.expect("a tracing compile counts the profile");
+                assert_eq!(
+                    (profile.transitions_per_rep, profile.arb_depth_max),
+                    profile_oracle(&model, &body, &placements),
+                    "{sys} {name}"
+                );
+            }
+        }
+        let quiet = PlanTable::compile(
+            &CpuModel::baseline(),
+            &kernel::omp_barrier().test,
+            &[Placement::new(&SYSTEM3.cpu, Affinity::Spread, 2)],
+            &Recorder::enabled(),
+        );
+        assert!(quiet.profile.is_none(), "only tracing pays for the profile");
+    }
+
+    #[test]
+    fn critical_brackets_count_their_lock_line() {
+        let model = CpuModel::baseline();
+        let p = [Placement::new(&SYSTEM3.cpu, Affinity::Spread, 4)];
+        let transitions = |body: &[CpuOp]| {
+            let rec = Recorder::tracing();
+            run_batch(&model, body, &p, 10, &rec).unwrap();
+            rec.snapshot().counter("cpu_sim.mesi_transitions")
+        };
+        let upd = CpuOp::Update {
+            dtype: DType::I32,
+            target: Target::SHARED,
+        };
+        let bracketed = [
+            CpuOp::CriticalBegin { lock: 0 },
+            upd,
+            CpuOp::CriticalEnd { lock: 0 },
+        ];
+        let fused = CpuOp::CriticalAdd {
+            dtype: DType::I32,
+            target: Target::SHARED,
+        };
+        // 4 threads, each contended access once per rep for 10 reps.
+        assert_eq!(transitions(&[upd]), 40);
+        assert_eq!(transitions(&[fused]), 80, "data line and lock line");
+        assert_eq!(transitions(&bracketed), 120, "acquire, update, release");
+        assert_eq!(transitions(&[upd, upd]), 80, "a repeated op counts twice");
     }
 
     #[test]

@@ -104,6 +104,40 @@ pub fn lines_per_warp(m: &GpuModel, occ: &Occupancy, dtype: DType, stride: u32) 
     (lines.max(1) as f64).min(f64::from(lanes))
 }
 
+/// One atomic's cycles by mechanism, as [`atomic`] charges them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct AtomicCost {
+    /// Base service cycles (dtype- and scope-dependent, plus the CAS
+    /// class's extra).
+    pub service: f64,
+    /// Warp-aggregation pre-reduction (aggregated shared-scalar adds).
+    pub aggregation: f64,
+    /// Same-address queueing (shared scalars).
+    pub same_addr: f64,
+    /// Per-SM atomic-issue queueing (private arrays).
+    pub sm_queue: f64,
+    /// L2 line transactions (private arrays).
+    pub l2_tx: f64,
+    /// Device-wide L2 bandwidth queueing (private arrays).
+    pub l2_queue: f64,
+    /// Concurrent same-address requests (shared scalars).
+    pub requests: u32,
+}
+
+impl AtomicCost {
+    /// The charged cycles: the terms added in the engine's order (a
+    /// term a target does not pay is zero and adds exactly nothing).
+    #[must_use]
+    pub fn total(&self) -> f64 {
+        self.service
+            + self.aggregation
+            + self.same_addr
+            + self.l2_tx
+            + self.sm_queue
+            + self.l2_queue
+    }
+}
+
 /// An atomic operation.
 ///
 /// * **Shared scalar, `atomicAdd`, aggregation on** — the driver's
@@ -127,42 +161,43 @@ pub fn atomic(
     dtype: DType,
     scope: Scope,
     target: Target,
-) -> f64 {
+) -> AtomicCost {
     let (service_base, arb_factor) = match scope {
         Scope::Block => (m.atomic_block.for_dtype(dtype), 0.4),
         _ => (m.atomic_device.for_dtype(dtype), 1.0),
     };
-    let service = service_base
-        + match kind {
-            AtomicKind::Add => 0.0,
-            AtomicKind::Cas | AtomicKind::Exch | AtomicKind::Max => m.cas_extra_cy,
-        };
-
+    let mut cost = AtomicCost {
+        service: service_base
+            + match kind {
+                AtomicKind::Add => 0.0,
+                AtomicKind::Cas | AtomicKind::Exch | AtomicKind::Max => m.cas_extra_cy,
+            },
+        ..AtomicCost::default()
+    };
     match target {
         Target::SharedScalar(_) => {
             let aggregated = kind == AtomicKind::Add && m.warp_aggregation;
-            let requests = match (scope, aggregated) {
+            cost.requests = match (scope, aggregated) {
                 (Scope::Block, true) => occ.warps_per_block,
                 (Scope::Block, false) => occ.threads_per_block,
                 (_, true) => occ.total_resident_warps,
                 (_, false) => occ.total_resident_threads,
             };
-            let agg_cost = if aggregated {
-                m.warp_agg_reduce_cy
-            } else {
-                0.0
-            };
-            service
-                + agg_cost
-                + m.same_addr_delay(requests) * arb_factor * m.dtype_contention_factor(dtype)
+            if aggregated {
+                cost.aggregation = m.warp_agg_reduce_cy;
+            }
+            cost.same_addr =
+                m.same_addr_delay(cost.requests) * arb_factor * m.dtype_contention_factor(dtype);
         }
         Target::Private { array: _, stride } => {
             let k = lines_per_warp(m, occ, dtype, stride);
-            let sm_queue = m.sm_atomic_queue_cy * f64::from(occ.warps_per_sm.saturating_sub(1));
+            cost.l2_tx = k * m.l2_tx_cy;
+            cost.sm_queue = m.sm_atomic_queue_cy * f64::from(occ.warps_per_sm.saturating_sub(1));
             let pressure = f64::from(occ.total_resident_warps) * k;
-            service + k * m.l2_tx_cy + sm_queue + m.l2_queue_delay(pressure) * arb_factor
+            cost.l2_queue = m.l2_queue_delay(pressure) * arb_factor;
         }
     }
+    cost
 }
 
 /// Maps a [`GpuOp`] atomic to its kind, if it is one. The further RMW
@@ -222,6 +257,18 @@ mod tests {
 
     fn occ(blocks: u32, threads: u32) -> Occupancy {
         Occupancy::compute(&SYSTEM3.gpu, blocks, threads).unwrap()
+    }
+
+    /// The charged cycles of [`super::atomic`].
+    fn atomic(
+        m: &GpuModel,
+        occ: &Occupancy,
+        kind: AtomicKind,
+        dtype: DType,
+        scope: Scope,
+        target: Target,
+    ) -> f64 {
+        super::atomic(m, occ, kind, dtype, scope, target).total()
     }
 
     #[test]
@@ -436,6 +483,35 @@ mod tests {
         assert!(costs[0] < costs[1], "int < ull");
         assert!(costs[1] < costs[2], "ull < float");
         assert!(costs[2] <= costs[3], "float ≤ double");
+    }
+
+    #[test]
+    fn atomic_terms_name_their_mechanisms() {
+        let m = model();
+        let add = |target| {
+            super::atomic(
+                &m,
+                &occ(2, 1024),
+                AtomicKind::Add,
+                DType::I32,
+                Scope::Device,
+                target,
+            )
+        };
+        let shared = add(Target::SHARED);
+        assert_eq!(shared.service, m.atomic_device.i32_cy);
+        assert_eq!(shared.aggregation, m.warp_agg_reduce_cy);
+        assert_eq!(shared.requests, 64, "2 blocks x 32 warps after aggregation");
+        assert!(shared.same_addr > 0.0);
+        assert_eq!(shared.sm_queue + shared.l2_tx + shared.l2_queue, 0.0);
+        let private = add(Target::private(32));
+        assert_eq!(private.aggregation + private.same_addr, 0.0);
+        assert_eq!(private.requests, 0);
+        assert_eq!(
+            private.l2_tx,
+            lines_per_warp(&m, &occ(2, 1024), DType::I32, 32) * m.l2_tx_cy
+        );
+        assert!(private.sm_queue > 0.0);
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub fn op_cycles(m: &GpuModel, occ: &Occupancy, op: &GpuOp) -> Result<f64> {
                 platform: format!("gpu-sim cc {}", m.compute_capability),
             });
         }
-        return Ok(cost::atomic(m, occ, kind, dtype, scope, target));
+        return Ok(cost::atomic(m, occ, kind, dtype, scope, target).total());
     }
     Ok(match *op {
         GpuOp::SyncThreads => cost::syncthreads(m, occ),

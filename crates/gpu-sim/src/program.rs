@@ -14,9 +14,10 @@
 //! This decomposition reproduces the paper's non-intuitive ordering:
 //! R3 < R4 < R1 < R2 (runtime), with the persistent-thread R5 fastest.
 
-use syncperf_core::{GpuSpec, Result, SyncPerfError};
+use syncperf_core::{GpuSpec, Result, Scope, SyncPerfError};
 
 use crate::config::GpuModel;
+use crate::cost;
 use crate::occupancy::Occupancy;
 
 /// The five reduction implementations of Listing 1.
@@ -220,8 +221,7 @@ pub fn simulate_reduction(
 
     // Per-wave overheads: lead-in + barriers + one atomic latency +
     // the thread-local loop of the persistent variant.
-    let barrier_cy = f64::from(barriers)
-        * (m.syncthreads_base_cy + m.syncthreads_per_warp_cy * f64::from(occ.warps_per_block - 1));
+    let barrier_cy = f64::from(barriers) * cost::syncthreads(m, &occ);
     let local_work = elems_per_thread as f64 * (m.read_cy + m.alu_cy);
     let per_wave = local_work
         + lead_in_cy
@@ -687,9 +687,7 @@ pub fn simulate_scan(
     // In-block Blelloch scan: 2·log2(block) sweeps, each ending in a
     // `__syncthreads()`.
     let sweeps = 2.0 * f64::from(cfg.block_size.next_power_of_two().trailing_zeros());
-    let sync_cy =
-        m.syncthreads_base_cy + m.syncthreads_per_warp_cy * f64::from(occ.warps_per_block - 1);
-    let per_wave_block_scan = sweeps * (sync_cy + m.alu_cy + m.update_cy);
+    let per_wave_block_scan = sweeps * (cost::syncthreads(m, &occ) + m.alu_cy + m.update_cy);
     let waves = (blocks as f64 / f64::from(occ.resident_blocks_per_sm * occ.sms_used)).max(1.0);
     let block_scan_cycles = per_wave_block_scan * waves;
 
@@ -706,7 +704,8 @@ pub fn simulate_scan(
             // One read+write crossing; the look-back chain serializes
             // block publication: fence + flag store + successor's poll.
             let mem = 2.0 * n_bytes / m.mem_bw_bytes_per_cy;
-            let link_cy = m.fence_device_cy + m.atomic_device.i32_cy + m.read_cy + m.update_cy;
+            let link_cy =
+                cost::fence(m, Scope::Device) + m.atomic_device.i32_cy + m.read_cy + m.update_cy;
             // Publications pipeline: while a wave of resident blocks
             // computes, its predecessors' prefixes arrive, so the
             // chain's critical path is ~one link per wave, not one per

@@ -50,12 +50,12 @@ proptest! {
         let base = cost::atomic(
             &m, &occ(b, t), cost::AtomicKind::Add, DType::I32, Scope::Device,
             syncperf_core::Target::SHARED,
-        );
+        ).total();
         for (b2, t2) in [(b * 2, t), (b, (t * 2).min(1024))] {
             let more = cost::atomic(
                 &m, &occ(b2, t2), cost::AtomicKind::Add, DType::I32, Scope::Device,
                 syncperf_core::Target::SHARED,
-            );
+            ).total();
             prop_assert!(more >= base - 1e-9,
                 "({b},{t}) -> ({b2},{t2}): {base} -> {more}");
         }
@@ -69,7 +69,7 @@ proptest! {
         let o = occ(1 << b_exp, 1 << t_exp);
         let c = |dt| cost::atomic(
             &m, &o, cost::AtomicKind::Add, dt, Scope::Device, syncperf_core::Target::SHARED,
-        );
+        ).total();
         prop_assert!(c(DType::I32) <= c(DType::U64));
         prop_assert!(c(DType::U64) <= c(DType::F32));
         prop_assert!(c(DType::F32) <= c(DType::F64));
@@ -88,11 +88,11 @@ proptest! {
         let add = cost::atomic(
             &m, &o, cost::AtomicKind::Add, DType::I32, Scope::Device,
             syncperf_core::Target::SHARED,
-        );
+        ).total();
         let cas = cost::atomic(
             &m, &o, cost::AtomicKind::Cas, DType::I32, Scope::Device,
             syncperf_core::Target::SHARED,
-        );
+        ).total();
         prop_assert!(cas >= add);
     }
 
@@ -103,8 +103,8 @@ proptest! {
         let o = occ(1 << b_exp, 1 << t_exp);
         let dt = DType::ALL[dt_idx];
         for target in [syncperf_core::Target::SHARED, syncperf_core::Target::private(8)] {
-            let dev = cost::atomic(&m, &o, cost::AtomicKind::Add, dt, Scope::Device, target);
-            let blk = cost::atomic(&m, &o, cost::AtomicKind::Add, dt, Scope::Block, target);
+            let dev = cost::atomic(&m, &o, cost::AtomicKind::Add, dt, Scope::Device, target).total();
+            let blk = cost::atomic(&m, &o, cost::AtomicKind::Add, dt, Scope::Block, target).total();
             prop_assert!(blk <= dev, "{dt} {target:?}");
         }
     }

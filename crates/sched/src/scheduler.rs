@@ -285,8 +285,10 @@ pub struct SchedStats {
     /// Jobs whose engine results were primed from a batched
     /// struct-of-arrays plan-table evaluation, whatever the recorder.
     pub plan_primed_jobs: u64,
-    /// Time the pool tasks spent batch-evaluating their chunks' plan
-    /// tables, summed over tasks, microseconds.
+    /// Time the pool tasks spent on batch priming (compile + evaluate)
+    /// of their chunks, summed over tasks, microseconds: CPU plan-table
+    /// compilation and evaluation and GPU batches alike. The
+    /// compile-only number is the `plan.compile_us` histogram.
     pub plan_compile_us: u64,
 }
 

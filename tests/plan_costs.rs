@@ -1,11 +1,15 @@
 //! The compiled plan against its oracle: `RunPlan::compile` resolves
 //! each line once per run of threads and calls the cost function once
 //! per distinct (op, contention, SMT) key, and every cost it stores must
-//! still equal a direct per-(thread, op) `plan::op_cost` call.
+//! still equal a direct per-(thread, op) `plan::op_cost` call. `explain`
+//! reports the terms of the same cost functions, so its totals are the
+//! engines' charges: on the CPU to the fixed-point unit, on the GPU to
+//! the bit.
 
 use syncperf::cpu_sim::memline::ContentionMap;
-use syncperf::cpu_sim::plan::{op_cost, RunPlan};
-use syncperf::cpu_sim::{CpuModel, Placement};
+use syncperf::cpu_sim::plan::{op_cost, quantize, PlanOp, RunPlan};
+use syncperf::cpu_sim::{explain_op, CpuModel, Placement};
+use syncperf::gpu_sim::{engine, explain_gpu_op, GpuModel, Occupancy};
 use syncperf::prelude::*;
 use syncperf_bench::codes::{kernel_inventory, AnyKernel};
 
@@ -42,10 +46,30 @@ fn every_compiled_cost_equals_a_direct_cost_call() {
                     let plan = RunPlan::compile(&model, &placement, &contention, body);
                     for tid in 0..placement.len() {
                         for (idx, op) in body.iter().enumerate() {
+                            let at = || {
+                                format!(
+                                    "{sys} {aff:?} {threads} threads, {name}, tid {tid}, op {idx}"
+                                )
+                            };
+                            let cost = plan.op(tid, idx);
                             assert_eq!(
-                                plan.op(tid, idx),
+                                cost,
                                 op_cost(&model, &placement, &contention, op, tid),
-                                "{sys} {aff:?} {threads} threads, {name}, tid {tid}, op {idx}"
+                                "{}",
+                                at()
+                            );
+                            let charged = match cost {
+                                PlanOp::Fixed(units) => units,
+                                PlanOp::Store { visible, .. } => visible,
+                                PlanOp::Flush { base } => base,
+                                PlanOp::Barrier => plan.barrier_units(),
+                            };
+                            let explained = explain_op(&model, &placement, body, tid, idx);
+                            assert_eq!(
+                                quantize(explained.total_ns()),
+                                charged,
+                                "{}: explain {explained:?}",
+                                at()
                             );
                             cells += 1;
                         }
@@ -55,4 +79,33 @@ fn every_compiled_cost_equals_a_direct_cost_call() {
         }
     }
     assert!(cells > 100_000, "only {cells} (thread, op) cells compared");
+}
+
+#[test]
+fn every_explained_gpu_total_is_the_engine_charge() {
+    let mut ops = 0usize;
+    for sys in [&SYSTEM1, &SYSTEM2, &SYSTEM3] {
+        let model = GpuModel::for_spec(&sys.gpu);
+        for blocks in sys.gpu.block_count_sweep() {
+            for threads in sys.gpu.thread_count_sweep() {
+                let occ = Occupancy::compute(&sys.gpu, blocks, threads).unwrap();
+                for inst in kernel_inventory() {
+                    let AnyKernel::Gpu(k) = inst.kernel else {
+                        continue;
+                    };
+                    for op in k.baseline.iter().chain(&k.test) {
+                        let at = format!("{sys} {blocks}x{threads}, {}: {op:?}", k.name);
+                        let Ok(charged) = engine::op_cycles(&model, &occ, op) else {
+                            assert!(explain_gpu_op(&model, &occ, op).is_err(), "{at}");
+                            continue;
+                        };
+                        let b = explain_gpu_op(&model, &occ, op).unwrap();
+                        assert_eq!(b.total_cy().to_bits(), charged.to_bits(), "{at}: {b:?}");
+                        ops += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(ops > 10_000, "only {ops} GPU ops compared");
 }
