@@ -143,6 +143,17 @@ require_primed() {
     echo "$1 disabled plan batching (sched_plan_primed_jobs=${primed:-missing})"; exit 1; }
 }
 require_primed --metrics results/metrics_cold.prom
+# The pool keeps its helper threads for the scheduler's lifetime
+# (docs/SCHEDULER.md): on a host with two or more CPUs the helper must
+# run some of a cold 2-worker sweep's jobs, so a pool that silently
+# degrades to serial on the calling thread fails here. A one-CPU host
+# clamps the scheduler to one worker, so the gate does not apply.
+if [ "$(nproc)" -ge 2 ]; then
+  helper_executed=$(prom results/metrics_cold.prom sched_worker_1_executed)
+  echo "cold-run helper-executed jobs: ${helper_executed:-missing}"
+  [ "${helper_executed:-0}" -gt 0 ] || {
+    echo "pool worker 1 executed nothing (sched_worker_1_executed=${helper_executed:-missing})"; exit 1; }
+fi
 rm -rf ci_trace_results
 SYNCPERF_RESULTS=ci_trace_results cargo run --release --offline -p syncperf-bench \
   --bin all_figures -- --jobs 2 --no-cache --trace ci_trace_results/all_figures.json \

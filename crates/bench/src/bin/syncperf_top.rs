@@ -180,7 +180,16 @@ fn render_frame(snap: &Snapshot, prev: Option<&Snapshot>, dt: Duration, addr: &s
         ));
         out.push_str(&format!("{}\n", "-".repeat(42)));
         for (w, executed, stolen, busy_us) in workers {
-            out.push_str(&format!("{w:<8} {executed:>9} {stolen:>9} {busy_us:>12}\n"));
+            // Worker 0 is the thread that called `run_jobs`; the rest
+            // are the scheduler's helper threads.
+            let worker = if w == 0 {
+                "0 caller".to_string()
+            } else {
+                w.to_string()
+            };
+            out.push_str(&format!(
+                "{worker:<8} {executed:>9} {stolen:>9} {busy_us:>12}\n"
+            ));
         }
     }
 
@@ -296,6 +305,7 @@ mod tests {
         assert!(frame.contains("timeouts 1"));
         assert!(frame.contains("stats"));
         assert!(frame.contains("worker"));
+        assert!(frame.contains("0 caller"), "worker 0 is the calling thread");
         assert!(frame.contains("1234"));
         assert!(frame.contains("queue depth 2"));
     }

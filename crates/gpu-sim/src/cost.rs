@@ -28,6 +28,29 @@ pub fn words(dtype: DType) -> f64 {
     (dtype.size_bytes() / 4) as f64
 }
 
+/// One op's charge: its cycles and the SM issue-bandwidth slowdown
+/// folded into them (only warp-local ops pay one), so a report prints
+/// the factor the engine applied instead of re-deriving it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpCharge {
+    /// Charged cycles.
+    pub cycles: f64,
+    /// The [`GpuModel::issue_slowdown`] factor folded into `cycles`
+    /// (1.0 = full speed, and for every op that pays none).
+    pub slowdown: f64,
+}
+
+impl OpCharge {
+    /// A charge that pays no slowdown.
+    #[must_use]
+    pub fn flat(cycles: f64) -> Self {
+        OpCharge {
+            cycles,
+            slowdown: 1.0,
+        }
+    }
+}
+
 /// `__syncthreads()` — Fig. 7: cost grows with the warps in the block
 /// and is identical for every block count.
 #[must_use]
@@ -38,24 +61,36 @@ pub fn syncthreads(m: &GpuModel, occ: &Occupancy) -> f64 {
 /// `__syncwarp()` — Fig. 8: constant until the SM's resident thread
 /// count exceeds the device's full-speed threshold.
 #[must_use]
-pub fn syncwarp(m: &GpuModel, occ: &Occupancy) -> f64 {
-    m.syncwarp_cy * m.issue_slowdown(f64::from(occ.threads_per_sm))
+pub fn syncwarp(m: &GpuModel, occ: &Occupancy) -> OpCharge {
+    let slowdown = m.issue_slowdown(f64::from(occ.threads_per_sm));
+    OpCharge {
+        cycles: m.syncwarp_cy * slowdown,
+        slowdown,
+    }
 }
 
 /// Warp shuffle — Fig. 15: implies a `__syncwarp()`; 64-bit types cost
 /// two 32-bit instructions and hit issue saturation at half the thread
 /// count.
 #[must_use]
-pub fn shfl(m: &GpuModel, occ: &Occupancy, dtype: DType) -> f64 {
+pub fn shfl(m: &GpuModel, occ: &Occupancy, dtype: DType) -> OpCharge {
     let w = words(dtype);
-    m.shfl_cy * w * m.issue_slowdown(f64::from(occ.threads_per_sm) * w)
+    let slowdown = m.issue_slowdown(f64::from(occ.threads_per_sm) * w);
+    OpCharge {
+        cycles: m.shfl_cy * w * slowdown,
+        slowdown,
+    }
 }
 
 /// Warp vote — §V-B4: behaves like `__syncwarp()` at slightly lower
 /// absolute throughput.
 #[must_use]
-pub fn vote(m: &GpuModel, occ: &Occupancy) -> f64 {
-    m.vote_cy * m.issue_slowdown(f64::from(occ.threads_per_sm))
+pub fn vote(m: &GpuModel, occ: &Occupancy) -> OpCharge {
+    let slowdown = m.issue_slowdown(f64::from(occ.threads_per_sm));
+    OpCharge {
+        cycles: m.vote_cy * slowdown,
+        slowdown,
+    }
 }
 
 /// `__syncthreads_count/and/or` — the block barrier plus a per-warp
@@ -71,7 +106,7 @@ pub fn syncthreads_reduce(m: &GpuModel, occ: &Occupancy) -> f64 {
 ///
 /// Returns [`SyncPerfError::UnsupportedOp`] below compute capability
 /// 8.0.
-pub fn warp_reduce(m: &GpuModel, occ: &Occupancy, dtype: DType) -> Result<f64> {
+pub fn warp_reduce(m: &GpuModel, occ: &Occupancy, dtype: DType) -> Result<OpCharge> {
     if !m.has_warp_reduce() {
         return Err(SyncPerfError::UnsupportedOp {
             op: "__reduce_max_sync".into(),
@@ -79,7 +114,11 @@ pub fn warp_reduce(m: &GpuModel, occ: &Occupancy, dtype: DType) -> Result<f64> {
         });
     }
     let w = words(dtype);
-    Ok(m.warp_reduce_cy * w * m.issue_slowdown(f64::from(occ.threads_per_sm) * w))
+    let slowdown = m.issue_slowdown(f64::from(occ.threads_per_sm) * w);
+    Ok(OpCharge {
+        cycles: m.warp_reduce_cy * w * slowdown,
+        slowdown,
+    })
 }
 
 /// Thread fence of the given scope — Fig. 14 / §V-B3. The returned
@@ -237,13 +276,19 @@ pub fn atomic_kind(op: &GpuOp) -> Option<(AtomicKind, DType, Scope, Target)> {
 }
 
 /// SIMT divergence: `paths` serialized path executions plus a constant
-/// reconvergence penalty per extra path.
+/// reconvergence penalty per extra path. The slowdown applies to the
+/// path executions only.
 #[must_use]
-pub fn diverge(m: &GpuModel, occ: &Occupancy, dtype: DType, paths: u32) -> f64 {
+pub fn diverge(m: &GpuModel, occ: &Occupancy, dtype: DType, paths: u32) -> OpCharge {
     let effective = paths.min(m.warp_size).max(1);
     let w = words(dtype);
-    let per_path = m.alu_cy * w * m.issue_slowdown(f64::from(occ.threads_per_sm) * w);
-    per_path * f64::from(effective) + m.divergence_penalty_cy * f64::from(effective - 1)
+    let slowdown = m.issue_slowdown(f64::from(occ.threads_per_sm) * w);
+    let per_path = m.alu_cy * w * slowdown;
+    OpCharge {
+        cycles: per_path * f64::from(effective)
+            + m.divergence_penalty_cy * f64::from(effective - 1),
+        slowdown,
+    }
 }
 
 #[cfg(test)]
@@ -302,10 +347,10 @@ mod tests {
     fn syncwarp_constant_until_sm_saturation() {
         let m = model();
         // Full config (128 blocks = #SMs on the 4090): 1 block/SM.
-        let c64 = syncwarp(&m, &occ(128, 64));
-        let c256 = syncwarp(&m, &occ(128, 256));
+        let c64 = syncwarp(&m, &occ(128, 64)).cycles;
+        let c256 = syncwarp(&m, &occ(128, 256)).cycles;
         assert_eq!(c64, c256, "flat up to 256 threads/SM on the 4090");
-        let c512 = syncwarp(&m, &occ(128, 512));
+        let c512 = syncwarp(&m, &occ(128, 512)).cycles;
         assert!(c512 > c256, "drops beyond the full-speed threshold");
         // The drop is 'somewhat', not a collapse (y-axis non-zero).
         assert!(c512 / c256 < 1.5);
@@ -316,14 +361,14 @@ mod tests {
         // Fig. 8: at 2 blocks/SM the same per-SM load is reached at
         // half the per-block thread count.
         let m = model();
-        let full_256 = syncwarp(&m, &occ(128, 256));
-        let double_128 = syncwarp(&m, &occ(256, 128));
+        let full_256 = syncwarp(&m, &occ(128, 256)).cycles;
+        let double_128 = syncwarp(&m, &occ(256, 128)).cycles;
         assert_eq!(
             full_256, double_128,
             "2 blocks × 128 = 1 block × 256 threads/SM"
         );
-        let full_512 = syncwarp(&m, &occ(128, 512));
-        let double_256 = syncwarp(&m, &occ(256, 256));
+        let full_512 = syncwarp(&m, &occ(128, 512)).cycles;
+        let double_256 = syncwarp(&m, &occ(256, 256)).cycles;
         assert_eq!(full_512, double_256);
         assert!(double_256 > double_128);
     }
@@ -333,22 +378,22 @@ mod tests {
         // RTX 2070 SUPER: full speed to 512 threads/SM (Fig. 8b).
         let m1 = GpuModel::for_spec(&SYSTEM1.gpu);
         let o = |t| Occupancy::compute(&SYSTEM1.gpu, 40, t).unwrap();
-        assert_eq!(syncwarp(&m1, &o(256)), syncwarp(&m1, &o(512)));
-        assert!(syncwarp(&m1, &o(1024)) > syncwarp(&m1, &o(512)));
+        assert_eq!(syncwarp(&m1, &o(256)).cycles, syncwarp(&m1, &o(512)).cycles);
+        assert!(syncwarp(&m1, &o(1024)).cycles > syncwarp(&m1, &o(512)).cycles);
     }
 
     #[test]
     fn shfl_64bit_double_cost_and_earlier_drop() {
         let m = model();
-        let f32_128 = shfl(&m, &occ(128, 128), DType::F32);
-        let f64_128 = shfl(&m, &occ(128, 128), DType::F64);
+        let f32_128 = shfl(&m, &occ(128, 128), DType::F32).cycles;
+        let f64_128 = shfl(&m, &occ(128, 128), DType::F64).cycles;
         assert!(
             (f64_128 - 2.0 * f32_128).abs() < 1e-9,
             "2 instructions for 64-bit"
         );
         // 64-bit demand saturates at half the thread count.
-        let f64_256 = shfl(&m, &occ(128, 256), DType::F64);
-        let f32_256 = shfl(&m, &occ(128, 256), DType::F32);
+        let f64_256 = shfl(&m, &occ(128, 256), DType::F64).cycles;
+        let f32_256 = shfl(&m, &occ(128, 256), DType::F32).cycles;
         assert!(f64_256 / f64_128 > 1.0, "64-bit already slowed at 256");
         assert!((f32_256 - f32_128).abs() < 1e-9, "32-bit still flat at 256");
     }
@@ -357,8 +402,8 @@ mod tests {
     fn vote_slightly_slower_than_syncwarp() {
         let m = model();
         let o = occ(128, 64);
-        assert!(vote(&m, &o) > syncwarp(&m, &o));
-        assert!(vote(&m, &o) < 2.0 * syncwarp(&m, &o));
+        assert!(vote(&m, &o).cycles > syncwarp(&m, &o).cycles);
+        assert!(vote(&m, &o).cycles < 2.0 * syncwarp(&m, &o).cycles);
     }
 
     #[test]
@@ -367,6 +412,33 @@ mod tests {
         let o = Occupancy::compute(&SYSTEM1.gpu, 1, 32).unwrap();
         assert!(warp_reduce(&m1, &o, DType::I32).is_err());
         assert!(warp_reduce(&model(), &occ(1, 32), DType::I32).is_ok());
+    }
+
+    #[test]
+    fn warp_local_costs_report_the_slowdown_they_charge() {
+        // Below the 4090's full-speed threshold nothing is slowed; past
+        // it, 64-bit shuffles pay for twice the demand of 32-bit ones.
+        let m = model();
+        let (low, high) = (occ(128, 128), occ(128, 1024));
+        for c in [
+            syncwarp(&m, &low),
+            vote(&m, &low),
+            shfl(&m, &low, DType::F32),
+            diverge(&m, &low, DType::I32, 4),
+        ] {
+            assert_eq!(c.slowdown, 1.0, "{c:?}");
+        }
+        assert_eq!(
+            syncwarp(&m, &high).cycles,
+            m.syncwarp_cy * syncwarp(&m, &high).slowdown
+        );
+        assert!(shfl(&m, &occ(128, 256), DType::F64).slowdown > 1.0);
+        assert_eq!(shfl(&m, &occ(128, 256), DType::F32).slowdown, 1.0);
+        assert!(shfl(&m, &high, DType::F64).slowdown > shfl(&m, &high, DType::F32).slowdown);
+        assert_eq!(
+            warp_reduce(&m, &high, DType::U64).unwrap().slowdown,
+            shfl(&m, &high, DType::F64).slowdown
+        );
     }
 
     #[test]

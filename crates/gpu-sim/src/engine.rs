@@ -22,7 +22,7 @@ use syncperf_core::obs::Recorder;
 use syncperf_core::{DType, GpuOp, Result, Scope, SyncPerfError};
 
 use crate::config::GpuModel;
-use crate::cost::{self, AtomicKind};
+use crate::cost::{self, AtomicKind, OpCharge};
 use crate::occupancy::Occupancy;
 
 /// log₂ of the number of fixed-point units per cycle.
@@ -104,6 +104,17 @@ fn check_dtype(kind: AtomicKind, dtype: DType) -> Result<()> {
 /// Returns an error for ops the modeled device cannot execute
 /// (unsupported data type or compute capability).
 pub fn op_cycles(m: &GpuModel, occ: &Occupancy, op: &GpuOp) -> Result<f64> {
+    op_charge(m, occ, op).map(|c| c.cycles)
+}
+
+/// Cost of one op, in cycles, with the SM issue slowdown those cycles
+/// include: warp-local ops report the factor their cost function
+/// applied, every other op (atomics included) reports 1.0.
+///
+/// # Errors
+///
+/// Same errors as [`op_cycles`].
+pub fn op_charge(m: &GpuModel, occ: &Occupancy, op: &GpuOp) -> Result<OpCharge> {
     if let GpuOp::AtomicRmw { op: rmw, dtype, .. } = *op {
         // atomicSub/Min/And/Or/Xor exist only for integer types.
         if dtype.is_float() {
@@ -121,19 +132,21 @@ pub fn op_cycles(m: &GpuModel, occ: &Occupancy, op: &GpuOp) -> Result<f64> {
                 platform: format!("gpu-sim cc {}", m.compute_capability),
             });
         }
-        return Ok(cost::atomic(m, occ, kind, dtype, scope, target).total());
+        return Ok(OpCharge::flat(
+            cost::atomic(m, occ, kind, dtype, scope, target).total(),
+        ));
     }
     Ok(match *op {
-        GpuOp::SyncThreads => cost::syncthreads(m, occ),
+        GpuOp::SyncThreads => OpCharge::flat(cost::syncthreads(m, occ)),
         GpuOp::SyncWarp => cost::syncwarp(m, occ),
-        GpuOp::SyncThreadsReduce { .. } => cost::syncthreads_reduce(m, occ),
-        GpuOp::ThreadFence { scope } => cost::fence(m, scope),
+        GpuOp::SyncThreadsReduce { .. } => OpCharge::flat(cost::syncthreads_reduce(m, occ)),
+        GpuOp::ThreadFence { scope } => OpCharge::flat(cost::fence(m, scope)),
         GpuOp::Shfl { dtype, .. } => cost::shfl(m, occ, dtype),
         GpuOp::Vote { .. } => cost::vote(m, occ),
         GpuOp::WarpReduce { dtype } => cost::warp_reduce(m, occ, dtype)?,
-        GpuOp::Update { .. } => m.update_cy,
-        GpuOp::Read { .. } => m.read_cy,
-        GpuOp::Alu { .. } => m.alu_cy,
+        GpuOp::Update { .. } => OpCharge::flat(m.update_cy),
+        GpuOp::Read { .. } => OpCharge::flat(m.read_cy),
+        GpuOp::Alu { .. } => OpCharge::flat(m.alu_cy),
         GpuOp::Diverge { dtype, paths } => cost::diverge(m, occ, dtype, paths),
         _ => unreachable!("atomics handled above"),
     })

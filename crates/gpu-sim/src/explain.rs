@@ -1,6 +1,7 @@
 //! Cost explanation for GPU operations: decompose one op's modeled
 //! cycle count into its mechanism components — the terms
-//! [`crate::cost::atomic`] returns and [`engine::op_cycles`] adds up.
+//! [`crate::cost::atomic`] returns and [`engine::op_cycles`] adds up,
+//! and the issue slowdown [`engine::op_charge`] says it applied.
 
 use syncperf_core::{GpuOp, Result};
 
@@ -25,8 +26,8 @@ pub struct GpuCostBreakdown {
     pub sm_queue_cy: f64,
     /// L2 line transactions + bandwidth queueing.
     pub l2_cy: f64,
-    /// SM issue-bandwidth slowdown applied to warp-local ops
-    /// (1.0 = below the full-speed threshold).
+    /// SM issue-bandwidth slowdown the engine folded into this op's
+    /// cycles (1.0 = full speed, and for every op that pays none).
     pub issue_slowdown: f64,
     /// Concurrent same-address requests (atomics on shared scalars).
     pub requests: u32,
@@ -59,7 +60,8 @@ impl GpuCostBreakdown {
 }
 
 /// Explains one op's cost at the given occupancy: an atomic's terms
-/// are [`cost::atomic`]'s, any other op is all service.
+/// are [`cost::atomic`]'s, any other op is all service, at the
+/// slowdown [`engine::op_charge`] reports.
 ///
 /// # Errors
 ///
@@ -68,15 +70,15 @@ impl GpuCostBreakdown {
 pub fn explain_op(m: &GpuModel, occ: &Occupancy, op: &GpuOp) -> Result<GpuCostBreakdown> {
     // Cost through the engine first so explain rejects exactly what
     // execution rejects.
-    let total = engine::op_cycles(m, occ, op)?;
+    let charge = engine::op_charge(m, occ, op)?;
     let mut b = GpuCostBreakdown {
         op: format!("{op:?}"),
-        service_cy: total,
+        service_cy: charge.cycles,
         aggregation_cy: 0.0,
         same_addr_cy: 0.0,
         sm_queue_cy: 0.0,
         l2_cy: 0.0,
-        issue_slowdown: m.issue_slowdown(f64::from(occ.threads_per_sm)),
+        issue_slowdown: charge.slowdown,
         requests: 0,
     };
     if let Some((kind, dtype, scope, target)) = cost::atomic_kind(op) {
@@ -86,7 +88,6 @@ pub fn explain_op(m: &GpuModel, occ: &Occupancy, op: &GpuOp) -> Result<GpuCostBr
         b.same_addr_cy = c.same_addr;
         b.sm_queue_cy = c.sm_queue;
         b.l2_cy = c.l2_tx + c.l2_queue;
-        b.issue_slowdown = 1.0;
         b.requests = c.requests;
     }
     Ok(b)
@@ -112,7 +113,7 @@ pub fn explain_body(m: &GpuModel, occ: &Occupancy, body: &[GpuOp]) -> Result<Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syncperf_core::{kernel, DType, ShflVariant, SYSTEM3};
+    use syncperf_core::{kernel, DType, Scope, ShflVariant, SYSTEM3};
 
     fn occ(blocks: u32, threads: u32) -> Occupancy {
         Occupancy::compute(&SYSTEM3.gpu, blocks, threads).unwrap()
@@ -185,6 +186,30 @@ mod tests {
         let above = explain_op(&m, &occ(128, 1024), &body[0]).unwrap();
         assert_eq!(below.issue_slowdown, 1.0);
         assert!(above.issue_slowdown > 1.0);
+    }
+
+    #[test]
+    fn ops_that_pay_no_slowdown_report_none() {
+        // A device fence, an update and a block barrier cost the same
+        // at any SM load; a 64-bit shuffle at 256 threads/SM is already
+        // slowed.
+        let m = GpuModel::for_spec(&SYSTEM3.gpu);
+        let busy = occ(128, 1024);
+        for body in [
+            kernel::cuda_threadfence(Scope::Device, DType::I32, 1).test,
+            kernel::cuda_syncthreads().baseline,
+        ] {
+            for op in &body {
+                assert_eq!(
+                    explain_op(&m, &busy, op).unwrap().issue_slowdown,
+                    1.0,
+                    "{op:?}"
+                );
+            }
+        }
+        let shfl = kernel::cuda_shfl(DType::F64, ShflVariant::Xor).baseline;
+        let b = explain_op(&m, &occ(128, 256), &shfl[0]).unwrap();
+        assert!(b.issue_slowdown > 1.0, "{b:?}");
     }
 
     #[test]

@@ -493,6 +493,18 @@ impl Recorder {
         snap
     }
 
+    /// Closes this thread's ring as if the thread had exited: the
+    /// events it holds wait for the next drain, and the thread's next
+    /// event opens a fresh ring under a new tid. A pool thread that
+    /// outlives many batches closes its ring after each one, so the
+    /// per-thread event bound applies per batch, as it would to a
+    /// thread started per batch.
+    pub fn close_thread_ring(&self) {
+        if let Some(inner) = &self.inner {
+            TLS_RINGS.with(|cache| cache.borrow_mut().retain(|(k, _, _)| *k != inner.id));
+        }
+    }
+
     /// Merges and clears every thread's ring, returning all events in
     /// timestamp order. Drained rings give their memory back, and the
     /// rings of threads that have exited are retired (their drop counts
@@ -1032,6 +1044,30 @@ mod tests {
         let traced = Recorder::tracing();
         assert!(traced.is_enabled() && traced.traces());
         assert!(!Recorder::disabled().traces());
+    }
+
+    #[test]
+    fn a_closed_ring_is_bounded_and_retired_like_an_exited_thread() {
+        let rec = Recorder::with_capacity(4);
+        for _ in 0..3 {
+            for _ in 0..4 {
+                rec.instant("t", "e");
+            }
+            rec.close_thread_ring();
+        }
+        let events = rec.drain_events();
+        assert_eq!(events.len(), 12, "each closed ring kept its 4 events");
+        assert_eq!(rec.dropped_events(), 0);
+        let tids: std::collections::BTreeSet<u64> = events.iter().map(|e| e.tid).collect();
+        assert_eq!(tids.len(), 3, "one tid per ring");
+        let inner = rec.inner.as_ref().unwrap();
+        assert!(
+            inner.rings.lock().unwrap().live.is_empty(),
+            "closed rings retire"
+        );
+        // Closing with no ring, or on a disabled recorder, does nothing.
+        rec.close_thread_ring();
+        Recorder::disabled().close_thread_ring();
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!    digest, full kernel body, parameters, protocol — is hashed with
 //!    FNV-1a ([`hash`]) into a stable content hash.
 //! 2. **Work-stealing pool** ([`pool`]): per-worker deques of
-//!    same-shape job chunks, built on `std::thread` only. Jobs
+//!    same-shape job chunks, run by the calling thread plus helper
+//!    threads kept for the pool's lifetime (`std::thread` only). Jobs
 //!    seed their simulator's jitter RNG from their own content hash,
 //!    so N-worker output is byte-identical to the 1-worker output.
 //! 3. **Content-addressed cache** ([`cache`]) and **checkpoint
@@ -42,7 +43,7 @@ pub mod scheduler;
 pub use cache::{decode_measurement, encode_measurement, Cache, EntryInfo};
 pub use checkpoint::Checkpoint;
 pub use job::{host_fingerprint, JobSpec, PrimedEngine};
-pub use pool::{run_chunks, PoolOutcome, PoolWorkerStats};
+pub use pool::{Pool, PoolOutcome, PoolWorkerStats};
 pub use scheduler::{
     current, execute_job_with_retry, execute_job_with_retry_primed, install, job_hash_with_salt,
     uninstall, BackendExec, ExecBackend, ExportHook, SchedConfig, SchedStats, Scheduler, StoreHook,

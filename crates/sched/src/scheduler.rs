@@ -25,7 +25,7 @@ use crate::cache::Cache;
 use crate::checkpoint::Checkpoint;
 use crate::hash::fnv1a;
 use crate::job::{CanonicalCache, JobSpec, PrimedEngine};
-use crate::pool::{self, PoolWorkerStats};
+use crate::pool::{Pool, PoolWorkerStats};
 
 /// Code-version salt folded into every job hash. Bump whenever a
 /// change alters measurement semantics without changing any job field
@@ -127,7 +127,9 @@ pub fn execute_job_with_retry_primed(
 /// Scheduler configuration.
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
-    /// Worker threads for the pool (1 = serial on the calling thread).
+    /// Pool workers, the calling thread included (1 = serial on the
+    /// calling thread). The `workers − 1` helper threads are kept for
+    /// the scheduler's lifetime, not spawned per batch.
     pub workers: usize,
     /// Whether the on-disk result cache is consulted and filled.
     pub cache: bool,
@@ -392,7 +394,13 @@ pub struct Scheduler {
     /// recorder is: each `sched.*` number is counted here and nowhere
     /// else, and [`Scheduler::export_into`] hands it to every sink.
     registry: Recorder,
-    counters: Counters,
+    /// Shared with the pool's chunk tasks: they may run on a helper
+    /// thread, so they own or share everything they touch.
+    counters: Arc<Counters>,
+    /// The work-stealing pool, sized once by
+    /// [`Scheduler::effective_workers`]; its helper threads live as
+    /// long as the scheduler.
+    pool: Pool,
     /// Per-worker tallies accumulated across batches (indexed by the
     /// pool's worker number; the serial path is worker 0).
     workers: Mutex<Vec<PoolWorkerStats>>,
@@ -421,13 +429,15 @@ impl Scheduler {
             .cache
             .then(|| Checkpoint::fresh(&cfg.cache_dir, &cfg.label));
         let registry = Recorder::enabled();
+        let pool = Pool::new(effective_workers(cfg.workers));
         Scheduler {
             cfg,
             cache,
             present: Mutex::new(None),
             checkpoint: checkpoint.map(Mutex::new),
-            counters: Counters::new(&registry),
+            counters: Arc::new(Counters::new(&registry)),
             registry,
+            pool,
             workers: Mutex::new(Vec::new()),
             store_hook: RwLock::new(None),
             backend: RwLock::new(None),
@@ -441,16 +451,13 @@ impl Scheduler {
         &self.cfg
     }
 
-    /// Worker threads actually spawned per batch: the configured count
-    /// clamped to the machine's available parallelism. Results are
-    /// worker-count independent (each job seeds its own RNG from its
-    /// content hash), so oversubscribing a small machine only buys
-    /// thread-spawn and context-switch overhead — never throughput.
+    /// The pool's workers, kept for the scheduler's lifetime: the
+    /// calling thread plus `effective_workers − 1` helper threads.
+    /// See [`effective_workers`] for how the count is resolved, once,
+    /// when the scheduler is built.
     #[must_use]
     pub fn effective_workers(&self) -> usize {
-        let avail =
-            std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZeroUsize::get);
-        self.cfg.workers.min(avail).max(1)
+        self.pool.workers()
     }
 
     /// The content-addressed cache, when caching is enabled (the
@@ -606,17 +613,17 @@ impl Scheduler {
         // unordered [`BackendExec`] records that one loop merges by
         // submission index on this thread. The queue depth is shared
         // by every overlapping call.
-        c.executed.add(todo.len() as u64);
-        c.queue_depth_peak
-            .record(c.queue_depth.add(todo.len() as u64));
+        let pending = todo.len() as u64;
+        c.executed.add(pending);
+        c.queue_depth_peak.record(c.queue_depth.add(pending));
         let backend = self.backend.read().unwrap();
         let mut execs = if let Some(backend) = backend.as_ref() {
             backend(&todo)
         } else {
             drop(backend);
-            self.run_on_pool(&todo)
+            self.run_on_pool(todo)
         };
-        c.queue_depth.sub(todo.len() as u64);
+        c.queue_depth.sub(pending);
         execs.sort_by_key(|e| e.index);
         let mut first_err: Option<SyncPerfError> = None;
         for e in execs {
@@ -671,13 +678,16 @@ impl Scheduler {
     /// ([`JobSpec::prime_groups`]), then runs each point from the primed
     /// memos and writes its cache entry. The `plan.*` counters count
     /// groups, not chunks; a chunk whose batch evaluation fails primes
-    /// nothing, so the per-job path reproduces the exact error.
-    fn run_on_pool(&self, todo: &[(usize, JobSpec, u64)]) -> Vec<BackendExec> {
+    /// nothing, so the per-job path reproduces the exact error. A task
+    /// owns its jobs and shares the counters and the cache handle, so
+    /// any of the pool's threads can run it.
+    fn run_on_pool(&self, todo: Vec<(usize, JobSpec, u64)>) -> Vec<BackendExec> {
         let c = &self.counters;
         let workers = self.effective_workers();
-        let jobs: Vec<&JobSpec> = todo.iter().map(|(_, job, _)| job).collect();
-        let mut chunks: Vec<Vec<&(usize, JobSpec, u64)>> = Vec::new();
-        for group in JobSpec::shape_groups(&jobs) {
+        let groups = JobSpec::shape_groups(&todo.iter().map(|(_, job, _)| job).collect::<Vec<_>>());
+        let mut jobs: Vec<Option<(usize, JobSpec, u64)>> = todo.into_iter().map(Some).collect();
+        let mut chunks: Vec<Vec<(usize, JobSpec, u64)>> = Vec::new();
+        for group in groups {
             let len = group.len();
             if len >= 2 {
                 c.plan_batches.inc();
@@ -688,13 +698,16 @@ impl Scheduler {
             chunks.extend((0..k).map(|p| {
                 group[len * p / k..len * (p + 1) / k]
                     .iter()
-                    .map(|&m| &todo[m])
+                    .map(|&m| jobs[m].take().expect("each job is in one group"))
                     .collect()
             }));
         }
 
         let dispatched = Instant::now();
-        let outcome = pool::run_chunks(workers, chunks, |chunk| {
+        let counters = Arc::clone(c);
+        let cache = self.cache.clone();
+        let outcome = self.pool.run_chunks(chunks, move |chunk| {
+            let c = &counters;
             let waited = dispatched.elapsed().as_micros() as u64;
             let start = Instant::now();
             let group: Vec<&JobSpec> = chunk.iter().map(|(_, job, _)| job).collect();
@@ -705,7 +718,7 @@ impl Scheduler {
             chunk
                 .iter()
                 .zip(&primed)
-                .map(|(&&(index, ref job, hash), pe)| {
+                .map(|(&(index, ref job, hash), pe)| {
                     c.wait_us.observe(waited);
                     let exec_start = Instant::now();
                     let result =
@@ -714,7 +727,7 @@ impl Scheduler {
                         .observe(exec_start.elapsed().as_micros() as u64);
                     // Writing the entry here keeps the file I/O
                     // parallel; the merge books it.
-                    let stored = match (&result, &self.cache) {
+                    let stored = match (&result, &cache) {
                         (Ok(m), Some(cache)) => cache.store(hash, m).is_ok(),
                         _ => false,
                     };
@@ -753,6 +766,18 @@ impl Scheduler {
             cp.lock().unwrap().finish();
         }
     }
+}
+
+/// The configured worker count clamped to the machine's available
+/// parallelism. Results are worker-count independent (each job seeds
+/// its own RNG from its content hash), so oversubscribing a small
+/// machine only buys context-switch overhead — never throughput.
+/// Reading the parallelism can mean reading cgroup files, so a
+/// scheduler resolves it once, in [`Scheduler::new`].
+fn effective_workers(configured: usize) -> usize {
+    let avail =
+        std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZeroUsize::get);
+    configured.min(avail).max(1)
 }
 
 static CURRENT: RwLock<Option<Arc<Scheduler>>> = RwLock::new(None);
@@ -1204,6 +1229,76 @@ mod tests {
             st.queue_depth_peak
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn overlapping_multi_chunk_batches_match_one_worker_bytes() {
+        // Callers overlapping on one 2-worker scheduler share its
+        // helper; every batch splits into several chunks, and each
+        // caller's measurements must be byte-identical to the same
+        // batch on a 1-worker scheduler.
+        const CALLERS: u32 = 4;
+        const ROUNDS: u32 = 3;
+        let batch = |caller: u32, round: u32| -> Vec<JobSpec> {
+            let loops = 20 + 3 * caller + round;
+            let cpu = (1..=6).map(|t| {
+                JobSpec::cpu_sim(
+                    &SYSTEM3,
+                    kernel::omp_atomic_update_scalar(DType::I32),
+                    ExecParams::new(t).with_loops(loops, 2),
+                    Protocol::SIM,
+                )
+            });
+            let gpu = (1..=4).map(|w| {
+                JobSpec::gpu_sim(
+                    &SYSTEM3,
+                    kernel::cuda_syncthreads(),
+                    ExecParams::new(32 * w).with_blocks(2).with_loops(loops, 2),
+                    Protocol::SIM,
+                )
+            });
+            cpu.chain(gpu).collect()
+        };
+        let bytes = |jobs: &[JobSpec], got: &[Measurement]| -> Vec<String> {
+            jobs.iter()
+                .zip(got)
+                .map(|(job, m)| encode_measurement(job_hash_with_salt(job, 0), m))
+                .collect()
+        };
+        let serial = Scheduler::new(SchedConfig::new(1).without_cache());
+        let want: Vec<Vec<Vec<String>>> = (0..CALLERS)
+            .map(|caller| {
+                (0..ROUNDS)
+                    .map(|round| {
+                        let jobs = batch(caller, round);
+                        bytes(&jobs, &serial.run_jobs(jobs.clone()).unwrap())
+                    })
+                    .collect()
+            })
+            .collect();
+        let s = Scheduler::new(SchedConfig::new(2).without_cache());
+        let start = std::sync::Barrier::new(CALLERS as usize);
+        std::thread::scope(|scope| {
+            for (caller, want) in (0..CALLERS).zip(&want) {
+                let (s, start) = (&s, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for (round, want) in (0..ROUNDS).zip(want) {
+                        let jobs = batch(caller, round);
+                        let got = s.run_jobs(jobs.clone()).unwrap();
+                        assert_eq!(&bytes(&jobs, &got), want, "caller {caller} round {round}");
+                    }
+                });
+            }
+        });
+        let st = s.stats();
+        assert_eq!(st.executed, u64::from(CALLERS * ROUNDS) * 10);
+        assert_eq!(st.plan_primed_jobs, st.executed, "every chunk primed");
+        assert_eq!(
+            s.pool.helpers_started(),
+            s.effective_workers() - 1,
+            "the callers shared one set of helpers"
+        );
     }
 
     #[test]

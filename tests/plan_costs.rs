@@ -4,7 +4,8 @@
 //! still equal a direct per-(thread, op) `plan::op_cost` call. `explain`
 //! reports the terms of the same cost functions, so its totals are the
 //! engines' charges: on the CPU to the fixed-point unit, on the GPU to
-//! the bit.
+//! the bit, and the GPU issue slowdown it prints is the one the engine
+//! charged.
 
 use syncperf::cpu_sim::memline::ContentionMap;
 use syncperf::cpu_sim::plan::{op_cost, quantize, PlanOp, RunPlan};
@@ -84,8 +85,15 @@ fn every_compiled_cost_equals_a_direct_cost_call() {
 #[test]
 fn every_explained_gpu_total_is_the_engine_charge() {
     let mut ops = 0usize;
+    let mut slowed = 0usize;
     for sys in [&SYSTEM1, &SYSTEM2, &SYSTEM3] {
         let model = GpuModel::for_spec(&sys.gpu);
+        // The same device with no issue-bandwidth limit: an op whose
+        // charge it leaves unchanged paid no slowdown.
+        let unlimited = GpuModel {
+            full_speed_threads_per_sm: u32::MAX,
+            ..model.clone()
+        };
         for blocks in sys.gpu.block_count_sweep() {
             for threads in sys.gpu.thread_count_sweep() {
                 let occ = Occupancy::compute(&sys.gpu, blocks, threads).unwrap();
@@ -101,6 +109,22 @@ fn every_explained_gpu_total_is_the_engine_charge() {
                         };
                         let b = explain_gpu_op(&model, &occ, op).unwrap();
                         assert_eq!(b.total_cy().to_bits(), charged.to_bits(), "{at}: {b:?}");
+                        // A slowed charge is `a·s + b` for a slowdown `s`
+                        // and a, b ≥ 0 (b is divergence's penalty, 0
+                        // elsewhere), so it exceeds the unlimited one by
+                        // a ratio in (1, s], equal to s when b = 0.
+                        let full_speed = engine::op_cycles(&unlimited, &occ, op).unwrap();
+                        let s = b.issue_slowdown;
+                        if charged == full_speed {
+                            assert_eq!(s, 1.0, "{at}: no slowdown was charged");
+                        } else {
+                            let ratio = charged / full_speed;
+                            assert!(ratio > 1.0 && ratio <= s * (1.0 + 1e-12), "{at}: {b:?}");
+                            if !matches!(op, GpuOp::Diverge { .. }) {
+                                assert!((ratio - s).abs() <= 1e-12 * s, "{at}: {b:?}");
+                            }
+                            slowed += 1;
+                        }
                         ops += 1;
                     }
                 }
@@ -108,4 +132,5 @@ fn every_explained_gpu_total_is_the_engine_charge() {
         }
     }
     assert!(ops > 10_000, "only {ops} GPU ops compared");
+    assert!(slowed > 100, "only {slowed} slowed GPU ops compared");
 }
