@@ -32,8 +32,8 @@ fi
 # smoke service below binds port 0 and prints where it landed, so
 # concurrent lanes in one CI job can never collide on a port — the
 # only thing worth waiting for is the ready line itself. An optional
-# third argument waits for that many matches (a `--replicas N` fleet
-# prints one ready line per replica).
+# third argument waits for that many matches (a fleet of N processes
+# sharing one log prints N ready lines).
 wait_for_ready() { # wait_for_ready <logfile> <sed-capture-pattern> [count]
   local log="$1" pat="$2" want="${3:-1}" got="" n=0
   for _ in $(seq 1 150); do
@@ -265,12 +265,12 @@ done
 # Serve smoke test (docs/SERVING.md): launch the query service over
 # the warm cache the gates above just filled, hit every read endpoint
 # plus a 404, prove the answers came from the cache without any
-# recomputation (serve.cache_hits > 0, serve.computes == 0), and shut
-# down gracefully over the wire.
+# recomputation (serve_cache_hits > 0, serve_computes == 0 in the
+# /metrics exposition), and shut down gracefully over the wire.
 echo "==> serve smoke test"
 rm -f serve_out.log
 SYNCPERF_RESULTS=ci_sched_results cargo run --release --offline -p syncperf-bench \
-  --bin serve -- --addr 127.0.0.1:0 --workers 2 --jobs 1 > serve_out.log &
+  --bin serve -- --addr 127.0.0.1:0 --jobs 1 > serve_out.log &
 serve_pid=$!
 addr=$(wait_for_ready serve_out.log 's#^listening on http://##p') \
   || { echo "serve did not come up"; cat serve_out.log; kill "$serve_pid" 2>/dev/null; exit 1; }
@@ -286,24 +286,23 @@ curl -fsS "http://${addr}/figure/fig01.svg" > /dev/null
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://${addr}/job/0000000000000000")
 [ "$code" = "404" ] || { echo "expected 404 for an unknown job, got ${code}"; kill "$serve_pid" 2>/dev/null; exit 1; }
 
-stats=$(curl -fsS "http://${addr}/stats")
-echo "serve stats: ${stats}"
-serve_hits=$(printf '%s' "$stats" | sed -n 's/.*"cache_hits": \([0-9]*\).*/\1/p' | head -n 1)
-serve_computes=$(printf '%s' "$stats" | sed -n 's/.*"computes": \([0-9]*\).*/\1/p' | head -n 1)
+# Telemetry plane (docs/OBSERVABILITY.md): scrape /metrics, read the
+# cache counters from it, assert the exposition is well-formed with
+# nonzero request counters, tail the flight recorder, and keep both as
+# workflow artifacts.
+curl -fsS "http://${addr}/metrics" > results/serve_metrics.prom
+serve_hits=$(prom results/serve_metrics.prom serve_cache_hits)
+serve_computes=$(prom results/serve_metrics.prom serve_computes)
+echo "serve cache hits: ${serve_hits:-missing}, computes: ${serve_computes:-missing}"
 [ "${serve_hits:-0}" -ge 2 ] || { echo "serve answered without cache hits"; kill "$serve_pid" 2>/dev/null; exit 1; }
 [ "${serve_computes:-1}" -eq 0 ] || { echo "serve recomputed a warm entry"; kill "$serve_pid" 2>/dev/null; exit 1; }
-
-# Telemetry plane (docs/OBSERVABILITY.md): scrape /metrics, assert the
-# exposition is well-formed with nonzero request counters, tail the
-# flight recorder, and keep both as workflow artifacts.
-curl -fsS "http://${addr}/metrics" > results/serve_metrics.prom
 grep -q '^# TYPE serve_requests counter$' results/serve_metrics.prom || {
   echo "exposition is missing its TYPE lines"; kill "$serve_pid" 2>/dev/null; exit 1; }
 grep -q '^# TYPE serve_latency_us histogram$' results/serve_metrics.prom || {
   echo "exposition is missing the latency histogram"; kill "$serve_pid" 2>/dev/null; exit 1; }
 grep -q 'serve_latency_us_bucket{le="+Inf"}' results/serve_metrics.prom || {
   echo "exposition is missing the +Inf bucket"; kill "$serve_pid" 2>/dev/null; exit 1; }
-metrics_requests=$(sed -n 's/^serve_requests \([0-9]*\)$/\1/p' results/serve_metrics.prom)
+metrics_requests=$(prom results/serve_metrics.prom serve_requests)
 [ "${metrics_requests:-0}" -ge 1 ] || {
   echo "serve_requests counter is zero in /metrics"; kill "$serve_pid" 2>/dev/null; exit 1; }
 awk '!/^#/ && NF { if ($NF !~ /^[0-9.]+$/) { print "bad sample line: " $0; exit 1 } }' \
@@ -332,36 +331,63 @@ rm -rf ci_sched_results
 # committed BENCH_serve.json baseline. The measured load report and
 # the replicas' SIGTERM flight-recorder dumps become workflow
 # artifacts.
+#
+# A replica is one `serve` process. start_serve_fleet starts 2 of
+# them on free loopback ports over one SYNCPERF_RESULTS, waits for
+# their ready lines, and fills `target_flags` with one
+# `--target <addr>` pair per replica; they are killed on exit.
+serve_fleet_pids=()
+stop_serve_fleet() {
+  if [ "${#serve_fleet_pids[@]}" -gt 0 ]; then
+    kill "${serve_fleet_pids[@]}" 2>/dev/null || true
+    wait "${serve_fleet_pids[@]}" 2>/dev/null || true
+  fi
+  serve_fleet_pids=()
+  rm -f load_serve_out.log
+}
+start_serve_fleet() { # start_serve_fleet <results dir>
+  rm -f load_serve_out.log
+  trap stop_serve_fleet EXIT
+  for _ in 1 2; do
+    SYNCPERF_RESULTS="$1" "${CARGO_TARGET_DIR:-target}/release/serve" \
+      --addr 127.0.0.1:0 --jobs 2 >> load_serve_out.log &
+    serve_fleet_pids+=("$!")
+  done
+  local addrs
+  addrs=$(wait_for_ready load_serve_out.log 's#^listening on http://##p' 2) \
+    || { echo "replica fleet did not come up"; cat load_serve_out.log; exit 1; }
+  target_flags=()
+  while IFS= read -r a; do target_flags+=(--target "$a"); done <<< "$addrs"
+  echo "replica fleet is up on: $(printf '%s' "$addrs" | tr '\n' ' ')"
+}
+
 echo "==> serve load lane (replica pair + syncperf_load --check)"
-rm -rf ci_load_results load_serve_out.log
+rm -rf ci_load_results
 mkdir -p ci_load_results
-SYNCPERF_RESULTS=ci_load_results cargo run --release --offline -p syncperf-bench \
-  --bin serve -- --addr 127.0.0.1:0 --workers 2 --jobs 2 --replicas 2 > load_serve_out.log &
-load_pid=$!
-addrs=$(wait_for_ready load_serve_out.log 's#^listening on http://##p' 2) \
-  || { echo "replica fleet did not come up"; cat load_serve_out.log; kill "$load_pid" 2>/dev/null; exit 1; }
-echo "replica fleet is up on: $(printf '%s' "$addrs" | tr '\n' ' ')"
-target_flags=()
-while IFS= read -r a; do target_flags+=(--target "$a"); done <<< "$addrs"
+start_serve_fleet ci_load_results
 cargo run --release --offline -p syncperf-bench --bin syncperf_load -- \
   bench --quick --check "${target_flags[@]}" --report results/load_report.json \
-  || { echo "load gate failed"; kill "$load_pid" 2>/dev/null; exit 1; }
-kill -TERM "$load_pid"
-for _ in $(seq 1 100); do
-  kill -0 "$load_pid" 2>/dev/null || break
-  sleep 0.2
+  || { echo "load gate failed"; exit 1; }
+# SIGTERM each replica: each must exit 0, print its clean-exit line
+# and dump its flight recorder to flightrec-<pid>.jsonl.
+kill -TERM "${serve_fleet_pids[@]}"
+for pid in "${serve_fleet_pids[@]}"; do
+  for _ in $(seq 1 100); do
+    kill -0 "$pid" 2>/dev/null || break
+    sleep 0.2
+  done
+  kill -0 "$pid" 2>/dev/null && { echo "replica ${pid} did not shut down on SIGTERM"; exit 1; }
+  wait "$pid" || { echo "replica ${pid} exited nonzero"; cat load_serve_out.log; exit 1; }
+  [ -s "ci_load_results/flightrec-${pid}.jsonl" ] \
+    || { echo "replica ${pid} left no flight-recorder dump"; exit 1; }
 done
-if kill -0 "$load_pid" 2>/dev/null; then
-  echo "replica fleet did not shut down on SIGTERM"; kill -9 "$load_pid"; exit 1
-fi
-wait "$load_pid" || { echo "replica supervisor exited nonzero"; cat load_serve_out.log; exit 1; }
-grep -q "replica fleet shut down cleanly" load_serve_out.log \
-  || { echo "supervisor missed its clean-exit line"; cat load_serve_out.log; exit 1; }
-# Each replica dumps its flight recorder on SIGTERM; keep the dumps
-# (and the load report above) as workflow artifacts.
-cp ci_load_results/flightrec-*.jsonl results/ 2>/dev/null \
-  || echo "note: no flight-recorder dumps found"
-echo "load lane artifacts: results/load_report.json + $(ls results/flightrec-*.jsonl 2>/dev/null | wc -l) flight dump(s)"
+clean=$(grep -c "shut down cleanly" load_serve_out.log || true)
+[ "$clean" -eq "${#serve_fleet_pids[@]}" ] \
+  || { echo "${clean} of ${#serve_fleet_pids[@]} replicas printed their clean-exit line"; cat load_serve_out.log; exit 1; }
+serve_fleet_pids=()
+# Keep the dumps (and the load report above) as workflow artifacts.
+cp ci_load_results/flightrec-*.jsonl results/
+echo "load lane artifacts: results/load_report.json + $(ls results/flightrec-*.jsonl | wc -l) flight dump(s)"
 rm -f load_serve_out.log
 rm -rf ci_load_results
 

@@ -17,6 +17,8 @@
 
 use std::fmt::Write as _;
 
+use syncperf_core::obs::json;
+
 use crate::diag::{BodyKind, DiagCode, Diagnostic, Severity};
 
 /// One finding to render: a diagnostic plus where it came from and
@@ -31,23 +33,6 @@ pub struct SarifFinding {
     pub diagnostic: Diagnostic,
     /// The allowlist justification, when the finding is allowlisted.
     pub allowed_reason: Option<String>,
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 const fn level(sev: Severity) -> &'static str {
@@ -77,13 +62,13 @@ pub fn render_sarif(findings: &[SarifFinding]) -> String {
         let _ = write!(
             s,
             "            {{\n              \"id\": \"{id}\",\n              \"name\": \
-             \"{name:?}\",\n              \"shortDescription\": {{ \"text\": \"{title}\" \
-             }},\n              \"fullDescription\": {{ \"text\": \"{full}\" }},\n              \
+             \"{name:?}\",\n              \"shortDescription\": {{ \"text\": {title} \
+             }},\n              \"fullDescription\": {{ \"text\": {full} }},\n              \
              \"defaultConfiguration\": {{ \"level\": \"{lvl}\" }}\n            }}{comma}\n",
             id = code.code(),
             name = code,
-            title = esc(code.title()),
-            full = esc(code.explain()),
+            title = json::string(code.title()),
+            full = json::string(code.explain()),
             lvl = level(code.severity()),
         );
     }
@@ -100,9 +85,9 @@ pub fn render_sarif(findings: &[SarifFinding]) -> String {
         };
         let suppressions = match &f.allowed_reason {
             Some(reason) => format!(
-                "[\n            {{ \"kind\": \"external\", \"justification\": \"{}\" }}\n          \
+                "[\n            {{ \"kind\": \"external\", \"justification\": {} }}\n          \
                  ]",
-                esc(reason)
+                json::string(reason)
             ),
             None => "[]".to_string(),
         };
@@ -110,16 +95,16 @@ pub fn render_sarif(findings: &[SarifFinding]) -> String {
             s,
             "        {{\n          \"ruleId\": \"{id}\",\n          \"ruleIndex\": \
              {rule_index},\n          \"level\": \"{lvl}\",\n          \"message\": {{ \"text\": \
-             \"{msg}\" }},\n          \"locations\": [\n            {{\n              \
-             \"logicalLocations\": [\n                {{ \"fullyQualifiedName\": \"{fq}\" \
+             {msg} }},\n          \"locations\": [\n            {{\n              \
+             \"logicalLocations\": [\n                {{ \"fullyQualifiedName\": {fq} \
              }}\n              ]\n            }}\n          ],\n          \"suppressions\": \
-             {suppressions},\n          \"properties\": {{ \"kernel\": \"{kernel}\", \"body\": \
+             {suppressions},\n          \"properties\": {{ \"kernel\": {kernel}, \"body\": \
              \"{body}\" }}\n        }}{comma}\n",
             id = f.diagnostic.code.code(),
             lvl = level(f.diagnostic.severity),
-            msg = esc(&f.diagnostic.message),
-            fq = esc(&fq),
-            kernel = esc(&f.kernel),
+            msg = json::string(&f.diagnostic.message),
+            fq = json::string(&fq),
+            kernel = json::string(&f.kernel),
             body = f.body,
         );
     }

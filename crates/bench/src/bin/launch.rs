@@ -13,9 +13,8 @@
 //!
 //! The sweeps route through `common::measure_jobs` inside a
 //! `runner::session`, so every shared flag (`--jobs`, `--connect`,
-//! `--no-cache`, `--metrics`, ...) and
-//! `SYNCPERF_JOBS` turn each grid point into a content-hashed
-//! cacheable job, as for the figure binaries.
+//! `--no-cache`, `--metrics`, ...) turns each grid point into a
+//! content-hashed cacheable job, as for the figure binaries.
 
 use std::io::Write as _;
 

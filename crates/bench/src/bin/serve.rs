@@ -2,212 +2,158 @@
 //!
 //! Serves the content-addressed result cache over HTTP: cached
 //! measurements by hash (`/job/<hash>`), exact-or-nearest sweep-point
-//! queries (`/query`), figure outputs (`/figure/<name>`), checkpoint
-//! manifests (`/manifest/<label>`), and compute-on-miss
-//! (`POST /compute`) dispatched to the sweep scheduler with per-hash
-//! deduplication. See `docs/SERVING.md`.
+//! queries (`/query`), figure outputs (`/figure/<name>`), and
+//! compute-on-miss (`POST /compute`) dispatched to the sweep scheduler
+//! with per-hash deduplication. See `docs/SERVING.md`.
 //!
 //! ```text
-//! serve [--addr HOST:PORT] [--workers N] [--jobs N]
-//!       [--cache-bytes BYTES] [--timeout-secs SECS]
-//!       [--max-conns N] [--replicas N]
+//! serve [--addr HOST:PORT] [--jobs N] [--cache-bytes BYTES]
+//!       [--timeout-secs SECS] [--max-conns N]
 //! ```
 //!
 //! `--addr 127.0.0.1:0` binds an ephemeral port; the bound address is
 //! printed as `listening on http://...` once the service is up (the
-//! CI smoke test scrapes it). `--workers` sizes the blocking compute
-//! pool behind the event loop (`--jobs` sizes the scheduler inside
-//! it). `--cache-bytes` (or the `SYNCPERF_CACHE_BYTES` environment
-//! variable) bounds the on-disk cache; 0 or unset means unbounded.
-//! `--max-conns` caps concurrent connections (over-cap accepts are
-//! shed with `503 + Retry-After`).
+//! CI smoke test scrapes it). `--jobs` sizes the scheduler, and the
+//! server runs one compute thread per scheduler worker behind the
+//! event loop. `--cache-bytes` bounds the on-disk cache; 0 or absent
+//! means unbounded. `--max-conns` caps concurrent connections
+//! (over-cap accepts are shed with `503 + Retry-After`). A bad flag
+//! or value prints the usage line and exits 2.
 //!
-//! `--replicas N` (N > 1) runs this binary as a supervisor: it spawns
-//! N child serve processes that share one results/cache directory,
-//! each on its own port (`--addr host:P` gives ports P, P+1, …;
-//! `host:0` gives N ephemeral ports). Each child prints its own
-//! `listening on http://...` line. The supervisor forwards SIGTERM to
-//! the children and exits nonzero if any child dies unexpectedly.
-//! Cache sharing is safe: stores are atomic renames and every replica
-//! re-scans the directory for foreign writes.
+//! A replica is one `serve` process: start N of them with the same
+//! `SYNCPERF_RESULTS`, each on its own `--addr`. They share the cache
+//! directory, and every replica re-scans it for foreign writes.
 
 use std::io::Write;
 use std::time::Duration;
 
 use syncperf_bench::{common, serving};
-use syncperf_core::{Result, SyncPerfError};
-use syncperf_serve::{
-    cache_bytes_from_env, install_sigterm_handler, sigterm_received, ServeConfig, Server,
-};
+use syncperf_serve::{install_sigterm_handler, ServeConfig, Server};
 
+const USAGE: &str = "usage: serve [--addr HOST:PORT] [--jobs N] [--cache-bytes BYTES] \
+                     [--timeout-secs SECS] [--max-conns N]";
+
+#[derive(Debug, PartialEq)]
 struct Args {
     addr: String,
-    workers: usize,
     jobs: usize,
+    /// `None` is unbounded (`--cache-bytes 0` or no flag).
     cache_bytes: Option<u64>,
     timeout_secs: u64,
     max_conns: usize,
-    replicas: usize,
 }
 
-fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args> {
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:8642".into(),
-        workers: 4,
         jobs: 2,
-        cache_bytes: cache_bytes_from_env(std::env::var("SYNCPERF_CACHE_BYTES").ok()),
+        cache_bytes: None,
         timeout_secs: 10,
         max_conns: 2048,
-        replicas: 1,
     };
     while let Some(flag) = argv.next() {
-        let mut value = |name: &str| {
-            argv.next()
-                .ok_or_else(|| SyncPerfError::InvalidParams(format!("{name} needs a value")))
-        };
-        let numeric = |name: &str, v: Result<String>| -> Result<usize> {
-            v?.parse()
-                .map_err(|_| SyncPerfError::InvalidParams(format!("{name} must be a number")))
-        };
+        let value = argv.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--workers" => args.workers = numeric("--workers", value("--workers"))?,
-            "--jobs" => args.jobs = numeric("--jobs", value("--jobs"))?,
-            "--cache-bytes" => {
-                args.cache_bytes = cache_bytes_from_env(Some(value("--cache-bytes")?));
-            }
-            "--timeout-secs" => {
-                args.timeout_secs = numeric("--timeout-secs", value("--timeout-secs"))? as u64;
-            }
-            "--max-conns" => args.max_conns = numeric("--max-conns", value("--max-conns"))?,
-            "--replicas" => args.replicas = numeric("--replicas", value("--replicas"))?,
-            other => {
-                return Err(SyncPerfError::InvalidParams(format!(
-                    "unknown flag {other} (serve takes --addr --workers --jobs --cache-bytes \
-                     --timeout-secs --max-conns --replicas)"
-                )));
-            }
+            "--addr" => args.addr = value?,
+            "--jobs" => args.jobs = number(&flag, value)?,
+            "--cache-bytes" => args.cache_bytes = Some(number(&flag, value)?).filter(|&b| b > 0),
+            "--timeout-secs" => args.timeout_secs = number(&flag, value)?,
+            "--max-conns" => args.max_conns = number(&flag, value)?,
+            _ => return Err(format!("unknown flag {flag}")),
         }
     }
     Ok(args)
 }
 
-/// Supervisor mode: spawn `replicas` children of this same binary
-/// (each with `--replicas 1` and its own port), forward SIGTERM, and
-/// reap.
-fn supervise(args: &Args) -> Result<()> {
-    let exe = std::env::current_exe()
-        .map_err(|e| SyncPerfError::InvalidParams(format!("cannot find own binary: {e}")))?;
-    let (host, port) = args
-        .addr
-        .rsplit_once(':')
-        .ok_or_else(|| SyncPerfError::InvalidParams("--addr must be HOST:PORT".into()))?;
-    let base_port: u16 = port
+fn number<T: std::str::FromStr>(flag: &str, value: Result<String, String>) -> Result<T, String> {
+    value?
         .parse()
-        .map_err(|_| SyncPerfError::InvalidParams("--addr port must be a number".into()))?;
-
-    let mut children = Vec::new();
-    for i in 0..args.replicas {
-        let child_port = if base_port == 0 {
-            0
-        } else {
-            base_port + u16::try_from(i).unwrap_or(0)
-        };
-        let child = std::process::Command::new(&exe)
-            .args([
-                "--addr",
-                &format!("{host}:{child_port}"),
-                "--workers",
-                &args.workers.to_string(),
-                "--jobs",
-                &args.jobs.to_string(),
-                "--timeout-secs",
-                &args.timeout_secs.to_string(),
-                "--max-conns",
-                &args.max_conns.to_string(),
-                "--replicas",
-                "1",
-            ])
-            .args(
-                args.cache_bytes
-                    .map(|b| vec!["--cache-bytes".to_string(), b.to_string()])
-                    .unwrap_or_default(),
-            )
-            .spawn()
-            .map_err(|e| SyncPerfError::InvalidParams(format!("spawn replica {i}: {e}")))?;
-        children.push(child);
-    }
-    println!("serve: supervising {} replicas", children.len());
-    std::io::stdout().flush().ok();
-
-    // The libc kill() std already links, for SIGTERM forwarding.
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    const SIGTERM_NO: i32 = 15;
-    let mut failed = false;
-    'supervise: loop {
-        if sigterm_received() {
-            for child in &children {
-                unsafe {
-                    kill(child.id() as i32, SIGTERM_NO);
-                }
-            }
-            break;
-        }
-        for child in &mut children {
-            if let Ok(Some(status)) = child.try_wait() {
-                eprintln!("serve: replica exited unexpectedly ({status})");
-                failed = true;
-                break 'supervise;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    // Tear the fleet down (idempotent for already-dead children) and
-    // reap everyone.
-    for child in &children {
-        unsafe {
-            kill(child.id() as i32, SIGTERM_NO);
-        }
-    }
-    for mut child in children {
-        let _ = child.wait();
-    }
-    if failed {
-        return Err(SyncPerfError::InvalidParams(
-            "a replica died; fleet stopped".into(),
-        ));
-    }
-    println!("serve: replica fleet shut down cleanly");
-    Ok(())
+        .map_err(|_| format!("{flag} must be a number"))
 }
 
-fn main() -> Result<()> {
-    let args = parse_args(std::env::args().skip(1))?;
+fn main() {
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     install_sigterm_handler();
-
-    if args.replicas > 1 {
-        return supervise(&args);
-    }
 
     let sched_cfg = syncperf_sched::SchedConfig::new(args.jobs.max(1)).with_label("serve");
     let scheduler = std::sync::Arc::new(syncperf_sched::Scheduler::new(sched_cfg));
 
     let mut cfg = ServeConfig::new(scheduler, serving::default_resolver());
     cfg.addr = args.addr;
-    cfg.workers = args.workers.max(1);
     cfg.results_dir = common::results_dir();
     cfg.cache_bytes = args.cache_bytes;
     cfg.request_timeout = Duration::from_secs(args.timeout_secs.max(1));
     cfg.max_connections = args.max_conns.max(1);
 
-    let server = Server::start(cfg)?;
+    let server = Server::start(cfg).unwrap_or_else(|e| {
+        eprintln!("error: cannot start serve: {e}");
+        std::process::exit(1);
+    });
     println!("listening on http://{}", server.addr());
     // The CI smoke test (and anything else scripting us) scrapes that
     // line, so make sure it is out before we block.
     std::io::stdout().flush().ok();
     server.wait();
     println!("serve: shut down cleanly");
-    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn cache_bytes_must_be_a_number_and_zero_is_unbounded() {
+        assert!(parse(&["--cache-bytes", "garbage"]).is_err());
+        assert!(parse(&["--cache-bytes"]).is_err());
+        assert_eq!(parse(&["--cache-bytes", "0"]).unwrap().cache_bytes, None);
+        assert_eq!(
+            parse(&["--cache-bytes", "4096"]).unwrap().cache_bytes,
+            Some(4096)
+        );
+        assert_eq!(parse(&[]).unwrap().cache_bytes, None);
+    }
+
+    #[test]
+    fn jobs_is_the_one_parallelism_flag() {
+        assert_eq!(parse(&["--jobs", "3"]).unwrap().jobs, 3);
+        assert!(parse(&["--jobs", "two"]).is_err());
+        for gone in [["--workers", "4"], ["--replicas", "2"]] {
+            let err = parse(&gone).unwrap_err();
+            assert!(err.starts_with("unknown flag"), "{gone:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_flag_sets_its_field() {
+        let args = parse(&[
+            "--addr",
+            "127.0.0.1:0",
+            "--jobs",
+            "1",
+            "--cache-bytes",
+            "0",
+            "--timeout-secs",
+            "3",
+            "--max-conns",
+            "8",
+        ])
+        .unwrap();
+        assert_eq!(
+            args,
+            Args {
+                addr: "127.0.0.1:0".into(),
+                jobs: 1,
+                cache_bytes: None,
+                timeout_secs: 3,
+                max_conns: 8,
+            }
+        );
+    }
 }

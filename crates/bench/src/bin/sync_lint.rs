@@ -38,7 +38,7 @@ use syncperf_analyze::{
     Diagnostic, ExploreStats,
 };
 use syncperf_bench::codes::{kernel_inventory, AnyKernel};
-use syncperf_core::obs;
+use syncperf_core::obs::{self, json};
 
 fn usage() -> ! {
     eprintln!(
@@ -66,22 +66,6 @@ struct Exploration {
     micros: u128,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn render_json(
     findings: &[Finding],
     disagreements: &[String],
@@ -91,10 +75,10 @@ fn render_json(
     for (i, f) in findings.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"kernel\": \"{}\", \"registry_code\": \"{}\", \"body\": \"{}\", \
-             \"code\": \"{}\", \"severity\": \"{}\", \"op_index\": {}, \"message\": \"{}\", \
+            "    {{\"kernel\": {}, \"registry_code\": \"{}\", \"body\": \"{}\", \
+             \"code\": \"{}\", \"severity\": \"{}\", \"op_index\": {}, \"message\": {}, \
              \"allowed\": {}}}",
-            json_escape(&f.kernel),
+            json::string(&f.kernel),
             f.code,
             f.body,
             f.diag.code.code(),
@@ -102,14 +86,15 @@ fn render_json(
             f.diag
                 .op_index
                 .map_or_else(|| "null".to_string(), |i| i.to_string()),
-            json_escape(&f.diag.message),
+            json::string(&f.diag.message),
             f.allowed_reason.is_some(),
         );
         out.push_str(if i + 1 < findings.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n  \"disagreements\": [\n");
     for (i, d) in disagreements.iter().enumerate() {
-        let _ = write!(out, "    \"{}\"", json_escape(d));
+        out.push_str("    ");
+        json::push_string(&mut out, d);
         out.push_str(if i + 1 < disagreements.len() {
             ",\n"
         } else {
@@ -120,9 +105,9 @@ fn render_json(
     for (i, e) in explorations.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"kernel\": \"{}\", \"body\": \"{}\", \"states\": {}, \"branches\": {}, \
+            "    {{\"kernel\": {}, \"body\": \"{}\", \"states\": {}, \"branches\": {}, \
              \"complete\": {}, \"deadlock_free\": {}, \"micros\": {}}}",
-            json_escape(&e.kernel),
+            json::string(&e.kernel),
             e.body,
             e.stats.states,
             e.stats.branches,

@@ -27,10 +27,10 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use syncperf_bench::serving;
-use syncperf_load::{Baseline, LoadConfig, Profile};
+use syncperf_load::{Baseline, ClientConn, LoadConfig, Profile};
 use syncperf_serve::{ServeConfig, Server};
 
 /// `--check` allows p99 up to committed × this.
@@ -131,7 +131,6 @@ impl ReplicaPair {
             let scheduler = Arc::new(syncperf_sched::Scheduler::new(sched_cfg));
             let mut cfg = ServeConfig::new(scheduler, serving::default_resolver());
             cfg.addr = "127.0.0.1:0".into();
-            cfg.workers = 2;
             cfg.results_dir.clone_from(&dir);
             cfg.index_refresh = Duration::from_millis(100);
             servers.push(Server::start(cfg)?);
@@ -151,6 +150,33 @@ impl ReplicaPair {
     }
 }
 
+/// Polls `GET /job/<hash>` on each target until it serves every hash,
+/// or `patience` runs out.
+fn await_indexed(targets: &[String], hashes: &[String], patience: Duration) -> Result<(), String> {
+    let deadline = Instant::now() + patience;
+    for target in targets {
+        let mut conn = ClientConn::new(target, patience).map_err(|e| format!("{target}: {e}"))?;
+        for hash in hashes {
+            loop {
+                let reply = conn
+                    .request("GET", &format!("/job/{hash}"), None)
+                    .map_err(|e| format!("{target}: {e}"))?;
+                if reply.status == 200 {
+                    break;
+                }
+                if Instant::now() >= deadline {
+                    return Err(format!(
+                        "{target} still answers {} for {hash}",
+                        reply.status
+                    ));
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+    }
+    Ok(())
+}
+
 fn bench(args: &Args) {
     let pair = if args.targets.is_empty() {
         match ReplicaPair::start() {
@@ -168,8 +194,9 @@ fn bench(args: &Args) {
         .map_or_else(|| args.targets.clone(), ReplicaPair::targets);
     eprintln!("targets: {}", targets.join(", "));
 
-    // Warm the cache through replica A, then give every other replica
-    // one re-scan period to index the foreign writes.
+    // Warm the cache through replica A, then wait until every other
+    // replica's re-scan has indexed the foreign writes, so the timed
+    // window measures steady state and not the re-scan cadence.
     let profile = match Profile::warm(&targets[0], Duration::from_secs(30)) {
         Ok(p) => p,
         Err(e) => {
@@ -178,7 +205,10 @@ fn bench(args: &Args) {
         }
     };
     eprintln!("warm: {} cached hashes", profile.hashes.len());
-    std::thread::sleep(Duration::from_millis(300));
+    if let Err(e) = await_indexed(&targets[1..], &profile.hashes, Duration::from_secs(10)) {
+        eprintln!("error: warmup did not reach every replica: {e}");
+        std::process::exit(1);
+    }
 
     let mut cfg = LoadConfig::new(targets);
     cfg.connections = args.conns;

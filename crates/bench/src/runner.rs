@@ -182,8 +182,8 @@ pub struct RunOptions {
     /// Write a Chrome JSON trace of the run to this path (`-` for
     /// stdout).
     pub trace: Option<PathBuf>,
-    /// Worker threads for the sweep scheduler (`--jobs N`). `None`
-    /// falls back to the `SYNCPERF_JOBS` environment variable, then 1.
+    /// Worker threads for the sweep scheduler (`--jobs N`); `None`
+    /// is 1.
     pub jobs: Option<usize>,
     /// Disable the content-addressed result cache (`--no-cache`).
     pub no_cache: bool,
@@ -292,19 +292,10 @@ impl RunOptions {
         Ok((opts, rest))
     }
 
-    /// Worker-count precedence: `--jobs` flag, then the `SYNCPERF_JOBS`
-    /// environment variable, then 1 (serial).
+    /// The scheduler's worker count: `--jobs`, or 1 (serial).
     #[must_use]
     pub fn effective_jobs(&self) -> usize {
-        Self::jobs_from(self.jobs, std::env::var("SYNCPERF_JOBS").ok().as_deref())
-    }
-
-    /// [`Self::effective_jobs`] with the environment injected (so the
-    /// precedence is unit-testable without mutating process state).
-    #[must_use]
-    pub fn jobs_from(flag: Option<usize>, env: Option<&str>) -> usize {
-        flag.or_else(|| env.and_then(|s| s.trim().parse().ok()))
-            .map_or(1, |n| n.max(1))
+        self.jobs.unwrap_or(1).max(1)
     }
 
     /// Whether any scheduler-facing option was given. Only then does
@@ -312,10 +303,7 @@ impl RunOptions {
     /// take the serial legacy path, which stays the reference output.
     #[must_use]
     pub fn wants_scheduler(&self) -> bool {
-        self.jobs.is_some()
-            || self.no_cache
-            || self.wants_dist()
-            || std::env::var_os("SYNCPERF_JOBS").is_some()
+        self.jobs.is_some() || self.no_cache || self.wants_dist()
     }
 
     /// Whether distributed (multi-process) execution was requested.
@@ -612,17 +600,15 @@ mod tests {
     }
 
     #[test]
-    fn jobs_precedence_is_flag_then_env_then_serial() {
-        // Flag beats environment.
-        assert_eq!(RunOptions::jobs_from(Some(4), Some("8")), 4);
-        // Environment beats the serial default.
-        assert_eq!(RunOptions::jobs_from(None, Some("8")), 8);
-        assert_eq!(RunOptions::jobs_from(None, Some(" 2 ")), 2);
-        // Neither set, or the env value is garbage / zero: serial.
-        assert_eq!(RunOptions::jobs_from(None, None), 1);
-        assert_eq!(RunOptions::jobs_from(None, Some("lots")), 1);
-        assert_eq!(RunOptions::jobs_from(None, Some("0")), 1);
-        assert_eq!(RunOptions::jobs_from(Some(0), Some("8")), 1);
+    fn jobs_is_the_flag_or_serial() {
+        let jobs = |n| RunOptions {
+            jobs: n,
+            ..RunOptions::default()
+        };
+        assert_eq!(jobs(Some(4)).effective_jobs(), 4);
+        assert_eq!(jobs(Some(0)).effective_jobs(), 1);
+        assert_eq!(jobs(None).effective_jobs(), 1);
+        assert!(!jobs(None).wants_scheduler());
     }
 
     #[test]

@@ -32,7 +32,6 @@ fn flagless_launch_reproduces_the_committed_trees() {
         let status = Command::new(env!("CARGO_BIN_EXE_launch"))
             .args(["all", "--yes", "--system", &n.to_string(), "--out"])
             .arg(&out)
-            .env_remove("SYNCPERF_JOBS")
             .stdout(std::process::Stdio::null())
             .status()
             .unwrap();

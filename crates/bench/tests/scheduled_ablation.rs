@@ -17,7 +17,6 @@ fn run(root: &Path, tag: &str, flags: &[&str]) -> SchedStats {
         .arg("--metrics")
         .arg(&prom)
         .env("SYNCPERF_RESULTS", root)
-        .env_remove("SYNCPERF_JOBS")
         .output()
         .expect("ablation_barrier_model starts");
     assert!(

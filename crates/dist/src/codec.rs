@@ -20,7 +20,7 @@ use syncperf_core::{
     SystemSpec, Target, VoteKind,
 };
 
-use syncperf_core::obs::json::Value;
+use syncperf_core::obs::json::{self, Value};
 use syncperf_sched::JobSpec;
 
 /// Encodes `job` as a JSON object string, or `None` when the job is not
@@ -113,7 +113,7 @@ fn encode_kernel<Op>(k: &syncperf_core::Kernel<Op>, enc: impl Fn(&Op) -> String)
     };
     format!(
         "{{\"name\":{},\"extra_ops\":{},\"baseline\":{},\"test\":{}}}",
-        json_string(&k.name),
+        json::string(&k.name),
         k.extra_ops,
         body(&k.baseline),
         body(&k.test),
@@ -497,23 +497,6 @@ fn decode_gpu_op(v: &Value) -> Option<GpuOp> {
         },
         _ => return None,
     })
-}
-
-/// JSON string literal with the same escaping the cache encoder uses.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 pub(crate) fn get_u32(v: &Value, key: &str) -> Option<u32> {

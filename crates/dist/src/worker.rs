@@ -27,7 +27,7 @@ use syncperf_sched::{
     SCHED_SALT,
 };
 
-use crate::codec::{decode_job, json_string};
+use crate::codec::decode_job;
 use crate::coordinator::{get_hash, get_shard};
 use crate::frame::{read_frame, read_handshake, write_frame, FrameType, PROTO_VERSION};
 
@@ -250,7 +250,7 @@ fn run_one(
         Err(e) => {
             let doc = format!(
                 "{{\"shard\":{shard},\"hash\":\"{hash:016x}\",\"error\":{}}}",
-                json_string(&e)
+                json::string(&e)
             );
             write_frame(writer, FrameType::JobError, doc.as_bytes())?;
         }

@@ -41,11 +41,11 @@ impl FlightEntry {
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"seq\":{},\"unix_us\":{},\"cat\":\"{}\",\"msg\":\"{}\"}}",
+            "{{\"seq\":{},\"unix_us\":{},\"cat\":{},\"msg\":{}}}",
             self.seq,
             self.unix_us,
-            crate::sink::json_escape(self.cat),
-            crate::sink::json_escape(&self.msg)
+            crate::json::string(self.cat),
+            crate::json::string(&self.msg)
         )
     }
 }

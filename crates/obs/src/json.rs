@@ -2,9 +2,13 @@
 //! downstream tests) without external dependencies. Supports the full
 //! JSON grammar the sinks emit: objects, arrays, strings with escapes,
 //! numbers, booleans, and null.
+//!
+//! Beside it sits the one JSON string escaper every writer in the
+//! workspace uses ([`push_string`]): traces, flight lines, cache
+//! entries, the dist wire, serve answers and the lint reports.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,6 +81,34 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// Appends `s` to `out` as a quoted JSON string literal: `"` and `\`
+/// are backslash-escaped, a newline is `\n`, and every other control
+/// character is `\u00XX`. Cache entries are written with this, and
+/// their reader accepts exactly these escapes.
+pub fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// [`push_string`] into a new string.
+#[must_use]
+pub fn string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_string(&mut out, s);
+    out
+}
 
 /// Parses a complete JSON document.
 ///
@@ -288,6 +320,18 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn strings_escape_quotes_backslashes_and_controls() {
+        assert_eq!(string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(string("\u{1}\t\r"), "\"\\u0001\\u0009\\u000d\"");
+        assert_eq!(string("µs"), "\"µs\"");
+        let mut out = String::from("x:");
+        push_string(&mut out, "y");
+        assert_eq!(out, "x:\"y\"");
+        let nasty = "q\"\\\n\u{7}\t end";
+        assert_eq!(parse(&string(nasty)), Ok(Value::String(nasty.into())));
+    }
 
     #[test]
     fn parses_nested_documents() {

@@ -1,5 +1,4 @@
-//! The event sink: Chrome `trace_event` JSON, plus the JSON string
-//! escaping the flight recorder's lines share.
+//! The event sink: Chrome `trace_event` JSON.
 //!
 //! The Chrome format follows the Trace Event Format spec's JSON object
 //! flavor: a top-level object with a `traceEvents` array of events,
@@ -9,30 +8,11 @@
 //! `"C"`, and process metadata phase `"M"` — all loadable in
 //! `chrome://tracing` and Perfetto.
 
+use crate::json;
 use crate::{ArgValue, Event, Snapshot};
 
 /// The pid all events carry (one simulated process).
 pub const TRACE_PID: u64 = 1;
-
-/// Escapes `s` into a JSON string body (no surrounding quotes).
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders a finite float the JSON grammar accepts (NaN/∞ → null).
 fn json_number(v: f64) -> String {
@@ -49,12 +29,13 @@ fn args_object(args: &[(&'static str, ArgValue)]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\"{}\":", json_escape(key)));
+        json::push_string(&mut out, key);
+        out.push(':');
         match value {
             ArgValue::U64(v) => out.push_str(&v.to_string()),
             ArgValue::I64(v) => out.push_str(&v.to_string()),
             ArgValue::F64(v) => out.push_str(&json_number(*v)),
-            ArgValue::Str(s) => out.push_str(&format!("\"{}\"", json_escape(s))),
+            ArgValue::Str(s) => json::push_string(&mut out, s),
         }
     }
     out.push('}');
@@ -65,20 +46,20 @@ fn event_json(e: &Event) -> String {
     let ts_us = e.ts_ns as f64 / 1e3;
     match e.dur_ns {
         Some(dur) => format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+            "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\
              \"pid\":{TRACE_PID},\"tid\":{},\"args\":{}}}",
-            json_escape(&e.name),
-            json_escape(e.cat),
+            json::string(&e.name),
+            json::string(e.cat),
             json_number(ts_us),
             json_number(dur as f64 / 1e3),
             e.tid,
             args_object(&e.args),
         ),
         None => format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
+            "{{\"name\":{},\"cat\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
              \"pid\":{TRACE_PID},\"tid\":{},\"args\":{}}}",
-            json_escape(&e.name),
-            json_escape(e.cat),
+            json::string(&e.name),
+            json::string(e.cat),
             json_number(ts_us),
             e.tid,
             args_object(&e.args),
@@ -99,17 +80,17 @@ pub fn chrome_trace_json(events: &[Event], snapshot: &Snapshot) -> String {
     entries.extend(events.iter().map(event_json));
     for (name, value) in &snapshot.counters {
         entries.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":{TRACE_PID},\"tid\":0,\
+            "{{\"name\":{},\"ph\":\"C\",\"ts\":{},\"pid\":{TRACE_PID},\"tid\":0,\
              \"args\":{{\"value\":{value}}}}}",
-            json_escape(name),
+            json::string(name),
             json_number(last_ts_us),
         ));
     }
     for (name, value) in &snapshot.gauges {
         entries.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":{TRACE_PID},\"tid\":0,\
+            "{{\"name\":{},\"ph\":\"C\",\"ts\":{},\"pid\":{TRACE_PID},\"tid\":0,\
              \"args\":{{\"value\":{value}}}}}",
-            json_escape(name),
+            json::string(name),
             json_number(last_ts_us),
         ));
     }
@@ -248,8 +229,6 @@ mod tests {
 
     #[test]
     fn escaping_handles_quotes_and_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
         // A name with quotes must still produce parseable output.
         let rec = Recorder::tracing();
         rec.instant("cat", "name \"with\" quotes");

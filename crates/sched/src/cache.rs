@@ -233,7 +233,7 @@ pub fn encode_measurement(hash: u64, m: &Measurement) -> String {
     out.push_str("{\n  \"schema\": 2,\n");
     let _ = writeln!(out, "  \"hash\": \"{}\",", hex16(hash));
     out.push_str("  \"kernel\": ");
-    push_json_string(&mut out, &m.kernel_name);
+    syncperf_core::obs::json::push_string(&mut out, &m.kernel_name);
     out.push_str(",\n");
     let p = &m.params;
     let _ = writeln!(
@@ -269,23 +269,6 @@ pub fn encode_measurement(hash: u64, m: &Measurement) -> String {
         m.retries, m.exhausted_runs
     );
     out
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A cursor over one entry's text that reads exactly the layout
@@ -384,7 +367,7 @@ impl<'a> EntryReader<'a> {
         })
     }
 
-    /// A quoted string with exactly the escapes `push_json_string`
+    /// A quoted string with exactly the escapes `json::push_string`
     /// writes: `\"`, `\\`, `\n`, and `\u00xx` for the other control
     /// characters. Raw control characters are rejected.
     fn string(&mut self) -> Option<String> {

@@ -1169,11 +1169,13 @@ mod tests {
             ExecParams::new(64).with_blocks(2).with_loops(50, 4),
             Protocol::SIM,
         ));
-        let s2 = Scheduler::new(SchedConfig::new(1).with_cache_dir(tmp_dir("batch2")));
+        let dir2 = tmp_dir("batch2");
+        let s2 = Scheduler::new(SchedConfig::new(1).with_cache_dir(&dir2));
         s2.run_jobs(mixed).unwrap();
         let st2 = s2.stats();
         assert_eq!((st2.plan_batches, st2.plan_batch_points), (1, 3));
         std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&dir2).unwrap();
     }
 
     #[test]

@@ -17,6 +17,8 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
+use syncperf_core::obs::json;
+
 /// Upper bound on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
@@ -334,7 +336,10 @@ impl Response {
     /// A JSON error response with a `{"error": ...}` body.
     #[must_use]
     pub fn error(status: u16, message: &str) -> Self {
-        Response::json(status, format!("{{\"error\": {}}}\n", json_string(message)))
+        Response::json(
+            status,
+            format!("{{\"error\": {}}}\n", json::string(message)),
+        )
     }
 
     /// Attaches a `Retry-After` header (seconds).
@@ -390,24 +395,6 @@ pub fn render_response(resp: &Response, keep_alive: bool) -> Vec<u8> {
 pub fn write_response(stream: &mut TcpStream, resp: &Response, keep_alive: bool) {
     let _ = stream.write_all(&render_response(resp, keep_alive));
     let _ = stream.flush();
-}
-
-/// JSON-escapes `s` into a quoted string literal.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

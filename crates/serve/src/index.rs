@@ -11,7 +11,7 @@
 //!
 //! Reads are served from the in-memory copies — a reader can never
 //! observe a torn file — and every read path takes a [`Pin`] guard
-//! for its entry. Eviction (`SYNCPERF_CACHE_BYTES`) walks entries in
+//! for its entry. Eviction (`serve --cache-bytes`) walks entries in
 //! least-recently-used order and deletes from disk *and* memory, but
 //! never touches an entry that is pinned by a reader or named by an
 //! in-flight compute writer.

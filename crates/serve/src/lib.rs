@@ -21,8 +21,6 @@
 //!   [`JobSpec`](syncperf_sched::JobSpec), and concurrent identical
 //!   requests deduplicate onto a single scheduler job
 //!   (single-writer-per-entry, [`inflight`]).
-//! - `GET /manifest/<label>` — the per-label checkpoint manifest, so
-//!   clients can resume partial sweeps against a remote cache.
 //! - `GET /metrics` — the live telemetry snapshot (request counters,
 //!   per-endpoint latency histograms, scheduler profile, index
 //!   gauges) in Prometheus-style text exposition format.
@@ -34,14 +32,15 @@
 //! incrementally ([`http::try_parse`]), each read/write phase
 //! carries a deadline (slowloris peers are evicted, oversized heads
 //! answered `431`), and accepts beyond the connection cap shed load
-//! with `503 + Retry-After`. Several serve processes may share one
-//! cache directory (`--replicas` in the serve bin): the atomic-rename
-//! store tolerates concurrent writers and each replica's index picks
-//! up foreign writes via periodic re-scan ([`Index::refresh`]), so
-//! any cached hash serves byte-identically from every replica.
+//! with `503 + Retry-After`. Several serve processes (replicas) may
+//! share one cache directory: every writer stores the same bytes for
+//! a hash, the corruption-tolerant loader treats a torn read as a
+//! miss, and each replica's index picks up foreign writes via
+//! periodic re-scan ([`Index::refresh`]), so any cached hash serves
+//! byte-identically from every replica.
 //!
-//! The on-disk cache honours an LRU size budget
-//! (`SYNCPERF_CACHE_BYTES`): eviction never removes an entry with a
+//! The on-disk cache honours an optional LRU size budget
+//! ([`ServeConfig::cache_bytes`]): eviction never removes an entry with a
 //! live reader pin or an in-flight writer ([`index`]). Every request
 //! is counted under `serve.*` obs counters and observed into
 //! per-endpoint `serve.endpoint.<label>.latency_us` histograms, and
@@ -60,6 +59,6 @@ pub use http::{ParseFailure, ParseStep, Request, Response};
 pub use index::{Index, Pin, Query, QueryMatch};
 pub use inflight::{Claim, Inflight, OwnerGuard};
 pub use server::{
-    cache_bytes_from_env, endpoint_label, install_sigterm_handler, metrics_endpoint,
-    sigterm_received, ComputeRequest, Resolver, ServeConfig, ServeStats, Server, ENDPOINT_LABELS,
+    endpoint_label, install_sigterm_handler, metrics_endpoint, ComputeRequest, Resolver,
+    ServeConfig, ServeStats, Server, ENDPOINT_LABELS,
 };

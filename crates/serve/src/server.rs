@@ -7,10 +7,10 @@
 //! incremental request parsing ([`crate::http::try_parse`]),
 //! per-request read/write deadlines, and a connection cap that sheds
 //! load with `503 + Retry-After` at accept time. Only `/compute`
-//! cache misses leave the reactor — they are queued to `workers`
-//! compute threads (scheduler measurements block for milliseconds to
-//! seconds) and their responses return through a completion queue +
-//! [`crate::reactor::Waker`].
+//! cache misses leave the reactor — they are queued to one compute
+//! thread per scheduler worker (scheduler measurements block for
+//! milliseconds to seconds) and their responses return through a
+//! completion queue + [`crate::reactor::Waker`].
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -23,9 +23,9 @@ use std::time::{Duration, Instant};
 use syncperf_core::obs::{self, Counter, FlightRecorder, Histogram, Recorder, Snapshot};
 use syncperf_core::Measurement;
 use syncperf_sched::cache::encode_measurement;
-use syncperf_sched::{hash::hex16, hash::parse_hex16, Checkpoint, JobSpec, Scheduler};
+use syncperf_sched::{hash::hex16, hash::parse_hex16, JobSpec, Scheduler};
 
-use crate::http::{json_string, render_response, try_parse, ParseStep, Request, Response};
+use crate::http::{render_response, try_parse, ParseStep, Request, Response};
 use crate::index::{Index, Query};
 use crate::inflight::{Claim, Inflight};
 use crate::reactor::{Event, Poller, Waker, RDHUP, READABLE, WRITABLE};
@@ -34,9 +34,9 @@ use crate::reactor::{Event, Poller, Waker, RDHUP, READABLE, WRITABLE};
 /// histograms are split by (`other` absorbs unknown paths and parse
 /// failures). Metric names embed these labels:
 /// `serve.endpoint.<label>.requests` / `serve.endpoint.<label>.latency_us`.
-pub const ENDPOINT_LABELS: [&str; 11] = [
-    "healthz", "stats", "metrics", "events", "query", "job", "figure", "compute", "manifest",
-    "shutdown", "other",
+pub const ENDPOINT_LABELS: [&str; 10] = [
+    "healthz", "stats", "metrics", "events", "query", "job", "figure", "compute", "shutdown",
+    "other",
 ];
 
 /// Classifies a request path into one of [`ENDPOINT_LABELS`].
@@ -52,7 +52,6 @@ pub fn endpoint_label(path: &str) -> &'static str {
         "/shutdown" => "shutdown",
         p if p.starts_with("/job/") => "job",
         p if p.starts_with("/figure/") => "figure",
-        p if p.starts_with("/manifest/") => "manifest",
         _ => "other",
     }
 }
@@ -122,9 +121,6 @@ pub type Resolver = Box<dyn Fn(&ComputeRequest) -> Option<JobSpec> + Send + Sync
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` for an ephemeral port).
     pub addr: String,
-    /// Blocking compute-pool threads (the event loop itself is one
-    /// reactor thread; only `/compute` misses occupy these).
-    pub workers: usize,
     /// Directory figure CSV/SVG files are served from.
     pub results_dir: PathBuf,
     /// On-disk cache size budget in bytes (`None` = unbounded).
@@ -143,7 +139,9 @@ pub struct ServeConfig {
     /// written (or evicted) by other replicas sharing it.
     pub index_refresh: Duration,
     /// The scheduler computes run on (its cache dir is the index's
-    /// source of truth).
+    /// source of truth). The server runs one compute thread per
+    /// scheduler worker, so its worker count is the one parallelism
+    /// setting.
     pub scheduler: Arc<Scheduler>,
     /// Compute-request resolver.
     pub resolver: Resolver,
@@ -155,7 +153,6 @@ impl std::fmt::Debug for ServeConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeConfig")
             .field("addr", &self.addr)
-            .field("workers", &self.workers)
             .field("results_dir", &self.results_dir)
             .field("cache_bytes", &self.cache_bytes)
             .field("max_connections", &self.max_connections)
@@ -164,17 +161,15 @@ impl std::fmt::Debug for ServeConfig {
 }
 
 impl ServeConfig {
-    /// A config with sensible defaults: 4 compute workers, 10 s
-    /// deadlines, 2048 connections, a 500 ms replica re-scan, the
-    /// budget from `SYNCPERF_CACHE_BYTES` (unset or unparsable =
-    /// unbounded), serving figures from `results_dir`.
+    /// A config with sensible defaults: 10 s deadlines, 2048
+    /// connections, a 500 ms replica re-scan, an unbounded cache,
+    /// serving figures from `results_dir`.
     #[must_use]
     pub fn new(scheduler: Arc<Scheduler>, resolver: Resolver) -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
-            workers: 4,
             results_dir: PathBuf::from("results"),
-            cache_bytes: cache_bytes_from_env(std::env::var("SYNCPERF_CACHE_BYTES").ok()),
+            cache_bytes: None,
             request_timeout: Duration::from_secs(10),
             compute_patience: Duration::from_secs(60),
             max_connections: 2048,
@@ -187,14 +182,6 @@ impl ServeConfig {
             recorder: Recorder::enabled(),
         }
     }
-}
-
-/// Parses a `SYNCPERF_CACHE_BYTES` value (plain bytes; `0`, absence,
-/// or garbage mean unbounded).
-#[must_use]
-pub fn cache_bytes_from_env(v: Option<String>) -> Option<u64> {
-    v.and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&b| b > 0)
 }
 
 /// The `serve.*` counter/histogram family.
@@ -354,13 +341,6 @@ impl Shared {
 /// it alongside its own shutdown flag.
 static SIGTERM: AtomicBool = AtomicBool::new(false);
 
-/// Whether the process received SIGTERM (replica supervisors poll
-/// this to tear their children down).
-#[must_use]
-pub fn sigterm_received() -> bool {
-    SIGTERM.load(Ordering::SeqCst)
-}
-
 /// Installs a SIGTERM handler that requests graceful shutdown of all
 /// servers in the process. Uses the libc `signal` symbol std already
 /// links; a no-op on non-unix targets.
@@ -457,7 +437,10 @@ impl Server {
 
         let (tx, rx) = mpsc::channel::<ComputeTask>();
         let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..cfg.workers.max(1))
+        // Each compute thread runs one-job measurements, so each is
+        // worker 0 of its own call and the scheduler's helpers never
+        // start: the scheduler's worker count sizes this pool.
+        let workers = (0..shared.scheduler.effective_workers())
             .map(|_| {
                 let rx = Arc::clone(&rx);
                 let shared = Arc::clone(&shared);
@@ -1051,7 +1034,6 @@ fn route(req: &Request, shared: &Arc<Shared>) -> Routed {
         ("POST", "/compute") => return handle_compute(req, shared),
         ("GET", path) if path.starts_with("/job/") => handle_job(&path[5..], shared),
         ("GET", path) if path.starts_with("/figure/") => handle_figure(&path[8..], shared),
-        ("GET", path) if path.starts_with("/manifest/") => handle_manifest(&path[10..], shared),
         ("GET", _) => Response::error(404, "no such endpoint"),
         (_, "/query" | "/compute" | "/healthz" | "/stats" | "/metrics" | "/events") => {
             Response::error(405, "method not allowed")
@@ -1183,7 +1165,9 @@ fn measurement_response(
 ) -> Response {
     let mut body = String::from("{\n");
     body.push_str(&format!("\"hash\": \"{}\",\n", hex16(hash)));
-    body.push_str(&format!("\"source\": {},\n", json_string(source)));
+    body.push_str("\"source\": ");
+    obs::json::push_string(&mut body, source);
+    body.push_str(",\n");
     if let Some(d) = distance {
         body.push_str(&format!("\"distance\": {d},\n"));
     }
@@ -1266,24 +1250,6 @@ fn handle_figure(name: &str, shared: &Arc<Shared>) -> Response {
             retry_after: None,
         },
         Err(_) => Response::error(404, "no such figure output (regenerate it first)"),
-    }
-}
-
-/// `GET /manifest/<label>`: the per-label checkpoint manifest, so a
-/// client can resume a partial sweep against this replica's cache.
-/// Labels pass through the same sanitizer the scheduler writes them
-/// with, so no request can escape the cache directory.
-fn handle_manifest(label: &str, shared: &Arc<Shared>) -> Response {
-    if label.is_empty() {
-        return Response::error(400, "missing checkpoint label");
-    }
-    let path = Checkpoint::path_for(shared.index.cache().dir(), label);
-    match std::fs::read_to_string(&path) {
-        Ok(body) => Response::json(200, body),
-        Err(_) => Response::error(
-            404,
-            "no checkpoint manifest for that label (labels sanitize to [A-Za-z0-9_-])",
-        ),
     }
 }
 
@@ -1460,14 +1426,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_bytes_env_parsing() {
-        assert_eq!(cache_bytes_from_env(None), None);
-        assert_eq!(cache_bytes_from_env(Some("0".into())), None);
-        assert_eq!(cache_bytes_from_env(Some("garbage".into())), None);
-        assert_eq!(cache_bytes_from_env(Some(" 4096 ".into())), Some(4096));
-    }
-
-    #[test]
     fn serve_stats_mirror_snapshot() {
         let rec = Recorder::enabled();
         let c = Counters::new(&rec);
@@ -1497,7 +1455,7 @@ mod tests {
         assert_eq!(endpoint_label("/events"), "events");
         assert_eq!(endpoint_label("/job/0011223344556677"), "job");
         assert_eq!(endpoint_label("/figure/fig01.csv"), "figure");
-        assert_eq!(endpoint_label("/manifest/all_figures"), "manifest");
+        assert_eq!(endpoint_label("/manifest/all_figures"), "other");
         assert_eq!(endpoint_label("/nope"), "other");
         for label in [
             endpoint_label("/stats"),
@@ -1514,7 +1472,7 @@ mod tests {
     fn request_labels_recover_from_flight_lines() {
         assert_eq!(request_label("GET /query"), "query");
         assert_eq!(request_label("POST /compute"), "compute");
-        assert_eq!(request_label("GET /manifest/all_figures"), "manifest");
+        assert_eq!(request_label("GET /manifest/all_figures"), "other");
         assert_eq!(request_label("unparseable request (x)"), "other");
     }
 }

@@ -14,7 +14,7 @@ use syncperf_bench::serving;
 use syncperf_core::Result;
 use syncperf_load::ClientConn;
 use syncperf_sched::{SchedConfig, Scheduler};
-use syncperf_serve::{ServeConfig, Server};
+use syncperf_serve::{ServeConfig, ServeStats, Server};
 
 fn field(body: &str, key: &str) -> String {
     body.split(&format!("\"{key}\": \""))
@@ -103,17 +103,13 @@ fn main() -> Result<()> {
     let (status, body) = http("GET", "/metrics", None);
     let snap = syncperf_core::obs::metrics::parse(&body);
     println!(
-        "GET /metrics           -> {status} ({} requests served, {} live connections, p99 {}us)",
-        snap.counter("serve_requests"),
+        "GET /metrics           -> {status} ({} live connections, p99 {}us)\n{:#?}",
         snap.gauges.get("serve_connections").copied().unwrap_or(0),
         snap.histogram("serve_latency_us").quantile(0.99),
+        ServeStats::from_snapshot(&snap),
     );
 
-    // 9. Service counters (human-readable twin of /metrics).
-    let (status, body) = http("GET", "/stats", None);
-    println!("GET /stats             -> {status}\n{body}");
-
-    // 10. Graceful shutdown over the wire.
+    // 9. Graceful shutdown over the wire.
     let (status, _) = http("POST", "/shutdown", Some(""));
     println!("POST /shutdown         -> {status}");
     println!("connection reconnects: {}", conn.reconnects);

@@ -317,12 +317,18 @@ fn scheduler_docs_match_the_cli_and_code() {
             assert!(doc.contains(flag), "{name} missing flag {flag}");
         }
     }
+    // `--jobs` has one spelling: no environment variable stands in
+    // for it, in the runner or in the docs.
     for (doc, name) in [
         (&sched_doc, "docs/SCHEDULER.md"),
         (&design, "DESIGN.md"),
         (&readme, "README.md"),
+        (&runner, "runner.rs"),
     ] {
-        assert!(doc.contains("SYNCPERF_JOBS"), "{name} missing env fallback");
+        assert!(
+            !doc.contains("SYNCPERF_JOBS"),
+            "{name} still names the removed SYNCPERF_JOBS fallback"
+        );
     }
 
     assert!(design.contains("docs/SCHEDULER.md"));
@@ -352,7 +358,6 @@ fn serving_docs_match_the_endpoints_and_code() {
         "/job/",
         "/query",
         "/figure/",
-        "/manifest/",
         "/compute",
         "/metrics",
         "/events",
@@ -365,32 +370,50 @@ fn serving_docs_match_the_endpoints_and_code() {
         ] {
             assert!(doc.contains(endpoint), "{name} missing endpoint {endpoint}");
         }
-        if endpoint != "/manifest/" {
-            assert!(design.contains(endpoint), "DESIGN.md missing {endpoint}");
-        }
+        assert!(design.contains(endpoint), "DESIGN.md missing {endpoint}");
     }
+    let server_code = &server_src[..server_src.find("#[cfg(test)]").unwrap_or(server_src.len())];
+    assert!(
+        !server_code.contains("/manifest/"),
+        "server.rs still routes the removed /manifest/ endpoint"
+    );
+    // The serve binary's flag set, one spelling per setting: the five
+    // flags it parses are the five the docs list, and the removed
+    // parallelism and supervisor flags appear in neither.
+    let serve_bin = read("crates/bench/src/bin/serve.rs");
+    let parser = &serve_bin[..serve_bin.find("#[cfg(test)]").unwrap_or(serve_bin.len())];
     for flag in [
         "--addr",
-        "--workers",
+        "--jobs",
         "--cache-bytes",
         "--timeout-secs",
         "--max-conns",
-        "--replicas",
     ] {
+        assert!(
+            parser.contains(&format!("\"{flag}\" =>")),
+            "serve.rs does not parse {flag}"
+        );
         assert!(
             serving_doc.contains(flag),
             "docs/SERVING.md missing flag {flag}"
         );
+        assert!(design.contains(flag), "DESIGN.md missing serve flag {flag}");
     }
-    for (doc, name) in [
-        (&serving_doc, "docs/SERVING.md"),
-        (&design, "DESIGN.md"),
-        (&readme, "README.md"),
-    ] {
-        assert!(
-            doc.contains("SYNCPERF_CACHE_BYTES"),
-            "{name} missing cache-budget env var"
-        );
+    assert_eq!(
+        parser.matches("\" =>").count(),
+        5,
+        "serve.rs parses exactly five flags"
+    );
+    for gone in ["--workers", "--replicas", "SYNCPERF_CACHE_BYTES"] {
+        for (doc, name) in [
+            (serving_doc.as_str(), "docs/SERVING.md"),
+            (design.as_str(), "DESIGN.md"),
+            (readme.as_str(), "README.md"),
+            (parser, "serve.rs"),
+            (server_code, "server.rs"),
+        ] {
+            assert!(!doc.contains(gone), "{name} still names {gone}");
+        }
     }
     assert!(readme.contains("docs/SERVING.md"));
     assert!(design.contains("docs/SERVING.md"));
@@ -469,7 +492,7 @@ fn serving_event_loop_and_load_docs_match_the_code() {
     // deterministic bytes per hash, so racing readers see at worst a
     // torn file the corruption-tolerant loader treats as a miss.
     for needle in [
-        "--replicas",
+        "start_serve_fleet",
         "byte-identical",
         "deterministic function of its",
         "torn",
@@ -493,10 +516,17 @@ fn serving_event_loop_and_load_docs_match_the_code() {
             "{name} missing the tracked serve baseline"
         );
     }
-    assert!(
-        ci.contains("--replicas 2"),
-        "ci.sh load lane must drive a replica pair"
-    );
+    // The load lane drives a two-process fleet: start_serve_fleet
+    // starts two `serve` processes and waits for both ready lines.
+    let fleet = ci
+        .split_once("start_serve_fleet() {")
+        .and_then(|(_, rest)| rest.split_once("\n}\n"))
+        .map(|(body, _)| body)
+        .expect("ci.sh defines start_serve_fleet");
+    assert!(fleet.contains("for _ in 1 2; do"), "{fleet}");
+    assert!(fleet.contains("release/serve"), "{fleet}");
+    assert!(fleet.contains("'s#^listening on http://##p' 2)"), "{fleet}");
+    assert!(ci.contains("start_serve_fleet ci_load_results"));
     let report = read("BENCH_serve.json");
     let parsed = syncperf::core::obs::json::parse(&report).expect("BENCH_serve.json parses");
     for field in [

@@ -303,7 +303,7 @@ fn eviction_keeps_the_cache_under_budget_and_the_index_consistent() {
     assert!(index.is_consistent(), "index survives eviction churn");
     assert!(
         index.total_bytes() <= 2000,
-        "on-disk cache respects SYNCPERF_CACHE_BYTES: {} bytes",
+        "on-disk cache respects the --cache-bytes budget: {} bytes",
         index.total_bytes()
     );
     assert!(!index.is_empty(), "eviction never empties a live cache");
@@ -752,107 +752,12 @@ fn connection_cap_sheds_load_with_503_and_retry_after() {
 }
 
 #[test]
-fn manifest_endpoint_serves_checkpoints_for_sweep_resume() {
-    let results = tmp("manifest");
-    let cache_dir = results.join(".cache");
-
-    // A partial sweep: two of three jobs done, checkpointed under the
-    // label a figure-regeneration run would use.
-    let sched = Scheduler::new(
-        SchedConfig::new(1)
-            .with_cache_dir(cache_dir.clone())
-            .with_label("resume-it"),
-    );
-    let specs = [
-        ("omp_barrier", 4u32),
-        ("omp_barrier", 8),
-        ("omp_critical_int", 4),
-    ];
-    let jobs: Vec<_> = specs
-        .iter()
-        .map(|(kernel, threads)| {
-            let req = ComputeRequest {
-                executor: "cpu-sim".into(),
-                kernel: (*kernel).to_string(),
-                threads: *threads,
-                ..ComputeRequest::default()
-            };
-            serving::resolve(&req).expect("resolves")
-        })
-        .collect();
-    let mut checkpoint = syncperf_sched::Checkpoint::fresh(&cache_dir, "resume-it");
-    for job in &jobs[..2] {
-        let hash = sched.job_hash(job);
-        sched.measure(job.clone()).expect("measure");
-        checkpoint.record(hash);
-    }
-    checkpoint.save().expect("checkpoint saved");
-
-    let server = start_server(&results, None);
-    let addr = server.addr();
-
-    // The manifest round-trips over HTTP and parses as the checkpoint
-    // schema.
-    let (status, body) = get(addr, "/manifest/resume-it");
-    assert_eq!(status, 200, "manifest served: {body}");
-    let v = syncperf_core::obs::json::parse(&body).expect("manifest is JSON");
-    assert_eq!(
-        v.get("label").and_then(|l| l.as_str()),
-        Some("resume-it"),
-        "label survives: {body}"
-    );
-    let done: Vec<String> = match v.get("done") {
-        Some(syncperf_core::obs::json::Value::Array(items)) => items
-            .iter()
-            .filter_map(|i| i.as_str().map(str::to_string))
-            .collect(),
-        other => panic!("manifest carries a done array, got {other:?}"),
-    };
-    assert_eq!(done.len(), 2);
-
-    // A resuming client fetches every done hash from the cache, then
-    // computes only what's missing.
-    for hash in &done {
-        let (status, body) = get(addr, &format!("/job/{hash}"));
-        assert_eq!(status, 200, "done hashes are cached: {body}");
-        assert_eq!(field(&body, "source"), "cache");
-    }
-    let (status, body) = post(
-        addr,
-        "/compute",
-        "{\"executor\": \"cpu-sim\", \"kernel\": \"omp_critical_int\", \"threads\": 4}",
-    );
-    assert_eq!(status, 200);
-    assert_eq!(
-        field(&body, "source"),
-        "computed",
-        "the missing job is the only recompute: {body}"
-    );
-    let (_, stats) = get(addr, "/stats");
-    assert!(
-        stats.contains("\"computes\": 1"),
-        "resume recomputed exactly the missing job: {stats}"
-    );
-
-    // Unknown labels 404, empty labels 400, and traversal-looking
-    // labels sanitize to a plain miss rather than escaping the dir.
-    let (status, _) = get(addr, "/manifest/no-such-label");
-    assert_eq!(status, 404);
-    let (status, _) = get(addr, "/manifest/");
-    assert_eq!(status, 400);
-    let (status, _) = get(addr, "/manifest/..%2F..%2Fetc%2Fpasswd");
-    assert_eq!(status, 404, "traversal sanitizes to a missing label");
-
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&results);
-}
-
-#[test]
 fn replica_pair_serves_byte_identical_answers_from_a_shared_cache() {
     let results = tmp("replicas");
     // Two replicas over one cache directory, re-scanning quickly. This
-    // is the in-process equivalent of `serve --replicas 2` (the bin
-    // spawns child processes; each child runs exactly this server).
+    // is the in-process equivalent of two `serve` processes started
+    // with one `SYNCPERF_RESULTS` (each process runs exactly this
+    // server).
     let replica_a = start_server_with(&results, None, |cfg| {
         cfg.index_refresh = Duration::from_millis(50);
     });
