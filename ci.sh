@@ -77,6 +77,12 @@ cargo clippy --workspace --release --offline --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace --release --offline -q
 
+# The render layer's float formatters must equal std's `{:.1}` and
+# `{:.3e}` on every value; tier-1 checks 2x10^5 values and every tie,
+# this scan 10^7 more.
+echo "==> numfmt scan (10^7 values)"
+cargo test --release --offline -p syncperf-core -q --lib -- --ignored numfmt
+
 # The paper-claim table (EXPERIMENTS.md): every one of the 19 claims
 # must reproduce. Exits nonzero on any failed claim.
 echo "==> verify_experiments (paper claims)"
@@ -386,6 +392,9 @@ clean=$(grep -c "shut down cleanly" load_serve_out.log || true)
   || { echo "${clean} of ${#serve_fleet_pids[@]} replicas printed their clean-exit line"; cat load_serve_out.log; exit 1; }
 serve_fleet_pids=()
 # Keep the dumps (and the load report above) as workflow artifacts.
+# Dumps left in results/ by earlier runs go first, so the count below
+# is this run's dumps alone.
+rm -f results/flightrec-*.jsonl
 cp ci_load_results/flightrec-*.jsonl results/
 echo "load lane artifacts: results/load_report.json + $(ls results/flightrec-*.jsonl | wc -l) flight dump(s)"
 rm -f load_serve_out.log

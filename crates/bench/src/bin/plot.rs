@@ -6,6 +6,7 @@
 //! $ plot results/fig09a.csv --log-x --svg /tmp/fig09a.svg
 //! ```
 
+use syncperf_core::report::write_if_changed;
 use syncperf_core::svg::{render_svg, SvgStyle};
 use syncperf_core::FigureData;
 
@@ -54,7 +55,7 @@ fn main() {
     println!("{}", fig.render_table());
     println!("{}", fig.render_ascii(72, 16));
     if let Some(out) = svg_out {
-        match std::fs::write(&out, render_svg(&fig, &SvgStyle::default())) {
+        match write_if_changed(&out, render_svg(&fig, &SvgStyle::default())) {
             Ok(()) => println!("wrote {out}"),
             Err(e) => {
                 eprintln!("error writing {out}: {e}");

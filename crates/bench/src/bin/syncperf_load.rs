@@ -4,7 +4,8 @@
 //! ```console
 //! $ syncperf_load bench                        # 1000 keep-alive conns, 8 s,
 //!                                              # in-process replica pair,
-//!                                              # writes BENCH_serve.json
+//!                                              # prints the report JSON
+//! $ syncperf_load bench --out BENCH_serve.json # ... and re-baselines
 //! $ syncperf_load bench --quick --check        # 2 s run gated against the
 //!                                              # committed BENCH_serve.json
 //! $ syncperf_load --quick --check              # same (bare flags imply bench)
@@ -18,14 +19,16 @@
 //! starts as real processes. The traffic profile is warmed over HTTP
 //! (`POST /compute` of a small kernel grid), then the mixed
 //! hash/query/figure/compute/telemetry mix runs for the window and
-//! the report lands in `BENCH_serve.json`. `--check` applies the
-//! committed baseline's gate: measured p99 must stay within
+//! the report JSON is printed; only an explicit `--out` writes it to a
+//! file, so no run replaces the committed `BENCH_serve.json` by
+//! accident. `--check` applies the committed baseline's gate (from
+//! `--out`, default `BENCH_serve.json`): measured p99 must stay within
 //! `check_p99_factor` of the committed p99 and the error rate under
 //! `check_max_error_rate` (generous bounds — shared CI runners are
 //! noisy; the gate exists to catch order-of-magnitude serving
 //! regressions, not percent-level jitter).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,11 +55,17 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The committed baseline `--check` reads when `--out` is not given.
+const DEFAULT_BASELINE: &str = "BENCH_serve.json";
+
 struct Args {
     quick: bool,
     check: bool,
     targets: Vec<String>,
-    out: PathBuf,
+    /// Where to write the report (a new baseline); with `--check`, the
+    /// baseline to gate against. `None`: print only, check against
+    /// [`DEFAULT_BASELINE`].
+    out: Option<PathBuf>,
     /// Also write the measured report here (useful with `--check`,
     /// where `--out` names the committed baseline, not an output).
     report: Option<PathBuf>,
@@ -70,7 +79,7 @@ fn parse_args(argv: &[String]) -> Args {
         quick: false,
         check: false,
         targets: Vec::new(),
-        out: PathBuf::from("BENCH_serve.json"),
+        out: None,
         report: None,
         conns: BENCH_CONNS,
         duration_secs: None,
@@ -83,7 +92,7 @@ fn parse_args(argv: &[String]) -> Args {
             "--quick" => args.quick = true,
             "--check" => args.check = true,
             "--target" => args.targets.push(value(&mut it)),
-            "--out" => args.out = value(&mut it).into(),
+            "--out" => args.out = Some(value(&mut it).into()),
             "--report" => args.report = Some(value(&mut it).into()),
             "--conns" => args.conns = value(&mut it).parse().unwrap_or_else(|_| usage()),
             "--duration-secs" => {
@@ -236,12 +245,13 @@ fn bench(args: &Args) {
     }
 
     if args.check {
-        let text = match std::fs::read_to_string(&args.out) {
+        let baseline_path = args.out.as_deref().unwrap_or(Path::new(DEFAULT_BASELINE));
+        let text = match std::fs::read_to_string(baseline_path) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!(
                     "error: --check needs a committed {}: {e}",
-                    args.out.display()
+                    baseline_path.display()
                 );
                 std::process::exit(1);
             }
@@ -269,9 +279,11 @@ fn bench(args: &Args) {
     }
 
     let encoded = report.to_json(P99_FACTOR, MAX_ERROR_RATE);
-    if let Err(e) = std::fs::write(&args.out, &encoded) {
-        eprintln!("error writing {}: {e}", args.out.display());
-        std::process::exit(1);
+    if let Some(out) = &args.out {
+        if let Err(e) = std::fs::write(out, &encoded) {
+            eprintln!("error writing {}: {e}", out.display());
+            std::process::exit(1);
+        }
     }
     print!("{encoded}");
 }
@@ -285,4 +297,26 @@ fn main() {
         _ => usage(),
     };
     bench(&parse_args(rest));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Args {
+        parse_args(&args.iter().map(|a| (*a).to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn only_an_explicit_out_names_a_file() {
+        let a = parse(&["--quick", "--target", "127.0.0.1:1"]);
+        assert!(a.out.is_none(), "a plain run must not write a baseline");
+        assert!(a.quick && !a.check);
+        assert_eq!(a.targets, ["127.0.0.1:1"]);
+        let a = parse(&["--check"]);
+        assert!(a.check && a.out.is_none());
+        let a = parse(&["--out", "new.json", "--conns", "8"]);
+        assert_eq!(a.out.as_deref(), Some(Path::new("new.json")));
+        assert_eq!(a.conns, 8);
+    }
 }

@@ -55,6 +55,7 @@ pub mod artifact;
 pub mod dtype;
 pub mod error;
 pub mod kernel;
+mod numfmt;
 pub mod params;
 pub mod platform;
 pub mod protocol;

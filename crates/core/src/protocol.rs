@@ -26,7 +26,7 @@ use crate::stats;
 pub const NEGLIGIBLE_FRACTION: f64 = 0.05;
 
 /// Measurement-procedure configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Protocol {
     /// Outer runs per parameter combination (paper: 9).
     pub runs: u32,

@@ -143,11 +143,11 @@ impl FigureData {
         }
         out.push('\n');
         for x in xs {
-            let _ = write!(out, "{}", fmt_num(x));
+            push_num(&mut out, x);
             for s in &self.series {
                 out.push(',');
                 if let Some(y) = s.y_at(x) {
-                    let _ = write!(out, "{}", fmt_num(y));
+                    push_num(&mut out, y);
                 }
             }
             out.push('\n');
@@ -155,7 +155,9 @@ impl FigureData {
         out
     }
 
-    /// Writes the CSV next to other results.
+    /// Writes `<id>.csv` into `dir`, creating `dir` if needed. A file
+    /// that already holds these exact bytes is not rewritten, so its
+    /// mtime moves only when the figure changed.
     ///
     /// # Errors
     ///
@@ -163,7 +165,7 @@ impl FigureData {
     pub fn write_csv(&self, dir: impl AsRef<Path>) -> Result<()> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
-        fs::write(dir.join(format!("{}.csv", self.id)), self.to_csv())?;
+        write_if_changed(dir.join(format!("{}.csv", self.id)), self.to_csv())?;
         Ok(())
     }
 
@@ -255,17 +257,18 @@ impl FigureData {
         xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN x"));
         xs.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
 
+        let mut cell = String::new();
         for x in xs {
-            let _ = write!(out, "{:>10}", fmt_num(x));
+            cell.clear();
+            push_num(&mut cell, x);
+            push_right(&mut out, &cell, 10);
             for s in &self.series {
+                cell.clear();
                 match s.y_at(x) {
-                    Some(y) => {
-                        let _ = write!(out, "{:>col_w$}", fmt_eng(y));
-                    }
-                    None => {
-                        let _ = write!(out, "{:>col_w$}", "-");
-                    }
+                    Some(y) => push_eng(&mut cell, y),
+                    None => cell.push('-'),
                 }
+                push_right(&mut out, &cell, col_w);
             }
             out.push('\n');
         }
@@ -306,21 +309,20 @@ impl FigureData {
 
         let mut out = String::new();
         let _ = writeln!(out, "{} — {}", self.id, self.title);
-        let _ = writeln!(out, "y_max = {} {}", fmt_eng(ymax), self.y_label);
+        out.push_str("y_max = ");
+        push_eng(&mut out, ymax);
+        let _ = writeln!(out, " {}", self.y_label);
         for row in grid {
             out.push('|');
             out.push_str(std::str::from_utf8(&row).expect("ascii grid"));
             out.push('\n');
         }
         let _ = writeln!(out, "+{}", "-".repeat(width));
-        let _ = writeln!(
-            out,
-            " x: {} from {} to {}{}",
-            self.x_label,
-            fmt_num(xmin),
-            fmt_num(xmax),
-            if self.log_x { " (log scale)" } else { "" }
-        );
+        let _ = write!(out, " x: {} from ", self.x_label);
+        push_num(&mut out, xmin);
+        out.push_str(" to ");
+        push_num(&mut out, xmax);
+        out.push_str(if self.log_x { " (log scale)\n" } else { "\n" });
         for (si, s) in self.series.iter().enumerate() {
             let _ = writeln!(
                 out,
@@ -382,21 +384,57 @@ fn csv_escape(s: &str) -> String {
     }
 }
 
-fn fmt_num(v: f64) -> String {
+/// Writes `bytes` to `path` as [`fs::write`] does, unless the file
+/// already holds exactly these bytes: then it is left untouched (same
+/// inode, same mtime). A missing or unreadable file is written.
+///
+/// # Errors
+///
+/// Returns the error of the write.
+pub fn write_if_changed(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> std::io::Result<()> {
+    let (path, bytes) = (path.as_ref(), bytes.as_ref());
+    if fs::read(path).is_ok_and(|old| old == bytes) {
+        return Ok(());
+    }
+    fs::write(path, bytes)
+}
+
+/// Pushes `cell` right-aligned in `width` columns, as `{:>width$}`
+/// does.
+fn push_right(out: &mut String, cell: &str, width: usize) {
+    for _ in cell.chars().count()..width {
+        out.push(' ');
+    }
+    out.push_str(cell);
+}
+
+/// Pushes `v` as a plain integer when it is one, else in `{}` form.
+fn push_num(out: &mut String, v: f64) {
     if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
+        if v < 0.0 {
+            out.push('-');
+        }
+        crate::numfmt::push_u64(out, v.abs() as u64);
     } else {
-        format!("{v}")
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// Pushes [`fmt_eng`]'s rendering of `v`.
+pub(crate) fn push_eng(out: &mut String, v: f64) {
+    if v == 0.0 {
+        out.push('0');
+    } else {
+        crate::numfmt::push_sci3(out, v);
     }
 }
 
 /// Engineering formatting: `3.21e8` style with three significant digits.
 #[must_use]
 pub fn fmt_eng(v: f64) -> String {
-    if v == 0.0 {
-        return "0".to_string();
-    }
-    format!("{v:.3e}")
+    let mut out = String::new();
+    push_eng(&mut out, v);
+    out
 }
 
 /// Renders a recorder's counter/gauge [`Snapshot`](crate::obs::Snapshot)
@@ -572,6 +610,53 @@ mod tests {
         let content = std::fs::read_to_string(dir.join("figX.csv")).unwrap();
         assert_eq!(content, f.to_csv());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A second write of the same figure leaves both files alone (same
+    /// inode, same mtime); a changed figure is rewritten; a missing
+    /// directory is created.
+    #[cfg(unix)]
+    #[test]
+    fn writers_skip_identical_files() {
+        use std::os::unix::fs::MetadataExt as _;
+        use std::time::{Duration, SystemTime};
+        let root = std::env::temp_dir().join(format!("syncperf_write_skip_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let dir = root.join("nested");
+        let mut f = sample_fig();
+        f.write_csv(&dir).unwrap();
+        f.write_svg(&dir).unwrap();
+        let paths = [dir.join("figX.csv"), dir.join("figX.svg")];
+        // Backdate both files, so a rewrite would show in the mtime
+        // however coarse the filesystem's clock is.
+        let old = SystemTime::UNIX_EPOCH + Duration::from_secs(1_000_000_000);
+        for p in &paths {
+            let file = fs::File::options().write(true).open(p).unwrap();
+            file.set_modified(old).unwrap();
+        }
+        let stamp = |p: &Path| {
+            let m = fs::metadata(p).unwrap();
+            (m.ino(), m.modified().unwrap())
+        };
+        let before: Vec<_> = paths.iter().map(|p| stamp(p)).collect();
+        f.write_csv(&dir).unwrap();
+        f.write_svg(&dir).unwrap();
+        let after: Vec<_> = paths.iter().map(|p| stamp(p)).collect();
+        assert_eq!(after, before, "identical figure must not be rewritten");
+        assert!(after.iter().all(|&(_, mtime)| mtime == old));
+
+        f.series[0].points[0].1 = 123.0;
+        f.write_csv(&dir).unwrap();
+        f.write_svg(&dir).unwrap();
+        for p in &paths {
+            assert_ne!(stamp(p).1, old, "{} must be rewritten", p.display());
+        }
+        assert_eq!(fs::read_to_string(&paths[0]).unwrap(), f.to_csv());
+        assert_eq!(
+            fs::read_to_string(&paths[1]).unwrap(),
+            crate::svg::render_svg(&f, &crate::svg::SvgStyle::default())
+        );
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

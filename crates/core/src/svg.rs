@@ -7,6 +7,7 @@
 
 use std::fmt::Write as _;
 
+use crate::numfmt;
 use crate::report::{FigureData, Series};
 
 /// Chart geometry and styling.
@@ -163,11 +164,12 @@ pub fn render_svg(fig: &FigureData, style: &SvgStyle) -> String {
         );
         let _ = write!(
             out,
-            r#"<text x="{}" y="{}" text-anchor="end">{}</text>"#,
+            r#"<text x="{}" y="{}" text-anchor="end">"#,
             bx - 7.0,
-            y + 4.0,
-            crate::report::fmt_eng(v)
+            y + 4.0
         );
+        crate::report::push_eng(&mut out, v);
+        out.push_str("</text>");
         if i > 0 {
             let _ = write!(
                 out,
@@ -195,16 +197,17 @@ pub fn render_svg(fig: &FigureData, style: &SvgStyle) -> String {
             r#"<line x1="{x}" y1="{by}" x2="{x}" y2="{}" stroke="black"/>"#,
             by + 4.0
         );
-        let label = if tx == tx.trunc() {
-            format!("{}", tx as i64)
-        } else {
-            format!("{tx:.1}")
-        };
         let _ = write!(
             out,
-            r#"<text x="{x}" y="{}" text-anchor="middle">{label}</text>"#,
+            r#"<text x="{x}" y="{}" text-anchor="middle">"#,
             by + 16.0
         );
+        if tx == tx.trunc() {
+            let _ = write!(out, "{}", tx as i64);
+        } else {
+            numfmt::push_fixed1(&mut out, tx);
+        }
+        out.push_str("</text>");
     }
 
     // Axis labels.
@@ -223,27 +226,39 @@ pub fn render_svg(fig: &FigureData, style: &SvgStyle) -> String {
         escape(&fig.y_label)
     );
 
-    // Series.
+    // Series. Each point's `x,y` text is formatted once, into `pts`;
+    // the polyline takes all of it and each marker its slice.
+    let mut pts = String::new();
+    let mut ends: Vec<(usize, usize)> = Vec::new();
     for (i, s) in non_empty.iter().enumerate() {
         let color = style.palette[i % style.palette.len()];
-        let pts: String = s
-            .points
-            .iter()
-            .map(|&(x, y)| format!("{:.1},{:.1}", frame.x_px(x), frame.y_px(y)))
-            .collect::<Vec<_>>()
-            .join(" ");
+        pts.clear();
+        ends.clear();
+        for &(x, y) in &s.points {
+            if !pts.is_empty() {
+                pts.push(' ');
+            }
+            numfmt::push_fixed1(&mut pts, frame.x_px(x));
+            let comma = pts.len();
+            pts.push(',');
+            numfmt::push_fixed1(&mut pts, frame.y_px(y));
+            ends.push((comma, pts.len()));
+        }
         let _ = write!(
             out,
             r#"<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{}"/>"#,
             style.stroke
         );
-        for &(x, y) in &s.points {
-            let _ = write!(
-                out,
-                r#"<circle cx="{:.1}" cy="{:.1}" r="2.4" fill="{color}"/>"#,
-                frame.x_px(x),
-                frame.y_px(y)
-            );
+        let mut start = 0;
+        for &(comma, end) in &ends {
+            out.push_str(r#"<circle cx=""#);
+            out.push_str(&pts[start..comma]);
+            out.push_str(r#"" cy=""#);
+            out.push_str(&pts[comma + 1..end]);
+            out.push_str(r#"" r="2.4" fill=""#);
+            out.push_str(color);
+            out.push_str(r#""/>"#);
+            start = end + 1;
         }
         // Legend entry.
         let ly = frame.y0 + 14.0 * i as f64;
@@ -268,7 +283,9 @@ pub fn render_svg(fig: &FigureData, style: &SvgStyle) -> String {
 }
 
 impl FigureData {
-    /// Writes `<id>.svg` into `dir` with default styling.
+    /// Writes `<id>.svg` into `dir` with default styling, creating
+    /// `dir` if needed. A file that already holds these exact bytes is
+    /// not rewritten, so its mtime moves only when the figure changed.
     ///
     /// # Errors
     ///
@@ -276,7 +293,7 @@ impl FigureData {
     pub fn write_svg(&self, dir: impl AsRef<std::path::Path>) -> crate::error::Result<()> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        std::fs::write(
+        crate::report::write_if_changed(
             dir.join(format!("{}.svg", self.id)),
             render_svg(self, &SvgStyle::default()),
         )?;

@@ -7,6 +7,7 @@
 //! content-addressed cache key. Anything not captured here must be
 //! folded into the scheduler's version salt instead.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use syncperf_core::{CpuKernel, ExecParams, GpuKernel, Measurement, Protocol, Result, SystemSpec};
@@ -229,21 +230,26 @@ impl JobSpec {
     }
 
     fn push_tail(s: &mut String, kernel: &str, params: &ExecParams, protocol: Protocol) {
-        let _ = write!(
-            s,
-            "kernel={kernel}\nparams={params:?}\nprotocol={protocol:?}\n"
-        );
+        let _ = writeln!(s, "kernel={kernel}");
+        s.push_str(&Self::params_tail(params, protocol));
+    }
+
+    /// The canonical text's last lines: the parameter point and the
+    /// protocol, in their derived `Debug` form (so a new field is
+    /// hashed without touching this).
+    fn params_tail(params: &ExecParams, protocol: Protocol) -> String {
+        format!("params={params:?}\nprotocol={protocol:?}\n")
     }
 
     /// The FNV-1a hash of `canonical() + salt_line` without building
     /// the canonical string: the hash *state* over the shared
     /// prefix-plus-kernel head is memoized in `cache` (FNV-1a is a
     /// byte-sequential fold, so a cached state continues exactly —
-    /// see [`crate::hash::fnv1a_continue`]), and only the job's short
-    /// `params`/`protocol` tail plus `salt_line` is hashed per call.
-    /// Bit-identical to hashing the full canonical text. `RealOmp`
-    /// jobs take the plain path — real-machine sweeps are a handful of
-    /// jobs, not thousands.
+    /// see [`crate::hash::fnv1a_continue`]), as is the text of each
+    /// distinct `params`/`protocol` tail; per call the tail's bytes and
+    /// then `salt_line` are folded in. Bit-identical to hashing the
+    /// full canonical text. `RealOmp` jobs take the plain path —
+    /// real-machine sweeps are a handful of jobs, not thousands.
     #[must_use]
     pub fn hash_with(&self, cache: &mut CanonicalCache, salt_line: &str) -> u64 {
         let (state, params, protocol) = match self {
@@ -275,15 +281,12 @@ impl JobSpec {
                 return crate::hash::fnv1a(s.as_bytes());
             }
         };
-        let mut tail = std::mem::take(&mut cache.scratch);
-        tail.clear();
-        let _ = write!(
-            tail,
-            "params={params:?}\nprotocol={protocol:?}\n{salt_line}"
-        );
+        let tail = cache
+            .tails
+            .entry((*params, protocol))
+            .or_insert_with(|| Self::params_tail(params, protocol));
         let h = crate::hash::fnv1a_continue(state, tail.as_bytes());
-        cache.scratch = tail;
-        h
+        crate::hash::fnv1a_continue(h, salt_line.as_bytes())
     }
 
     /// Whether `self` and `other` are the same *measurement shape*:
@@ -676,13 +679,16 @@ pub enum PrimedEngine {
 
 /// Memoizes the expensive repeated parts of [`JobSpec::canonical`]:
 /// the executor/system/model prefix (a full `Debug` render of the
-/// system spec plus a model digest) and the kernel debug string, both
-/// looked up by value equality. Entries are never evicted — a sweep
-/// touches a handful of systems and under a hundred kernels.
+/// system spec plus a model digest, kept as its hash state), the
+/// kernel debug string, and the params/protocol tail, all looked up by
+/// value equality. Entries are never evicted — one cache lives for one
+/// `run_jobs` call, which touches a handful of systems, under a hundred
+/// kernels and a few dozen parameter points.
 #[derive(Debug, Default)]
 pub struct CanonicalCache {
-    cpu_prefixes: Vec<(SystemSpec, Option<CpuModel>, String)>,
-    gpu_prefixes: Vec<(SystemSpec, Option<GpuModel>, String)>,
+    /// FNV-1a state over each executor/system/model prefix.
+    cpu_prefixes: Vec<(SystemSpec, Option<CpuModel>, u64)>,
+    gpu_prefixes: Vec<(SystemSpec, Option<GpuModel>, u64)>,
     cpu_kernels: Vec<(CpuKernel, String)>,
     gpu_kernels: Vec<(GpuKernel, String)>,
     /// FNV-1a state over `prefix + "kernel={kernel}\n"`, keyed by
@@ -690,8 +696,8 @@ pub struct CanonicalCache {
     /// over each job's short params/protocol/salt tail.
     cpu_states: Vec<((usize, usize), u64)>,
     gpu_states: Vec<((usize, usize), u64)>,
-    /// Reused tail buffer so per-job hashing allocates nothing.
-    scratch: String,
+    /// `params=…\nprotocol=…\n` text per distinct pair.
+    tails: HashMap<(ExecParams, Protocol), String>,
 }
 
 impl CanonicalCache {
@@ -712,7 +718,8 @@ impl CanonicalCache {
             "exec=cpu-sim\nsystem={system:?}\nmodel={:016x}\n",
             effective.config_digest()
         );
-        self.cpu_prefixes.push((system.clone(), model.cloned(), s));
+        let st = crate::hash::fnv1a(s.as_bytes());
+        self.cpu_prefixes.push((system.clone(), model.cloned(), st));
         self.cpu_prefixes.len() - 1
     }
 
@@ -733,7 +740,8 @@ impl CanonicalCache {
             "exec=gpu-sim\nsystem={system:?}\nmodel={:016x}\n",
             effective.config_digest()
         );
-        self.gpu_prefixes.push((system.clone(), model.cloned(), s));
+        let st = crate::hash::fnv1a(s.as_bytes());
+        self.gpu_prefixes.push((system.clone(), model.cloned(), st));
         self.gpu_prefixes.len() - 1
     }
 
@@ -759,9 +767,7 @@ impl CanonicalCache {
         if let Some(&(_, st)) = self.cpu_states.iter().find(|&&(key, _)| key == (pi, ki)) {
             return st;
         }
-        let mut head = self.cpu_prefixes[pi].2.clone();
-        let _ = writeln!(head, "kernel={}", self.cpu_kernels[ki].1);
-        let st = crate::hash::fnv1a(head.as_bytes());
+        let st = kernel_line_state(self.cpu_prefixes[pi].2, &self.cpu_kernels[ki].1);
         self.cpu_states.push(((pi, ki), st));
         st
     }
@@ -770,12 +776,17 @@ impl CanonicalCache {
         if let Some(&(_, st)) = self.gpu_states.iter().find(|&&(key, _)| key == (pi, ki)) {
             return st;
         }
-        let mut head = self.gpu_prefixes[pi].2.clone();
-        let _ = writeln!(head, "kernel={}", self.gpu_kernels[ki].1);
-        let st = crate::hash::fnv1a(head.as_bytes());
+        let st = kernel_line_state(self.gpu_prefixes[pi].2, &self.gpu_kernels[ki].1);
         self.gpu_states.push(((pi, ki), st));
         st
     }
+}
+
+/// Continues a prefix's hash state over the line `kernel=<debug>\n`.
+fn kernel_line_state(prefix: u64, kernel_debug: &str) -> u64 {
+    let st = crate::hash::fnv1a_continue(prefix, b"kernel=");
+    let st = crate::hash::fnv1a_continue(st, kernel_debug.as_bytes());
+    crate::hash::fnv1a_continue(st, b"\n")
 }
 
 #[cfg(test)]

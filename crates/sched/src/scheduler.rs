@@ -806,7 +806,7 @@ pub fn current() -> Option<Arc<Scheduler>> {
 mod tests {
     use super::*;
     use crate::cache::encode_measurement;
-    use syncperf_core::{kernel, DType, ExecParams, Protocol, SYSTEM3};
+    use syncperf_core::{kernel, Affinity, DType, ExecParams, Protocol, SYSTEM3};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1128,7 +1128,37 @@ mod tests {
             ),
             JobSpec::real_omp(kernel::omp_barrier(), p, proto),
         ];
-        // Two passes: the second is served from the memoized heads.
+        // Many parameter points on shared heads, each seen twice in
+        // one call, so memoized tails are reused across jobs.
+        let jobs: Vec<JobSpec> = jobs
+            .into_iter()
+            .chain((0..2).flat_map(|_| {
+                [1, 2, 3, 16, 64].into_iter().flat_map(move |threads| {
+                    [
+                        JobSpec::cpu_sim(
+                            &SYSTEM3,
+                            kernel::omp_barrier(),
+                            ExecParams { threads, ..p }.with_affinity(Affinity::Spread),
+                            proto,
+                        ),
+                        JobSpec::cpu_sim(
+                            &SYSTEM3,
+                            kernel::omp_barrier(),
+                            ExecParams { threads, ..p }.with_loops(100, 10),
+                            Protocol::PAPER,
+                        ),
+                        JobSpec::gpu_sim(
+                            &SYSTEM3,
+                            kernel::cuda_syncthreads(),
+                            ExecParams::new(32).with_blocks(threads).with_loops(50, 4),
+                            proto,
+                        ),
+                    ]
+                })
+            }))
+            .collect();
+        // Two salts on one cache: the second pass is served from the
+        // memoized heads and tails, and the salt is folded in per call.
         let mut canon = CanonicalCache::default();
         for salt in [0u64, 7] {
             let salt_line = format!("salt={SCHED_SALT}/{salt}\n");
