@@ -83,6 +83,12 @@ cargo test --workspace --release --offline -q
 echo "==> numfmt scan (10^7 values)"
 cargo test --release --offline -p syncperf-core -q --lib -- --ignored numfmt
 
+# The PCIe jitter fold runs an AVX-512 copy where the CPU has one; it
+# must equal the portable fold and the in-order fold on every pair.
+# Tier-1 checks 48 pairs, this scan 10^5 seeded (seed, n) pairs.
+echo "==> jitter fold scan (10^5 pairs)"
+cargo test --release --offline -p syncperf-core -q --lib -- --ignored fold_scan
+
 # The paper-claim table (EXPERIMENTS.md): every one of the 19 claims
 # must reproduce. Exits nonzero on any failed claim.
 echo "==> verify_experiments (paper claims)"

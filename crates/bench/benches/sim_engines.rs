@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use syncperf_core::{kernel, Affinity, DType, ExecParams, Protocol, SYSTEM3};
+use syncperf_core::{kernel, Affinity, DType, ExecParams, Executor, Protocol, Scope, SYSTEM3};
 use syncperf_cpu_sim::{CpuModel, CpuSimExecutor, Placement};
 use syncperf_gpu_sim::{
     simulate_reduction, GpuModel, GpuSimExecutor, Occupancy, ReductionConfig, ReductionStrategy,
@@ -60,6 +60,30 @@ fn bench_gpu_engine(c: &mut Criterion) {
             },
         );
     }
+    g.finish();
+}
+
+/// One primed `__threadfence_system()` execution at 128 × 1024, the
+/// largest launch a sweep jitters: the engine result is lent, so the
+/// time is the fold of one PCIe jitter word per launched thread
+/// (131,072 words), dispatched to the AVX-512 copy where the CPU has
+/// it. Divide by 131,072 for the per-word cost.
+fn bench_fence_jitter(c: &mut Criterion) {
+    let mut g = c.benchmark_group("gpu_fence_jitter");
+    g.measurement_time(Duration::from_secs(2));
+    g.warm_up_time(Duration::from_millis(300));
+    g.sample_size(20);
+    let k = kernel::cuda_threadfence(Scope::System, DType::I32, 0);
+    let params = ExecParams::new(1024).with_blocks(128).with_loops(50, 4);
+    let mut exec = GpuSimExecutor::new(&SYSTEM3);
+    let occ = Occupancy::compute(&SYSTEM3.gpu, params.blocks, params.threads).unwrap();
+    let [baseline, test] = [&k.baseline, &k.test].map(|body| {
+        syncperf_gpu_sim::engine::run(exec.model(), &occ, body, params.timed_reps()).unwrap()
+    });
+    let mut primed = exec.primed(&params, [(&k.baseline, baseline), (&k.test, test)]);
+    g.bench_function("primed_system_fence_128x1024", |b| {
+        b.iter(|| primed.execute(&k.test, &params).unwrap());
+    });
     g.finish();
 }
 
@@ -214,6 +238,7 @@ criterion_group!(
     benches,
     bench_cpu_engine,
     bench_gpu_engine,
+    bench_fence_jitter,
     bench_fast_vs_full,
     bench_trace_vs_interp,
     bench_plan_compile,

@@ -67,6 +67,7 @@ pub mod svg;
 pub mod sweep;
 pub mod sysfile;
 pub mod system;
+pub mod wide;
 
 pub use artifact::{DiffReport, ResultsStore, RunRecord};
 pub use dtype::DType;

@@ -75,8 +75,9 @@ impl SplitMix64 {
     /// for bit, leaving the generator exactly where those `n` draws
     /// would. A draw is a non-decreasing function of its raw word, so
     /// the largest draw is the draw of the largest word: the words are
-    /// reduced with integer maxima (eight independent lanes) and only
-    /// the winner is converted to `f64`.
+    /// reduced with integer maxima (eight independent lanes, vector
+    /// lanes on a CPU with AVX-512) and only the winner is converted to
+    /// `f64`.
     ///
     /// # Panics
     ///
@@ -95,27 +96,18 @@ impl SplitMix64 {
     }
 
     /// Folds the next `n` raw words with `pick` and advances the state
-    /// past them. Word `i` (1-based) is `mix(state + i·γ)`, so the
-    /// words are independent and eight lanes fold side by side; `pick`
-    /// is a max or a min, for which lane order does not matter.
+    /// past them, on the AVX-512 copy of [`fold_words`] when the CPU
+    /// has it ([`crate::wide`]).
     fn reduce_words(&mut self, n: u64, pick: impl Fn(u64, u64) -> u64) -> u64 {
         assert!(n > 0, "no draws to reduce");
-        const LANES: usize = 8;
         let start = self.state;
-        let mut acc = [mix(start.wrapping_add(GAMMA)); LANES];
-        let mut base = start;
-        for _ in 0..n / LANES as u64 {
-            for (lane, a) in acc.iter_mut().enumerate() {
-                let word = mix(base.wrapping_add(GAMMA.wrapping_mul(lane as u64 + 1)));
-                *a = pick(*a, word);
-            }
-            base = base.wrapping_add(GAMMA.wrapping_mul(LANES as u64));
-        }
-        for i in 0..n % LANES as u64 {
-            acc[0] = pick(acc[0], mix(base.wrapping_add(GAMMA.wrapping_mul(i + 1))));
-        }
         self.state = start.wrapping_add(GAMMA.wrapping_mul(n));
-        acc.into_iter().reduce(pick).expect("eight lanes")
+        #[cfg(target_arch = "x86_64")]
+        if crate::wide::avx512() {
+            // SAFETY: `avx512()` found every feature the copy enables.
+            return unsafe { fold_words_avx512(start, n, pick) };
+        }
+        fold_words(start, n, pick)
     }
 
     /// Uniform `u64` below `bound` (`bound > 0`), via rejection-free
@@ -125,6 +117,42 @@ impl SplitMix64 {
         debug_assert!(bound > 0);
         ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
     }
+}
+
+/// The fold of the `n` raw words after state `start` with `pick`.
+/// Word `i` (1-based) is `mix(start + i·γ)`, so the words are
+/// independent and eight lanes fold side by side; `pick` is a max or
+/// a min, for which lane order does not matter. Pure `u64` arithmetic:
+/// the portable body of a [`crate::wide`] trio.
+#[allow(clippy::inline_always)] // the AVX-512 copy must contain it
+#[inline(always)]
+fn fold_words(start: u64, n: u64, pick: impl Fn(u64, u64) -> u64) -> u64 {
+    const LANES: usize = 8;
+    let mut acc = [mix(start.wrapping_add(GAMMA)); LANES];
+    let mut base = start;
+    for _ in 0..n / LANES as u64 {
+        for (lane, a) in acc.iter_mut().enumerate() {
+            let word = mix(base.wrapping_add(GAMMA.wrapping_mul(lane as u64 + 1)));
+            *a = pick(*a, word);
+        }
+        base = base.wrapping_add(GAMMA.wrapping_mul(LANES as u64));
+    }
+    for i in 0..n % LANES as u64 {
+        acc[0] = pick(acc[0], mix(base.wrapping_add(GAMMA.wrapping_mul(i + 1))));
+    }
+    acc.into_iter().reduce(pick).expect("eight lanes")
+}
+
+/// [`fold_words`] compiled for AVX-512, which has the 64-bit vector
+/// multiply and unsigned max/min the fold needs.
+///
+/// # Safety
+///
+/// The CPU must have every enabled feature ([`crate::wide::avx512`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512bw")]
+unsafe fn fold_words_avx512(start: u64, n: u64, pick: impl Fn(u64, u64) -> u64) -> u64 {
+    fold_words(start, n, pick)
 }
 
 #[cfg(test)]
@@ -192,6 +220,82 @@ mod tests {
                 assert_eq!(got.to_bits(), min.to_bits(), "min seed={seed} n={n}");
                 assert_eq!(fast, slow, "state after min, seed={seed} n={n}");
             }
+        }
+    }
+
+    /// The fold one word at a time, in stream order: the oracle both
+    /// copies of [`fold_words`] must equal.
+    fn fold_in_order(start: u64, n: u64, pick: fn(u64, u64) -> u64) -> u64 {
+        (1..=n)
+            .map(|i| mix(start.wrapping_add(GAMMA.wrapping_mul(i))))
+            .reduce(pick)
+            .expect("n > 0")
+    }
+
+    /// Asserts the portable fold, the AVX-512 copy (when this CPU has
+    /// it) and the dispatched draw all agree on `(seed, n)`, for both
+    /// picks, state included.
+    fn assert_copies_agree(seed: u64, n: u64) {
+        for (pick, name) in [(u64::max as fn(u64, u64) -> u64, "max"), (u64::min, "min")] {
+            let want = fold_in_order(seed, n, pick);
+            assert_eq!(
+                fold_words(seed, n, pick),
+                want,
+                "portable {name} seed={seed} n={n}"
+            );
+            #[cfg(target_arch = "x86_64")]
+            if crate::wide::avx512() {
+                // SAFETY: `avx512()` found every feature the copy enables.
+                let got = unsafe { fold_words_avx512(seed, n, pick) };
+                assert_eq!(got, want, "avx512 {name} seed={seed} n={n}");
+            }
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            assert_eq!(
+                rng.reduce_words(n, pick),
+                want,
+                "dispatched {name} seed={seed} n={n}"
+            );
+            let mut after = SplitMix64::seed_from_u64(seed);
+            for _ in 0..n {
+                after.next_u64();
+            }
+            assert_eq!(rng, after, "state after {name}, seed={seed} n={n}");
+        }
+    }
+
+    fn note_without_wide_copy() {
+        if !crate::wide::avx512() {
+            println!("note: no AVX-512 on this CPU; checked the portable fold only");
+        }
+    }
+
+    #[test]
+    fn wide_fold_equals_portable_fold() {
+        note_without_wide_copy();
+        for seed in [0u64, 7, 0x5E_AD_BE_EF, u64::MAX - 3] {
+            for n in [1u64, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000, 131_072] {
+                assert_copies_agree(seed, n);
+            }
+        }
+    }
+
+    /// 10^5 seeded `(seed, n)` pairs through every copy of the fold;
+    /// ci.sh runs it in release (`--ignored fold_scan`).
+    #[test]
+    #[ignore = "10^5-pair scan; run with --ignored in release"]
+    fn fold_scan() {
+        note_without_wide_copy();
+        let mut pairs = SplitMix64::seed_from_u64(0xF01D);
+        for _ in 0..100_000 {
+            let seed = pairs.next_u64();
+            // Mostly short folds, where the lane split and the tail
+            // vary most; one in 64 up to a full 128 x 1024 launch.
+            let cap = if pairs.gen_below(64) == 0 {
+                131_072
+            } else {
+                600
+            };
+            assert_copies_agree(seed, 1 + pairs.gen_below(cap));
         }
     }
 

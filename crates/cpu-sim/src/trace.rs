@@ -84,7 +84,8 @@ struct Segment {
 
 /// The branchless per-lane update from the module docs. Returns the
 /// store-buffer drain the op paid (nonzero only at fences).
-#[inline]
+#[allow(clippy::inline_always)] // the AVX-512 copy must contain it
+#[inline(always)]
 fn advance(t: &mut u64, pending: &mut u64, adv: u64, ext: u64, mask: u64) -> u64 {
     let drain = pending.saturating_sub(*t) & mask;
     *t += adv + drain;
@@ -264,7 +265,8 @@ impl PlanTable {
     }
 
     /// Advances every lane through every op of `seg`.
-    #[inline]
+    #[allow(clippy::inline_always)] // the AVX-512 copy must contain it
+    #[inline(always)]
     fn step(&self, seg: &Segment, t: &mut [u64], pending: &mut [u64]) {
         let lanes = self.total_lanes;
         for row in seg.rows.clone() {
@@ -272,8 +274,10 @@ impl PlanTable {
             let adv = &self.advance[base..base + lanes];
             let ext = &self.extra[base..base + lanes];
             let mask = self.mask[row];
-            for lane in 0..lanes {
-                advance(&mut t[lane], &mut pending[lane], adv[lane], ext[lane], mask);
+            for (((t, pending), &adv), &ext) in
+                t.iter_mut().zip(pending.iter_mut()).zip(adv).zip(ext)
+            {
+                advance(t, pending, adv, ext, mask);
             }
         }
     }
@@ -675,11 +679,48 @@ pub fn run_batch(
     Ok(results)
 }
 
-/// The rep loop over a compiled [`PlanTable`]. With a narration the
-/// first [`OBSERVED_REPS`] repetitions of every point are stepped lane
-/// by lane with per-op events, and steady-state extrapolation is only
-/// allowed past that window. `reps` must be positive.
+/// The rep loop over a compiled [`PlanTable`], on the AVX-512 copy of
+/// [`run_table_portable`] when the CPU has it
+/// ([`syncperf_core::wide`]). `reps` must be positive.
 fn run_table(table: &PlanTable, reps: u64, narration: Option<&Narration>) -> Vec<EngineResult> {
+    #[cfg(target_arch = "x86_64")]
+    if syncperf_core::wide::avx512() {
+        // SAFETY: `avx512()` found every feature the copy enables.
+        return unsafe { run_table_avx512(table, reps, narration) };
+    }
+    run_table_portable(table, reps, narration)
+}
+
+/// [`run_table_portable`] compiled for AVX-512, whose 64-bit vector
+/// max/min and multiply let the lane loops of [`PlanTable::step`], the
+/// steady-state check and the extrapolation vectorize.
+///
+/// # Safety
+///
+/// The CPU must have every enabled feature
+/// ([`syncperf_core::wide::avx512`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512bw")]
+unsafe fn run_table_avx512(
+    table: &PlanTable,
+    reps: u64,
+    narration: Option<&Narration>,
+) -> Vec<EngineResult> {
+    run_table_portable(table, reps, narration)
+}
+
+/// The rep loop's one source body, pure `u64` arithmetic up to the
+/// final conversion to nanoseconds. With a narration the first
+/// [`OBSERVED_REPS`] repetitions of every point are stepped lane by
+/// lane with per-op events, and steady-state extrapolation is only
+/// allowed past that window.
+#[allow(clippy::inline_always)] // the AVX-512 copy must contain it
+#[inline(always)]
+fn run_table_portable(
+    table: &PlanTable,
+    reps: u64,
+    narration: Option<&Narration>,
+) -> Vec<EngineResult> {
     let n = table.total_lanes;
     let mut t = vec![0u64; n];
     let mut pending = vec![0u64; n];
@@ -731,26 +772,27 @@ fn run_table(table: &PlanTable, reps: u64, narration: Option<&Narration>) -> Vec
         let may_extrapolate = have_prev && rep >= emit_reps;
         all_steady = may_extrapolate;
         for p in &table.points {
-            let range = p.start..p.start + p.lanes;
-            let min_t = t[range.clone()].iter().copied().min().unwrap_or(0);
-            let mut steady = may_extrapolate;
-            for lane in range {
+            // Equal-length subslices, so the lane loop has no bounds
+            // checks and vectorizes.
+            let r = p.start..p.start + p.lanes;
+            let (t, pending) = (&t[r.clone()], &pending[r.clone()]);
+            let (prev_t, prev_delta) = (&mut prev_t[r.clone()], &mut prev_delta[r.clone()]);
+            let (prev_off, prev_pend) = (&mut prev_off[r.clone()], &mut prev_pend[r]);
+            let min_t = t.iter().copied().min().unwrap_or(0);
+            let mut changed = false;
+            for lane in 0..t.len() {
                 let delta = t[lane] - prev_t[lane];
                 let off = t[lane] - min_t;
                 let pend = pending[lane].saturating_sub(t[lane]);
-                if steady
-                    && (delta != prev_delta[lane]
-                        || pend != prev_pend[lane]
-                        || (has_barriers && off != prev_off[lane]))
-                {
-                    steady = false;
-                }
+                changed |= delta != prev_delta[lane]
+                    || pend != prev_pend[lane]
+                    || (has_barriers && off != prev_off[lane]);
                 prev_delta[lane] = delta;
                 prev_off[lane] = off;
                 prev_pend[lane] = pend;
                 prev_t[lane] = t[lane];
             }
-            all_steady &= steady;
+            all_steady &= !changed;
         }
         have_prev = true;
     }
@@ -758,9 +800,14 @@ fn run_table(table: &PlanTable, reps: u64, narration: Option<&Narration>) -> Vec
         // Every point is steady: extrapolate the remaining reps with
         // one exact integer multiply per lane.
         let remaining = reps - rep;
-        for lane in 0..n {
-            t[lane] += prev_delta[lane] * remaining;
-            pending[lane] = t[lane] + prev_pend[lane];
+        for (((t, pending), &delta), &pend) in t
+            .iter_mut()
+            .zip(&mut pending)
+            .zip(&prev_delta)
+            .zip(&prev_pend)
+        {
+            *t += delta * remaining;
+            *pending = *t + pend;
         }
     }
     table
@@ -1064,6 +1111,34 @@ mod tests {
         for (p, got) in placements.iter().zip(&batch) {
             let single = run_observed(&model, p, &body, 200, &rec).unwrap();
             assert_eq!(got, &single);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn wide_rep_loop_equals_portable() {
+        if !syncperf_core::wide::avx512() {
+            println!("note: no AVX-512 on this CPU; the rep loop has no wide copy to check");
+            return;
+        }
+        let rec = Recorder::disabled();
+        for sys in [&SYSTEM1, &SYSTEM2, &SYSTEM3] {
+            let model = CpuModel::for_system(&sys.cpu, sys.cpu_jitter);
+            let placements: Vec<Placement> = (1..=64u32)
+                .flat_map(|n| {
+                    [Affinity::Close, Affinity::Spread, Affinity::SystemChoice]
+                        .map(|aff| Placement::new(&sys.cpu, aff, n))
+                })
+                .collect();
+            for (name, body) in every_kernel_body() {
+                let table = PlanTable::compile(&model, &body, &placements, &rec);
+                for reps in [1u64, 1000] {
+                    let portable = run_table_portable(&table, reps, None);
+                    // SAFETY: `avx512()` found every feature the copy enables.
+                    let got = unsafe { run_table_avx512(&table, reps, None) };
+                    assert_eq!(got, portable, "{sys} {name} reps={reps}");
+                }
+            }
         }
     }
 

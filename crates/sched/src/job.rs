@@ -252,6 +252,18 @@ impl JobSpec {
     /// real-machine sweeps are a handful of jobs, not thousands.
     #[must_use]
     pub fn hash_with(&self, cache: &mut CanonicalCache, salt_line: &str) -> u64 {
+        self.hash_with_heads(&mut cache.heads, &mut cache.tails, salt_line)
+    }
+
+    /// [`Self::hash_with`] over a head memo and a tail memo held
+    /// apart, so a scheduler can keep its heads for its lifetime and
+    /// its tails for one call.
+    pub(crate) fn hash_with_heads(
+        &self,
+        heads: &mut HeadMemo,
+        tails: &mut Tails,
+        salt_line: &str,
+    ) -> u64 {
         let (state, params, protocol) = match self {
             JobSpec::CpuSim {
                 system,
@@ -260,9 +272,9 @@ impl JobSpec {
                 params,
                 protocol,
             } => {
-                let pi = cache.cpu_prefix_idx(system, model.as_ref());
-                let ki = cache.cpu_kernel_idx(kernel);
-                (cache.cpu_hash_state(pi, ki), params, *protocol)
+                let pi = heads.cpu_prefix_idx(system, model.as_ref());
+                let ki = heads.cpu_kernel_idx(kernel);
+                (heads.cpu_hash_state(pi, ki), params, *protocol)
             }
             JobSpec::GpuSim {
                 system,
@@ -271,9 +283,9 @@ impl JobSpec {
                 params,
                 protocol,
             } => {
-                let pi = cache.gpu_prefix_idx(system, model.as_ref());
-                let ki = cache.gpu_kernel_idx(kernel);
-                (cache.gpu_hash_state(pi, ki), params, *protocol)
+                let pi = heads.gpu_prefix_idx(system, model.as_ref());
+                let ki = heads.gpu_kernel_idx(kernel);
+                (heads.gpu_hash_state(pi, ki), params, *protocol)
             }
             JobSpec::RealOmp { .. } => {
                 let mut s = self.canonical();
@@ -281,8 +293,7 @@ impl JobSpec {
                 return crate::hash::fnv1a(s.as_bytes());
             }
         };
-        let tail = cache
-            .tails
+        let tail = tails
             .entry((*params, protocol))
             .or_insert_with(|| Self::params_tail(params, protocol));
         let h = crate::hash::fnv1a_continue(state, tail.as_bytes());
@@ -677,15 +688,28 @@ pub enum PrimedEngine {
     },
 }
 
-/// Memoizes the expensive repeated parts of [`JobSpec::canonical`]:
-/// the executor/system/model prefix (a full `Debug` render of the
-/// system spec plus a model digest, kept as its hash state), the
-/// kernel debug string, and the params/protocol tail, all looked up by
-/// value equality. Entries are never evicted — one cache lives for one
-/// `run_jobs` call, which touches a handful of systems, under a hundred
-/// kernels and a few dozen parameter points.
+/// Memoizes the expensive repeated parts of [`JobSpec::canonical`]
+/// for [`JobSpec::hash_with`]: the heads ([`HeadMemo`]) and the
+/// `params=…\nprotocol=…\n` text of each distinct tail, all looked up
+/// by value equality. Entries are never evicted; a cache is meant to
+/// live for one batch of jobs.
 #[derive(Debug, Default)]
 pub struct CanonicalCache {
+    heads: HeadMemo,
+    tails: Tails,
+}
+
+/// `params=…\nprotocol=…\n` text per distinct pair.
+pub(crate) type Tails = HashMap<(ExecParams, Protocol), String>;
+
+/// The head half of a [`CanonicalCache`]: the executor/system/model
+/// prefix (a full `Debug` render of the system spec plus a model
+/// digest, kept as its hash state) and the kernel debug string. A
+/// scheduler keeps one for its lifetime, so a sweep renders each head
+/// once, not once per `run_jobs` call. Lookups scan newest first: the
+/// heads a batch of jobs shares were added by its first job.
+#[derive(Debug, Default)]
+pub(crate) struct HeadMemo {
     /// FNV-1a state over each executor/system/model prefix.
     cpu_prefixes: Vec<(SystemSpec, Option<CpuModel>, u64)>,
     gpu_prefixes: Vec<(SystemSpec, Option<GpuModel>, u64)>,
@@ -696,16 +720,24 @@ pub struct CanonicalCache {
     /// over each job's short params/protocol/salt tail.
     cpu_states: Vec<((usize, usize), u64)>,
     gpu_states: Vec<((usize, usize), u64)>,
-    /// `params=…\nprotocol=…\n` text per distinct pair.
-    tails: HashMap<(ExecParams, Protocol), String>,
 }
 
-impl CanonicalCache {
+impl HeadMemo {
+    /// How many entries the memo holds.
+    pub(crate) fn len(&self) -> usize {
+        self.cpu_prefixes.len()
+            + self.gpu_prefixes.len()
+            + self.cpu_kernels.len()
+            + self.gpu_kernels.len()
+            + self.cpu_states.len()
+            + self.gpu_states.len()
+    }
+
     fn cpu_prefix_idx(&mut self, system: &SystemSpec, model: Option<&CpuModel>) -> usize {
         if let Some(i) = self
             .cpu_prefixes
             .iter()
-            .position(|(s, m, _)| s == system && m.as_ref() == model)
+            .rposition(|(s, m, _)| s == system && m.as_ref() == model)
         {
             return i;
         }
@@ -727,7 +759,7 @@ impl CanonicalCache {
         if let Some(i) = self
             .gpu_prefixes
             .iter()
-            .position(|(s, m, _)| s == system && m.as_ref() == model)
+            .rposition(|(s, m, _)| s == system && m.as_ref() == model)
         {
             return i;
         }
@@ -746,7 +778,7 @@ impl CanonicalCache {
     }
 
     fn cpu_kernel_idx(&mut self, kernel: &CpuKernel) -> usize {
-        if let Some(i) = self.cpu_kernels.iter().position(|(k, _)| k == kernel) {
+        if let Some(i) = self.cpu_kernels.iter().rposition(|(k, _)| k == kernel) {
             return i;
         }
         self.cpu_kernels
@@ -755,7 +787,7 @@ impl CanonicalCache {
     }
 
     fn gpu_kernel_idx(&mut self, kernel: &GpuKernel) -> usize {
-        if let Some(i) = self.gpu_kernels.iter().position(|(k, _)| k == kernel) {
+        if let Some(i) = self.gpu_kernels.iter().rposition(|(k, _)| k == kernel) {
             return i;
         }
         self.gpu_kernels
@@ -764,7 +796,12 @@ impl CanonicalCache {
     }
 
     fn cpu_hash_state(&mut self, pi: usize, ki: usize) -> u64 {
-        if let Some(&(_, st)) = self.cpu_states.iter().find(|&&(key, _)| key == (pi, ki)) {
+        if let Some(&(_, st)) = self
+            .cpu_states
+            .iter()
+            .rev()
+            .find(|&&(key, _)| key == (pi, ki))
+        {
             return st;
         }
         let st = kernel_line_state(self.cpu_prefixes[pi].2, &self.cpu_kernels[ki].1);
@@ -773,7 +810,12 @@ impl CanonicalCache {
     }
 
     fn gpu_hash_state(&mut self, pi: usize, ki: usize) -> u64 {
-        if let Some(&(_, st)) = self.gpu_states.iter().find(|&&(key, _)| key == (pi, ki)) {
+        if let Some(&(_, st)) = self
+            .gpu_states
+            .iter()
+            .rev()
+            .find(|&&(key, _)| key == (pi, ki))
+        {
             return st;
         }
         let st = kernel_line_state(self.gpu_prefixes[pi].2, &self.gpu_kernels[ki].1);

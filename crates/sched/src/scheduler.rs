@@ -24,7 +24,7 @@ use syncperf_core::{Measurement, Result, SyncPerfError};
 use crate::cache::Cache;
 use crate::checkpoint::Checkpoint;
 use crate::hash::fnv1a;
-use crate::job::{CanonicalCache, JobSpec, PrimedEngine};
+use crate::job::{HeadMemo, JobSpec, PrimedEngine, Tails};
 use crate::pool::{Pool, PoolWorkerStats};
 
 /// Code-version salt folded into every job hash. Bump whenever a
@@ -32,6 +32,12 @@ use crate::pool::{Pool, PoolWorkerStats};
 /// (e.g. a simulator engine fix): every cached result is then invalid
 /// at once.
 pub const SCHED_SALT: &str = "syncperf-sched-v2";
+
+/// Past this many entries a scheduler's head memo starts over, so a
+/// long-lived server that meets ever new kernels or model overrides
+/// holds a bounded memo (and bounded newest-first scans). A full paper
+/// sweep fills about 200.
+const HEAD_MEMO_CAP: usize = 1024;
 
 /// Attempt budget per job: the initial execution plus up to two
 /// reattempts (for transient errors or runs that exhausted the
@@ -407,6 +413,12 @@ pub struct Scheduler {
     store_hook: RwLock<Option<StoreHook>>,
     backend: RwLock<Option<ExecBackend>>,
     export_hook: RwLock<Option<ExportHook>>,
+    /// The `salt=…` line every job hash ends with.
+    salt_line: String,
+    /// Job-hash heads (system prefixes and kernel renders), kept for
+    /// the scheduler's lifetime and shared by [`Scheduler::job_hash`]
+    /// and [`Scheduler::run_jobs`]; bounded by [`HEAD_MEMO_CAP`].
+    heads: Mutex<HeadMemo>,
 }
 
 impl std::fmt::Debug for Scheduler {
@@ -431,6 +443,7 @@ impl Scheduler {
         let registry = Recorder::enabled();
         let pool = Pool::new(effective_workers(cfg.workers));
         Scheduler {
+            salt_line: format!("salt={SCHED_SALT}/{}\n", cfg.salt_extra),
             cfg,
             cache,
             present: Mutex::new(None),
@@ -442,6 +455,7 @@ impl Scheduler {
             store_hook: RwLock::new(None),
             backend: RwLock::new(None),
             export_hook: RwLock::new(None),
+            heads: Mutex::new(HeadMemo::default()),
         }
     }
 
@@ -494,10 +508,33 @@ impl Scheduler {
         *self.export_hook.write().unwrap() = Some(Box::new(hook));
     }
 
-    /// The content hash of `job` under this scheduler's salt.
+    /// The content hash of `job` under this scheduler's salt: equal
+    /// to [`job_hash_with_salt`], with the head read from the memo
+    /// [`Scheduler::run_jobs`] fills.
     #[must_use]
     pub fn job_hash(&self, job: &JobSpec) -> u64 {
-        job_hash_with_salt(job, self.cfg.salt_extra)
+        self.hash_all([job])[0]
+    }
+
+    /// The hashes of `jobs`, in order, over the lifetime head memo
+    /// and a tail memo of this call alone (so one-job calls with ever
+    /// new parameter points leave nothing behind).
+    fn hash_all<'a>(&self, jobs: impl IntoIterator<Item = &'a JobSpec>) -> Vec<u64> {
+        let mut tails = Tails::default();
+        // Every update of the memo leaves it valid (an entry is pushed
+        // whole), so a panic elsewhere under the lock cannot corrupt it.
+        let mut heads = self
+            .heads
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let hashes = jobs
+            .into_iter()
+            .map(|job| job.hash_with_heads(&mut heads, &mut tails, &self.salt_line))
+            .collect();
+        if heads.len() > HEAD_MEMO_CAP {
+            *heads = HeadMemo::default();
+        }
+        hashes
     }
 
     /// A point-in-time view of the counters and latency quantiles.
@@ -577,10 +614,8 @@ impl Scheduler {
         results.resize_with(n, || None);
         let mut todo: Vec<(usize, JobSpec, u64)> = Vec::new();
         let mut hits = 0u64;
-        let mut canon = CanonicalCache::default();
-        let salt_line = format!("salt={SCHED_SALT}/{}\n", self.cfg.salt_extra);
-        for (i, job) in jobs.into_iter().enumerate() {
-            let h = job.hash_with(&mut canon, &salt_line);
+        let hashes = self.hash_all(&jobs);
+        for ((i, job), h) in jobs.into_iter().enumerate().zip(hashes) {
             if let Some(cache) = &self.cache {
                 let load_start = Instant::now();
                 let loaded = if self.cache_may_contain(cache, h) {
@@ -806,7 +841,7 @@ pub fn current() -> Option<Arc<Scheduler>> {
 mod tests {
     use super::*;
     use crate::cache::encode_measurement;
-    use syncperf_core::{kernel, Affinity, DType, ExecParams, Protocol, SYSTEM3};
+    use syncperf_core::{kernel, Affinity, DType, ExecParams, Protocol, SYSTEM1, SYSTEM3};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1159,7 +1194,7 @@ mod tests {
             .collect();
         // Two salts on one cache: the second pass is served from the
         // memoized heads and tails, and the salt is folded in per call.
-        let mut canon = CanonicalCache::default();
+        let mut canon = crate::job::CanonicalCache::default();
         for salt in [0u64, 7] {
             let salt_line = format!("salt={SCHED_SALT}/{salt}\n");
             for job in &jobs {
@@ -1169,6 +1204,93 @@ mod tests {
                     "memoized canonical text must hash identically"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn lifetime_head_memo_hashes_like_the_canonical_text() {
+        let p = ExecParams::new(4).with_loops(50, 4);
+        let mut tweaked = syncperf_cpu_sim::CpuModel::for_system(&SYSTEM3.cpu, SYSTEM3.cpu_jitter);
+        tweaked.line_transfer_ns *= 2.0;
+        let at = |threads| ExecParams { threads, ..p };
+        let first: Vec<JobSpec> = [2u32, 8]
+            .into_iter()
+            .flat_map(|t| {
+                [
+                    JobSpec::cpu_sim(&SYSTEM3, kernel::omp_barrier(), at(t), Protocol::SIM),
+                    JobSpec::cpu_sim(&SYSTEM1, kernel::omp_barrier(), at(t), Protocol::SIM),
+                    JobSpec::gpu_sim(
+                        &SYSTEM3,
+                        kernel::cuda_syncthreads(),
+                        ExecParams::new(32).with_blocks(t).with_loops(50, 4),
+                        Protocol::SIM,
+                    ),
+                ]
+            })
+            .collect();
+        // The second call meets the first call's heads plus new ones:
+        // a model override, another kernel, a real-thread job.
+        let second: Vec<JobSpec> = first
+            .iter()
+            .cloned()
+            .chain([
+                JobSpec::cpu_sim_with_model(
+                    &SYSTEM3,
+                    tweaked,
+                    kernel::omp_barrier(),
+                    at(3),
+                    Protocol::SIM,
+                ),
+                JobSpec::cpu_sim(
+                    &SYSTEM3,
+                    kernel::omp_atomic_update_scalar(DType::F64),
+                    at(16),
+                    Protocol::PAPER,
+                ),
+                JobSpec::real_omp(kernel::omp_barrier(), at(2), Protocol::SIM),
+            ])
+            .collect();
+        let s = Scheduler::new(SchedConfig::new(1).without_cache().with_salt_extra(7));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        s.set_exec_backend(move |todo| {
+            sink.lock()
+                .unwrap()
+                .extend(todo.iter().map(|(_, job, hash)| (job.clone(), *hash)));
+            todo.iter()
+                .map(|(index, _, hash)| BackendExec {
+                    index: *index,
+                    hash: *hash,
+                    result: Err(SyncPerfError::InvalidParams("hash only".into())),
+                    stored: false,
+                })
+                .collect()
+        });
+        assert!(s.run_jobs(first.clone()).is_err());
+        assert!(s.run_jobs(second.clone()).is_err());
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), first.len() + second.len());
+        for (job, hash) in seen.iter() {
+            assert_eq!(*hash, job_hash_with_salt(job, 7), "run_jobs: {job:?}");
+        }
+        for job in &second {
+            assert_eq!(
+                s.job_hash(job),
+                job_hash_with_salt(job, 7),
+                "job_hash: {job:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn head_memo_is_bounded() {
+        let s = Scheduler::new(SchedConfig::new(1).without_cache());
+        let p = ExecParams::new(4).with_loops(50, 4);
+        for stride in 0..=HEAD_MEMO_CAP as u32 {
+            let k = kernel::omp_atomic_update_array(DType::I32, stride);
+            let job = JobSpec::cpu_sim(&SYSTEM3, k, p, Protocol::SIM);
+            assert_eq!(s.job_hash(&job), job_hash_with_salt(&job, 0));
+            assert!(s.heads.lock().unwrap().len() <= HEAD_MEMO_CAP);
         }
     }
 
