@@ -107,7 +107,7 @@ echo "==> bench_report --check"
 cargo run --release --offline -p syncperf-bench --bin bench_report -- --check
 
 # Tracked distributed benchmark (docs/DISTRIBUTED.md): cold
-# `all_figures` over 3 local `worker --listen` processes must stay
+# `all_figures` over 3 local `serve` replicas must stay
 # within 25% of the committed BENCH_dist.json number (and is
 # re-measured against `--jobs 3` threads each run).
 echo "==> syncperf_dist bench --check"
@@ -344,10 +344,10 @@ rm -rf ci_sched_results
 # the replicas' SIGTERM flight-recorder dumps become workflow
 # artifacts.
 #
-# A replica is one `serve` process. start_serve_fleet starts 2 of
+# A replica is one `serve` process. start_serve_fleet starts N of
 # them on free loopback ports over one SYNCPERF_RESULTS, waits for
-# their ready lines, and fills `target_flags` with one
-# `--target <addr>` pair per replica; they are killed on exit.
+# their ready lines, and fills `fleet_addrs` with their addresses;
+# they are killed on exit. The same processes are a dist fleet.
 serve_fleet_pids=()
 stop_serve_fleet() {
   if [ "${#serve_fleet_pids[@]}" -gt 0 ]; then
@@ -355,28 +355,30 @@ stop_serve_fleet() {
     wait "${serve_fleet_pids[@]}" 2>/dev/null || true
   fi
   serve_fleet_pids=()
-  rm -f load_serve_out.log
+  rm -f serve_fleet.log
 }
-start_serve_fleet() { # start_serve_fleet <results dir>
-  rm -f load_serve_out.log
+start_serve_fleet() { # start_serve_fleet <results dir> <replicas>
+  rm -f serve_fleet.log
   trap stop_serve_fleet EXIT
-  for _ in 1 2; do
+  for _ in $(seq 1 "$2"); do
     SYNCPERF_RESULTS="$1" "${CARGO_TARGET_DIR:-target}/release/serve" \
-      --addr 127.0.0.1:0 --jobs 2 >> load_serve_out.log &
+      --addr 127.0.0.1:0 --jobs 2 >> serve_fleet.log &
     serve_fleet_pids+=("$!")
   done
   local addrs
-  addrs=$(wait_for_ready load_serve_out.log 's#^listening on http://##p' 2) \
-    || { echo "replica fleet did not come up"; cat load_serve_out.log; exit 1; }
-  target_flags=()
-  while IFS= read -r a; do target_flags+=(--target "$a"); done <<< "$addrs"
-  echo "replica fleet is up on: $(printf '%s' "$addrs" | tr '\n' ' ')"
+  addrs=$(wait_for_ready serve_fleet.log 's#^listening on http://##p' "$2") \
+    || { echo "replica fleet did not come up"; cat serve_fleet.log; exit 1; }
+  fleet_addrs=()
+  while IFS= read -r a; do fleet_addrs+=("$a"); done <<< "$addrs"
+  echo "replica fleet is up on: ${fleet_addrs[*]}"
 }
 
 echo "==> serve load lane (replica pair + syncperf_load --check)"
 rm -rf ci_load_results
 mkdir -p ci_load_results
-start_serve_fleet ci_load_results
+start_serve_fleet ci_load_results 2
+target_flags=()
+for a in "${fleet_addrs[@]}"; do target_flags+=(--target "$a"); done
 cargo run --release --offline -p syncperf-bench --bin syncperf_load -- \
   bench --quick --check "${target_flags[@]}" --report results/load_report.json \
   || { echo "load gate failed"; exit 1; }
@@ -389,13 +391,13 @@ for pid in "${serve_fleet_pids[@]}"; do
     sleep 0.2
   done
   kill -0 "$pid" 2>/dev/null && { echo "replica ${pid} did not shut down on SIGTERM"; exit 1; }
-  wait "$pid" || { echo "replica ${pid} exited nonzero"; cat load_serve_out.log; exit 1; }
+  wait "$pid" || { echo "replica ${pid} exited nonzero"; cat serve_fleet.log; exit 1; }
   [ -s "ci_load_results/flightrec-${pid}.jsonl" ] \
     || { echo "replica ${pid} left no flight-recorder dump"; exit 1; }
 done
-clean=$(grep -c "shut down cleanly" load_serve_out.log || true)
+clean=$(grep -c "shut down cleanly" serve_fleet.log || true)
 [ "$clean" -eq "${#serve_fleet_pids[@]}" ] \
-  || { echo "${clean} of ${#serve_fleet_pids[@]} replicas printed their clean-exit line"; cat load_serve_out.log; exit 1; }
+  || { echo "${clean} of ${#serve_fleet_pids[@]} replicas printed their clean-exit line"; cat serve_fleet.log; exit 1; }
 serve_fleet_pids=()
 # Keep the dumps (and the load report above) as workflow artifacts.
 # Dumps left in results/ by earlier runs go first, so the count below
@@ -403,73 +405,58 @@ serve_fleet_pids=()
 rm -f results/flightrec-*.jsonl
 cp ci_load_results/flightrec-*.jsonl results/
 echo "load lane artifacts: results/load_report.json + $(ls results/flightrec-*.jsonl | wc -l) flight dump(s)"
-rm -f load_serve_out.log
+rm -f serve_fleet.log
 rm -rf ci_load_results
 
 # Distributed execution lane (docs/DISTRIBUTED.md): a cold run over a
-# fleet of 3 pre-started `worker --listen` processes, and a cold run
-# that severs one worker's connection mid-sweep, must both produce
-# byte-identical figures to a serial `--jobs 3` run. The cache trees
-# are excluded from the diff (same entries, but the severed
-# connection can orphan an in-flight store); everything the figures
-# are built from must match to the byte.
-#
-# start_dist_fleet starts the 3 workers on free loopback ports, waits
-# for their ready lines, and fills `connect_flags` with one
-# `--connect <addr>` pair per worker; they are killed on exit. A
-# worker serves one coordinator at a time and accepts the next when
-# it ends, so both lanes share the fleet.
-dist_fleet_pids=()
-stop_dist_fleet() {
-  if [ "${#dist_fleet_pids[@]}" -gt 0 ]; then
-    kill "${dist_fleet_pids[@]}" 2>/dev/null || true
-    wait "${dist_fleet_pids[@]}" 2>/dev/null || true
-  fi
-  dist_fleet_pids=()
-  rm -f dist_fleet.log
-}
-start_dist_fleet() {
-  rm -f dist_fleet.log
-  trap stop_dist_fleet EXIT
-  for _ in 1 2 3; do
-    "${CARGO_TARGET_DIR:-target}/release/syncperf_dist" worker --listen 127.0.0.1:0 >> dist_fleet.log &
-    dist_fleet_pids+=("$!")
-  done
-  local addrs
-  addrs=$(wait_for_ready dist_fleet.log 's#^worker listening on ##p' 3) \
-    || { echo "dist worker fleet did not come up"; cat dist_fleet.log; exit 1; }
+# fleet of 3 serve replicas, and a cold run that severs one replica's
+# connection mid-sweep, must both produce byte-identical figures to a
+# serial `--jobs 3` run. The cache trees are excluded from the diff
+# (same entries, but the severed connection can orphan an in-flight
+# store); everything the figures are built from must match to the
+# byte. Each lane starts its own 3 replicas (start_serve_fleet) over
+# a results dir of its own, so both lanes run cold.
+connect_fleet() { # connect_fleet <results dir>: start 3 replicas, fill connect_flags
+  start_serve_fleet "$1" 3
   connect_flags=()
-  while IFS= read -r a; do connect_flags+=(--connect "$a"); done <<< "$addrs"
-  echo "dist worker fleet is up on: $(printf '%s' "$addrs" | tr '\n' ' ')"
+  for a in "${fleet_addrs[@]}"; do connect_flags+=(--connect "$a"); done
 }
 
 echo "==> distributed execution lane"
-rm -rf ci_dist_serial ci_dist_workers ci_dist_chaos dist_out.log dist_chaos_out.log
+rm -rf ci_dist_serial ci_dist_workers ci_dist_chaos ci_dist_replicas ci_dist_chaos_replicas \
+  dist_out.log dist_chaos_out.log
 SYNCPERF_RESULTS=ci_dist_serial cargo run --release --offline -p syncperf-bench \
   --bin all_figures -- --jobs 3 > /dev/null
-start_dist_fleet
+connect_fleet ci_dist_replicas
 SYNCPERF_RESULTS=ci_dist_workers cargo run --release --offline -p syncperf-bench \
   --bin all_figures -- "${connect_flags[@]}" \
   --metrics results/metrics_dist.prom > dist_out.log
 grep '^dist:' dist_out.log || { echo "coordinator summary line missing"; cat dist_out.log; exit 1; }
 diff -r -x .cache ci_dist_serial ci_dist_workers \
-  || { echo "3-worker output diverged from serial"; exit 1; }
+  || { echo "3-replica output diverged from serial"; exit 1; }
 dist_workers=$(prom results/metrics_dist.prom dist_workers)
 [ "${dist_workers:-0}" -eq 3 ] || { echo "the exposition did not record the fleet"; exit 1; }
-# Workers prime what they receive (docs/DISTRIBUTED.md): zero primed
-# worker results means the workers stopped batch-priming their batches.
-dist_primed=$(prom results/metrics_dist.prom dist_primed_jobs)
-echo "distributed run worker-primed jobs: ${dist_primed}"
-[ "${dist_primed:-0}" -gt 0 ] || {
-  echo "dist workers primed nothing (dist_primed_jobs=${dist_primed:-missing})"; exit 1; }
+# Replicas prime what they receive (docs/DISTRIBUTED.md): each counts
+# its priming in its own /metrics, and zero over the whole fleet means
+# the replicas stopped batch-priming their shards.
+replica_primed=0
+for a in "${fleet_addrs[@]}"; do
+  n=$(prom <(curl -fsS "http://${a}/metrics") sched_plan_primed_jobs)
+  replica_primed=$((replica_primed + ${n:-0}))
+done
+echo "distributed run replica-primed jobs: ${replica_primed}"
+[ "$replica_primed" -gt 0 ] || {
+  echo "dist replicas primed nothing (summed sched_plan_primed_jobs=${replica_primed})"; exit 1; }
 # The coordinator primes what it runs itself (docs/DISTRIBUTED.md):
 # zero means its local path stopped batch-priming same-shape work.
 coord_primed=$(prom results/metrics_dist.prom dist_coordinator_primed_jobs)
 echo "distributed run coordinator-primed jobs: ${coord_primed}"
 [ "${coord_primed:-0}" -gt 0 ] || {
   echo "dist coordinator primed nothing (dist_coordinator_primed_jobs=${coord_primed:-missing})"; exit 1; }
+stop_serve_fleet
 
-echo "==> distributed chaos lane (sever one worker mid-sweep)"
+echo "==> distributed chaos lane (sever one replica's connection mid-sweep)"
+connect_fleet ci_dist_chaos_replicas
 SYNCPERF_RESULTS=ci_dist_chaos cargo run --release --offline -p syncperf-bench \
   --bin all_figures -- "${connect_flags[@]}" --chaos-kill-one 25 \
   --metrics results/metrics_dist_chaos.prom > dist_chaos_out.log
@@ -477,10 +464,15 @@ grep '^dist:' dist_chaos_out.log || { echo "chaos summary line missing"; cat dis
 diff -r -x .cache ci_dist_serial ci_dist_chaos \
   || { echo "chaos output diverged from serial"; exit 1; }
 deaths=$(prom results/metrics_dist_chaos.prom dist_worker_deaths)
-[ "${deaths:-0}" -ge 1 ] || { echo "chaos hook did not sever a worker"; exit 1; }
-echo "chaos run converged with ${deaths} worker death(s)"
-stop_dist_fleet
+[ "${deaths:-0}" -ge 1 ] || { echo "chaos hook did not sever a replica"; exit 1; }
+echo "chaos run converged with ${deaths} replica death(s)"
+# A severed connection is not a killed replica: every one still answers.
+for a in "${fleet_addrs[@]}"; do
+  curl -fsS "http://${a}/healthz" > /dev/null \
+    || { echo "replica ${a} died with its connection"; exit 1; }
+done
+stop_serve_fleet
 rm -f dist_out.log dist_chaos_out.log
-rm -rf ci_dist_serial ci_dist_workers ci_dist_chaos
+rm -rf ci_dist_serial ci_dist_workers ci_dist_chaos ci_dist_replicas ci_dist_chaos_replicas
 
 echo "CI green"

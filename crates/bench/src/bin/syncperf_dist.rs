@@ -1,16 +1,18 @@
-//! `syncperf_dist` — the distributed worker and its tracked benchmark.
+//! `syncperf_dist` — the distributed execution benchmark.
 //!
 //! ```console
-//! $ syncperf_dist worker --listen 0.0.0.0:7070       # on each worker host
+//! $ serve --addr 0.0.0.0:7070                        # on each replica host
 //! $ all_figures --connect host:7070 --connect host:7071  # run a sweep on them
 //! $ syncperf_dist bench                              # tracked BENCH_dist.json:
-//!                                                    # 3 processes vs --jobs 3 threads
+//!                                                    # 3 replicas vs --jobs 3 threads
 //! $ syncperf_dist bench --check                      # regression gate vs committed
 //! ```
 //!
-//! A sweep reaches the fleet through its own binary: every figure,
-//! `exp_*`, `ablation_*` and session tool takes `--connect` (see
-//! `syncperf_bench::runner::RunOptions`).
+//! A dist worker is an ordinary `serve` replica: a sweep reaches the
+//! fleet through its own binary, since every figure, `exp_*`,
+//! `ablation_*` and session tool takes `--connect` (see
+//! `syncperf_bench::runner::RunOptions`) and posts its misses to each
+//! replica's `/batch`.
 
 use std::io::{self, BufRead as _};
 use std::path::PathBuf;
@@ -26,14 +28,13 @@ const RUNS: usize = 3;
 /// committed `dist_ms` by more than this factor.
 const REGRESSION_FACTOR: f64 = 1.25;
 
-/// Worker processes (and reference threads) for the tracked benchmark.
+/// Replica processes (and reference threads) for the tracked benchmark.
 const BENCH_WORKERS: usize = 3;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: syncperf_dist worker --listen host:port\n\
-         \x20      syncperf_dist bench [--check] [--out PATH]\n\
-         (run a sweep on the workers with `<figure binary> --connect host:port ...`)"
+        "usage: syncperf_dist bench [--check] [--out PATH]\n\
+         (run a sweep on serve replicas with `<figure binary> --connect host:port ...`)"
     );
     std::process::exit(2);
 }
@@ -41,16 +42,6 @@ fn usage() -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("worker") => {
-            let result = match (args.get(1).map(String::as_str), args.get(2)) {
-                (Some("--listen"), Some(addr)) => syncperf_dist::run_listen(addr),
-                _ => usage(),
-            };
-            if let Err(e) = result {
-                eprintln!("worker: {e}");
-                std::process::exit(1);
-            }
-        }
         Some("bench") => bench(&args[1..]),
         _ => usage(),
     }
@@ -78,37 +69,43 @@ fn workload() -> syncperf_core::Result<()> {
     syncperf_bench::emit(&figs)
 }
 
-/// `BENCH_WORKERS` local `worker --listen` processes of this binary on
-/// free loopback ports, killed on drop.
+/// `BENCH_WORKERS` local `serve --jobs 1` replicas (the sibling
+/// binary) on free loopback ports, each over its own scratch results
+/// directory under `dir`; killed on drop.
 struct Fleet {
     children: Vec<Child>,
     addrs: Vec<String>,
 }
 
 impl Fleet {
-    /// Spawns the workers and reads each one's ready line
-    /// (`worker listening on <addr>`).
-    fn start() -> io::Result<Fleet> {
-        let exe = std::env::current_exe()?;
+    /// Spawns the replicas and reads each one's ready line
+    /// (`listening on http://<addr>`).
+    fn start(dir: &std::path::Path) -> io::Result<Fleet> {
+        let serve = std::env::current_exe()?.with_file_name("serve");
         let mut fleet = Fleet {
             children: Vec::new(),
             addrs: Vec::new(),
         };
-        for _ in 0..BENCH_WORKERS {
-            let mut child = Command::new(&exe)
-                .args(["worker", "--listen", "127.0.0.1:0"])
+        for i in 0..BENCH_WORKERS {
+            let mut child = Command::new(&serve)
+                .args(["--addr", "127.0.0.1:0", "--jobs", "1"])
+                .env("SYNCPERF_RESULTS", dir.join(format!("replica-{i}")))
                 .stdin(Stdio::null())
                 .stdout(Stdio::piped())
-                .spawn()?;
+                .spawn()
+                .map_err(|e| {
+                    let msg = format!("cannot start replica {}: {e}", serve.display());
+                    io::Error::new(e.kind(), msg)
+                })?;
             let stdout = child.stdout.take().expect("stdout is piped");
             fleet.children.push(child);
             let mut line = String::new();
             io::BufReader::new(stdout).read_line(&mut line)?;
             let addr = line
                 .trim()
-                .strip_prefix("worker listening on ")
+                .strip_prefix("listening on http://")
                 .ok_or_else(|| {
-                    io::Error::other(format!("worker printed no ready line: {line:?}"))
+                    io::Error::other(format!("replica printed no ready line: {line:?}"))
                 })?;
             fleet.addrs.push(addr.to_string());
         }
@@ -126,9 +123,9 @@ impl Drop for Fleet {
 }
 
 /// One cold run: fresh results dir and cache. `dist` routes execution
-/// through a freshly started local `worker --listen` fleet (started
-/// before the timed region); otherwise the scheduler's in-process
-/// thread pool runs it.
+/// through a freshly started local replica fleet (started before the
+/// timed region, each replica over its own results dir inside this
+/// run's); otherwise the scheduler's in-process thread pool runs it.
 fn cold_run_ms(root: &std::path::Path, tag: &str, dist: bool) -> syncperf_core::Result<f64> {
     let dir = root.join(format!("syncperf-dist-bench-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -137,19 +134,12 @@ fn cold_run_ms(root: &std::path::Path, tag: &str, dist: bool) -> syncperf_core::
         .with_cache_dir(dir.join(".cache"))
         .with_label("dist_bench");
     let sched = syncperf_sched::install(syncperf_sched::Scheduler::new(cfg));
-    let fleet = dist.then(Fleet::start).transpose()?;
+    let fleet = dist.then(|| Fleet::start(&dir.join("fleet"))).transpose()?;
     let coord = match &fleet {
-        Some(fleet) => {
-            let cache = sched
-                .cache()
-                .map(|c| syncperf_sched::Cache::new(c.dir().to_path_buf()));
-            let coord = syncperf_dist::Coordinator::start(
-                syncperf_dist::DistConfig::new(fleet.addrs.clone()),
-                cache,
-            )?;
-            coord.attach(&sched);
-            Some(coord)
-        }
+        Some(fleet) => Some(syncperf_dist::Coordinator::start(
+            syncperf_dist::DistConfig::new(fleet.addrs.clone()),
+            &sched,
+        )?),
         None => None,
     };
 

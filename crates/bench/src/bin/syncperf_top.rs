@@ -1,6 +1,7 @@
 //! `syncperf_top` — a one-screen live view of a running
-//! `syncperf-serve` instance or `syncperf_dist` coordinator
-//! (`--metrics-addr`), in the spirit of `top`.
+//! `syncperf-serve` instance or of a sweep's `--metrics-addr` (with
+//! the dist coordinator's numbers under `--connect`), in the spirit of
+//! `top`.
 //!
 //! Polls `GET /metrics`, parses the Prometheus-style exposition back
 //! into an [`obs::Snapshot`](syncperf_core::obs::Snapshot) with
@@ -194,14 +195,13 @@ fn render_frame(snap: &Snapshot, prev: Option<&Snapshot>, dt: Duration, addr: &s
     }
 
     // Distributed coordinator section: present when the scraped
-    // endpoint belongs to (or exports) a `syncperf_dist` coordinator.
+    // endpoint exports a dist coordinator (a `--connect` sweep).
     if snap.counter("dist_workers") > 0 {
         out.push_str(&format!(
-            "\ndist: {} workers ({} live)   in-flight {}   reissues {}   deaths {}\n\
+            "\ndist: {} workers ({} live)   reissues {}   deaths {}\n\
              dist jobs: {} sent / {} results   coordinator {} ({} primed)   local {}   dup {}   corrupt {}\n",
             snap.counter("dist_workers"),
             snap.gauge("dist_workers_live"),
-            snap.gauge("dist_batches_inflight"),
             snap.counter("dist_shard_reissues"),
             snap.counter("dist_worker_deaths"),
             snap.counter("dist_jobs_sent"),
@@ -234,8 +234,6 @@ fn render_frame(snap: &Snapshot, prev: Option<&Snapshot>, dt: Duration, addr: &s
         ("sched miss svc", "sched_service_us_miss"),
         ("plan compile", "plan_compile_us"),
         ("plan batch", "plan_batch_size"),
-        ("dist wait", "dist_wait_us"),
-        ("dist svc", "dist_service_us"),
     ] {
         let h = snap.histogram(name);
         if h.count() > 0 {
@@ -319,23 +317,19 @@ mod tests {
         let rec = obs::Recorder::enabled();
         rec.counter("dist_workers").add(3);
         rec.gauge_set("dist_workers_live").set(2);
-        rec.gauge_set("dist_batches_inflight").set(4);
         rec.counter("dist_shard_reissues").add(1);
         rec.counter("dist_jobs_sent").add(90);
         rec.counter("dist_results_received").add(88);
         rec.counter("dist_coordinator_jobs").add(11);
         rec.counter("dist_coordinator_primed_jobs").add(8);
-        rec.histogram("dist_service_us").observe(42);
         let frame = render_frame(&rec.snapshot(), None, Duration::from_secs(1), "test:0");
         assert!(
             frame.contains("dist: 3 workers (2 live)"),
             "frame:\n{frame}"
         );
-        assert!(frame.contains("in-flight 4"));
         assert!(frame.contains("reissues 1"));
         assert!(frame.contains("90 sent / 88 results"));
         assert!(frame.contains("coordinator 11 (8 primed)"));
-        assert!(frame.contains("dist svc"));
     }
 
     #[test]

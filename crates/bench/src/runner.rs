@@ -194,12 +194,13 @@ pub struct RunOptions {
     /// Run label scoping the checkpoint manifest (the binary name for
     /// [`run`]; tools pick their own).
     pub label: Option<String>,
-    /// Pre-started worker addresses (`--connect host:port`, repeatable)
-    /// — execute cache misses on exactly these workers via the
-    /// distributed coordinator instead of in-process threads.
+    /// Serve replica addresses (`--connect host:port`, repeatable) —
+    /// execute cache misses on exactly these replicas, as `POST /batch`
+    /// shards, via the distributed coordinator instead of in-process
+    /// threads.
     pub connect: Vec<String>,
     /// Chaos hook (`--chaos-kill-one N`): sever the connection to one
-    /// worker after N results have been received.
+    /// replica after N results have been received.
     pub chaos_kill_one: Option<u64>,
     /// Serve live `GET /metrics` on this address for the duration of
     /// the run (`--metrics-addr host:port`; port 0 picks a free port
@@ -431,7 +432,7 @@ pub fn session<T>(opts: &RunOptions, body: impl FnOnce() -> Result<T>) -> Result
         None
     };
 
-    // Distributed mode: connect to the worker fleet and route every
+    // Distributed mode: connect to the replica fleet and route every
     // cache miss through it. The scheduler still owns cache lookups,
     // checkpointing, and the index-ordered merge, so the output bytes
     // are identical to an in-process run.
@@ -439,17 +440,11 @@ pub fn session<T>(opts: &RunOptions, body: impl FnOnce() -> Result<T>) -> Result
         let s = sched
             .as_ref()
             .expect("wants_dist implies a scheduler is installed");
-        let mut dcfg = syncperf_dist::DistConfig::new(opts.connect.clone())
-            .with_salt_extra(s.config().salt_extra);
+        let mut dcfg = syncperf_dist::DistConfig::new(opts.connect.clone());
         if let Some(n) = opts.chaos_kill_one {
             dcfg = dcfg.with_chaos_kill_one_after(n);
         }
-        let cache = s
-            .cache()
-            .map(|c| syncperf_sched::Cache::new(c.dir().to_path_buf()));
-        let coord = syncperf_dist::Coordinator::start(dcfg, cache)?;
-        coord.attach(s);
-        Some(coord)
+        Some(syncperf_dist::Coordinator::start(dcfg, s)?)
     } else {
         None
     };

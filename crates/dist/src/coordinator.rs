@@ -1,102 +1,90 @@
 //! The coordinator: partitions each batch of cache misses into
-//! hash-range shards, streams them to workers, merges results
-//! exactly-once, and reissues shards when workers die or go silent.
+//! hash-range shards, POSTs each to a serve replica's `/batch`, merges
+//! the answers exactly-once, and reissues the shards of replicas that
+//! die (lifecycle, wire and failure matrix: docs/DISTRIBUTED.md).
 //!
-//! ## Shard lifecycle
-//!
-//! ```text
-//!   backlog ──(refill)──▶ assigned ──(results stream in)──▶ complete
-//!      │                     │
-//!      │ (coordinator idle)  │ (owner dies / times out)
-//!      ▼                     ▼
-//!   run locally           reissued (new shard, live worker;
-//!                                   run locally once none is left)
-//! ```
-//!
-//! Every transition preserves two invariants: a job's result is merged
+//! Two invariants hold through every path: a job's result is merged
 //! **exactly once** (content-hash dedup — a duplicate completion is
 //! counted and dropped), and every entry that reaches the cache passed
 //! the same self-validating decode a local store would have (a corrupt
 //! wire entry is counted, discarded, and recomputed locally).
 //!
-//! Whatever runs on the coordinator — unencodable or duplicate jobs,
-//! backlog chunks it drains while idle, recomputes, and everything
-//! once the fleet is gone — goes through one path that
-//! batch-primes same-shape groups first, as the workers and the
-//! scheduler pool do (`dist.coordinator_primed_jobs`).
+//! Each replica is one keep-alive connection, read with
+//! `syncperf_serve::http`, that carries up to two shards — one
+//! computing, one pipelined behind it — answered in order. A replica is
+//! dead for the rest of the run after a refused or timed-out dial, a
+//! connection error with shards in flight, or an answer later than
+//! [`DistConfig::timeout`]; a `Connection: close` answer is not a
+//! death, and the next send redials.
 //!
-//! The coordinator plugs into the scheduler as a
-//! [`syncperf_sched::ExecBackend`] (see [`Coordinator::attach`]):
-//! cache consultation, checkpointing,
-//! and the deterministic index-ordered merge stay in
-//! `Scheduler::run_jobs`, so distributed output is byte-identical to
+//! Whatever runs on the coordinator goes through one path that
+//! batch-primes same-shape groups first (`dist.coordinator_primed_jobs`).
+//! Cache consultation, checkpointing, and the index-ordered merge stay
+//! in `Scheduler::run_jobs`, so distributed output is byte-identical to
 //! `--jobs N` serial output by construction.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io;
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{BTreeMap, VecDeque};
+use std::io::{self, Read as _, Write as _};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use syncperf_core::obs::{json, Counter, Gauge, Histogram, Recorder, Snapshot};
-use syncperf_core::Measurement;
-
+use syncperf_core::obs::{Counter, Gauge, Recorder, Snapshot};
 use syncperf_sched::{
-    decode_measurement, execute_job_with_retry_primed, BackendExec, Cache, JobSpec, Scheduler,
-    SCHED_SALT,
+    batch_records, decode_measurement, execute_job_with_retry_primed, shard_body, shard_item,
+    BackendExec, Cache, JobSpec, Scheduler,
 };
+use syncperf_serve::http::MAX_BODY_BYTES;
+use syncperf_serve::reactor::{Poller, RDHUP, READABLE};
+use syncperf_serve::{try_parse_response, ClientResponse, ParseStep};
 
-use crate::codec::encode_job;
-use crate::frame::{read_frame, read_handshake, write_frame, FrameType, PROTO_VERSION};
+/// Shards in flight per replica: one computing, one queued behind it.
+const DEPTH: usize = 2;
+
+/// A batch's hash range is cut into about this many chunks per live
+/// replica, so the backlog can follow the fleet's real throughput.
+const WAVES: usize = 8;
 
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
 pub struct DistConfig {
-    /// Addresses of the pre-started workers (`syncperf_dist worker
-    /// --listen`) that [`Coordinator::start`] dials: the fleet.
+    /// Addresses of the serve replicas [`Coordinator::start`] dials:
+    /// the fleet.
     pub connect: Vec<String>,
-    /// How long a worker may stay silent (no frames at all) before it
-    /// is declared dead and its shards reissued.
-    pub heartbeat_timeout: Duration,
-    /// Extra hash salt, forwarded to workers in the handshake (must
-    /// match the scheduler's `salt_extra`).
-    pub salt_extra: u64,
+    /// The deadline of every dial and every answer: a replica that
+    /// misses it is dead for the rest of the run, and its shards are
+    /// reissued.
+    pub timeout: Duration,
     /// Chaos hook: after this many results have been received, sever
-    /// the connection to one live worker (`None` = never).
+    /// the connection to one replica with shards in flight (`None` =
+    /// never).
     pub chaos_kill_one_after: Option<u64>,
 }
 
 impl DistConfig {
-    /// A config for the workers at `connect`, with default timeouts.
+    /// A config for the replicas at `connect`, with a 10 s timeout.
     #[must_use]
     pub fn new(connect: Vec<String>) -> Self {
         DistConfig {
             connect,
-            heartbeat_timeout: Duration::from_secs(10),
-            salt_extra: 0,
+            timeout: Duration::from_secs(10),
             chaos_kill_one_after: None,
         }
     }
 
-    /// Replaces the extra hash salt.
-    #[must_use]
-    pub fn with_salt_extra(mut self, salt: u64) -> Self {
-        self.salt_extra = salt;
-        self
-    }
-
-    /// Arms the kill-one-worker chaos hook.
+    /// Arms the kill-one-replica chaos hook.
     #[must_use]
     pub fn with_chaos_kill_one_after(mut self, results: u64) -> Self {
         self.chaos_kill_one_after = Some(results);
         self
     }
 
-    /// Replaces the heartbeat timeout.
+    /// Replaces the dial and answer timeout.
     #[must_use]
-    pub fn with_heartbeat_timeout(mut self, t: Duration) -> Self {
-        self.heartbeat_timeout = t;
+    pub fn with_timeout(mut self, t: Duration) -> Self {
+        self.timeout = t;
         self
     }
 }
@@ -105,7 +93,6 @@ impl DistConfig {
 /// at construction so the merge loop never looks a name up.
 #[derive(Debug)]
 struct Counters {
-    batches_streamed: Counter,
     jobs_sent: Counter,
     results_received: Counter,
     shard_reissues: Counter,
@@ -116,24 +103,15 @@ struct Counters {
     coordinator_jobs: Counter,
     coordinator_primed_jobs: Counter,
     worker_errors: Counter,
-    retries: Counter,
-    primed_jobs: Counter,
     bytes_sent: Counter,
-    /// Cloned into every reader thread, so it keeps counting while a
-    /// batch is idle.
     bytes_received: Counter,
     workers: Counter,
     workers_live: Gauge,
-    /// Shards in flight plus backlog chunks of the running batch.
-    batches_inflight: Gauge,
-    wait_us: Histogram,
-    service_us: Histogram,
 }
 
 impl Counters {
     fn new(rec: &Recorder) -> Self {
         Counters {
-            batches_streamed: rec.counter("dist.batches_streamed"),
             jobs_sent: rec.counter("dist.jobs_sent"),
             results_received: rec.counter("dist.results_received"),
             shard_reissues: rec.counter("dist.shard_reissues"),
@@ -144,86 +122,57 @@ impl Counters {
             coordinator_jobs: rec.counter("dist.coordinator_jobs"),
             coordinator_primed_jobs: rec.counter("dist.coordinator_primed_jobs"),
             worker_errors: rec.counter("dist.worker_errors"),
-            retries: rec.counter("dist.retries"),
-            primed_jobs: rec.counter("dist.primed_jobs"),
             bytes_sent: rec.counter("dist.bytes_sent"),
             bytes_received: rec.counter("dist.bytes_received"),
             workers: rec.counter("dist.workers"),
             workers_live: rec.gauge_set("dist.workers_live"),
-            batches_inflight: rec.gauge_set("dist.batches_inflight"),
-            wait_us: rec.histogram("dist.wait_us"),
-            service_us: rec.histogram("dist.service_us"),
         }
     }
 }
 
-/// A point-in-time view of the coordinator's counters and latency
-/// quantiles — the `dist.*` analog of `SchedStats`: its registry's
-/// snapshot read back through [`DistStats::from_snapshot`], which works
-/// on any snapshot [`Coordinator::export_into`] filled.
+/// A point-in-time view of the numbers the coordinator observes itself
+/// — the `dist.*` analog of `SchedStats`: its registry's snapshot read
+/// back through [`DistStats::from_snapshot`], which works on any
+/// snapshot [`Coordinator::export_into`] filled. How a replica ran what
+/// it received (priming, service time, retries) is counted once, in
+/// that replica's own `sched.*` metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DistStats {
-    /// Batch frames streamed to workers (initial shards, refills and
-    /// reissues).
-    pub batches_streamed: u64,
-    /// Jobs shipped over the wire (a reissued job counts again).
+    /// Jobs shipped over the wire (a reissued or resent job counts again).
     pub jobs_sent: u64,
-    /// Result frames received (before dedup/validation).
+    /// Answer records received (before dedup/validation).
     pub results_received: u64,
-    /// Shards reissued after a worker death or heartbeat timeout.
+    /// Shards reissued after a replica death or an incomplete answer.
     pub shard_reissues: u64,
-    /// Workers declared dead.
+    /// Replicas declared dead.
     pub worker_deaths: u64,
-    /// Wire entries that failed the self-validating decode and were
-    /// recomputed locally.
+    /// Wire entries that failed the self-validating decode (recomputed).
     pub corrupt_entries: u64,
-    /// Results for an already-merged hash, dropped by the
-    /// exactly-once dedup.
+    /// Results for an already-merged hash, dropped by the dedup.
     pub duplicate_results: u64,
-    /// Jobs not wire-serializable (real-thread / model-override),
-    /// executed on the coordinator.
+    /// Jobs that cannot travel, executed on the coordinator.
     pub local_jobs: u64,
-    /// Backlog jobs the work-conserving coordinator executed inline
-    /// while its event queue was idle (throughput self-balancing; see
-    /// [`Coordinator::run_batch`]).
+    /// Backlog jobs the work-conserving coordinator executed inline.
     pub coordinator_jobs: u64,
-    /// Jobs the coordinator ran from batch-primed engine results, over
-    /// every local path (see [`JobSpec::prime_groups`]).
+    /// Jobs the coordinator ran batch-primed, over every local path.
     pub coordinator_primed_jobs: u64,
-    /// Jobs a worker reported as failed (recomputed locally).
+    /// Jobs a replica did not deliver, recomputed locally.
     pub worker_errors: u64,
-    /// Worker-side retry attempts reported in result headers.
-    pub retries: u64,
-    /// Merged worker results run from batch-primed engine results.
-    pub primed_jobs: u64,
-    /// Payload bytes streamed to workers (batches and control).
+    /// Request bytes sent to replicas.
     pub bytes_sent: u64,
-    /// Payload bytes received from workers (results, control).
+    /// Answer bytes received from replicas.
     pub bytes_received: u64,
-    /// Configured worker count.
+    /// Configured replica count.
     pub workers: u64,
-    /// Workers currently alive.
+    /// Replicas currently alive.
     pub workers_live: u64,
-    /// Median coordinator-side queue wait (dispatch → result arrival,
-    /// minus worker service time), microseconds.
-    pub wait_us_p50: u64,
-    /// p99 queue wait, microseconds.
-    pub wait_us_p99: u64,
-    /// Median worker service time per job, microseconds.
-    pub service_us_p50: u64,
-    /// p99 worker service time, microseconds.
-    pub service_us_p99: u64,
 }
 
 impl DistStats {
-    /// Extracts the `dist.*` counters, gauges, and histograms from an
-    /// obs snapshot.
+    /// Extracts the `dist.*` counters and gauges from an obs snapshot.
     #[must_use]
     pub fn from_snapshot(snap: &Snapshot) -> Self {
-        let wait = snap.histogram("dist.wait_us");
-        let service = snap.histogram("dist.service_us");
         DistStats {
-            batches_streamed: snap.counter("dist.batches_streamed"),
             jobs_sent: snap.counter("dist.jobs_sent"),
             results_received: snap.counter("dist.results_received"),
             shard_reissues: snap.counter("dist.shard_reissues"),
@@ -234,84 +183,54 @@ impl DistStats {
             coordinator_jobs: snap.counter("dist.coordinator_jobs"),
             coordinator_primed_jobs: snap.counter("dist.coordinator_primed_jobs"),
             worker_errors: snap.counter("dist.worker_errors"),
-            retries: snap.counter("dist.retries"),
-            primed_jobs: snap.counter("dist.primed_jobs"),
             bytes_sent: snap.counter("dist.bytes_sent"),
             bytes_received: snap.counter("dist.bytes_received"),
             workers: snap.counter("dist.workers"),
             workers_live: snap.gauge("dist.workers_live"),
-            wait_us_p50: wait.quantile(0.50),
-            wait_us_p99: wait.quantile(0.99),
-            service_us_p50: service.quantile(0.50),
-            service_us_p99: service.quantile(0.99),
         }
     }
 }
 
-/// One connected worker.
-struct WorkerHandle {
-    /// Send half (whole frames under the lock, so writers never
-    /// interleave).
-    writer: Mutex<TcpStream>,
-    /// Cleared when the connection dies or is declared dead.
-    alive: AtomicBool,
-    /// Last instant any frame arrived (updated by the reader thread,
-    /// so it stays fresh even between batches).
-    last_seen: Mutex<Instant>,
-}
-
-/// Events funneled from all reader threads into the drain loop.
-enum Event {
-    Frame(usize, FrameType, Vec<u8>),
-    /// A Result frame, already parsed and hash-verified by the reader
-    /// thread so the single-threaded drain loop only does bookkeeping
-    /// — with N workers the (comparatively expensive) JSON decode and
-    /// content-hash check run N-way parallel.
-    Result(usize, Box<DecodedResult>),
-    Dead(usize),
-}
-
-/// A Result frame after reader-side parsing.
-struct DecodedResult {
-    shard: u64,
-    hash: u64,
-    /// Worker-side wall time, retry count and primed flag, from the header.
-    micros: u64,
-    retries: u64,
-    primed: u64,
-    /// The raw cache-entry bytes, ready for the store thread.
-    entry: String,
-    /// `Some` iff the entry passed the self-validating load against
-    /// the expected content hash ([`decode_measurement`]).
-    measurement: Option<Measurement>,
-}
-
-/// A shard in flight: who owns it and which hashes are still unmerged.
+/// A shard on the wire: its hashes, and whether it is a reissue (jobs
+/// a reissue's answer leaves out run locally rather than travel again).
 struct Shard {
-    worker: usize,
-    remaining: BTreeSet<u64>,
+    hashes: Vec<u64>,
+    reissue: bool,
+}
+
+/// One replica of the fleet.
+struct Replica {
+    addr: String,
+    /// The keep-alive connection; `None` until dialed, and after the
+    /// replica closed it.
+    conn: Option<TcpStream>,
+    /// Answer bytes not yet parsed.
+    buf: Vec<u8>,
+    /// Shards sent on `conn`, answered in this order.
+    inflight: VecDeque<Shard>,
+    /// When the replica last made progress: its next answer is due
+    /// [`DistConfig::timeout`] later.
+    since: Instant,
+    alive: bool,
 }
 
 /// One pending (dispatched, unmerged) job.
 struct Pending {
     index: usize,
     job: JobSpec,
-    /// The `{"hash":..,"job":..}` batch item, kept for reissue.
+    /// The job's [`shard_item`], kept for reissue.
     payload: String,
-    dispatched: Instant,
 }
 
 /// One running batch's bookkeeping, threaded through the drain loop's
 /// helpers.
 #[derive(Default)]
 struct Batch {
-    /// Shards in flight, by shard id.
-    shards: BTreeMap<u64, Shard>,
     /// Dispatched, unmerged jobs, by content hash.
     pending: BTreeMap<u64, Pending>,
-    /// Hash-range chunks no worker holds yet: workers refill from the
+    /// Hash-range chunks no replica holds yet: replicas refill from the
     /// front, the idle coordinator drains the back.
-    backlog: VecDeque<BTreeSet<u64>>,
+    backlog: VecDeque<Vec<u64>>,
     /// Jobs whose wire result was unusable, recomputed at the tail.
     redo: Vec<(usize, JobSpec, u64)>,
     out: Vec<BackendExec>,
@@ -326,36 +245,29 @@ impl Batch {
             .filter_map(|h| self.pending.remove(&h).map(|p| (p.index, p.job, h)))
             .collect()
     }
-
-    /// Moves `hash`, if still pending, to the tail recompute list.
-    fn recompute(&mut self, hash: u64) {
-        let jobs = self.take([hash]);
-        self.redo.extend(jobs);
-    }
 }
 
-/// The coordinator. Create with [`Coordinator::start`] (dials the
-/// configured workers) or [`Coordinator::from_streams`] (connections
-/// the caller already holds), then [`Coordinator::attach`] it to a
-/// scheduler.
+/// The coordinator. Create with [`Coordinator::start`], which dials the
+/// configured replicas and attaches it to a scheduler.
 pub struct Coordinator {
     cfg: DistConfig,
-    workers: Vec<Arc<WorkerHandle>>,
-    /// Receiver end of the shared event channel. Locked for the whole
-    /// of every batch — the lock doubles as the one-batch-at-a-time
-    /// guard.
-    events: Mutex<mpsc::Receiver<Event>>,
+    /// The attached scheduler's salt, carried by every shard.
+    salt: String,
+    /// Locked for the whole of every batch — the lock doubles as the
+    /// one-batch-at-a-time guard.
+    replicas: Mutex<Vec<Replica>>,
+    /// Readiness of every replica connection, token = replica index.
+    poller: Poller,
     /// This coordinator's own metrics registry: each `dist.*` number is
     /// counted here and nowhere else.
     registry: Recorder,
     counters: Counters,
-    shard_counter: AtomicU64,
     chaos_armed: AtomicBool,
     /// Sender half of the persistent cache-writer thread (present iff
-    /// a cache is configured). Validated entries are queued here so the
-    /// merge loop never blocks on the filesystem; [`Coordinator::shutdown`]
-    /// drops the sender and joins the writer, flushing every queued
-    /// entry to disk.
+    /// the scheduler has a cache). Validated entries are queued here so
+    /// the merge loop never blocks on the filesystem;
+    /// [`Coordinator::shutdown`] drops the sender and joins the writer,
+    /// flushing every queued entry to disk.
     store_tx: Mutex<Option<mpsc::Sender<(u64, String)>>>,
     store_join: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -364,86 +276,47 @@ impl std::fmt::Debug for Coordinator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Coordinator")
             .field("cfg", &self.cfg)
-            .field("workers", &self.workers.len())
+            .field("salt", &self.salt)
             .finish()
     }
 }
 
 impl Coordinator {
-    /// Starts a coordinator over the fleet in `cfg.connect`: dials
-    /// each address, then handshakes as [`Coordinator::from_streams`].
+    /// Starts a coordinator over the replicas in `cfg.connect` and
+    /// installs it as `sched`'s execution backend and telemetry export
+    /// hook: every cache miss `sched` sees is routed through
+    /// [`Coordinator::run_batch`], and every export carries the
+    /// `dist.*` metrics. Each replica is dialed and posted an empty
+    /// shard carrying `sched`'s salt; only a 200 admits it.
     ///
     /// # Errors
     ///
-    /// Fails when a worker cannot be reached or refuses the handshake
-    /// (version or salt skew).
-    pub fn start(cfg: DistConfig, cache: Option<Cache>) -> io::Result<Arc<Coordinator>> {
-        let streams = cfg
-            .connect
-            .iter()
-            .map(TcpStream::connect)
-            .collect::<io::Result<_>>()?;
-        Self::from_streams(cfg, cache, streams)
-    }
-
-    /// Builds a coordinator over already-connected worker streams (the
-    /// far ends run [`crate::worker::serve_stream`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails when a handshake is refused.
-    pub fn from_streams(
-        cfg: DistConfig,
-        cache: Option<Cache>,
-        streams: Vec<TcpStream>,
-    ) -> io::Result<Arc<Coordinator>> {
-        let (tx, rx) = mpsc::channel();
+    /// Fails, naming the replica, when a dial is refused or times out,
+    /// or a replica answers anything but 200 (a 409 names both salts).
+    pub fn start(cfg: DistConfig, sched: &Scheduler) -> io::Result<Arc<Coordinator>> {
         let registry = Recorder::enabled();
         let counters = Counters::new(&registry);
-        let mut workers = Vec::new();
-        for (i, stream) in streams.into_iter().enumerate() {
-            stream.set_nodelay(true).ok();
-            let mut writer = stream.try_clone()?;
-            let hello = format!(
-                "{{\"proto\":{PROTO_VERSION},\"salt\":\"{SCHED_SALT}\",\"salt_extra\":\"{:016x}\"}}",
-                cfg.salt_extra
-            );
-            write_frame(&mut writer, FrameType::Hello, hello.as_bytes())?;
-            // A worker busy with another peer must not hang the start:
-            // the ack is due within the heartbeat timeout.
-            let (ty, _) = read_handshake(
-                &stream,
-                cfg.heartbeat_timeout,
-                &format!("HelloAck from worker {i}"),
-            )?;
-            if ty != FrameType::HelloAck {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "worker refused handshake",
-                ));
-            }
-            let handle = Arc::new(WorkerHandle {
-                writer: Mutex::new(writer),
-                alive: AtomicBool::new(true),
-                last_seen: Mutex::new(Instant::now()),
-            });
-            spawn_reader(
-                i,
-                stream,
-                Arc::clone(&handle),
-                tx.clone(),
-                counters.bytes_received.clone(),
-            );
-            workers.push(handle);
-        }
+        let replicas = cfg
+            .connect
+            .iter()
+            .map(|addr| Replica {
+                addr: addr.clone(),
+                conn: None,
+                buf: Vec::new(),
+                inflight: VecDeque::new(),
+                since: Instant::now(),
+                alive: true,
+            })
+            .collect::<Vec<_>>();
+        counters.workers.add(replicas.len() as u64);
+        counters.workers_live.set(replicas.len() as u64);
         // Persistent cache-writer thread: one per coordinator, not one
         // per batch, so batch completion never waits on fsync tails.
-        let (store_tx, store_join) = match &cache {
+        let (store_tx, store_join) = match sched.cache() {
             Some(c) => {
-                let dir = c.dir().to_path_buf();
+                let cache = Cache::new(c.dir());
                 let (stx, srx) = mpsc::channel::<(u64, String)>();
                 let handle = std::thread::spawn(move || {
-                    let cache = Cache::new(dir);
                     for (hash, text) in srx {
                         let _ = cache.store_raw(hash, &text);
                     }
@@ -452,525 +325,496 @@ impl Coordinator {
             }
             None => (None, None),
         };
-        counters.workers.add(workers.len() as u64);
-        counters.workers_live.set(workers.len() as u64);
-        Ok(Arc::new(Coordinator {
+        let coord = Arc::new(Coordinator {
             cfg,
-            workers,
-            events: Mutex::new(rx),
+            salt: sched.salt().to_string(),
+            replicas: Mutex::new(replicas),
+            poller: Poller::new()?,
             registry,
             counters,
-            shard_counter: AtomicU64::new(0),
             chaos_armed: AtomicBool::new(true),
             store_tx: Mutex::new(store_tx),
             store_join: Mutex::new(store_join),
-        }))
+        });
+        {
+            let mut reps = coord.replicas.lock().unwrap();
+            for (r, rep) in reps.iter_mut().enumerate() {
+                coord
+                    .check_salt(r, rep)
+                    .map_err(|e| io::Error::new(e.kind(), format!("replica {}: {e}", rep.addr)))?;
+            }
+        }
+        let c = Arc::clone(&coord);
+        sched.set_exec_backend(move |todo| c.run_batch(todo));
+        let c = Arc::clone(&coord);
+        sched.set_export_hook(move |snap| c.export_into(snap));
+        Ok(coord)
     }
 
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &DistConfig {
-        &self.cfg
+    /// Dials replica `r` and posts it an empty shard, blocking for the
+    /// answer: the handshake, which only a 200 passes.
+    fn check_salt(&self, r: usize, rep: &mut Replica) -> io::Result<()> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        self.dial(r, rep)?;
+        self.post(rep, &shard_body(&self.salt, &[]))?;
+        let resp = loop {
+            match try_parse_response(&rep.buf).map_err(|e| invalid(e.message().into()))? {
+                ParseStep::Complete(resp, _) => break resp,
+                ParseStep::Incomplete => {}
+            }
+            let mut chunk = [0u8; 4096];
+            match rep.conn.as_mut().expect("dialed above").read(&mut chunk) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => rep.buf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    return Err(io::Error::new(io::ErrorKind::TimedOut, "no answer in time"))
+                }
+                Err(e) => return Err(e),
+            }
+        };
+        rep.buf.clear();
+        if !resp.keep_alive {
+            rep.conn = None;
+        }
+        match resp.status {
+            200 => Ok(()),
+            status => Err(invalid(format!("answered {status}: {}", resp.body.trim()))),
+        }
     }
 
-    /// Workers currently alive.
+    /// Opens replica `r`'s connection within the timeout and registers
+    /// it with the poller.
+    fn dial(&self, r: usize, rep: &mut Replica) -> io::Result<()> {
+        let addr =
+            rep.addr.to_socket_addrs()?.next().ok_or_else(|| {
+                io::Error::new(io::ErrorKind::InvalidInput, "resolves to no address")
+            })?;
+        let stream = TcpStream::connect_timeout(&addr, self.cfg.timeout)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(self.cfg.timeout))?;
+        stream.set_write_timeout(Some(self.cfg.timeout))?;
+        self.poller
+            .add(stream.as_raw_fd(), r as u64, READABLE | RDHUP)?;
+        rep.conn = Some(stream);
+        rep.buf.clear();
+        Ok(())
+    }
+
+    /// Writes one `POST /batch` with `body` on `rep`'s connection.
+    fn post(&self, rep: &mut Replica, body: &str) -> io::Result<()> {
+        let conn = rep.conn.as_mut().ok_or(io::ErrorKind::NotConnected)?;
+        let request = format!(
+            "POST /batch HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\n\r\n{body}",
+            rep.addr,
+            body.len()
+        );
+        self.counters.bytes_sent.add(request.len() as u64);
+        conn.write_all(request.as_bytes())
+    }
+
+    /// Replicas currently alive.
     #[must_use]
     pub fn live_workers(&self) -> usize {
-        self.workers
-            .iter()
-            .filter(|w| w.alive.load(Ordering::Relaxed))
-            .count()
+        self.stats().workers_live as usize
     }
 
-    /// A point-in-time view of the counters and latency quantiles.
+    /// A point-in-time view of the counters.
     #[must_use]
     pub fn stats(&self) -> DistStats {
         DistStats::from_snapshot(&self.registry.snapshot())
     }
 
-    /// Merges the coordinator's registry — `dist.*` counters,
-    /// live-worker/in-flight gauges, and wait/service histograms — into
-    /// `snap`. Wired into `Scheduler::export_into` by
-    /// [`Coordinator::attach`], so `--metrics`, `--metrics-addr`, and
-    /// any `/metrics` endpoint pick it up automatically.
+    /// Merges the coordinator's registry — `dist.*` counters and the
+    /// live-replica gauge — into `snap`. Wired into
+    /// `Scheduler::export_into` by [`Coordinator::start`], so
+    /// `--metrics`, `--metrics-addr`, and any `/metrics` endpoint pick
+    /// it up automatically.
     pub fn export_into(&self, snap: &mut Snapshot) {
         snap.merge(&self.registry.snapshot());
     }
 
-    /// Installs this coordinator as `sched`'s execution backend and
-    /// telemetry export hook: every cache miss the scheduler sees is
-    /// routed through [`Coordinator::run_batch`], and every telemetry
-    /// export carries the `dist.*` metrics.
-    pub fn attach(self: &Arc<Self>, sched: &Scheduler) {
-        let c = Arc::clone(self);
-        sched.set_exec_backend(move |todo| c.run_batch(todo));
-        let c = Arc::clone(self);
-        sched.set_export_hook(move |snap| c.export_into(snap));
-    }
-
-    /// Executes one batch of cache misses across the worker fleet.
-    /// This is the [`syncperf_sched::ExecBackend`] entry point; see the
-    /// module docs for the shard lifecycle.
+    /// Executes one batch of cache misses across the fleet. This is the
+    /// [`syncperf_sched::ExecBackend`] entry point; see the module docs
+    /// for the shard lifecycle.
     pub fn run_batch(&self, todo: &[(usize, JobSpec, u64)]) -> Vec<BackendExec> {
         let c = &self.counters;
-        let events = self.events.lock().unwrap();
-        // Absorb anything that happened between batches (worker deaths;
-        // stray frames from a chaos-killed worker's last gasp).
-        while let Ok(ev) = events.try_recv() {
-            if let Event::Dead(w) = ev {
-                self.mark_dead(w);
-            }
-        }
+        let mut reps = self.replicas.lock().unwrap();
+        // Validated entries go to the writer thread (shutdown flushes it).
+        let store_guard = self.store_tx.lock().unwrap();
+        let store = store_guard.as_ref();
 
+        let budget = MAX_BODY_BYTES - shard_body(&self.salt, &[]).len();
         let mut b = Batch::default();
+        // A replica may have closed an idle connection since the last
+        // batch: reading its EOF now makes the next send redial.
+        let mut events = Vec::new();
+        let _ = self.poller.wait(&mut events, Some(Duration::ZERO));
+        for ev in &events {
+            self.on_readable(&mut reps, ev.token as usize, &mut b, store);
+        }
         let mut local: Vec<(usize, JobSpec, u64)> = Vec::new();
         for (index, job, hash) in todo {
-            // An identical job submitted twice in one batch (the
-            // scheduler's own collision guard makes this unlikely) runs
-            // locally rather than double-issue, as does a job with no
-            // wire encoding.
-            let encoded = if b.pending.contains_key(hash) {
-                None
-            } else {
-                encode_job(job)
+            // An identical job submitted twice in one batch runs locally
+            // rather than double-issue, as does a job with no wire
+            // encoding or one too large for any shard.
+            let payload = (!b.pending.contains_key(hash))
+                .then(|| shard_item(*hash, job))
+                .flatten()
+                .filter(|p| p.len() < budget);
+            let Some(payload) = payload else {
+                local.push((*index, job.clone(), *hash));
+                continue;
             };
-            match encoded {
-                Some(encoded) => {
-                    let payload = format!("{{\"hash\":\"{hash:016x}\",\"job\":{encoded}}}");
-                    b.pending.insert(
-                        *hash,
-                        Pending {
-                            index: *index,
-                            job: job.clone(),
-                            payload,
-                            dispatched: Instant::now(),
-                        },
-                    );
-                }
-                None => local.push((*index, job.clone(), *hash)),
+            let (index, job) = (*index, job.clone());
+            b.pending.insert(
+                *hash,
+                Pending {
+                    index,
+                    job,
+                    payload,
+                },
+            );
+        }
+
+        // Cut the pending map (hash-ordered) into small contiguous
+        // chunks, each shard body within serve's request limit. Each
+        // live replica gets one, then a second queued behind it; the
+        // rest wait in a backlog that replicas drain from the front and
+        // the coordinator from the back.
+        let live = reps.iter().filter(|r| r.alive).count();
+        let n = b.pending.len();
+        let per = n
+            .div_ceil(live.max(1) * WAVES)
+            .max(4.min(n.div_ceil(live.max(1))));
+        let (mut chunk, mut bytes) = (Vec::new(), 0);
+        for (&hash, p) in &b.pending {
+            if chunk.len() == per || bytes + p.payload.len() + 1 > budget {
+                b.backlog.push_back(std::mem::take(&mut chunk));
+                bytes = 0;
+            }
+            chunk.push(hash);
+            bytes += p.payload.len() + 1;
+        }
+        if !chunk.is_empty() {
+            b.backlog.push_back(chunk);
+        }
+        for depth in 1..=DEPTH {
+            for r in 0..reps.len() {
+                self.refill(&mut reps, r, &mut b, depth);
             }
         }
 
-        // Cache stores go to the coordinator-lifetime writer thread so
-        // the merge loop never blocks on the filesystem (entries are
-        // validated before they are queued; writes from this batch may
-        // still be in flight when it returns — shutdown flushes them).
-        let store_guard = self.store_tx.lock().unwrap();
-        let store_tx = store_guard.as_ref();
-
-        // Partition the serializable jobs into small contiguous
-        // hash-range chunks (the pending map is hash-ordered). Each
-        // live worker is primed with one chunk and kept double-buffered
-        // by refills; the rest wait in a coordinator-side backlog that
-        // workers drain from the front and the coordinator from the
-        // back, so the split follows the fleet's real throughput
-        // without re-sending a job.
-        let live: Vec<usize> = (0..self.workers.len())
-            .filter(|&w| self.workers[w].alive.load(Ordering::Relaxed))
-            .collect();
-        if live.is_empty() {
-            // Total fleet loss: everything runs locally.
-            let all: Vec<u64> = b.pending.keys().copied().collect();
-            let jobs = b.take(all);
-            b.out.extend(self.run_local(&jobs));
-        } else {
-            let hashes: Vec<u64> = b.pending.keys().copied().collect();
-            let waves = 8;
-            let ideal = hashes.len().div_ceil(live.len() * waves);
-            // Small batches still amortize a round-trip over a few
-            // jobs instead of paying one per job.
-            let floor = 4usize.min(hashes.len().div_ceil(live.len()).max(1));
-            for c in hashes.chunks(ideal.max(floor)) {
-                b.backlog.push_back(c.iter().copied().collect());
-            }
-            // Prime workers with one chunk each; the refill path tops
-            // them up as they make progress.
-            for w in live {
-                let Some(remaining) = b.backlog.pop_front() else {
-                    break;
-                };
-                if let Some(unsent) = self.send_shard(w, remaining, &mut b) {
-                    b.backlog.push_front(unsent);
-                }
-            }
-        }
-        c.batches_inflight
-            .set((b.shards.len() + b.backlog.len()) as u64);
-
-        // Unserializable jobs execute on the coordinator while workers
-        // chew on their shards.
+        // Jobs that cannot travel execute on the coordinator while the
+        // replicas chew on their shards.
         c.local_jobs.add(local.len() as u64);
         b.out.extend(self.run_local(&local));
 
         // Drain until every dispatched job is merged.
         while !b.pending.is_empty() {
-            // Reissue any shard whose owner died before this iteration.
-            let orphaned: Vec<u64> = b
-                .shards
-                .iter()
-                .filter(|(_, s)| !self.workers[s.worker].alive.load(Ordering::Relaxed))
-                .map(|(&id, _)| id)
-                .collect();
-            for id in orphaned {
-                let shard = b.shards.remove(&id).unwrap();
-                self.reissue(shard.remaining, &mut b);
+            // Reissue every shard a dead replica held.
+            for r in 0..reps.len() {
+                if !reps[r].alive {
+                    let orphans: Vec<Shard> = reps[r].inflight.drain(..).collect();
+                    for shard in orphans {
+                        self.reissue(&mut reps, shard.hashes, &mut b);
+                    }
+                }
             }
-            // A dead fleet can leave work stranded in the backlog with
-            // no ShardDone ever coming: run it locally.
-            if b.shards.is_empty()
-                && !b.backlog.is_empty()
-                && !self.workers.iter().any(|h| h.alive.load(Ordering::Relaxed))
-            {
+            // A dead fleet leaves the backlog to the coordinator.
+            if !reps.iter().any(|r| r.alive) {
                 let stranded: Vec<u64> = b.backlog.drain(..).flatten().collect();
                 let jobs = b.take(stranded);
                 b.out.extend(self.run_local(&jobs));
             }
-            c.batches_inflight
-                .set((b.shards.len() + b.backlog.len()) as u64);
             if b.pending.is_empty() {
                 break;
             }
 
-            // Work-conserving coordinator: when no worker traffic is
-            // waiting, run the backlog's last chunk inline instead of
-            // blocking. Workers drain the backlog from the front, the
-            // coordinator from the back, so the split self-balances
-            // with the fleet's real throughput: the faster the workers,
-            // the more of the backlog they win.
-            let mut ev = events.try_recv().map_err(|e| match e {
-                mpsc::TryRecvError::Empty => mpsc::RecvTimeoutError::Timeout,
-                mpsc::TryRecvError::Disconnected => mpsc::RecvTimeoutError::Disconnected,
-            });
-            if matches!(ev, Err(mpsc::RecvTimeoutError::Timeout)) {
+            // Work-conserving coordinator: when no answer is waiting,
+            // run the backlog's last chunk inline instead of blocking,
+            // so the split self-balances with the fleet's throughput.
+            events.clear();
+            let _ = self.poller.wait(&mut events, Some(Duration::ZERO));
+            if events.is_empty() {
                 if let Some(chunk) = b.backlog.pop_back() {
                     let jobs = b.take(chunk);
                     c.coordinator_jobs.add(jobs.len() as u64);
                     b.out.extend(self.run_local(&jobs));
                     continue;
                 }
-                ev = events.recv_timeout(Duration::from_millis(100));
+                let _ = self
+                    .poller
+                    .wait(&mut events, Some(Duration::from_millis(100)));
             }
-            match ev {
-                Ok(Event::Dead(w)) => self.mark_dead(w),
-                Ok(Event::Result(w, r)) => self.handle_result(w, *r, &mut b, store_tx),
-                Ok(Event::Frame(w, ty, payload)) => {
-                    self.handle_worker_frame(w, ty, &payload, &mut b);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => self.check_heartbeats(),
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // All reader threads gone: finish locally.
-                    for w in 0..self.workers.len() {
-                        self.mark_dead(w);
-                    }
+            for ev in &events {
+                self.on_readable(&mut reps, ev.token as usize, &mut b, store);
+            }
+            // Shards in flight need their connection, and an answer in time.
+            for rep in reps.iter_mut() {
+                let lost = rep.conn.is_none() || rep.since.elapsed() > self.cfg.timeout;
+                if rep.alive && !rep.inflight.is_empty() && lost {
+                    self.mark_dead(rep);
                 }
             }
         }
-        // Every job whose wire result was unusable (corrupt entry or
-        // worker error) is recomputed here, together, so a same-shape
-        // set of them primes like any other local work.
+        // Every job whose wire result was unusable is recomputed here,
+        // together, so a same-shape set of them primes like any other
+        // local work.
         let redo = std::mem::take(&mut b.redo);
         b.out.extend(self.run_local(&redo));
-        c.batches_inflight.set(0);
         b.out
     }
 
-    /// Merges one reader-decoded Result: exactly-once dedup against the
-    /// pending map, cross-check of the already-verified measurement
-    /// against the expected job, then handoff to the store thread.
-    fn handle_result(
+    /// Reads what replica `r` sent and merges every complete answer.
+    /// An EOF or error with shards in flight is a death; with none in
+    /// flight the replica closed an idle connection, which the next
+    /// send redials.
+    fn on_readable(
         &self,
-        w: usize,
-        r: DecodedResult,
+        reps: &mut [Replica],
+        r: usize,
         b: &mut Batch,
-        store_tx: Option<&mpsc::Sender<(u64, String)>>,
+        store: Option<&mpsc::Sender<(u64, String)>>,
     ) {
-        let c = &self.counters;
-        c.results_received.inc();
-        self.maybe_chaos_kill();
-        if let Some(s) = b.shards.get_mut(&r.shard) {
-            s.remaining.remove(&r.hash);
-        }
-        let Some(p) = b.pending.get(&r.hash) else {
-            // Already merged (duplicate completion after a reissue
-            // race): exactly-once dedup.
-            c.duplicate_results.inc();
+        let rep = &mut reps[r];
+        let Some(conn) = rep.conn.as_mut() else {
             return;
         };
-        let validated = r
-            .measurement
-            .filter(|m| m.kernel_name == p.job.kernel_name() && m.params == *p.job.params());
-        if let Some(m) = validated {
-            c.retries.add(r.retries);
-            c.primed_jobs.add(r.primed);
-            let total_us = p.dispatched.elapsed().as_micros() as u64;
-            c.service_us.observe(r.micros);
-            c.wait_us.observe(total_us.saturating_sub(r.micros));
-            let stored = store_tx.is_some_and(|tx| tx.send((r.hash, r.entry)).is_ok());
-            let p = b.pending.remove(&r.hash).unwrap();
-            b.out.push(BackendExec {
-                index: p.index,
-                hash: r.hash,
-                result: Ok(m),
-                stored,
-            });
-        } else {
-            // The bytes failed the same self-validating load a local
-            // cache read would apply (or named the wrong job): count,
-            // discard, recompute.
-            c.corrupt_entries.inc();
-            b.recompute(r.hash);
-        }
-        self.refill(w, b);
-    }
-
-    /// Handles one worker control frame inside the drain loop.
-    fn handle_worker_frame(&self, w: usize, ty: FrameType, payload: &[u8], b: &mut Batch) {
-        let c = &self.counters;
-        match ty {
-            FrameType::Result => {
-                // Only reached when the reader thread could not parse
-                // the payload at all (no header line / bad hash): there
-                // is nothing to attribute it to, so it is dropped and
-                // the job completes via reissue or heartbeat timeout.
-                c.results_received.inc();
-                c.corrupt_entries.inc();
+        let mut chunk = [0u8; 16 * 1024];
+        match conn.read(&mut chunk) {
+            Ok(n) if n > 0 => {
+                self.counters.bytes_received.add(n as u64);
+                rep.buf.extend_from_slice(&chunk[..n]);
             }
-            FrameType::JobError => {
-                let Ok(doc) = json::parse(&String::from_utf8_lossy(payload)) else {
-                    return;
-                };
-                let Some(hash) = get_hash(&doc) else { return };
-                if let Some(s) = b.shards.get_mut(&get_shard(&doc)) {
-                    s.remaining.remove(&hash);
-                }
-                c.worker_errors.inc();
-                // Recompute locally so the error surfaced to the
-                // scheduler (if it persists) is the exact local error,
-                // not a stringified remote one.
-                b.recompute(hash);
-                self.refill(w, b);
-            }
-            FrameType::ShardDone => {
-                let shard_id = shard_id_of(payload);
-                if let Some(s) = b.shards.remove(&shard_id) {
-                    // Frames from one worker arrive in order, so every
-                    // result for this shard has already been merged;
-                    // anything left produced no usable result (e.g. an
-                    // unattributable corrupt frame) and is reissued.
-                    if !s.remaining.is_empty() {
-                        self.reissue(s.remaining, b);
-                    }
-                }
-                self.refill(w, b);
-            }
-            // Heartbeats are consumed by the reader thread; anything
-            // else is protocol chatter we can ignore.
-            _ => {}
-        }
-    }
-
-    /// After worker `w` made progress, tops it up from the front of the
-    /// coordinator-side backlog (free — no job is re-sent). The worker
-    /// stays double-buffered: one chunk executing, one queued behind
-    /// it, so the refill round-trip hides behind execution instead of
-    /// stalling the worker after every chunk.
-    fn refill(&self, w: usize, b: &mut Batch) {
-        if !self.workers[w].alive.load(Ordering::Relaxed) {
-            return;
-        }
-        let outstanding = b
-            .shards
-            .values()
-            .filter(|s| s.worker == w && !s.remaining.is_empty())
-            .count();
-        let mut need = 2usize.saturating_sub(outstanding);
-        while need > 0 {
-            let Some(chunk) = b.backlog.pop_front() else {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return,
+            _ if rep.inflight.is_empty() => {
+                rep.conn = None;
                 return;
+            }
+            _ => {
+                self.mark_dead(rep);
+                return;
+            }
+        }
+        // Answers come back in request order. A stream that does not
+        // parse makes no progress, and the timeout kills the replica.
+        let mut answers: Vec<(Shard, ClientResponse)> = Vec::new();
+        let mut closed = false;
+        while !closed {
+            let Ok(ParseStep::Complete(resp, used)) = try_parse_response(&rep.buf) else {
+                break;
             };
-            let remaining: BTreeSet<u64> = chunk
-                .into_iter()
-                .filter(|h| b.pending.contains_key(h))
-                .collect();
-            if remaining.is_empty() {
-                continue;
-            }
-            if let Some(unsent) = self.send_shard(w, remaining, b) {
-                // Worker just died mid-assignment; keep the chunk.
-                b.backlog.push_front(unsent);
-                return;
-            }
-            need -= 1;
+            let Some(shard) = rep.inflight.pop_front() else {
+                break;
+            };
+            rep.buf.drain(..used);
+            rep.since = Instant::now();
+            closed = !resp.keep_alive;
+            answers.push((shard, resp));
         }
+        // Not a death: what was queued behind a `Connection: close`
+        // answer goes out again on a fresh connection.
+        let resend: Vec<Shard> = if closed {
+            rep.conn = None;
+            rep.inflight.drain(..).collect()
+        } else {
+            Vec::new()
+        };
+        for (shard, resp) in answers {
+            self.merge(reps, shard, &resp, b, store);
+        }
+        for shard in resend {
+            self.send(reps, r, shard, b);
+        }
+        self.refill(reps, r, b, DEPTH);
+        self.maybe_chaos_kill(reps);
     }
 
-    /// Reissues orphaned hashes (dead worker) as a fresh shard.
-    fn reissue(&self, remaining: BTreeSet<u64>, b: &mut Batch) {
-        let remaining: BTreeSet<u64> = remaining
+    /// Merges one answer to `shard`: exactly-once dedup against the
+    /// pending map, the self-validating decode of every entry, then
+    /// handoff to the store thread. Jobs a 200 leaves out are reissued
+    /// (or, for a reissue, recomputed here); any other status means the
+    /// replica ran none of the shard, and all of it is recomputed here.
+    fn merge(
+        &self,
+        reps: &mut [Replica],
+        shard: Shard,
+        resp: &ClientResponse,
+        b: &mut Batch,
+        store: Option<&mpsc::Sender<(u64, String)>>,
+    ) {
+        let c = &self.counters;
+        if resp.status == 200 {
+            for (hash, entry) in batch_records(&resp.body) {
+                c.results_received.inc();
+                let Some(p) = b.pending.get(&hash) else {
+                    // Already merged (an overlapping answer): dedup.
+                    c.duplicate_results.inc();
+                    continue;
+                };
+                let validated = decode_measurement(hash, entry).filter(|m| {
+                    m.kernel_name == p.job.kernel_name() && m.params == *p.job.params()
+                });
+                let Some(m) = validated else {
+                    // The bytes failed the same self-validating load a
+                    // local cache read would apply (or named the wrong
+                    // job): count, discard, recompute.
+                    c.corrupt_entries.inc();
+                    let jobs = b.take([hash]);
+                    b.redo.extend(jobs);
+                    continue;
+                };
+                let stored = store.is_some_and(|tx| tx.send((hash, entry.to_string())).is_ok());
+                let p = b.pending.remove(&hash).expect("checked above");
+                b.out.push(BackendExec {
+                    index: p.index,
+                    hash,
+                    result: Ok(m),
+                    stored,
+                });
+            }
+        }
+        let missing: Vec<u64> = shard
+            .hashes
             .into_iter()
             .filter(|h| b.pending.contains_key(h))
             .collect();
-        if remaining.is_empty() {
+        if resp.status == 200 && !shard.reissue {
+            self.reissue(reps, missing, b);
+        } else {
+            let jobs = b.take(missing);
+            c.worker_errors.add(jobs.len() as u64);
+            b.redo.extend(jobs);
+        }
+    }
+
+    /// Tops replica `r` up from the front of the backlog until it holds
+    /// `depth` shards.
+    fn refill(&self, reps: &mut [Replica], r: usize, b: &mut Batch, depth: usize) {
+        while reps[r].alive && reps[r].inflight.len() < depth {
+            let Some(hashes) = b.backlog.pop_front() else {
+                return;
+            };
+            let reissue = false;
+            self.send(reps, r, Shard { hashes, reissue }, b);
+        }
+    }
+
+    /// Reissues `hashes`, those still unmerged, as a fresh shard to the
+    /// least-loaded live replica, or runs them locally when the fleet
+    /// is gone.
+    fn reissue(&self, reps: &mut [Replica], mut hashes: Vec<u64>, b: &mut Batch) {
+        hashes.retain(|h| b.pending.contains_key(h));
+        if hashes.is_empty() {
             return;
         }
         self.counters.shard_reissues.inc();
-        self.assign_shard(remaining, b);
+        let load = |rep: &Replica| rep.inflight.iter().map(|s| s.hashes.len()).sum::<usize>();
+        let target = (0..reps.len())
+            .filter(|&r| reps[r].alive)
+            .min_by_key(|&r| load(&reps[r]));
+        let Some(r) = target else {
+            let jobs = b.take(hashes);
+            b.out.extend(self.run_local(&jobs));
+            return;
+        };
+        let reissue = true;
+        self.send(reps, r, Shard { hashes, reissue }, b);
     }
 
-    /// Ships `remaining` as a new shard to the least-loaded live
-    /// worker, or runs it locally when the fleet is gone.
-    fn assign_shard(&self, mut remaining: BTreeSet<u64>, b: &mut Batch) {
-        loop {
-            let load = |w: usize| -> usize {
-                b.shards
-                    .values()
-                    .filter(|s| s.worker == w)
-                    .map(|s| s.remaining.len())
-                    .sum()
-            };
-            let target = (0..self.workers.len())
-                .filter(|&w| self.workers[w].alive.load(Ordering::Relaxed))
-                .min_by_key(|&w| load(w));
-            let Some(w) = target else {
-                let jobs = b.take(remaining);
-                b.out.extend(self.run_local(&jobs));
-                return;
-            };
-            match self.send_shard(w, remaining, b) {
-                None => return,
-                // That worker died mid-send: try the next one.
-                Some(unsent) => remaining = unsent,
-            }
+    /// Posts the unmerged part of `shard` to replica `r`, dialing first
+    /// when it holds no connection. The shard joins the replica's queue
+    /// either way: a failed dial or send kills the replica, and the next
+    /// drain-loop pass reissues its queue.
+    fn send(&self, reps: &mut [Replica], r: usize, mut shard: Shard, b: &Batch) {
+        shard.hashes.retain(|h| b.pending.contains_key(h));
+        if shard.hashes.is_empty() {
+            return;
         }
-    }
-
-    /// Streams `remaining` to worker `w` as a fresh shard. Returns the
-    /// set back when the send fails (the worker is then marked dead).
-    fn send_shard(
-        &self,
-        w: usize,
-        remaining: BTreeSet<u64>,
-        b: &mut Batch,
-    ) -> Option<BTreeSet<u64>> {
-        let shard = self.shard_counter.fetch_add(1, Ordering::Relaxed);
-        let items: Vec<&str> = remaining
+        let items: Vec<&str> = shard
+            .hashes
             .iter()
-            .filter_map(|h| b.pending.get(h).map(|p| p.payload.as_str()))
+            .map(|h| b.pending[h].payload.as_str())
             .collect();
-        let doc = format!("{{\"shard\":{shard},\"jobs\":[{}]}}", items.join(","));
-        if self.send(w, FrameType::Batch, doc.as_bytes()) {
-            self.counters.batches_streamed.inc();
-            self.counters.jobs_sent.add(remaining.len() as u64);
-            b.shards.insert(
-                shard,
-                Shard {
-                    worker: w,
-                    remaining,
-                },
-            );
-            None
-        } else {
-            self.mark_dead(w);
-            Some(remaining)
+        let body = shard_body(&self.salt, &items);
+        let rep = &mut reps[r];
+        if rep.inflight.is_empty() {
+            rep.since = Instant::now();
+        }
+        let sent = rep.alive
+            && (rep.conn.is_some() || self.dial(r, rep).is_ok())
+            && self.post(rep, &body).is_ok();
+        self.counters.jobs_sent.add(shard.hashes.len() as u64);
+        rep.inflight.push_back(shard);
+        if !sent {
+            self.mark_dead(rep);
         }
     }
 
     /// Runs jobs on the coordinator: batch-primes their same-shape
-    /// groups with the pool's and the workers' rule
-    /// ([`JobSpec::prime_groups`]), then runs each under the standard
-    /// retry ladder. Every coordinator-side execution goes through here.
+    /// groups with the pool's rule ([`JobSpec::prime_groups`]), then
+    /// runs each under the standard retry ladder. Every
+    /// coordinator-side execution goes through here.
     fn run_local(&self, jobs: &[(usize, JobSpec, u64)]) -> Vec<BackendExec> {
-        let c = &self.counters;
         let refs: Vec<&JobSpec> = jobs.iter().map(|(_, job, _)| job).collect();
         let primed = JobSpec::prime_groups(&refs);
-        c.coordinator_primed_jobs
+        self.counters
+            .coordinator_primed_jobs
             .add(primed.iter().flatten().count() as u64);
         jobs.iter()
             .zip(&primed)
             .map(|(&(index, ref job, hash), pe)| BackendExec {
                 index,
                 hash,
-                result: execute_job_with_retry_primed(job, hash, pe.as_ref(), |_| c.retries.inc()),
+                result: execute_job_with_retry_primed(job, hash, pe.as_ref(), |_| {}),
                 stored: false,
             })
             .collect()
     }
-    /// Declares workers dead when they exceed the heartbeat timeout
-    /// (the reader thread refreshes `last_seen` on every frame,
-    /// heartbeats included).
-    fn check_heartbeats(&self) {
-        for w in 0..self.workers.len() {
-            let h = &self.workers[w];
-            if h.alive.load(Ordering::Relaxed)
-                && h.last_seen.lock().unwrap().elapsed() > self.cfg.heartbeat_timeout
-            {
-                self.mark_dead(w);
-            }
-        }
-    }
 
-    /// Marks a worker dead: closes its socket (unblocking its reader)
-    /// and counts the death. Idempotent.
-    fn mark_dead(&self, w: usize) {
-        let h = &self.workers[w];
-        if !h.alive.swap(false, Ordering::Relaxed) {
+    /// Marks a replica dead for the rest of the run: closes its
+    /// connection and counts the death. Its queued shards stay for the
+    /// drain loop to reissue. Idempotent.
+    fn mark_dead(&self, rep: &mut Replica) {
+        if !std::mem::replace(&mut rep.alive, false) {
             return;
         }
+        rep.conn = None;
         self.counters.worker_deaths.inc();
         self.counters.workers_live.sub(1);
-        if let Ok(s) = h.writer.lock() {
-            s.shutdown(std::net::Shutdown::Both).ok();
-        }
     }
 
-    /// Fires the kill-one-worker chaos hook once the configured result
-    /// count is reached.
-    fn maybe_chaos_kill(&self) {
+    /// Fires the kill-one-replica chaos hook once the configured result
+    /// count is reached: the first replica with shards in flight loses
+    /// its connection, exactly as to a crashed or unreachable host, and
+    /// the drain loop counts the death and reissues the shards.
+    fn maybe_chaos_kill(&self, reps: &mut [Replica]) {
         let Some(after) = self.cfg.chaos_kill_one_after else {
             return;
         };
-        if self.counters.results_received.get() < after {
-            return;
-        }
-        if !self.chaos_armed.swap(false, Ordering::Relaxed) {
-            return;
-        }
-        // Sever the first live worker's connection without marking it
-        // dead — no goodbye frames, exactly the loss of a crashed or
-        // unreachable host. Its reader sees EOF, and the `Dead` event
-        // it sends drives the reissue path.
-        if let Some(h) = self
-            .workers
-            .iter()
-            .find(|h| h.alive.load(Ordering::Relaxed))
+        if self.counters.results_received.get() < after || !self.chaos_armed.load(Ordering::Relaxed)
         {
-            h.writer
-                .lock()
-                .unwrap()
-                .shutdown(std::net::Shutdown::Both)
-                .ok();
+            return;
+        }
+        if let Some(rep) = reps
+            .iter_mut()
+            .find(|rep| rep.conn.is_some() && !rep.inflight.is_empty())
+        {
+            rep.conn = None;
+            self.chaos_armed.store(false, Ordering::Relaxed);
         }
     }
 
-    /// Sends one frame to worker `w`; `false` means the connection is
-    /// broken.
-    fn send(&self, w: usize, ty: FrameType, payload: &[u8]) -> bool {
-        self.counters.bytes_sent.add(payload.len() as u64 + 5);
-        let mut stream = self.workers[w].writer.lock().unwrap();
-        write_frame(&mut *stream, ty, payload).is_ok()
-    }
-
-    /// Graceful shutdown: flushes the cache-writer queue, then sends
-    /// Shutdown frames to live workers. Idempotent.
+    /// Graceful shutdown: flushes the cache-writer queue and closes
+    /// every replica connection (the replicas outlive the coordinator).
+    /// Idempotent.
     pub fn shutdown(&self) {
         drop(self.store_tx.lock().unwrap().take());
         if let Some(handle) = self.store_join.lock().unwrap().take() {
             let _ = handle.join();
         }
-        for (w, h) in self.workers.iter().enumerate() {
-            if h.alive.load(Ordering::Relaxed) {
-                self.send(w, FrameType::Shutdown, b"{}");
-            }
+        for rep in self.replicas.lock().unwrap().iter_mut() {
+            rep.conn = None;
         }
     }
 }
@@ -979,94 +823,4 @@ impl Drop for Coordinator {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Reader thread: owns the receive half, refreshes liveness, forwards
-/// semantic frames, reports death on EOF/error.
-fn spawn_reader(
-    id: usize,
-    stream: TcpStream,
-    handle: Arc<WorkerHandle>,
-    tx: mpsc::Sender<Event>,
-    bytes_received: Counter,
-) {
-    std::thread::spawn(move || {
-        // Buffered: a worker's flush delivers several frames in one
-        // recv; read_frame then costs no syscall for most of them.
-        let mut r = io::BufReader::new(stream);
-        loop {
-            if let Ok((ty, payload)) = read_frame(&mut r) {
-                *handle.last_seen.lock().unwrap() = Instant::now();
-                bytes_received.add(payload.len() as u64 + 5);
-                if ty == FrameType::Heartbeat {
-                    continue;
-                }
-                let event = if ty == FrameType::Result {
-                    // Decode and hash-verify here, off the drain loop's
-                    // critical path; an unparseable payload falls
-                    // through as a raw frame the drain loop discards.
-                    match decode_result(&payload) {
-                        Some(r) => Event::Result(id, Box::new(r)),
-                        None => Event::Frame(id, ty, payload),
-                    }
-                } else {
-                    Event::Frame(id, ty, payload)
-                };
-                if tx.send(event).is_err() {
-                    return;
-                }
-            } else {
-                let _ = tx.send(Event::Dead(id));
-                return;
-            }
-        }
-    });
-}
-
-/// Reader-side parse of a Result payload: header fields plus the
-/// self-validating load of the entry against its expected hash.
-fn decode_result(payload: &[u8]) -> Option<DecodedResult> {
-    let (header, entry) = split_result(payload)?;
-    let hash = get_hash(&header)?;
-    let field = |name: &str| {
-        header
-            .get(name)
-            .and_then(json::Value::as_f64)
-            .map_or(0, |x| x as u64)
-    };
-    Some(DecodedResult {
-        shard: get_shard(&header),
-        hash,
-        micros: field("micros"),
-        retries: field("retries"),
-        primed: field("primed"),
-        measurement: decode_measurement(hash, entry),
-        entry: entry.to_string(),
-    })
-}
-
-/// Splits a Result payload into its parsed JSON header and the raw
-/// entry text.
-fn split_result(payload: &[u8]) -> Option<(json::Value, &str)> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let (header, entry) = text.split_once('\n')?;
-    Some((json::parse(header).ok()?, entry))
-}
-
-pub(crate) fn get_shard(doc: &json::Value) -> u64 {
-    doc.get("shard")
-        .and_then(json::Value::as_f64)
-        .map_or(0, |s| s as u64)
-}
-
-pub(crate) fn get_hash(doc: &json::Value) -> Option<u64> {
-    doc.get("hash")
-        .and_then(json::Value::as_str)
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-}
-
-fn shard_id_of(payload: &[u8]) -> u64 {
-    json::parse(&String::from_utf8_lossy(payload))
-        .ok()
-        .map_or(0, |d| get_shard(&d))
 }

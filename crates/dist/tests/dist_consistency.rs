@@ -1,34 +1,35 @@
-//! Merge-correctness tests for the coordinator/worker protocol.
+//! Merge-correctness tests for the coordinator over `POST /batch`.
 //!
-//! Three rigs are used. The connect tests start in-process listening
-//! workers and drive them through [`Coordinator::start`], as a figure
-//! binary's `--connect` does: a fleet once plainly and once with a
-//! connection severed mid-batch, and one worker held by an idle peer. Real-worker tests drive
-//! [`serve_stream`] over a localhost socket pair and check the results
-//! (and the persisted cache entries) are byte-identical to local
-//! execution. Fake-worker tests
-//! speak the wire protocol by hand to force the manifest-merge edge
-//! cases that a healthy worker never produces: overlapping hash ranges
-//! from a reissued shard, corrupt cache-entry bytes over the wire,
-//! duplicate completion of the same job hash, and mid-shard death.
+//! Two rigs are used. The replica tests start in-process serve
+//! replicas (`Server::start`) and drive them through
+//! [`Coordinator::start`], as a figure binary's `--connect` does: a
+//! fleet once plainly and once with a connection severed mid-batch, a
+//! replica held by an idle peer, a replica that closes its connection
+//! every 128 requests, a replica with another salt, and a dial that
+//! cannot complete. The scripted tests answer the coordinator's
+//! shards by hand, over plain HTTP, to force the merge edge cases a
+//! healthy replica never produces: duplicate completion of the same
+//! job hash, corrupt cache-entry bytes, an incomplete answer whose
+//! reissue overlaps it, a replica that dies with a shard queued, and
+//! failed shards the coordinator recomputes.
 
 use std::collections::BTreeSet;
-use std::io;
+use std::io::{self, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
+use std::path::PathBuf;
+use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use syncperf_core::obs::{self, json, Snapshot};
+use syncperf_core::obs::{self, Snapshot};
 use syncperf_core::{kernel, ExecParams, Protocol, SYSTEM3};
-use syncperf_dist::{
-    decode_job, read_frame, serve_stream, write_frame, Coordinator, DistConfig, DistStats,
-    FrameType, PROTO_VERSION,
-};
+use syncperf_dist::{Coordinator, DistConfig, DistStats};
 use syncperf_sched::{
-    encode_measurement, execute_job_with_retry, job_hash_with_salt, BackendExec, Cache, JobSpec,
-    SCHED_SALT,
+    decode_shard, encode_measurement, execute_job_with_retry, job_hash_with_salt,
+    push_batch_record, BackendExec, Cache, JobSpec, SchedConfig, Scheduler,
 };
+use syncperf_serve::http::{read_request, write_response};
+use syncperf_serve::{Response, ServeConfig, Server};
 
 /// `n` distinct simulator jobs, cheap enough to execute many times.
 fn make_jobs(n: usize) -> Vec<(usize, JobSpec, u64)> {
@@ -60,15 +61,6 @@ fn group_and_lone_gpu() -> Vec<(usize, JobSpec, u64)> {
     todo
 }
 
-/// A connected localhost pair: (coordinator side, worker side).
-fn socket_pair() -> (TcpStream, TcpStream) {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let client = TcpStream::connect(addr).unwrap();
-    let (server, _) = listener.accept().unwrap();
-    (client, server)
-}
-
 /// Every index appears exactly once and every result is `Ok` — the
 /// exactly-once merge invariant.
 fn assert_exactly_once(out: &[BackendExec], n: usize) {
@@ -80,111 +72,81 @@ fn assert_exactly_once(out: &[BackendExec], n: usize) {
     }
 }
 
-// ---- fake-worker wire helpers -------------------------------------
-
-fn handshake(stream: &TcpStream) {
-    let (ty, _) = read_frame(&mut &*stream).unwrap();
-    assert_eq!(ty, FrameType::Hello);
-    write_frame(&mut &*stream, FrameType::HelloAck, b"{}").unwrap();
-}
-
-/// Skips protocol chatter until the next Batch frame, returning its
-/// shard id and decoded `(hash, job)` list.
-fn next_batch(stream: &TcpStream) -> (u64, Vec<(u64, JobSpec)>) {
-    loop {
-        let (ty, payload) = read_frame(&mut &*stream).unwrap();
-        if ty != FrameType::Batch {
-            continue;
-        }
-        let doc = json::parse(&String::from_utf8_lossy(&payload)).unwrap();
-        let shard = doc
-            .get("shard")
-            .and_then(json::Value::as_f64)
-            .map_or(0, |s| s as u64);
-        let jobs = doc
-            .get("jobs")
-            .and_then(json::Value::as_array)
-            .unwrap()
-            .iter()
-            .map(|entry| {
-                let hash = entry
-                    .get("hash")
-                    .and_then(json::Value::as_str)
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())
-                    .unwrap();
-                (hash, entry.get("job").and_then(decode_job).unwrap())
-            })
-            .collect();
-        return (shard, jobs);
-    }
-}
-
-/// A well-formed Result frame payload: header line + raw entry bytes.
-fn result_payload(shard: u64, hash: u64, entry: &str) -> Vec<u8> {
-    let header =
-        format!("{{\"shard\":{shard},\"hash\":\"{hash:016x}\",\"micros\":5,\"retries\":0}}");
-    let mut payload = header.into_bytes();
-    payload.push(b'\n');
-    payload.extend_from_slice(entry.as_bytes());
-    payload
-}
-
-/// Executes the job exactly as a real worker would and returns the
+/// Executes the job exactly as a replica would and returns the
 /// cache-entry bytes it would put on the wire.
 fn real_entry(job: &JobSpec, hash: u64) -> String {
     let m = execute_job_with_retry(job, hash, |_| {}).unwrap();
     encode_measurement(hash, &m)
 }
 
-fn send_result(stream: &TcpStream, shard: u64, hash: u64, entry: &str) {
-    let payload = result_payload(shard, hash, entry);
-    write_frame(&mut &*stream, FrameType::Result, &payload).unwrap();
+/// A fresh scratch directory.
+fn tmp(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "syncperf_dist_{tag}_{}_{:?}",
+        std::process::id(),
+        thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
-fn send_job_error(stream: &TcpStream, shard: u64, hash: u64) {
-    let doc = format!("{{\"shard\":{shard},\"hash\":\"{hash:016x}\",\"error\":\"injected\"}}");
-    write_frame(&mut &*stream, FrameType::JobError, doc.as_bytes()).unwrap();
+/// The scheduler a coordinator attaches to: one worker, no cache, the
+/// default salt.
+fn coordinator_sched() -> Scheduler {
+    Scheduler::new(SchedConfig::new(1).without_cache())
 }
 
-fn send_shard_done(stream: &TcpStream, shard: u64) {
-    let doc = format!("{{\"shard\":{shard}}}");
-    write_frame(&mut &*stream, FrameType::ShardDone, doc.as_bytes()).unwrap();
+// ---- in-process replicas -------------------------------------------
+
+/// One serve replica over its own results directory, as `serve --addr
+/// 127.0.0.1:0` runs it, with `salt_extra` folded into its hashes.
+/// Returns the server and its scheduler.
+fn replica(dir: &std::path::Path, salt_extra: u64) -> (Server, Arc<Scheduler>) {
+    replica_with(dir, salt_extra, |_| {})
 }
 
-/// Absorbs coordinator frames until Shutdown (or the socket closes) so
-/// the script thread exits cleanly.
-fn drain_until_shutdown(stream: &TcpStream) {
-    loop {
-        match read_frame(&mut &*stream) {
-            Ok((FrameType::Shutdown, _)) | Err(_) => return,
-            Ok(_) => {}
-        }
-    }
+/// [`replica`], with `tweak` applied to its serve config.
+fn replica_with(
+    dir: &std::path::Path,
+    salt_extra: u64,
+    tweak: impl FnOnce(&mut ServeConfig),
+) -> (Server, Arc<Scheduler>) {
+    let sched = Arc::new(Scheduler::new(
+        SchedConfig::new(1)
+            .with_cache_dir(dir.join(".cache"))
+            .with_salt_extra(salt_extra),
+    ));
+    let mut cfg = ServeConfig::new(Arc::clone(&sched), Box::new(|_| None));
+    cfg.results_dir = dir.to_path_buf();
+    tweak(&mut cfg);
+    (Server::start(cfg).expect("replica starts"), sched)
 }
 
-// ---- connect-mode test ---------------------------------------------
+/// `n` replicas under `dir`, with their addresses.
+fn fleet(dir: &std::path::Path, n: usize) -> (Vec<Server>, Vec<Arc<Scheduler>>, Vec<String>) {
+    let (servers, scheds): (Vec<_>, Vec<_>) = (0..n)
+        .map(|i| replica(&dir.join(format!("r{i}")), 0))
+        .unzip();
+    let addrs = servers.iter().map(|s| s.addr().to_string()).collect();
+    (servers, scheds, addrs)
+}
 
-/// `n` in-process workers, each a loopback listener whose thread serves
-/// the first connection it accepts, as `syncperf_dist worker --listen`
-/// does. Returns their addresses and threads; a thread returns when
-/// its connection ends.
-fn listen_fleet(n: usize) -> (Vec<String>, Vec<thread::JoinHandle<io::Result<()>>>) {
-    (0..n)
-        .map(|_| {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap().to_string();
-            let worker = thread::spawn(move || serve_stream(listener.accept()?.0));
-            (addr, worker)
-        })
-        .unzip()
+/// Whether the replica at `addr` answers `GET /healthz`.
+fn healthy(addr: &str) -> bool {
+    let Ok(mut s) = TcpStream::connect(addr) else {
+        return false;
+    };
+    let _ = s.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+    let mut reply = String::new();
+    let _ = s.read_to_string(&mut reply);
+    reply.starts_with("HTTP/1.1 200")
 }
 
 #[test]
 fn connect_fleet_merges_exactly_once_when_a_connection_is_severed() {
     // Sixty distinct jobs of at most 16 threads make fifteen 4-job
-    // shards; each worker is primed with one, so at least twelve
-    // results reach the coordinator and the hook fires in the first
-    // batch.
+    // shards; each replica is sent two, so the first answer already
+    // carries four results and the hook fires in the first batch.
     let todo: Vec<(usize, JobSpec, u64)> = (0..60)
         .map(|i| {
             let job = JobSpec::cpu_sim(
@@ -198,15 +160,16 @@ fn connect_fleet_merges_exactly_once_when_a_connection_is_severed() {
         })
         .collect();
     for chaos in [None, Some(3)] {
-        let (addrs, workers) = listen_fleet(3);
-        let mut cfg = DistConfig::new(addrs);
+        let dir = tmp("fleet");
+        let (servers, _, addrs) = fleet(&dir, 3);
+        let mut cfg = DistConfig::new(addrs.clone());
         if let Some(k) = chaos {
             cfg = cfg.with_chaos_kill_one_after(k);
         }
-        let coord = Coordinator::start(cfg, None).unwrap();
-        // A sweep is many batches. A worker severed after its last wire
-        // job of one batch is found dead by the next (its EOF, or the
-        // failed send of its next shard), so the batch goes out twice.
+        let sched = coordinator_sched();
+        let coord = Coordinator::start(cfg, &sched).unwrap();
+        // A sweep is many batches: the one after the death runs on the
+        // two live replicas.
         for round in 0..2 {
             let out = coord.run_batch(&todo);
             assert_exactly_once(&out, todo.len());
@@ -226,80 +189,56 @@ fn connect_fleet_merges_exactly_once_when_a_connection_is_severed() {
         assert_eq!(st.worker_deaths, u64::from(chaos.is_some()), "{st:?}");
         assert_eq!(coord.live_workers(), 3 - usize::from(chaos.is_some()));
         coord.shutdown();
-        for (w, worker) in workers.into_iter().enumerate() {
-            // Every worker thread returns: the severed one (the first)
-            // when its connection ends, the rest on the Shutdown frame.
-            let served = worker.join().unwrap();
-            if chaos.is_none() || w > 0 {
-                served.unwrap();
-            }
+        // A severed connection is not a killed replica.
+        for addr in &addrs {
+            assert!(healthy(addr), "replica {addr} died with its connection");
         }
+        servers.into_iter().for_each(Server::shutdown);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
 #[test]
-fn an_idle_peer_cannot_wedge_a_worker_or_its_coordinators() {
-    // One worker serving its connections one at a time, as
-    // `syncperf_dist worker --listen` does. An idle peer connects first
-    // and sends nothing, so its connection holds the worker.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
+fn an_idle_peer_cannot_wedge_a_replica_or_its_coordinators() {
+    let dir = tmp("idle");
+    let (server, _) = replica(&dir, 0);
+    let addr = server.addr().to_string();
+    // An idle peer connects first and sends nothing.
     let idle = TcpStream::connect(&addr).unwrap();
-    let worker = thread::spawn(move || {
-        (0..2)
-            .map(|_| serve_stream(listener.accept()?.0))
-            .collect::<Vec<io::Result<()>>>()
-    });
 
-    // A coordinator dials the held worker and runs a batch. It runs on
-    // its own thread and the test waits with a deadline, so a wedged
-    // handshake fails the test instead of hanging it.
+    // The coordinator runs on its own thread and the test waits with a
+    // deadline, so a wedged replica fails the test instead of hanging it.
     let todo = make_jobs(4);
     let (tx, rx) = mpsc::channel();
     let batch = todo.clone();
     let coordinator = thread::spawn(move || {
-        let out = Coordinator::start(DistConfig::new(vec![addr]), None).map(|coord| {
+        let sched = coordinator_sched();
+        let out = Coordinator::start(DistConfig::new(vec![addr]), &sched).map(|coord| {
             let out = coord.run_batch(&batch);
+            let sent = coord.stats().jobs_sent;
             coord.shutdown();
-            out
+            (out, sent)
         });
         let _ = tx.send(out);
     });
-    let out = rx
+    let (out, sent) = rx
         .recv_timeout(Duration::from_secs(30))
         .expect("the coordinator hung behind an idle peer")
-        .expect("the coordinator completed its handshake");
+        .expect("the replica passed the shard check");
     coordinator.join().unwrap();
     assert_exactly_once(&out, todo.len());
-
-    // The idle connection timed out; the coordinator's ended cleanly.
-    let served = worker.join().unwrap();
-    assert!(served[0].is_err(), "the idle peer never said Hello");
-    served[1].as_ref().unwrap();
+    assert_eq!(sent, 4, "the replica ran the batch");
     drop(idle);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
-
-// ---- real-worker tests --------------------------------------------
 
 #[test]
 fn wire_results_and_cache_entries_match_local_execution_bytes() {
-    let dir = std::env::temp_dir().join(format!(
-        "syncperf_dist_bytes_{}_{:?}",
-        std::process::id(),
-        thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let (c0, w0) = socket_pair();
-    let (c1, w1) = socket_pair();
-    let h0 = thread::spawn(move || serve_stream(w0));
-    let h1 = thread::spawn(move || serve_stream(w1));
-    let coord = Coordinator::from_streams(
-        DistConfig::new(Vec::new()),
-        Some(Cache::new(&dir)),
-        vec![c0, c1],
-    )
-    .unwrap();
+    let dir = tmp("bytes");
+    let (servers, scheds, addrs) = fleet(&dir, 2);
+    let sched = Scheduler::new(SchedConfig::new(1).with_cache_dir(dir.join("coord")));
+    let coord = Coordinator::start(DistConfig::new(addrs), &sched).unwrap();
 
     let todo = make_jobs(8);
     let out = coord.run_batch(&todo);
@@ -307,7 +246,7 @@ fn wire_results_and_cache_entries_match_local_execution_bytes() {
     for (index, job, hash) in &todo {
         let got = out.iter().find(|b| b.index == *index).unwrap();
         let local = execute_job_with_retry(job, *hash, |_| {}).unwrap();
-        // Byte-level determinism: the entry the worker shipped encodes
+        // Byte-level determinism: the entry the replica shipped encodes
         // to exactly what a serial run would have written.
         assert_eq!(
             encode_measurement(*hash, got.result.as_ref().unwrap()),
@@ -316,7 +255,7 @@ fn wire_results_and_cache_entries_match_local_execution_bytes() {
     }
 
     let st = coord.stats();
-    assert_eq!(st.jobs_sent, 8, "both primed chunks travel the wire");
+    assert_eq!(st.jobs_sent, 8, "both chunks travel the wire");
     assert_eq!(
         st.results_received + st.coordinator_jobs + st.local_jobs,
         8,
@@ -324,48 +263,185 @@ fn wire_results_and_cache_entries_match_local_execution_bytes() {
     );
     assert_eq!(st.corrupt_entries, 0);
     assert_eq!(st.duplicate_results, 0);
-    // The eight jobs share one shape: the workers batch-prime what they
-    // receive, and the bytes above still match unprimed local runs.
-    assert!(
-        st.primed_jobs > 0,
-        "workers primed none of the same-shape batch"
-    );
+    // The eight jobs share one shape: each replica batch-primes the
+    // shard it receives (counted in its own sched.* metrics), and the
+    // bytes above still match unprimed local runs.
+    let primed: u64 = scheds.iter().map(|s| s.stats().plan_primed_jobs).sum();
+    assert_eq!(primed, 8, "the replicas primed their same-shape shards");
 
     // Shutdown flushes the store thread; the persisted entries must be
     // the same bytes, and a restarted run must see them as cache hits.
     coord.shutdown();
-    h0.join().unwrap().unwrap();
-    h1.join().unwrap().unwrap();
-    let resumed = Cache::new(&dir);
+    let resumed = Cache::new(dir.join("coord"));
     for (_, job, hash) in &todo {
         let entry = std::fs::read_to_string(resumed.entry_path(*hash)).unwrap();
         assert_eq!(entry, real_entry(job, *hash), "cache entry bytes differ");
         assert!(resumed.load(*hash).is_some(), "resume would miss {hash:x}");
     }
+    servers.into_iter().for_each(Server::shutdown);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-// ---- fake-worker edge-case tests ----------------------------------
+#[test]
+fn connection_close_is_not_a_death() {
+    // Serve closes a connection after 128 requests. The handshake is
+    // request 1 and each batch sends two pipelined shards, so request
+    // 128 is answered `Connection: close` with request 129 queued
+    // behind it: the coordinator redials and resends it. The replica
+    // also closes a connection idle past its request timeout, which
+    // the next batch redials.
+    let dir = tmp("close");
+    let idle = Duration::from_millis(300);
+    let (server, _) = replica_with(&dir, 0, |cfg| cfg.request_timeout = idle);
+    let sched = coordinator_sched();
+    let coord =
+        Coordinator::start(DistConfig::new(vec![server.addr().to_string()]), &sched).unwrap();
+    let todo = make_jobs(8);
+    for _ in 0..70 {
+        assert_exactly_once(&coord.run_batch(&todo), todo.len());
+    }
+    thread::sleep(idle * 3);
+    assert_exactly_once(&coord.run_batch(&todo), todo.len());
+    let st = coord.stats();
+    assert_eq!((st.worker_deaths, st.shard_reissues), (0, 0), "{st:?}");
+    assert!(
+        st.jobs_sent > st.results_received,
+        "a queued shard was resent: {st:?}"
+    );
+    assert_eq!(coord.live_workers(), 1);
+    coord.shutdown();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn start_fails_by_name_on_another_salt_or_a_refused_dial() {
+    let dir = tmp("salt");
+    let (server, _) = replica(&dir, 1);
+    let addr = server.addr().to_string();
+    let err =
+        Coordinator::start(DistConfig::new(vec![addr.clone()]), &coordinator_sched()).unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains(&addr) && msg.contains("409"), "{msg}");
+    let salt = |extra: u64| format!("{}/{extra}", syncperf_sched::SCHED_SALT);
+    assert!(msg.contains(&salt(0)) && msg.contains(&salt(1)), "{msg}");
+    server.shutdown();
+
+    // Nothing listens on a port just released.
+    let free = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let err = Coordinator::start(
+        DistConfig::new(vec![free.to_string()]),
+        &coordinator_sched(),
+    )
+    .unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+    assert!(err.to_string().contains(&free.to_string()), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_dial_that_cannot_complete_times_out() {
+    // A listener that never accepts: once its accept queue is full
+    // (the kernel keeps about 128 connections there), the kernel drops
+    // further SYNs and a bare `connect` would retry for minutes.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mut held = Vec::new();
+    let hung = (0..200).any(|_| {
+        TcpStream::connect_timeout(&addr, Duration::from_millis(200))
+            .map(|s| held.push(s))
+            .is_err()
+    });
+    if !hung {
+        eprintln!(
+            "note: {} dials all completed; no dial hangs on this host",
+            held.len()
+        );
+        return;
+    }
+    let timeout = Duration::from_millis(500);
+    let cfg = DistConfig::new(vec![addr.to_string()]).with_timeout(timeout);
+    let start = Instant::now();
+    let err = Coordinator::start(cfg, &coordinator_sched()).unwrap_err();
+    let took = start.elapsed();
+    assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+    assert!(took >= timeout && took < timeout * 4, "start took {took:?}");
+    drop(held);
+}
+
+// ---- scripted replicas ---------------------------------------------
+
+/// The far end of one coordinator connection, answering by hand.
+struct Peer(TcpStream);
+
+impl Peer {
+    /// Reads the next `/batch` request and decodes its shard.
+    fn next_shard(&mut self) -> Vec<(u64, JobSpec)> {
+        let req = read_request(&mut self.0).expect("a shard request");
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/batch"));
+        let salt = format!("{}/0", syncperf_sched::SCHED_SALT);
+        decode_shard(&req.body, &salt).expect("a shard under the default salt")
+    }
+
+    /// Answers the oldest unanswered request.
+    fn answer(&mut self, status: u16, body: String) {
+        let resp = Response {
+            status,
+            content_type: "text/plain",
+            body,
+            retry_after: None,
+        };
+        write_response(&mut self.0, &resp, true);
+    }
+
+    /// Answers with one record per `(hash, entry)`.
+    fn answer_records<'a>(&mut self, records: impl IntoIterator<Item = &'a (u64, String)>) {
+        let mut body = String::new();
+        for (hash, entry) in records {
+            push_batch_record(&mut body, *hash, entry);
+        }
+        self.answer(200, body);
+    }
+}
+
+/// The real entries for a decoded shard.
+fn entries(jobs: &[(u64, JobSpec)]) -> Vec<(u64, String)> {
+    jobs.iter().map(|(h, j)| (*h, real_entry(j, *h))).collect()
+}
+
+/// A one-connection scripted replica: it passes the coordinator's
+/// empty-shard check, then runs `script`. Returns its address and
+/// thread.
+fn scripted(script: impl FnOnce(Peer) + Send + 'static) -> (String, thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let handle = thread::spawn(move || {
+        let mut peer = Peer(listener.accept().unwrap().0);
+        assert!(peer.next_shard().is_empty(), "the check is an empty shard");
+        peer.answer(200, String::new());
+        script(peer);
+    });
+    (addr, handle)
+}
+
+/// Reads until the coordinator closes the connection.
+fn drain(mut peer: Peer) {
+    let _ = io::copy(&mut peer.0, &mut io::sink());
+}
 
 #[test]
 fn duplicate_completion_of_same_hash_merges_exactly_once() {
-    let (c, w) = socket_pair();
-    let script = thread::spawn(move || {
-        handshake(&w);
-        let (shard, jobs) = next_batch(&w);
-        let entries: Vec<(u64, String)> =
-            jobs.iter().map(|(h, j)| (*h, real_entry(j, *h))).collect();
-        // First job completes twice — a reissue-race double send.
-        send_result(&w, shard, entries[0].0, &entries[0].1);
-        send_result(&w, shard, entries[0].0, &entries[0].1);
-        for (h, e) in &entries[1..] {
-            send_result(&w, shard, *h, e);
-        }
-        send_shard_done(&w, shard);
-        drain_until_shutdown(&w);
+    let (addr, script) = scripted(|mut w| {
+        let e = entries(&w.next_shard());
+        // The first job completes twice.
+        w.answer_records([&e[0], &e[0], &e[1], &e[2], &e[3]]);
+        drain(w);
     });
-
-    let coord = Coordinator::from_streams(DistConfig::new(Vec::new()), None, vec![c]).unwrap();
+    let sched = coordinator_sched();
+    let coord = Coordinator::start(DistConfig::new(vec![addr]), &sched).unwrap();
     let todo = make_jobs(4);
     let out = coord.run_batch(&todo);
     assert_exactly_once(&out, todo.len());
@@ -374,77 +450,57 @@ fn duplicate_completion_of_same_hash_merges_exactly_once() {
         st.duplicate_results, 1,
         "second completion counted, dropped"
     );
-    assert_eq!(st.results_received, 5, "all five Result frames observed");
+    assert_eq!(st.results_received, 5, "all five records observed");
     coord.shutdown();
     script.join().unwrap();
 }
 
 #[test]
 fn corrupt_wire_entry_is_counted_and_recomputed() {
-    let (c, w) = socket_pair();
-    let script = thread::spawn(move || {
-        handshake(&w);
-        let (shard, jobs) = next_batch(&w);
-        // First job's entry bytes are garbage: the header attributes
-        // it, but the self-validating load must reject the payload.
-        send_result(&w, shard, jobs[0].0, "not a cache entry");
-        for (h, j) in &jobs[1..] {
-            send_result(&w, shard, *h, &real_entry(j, *h));
-        }
-        send_shard_done(&w, shard);
-        drain_until_shutdown(&w);
+    let (addr, script) = scripted(|mut w| {
+        let mut e = entries(&w.next_shard());
+        // The first job's entry bytes are garbage: the record header
+        // attributes them, but the self-validating load rejects them.
+        e[0].1 = "not a cache entry".into();
+        w.answer_records(&e);
+        drain(w);
     });
-
-    let coord = Coordinator::from_streams(DistConfig::new(Vec::new()), None, vec![c]).unwrap();
+    let sched = coordinator_sched();
+    let coord = Coordinator::start(DistConfig::new(vec![addr]), &sched).unwrap();
     let todo = make_jobs(4);
     let out = coord.run_batch(&todo);
     assert_exactly_once(&out, todo.len());
     // The corrupted job was recomputed locally and still matches.
-    let (_, job, hash) = &todo[0];
-    let got = out.iter().find(|b| b.hash == *hash).unwrap();
-    assert_eq!(
-        encode_measurement(*hash, got.result.as_ref().unwrap()),
-        real_entry(job, *hash),
-    );
-    let st = coord.stats();
-    assert_eq!(st.corrupt_entries, 1);
+    for (_, job, hash) in &todo {
+        let got = out.iter().find(|b| b.hash == *hash).unwrap();
+        assert_eq!(
+            encode_measurement(*hash, got.result.as_ref().unwrap()),
+            real_entry(job, *hash),
+        );
+    }
+    assert_eq!(coord.stats().corrupt_entries, 1);
     coord.shutdown();
     script.join().unwrap();
 }
 
 #[test]
 fn reissued_shard_with_overlapping_range_converges_exactly_once() {
-    let (c, w) = socket_pair();
-    let script = thread::spawn(move || {
-        handshake(&w);
-        let (first, jobs) = next_batch(&w);
-        let entries: Vec<(u64, String)> =
-            jobs.iter().map(|(h, j)| (*h, real_entry(j, *h))).collect();
-        // One result, then a premature ShardDone: the coordinator must
-        // reissue the unfinished remainder as a fresh shard whose hash
-        // range overlaps the one it just retired.
-        send_result(&w, first, entries[0].0, &entries[0].1);
-        send_shard_done(&w, first);
-        let (second, reissued) = next_batch(&w);
-        assert_ne!(first, second, "reissue must mint a new shard id");
-        let reissued_hashes: BTreeSet<u64> = reissued.iter().map(|(h, _)| *h).collect();
-        let original: BTreeSet<u64> = entries.iter().map(|(h, _)| *h).collect();
-        assert!(
-            reissued_hashes.is_subset(&original),
-            "reissued range lies inside the retired shard's range"
-        );
-        // Complete one overlapped job under BOTH shard ids (the old
-        // attribution races the reissue), then finish the rest.
-        send_result(&w, first, entries[1].0, &entries[1].1);
-        send_result(&w, second, entries[1].0, &entries[1].1);
-        for (h, e) in &entries[2..] {
-            send_result(&w, second, *h, e);
-        }
-        send_shard_done(&w, second);
-        drain_until_shutdown(&w);
+    let (addr, script) = scripted(|mut w| {
+        let first = w.next_shard();
+        let e = entries(&first);
+        // One result only: the coordinator must reissue the rest as a
+        // fresh shard whose hash range overlaps the one just answered.
+        w.answer_records([&e[0]]);
+        let reissued: BTreeSet<u64> = w.next_shard().iter().map(|(h, _)| *h).collect();
+        let original: BTreeSet<u64> = first.iter().map(|(h, _)| *h).collect();
+        assert_eq!(reissued.len(), 3, "only the unanswered jobs travel again");
+        assert!(reissued.is_subset(&original));
+        // Answer the whole original range: one record overlaps.
+        w.answer_records(&e);
+        drain(w);
     });
-
-    let coord = Coordinator::from_streams(DistConfig::new(Vec::new()), None, vec![c]).unwrap();
+    let sched = coordinator_sched();
+    let coord = Coordinator::start(DistConfig::new(vec![addr]), &sched).unwrap();
     let todo = make_jobs(4);
     let out = coord.run_batch(&todo);
     assert_exactly_once(&out, todo.len());
@@ -456,32 +512,29 @@ fn reissued_shard_with_overlapping_range_converges_exactly_once() {
 }
 
 #[test]
-fn worker_death_mid_shard_reissues_and_finishes_locally() {
-    let (c, w) = socket_pair();
-    let script = thread::spawn(move || {
-        handshake(&w);
-        let (shard, jobs) = next_batch(&w);
-        // One result, then vanish without a manifest — the reader's
-        // EOF is the death signal; no heartbeat timeout needed.
-        send_result(&w, shard, jobs[0].0, &real_entry(&jobs[0].1, jobs[0].0));
+fn replica_death_mid_shard_reissues_and_finishes_locally() {
+    let (addr, script) = scripted(|mut w| {
+        // Eight jobs make two 4-job shards, both sent at once. Answer
+        // the first, then vanish holding the second.
+        let first = w.next_shard();
+        let _second = w.next_shard();
+        w.answer_records(&entries(&first));
         drop(w);
     });
-
-    let coord = Coordinator::from_streams(DistConfig::new(Vec::new()), None, vec![c]).unwrap();
-    let todo = make_jobs(4);
+    let sched = coordinator_sched();
+    let coord = Coordinator::start(DistConfig::new(vec![addr]), &sched).unwrap();
+    let todo = make_jobs(8);
     let out = coord.run_batch(&todo);
     assert_exactly_once(&out, todo.len());
     let st = coord.stats();
     assert_eq!(st.worker_deaths, 1);
-    assert_eq!(st.shard_reissues, 1, "orphaned remainder reissued");
-    assert_eq!(st.results_received, 1, "only the pre-death result arrived");
+    assert_eq!(st.shard_reissues, 1, "the orphaned shard reissued");
+    assert_eq!(st.results_received, 4, "only the pre-death answer arrived");
     assert_eq!(coord.live_workers(), 0);
-    // The reader thread is gone, so nothing moves between the two reads:
-    // the exported snapshot reads back as the same stats.
     let mut snap = Snapshot::default();
     coord.export_into(&mut snap);
     assert_eq!(DistStats::from_snapshot(&snap), st);
-    assert!(st.bytes_sent > 0);
+    assert!(st.bytes_sent > 0 && st.bytes_received > 0);
     coord.shutdown();
     script.join().unwrap();
 }
@@ -515,15 +568,15 @@ fn assert_ran_primed_locally(coord: &Coordinator, out: &[BackendExec]) {
 
 #[test]
 fn coordinator_primes_a_batch_it_runs_after_losing_the_fleet() {
-    let (c, w) = socket_pair();
-    let script = thread::spawn(move || {
-        handshake(&w);
+    let (addr, script) = scripted(|mut w| {
         // Die holding the first shard.
-        let _ = next_batch(&w);
+        let _ = w.next_shard();
         drop(w);
     });
-    let coord = Coordinator::from_streams(DistConfig::new(Vec::new()), None, vec![c]).unwrap();
-    // The only worker dies under a one-job batch, which finishes locally.
+    let sched = coordinator_sched();
+    let coord = Coordinator::start(DistConfig::new(vec![addr]), &sched).unwrap();
+    // The only replica dies under a one-job batch, which finishes
+    // locally.
     let lone = JobSpec::cpu_sim(
         &SYSTEM3,
         kernel::omp_barrier(),
@@ -549,30 +602,30 @@ fn coordinator_primes_a_batch_it_runs_after_losing_the_fleet() {
 
 #[test]
 fn coordinator_primes_the_jobs_it_recomputes() {
-    // Three workers, one shard each (chunks of 4, 4 and 2, so the
-    // backlog is empty): each answers its first job with a JobError and
-    // the rest with corrupt entry bytes.
-    let mut ends = Vec::new();
-    let mut scripts = Vec::new();
-    for _ in 0..3 {
-        let (c, w) = socket_pair();
-        ends.push(c);
-        scripts.push(thread::spawn(move || {
-            handshake(&w);
-            let (shard, jobs) = next_batch(&w);
-            send_job_error(&w, shard, jobs[0].0);
-            for (h, _) in &jobs[1..] {
-                send_result(&w, shard, *h, "not a cache entry");
-            }
-            send_shard_done(&w, shard);
-            drain_until_shutdown(&w);
-        }));
-    }
-    let coord = Coordinator::from_streams(DistConfig::new(Vec::new()), None, ends).unwrap();
+    // Three replicas, one shard each (chunks of 4, 4 and 2, so the
+    // backlog is empty): the first fails its shard with a 500, the
+    // others answer every job with corrupt entry bytes.
+    let (addrs, scripts): (Vec<_>, Vec<_>) = (0..3)
+        .map(|i| {
+            scripted(move |mut w| {
+                let jobs = w.next_shard();
+                if i == 0 {
+                    w.answer(500, "{\"error\": \"shard failed\"}\n".into());
+                } else {
+                    let garbage: Vec<(u64, String)> =
+                        jobs.iter().map(|(h, _)| (*h, "{}".to_string())).collect();
+                    w.answer_records(&garbage);
+                }
+                drain(w);
+            })
+        })
+        .unzip();
+    let sched = coordinator_sched();
+    let coord = Coordinator::start(DistConfig::new(addrs), &sched).unwrap();
     let out = coord.run_batch(&group_and_lone_gpu());
     let st = coord.stats();
     assert_eq!(st.jobs_sent, 10, "every job went out on the wire");
-    assert_eq!((st.worker_errors, st.corrupt_entries), (3, 7));
+    assert_eq!((st.worker_errors, st.corrupt_entries), (4, 6));
     assert_eq!(st.coordinator_jobs + st.local_jobs, 0);
     // The ten failures are recomputed together at the batch tail.
     assert_ran_primed_locally(&coord, &out);
@@ -580,20 +633,4 @@ fn coordinator_primes_the_jobs_it_recomputes() {
     for s in scripts {
         s.join().unwrap();
     }
-}
-
-#[test]
-fn worker_refuses_a_hello_from_another_protocol_revision() {
-    let (c, w) = socket_pair();
-    let worker = thread::spawn(move || serve_stream(w));
-    let hello = format!(
-        "{{\"proto\":{},\"salt\":\"{SCHED_SALT}\",\"salt_extra\":\"{:016x}\"}}",
-        PROTO_VERSION - 1,
-        0
-    );
-    write_frame(&mut &c, FrameType::Hello, hello.as_bytes()).unwrap();
-    let (ty, _) = read_frame(&mut &c).unwrap();
-    assert_eq!(ty, FrameType::Shutdown, "a skewed worker refuses loudly");
-    let err = worker.join().unwrap().unwrap_err();
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 }

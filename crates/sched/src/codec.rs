@@ -1,19 +1,20 @@
-//! Wire encoding of [`JobSpec`]s.
+//! The `POST /batch` wire form, in one place: [`JobSpec`]s out as a
+//! shard ([`shard_item`], [`shard_body`], [`decode_shard`]), cache
+//! entries back ([`push_batch_record`], [`batch_records`]).
 //!
 //! Only machine-independent jobs travel: CPU/GPU *simulator* jobs on
 //! one of the canonical [`all_systems`] specs with no latency-model
 //! override. Real-thread jobs are host-scoped by construction and
 //! model-override jobs would need the full float-laden model shipped
-//! bit-exactly; both classes stay on the coordinator
-//! ([`encode_job`] returns `None`) and are counted as
-//! `dist.local_jobs`.
+//! bit-exactly; both classes stay where they were submitted
+//! ([`encode_job`] returns `None`).
 //!
-//! Decoding is *total* — it builds the [`Kernel`] through its public
-//! fields without re-running construction-time validation — because the
-//! worker's real integrity check is stronger: it recomputes the job's
-//! content hash under the coordinator's salt and refuses to execute on
-//! any mismatch. A corrupted or version-skewed job can therefore never
-//! produce a wrongly-keyed result, only a [`crate::frame::FrameType::JobError`].
+//! Decoding is *total* — it builds the [`Kernel`](syncperf_core::Kernel)
+//! through its public fields without re-running construction-time
+//! validation — because the receiver's real integrity check is
+//! stronger: it recomputes the job's content hash under its own salt
+//! and refuses the shard on any mismatch. A corrupted or version-skewed
+//! job can therefore never produce a wrongly-keyed result.
 
 use syncperf_core::{
     all_systems, Affinity, CpuOp, DType, ExecParams, GpuOp, Protocol, RmwOp, Scope, ShflVariant,
@@ -21,7 +22,9 @@ use syncperf_core::{
 };
 
 use syncperf_core::obs::json::{self, Value};
-use syncperf_sched::JobSpec;
+
+use crate::hash::{hex16, parse_hex16};
+use crate::JobSpec;
 
 /// Encodes `job` as a JSON object string, or `None` when the job is not
 /// wire-serializable (real-thread, model override, or a system spec
@@ -499,7 +502,7 @@ fn decode_gpu_op(v: &Value) -> Option<GpuOp> {
     })
 }
 
-pub(crate) fn get_u32(v: &Value, key: &str) -> Option<u32> {
+fn get_u32(v: &Value, key: &str) -> Option<u32> {
     let x = v.get(key)?.as_f64()?;
     (x.is_finite() && x >= 0.0 && x.fract() == 0.0 && x <= f64::from(u32::MAX)).then_some(x as u32)
 }
@@ -508,12 +511,108 @@ fn get_u8(v: &Value, key: &str) -> Option<u8> {
     get_u32(v, key).and_then(|x| u8::try_from(x).ok())
 }
 
+/// One shard item, `{"hash": <16 hex digits>, "job": <encode_job>}`,
+/// or `None` when the job cannot travel.
+#[must_use]
+pub fn shard_item(hash: u64, job: &JobSpec) -> Option<String> {
+    encode_job(job).map(|e| format!("{{\"hash\":\"{}\",\"job\":{e}}}", hex16(hash)))
+}
+
+/// A shard body, `{"salt": .., "jobs": [..]}`, over [`shard_item`]s
+/// under the sending scheduler's salt (`Scheduler::salt`).
+#[must_use]
+pub fn shard_body(salt: &str, items: &[&str]) -> String {
+    let salt = json::string(salt);
+    format!("{{\"salt\":{salt},\"jobs\":[{}]}}", items.join(","))
+}
+
+/// Why [`decode_shard`] refused a shard body.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShardError {
+    /// Not a shard: bad JSON, no `salt` or `jobs`, or a job without a
+    /// 16-hex-digit hash or that does not decode.
+    Malformed(&'static str),
+    /// The shard's salt, which is not the receiver's.
+    Salt(String),
+    /// A job that cannot travel: not a simulator job, or one with a
+    /// model override.
+    CannotTravel,
+}
+
+/// Decodes a shard body for a receiver whose salt is `salt` into its
+/// `(hash, job)` items, in order. The hashes are as sent: the receiver
+/// re-hashes each job before it trusts one.
+///
+/// # Errors
+///
+/// The [`ShardError`] of the first check the body fails.
+pub fn decode_shard(body: &str, salt: &str) -> Result<Vec<(u64, JobSpec)>, ShardError> {
+    let doc = json::parse(body).map_err(|_| ShardError::Malformed("shard body is not JSON"))?;
+    let theirs = doc.get("salt").and_then(Value::as_str);
+    let (Some(theirs), Some(items)) = (theirs, doc.get("jobs").and_then(Value::as_array)) else {
+        return Err(ShardError::Malformed(
+            "a shard needs a `salt` and a `jobs` array",
+        ));
+    };
+    if theirs != salt {
+        return Err(ShardError::Salt(theirs.to_string()));
+    }
+    items
+        .iter()
+        .map(|item| {
+            let hash = item
+                .get("hash")
+                .and_then(Value::as_str)
+                .and_then(parse_hex16);
+            let (Some(hash), Some(wire)) = (hash, item.get("job")) else {
+                return Err(ShardError::Malformed(
+                    "a shard job needs a `hash` and a `job`",
+                ));
+            };
+            let exec = wire.get("exec").and_then(Value::as_str);
+            if wire.get("model").is_some() || !matches!(exec, Some("cpu-sim" | "gpu-sim")) {
+                return Err(ShardError::CannotTravel);
+            }
+            let job =
+                decode_job(wire).ok_or(ShardError::Malformed("a shard job does not decode"))?;
+            Ok((hash, job))
+        })
+        .collect()
+}
+
+/// Appends one `/batch` answer record to `body`: a `<hash> <length>`
+/// line (16 hex digits, then the entry's byte length), then the cache
+/// entry verbatim.
+pub fn push_batch_record(body: &mut String, hash: u64, entry: &str) {
+    body.push_str(&format!("{} {}\n", hex16(hash), entry.len()));
+    body.push_str(entry);
+}
+
+/// The `(hash, entry)` records of a `/batch` answer, up to the first
+/// one that is malformed or cut short.
+#[must_use]
+pub fn batch_records(mut body: &str) -> Vec<(u64, &str)> {
+    let mut records = Vec::new();
+    while let Some((line, rest)) = body.split_once('\n') {
+        let Some((hash, len)) = line.split_once(' ') else {
+            break;
+        };
+        let (Some(hash), Ok(len)) = (parse_hex16(hash), len.parse::<usize>()) else {
+            break;
+        };
+        let Some(entry) = rest.get(..len) else { break };
+        records.push((hash, entry));
+        body = &rest[len..];
+    }
+    records
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job_hash_with_salt;
     use syncperf_core::obs::json;
     use syncperf_core::{kernel, SYSTEM1, SYSTEM3};
-    use syncperf_sched::job_hash_with_salt;
 
     fn round_trip(job: &JobSpec) {
         let encoded = encode_job(job).expect("sim job must encode");
@@ -576,6 +675,46 @@ mod tests {
             Protocol::SIM,
         ))
         .is_none());
+    }
+
+    #[test]
+    fn shards_round_trip_and_refuse_by_kind() {
+        let job = JobSpec::cpu_sim(
+            &SYSTEM3,
+            kernel::omp_barrier(),
+            ExecParams::new(4).with_loops(50, 4),
+            Protocol::SIM,
+        );
+        let hash = job_hash_with_salt(&job, 0);
+        let item = shard_item(hash, &job).unwrap();
+        let body = shard_body("s/0", &[&item, &item]);
+        let decoded = decode_shard(&body, "s/0").unwrap();
+        assert_eq!(decoded.len(), 2);
+        assert_eq!(decoded[0].0, hash);
+        assert_eq!(decoded[1].1.canonical(), job.canonical());
+        assert!(decode_shard(&shard_body("s/0", &[]), "s/0")
+            .unwrap()
+            .is_empty());
+        assert_eq!(
+            decode_shard(&body, "s/1").unwrap_err(),
+            ShardError::Salt("s/0".into())
+        );
+        let real = item.replace("\"exec\":\"cpu-sim\"", "\"exec\":\"real-omp\"");
+        let body = shard_body("s/0", &[&real]);
+        assert_eq!(
+            decode_shard(&body, "s/0").unwrap_err(),
+            ShardError::CannotTravel
+        );
+        for garbage in [
+            "[]",
+            "{\"salt\":\"s/0\"}",
+            "{\"salt\":\"s/0\",\"jobs\":[{}]}",
+        ] {
+            assert!(matches!(
+                decode_shard(garbage, "s/0"),
+                Err(ShardError::Malformed(_))
+            ));
+        }
     }
 
     #[test]

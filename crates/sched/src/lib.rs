@@ -22,6 +22,9 @@
 //!    crash), plus per-run-label manifests of completed hashes. A
 //!    rerun resumes from the cache itself.
 //!
+//! [`codec`] is a [`JobSpec`]'s wire form, the body of a `POST /batch`
+//! shard a dist coordinator sends a serve replica.
+//!
 //! The [`scheduler`] module ties them together and exposes the
 //! process-global [`install`]/[`current`] registry that the bench
 //! crate's one measurement entry point reads; without an installed
@@ -35,6 +38,7 @@
 
 pub mod cache;
 pub mod checkpoint;
+pub mod codec;
 pub mod hash;
 pub mod job;
 pub mod pool;
@@ -42,6 +46,10 @@ pub mod scheduler;
 
 pub use cache::{decode_measurement, encode_measurement, Cache, EntryInfo};
 pub use checkpoint::Checkpoint;
+pub use codec::{
+    batch_records, decode_job, decode_shard, encode_job, push_batch_record, shard_body, shard_item,
+    ShardError,
+};
 pub use job::{host_fingerprint, JobSpec, PrimedEngine};
 pub use pool::{Pool, PoolOutcome, PoolWorkerStats};
 pub use scheduler::{

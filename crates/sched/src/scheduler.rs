@@ -465,6 +465,17 @@ impl Scheduler {
         &self.cfg
     }
 
+    /// The salt every job hash folds in, `SCHED_SALT/salt_extra`: two
+    /// schedulers agree on every hash exactly when their salts are
+    /// equal (a dist coordinator and its serve replicas check this).
+    #[must_use]
+    pub fn salt(&self) -> &str {
+        self.salt_line
+            .strip_prefix("salt=")
+            .and_then(|s| s.strip_suffix('\n'))
+            .expect("salt_line is `salt=<salt>\\n`")
+    }
+
     /// The pool's workers, kept for the scheduler's lifetime: the
     /// calling thread plus `effective_workers − 1` helper threads.
     /// See [`effective_workers`] for how the count is resolved, once,
@@ -1280,6 +1291,7 @@ mod tests {
                 "job_hash: {job:?}"
             );
         }
+        assert_eq!(s.salt(), format!("{SCHED_SALT}/7"));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 use std::time::Instant;
 
 use syncperf_core::{kernel, Protocol, SYSTEM3};
-use syncperf_dist::{decode_job, encode_job};
-use syncperf_sched::{decode_measurement, encode_measurement, job_hash_with_salt, JobSpec};
+use syncperf_sched::{
+    decode_job, decode_measurement, encode_job, encode_measurement, job_hash_with_salt, JobSpec,
+};
 
 #[test]
 #[ignore = "manual profiling aid"]

@@ -12,7 +12,8 @@
 //! zero bytes until a full request is buffered, so pipelined requests
 //! and partial reads fall out naturally — and [`read_request`] is the
 //! blocking convenience wrapper over one `TcpStream` that tests and
-//! simple clients use.
+//! simple clients use. [`try_parse_response`] is the same parser's
+//! client side, which a dist coordinator reads `/batch` answers with.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -22,7 +23,7 @@ use syncperf_core::obs::json;
 /// Upper bound on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
-/// Upper bound on a request body (`/compute` specs are tiny).
+/// Upper bound on a request body (`/compute` specs are tiny; dist cuts `/batch` shards to fit).
 pub const MAX_BODY_BYTES: usize = 64 * 1024;
 
 /// One parsed HTTP request.
@@ -92,15 +93,15 @@ impl ParseFailure {
     }
 }
 
-/// Outcome of one [`try_parse`] call over a receive buffer.
+/// Outcome of one parse call over a receive buffer.
 #[derive(Debug)]
-pub enum ParseStep {
-    /// The buffer does not yet hold a complete request; read more.
+pub enum ParseStep<T = Request> {
+    /// The buffer does not yet hold a complete message; read more.
     Incomplete,
-    /// One complete request, plus the number of buffer bytes it
+    /// One complete message, plus the number of buffer bytes it
     /// consumed (the caller drains them; any remainder is the start of
-    /// the next pipelined request).
-    Complete(Request, usize),
+    /// the next pipelined message).
+    Complete(T, usize),
 }
 
 /// Incrementally parses the first request in `buf` without consuming
@@ -113,22 +114,14 @@ pub enum ParseStep {
 /// arrive without a blank line, [`ParseFailure::BadRequest`] for
 /// malformed request lines, versions, or oversized bodies.
 pub fn try_parse(buf: &[u8]) -> Result<ParseStep, ParseFailure> {
-    let Some(head_end) = find_head_end(buf) else {
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(ParseFailure::HeadTooLarge);
-        }
+    let Some((head, body_start)) = find_head_end(buf)? else {
         return Ok(ParseStep::Incomplete);
     };
-    if head_end > MAX_HEAD_BYTES {
-        return Err(ParseFailure::HeadTooLarge);
-    }
-    let head = String::from_utf8_lossy(&buf[..head_end]);
     let parsed = parse_head(&head)?;
-    let total = head_end + 4 + parsed.content_length;
-    if buf.len() < total {
+    let total = body_start + parsed.content_length;
+    let Some(body) = buf.get(body_start..total) else {
         return Ok(ParseStep::Incomplete);
-    }
-    let body = String::from_utf8_lossy(&buf[head_end + 4..total]).into_owned();
+    };
     let (path, query) = match parsed.target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (parsed.target.as_str(), ""),
@@ -138,16 +131,67 @@ pub fn try_parse(buf: &[u8]) -> Result<ParseStep, ParseFailure> {
             method: parsed.method,
             path: percent_decode(path),
             query: parse_query(query),
-            body,
+            body: String::from_utf8_lossy(body).into_owned(),
             keep_alive: parsed.keep_alive,
         },
         total,
     ))
 }
 
-/// Byte offset of the `\r\n\r\n` head terminator, if buffered.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// One response as a client reads it.
+#[derive(Debug, Clone, Default)]
+pub struct ClientResponse {
+    /// HTTP status code.
+    pub status: u16,
+    /// Response body.
+    pub body: String,
+    /// Whether the server keeps the connection open afterwards.
+    pub keep_alive: bool,
+}
+
+/// Incrementally parses the first response in `buf`: the client side
+/// of [`try_parse`], with its head limit and `Content-Length` handling
+/// and no body limit.
+///
+/// # Errors
+///
+/// As [`try_parse`], for a malformed status line or header.
+pub fn try_parse_response(buf: &[u8]) -> Result<ParseStep<ClientResponse>, ParseFailure> {
+    let Some((head, body_start)) = find_head_end(buf)? else {
+        return Ok(ParseStep::Incomplete);
+    };
+    let mut lines = head.split("\r\n");
+    let mut status_line = lines.next().unwrap_or_default().split_ascii_whitespace();
+    let (Some(version), Some(Ok(status))) =
+        (status_line.next(), status_line.next().map(str::parse))
+    else {
+        return Err(ParseFailure::BadRequest("malformed status line"));
+    };
+    let (len, keep_alive) = scan_headers(version, lines)?;
+    // The length is the peer's word: a huge one just never completes.
+    let end = body_start.saturating_add(len);
+    let Some(body) = buf.get(body_start..end) else {
+        return Ok(ParseStep::Incomplete);
+    };
+    let body = String::from_utf8_lossy(body).into_owned();
+    let resp = ClientResponse {
+        status,
+        body,
+        keep_alive,
+    };
+    Ok(ParseStep::Complete(resp, end))
+}
+
+/// The head of the first message in `buf` and the offset its body
+/// starts at, once the blank line ending the head is buffered.
+fn find_head_end(buf: &[u8]) -> Result<Option<(std::borrow::Cow<'_, str>, usize)>, ParseFailure> {
+    match buf.windows(4).position(|w| w == b"\r\n\r\n") {
+        Some(end) if end <= MAX_HEAD_BYTES => {
+            Ok(Some((String::from_utf8_lossy(&buf[..end]), end + 4)))
+        }
+        None if buf.len() <= MAX_HEAD_BYTES => Ok(None),
+        _ => Err(ParseFailure::HeadTooLarge),
+    }
 }
 
 /// The request line + headers, parsed but not yet bound to a body.
@@ -168,10 +212,29 @@ fn parse_head(head: &str) -> Result<Head, ParseFailure> {
     else {
         return Err(ParseFailure::BadRequest("malformed request line"));
     };
+    let (content_length, keep_alive) = scan_headers(version, lines)?;
+    if content_length > MAX_BODY_BYTES {
+        return Err(ParseFailure::BadRequest("request body too large"));
+    }
+    Ok(Head {
+        method: method.to_ascii_uppercase(),
+        target: target.to_string(),
+        keep_alive,
+        content_length,
+    })
+}
+
+/// Checks a message's HTTP/1.x `version` and reads its header lines:
+/// the `Content-Length` (0 when absent), and whether the connection
+/// persists afterwards — HTTP/1.1 unless `Connection: close`, HTTP/1.0
+/// only with `Connection: keep-alive`.
+fn scan_headers<'a>(
+    version: &str,
+    lines: impl Iterator<Item = &'a str>,
+) -> Result<(usize, bool), ParseFailure> {
     if !version.starts_with("HTTP/1.") {
         return Err(ParseFailure::BadRequest("unsupported HTTP version"));
     }
-
     let mut content_length = 0usize;
     let mut connection = String::new();
     for line in lines {
@@ -186,20 +249,12 @@ fn parse_head(head: &str) -> Result<Head, ParseFailure> {
             }
         }
     }
-    if content_length > MAX_BODY_BYTES {
-        return Err(ParseFailure::BadRequest("request body too large"));
-    }
     let keep_alive = if version == "HTTP/1.0" {
         connection == "keep-alive"
     } else {
         connection != "close"
     };
-    Ok(Head {
-        method: method.to_ascii_uppercase(),
-        target: target.to_string(),
-        keep_alive,
-        content_length,
-    })
+    Ok((content_length, keep_alive))
 }
 
 /// Reads and parses one request from `stream`, blocking. Read
@@ -462,6 +517,44 @@ mod tests {
         };
         assert_eq!(req2.path, "/healthz");
         assert_eq!(consumed + consumed2, raw.len());
+    }
+
+    #[test]
+    fn responses_parse_incrementally_with_their_keep_alive() {
+        let ok = render_response(&Response::text(200, "two\nlines"), true);
+        let mut raw = ok.clone();
+        raw.extend(render_response(&Response::error(500, "x"), false));
+        for cut in [0, 10, ok.len() - 1] {
+            assert!(matches!(
+                try_parse_response(&raw[..cut]),
+                Ok(ParseStep::Incomplete)
+            ));
+        }
+        let Ok(ParseStep::Complete(first, used)) = try_parse_response(&raw) else {
+            panic!("a whole response parses")
+        };
+        assert_eq!((first.status, first.body.as_str()), (200, "two\nlines"));
+        assert!(first.keep_alive);
+        assert_eq!(used, ok.len());
+        let Ok(ParseStep::Complete(second, rest)) = try_parse_response(&raw[used..]) else {
+            panic!("the pipelined answer parses")
+        };
+        assert_eq!(second.status, 500);
+        assert!(!second.keep_alive, "Connection: close is read");
+        assert_eq!(used + rest, raw.len());
+        // A response body has no request-side limit.
+        let big = render_response(&Response::text(200, "x".repeat(MAX_BODY_BYTES + 1)), true);
+        assert!(matches!(
+            try_parse_response(&big),
+            Ok(ParseStep::Complete(r, _)) if r.body.len() == MAX_BODY_BYTES + 1
+        ));
+        let huge = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\nx", usize::MAX);
+        assert!(matches!(
+            try_parse_response(huge.as_bytes()),
+            Ok(ParseStep::Incomplete)
+        ));
+        assert!(try_parse_response(b"HTTP/1.1 OK\r\n\r\n").is_err());
+        assert!(try_parse_response(b"SSH-2.0 200\r\n\r\n").is_err());
     }
 
     #[test]

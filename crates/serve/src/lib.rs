@@ -21,6 +21,9 @@
 //!   [`JobSpec`](syncperf_sched::JobSpec), and concurrent identical
 //!   requests deduplicate onto a single scheduler job
 //!   (single-writer-per-entry, [`inflight`]).
+//! - `POST /batch` — one shard of a dist coordinator's sweep
+//!   ([`syncperf_sched::codec`]), salt-checked, hash-verified and run
+//!   by one scheduler `run_jobs` call; answers the raw cache entries.
 //! - `GET /metrics` — the live telemetry snapshot (request counters,
 //!   per-endpoint latency histograms, scheduler profile, index
 //!   gauges) in Prometheus-style text exposition format.
@@ -55,7 +58,7 @@ pub mod inflight;
 pub mod reactor;
 pub mod server;
 
-pub use http::{ParseFailure, ParseStep, Request, Response};
+pub use http::{try_parse_response, ClientResponse, ParseFailure, ParseStep, Request, Response};
 pub use index::{Index, Pin, Query, QueryMatch};
 pub use inflight::{Claim, Inflight, OwnerGuard};
 pub use server::{

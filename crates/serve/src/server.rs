@@ -6,9 +6,9 @@
 //! One reactor thread owns every connection: nonblocking accept,
 //! incremental request parsing ([`crate::http::try_parse`]),
 //! per-request read/write deadlines, and a connection cap that sheds
-//! load with `503 + Retry-After` at accept time. Only `/compute`
-//! cache misses leave the reactor — they are queued to one compute
-//! thread per scheduler worker (scheduler measurements block for
+//! load with `503 + Retry-After` at accept time. Only `/compute` misses
+//! and `/batch` shards leave the reactor — they are queued to one
+//! compute thread per scheduler worker (measurements block for
 //! milliseconds to seconds) and their responses return through a
 //! completion queue + [`crate::reactor::Waker`].
 
@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 use syncperf_core::obs::{self, Counter, FlightRecorder, Histogram, Recorder, Snapshot};
 use syncperf_core::Measurement;
 use syncperf_sched::cache::encode_measurement;
+use syncperf_sched::codec::{decode_shard, push_batch_record, ShardError};
 use syncperf_sched::{hash::hex16, hash::parse_hex16, JobSpec, Scheduler};
 
 use crate::http::{render_response, try_parse, ParseStep, Request, Response};
@@ -34,9 +35,9 @@ use crate::reactor::{Event, Poller, Waker, RDHUP, READABLE, WRITABLE};
 /// histograms are split by (`other` absorbs unknown paths and parse
 /// failures). Metric names embed these labels:
 /// `serve.endpoint.<label>.requests` / `serve.endpoint.<label>.latency_us`.
-pub const ENDPOINT_LABELS: [&str; 10] = [
-    "healthz", "stats", "metrics", "events", "query", "job", "figure", "compute", "shutdown",
-    "other",
+pub const ENDPOINT_LABELS: [&str; 11] = [
+    "healthz", "stats", "metrics", "events", "query", "job", "figure", "compute", "batch",
+    "shutdown", "other",
 ];
 
 /// Classifies a request path into one of [`ENDPOINT_LABELS`].
@@ -49,6 +50,7 @@ pub fn endpoint_label(path: &str) -> &'static str {
         "/events" => "events",
         "/query" => "query",
         "/compute" => "compute",
+        "/batch" => "batch",
         "/shutdown" => "shutdown",
         p if p.starts_with("/job/") => "job",
         p if p.starts_with("/figure/") => "figure",
@@ -286,11 +288,18 @@ impl ServeStats {
     }
 }
 
-/// A `/compute` measurement queued to the blocking pool.
+/// Work that leaves the reactor for the blocking pool.
+enum Work {
+    /// A `/compute` miss: the job and its hash.
+    Compute(Box<JobSpec>, u64),
+    /// A `/batch` shard: its `(hash, job)` items, in request order.
+    Batch(Vec<(u64, JobSpec)>),
+}
+
+/// A request's [`Work`], queued to the blocking pool.
 struct ComputeTask {
     token: u64,
-    job: Box<JobSpec>,
-    hash: u64,
+    work: Work,
     keep_alive: bool,
     line: String,
     start: Instant,
@@ -827,11 +836,10 @@ fn pump(
                         Routed::Done(resp) => {
                             finish_request(conn, shared, &resp, req.keep_alive, &line, start);
                         }
-                        Routed::Compute(job, hash) => {
+                        Routed::Defer(work) => {
                             let task = ComputeTask {
                                 token,
-                                job,
-                                hash,
+                                work,
                                 keep_alive: req.keep_alive,
                                 line,
                                 start,
@@ -1002,7 +1010,10 @@ fn compute_worker(rx: &Arc<Mutex<mpsc::Receiver<ComputeTask>>>, shared: &Arc<Sha
         let Ok(task) = task else {
             return; // sender dropped: reactor exited
         };
-        let resp = compute_response(shared, &task.job, task.hash);
+        let resp = match task.work {
+            Work::Compute(job, hash) => compute_response(shared, &job, hash),
+            Work::Batch(shard) => batch_response(shared, shard),
+        };
         shared.completions.lock().unwrap().push(Done {
             token: task.token,
             resp,
@@ -1017,7 +1028,7 @@ fn compute_worker(rx: &Arc<Mutex<mpsc::Receiver<ComputeTask>>>, shared: &Arc<Sha
 /// How routing answered a request: inline, or deferred to the pool.
 enum Routed {
     Done(Response),
-    Compute(Box<JobSpec>, u64),
+    Defer(Work),
 }
 
 fn route(req: &Request, shared: &Arc<Shared>) -> Routed {
@@ -1032,10 +1043,14 @@ fn route(req: &Request, shared: &Arc<Shared>) -> Routed {
         }
         ("GET", "/query") => handle_query(req, shared),
         ("POST", "/compute") => return handle_compute(req, shared),
+        ("POST", "/batch") => {
+            return parse_shard(&req.body, &shared.scheduler)
+                .map_or_else(Routed::Done, Routed::Defer)
+        }
         ("GET", path) if path.starts_with("/job/") => handle_job(&path[5..], shared),
         ("GET", path) if path.starts_with("/figure/") => handle_figure(&path[8..], shared),
         ("GET", _) => Response::error(404, "no such endpoint"),
-        (_, "/query" | "/compute" | "/healthz" | "/stats" | "/metrics" | "/events") => {
+        (_, "/query" | "/compute" | "/batch" | "/healthz" | "/stats" | "/metrics" | "/events") => {
             Response::error(405, "method not allowed")
         }
         _ => Response::error(404, "no such endpoint"),
@@ -1274,7 +1289,7 @@ fn handle_compute(req: &Request, shared: &Arc<Shared>) -> Routed {
         return Routed::Done(measurement_response(hash, pin.measurement(), "cache", None));
     }
     shared.counters.cache_misses.inc();
-    Routed::Compute(Box::new(job), hash)
+    Routed::Defer(Work::Compute(Box::new(job), hash))
 }
 
 /// The blocking half of `/compute`, run on a pool worker:
@@ -1311,6 +1326,48 @@ fn compute_response(shared: &Arc<Shared>, job: &JobSpec, hash: u64) -> Response 
                     .with_retry_after(1);
             }
         }
+    }
+}
+
+/// `POST /batch` routing: decodes a dist coordinator's shard
+/// ([`decode_shard`]) for the pool. Another salt is a 409 naming both,
+/// a job that cannot travel a 422, and anything malformed — a job that
+/// does not re-hash to its sent hash included — a 400, so no entry is
+/// ever keyed by a hash its job does not have.
+fn parse_shard(body: &str, sched: &Scheduler) -> Result<Work, Response> {
+    let shard = decode_shard(body, sched.salt()).map_err(|e| match e {
+        ShardError::Malformed(msg) => Response::error(400, msg),
+        ShardError::Salt(theirs) => Response::error(
+            409,
+            &format!("salt mismatch: shard {theirs}, replica {}", sched.salt()),
+        ),
+        ShardError::CannotTravel => Response::error(422, "only model-free simulator jobs travel"),
+    })?;
+    for (hash, job) in &shard {
+        let rehash = sched.job_hash(job);
+        if rehash != *hash {
+            let msg = format!("job {} re-hashes to {}", hex16(*hash), hex16(rehash));
+            return Err(Response::error(400, &msg));
+        }
+    }
+    Ok(Work::Batch(shard))
+}
+
+/// The blocking half of `/batch`, run on a pool worker: one
+/// [`Scheduler::run_jobs`] call (cache, priming and stores included),
+/// answered with one [`push_batch_record`] per job, in request order;
+/// a failed call answers 500 for the whole shard.
+fn batch_response(shared: &Arc<Shared>, shard: Vec<(u64, JobSpec)>) -> Response {
+    let (hashes, jobs): (Vec<u64>, Vec<JobSpec>) = shard.into_iter().unzip();
+    match shared.scheduler.run_jobs(jobs) {
+        Ok(ms) => {
+            let mut body = String::new();
+            for (&hash, m) in hashes.iter().zip(&ms) {
+                push_batch_record(&mut body, hash, &encode_measurement(hash, m));
+            }
+            Response::text(200, body)
+        }
+        Err(e) => Response::error(500, &format!("shard failed: {e}")),
     }
 }
 
@@ -1455,12 +1512,14 @@ mod tests {
         assert_eq!(endpoint_label("/events"), "events");
         assert_eq!(endpoint_label("/job/0011223344556677"), "job");
         assert_eq!(endpoint_label("/figure/fig01.csv"), "figure");
+        assert_eq!(endpoint_label("/batch"), "batch");
         assert_eq!(endpoint_label("/manifest/all_figures"), "other");
         assert_eq!(endpoint_label("/nope"), "other");
         for label in [
             endpoint_label("/stats"),
             endpoint_label("/query"),
             endpoint_label("/compute"),
+            endpoint_label("/batch"),
             endpoint_label("/shutdown"),
             endpoint_label("/"),
         ] {

@@ -140,8 +140,9 @@ fn design_md_lists_all_workspace_crates() {
 #[test]
 fn distributed_docs_match_the_wire_and_code() {
     // docs/DISTRIBUTED.md, DESIGN.md §12, the README subsection, and
-    // the observability docs document the same coordinator/worker
-    // surface the dist crate implements.
+    // the observability docs document the same coordinator surface the
+    // dist crate implements: shards travel as serve's `POST /batch`,
+    // and no other wire protocol exists.
     let dist_doc = read("docs/DISTRIBUTED.md");
     let sched_doc = read("docs/SCHEDULER.md");
     let obs_doc = read("docs/OBSERVABILITY.md");
@@ -149,7 +150,7 @@ fn distributed_docs_match_the_wire_and_code() {
     let readme = read("README.md");
     let runner = read("crates/bench/src/runner.rs");
     let coordinator = read("crates/dist/src/coordinator.rs");
-    let frame = read("crates/dist/src/frame.rs");
+    let server = read("crates/serve/src/server.rs");
 
     // CLI flags: documented where the scheduler flags are, parsed by
     // the shared runner.
@@ -163,75 +164,97 @@ fn distributed_docs_match_the_wire_and_code() {
         }
     }
 
-    // Every wire frame kind is named in the protocol table.
-    for frame_kind in [
-        "Hello",
-        "HelloAck",
-        "Batch",
-        "Result",
-        "JobError",
-        "ShardDone",
-        "Heartbeat",
-        "Shutdown",
+    // The wire is serve's `/batch`: routed by the server, posted by the
+    // coordinator, and named by every document that describes dist.
+    assert!(
+        server.contains("(\"POST\", \"/batch\")"),
+        "server.rs does not route /batch"
+    );
+    assert!(
+        coordinator.contains("POST /batch"),
+        "the coordinator posts no /batch"
+    );
+    for (doc, name) in [
+        (&dist_doc, "docs/DISTRIBUTED.md"),
+        (&design, "DESIGN.md"),
+        (&readme, "README.md"),
     ] {
         assert!(
-            dist_doc.contains(frame_kind),
-            "docs/DISTRIBUTED.md missing frame {frame_kind}"
-        );
-        assert!(frame.contains(frame_kind), "frame.rs missing {frame_kind}");
-    }
-    // Protocol 2 retired shard revocation (type bytes 7 and 8): the
-    // wire table says so and no frame of that name is left.
-    assert!(frame.contains("pub const PROTO_VERSION: u32 = 2;"));
-    assert!(dist_doc.contains("retired in revision 2"));
-    for gone in ["Revoke", "Revoked"] {
-        assert!(!frame.contains(gone), "frame.rs still defines {gone}");
-        assert!(
-            !dist_doc.contains(&format!("`{gone}`")),
-            "docs/DISTRIBUTED.md still documents {gone}"
+            doc.contains("/batch"),
+            "{name} does not name the /batch wire"
         );
     }
-
-    // The documented dist.* metric names are the ones the coordinator
-    // registers/exports, and the metric-name table knows them too.
-    for metric in [
-        "dist.workers",
-        "dist.workers_live",
-        "dist.batches_streamed",
-        "dist.batches_inflight",
-        "dist.jobs_sent",
-        "dist.results_received",
-        "dist.local_jobs",
-        "dist.coordinator_jobs",
-        "dist.coordinator_primed_jobs",
-        "dist.shard_reissues",
-        "dist.worker_deaths",
-        "dist.corrupt_entries",
-        "dist.duplicate_results",
-        "dist.worker_errors",
-        "dist.retries",
-        "dist.bytes_sent",
-        "dist.bytes_received",
-        "dist.wait_us",
-        "dist.service_us",
+    // No frame protocol is left to document.
+    for gone in [
+        "frame.rs",
+        "worker.rs",
+        "worker --listen",
+        "PROTO_VERSION",
+        "`Hello`",
+        "`HelloAck`",
+        "`Heartbeat`",
+        "`ShardDone`",
+        "`JobError`",
+        "heartbeat_timeout",
     ] {
         for (doc, name) in [
             (&dist_doc, "docs/DISTRIBUTED.md"),
-            (&obs_doc, "docs/OBSERVABILITY.md"),
-            (&coordinator, "coordinator.rs"),
+            (&design, "DESIGN.md"),
+            (&readme, "README.md"),
+            (&sched_doc, "docs/SCHEDULER.md"),
         ] {
-            assert!(doc.contains(metric), "{name} missing metric {metric}");
+            assert!(!doc.contains(gone), "{name} still documents {gone}");
         }
+    }
+    for gone in ["frame.rs", "worker.rs"] {
+        assert!(
+            !repo_root().join("crates/dist/src").join(gone).exists(),
+            "crates/dist/src/{gone} is back"
+        );
+    }
+
+    // The documented dist.* names are exactly the ones the coordinator
+    // exports, in both directions, in both metric tables.
+    let sched = syncperf_sched::Scheduler::new(syncperf_sched::SchedConfig::new(1).without_cache());
+    let coord =
+        syncperf_dist::Coordinator::start(syncperf_dist::DistConfig::new(Vec::new()), &sched)
+            .unwrap();
+    let mut registry = syncperf_core::obs::Snapshot::default();
+    coord.export_into(&mut registry);
+    let exported_dist: BTreeSet<&str> = registry
+        .counters
+        .keys()
+        .chain(registry.gauges.keys())
+        .chain(registry.histograms.keys())
+        .map(String::as_str)
+        .collect();
+    for (doc, name) in [
+        (&dist_doc, "docs/DISTRIBUTED.md"),
+        (&obs_doc, "docs/OBSERVABILITY.md"),
+    ] {
+        let documented: BTreeSet<&str> = doc
+            .split('`')
+            .skip(1)
+            .step_by(2)
+            .filter(|t| {
+                t.starts_with("dist.")
+                    && t.chars()
+                        .all(|c| c.is_ascii_lowercase() || c == '_' || c == '.')
+            })
+            .collect();
+        assert_eq!(documented, exported_dist, "{name}'s dist.* names");
+    }
+    for metric in &exported_dist {
+        assert!(
+            coordinator.contains(metric),
+            "coordinator.rs missing {metric}"
+        );
     }
 
     // Exposition schema sync: the `sched_*`/`dist_*` metric names
     // docs/SCHEDULER.md lists are exactly the ones `--metrics` renders
     // for a scheduler with a dist coordinator attached (histograms
     // count once, without their `_min`/`_max` companions).
-    let sched = syncperf_sched::Scheduler::new(syncperf_sched::SchedConfig::new(1).without_cache());
-    let coord = syncperf_dist::Coordinator::start(syncperf_dist::DistConfig::new(Vec::new()), None)
-        .unwrap();
-    coord.attach(&sched);
     let mut snap = syncperf_core::obs::Snapshot::default();
     sched.export_into(&mut snap);
     let exposition = syncperf_core::obs::metrics::render(&snap);
@@ -359,6 +382,7 @@ fn serving_docs_match_the_endpoints_and_code() {
         "/query",
         "/figure/",
         "/compute",
+        "/batch",
         "/metrics",
         "/events",
         "/stats",
@@ -517,16 +541,20 @@ fn serving_event_loop_and_load_docs_match_the_code() {
         );
     }
     // The load lane drives a two-process fleet: start_serve_fleet
-    // starts two `serve` processes and waits for both ready lines.
+    // starts as many `serve` processes as it is asked for and waits
+    // for every ready line, and the load lane asks for two.
     let fleet = ci
         .split_once("start_serve_fleet() {")
         .and_then(|(_, rest)| rest.split_once("\n}\n"))
         .map(|(body, _)| body)
         .expect("ci.sh defines start_serve_fleet");
-    assert!(fleet.contains("for _ in 1 2; do"), "{fleet}");
+    assert!(fleet.contains("for _ in $(seq 1 \"$2\"); do"), "{fleet}");
     assert!(fleet.contains("release/serve"), "{fleet}");
-    assert!(fleet.contains("'s#^listening on http://##p' 2)"), "{fleet}");
-    assert!(ci.contains("start_serve_fleet ci_load_results"));
+    assert!(
+        fleet.contains("'s#^listening on http://##p' \"$2\")"),
+        "{fleet}"
+    );
+    assert!(ci.contains("start_serve_fleet ci_load_results 2\n"));
     let report = read("BENCH_serve.json");
     let parsed = syncperf::core::obs::json::parse(&report).expect("BENCH_serve.json parses");
     for field in [

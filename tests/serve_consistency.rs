@@ -885,3 +885,123 @@ fn concurrent_multi_writer_computes_share_the_cache_without_tears() {
     replica_b.shutdown();
     let _ = std::fs::remove_dir_all(&results);
 }
+
+/// A `/batch` shard body: `(hash, wire job)` items under `salt`.
+fn shard(salt: &str, items: &[(u64, &str)]) -> String {
+    let jobs: Vec<String> = items
+        .iter()
+        .map(|(hash, job)| format!("{{\"hash\":\"{hash:016x}\",\"job\":{job}}}"))
+        .collect();
+    format!("{{\"salt\":\"{salt}\",\"jobs\":[{}]}}", jobs.join(","))
+}
+
+/// One small CPU simulator job at `threads`, with its hash under the
+/// default salt and its wire form.
+fn wire_job(threads: u32) -> (syncperf_sched::JobSpec, u64, String) {
+    use syncperf_core::{kernel, ExecParams, Protocol, SYSTEM3};
+    let job = syncperf_sched::JobSpec::cpu_sim(
+        &SYSTEM3,
+        kernel::omp_barrier(),
+        ExecParams::new(threads).with_loops(20, 4),
+        Protocol::SIM,
+    );
+    let hash = syncperf_sched::job_hash_with_salt(&job, 0);
+    let wire = syncperf_sched::encode_job(&job).expect("a simulator job travels");
+    (job, hash, wire)
+}
+
+#[test]
+fn batch_refuses_what_it_cannot_run_under_the_sent_hash() {
+    let results = tmp("batch-refuse");
+    let server = start_server(&results, None);
+    let addr = server.addr();
+    let salt = format!("{}/0", syncperf_sched::SCHED_SALT);
+
+    // An empty shard is the coordinator's handshake: 200, no records.
+    assert_eq!(
+        post(addr, "/batch", &shard(&salt, &[])),
+        (200, String::new())
+    );
+
+    // Another salt is a conflict that names both.
+    let (status, body) = post(addr, "/batch", &shard("syncperf-sched-v0/7", &[]));
+    assert_eq!(status, 409, "{body}");
+    assert!(
+        body.contains("syncperf-sched-v0/7") && body.contains(&salt),
+        "{body}"
+    );
+
+    // Unparseable bodies, and shards without jobs, are bad requests.
+    for garbage in [
+        "not json",
+        "{\"salt\": 3}",
+        &format!("{{\"salt\":\"{salt}\"}}"),
+    ] {
+        assert_eq!(post(addr, "/batch", garbage).0, 400, "{garbage}");
+    }
+
+    // A job that does not re-hash to its sent hash is refused, and
+    // nothing is ever stored under that hash.
+    let (_, hash, wire) = wire_job(4);
+    let wrong = hash ^ 1;
+    let (status, body) = post(addr, "/batch", &shard(&salt, &[(wrong, &wire)]));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains(&syncperf_sched::hash::hex16(wrong)), "{body}");
+    let tampered = wire.replace("\"threads\":4", "\"threads\":5");
+    assert_eq!(
+        post(addr, "/batch", &shard(&salt, &[(hash, &tampered)])).0,
+        400
+    );
+    for h in [wrong, hash] {
+        assert_eq!(get(addr, &format!("/job/{h:016x}")).0, 404);
+    }
+
+    // Jobs that cannot travel: real OpenMP threads, model overrides.
+    let real = wire.replace("\"exec\":\"cpu-sim\"", "\"exec\":\"real-omp\"");
+    let model = wire.replacen('{', "{\"model\":{},", 1);
+    for job in [&real, &model] {
+        let (status, body) = post(addr, "/batch", &shard(&salt, &[(hash, job)]));
+        assert_eq!(status, 422, "{body}");
+    }
+    let (_, stats) = get(addr, "/stats");
+    assert!(stats.contains("\"cache_stores\": 0"), "{stats}");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&results);
+}
+
+#[test]
+fn batch_answers_the_entry_bytes_of_a_local_run() {
+    let results = tmp("batch-bytes");
+    let server = start_server(&results, None);
+    let addr = server.addr();
+    let salt = format!("{}/0", syncperf_sched::SCHED_SALT);
+    let jobs: Vec<_> = (2..6).map(wire_job).collect();
+    let items: Vec<(u64, &str)> = jobs.iter().map(|(_, h, w)| (*h, w.as_str())).collect();
+
+    let (status, body) = post(addr, "/batch", &shard(&salt, &items));
+    assert_eq!(status, 200, "{body}");
+    let records = syncperf_sched::batch_records(&body);
+    assert_eq!(records.len(), jobs.len(), "one record per job: {body}");
+    for ((job, hash, _), (got, entry)) in jobs.iter().zip(&records) {
+        assert_eq!(got, hash, "records come back in request order");
+        let local = syncperf_sched::execute_job_with_retry(job, *hash, |_| {}).unwrap();
+        assert_eq!(*entry, encode_measurement(*hash, &local));
+        let (status, by_hash) = get(addr, &format!("/job/{hash:016x}"));
+        assert_eq!(status, 200, "the replica cached what it ran");
+        assert_eq!(measurement_of(&by_hash), *entry);
+    }
+    // The shard ran as one primed batch, and the endpoint has its own
+    // latency histogram.
+    let (_, metrics) = get(addr, "/metrics");
+    let metric = |name: &str| {
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("{name} "))?.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("{name} missing from /metrics"))
+    };
+    assert_eq!(metric("sched_plan_primed_jobs"), jobs.len() as u64);
+    assert_eq!(metric("serve_endpoint_batch_requests"), 1);
+    assert!(metrics.contains("# TYPE serve_endpoint_batch_latency_us histogram"));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&results);
+}
