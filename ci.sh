@@ -453,6 +453,18 @@ coord_primed=$(prom results/metrics_dist.prom dist_coordinator_primed_jobs)
 echo "distributed run coordinator-primed jobs: ${coord_primed}"
 [ "${coord_primed:-0}" -gt 0 ] || {
   echo "dist coordinator primed nothing (dist_coordinator_primed_jobs=${coord_primed:-missing})"; exit 1; }
+# The jobs travel (docs/DISTRIBUTED.md): the byte diff above would pass
+# with every job run on the coordinator. A cold all_figures keeps 61
+# jobs local; each of the other 3,105 is either answered by a replica
+# or taken back from the backlog by the idle coordinator.
+local_jobs=$(prom results/metrics_dist.prom dist_local_jobs)
+received=$(prom results/metrics_dist.prom dist_results_received)
+drained=$(prom results/metrics_dist.prom dist_coordinator_jobs)
+echo "distributed run: ${received:-0} results received, ${drained:-0} drained, ${local_jobs:-missing} local"
+[ -n "$local_jobs" ] && [ "$local_jobs" -le 61 ] || {
+  echo "dist kept more than 61 jobs local (dist_local_jobs=${local_jobs:-missing})"; exit 1; }
+[ $(( ${received:-0} + ${drained:-0} )) -ge 3105 ] || {
+  echo "fewer than 3105 jobs went to the fleet (results ${received:-missing}, drained ${drained:-missing})"; exit 1; }
 stop_serve_fleet
 
 echo "==> distributed chaos lane (sever one replica's connection mid-sweep)"

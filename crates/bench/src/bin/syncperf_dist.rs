@@ -139,6 +139,7 @@ fn cold_run_ms(root: &std::path::Path, tag: &str, dist: bool) -> syncperf_core::
         Some(fleet) => Some(syncperf_dist::Coordinator::start(
             syncperf_dist::DistConfig::new(fleet.addrs.clone()),
             &sched,
+            syncperf_bench::serving::default_resolver(),
         )?),
         None => None,
     };

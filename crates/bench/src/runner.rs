@@ -371,18 +371,22 @@ fn render_sched_summary(stats: &syncperf_sched::SchedStats) -> String {
 
 /// The process's metrics snapshot: `rec` (engine, protocol and runtime
 /// counters) merged with `sched`'s registry through
-/// [`Scheduler::export_into`](syncperf_sched::Scheduler::export_into),
-/// which carries the dist coordinator's too when one is attached.
+/// [`Scheduler::export_into`](syncperf_sched::Scheduler::export_into)
+/// and with `coord`'s `dist.*` registry when a fleet is attached.
 /// `--metrics`, `--metrics-addr`, and the `--trace` file and summary
 /// all render this one snapshot.
 #[must_use]
 pub fn process_snapshot(
     rec: &Recorder,
     sched: Option<&syncperf_sched::Scheduler>,
+    coord: Option<&syncperf_dist::Coordinator>,
 ) -> obs::Snapshot {
     let mut snap = rec.snapshot();
     if let Some(s) = sched {
         s.export_into(&mut snap);
+    }
+    if let Some(c) = coord {
+        c.export_into(&mut snap);
     }
     snap
 }
@@ -444,7 +448,11 @@ pub fn session<T>(opts: &RunOptions, body: impl FnOnce() -> Result<T>) -> Result
         if let Some(n) = opts.chaos_kill_one {
             dcfg = dcfg.with_chaos_kill_one_after(n);
         }
-        Some(syncperf_dist::Coordinator::start(dcfg, s)?)
+        Some(syncperf_dist::Coordinator::start(
+            dcfg,
+            s,
+            crate::serving::default_resolver(),
+        )?)
     } else {
         None
     };
@@ -452,9 +460,9 @@ pub fn session<T>(opts: &RunOptions, body: impl FnOnce() -> Result<T>) -> Result
     if let Some(addr) = &opts.metrics_addr {
         // Live scrape endpoint for syncperf_top: each request renders a
         // fresh process snapshot.
-        let (rec, sched) = (rec.clone(), sched.clone());
+        let (rec, sched, coord) = (rec.clone(), sched.clone(), coord.clone());
         let bound = syncperf_serve::metrics_endpoint(addr, move || {
-            process_snapshot(&rec, sched.as_deref())
+            process_snapshot(&rec, sched.as_deref(), coord.as_deref())
         })?;
         println!("metrics listening on http://{bound}/metrics");
         use std::io::Write as _;
@@ -474,7 +482,7 @@ pub fn session<T>(opts: &RunOptions, body: impl FnOnce() -> Result<T>) -> Result
         syncperf_sched::uninstall();
     }
     // Every sink below reads this one snapshot.
-    let snap = process_snapshot(&rec, sched.as_deref());
+    let snap = process_snapshot(&rec, sched.as_deref(), coord.as_deref());
     if sched.is_some() {
         print!(
             "{}",

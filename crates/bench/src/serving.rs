@@ -8,7 +8,7 @@ use syncperf_core::{Affinity, SystemSpec, SYSTEM1, SYSTEM2, SYSTEM3};
 use syncperf_sched::JobSpec;
 use syncperf_serve::{ComputeRequest, Resolver};
 
-use crate::codes::{kernel_inventory, AnyKernel};
+use crate::codes::{registry, AnyKernel};
 use crate::common::{paper_loops, protocol};
 
 /// Parses a paper-facing affinity label (`spread`, `close`, `system`).
@@ -36,14 +36,15 @@ pub fn system_for(id: Option<u32>) -> Option<&'static SystemSpec> {
     }
 }
 
-/// Resolves one compute request against the full kernel inventory.
-/// Returns `None` for unknown kernels, executors, or affinity labels —
-/// the service answers 422 for those.
+/// Resolves one compute request against the kernels of the static
+/// [`registry`]. Returns `None` for unknown kernels, executors,
+/// affinity labels or systems — the service answers 422 for those.
 #[must_use]
 pub fn resolve(req: &ComputeRequest) -> Option<JobSpec> {
-    let kernel = kernel_inventory()
-        .into_iter()
-        .find(|k| k.kernel.name() == req.kernel)?
+    let kernel = &registry()
+        .iter()
+        .flat_map(|code| &code.instances)
+        .find(|inst| inst.kernel.name() == req.kernel)?
         .kernel;
     let mut params = paper_loops(req.threads);
     if let (Some(n_iter), Some(n_unroll)) = (req.n_iter, req.n_unroll) {
@@ -56,10 +57,14 @@ pub fn resolve(req: &ComputeRequest) -> Option<JobSpec> {
         params = params.with_affinity(parse_affinity(label)?);
     }
     params.validate().ok()?;
-    let system = system_for(None)?;
+    let system = system_for(req.system)?;
     match (req.executor.as_str(), kernel) {
-        ("cpu-sim", AnyKernel::Cpu(k)) => Some(JobSpec::cpu_sim(system, k, params, protocol())),
-        ("gpu-sim", AnyKernel::Gpu(k)) => Some(JobSpec::gpu_sim(system, k, params, protocol())),
+        ("cpu-sim", AnyKernel::Cpu(k)) => {
+            Some(JobSpec::cpu_sim(system, k.clone(), params, protocol()))
+        }
+        ("gpu-sim", AnyKernel::Gpu(k)) => {
+            Some(JobSpec::gpu_sim(system, k.clone(), params, protocol()))
+        }
         // Real-thread jobs are host-scoped (their hash embeds the host
         // fingerprint); serving them remotely would hand out results
         // that no other host could reproduce, so the service refuses.
@@ -120,6 +125,52 @@ mod tests {
 
         req.affinity = Some("bogus".into());
         assert!(resolve(&req).is_none());
+    }
+
+    #[test]
+    fn the_system_field_selects_the_simulated_system() {
+        let mut req = request("cpu-sim", "omp_barrier", 8);
+        for (id, spec) in [(None, &SYSTEM3), (Some(1), &SYSTEM1), (Some(2), &SYSTEM2)] {
+            req.system = id;
+            let Some(JobSpec::CpuSim { system, .. }) = resolve(&req) else {
+                panic!("system {id:?} resolves");
+            };
+            assert_eq!(system, *spec);
+        }
+        for bad in [0, 4] {
+            req.system = Some(bad);
+            assert!(resolve(&req).is_none(), "system {bad}");
+        }
+    }
+
+    #[test]
+    fn every_inventory_kernel_resolves_to_its_paper_job() {
+        // The registry lookup builds, for every audited kernel instance,
+        // the job a scan of the cloned inventory built.
+        let inventory = crate::codes::kernel_inventory();
+        assert_eq!(inventory.len(), 96);
+        for inst in &inventory {
+            let (executor, blocks) = match inst.kernel {
+                AnyKernel::Cpu(_) => ("cpu-sim", None),
+                AnyKernel::Gpu(_) => ("gpu-sim", Some(2)),
+            };
+            let mut req = request(executor, inst.kernel.name(), 8);
+            req.blocks = blocks;
+            let mut params = paper_loops(8);
+            if let Some(b) = blocks {
+                params = params.with_blocks(b);
+            }
+            // The first instance of a name is the one a lookup finds.
+            let first = inventory
+                .iter()
+                .find(|k| k.kernel.name() == inst.kernel.name())
+                .unwrap();
+            let expected = match first.kernel.clone() {
+                AnyKernel::Cpu(k) => JobSpec::cpu_sim(&SYSTEM3, k, params, protocol()),
+                AnyKernel::Gpu(k) => JobSpec::gpu_sim(&SYSTEM3, k, params, protocol()),
+            };
+            assert_eq!(resolve(&req), Some(expected), "{}", inst.kernel.name());
+        }
     }
 
     #[test]

@@ -33,12 +33,14 @@ use std::time::{Duration, Instant};
 
 use syncperf_core::obs::{Counter, Gauge, Recorder, Snapshot};
 use syncperf_sched::{
-    batch_records, decode_measurement, execute_job_with_retry_primed, shard_body, shard_item,
-    BackendExec, Cache, JobSpec, Scheduler,
+    decode_measurement, execute_job_with_retry_primed, BackendExec, Cache, JobSpec, Scheduler,
 };
 use syncperf_serve::http::MAX_BODY_BYTES;
 use syncperf_serve::reactor::{Poller, RDHUP, READABLE};
-use syncperf_serve::{try_parse_response, ClientResponse, ParseStep};
+use syncperf_serve::{
+    batch_records, shard_body, shard_item, try_parse_response, ClientResponse, ComputeRequest,
+    ParseStep, Resolver,
+};
 
 /// Shards in flight per replica: one computing, one queued behind it.
 const DEPTH: usize = 2;
@@ -46,6 +48,17 @@ const DEPTH: usize = 2;
 /// A batch's hash range is cut into about this many chunks per live
 /// replica, so the backlog can follow the fleet's real throughput.
 const WAVES: usize = 8;
+
+/// The `/compute` request from which `resolver` rebuilds exactly `job`,
+/// or `None` when `job` stays on the coordinator: a real-thread job, a
+/// model override, or a kernel or parameter point no request names.
+/// A replica resolves each shard item with the same registry, so only
+/// these requests travel.
+#[must_use]
+pub fn wire_request(job: &JobSpec, resolver: &Resolver) -> Option<ComputeRequest> {
+    let req = ComputeRequest::of(job);
+    (resolver(&req).as_ref() == Some(job)).then_some(req)
+}
 
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
@@ -150,7 +163,8 @@ pub struct DistStats {
     pub corrupt_entries: u64,
     /// Results for an already-merged hash, dropped by the dedup.
     pub duplicate_results: u64,
-    /// Jobs that cannot travel, executed on the coordinator.
+    /// Jobs that cannot travel ([`wire_request`] is `None`), executed
+    /// on the coordinator.
     pub local_jobs: u64,
     /// Backlog jobs the work-conserving coordinator executed inline.
     pub coordinator_jobs: u64,
@@ -253,6 +267,8 @@ pub struct Coordinator {
     cfg: DistConfig,
     /// The attached scheduler's salt, carried by every shard.
     salt: String,
+    /// Decides which jobs travel ([`wire_request`]).
+    resolver: Resolver,
     /// Locked for the whole of every batch — the lock doubles as the
     /// one-batch-at-a-time guard.
     replicas: Mutex<Vec<Replica>>,
@@ -283,17 +299,21 @@ impl std::fmt::Debug for Coordinator {
 
 impl Coordinator {
     /// Starts a coordinator over the replicas in `cfg.connect` and
-    /// installs it as `sched`'s execution backend and telemetry export
-    /// hook: every cache miss `sched` sees is routed through
-    /// [`Coordinator::run_batch`], and every export carries the
-    /// `dist.*` metrics. Each replica is dialed and posted an empty
+    /// installs it as `sched`'s execution backend: every cache miss
+    /// `sched` sees is routed through [`Coordinator::run_batch`], which
+    /// sends the jobs `resolver` rebuilds ([`wire_request`]) and runs
+    /// the rest itself. Each replica is dialed and posted an empty
     /// shard carrying `sched`'s salt; only a 200 admits it.
     ///
     /// # Errors
     ///
     /// Fails, naming the replica, when a dial is refused or times out,
     /// or a replica answers anything but 200 (a 409 names both salts).
-    pub fn start(cfg: DistConfig, sched: &Scheduler) -> io::Result<Arc<Coordinator>> {
+    pub fn start(
+        cfg: DistConfig,
+        sched: &Scheduler,
+        resolver: Resolver,
+    ) -> io::Result<Arc<Coordinator>> {
         let registry = Recorder::enabled();
         let counters = Counters::new(&registry);
         let replicas = cfg
@@ -328,6 +348,7 @@ impl Coordinator {
         let coord = Arc::new(Coordinator {
             cfg,
             salt: sched.salt().to_string(),
+            resolver,
             replicas: Mutex::new(replicas),
             poller: Poller::new()?,
             registry,
@@ -346,8 +367,6 @@ impl Coordinator {
         }
         let c = Arc::clone(&coord);
         sched.set_exec_backend(move |todo| c.run_batch(todo));
-        let c = Arc::clone(&coord);
-        sched.set_export_hook(move |snap| c.export_into(snap));
         Ok(coord)
     }
 
@@ -425,10 +444,9 @@ impl Coordinator {
     }
 
     /// Merges the coordinator's registry — `dist.*` counters and the
-    /// live-replica gauge — into `snap`. Wired into
-    /// `Scheduler::export_into` by [`Coordinator::start`], so
-    /// `--metrics`, `--metrics-addr`, and any `/metrics` endpoint pick
-    /// it up automatically.
+    /// live-replica gauge — into `snap`. The runner's process snapshot
+    /// calls it, so `--metrics`, `--metrics-addr` and `--trace` carry
+    /// the `dist.*` rows.
     pub fn export_into(&self, snap: &mut Snapshot) {
         snap.merge(&self.registry.snapshot());
     }
@@ -455,11 +473,12 @@ impl Coordinator {
         let mut local: Vec<(usize, JobSpec, u64)> = Vec::new();
         for (index, job, hash) in todo {
             // An identical job submitted twice in one batch runs locally
-            // rather than double-issue, as does a job with no wire
-            // encoding or one too large for any shard.
+            // rather than double-issue, as does a job no request names
+            // or one too large for any shard.
             let payload = (!b.pending.contains_key(hash))
-                .then(|| shard_item(*hash, job))
+                .then(|| wire_request(job, &self.resolver))
                 .flatten()
+                .map(|req| shard_item(*hash, &req))
                 .filter(|p| p.len() < budget);
             let Some(payload) = payload else {
                 local.push((*index, job.clone(), *hash));

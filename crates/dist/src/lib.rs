@@ -5,10 +5,14 @@
 //! reach — while keeping the output **byte-identical** to a serial
 //! `--jobs N` run. The fleet speaks the one network protocol the repo
 //! has: each shard of misses travels as a `POST /batch` (see
-//! `syncperf_serve`), its jobs in [`syncperf_sched::codec`]'s wire
-//! form, and comes back as raw cache-entry bytes. Jobs that cannot
-//! travel (real OpenMP threads, model overrides) stay on the
-//! coordinator.
+//! `syncperf_serve`), each job as the `/compute` body a replica
+//! resolves it from, and comes back as raw cache-entry bytes. A job
+//! travels only when the replica's resolver rebuilds exactly that job
+//! from its request ([`wire_request`]); the rest stay on the
+//! coordinator: real OpenMP threads, model overrides, kernels outside
+//! the `/compute` registry (the scalar And/Min/Or/Sub/Xor atomics and
+//! the divergence kernels of the CUDA experiments), and parameter
+//! points or protocols no request names.
 //!
 //! The [`coordinator`] partitions cache misses into hash-range shards,
 //! merges results exactly-once (content-hash dedup), feeds idle
@@ -30,4 +34,4 @@
 
 pub mod coordinator;
 
-pub use coordinator::{Coordinator, DistConfig, DistStats};
+pub use coordinator::{wire_request, Coordinator, DistConfig, DistStats};

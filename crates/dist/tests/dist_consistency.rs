@@ -1,5 +1,9 @@
 //! Merge-correctness tests for the coordinator over `POST /batch`.
 //!
+//! Every replica and coordinator here resolves jobs with [`resolver`],
+//! which names two kernels under the quick simulator protocol, so the
+//! jobs below travel as their `/compute` requests.
+//!
 //! Two rigs are used. The replica tests start in-process serve
 //! replicas (`Server::start`) and drive them through
 //! [`Coordinator::start`], as a figure binary's `--connect` does: a
@@ -25,11 +29,45 @@ use syncperf_core::obs::{self, Snapshot};
 use syncperf_core::{kernel, ExecParams, Protocol, SYSTEM3};
 use syncperf_dist::{Coordinator, DistConfig, DistStats};
 use syncperf_sched::{
-    decode_shard, encode_measurement, execute_job_with_retry, job_hash_with_salt,
-    push_batch_record, BackendExec, Cache, JobSpec, SchedConfig, Scheduler,
+    encode_measurement, execute_job_with_retry, job_hash_with_salt, BackendExec, Cache, JobSpec,
+    SchedConfig, Scheduler,
 };
 use syncperf_serve::http::{read_request, write_response};
-use syncperf_serve::{Response, ServeConfig, Server};
+use syncperf_serve::{
+    decode_shard, push_batch_record, ComputeRequest, Resolver, Response, ServeConfig, Server,
+};
+
+/// The test fleet's kernel registry: `omp_barrier` and
+/// `cuda_syncthreads` on System 3 under [`Protocol::SIM`], at the
+/// request's threads, blocks and loops.
+fn resolver() -> Resolver {
+    Box::new(|req: &ComputeRequest| {
+        let params = ExecParams::new(req.threads)
+            .with_blocks(req.blocks.unwrap_or(1))
+            .with_loops(req.n_iter?, req.n_unroll?);
+        match (req.executor.as_str(), req.kernel.as_str()) {
+            ("cpu-sim", "omp_barrier") => Some(JobSpec::cpu_sim(
+                &SYSTEM3,
+                kernel::omp_barrier(),
+                params,
+                Protocol::SIM,
+            )),
+            ("gpu-sim", "cuda_syncthreads") => Some(JobSpec::gpu_sim(
+                &SYSTEM3,
+                kernel::cuda_syncthreads(),
+                params,
+                Protocol::SIM,
+            )),
+            _ => None,
+        }
+    })
+}
+
+/// Starts a coordinator over `cfg`'s replicas, attached to `sched`,
+/// with the test [`resolver`].
+fn start_coordinator(cfg: DistConfig, sched: &Scheduler) -> io::Result<Arc<Coordinator>> {
+    Coordinator::start(cfg, sched, resolver())
+}
 
 /// `n` distinct simulator jobs, cheap enough to execute many times.
 fn make_jobs(n: usize) -> Vec<(usize, JobSpec, u64)> {
@@ -116,7 +154,7 @@ fn replica_with(
             .with_cache_dir(dir.join(".cache"))
             .with_salt_extra(salt_extra),
     ));
-    let mut cfg = ServeConfig::new(Arc::clone(&sched), Box::new(|_| None));
+    let mut cfg = ServeConfig::new(Arc::clone(&sched), resolver());
     cfg.results_dir = dir.to_path_buf();
     tweak(&mut cfg);
     (Server::start(cfg).expect("replica starts"), sched)
@@ -167,7 +205,7 @@ fn connect_fleet_merges_exactly_once_when_a_connection_is_severed() {
             cfg = cfg.with_chaos_kill_one_after(k);
         }
         let sched = coordinator_sched();
-        let coord = Coordinator::start(cfg, &sched).unwrap();
+        let coord = start_coordinator(cfg, &sched).unwrap();
         // A sweep is many batches: the one after the death runs on the
         // two live replicas.
         for round in 0..2 {
@@ -213,7 +251,7 @@ fn an_idle_peer_cannot_wedge_a_replica_or_its_coordinators() {
     let batch = todo.clone();
     let coordinator = thread::spawn(move || {
         let sched = coordinator_sched();
-        let out = Coordinator::start(DistConfig::new(vec![addr]), &sched).map(|coord| {
+        let out = start_coordinator(DistConfig::new(vec![addr]), &sched).map(|coord| {
             let out = coord.run_batch(&batch);
             let sent = coord.stats().jobs_sent;
             coord.shutdown();
@@ -238,7 +276,7 @@ fn wire_results_and_cache_entries_match_local_execution_bytes() {
     let dir = tmp("bytes");
     let (servers, scheds, addrs) = fleet(&dir, 2);
     let sched = Scheduler::new(SchedConfig::new(1).with_cache_dir(dir.join("coord")));
-    let coord = Coordinator::start(DistConfig::new(addrs), &sched).unwrap();
+    let coord = start_coordinator(DistConfig::new(addrs), &sched).unwrap();
 
     let todo = make_jobs(8);
     let out = coord.run_batch(&todo);
@@ -283,6 +321,52 @@ fn wire_results_and_cache_entries_match_local_execution_bytes() {
 }
 
 #[test]
+fn jobs_the_resolver_cannot_rebuild_stay_local() {
+    let dir = tmp("local");
+    let (server, _) = replica(&dir, 0);
+    let sched = coordinator_sched();
+    let coord =
+        start_coordinator(DistConfig::new(vec![server.addr().to_string()]), &sched).unwrap();
+    // Four jobs the resolver rebuilds, then one whose warmup count and
+    // one whose model no request names.
+    let mut todo = make_jobs(4);
+    let params = ExecParams::new(3).with_loops(20, 4);
+    let model = syncperf_cpu_sim::CpuModel::for_system(&SYSTEM3.cpu, SYSTEM3.cpu_jitter);
+    for job in [
+        JobSpec::cpu_sim(
+            &SYSTEM3,
+            kernel::omp_barrier(),
+            params.with_warmup(1),
+            Protocol::SIM,
+        ),
+        JobSpec::cpu_sim_with_model(
+            &SYSTEM3,
+            model,
+            kernel::omp_barrier(),
+            params,
+            Protocol::SIM,
+        ),
+    ] {
+        let hash = job_hash_with_salt(&job, 0);
+        todo.push((todo.len(), job, hash));
+    }
+    let out = coord.run_batch(&todo);
+    assert_exactly_once(&out, todo.len());
+    for (index, job, hash) in &todo {
+        let got = out.iter().find(|b| b.index == *index).unwrap();
+        assert_eq!(
+            encode_measurement(*hash, got.result.as_ref().unwrap()),
+            real_entry(job, *hash),
+        );
+    }
+    let st = coord.stats();
+    assert_eq!((st.jobs_sent, st.local_jobs), (4, 2), "{st:?}");
+    coord.shutdown();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn connection_close_is_not_a_death() {
     // Serve closes a connection after 128 requests. The handshake is
     // request 1 and each batch sends two pipelined shards, so request
@@ -295,7 +379,7 @@ fn connection_close_is_not_a_death() {
     let (server, _) = replica_with(&dir, 0, |cfg| cfg.request_timeout = idle);
     let sched = coordinator_sched();
     let coord =
-        Coordinator::start(DistConfig::new(vec![server.addr().to_string()]), &sched).unwrap();
+        start_coordinator(DistConfig::new(vec![server.addr().to_string()]), &sched).unwrap();
     let todo = make_jobs(8);
     for _ in 0..70 {
         assert_exactly_once(&coord.run_batch(&todo), todo.len());
@@ -320,7 +404,7 @@ fn start_fails_by_name_on_another_salt_or_a_refused_dial() {
     let (server, _) = replica(&dir, 1);
     let addr = server.addr().to_string();
     let err =
-        Coordinator::start(DistConfig::new(vec![addr.clone()]), &coordinator_sched()).unwrap_err();
+        start_coordinator(DistConfig::new(vec![addr.clone()]), &coordinator_sched()).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains(&addr) && msg.contains("409"), "{msg}");
     let salt = |extra: u64| format!("{}/{extra}", syncperf_sched::SCHED_SALT);
@@ -332,7 +416,7 @@ fn start_fails_by_name_on_another_salt_or_a_refused_dial() {
         .unwrap()
         .local_addr()
         .unwrap();
-    let err = Coordinator::start(
+    let err = start_coordinator(
         DistConfig::new(vec![free.to_string()]),
         &coordinator_sched(),
     )
@@ -365,7 +449,7 @@ fn a_dial_that_cannot_complete_times_out() {
     let timeout = Duration::from_millis(500);
     let cfg = DistConfig::new(vec![addr.to_string()]).with_timeout(timeout);
     let start = Instant::now();
-    let err = Coordinator::start(cfg, &coordinator_sched()).unwrap_err();
+    let err = start_coordinator(cfg, &coordinator_sched()).unwrap_err();
     let took = start.elapsed();
     assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
     assert!(took >= timeout && took < timeout * 4, "start took {took:?}");
@@ -378,12 +462,18 @@ fn a_dial_that_cannot_complete_times_out() {
 struct Peer(TcpStream);
 
 impl Peer {
-    /// Reads the next `/batch` request and decodes its shard.
+    /// Reads the next `/batch` request, decodes its shard and resolves
+    /// each item, as a replica would.
     fn next_shard(&mut self) -> Vec<(u64, JobSpec)> {
         let req = read_request(&mut self.0).expect("a shard request");
         assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/batch"));
         let salt = format!("{}/0", syncperf_sched::SCHED_SALT);
-        decode_shard(&req.body, &salt).expect("a shard under the default salt")
+        let resolve = resolver();
+        decode_shard(&req.body, &salt)
+            .expect("a shard under the default salt")
+            .into_iter()
+            .map(|(hash, req)| (hash, resolve(&req).expect("the item resolves")))
+            .collect()
     }
 
     /// Answers the oldest unanswered request.
@@ -441,7 +531,7 @@ fn duplicate_completion_of_same_hash_merges_exactly_once() {
         drain(w);
     });
     let sched = coordinator_sched();
-    let coord = Coordinator::start(DistConfig::new(vec![addr]), &sched).unwrap();
+    let coord = start_coordinator(DistConfig::new(vec![addr]), &sched).unwrap();
     let todo = make_jobs(4);
     let out = coord.run_batch(&todo);
     assert_exactly_once(&out, todo.len());
@@ -466,7 +556,7 @@ fn corrupt_wire_entry_is_counted_and_recomputed() {
         drain(w);
     });
     let sched = coordinator_sched();
-    let coord = Coordinator::start(DistConfig::new(vec![addr]), &sched).unwrap();
+    let coord = start_coordinator(DistConfig::new(vec![addr]), &sched).unwrap();
     let todo = make_jobs(4);
     let out = coord.run_batch(&todo);
     assert_exactly_once(&out, todo.len());
@@ -500,7 +590,7 @@ fn reissued_shard_with_overlapping_range_converges_exactly_once() {
         drain(w);
     });
     let sched = coordinator_sched();
-    let coord = Coordinator::start(DistConfig::new(vec![addr]), &sched).unwrap();
+    let coord = start_coordinator(DistConfig::new(vec![addr]), &sched).unwrap();
     let todo = make_jobs(4);
     let out = coord.run_batch(&todo);
     assert_exactly_once(&out, todo.len());
@@ -522,7 +612,7 @@ fn replica_death_mid_shard_reissues_and_finishes_locally() {
         drop(w);
     });
     let sched = coordinator_sched();
-    let coord = Coordinator::start(DistConfig::new(vec![addr]), &sched).unwrap();
+    let coord = start_coordinator(DistConfig::new(vec![addr]), &sched).unwrap();
     let todo = make_jobs(8);
     let out = coord.run_batch(&todo);
     assert_exactly_once(&out, todo.len());
@@ -574,7 +664,7 @@ fn coordinator_primes_a_batch_it_runs_after_losing_the_fleet() {
         drop(w);
     });
     let sched = coordinator_sched();
-    let coord = Coordinator::start(DistConfig::new(vec![addr]), &sched).unwrap();
+    let coord = start_coordinator(DistConfig::new(vec![addr]), &sched).unwrap();
     // The only replica dies under a one-job batch, which finishes
     // locally.
     let lone = JobSpec::cpu_sim(
@@ -621,7 +711,7 @@ fn coordinator_primes_the_jobs_it_recomputes() {
         })
         .unzip();
     let sched = coordinator_sched();
-    let coord = Coordinator::start(DistConfig::new(addrs), &sched).unwrap();
+    let coord = start_coordinator(DistConfig::new(addrs), &sched).unwrap();
     let out = coord.run_batch(&group_and_lone_gpu());
     let st = coord.stats();
     assert_eq!(st.jobs_sent, 10, "every job went out on the wire");

@@ -17,7 +17,7 @@ use syncperf_omp::OmpExecutor;
 
 /// One independent measurement job: kernel × parameters × protocol on
 /// a concrete executor configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JobSpec {
     /// A measurement on the CPU simulator.
     CpuSim {

@@ -374,12 +374,6 @@ pub struct BackendExec {
 /// work-stealing pool.
 pub type ExecBackend = Box<dyn Fn(&[(usize, JobSpec, u64)]) -> Vec<BackendExec> + Send + Sync>;
 
-/// Extra telemetry exporter appended to [`Scheduler::export_into`]:
-/// lets a subsystem attached to the scheduler (like the distributed
-/// coordinator's `dist.*` metrics) ride along every `/metrics` and
-/// `--metrics` export without the host knowing about it.
-pub type ExportHook = Box<dyn Fn(&mut Snapshot) + Send + Sync>;
-
 /// The sweep scheduler: cache consultation, work-stealing execution,
 /// deterministic index-ordered merge, checkpointing.
 pub struct Scheduler {
@@ -412,7 +406,6 @@ pub struct Scheduler {
     workers: Mutex<Vec<PoolWorkerStats>>,
     store_hook: RwLock<Option<StoreHook>>,
     backend: RwLock<Option<ExecBackend>>,
-    export_hook: RwLock<Option<ExportHook>>,
     /// The `salt=…` line every job hash ends with.
     salt_line: String,
     /// Job-hash heads (system prefixes and kernel renders), kept for
@@ -454,7 +447,6 @@ impl Scheduler {
             workers: Mutex::new(Vec::new()),
             store_hook: RwLock::new(None),
             backend: RwLock::new(None),
-            export_hook: RwLock::new(None),
             heads: Mutex::new(HeadMemo::default()),
         }
     }
@@ -513,12 +505,6 @@ impl Scheduler {
         *self.backend.write().unwrap() = None;
     }
 
-    /// Registers (or replaces) the extra telemetry exporter; see
-    /// [`ExportHook`].
-    pub fn set_export_hook(&self, hook: impl Fn(&mut Snapshot) + Send + Sync + 'static) {
-        *self.export_hook.write().unwrap() = Some(Box::new(hook));
-    }
-
     /// The content hash of `job` under this scheduler's salt: equal
     /// to [`job_hash_with_salt`], with the head read from the memo
     /// [`Scheduler::run_jobs`] fills.
@@ -564,9 +550,9 @@ impl Scheduler {
 
     /// Merges this scheduler's registry — `sched.*` counters,
     /// queue-depth gauges, wait/service histograms, `plan.batch_size` —
-    /// plus its per-worker tallies and the export hook's metrics into
-    /// `snap`, so every sink (`--metrics`, `--metrics-addr`, `/metrics`)
-    /// reads the same numbers, global recorder or not.
+    /// plus its per-worker tallies into `snap`, so every sink
+    /// (`--metrics`, `--metrics-addr`, `/metrics`) reads the same
+    /// numbers, global recorder or not.
     pub fn export_into(&self, snap: &mut Snapshot) {
         snap.merge(&self.registry.snapshot());
         for (w, p) in self.worker_stats().iter().enumerate() {
@@ -576,9 +562,6 @@ impl Scheduler {
                 .insert(format!("sched.worker.{w}.stolen"), p.stolen);
             snap.counters
                 .insert(format!("sched.worker.{w}.busy_us"), p.busy_ns / 1_000);
-        }
-        if let Some(hook) = self.export_hook.read().unwrap().as_ref() {
-            hook(snap);
         }
     }
 

@@ -10,11 +10,11 @@
 //! moment its cache entry lands on disk.
 //!
 //! Reads are served from the in-memory copies — a reader can never
-//! observe a torn file — and every read path takes a [`Pin`] guard
-//! for its entry. Eviction (`serve --cache-bytes`) walks entries in
-//! least-recently-used order and deletes from disk *and* memory, but
-//! never touches an entry that is pinned by a reader or named by an
-//! in-flight compute writer.
+//! observe a torn file — and each read hands the reader its own copy
+//! of the measurement, rendered within the same request. Eviction
+//! (`serve --cache-bytes`) walks entries in least-recently-used order
+//! and deletes from disk *and* memory, but never touches an entry named
+//! by an in-flight compute writer.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -29,8 +29,6 @@ struct Entry {
     bytes: u64,
     /// Monotonic touch tick; larger = more recently used.
     last_used: u64,
-    /// Live reader pins; eviction skips any entry with pins > 0.
-    pins: u32,
 }
 
 #[derive(Debug, Default)]
@@ -76,41 +74,8 @@ pub struct QueryMatch {
     pub hash: u64,
     /// Absolute thread-count distance (0 = exact).
     pub distance: u32,
-    /// Reader pin over the matched entry.
-    pub pin: Pin,
-}
-
-/// RAII reader pin: while alive, the pinned entry cannot be evicted.
-/// Carries a clone of the measurement so responses are rendered from
-/// a stable, untearable copy.
-#[derive(Debug)]
-pub struct Pin {
-    index: Arc<Index>,
-    hash: u64,
-    measurement: Measurement,
-}
-
-impl Pin {
-    /// The pinned entry's content hash.
-    #[must_use]
-    pub fn hash(&self) -> u64 {
-        self.hash
-    }
-
-    /// The pinned measurement.
-    #[must_use]
-    pub fn measurement(&self) -> &Measurement {
-        &self.measurement
-    }
-}
-
-impl Drop for Pin {
-    fn drop(&mut self) {
-        let mut st = self.index.state.lock().unwrap();
-        if let Some(e) = st.entries.get_mut(&self.hash) {
-            e.pins = e.pins.saturating_sub(1);
-        }
-    }
+    /// The matched measurement.
+    pub measurement: Measurement,
 }
 
 impl Index {
@@ -176,7 +141,6 @@ impl Index {
                 measurement: m,
                 bytes,
                 last_used: tick,
-                pins: 0,
             },
         );
         st.total_bytes += bytes;
@@ -191,34 +155,27 @@ impl Index {
 
     /// Incremental insert, as driven by the scheduler's store hook:
     /// the entry for `hash` was just written to disk.
-    pub fn insert(self: &Arc<Self>, hash: u64, m: &Measurement) {
+    pub fn insert(&self, hash: u64, m: &Measurement) {
         let bytes = std::fs::metadata(self.cache.entry_path(hash)).map_or(0, |md| md.len());
         self.insert_entry(hash, m.clone(), bytes);
     }
 
-    /// Pins and returns the entry for `hash`, touching its recency.
+    /// The measurement for `hash`, touching its recency.
     #[must_use]
-    pub fn get(self: &Arc<Self>, hash: u64) -> Option<Pin> {
+    pub fn get(&self, hash: u64) -> Option<Measurement> {
         let mut st = self.state.lock().unwrap();
         st.tick += 1;
         let tick = st.tick;
         let e = st.entries.get_mut(&hash)?;
         e.last_used = tick;
-        e.pins += 1;
-        let measurement = e.measurement.clone();
-        drop(st);
-        Some(Pin {
-            index: Arc::clone(self),
-            hash,
-            measurement,
-        })
+        Some(e.measurement.clone())
     }
 
     /// Answers `q` with the exact entry when one matches, else the
     /// nearest by thread count (ties broken toward fewer threads, then
     /// lower hash, so answers are deterministic).
     #[must_use]
-    pub fn query(self: &Arc<Self>, q: &Query) -> Option<QueryMatch> {
+    pub fn query(&self, q: &Query) -> Option<QueryMatch> {
         let target_name = q
             .dtype
             .as_ref()
@@ -254,19 +211,19 @@ impl Index {
                 .min()
         };
         let (distance, _, hash) = best?;
-        let pin = self.get(hash)?;
+        let measurement = self.get(hash)?;
         Some(QueryMatch {
             hash,
             distance,
-            pin,
+            measurement,
         })
     }
 
     /// Reconciles the index with the on-disk cache directory: entries
     /// written by *other* processes sharing the directory (multi-
     /// replica serving) are decoded and indexed, and entries another
-    /// replica evicted from disk are dropped from memory (unless a
-    /// reader currently pins them). Returns `(added, removed)`.
+    /// replica evicted from disk are dropped from memory. Returns
+    /// `(added, removed)`.
     ///
     /// The event loop calls this periodically (`ServeConfig::
     /// index_refresh`); the scan is one `readdir` plus a decode per
@@ -302,13 +259,9 @@ impl Index {
             if on_disk.contains(&hash) {
                 continue;
             }
-            let Some(e) = st.entries.get(&hash) else {
+            let Some(e) = st.entries.remove(&hash) else {
                 continue;
             };
-            if e.pins > 0 {
-                continue; // a live reader still serves the memory copy
-            }
-            let e = st.entries.remove(&hash).expect("checked above");
             st.total_bytes -= e.bytes;
             let kernel = e.measurement.kernel_name;
             if let Some(hs) = st.by_kernel.get_mut(&kernel) {
@@ -323,10 +276,9 @@ impl Index {
     }
 
     /// Evicts least-recently-used entries (disk file + index entry)
-    /// until the on-disk total fits the budget. Entries that are
-    /// pinned by a reader, or whose hash `writer_inflight` reports as
-    /// having an in-flight writer, are never evicted. Returns the
-    /// number of entries evicted.
+    /// until the on-disk total fits the budget. Entries whose hash
+    /// `writer_inflight` reports as having an in-flight writer are
+    /// never evicted. Returns the number of entries evicted.
     pub fn evict_to_budget(&self, writer_inflight: &dyn Fn(u64) -> bool) -> u64 {
         let Some(budget) = self.budget else { return 0 };
         let mut evicted = 0u64;
@@ -338,12 +290,12 @@ impl Index {
                 }
                 st.entries
                     .iter()
-                    .filter(|(h, e)| e.pins == 0 && !writer_inflight(**h))
+                    .filter(|(h, _)| !writer_inflight(**h))
                     .min_by_key(|(h, e)| (e.last_used, **h))
                     .map(|(h, _)| *h)
             };
             let Some(hash) = victim else {
-                // Everything over budget is pinned or being written;
+                // Everything over budget is being written;
                 // try again after the next store.
                 return evicted;
             };
@@ -480,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn eviction_respects_budget_lru_and_pins() {
+    fn eviction_respects_budget_lru_and_inflight_writers() {
         let cache = tmp_cache("evict");
         for (h, t) in [(1u64, 2u32), (2, 4), (3, 8), (4, 16)] {
             cache.store(h, &measurement("omp_barrier", t)).unwrap();
@@ -491,26 +443,31 @@ mod tests {
         let idx = Index::build(Cache::new(&dir), Some(entry_bytes * 2 + 1));
         assert_eq!(idx.len(), 4);
 
-        // Touch 1 so it is most recent; pin 2 so it cannot be evicted.
-        let _t = idx.get(1).unwrap();
-        let pin = idx.get(2).unwrap();
+        // Touch 3, then 1: the two least recently used are 2 and 4.
+        assert!(idx.get(3).is_some() && idx.get(1).is_some());
         let evicted = idx.evict_to_budget(&|_| false);
         assert_eq!(evicted, 2, "two entries over budget");
-        assert!(idx.get(1).is_some(), "recently used survives");
-        assert!(idx.get(2).is_some(), "pinned survives");
-        assert!(idx.get(3).is_none() && idx.get(4).is_none(), "LRU evicted");
-        assert!(idx.total_bytes() <= entry_bytes * 3, "disk shrank");
-        assert!(!Cache::new(&dir).entries().iter().any(|e| e.hash == 3));
+        assert!(
+            idx.get(1).is_some() && idx.get(3).is_some(),
+            "recently used survive"
+        );
+        assert!(idx.get(2).is_none() && idx.get(4).is_none(), "LRU evicted");
+        assert!(
+            idx.total_bytes() <= entry_bytes * 2 + 1,
+            "disk shrank to the budget"
+        );
+        let on_disk: Vec<u64> = Cache::new(&dir).entries().iter().map(|e| e.hash).collect();
+        assert!(!on_disk.contains(&2) && !on_disk.contains(&4));
         assert!(idx.is_consistent());
 
-        // With 2 pinned and budget for one entry, eviction stops early
-        // rather than evicting a pinned/inflight entry.
-        drop(pin);
+        // With budget for none, eviction takes the least recently used
+        // first and never an entry with an in-flight writer.
         let idx2 = Index::build(Cache::new(&dir), Some(1));
-        let _p1 = idx2.get(1).unwrap();
-        let evicted = idx2.evict_to_budget(&|h| h == 2);
-        assert_eq!(evicted, 0, "pinned + inflight entries are untouchable");
-        assert_eq!(idx2.len(), 2);
+        assert!(idx2.get(1).is_some());
+        let evicted = idx2.evict_to_budget(&|h| h == 1);
+        assert_eq!(evicted, 1, "only the entry without a writer goes");
+        assert!(idx2.get(1).is_some() && idx2.get(3).is_none());
+        assert_eq!(idx2.len(), 1);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -533,16 +490,6 @@ mod tests {
         assert_eq!((added, removed), (2, 1));
         assert!(idx.get(1).is_none(), "foreign eviction dropped");
         assert!(idx.get(2).is_some() && idx.get(3).is_some());
-        assert!(idx.is_consistent());
-
-        // A pinned entry survives a foreign eviction until released.
-        let pin = idx.get(2).unwrap();
-        foreign.remove(2).unwrap();
-        let (_, removed) = idx.refresh();
-        assert_eq!(removed, 0, "pinned entry keeps serving from memory");
-        drop(pin);
-        let (_, removed) = idx.refresh();
-        assert_eq!(removed, 1);
         assert!(idx.is_consistent());
 
         // A quiet directory refreshes to a no-op.

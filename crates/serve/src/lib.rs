@@ -21,9 +21,10 @@
 //!   [`JobSpec`](syncperf_sched::JobSpec), and concurrent identical
 //!   requests deduplicate onto a single scheduler job
 //!   (single-writer-per-entry, [`inflight`]).
-//! - `POST /batch` — one shard of a dist coordinator's sweep
-//!   ([`syncperf_sched::codec`]), salt-checked, hash-verified and run
-//!   by one scheduler `run_jobs` call; answers the raw cache entries.
+//! - `POST /batch` — one shard of a dist coordinator's sweep: a list
+//!   of `/compute` bodies, each with its expected content hash
+//!   ([`wire`]), salt-checked, resolved, hash-verified and run by one
+//!   scheduler `run_jobs` call; answers the raw cache entries.
 //! - `GET /metrics` — the live telemetry snapshot (request counters,
 //!   per-endpoint latency histograms, scheduler profile, index
 //!   gauges) in Prometheus-style text exposition format.
@@ -43,8 +44,8 @@
 //! byte-identically from every replica.
 //!
 //! The on-disk cache honours an optional LRU size budget
-//! ([`ServeConfig::cache_bytes`]): eviction never removes an entry with a
-//! live reader pin or an in-flight writer ([`index`]). Every request
+//! ([`ServeConfig::cache_bytes`]): eviction never removes an entry with
+//! an in-flight writer ([`index`]). Every request
 //! is counted under `serve.*` obs counters and observed into
 //! per-endpoint `serve.endpoint.<label>.latency_us` histograms, and
 //! shutdown is graceful on SIGTERM or `/shutdown` — the reactor
@@ -57,11 +58,16 @@ pub mod index;
 pub mod inflight;
 pub mod reactor;
 pub mod server;
+pub mod wire;
 
 pub use http::{try_parse_response, ClientResponse, ParseFailure, ParseStep, Request, Response};
-pub use index::{Index, Pin, Query, QueryMatch};
+pub use index::{Index, Query, QueryMatch};
 pub use inflight::{Claim, Inflight, OwnerGuard};
 pub use server::{
-    endpoint_label, install_sigterm_handler, metrics_endpoint, ComputeRequest, Resolver,
-    ServeConfig, ServeStats, Server, ENDPOINT_LABELS,
+    endpoint_label, install_sigterm_handler, metrics_endpoint, ServeConfig, ServeStats, Server,
+    ENDPOINT_LABELS,
+};
+pub use wire::{
+    batch_records, decode_shard, push_batch_record, shard_body, shard_item, ComputeRequest,
+    Resolver, ShardError,
 };

@@ -23,13 +23,13 @@ use std::time::{Duration, Instant};
 use syncperf_core::obs::{self, Counter, FlightRecorder, Histogram, Recorder, Snapshot};
 use syncperf_core::Measurement;
 use syncperf_sched::cache::encode_measurement;
-use syncperf_sched::codec::{decode_shard, push_batch_record, ShardError};
 use syncperf_sched::{hash::hex16, hash::parse_hex16, JobSpec, Scheduler};
 
 use crate::http::{render_response, try_parse, ParseStep, Request, Response};
 use crate::index::{Index, Query};
 use crate::inflight::{Claim, Inflight};
 use crate::reactor::{Event, Poller, Waker, RDHUP, READABLE, WRITABLE};
+use crate::wire::{decode_shard, push_batch_record, ComputeRequest, Resolver, ShardError};
 
 /// The fixed endpoint label set request counters and latency
 /// histograms are split by (`other` absorbs unknown paths and parse
@@ -58,67 +58,6 @@ pub fn endpoint_label(path: &str) -> &'static str {
     }
 }
 
-/// A parsed `POST /compute` request body.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ComputeRequest {
-    /// Executor kind: `cpu-sim` or `gpu-sim` (real-thread jobs are
-    /// host-scoped and not served remotely).
-    pub executor: String,
-    /// Full kernel name (e.g. `omp_atomicadd_scalar_int`).
-    pub kernel: String,
-    /// Thread count (CPU: team size; GPU: threads per block).
-    pub threads: u32,
-    /// Block count (GPU; ignored for CPU kernels).
-    pub blocks: Option<u32>,
-    /// Affinity label (`spread`, `close`, `system`).
-    pub affinity: Option<String>,
-    /// Measured loop iterations (resolver default when absent).
-    pub n_iter: Option<u32>,
-    /// Unrolled ops per iteration (resolver default when absent).
-    pub n_unroll: Option<u32>,
-}
-
-impl ComputeRequest {
-    /// Parses a request from its JSON body.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for malformed bodies.
-    pub fn from_json(body: &str) -> Result<Self, String> {
-        let v = syncperf_core::obs::json::parse(body).map_err(|e| format!("bad JSON: {e:?}"))?;
-        let get_str = |k: &str| v.get(k).and_then(|x| x.as_str()).map(str::to_string);
-        let get_u32 = |k: &str| -> Result<Option<u32>, String> {
-            match v.get(k) {
-                None => Ok(None),
-                Some(x) => {
-                    let f = x
-                        .as_f64()
-                        .ok_or_else(|| format!("`{k}` must be a number"))?;
-                    if f.is_finite() && f >= 0.0 && f.fract() == 0.0 && f <= f64::from(u32::MAX) {
-                        Ok(Some(f as u32))
-                    } else {
-                        Err(format!("`{k}` must be a non-negative integer"))
-                    }
-                }
-            }
-        };
-        Ok(ComputeRequest {
-            executor: get_str("executor").ok_or("missing `executor`")?,
-            kernel: get_str("kernel").ok_or("missing `kernel`")?,
-            threads: get_u32("threads")?.ok_or("missing `threads`")?,
-            blocks: get_u32("blocks")?,
-            affinity: get_str("affinity"),
-            n_iter: get_u32("n_iter")?,
-            n_unroll: get_u32("n_unroll")?,
-        })
-    }
-}
-
-/// Maps a [`ComputeRequest`] to a concrete [`JobSpec`], or `None`
-/// when the kernel/executor combination is unknown. The bench crate
-/// supplies a resolver over its kernel registry.
-pub type Resolver = Box<dyn Fn(&ComputeRequest) -> Option<JobSpec> + Send + Sync>;
-
 /// Server configuration.
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` for an ephemeral port).
@@ -131,9 +70,6 @@ pub struct ServeConfig {
     /// longer than this (slowloris included) is evicted, as is a
     /// response write the peer refuses to drain.
     pub request_timeout: Duration,
-    /// How long a deduplicated `/compute` waits for the owning
-    /// computation before answering 503.
-    pub compute_patience: Duration,
     /// Connection cap: accepts beyond this are answered `503` with a
     /// `Retry-After` header and closed immediately.
     pub max_connections: usize,
@@ -173,7 +109,6 @@ impl ServeConfig {
             results_dir: PathBuf::from("results"),
             cache_bytes: None,
             request_timeout: Duration::from_secs(10),
-            compute_patience: Duration::from_secs(60),
             max_connections: 2048,
             index_refresh: Duration::from_millis(500),
             scheduler,
@@ -323,7 +258,6 @@ struct Shared {
     counters: Counters,
     recorder: Recorder,
     flight: FlightRecorder,
-    compute_patience: Duration,
     shutdown: AtomicBool,
     /// Live connection count (gauge `serve.connections`).
     connections: AtomicU64,
@@ -430,7 +364,6 @@ impl Server {
             counters,
             recorder: cfg.recorder,
             flight,
-            compute_patience: cfg.compute_patience,
             shutdown: AtomicBool::new(false),
             connections: AtomicU64::new(0),
             completions: Mutex::new(Vec::new()),
@@ -459,7 +392,6 @@ impl Server {
 
         let loop_cfg = LoopConfig {
             request_timeout: cfg.request_timeout.max(Duration::from_millis(10)),
-            compute_patience: cfg.compute_patience,
             max_connections: cfg.max_connections.max(1),
             index_refresh: cfg.index_refresh.max(Duration::from_millis(10)),
         };
@@ -538,12 +470,15 @@ impl Server {
 /// load-balancing churn for replica fleets behind a dumb balancer.
 const MAX_REQUESTS_PER_CONNECTION: u32 = 128;
 
+/// How long a deduplicated `/compute` waits for the owning computation
+/// before answering 503.
+const COMPUTE_PATIENCE: Duration = Duration::from_secs(60);
+
 /// Reactor-internal configuration (the subset of [`ServeConfig`] the
 /// event loop needs, with floors applied).
 #[derive(Debug, Clone, Copy)]
 struct LoopConfig {
     request_timeout: Duration,
-    compute_patience: Duration,
     max_connections: usize,
     index_refresh: Duration,
 }
@@ -852,7 +787,7 @@ fn pump(
                             }
                             conn.state = ConnState::Computing;
                             conn.deadline = Instant::now()
-                                + cfg.compute_patience
+                                + COMPUTE_PATIENCE
                                 + cfg.request_timeout
                                 + Duration::from_secs(5);
                             return set_interest(conn, poller, RDHUP, token);
@@ -1044,8 +979,7 @@ fn route(req: &Request, shared: &Arc<Shared>) -> Routed {
         ("GET", "/query") => handle_query(req, shared),
         ("POST", "/compute") => return handle_compute(req, shared),
         ("POST", "/batch") => {
-            return parse_shard(&req.body, &shared.scheduler)
-                .map_or_else(Routed::Done, Routed::Defer)
+            return parse_shard(&req.body, shared).map_or_else(Routed::Done, Routed::Defer)
         }
         ("GET", path) if path.starts_with("/job/") => handle_job(&path[5..], shared),
         ("GET", path) if path.starts_with("/figure/") => handle_figure(&path[8..], shared),
@@ -1197,9 +1131,9 @@ fn handle_job(hash_str: &str, shared: &Arc<Shared>) -> Response {
     let Some(hash) = parse_hex16(hash_str) else {
         return Response::error(400, "job hash must be 16 hex digits");
     };
-    if let Some(pin) = shared.index.get(hash) {
+    if let Some(m) = shared.index.get(hash) {
         shared.counters.cache_hits.inc();
-        measurement_response(hash, pin.measurement(), "cache", None)
+        measurement_response(hash, &m, "cache", None)
     } else {
         shared.counters.cache_misses.inc();
         Response::error(404, "no cached measurement for that hash")
@@ -1231,7 +1165,7 @@ fn handle_query(req: &Request, shared: &Arc<Shared>) -> Response {
         shared.counters.cache_hits.inc();
         measurement_response(
             found.hash,
-            found.pin.measurement(),
+            &found.measurement,
             "cache",
             Some(found.distance),
         )
@@ -1284,9 +1218,9 @@ fn handle_compute(req: &Request, shared: &Arc<Shared>) -> Routed {
     let hash = shared.scheduler.job_hash(&job);
 
     // Fast path: already cached and indexed.
-    if let Some(pin) = shared.index.get(hash) {
+    if let Some(m) = shared.index.get(hash) {
         shared.counters.cache_hits.inc();
-        return Routed::Done(measurement_response(hash, pin.measurement(), "cache", None));
+        return Routed::Done(measurement_response(hash, &m, "cache", None));
     }
     shared.counters.cache_misses.inc();
     Routed::Defer(Work::Compute(Box::new(job), hash))
@@ -1298,11 +1232,11 @@ fn handle_compute(req: &Request, shared: &Arc<Shared>) -> Routed {
 fn compute_response(shared: &Arc<Shared>, job: &JobSpec, hash: u64) -> Response {
     // The queue wait may have been long enough for someone else (or
     // another replica) to fill the cache.
-    if let Some(pin) = shared.index.get(hash) {
-        return measurement_response(hash, pin.measurement(), "cache", None);
+    if let Some(m) = shared.index.get(hash) {
+        return measurement_response(hash, &m, "cache", None);
     }
     loop {
-        match shared.inflight.claim_or_wait(hash, shared.compute_patience) {
+        match shared.inflight.claim_or_wait(hash, COMPUTE_PATIENCE) {
             Claim::Owner(guard) => {
                 shared.counters.computes.inc();
                 let result = shared.scheduler.measure(job.clone());
@@ -1315,8 +1249,8 @@ fn compute_response(shared: &Arc<Shared>, job: &JobSpec, hash: u64) -> Response 
             }
             Claim::Waited => {
                 shared.counters.dedup_waits.inc();
-                if let Some(pin) = shared.index.get(hash) {
-                    return measurement_response(hash, pin.measurement(), "deduplicated", None);
+                if let Some(m) = shared.index.get(hash) {
+                    return measurement_response(hash, &m, "deduplicated", None);
                 }
                 // The owner failed (nothing landed in the index):
                 // loop and claim ownership ourselves.
@@ -1330,25 +1264,32 @@ fn compute_response(shared: &Arc<Shared>, job: &JobSpec, hash: u64) -> Response 
 }
 
 /// `POST /batch` routing: decodes a dist coordinator's shard
-/// ([`decode_shard`]) for the pool. Another salt is a 409 naming both,
-/// a job that cannot travel a 422, and anything malformed — a job that
-/// does not re-hash to its sent hash included — a 400, so no entry is
-/// ever keyed by a hash its job does not have.
-fn parse_shard(body: &str, sched: &Scheduler) -> Result<Work, Response> {
-    let shard = decode_shard(body, sched.salt()).map_err(|e| match e {
-        ShardError::Malformed(msg) => Response::error(400, msg),
+/// ([`decode_shard`]) and resolves each item as `/compute` would, for
+/// the pool. Another salt is a 409 naming both, a request the resolver
+/// refuses a 422, and anything malformed — a job that does not re-hash
+/// to its sent hash included — a 400, so no entry is ever keyed by a
+/// hash its job does not have.
+fn parse_shard(body: &str, shared: &Shared) -> Result<Work, Response> {
+    let sched = &shared.scheduler;
+    let items = decode_shard(body, sched.salt()).map_err(|e| match e {
+        ShardError::Malformed(msg) => Response::error(400, &msg),
         ShardError::Salt(theirs) => Response::error(
             409,
             &format!("salt mismatch: shard {theirs}, replica {}", sched.salt()),
         ),
-        ShardError::CannotTravel => Response::error(422, "only model-free simulator jobs travel"),
     })?;
-    for (hash, job) in &shard {
-        let rehash = sched.job_hash(job);
-        if rehash != *hash {
-            let msg = format!("job {} re-hashes to {}", hex16(*hash), hex16(rehash));
+    let mut shard = Vec::with_capacity(items.len());
+    for (hash, req) in items {
+        let Some(job) = (shared.resolver)(&req) else {
+            let msg = format!("job {}: unknown kernel/executor combination", hex16(hash));
+            return Err(Response::error(422, &msg));
+        };
+        let rehash = sched.job_hash(&job);
+        if rehash != hash {
+            let msg = format!("job {} re-hashes to {}", hex16(hash), hex16(rehash));
             return Err(Response::error(400, &msg));
         }
+        shard.push((hash, job));
     }
     Ok(Work::Batch(shard))
 }
@@ -1457,29 +1398,6 @@ mod tests {
             wrong.starts_with("HTTP/1.1 405 Method Not Allowed"),
             "got: {wrong}"
         );
-    }
-
-    #[test]
-    fn compute_request_parses_and_validates() {
-        let spec = ComputeRequest::from_json(
-            "{\"executor\": \"cpu-sim\", \"kernel\": \"omp_barrier\", \"threads\": 8}",
-        )
-        .unwrap();
-        assert_eq!(spec.executor, "cpu-sim");
-        assert_eq!(spec.kernel, "omp_barrier");
-        assert_eq!(spec.threads, 8);
-        assert_eq!(spec.blocks, None);
-
-        assert!(ComputeRequest::from_json("not json").is_err());
-        assert!(ComputeRequest::from_json("{\"executor\": \"cpu-sim\"}").is_err());
-        assert!(ComputeRequest::from_json(
-            "{\"executor\": \"x\", \"kernel\": \"k\", \"threads\": -1}"
-        )
-        .is_err());
-        assert!(ComputeRequest::from_json(
-            "{\"executor\": \"x\", \"kernel\": \"k\", \"threads\": 1.5}"
-        )
-        .is_err());
     }
 
     #[test]

@@ -216,9 +216,12 @@ fn distributed_docs_match_the_wire_and_code() {
     // The documented dist.* names are exactly the ones the coordinator
     // exports, in both directions, in both metric tables.
     let sched = syncperf_sched::Scheduler::new(syncperf_sched::SchedConfig::new(1).without_cache());
-    let coord =
-        syncperf_dist::Coordinator::start(syncperf_dist::DistConfig::new(Vec::new()), &sched)
-            .unwrap();
+    let coord = syncperf_dist::Coordinator::start(
+        syncperf_dist::DistConfig::new(Vec::new()),
+        &sched,
+        syncperf_bench::serving::default_resolver(),
+    )
+    .unwrap();
     let mut registry = syncperf_core::obs::Snapshot::default();
     coord.export_into(&mut registry);
     let exported_dist: BTreeSet<&str> = registry
@@ -255,8 +258,11 @@ fn distributed_docs_match_the_wire_and_code() {
     // docs/SCHEDULER.md lists are exactly the ones `--metrics` renders
     // for a scheduler with a dist coordinator attached (histograms
     // count once, without their `_min`/`_max` companions).
-    let mut snap = syncperf_core::obs::Snapshot::default();
-    sched.export_into(&mut snap);
+    let snap = syncperf_bench::runner::process_snapshot(
+        &syncperf_core::obs::Recorder::disabled(),
+        Some(&sched),
+        Some(&coord),
+    );
     let exposition = syncperf_core::obs::metrics::render(&snap);
     let typed: Vec<(&str, &str)> = exposition
         .lines()

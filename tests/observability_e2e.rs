@@ -140,7 +140,7 @@ fn sweep_into_results() -> (SchedStats, Snapshot) {
     }
     sched.finish();
     syncperf_sched::uninstall();
-    let snap = syncperf_bench::runner::process_snapshot(obs::global(), Some(&sched));
+    let snap = syncperf_bench::runner::process_snapshot(obs::global(), Some(&sched), None);
     (sched.stats(), snap)
 }
 
@@ -178,6 +178,25 @@ fn plane_sweep_metrics() {
         .filter(|n| n.starts_with("sched.") || n.starts_with("dist.") || *n == "plan.batch_size")
         .collect();
     assert!(copies.is_empty(), "counted twice: {copies:?}");
+    // A dist coordinator's rows reach the process snapshot through the
+    // runner alone: the scheduler's export carries none of them.
+    let sched = Scheduler::new(SchedConfig::new(1).without_cache());
+    let coord = syncperf_dist::Coordinator::start(
+        syncperf_dist::DistConfig::new(Vec::new()),
+        &sched,
+        syncperf_bench::serving::default_resolver(),
+    )
+    .unwrap();
+    let dist_rows = |snap: &Snapshot| {
+        snap.counters
+            .keys()
+            .filter(|n| n.starts_with("dist."))
+            .count()
+    };
+    let runner = syncperf_bench::runner::process_snapshot;
+    assert_eq!(dist_rows(&runner(rec, Some(&sched), None)), 0);
+    assert!(dist_rows(&runner(rec, Some(&sched), Some(&coord))) > 0);
+    coord.shutdown();
     assert_eq!(snap.counter("sched.plan_primed_jobs"), st.plan_primed_jobs);
     for name in ["sched.wait_us", "sched.service_us.miss", "plan.batch_size"] {
         assert!(snap.histogram(name).count() > 0, "{name} missing: {snap:?}");

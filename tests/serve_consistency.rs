@@ -886,27 +886,60 @@ fn concurrent_multi_writer_computes_share_the_cache_without_tears() {
     let _ = std::fs::remove_dir_all(&results);
 }
 
+#[test]
+fn compute_resolves_the_system_it_names() {
+    let results = tmp("system");
+    let server = start_server(&results, None);
+    let addr = server.addr();
+    let body = |system: u32| {
+        format!(
+            "{{\"executor\": \"cpu-sim\", \"kernel\": \"omp_barrier\", \"threads\": 4, \
+             \"n_iter\": 20, \"n_unroll\": 4, \"system\": {system}}}"
+        )
+    };
+    let (status, answer) = post(addr, "/compute", &body(1));
+    assert_eq!(status, 200, "{answer}");
+    let job = syncperf_sched::JobSpec::cpu_sim(
+        &syncperf_core::SYSTEM1,
+        syncperf_core::kernel::omp_barrier(),
+        syncperf_bench::common::paper_loops(4).with_loops(20, 4),
+        syncperf_bench::common::protocol(),
+    );
+    let hash = syncperf_sched::job_hash_with_salt(&job, 0);
+    assert_eq!(field(&answer, "hash"), syncperf_sched::hash::hex16(hash));
+    let m = syncperf_sched::execute_job_with_retry(&job, hash, |_| {}).unwrap();
+    assert_eq!(measurement_of(&answer), encode_measurement(hash, &m));
+    let (status, answer) = post(addr, "/compute", &body(9));
+    assert_eq!(status, 422, "{answer}");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&results);
+}
+
 /// A `/batch` shard body: `(hash, wire job)` items under `salt`.
 fn shard(salt: &str, items: &[(u64, &str)]) -> String {
-    let jobs: Vec<String> = items
+    let items: Vec<String> = items
         .iter()
         .map(|(hash, job)| format!("{{\"hash\":\"{hash:016x}\",\"job\":{job}}}"))
         .collect();
-    format!("{{\"salt\":\"{salt}\",\"jobs\":[{}]}}", jobs.join(","))
+    let items: Vec<&str> = items.iter().map(String::as_str).collect();
+    syncperf_serve::shard_body(salt, &items)
 }
 
-/// One small CPU simulator job at `threads`, with its hash under the
-/// default salt and its wire form.
+/// One small `omp_barrier` job at `threads` that the serve resolver
+/// rebuilds, with its hash under the default salt and its wire form,
+/// the `/compute` body that names it.
 fn wire_job(threads: u32) -> (syncperf_sched::JobSpec, u64, String) {
-    use syncperf_core::{kernel, ExecParams, Protocol, SYSTEM3};
-    let job = syncperf_sched::JobSpec::cpu_sim(
-        &SYSTEM3,
-        kernel::omp_barrier(),
-        ExecParams::new(threads).with_loops(20, 4),
-        Protocol::SIM,
-    );
+    let req = ComputeRequest {
+        executor: "cpu-sim".into(),
+        kernel: "omp_barrier".into(),
+        threads,
+        n_iter: Some(20),
+        n_unroll: Some(4),
+        ..ComputeRequest::default()
+    };
+    let job = serving::resolve(&req).expect("the request resolves");
     let hash = syncperf_sched::job_hash_with_salt(&job, 0);
-    let wire = syncperf_sched::encode_job(&job).expect("a simulator job travels");
+    let wire = ComputeRequest::of(&job).to_json();
     (job, hash, wire)
 }
 
@@ -948,6 +981,7 @@ fn batch_refuses_what_it_cannot_run_under_the_sent_hash() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains(&syncperf_sched::hash::hex16(wrong)), "{body}");
     let tampered = wire.replace("\"threads\":4", "\"threads\":5");
+    assert_ne!(tampered, wire);
     assert_eq!(
         post(addr, "/batch", &shard(&salt, &[(hash, &tampered)])).0,
         400
@@ -956,10 +990,17 @@ fn batch_refuses_what_it_cannot_run_under_the_sent_hash() {
         assert_eq!(get(addr, &format!("/job/{h:016x}")).0, 404);
     }
 
-    // Jobs that cannot travel: real OpenMP threads, model overrides.
-    let real = wire.replace("\"exec\":\"cpu-sim\"", "\"exec\":\"real-omp\"");
-    let model = wire.replacen('{', "{\"model\":{},", 1);
-    for job in [&real, &model] {
+    // An item that is not a `/compute` body is a bad request; one the
+    // resolver refuses (real OpenMP threads, a kernel outside the
+    // registry) is unprocessable.
+    assert_eq!(post(addr, "/batch", &shard(&salt, &[(hash, "{}")])).0, 400);
+    let real = wire.replace("\"executor\":\"cpu-sim\"", "\"executor\":\"real-omp\"");
+    let unknown = wire.replace(
+        "\"kernel\":\"omp_barrier\"",
+        "\"kernel\":\"no_such_kernel\"",
+    );
+    for job in [&real, &unknown] {
+        assert_ne!(job, &wire);
         let (status, body) = post(addr, "/batch", &shard(&salt, &[(hash, job)]));
         assert_eq!(status, 422, "{body}");
     }
@@ -980,7 +1021,7 @@ fn batch_answers_the_entry_bytes_of_a_local_run() {
 
     let (status, body) = post(addr, "/batch", &shard(&salt, &items));
     assert_eq!(status, 200, "{body}");
-    let records = syncperf_sched::batch_records(&body);
+    let records = syncperf_serve::batch_records(&body);
     assert_eq!(records.len(), jobs.len(), "one record per job: {body}");
     for ((job, hash, _), (got, entry)) in jobs.iter().zip(&records) {
         assert_eq!(got, hash, "records come back in request order");
